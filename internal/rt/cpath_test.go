@@ -24,13 +24,22 @@ func TestCriticalPathEndpoint(t *testing.T) {
 		CPath:   CPathOptions{Enable: true, Precise: true},
 	})
 	defer r.Close()
+	// The head waits until every link is submitted: an edge from a
+	// predecessor that has already finished is pruned at discovery, and
+	// the chain's fold would stop there.
+	submitted := make(chan struct{})
 	for i := 0; i < n; i++ {
+		body := func(any) {}
+		if i == 0 {
+			body = func(any) { <-submitted }
+		}
 		r.Submit(Spec{
 			Label: fmt.Sprintf("link%d", i),
 			InOut: []graph.Key{graph.Key(1)},
-			Body:  func(any) {},
+			Body:  body,
 		})
 	}
+	close(submitted)
 	if err := r.Taskwait(); err != nil {
 		t.Fatalf("Taskwait: %v", err)
 	}

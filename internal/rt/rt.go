@@ -1079,12 +1079,12 @@ func (rt *Runtime) detachEvent(t *graph.Task) *Event {
 	return t.Attach.(*Event)
 }
 
-// armDetached marks a detached task as waiting on external fulfillment
-// (body returned without failing). If an abort raced the arming, run
-// the cancellation pass again so the task cannot be stranded: either
-// the abort's pass saw armed (and claimed it), or this re-run does.
-func (rt *Runtime) armDetached(t *graph.Task) {
-	ev := rt.detachEvent(t)
+// armDetached marks a detached task, named by its event, as waiting on
+// external fulfillment (body returned without failing). If an abort
+// raced the arming, run the cancellation pass again so the task cannot
+// be stranded: either the abort's pass saw armed (and claimed it), or
+// this re-run does.
+func (rt *Runtime) armDetached(ev *Event) {
 	ev.armed.Store(true)
 	if rt.aborted.Load() {
 		rt.cancelDetached()
@@ -1131,8 +1131,14 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	// the authority. Running the body anyway would store Running over
 	// the terminal state, leaving a ghost-live task that silently blocks
 	// every later successor discovered against its keys.
-	if t.Detached && rt.detachEvent(t).fired.Load() {
-		return
+	// The event is read once, here: a Fulfill during the body completes
+	// the task, and in a persistent region the producer may then replay it
+	// — attaching the next iteration's event — before this executor is done.
+	var ev *Event
+	if t.Detached {
+		if ev = rt.detachEvent(t); ev.fired.Load() {
+			return
+		}
 	}
 	p := rt.cfg.Profile
 	slot := w
@@ -1180,7 +1186,7 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	if t.Detached {
 		// Completion arrives via Event.Fulfill; mark the task as out of
 		// the queues so an Abort may claim it.
-		rt.armDetached(t)
+		rt.armDetached(ev)
 		return
 	}
 	rt.complete(w, t)
@@ -1307,9 +1313,11 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 	// successor walk publishes the cp* values, and its live-count
 	// decrement is what lets a quiescent producer read the profiler
 	// slots without synchronization (see cpath.Profiler.Observe).
+	var finNs int64
 	if rt.cp != nil {
 		rt.g.StampFinish(t)
 		rt.cp.Observe(w, t)
+		finNs = t.FinishAtNs()
 	}
 	// Terminal-transition counters, on the finisher's shard (w == -1
 	// routes to the external shard). Redirect sentinels are graph
@@ -1377,9 +1385,11 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 	// Release-phase accounting (finish stamp to end of the successor
 	// walk + publication), counter-only: release time overlaps the
 	// released successors' ready-wait, so it never enters the window's
-	// T1 (see cpath.Profiler.ObserveRelease).
+	// T1 (see cpath.Profiler.ObserveRelease). The stamp was read before
+	// the terminal transition: once t's successors are released a replay
+	// may drain, and the producer's next BeginIteration rewrites it.
 	if rt.cp != nil {
-		rt.cp.ObserveRelease(w, rt.cp.Now()-t.FinishAtNs())
+		rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
 	}
 }
 
@@ -1401,11 +1411,14 @@ const spillCap = 16
 // transitions it watches: a completion releasing nothing, or the
 // countdown reaching zero.
 func (rt *Runtime) finishCompiled(w int, t *graph.Task, cs *graph.Compiled, final graph.State) {
-	// Same critical-path ordering contract as finish: stamp and observe
-	// before the compiled release walk decrements anything.
+	// Same critical-path ordering contract as finish: stamp, observe and
+	// read the stamp back before the compiled release walk decrements
+	// anything.
+	var finNs int64
 	if rt.cp != nil {
 		rt.g.StampFinish(t)
 		rt.cp.Observe(w, t)
+		finNs = t.FinishAtNs()
 	}
 	slotted := w >= 0 && w < len(rt.relBufs)
 	if !slotted {
@@ -1417,13 +1430,13 @@ func (rt *Runtime) finishCompiled(w int, t *graph.Task, cs *graph.Compiled, fina
 			rt.s.WakeProducer()
 		}
 		if rt.cp != nil {
-			rt.cp.ObserveRelease(w, rt.cp.Now()-t.FinishAtNs())
+			rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
 		}
 		return
 	}
 	released := cs.FinishIntoDeferred(t, rt.relBufs[w], final)
 	if rt.cp != nil {
-		rt.cp.ObserveRelease(w, rt.cp.Now()-t.FinishAtNs())
+		rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
 	}
 	switch {
 	case t.Redirect: // graph machinery, uncounted

@@ -363,6 +363,27 @@ func TestGlobalInflightCapReturns429(t *testing.T) {
 	}
 }
 
+// waitTenantUsable retries a small graph until the tenant serves it
+// correctly: after a disconnect the first request may still find the
+// aborted window draining.
+func waitTenantUsable(t *testing.T, ts *httptest.Server, tenant string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		status, evs := postGraph(t, ts.Client(), ts.URL, tenant, sumGraph(3, 4))
+		if status == 200 && !hasType(evs, "error") {
+			if v, _ := resultOf(evs, "total"); v != 7.0 {
+				t.Fatalf("total %v after disconnect", v)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tenant unusable after disconnect: status %d events %+v", status, evs)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 func TestClientDisconnectAbortsGraph(t *testing.T) {
 	s, ts := newTestServer(t, Options{Queue: 4})
 	// Long chain: ~64 * several ms of spin. Disconnect right after
@@ -375,21 +396,7 @@ func TestClientDisconnectAbortsGraph(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("stream did not close after disconnect")
 	}
-	// The tenant serves the next request correctly after the abort.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		status, evs := postGraph(t, ts.Client(), ts.URL, "d", sumGraph(3, 4))
-		if status == 200 && !hasType(evs, "error") {
-			if v, _ := resultOf(evs, "total"); v.(float64) != 7 {
-				t.Fatalf("total %v after disconnect", v)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("tenant unusable after disconnect: status %d events %+v", status, evs)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitTenantUsable(t, ts, "d")
 	snap := s.Manager().Snapshot()["d"]
 	if snap.Tasks >= 64 {
 		t.Errorf("abort did not cut the chain: %d bodies ran", snap.Tasks)
@@ -432,16 +439,7 @@ func TestTenantTeardownReleasesWorkers(t *testing.T) {
 	// Worker goroutines must be gone (allow HTTP conn goroutines to
 	// settle).
 	ts.CloseClientConnections()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= base {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("goroutines %d > baseline %d after teardown", n, base)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+	waitGoroutines(t, base)
 	if len(s.Manager().Snapshot()) != 0 {
 		t.Fatal("tenants left in pool")
 	}
@@ -543,34 +541,34 @@ func TestObservabilityEndpoints(t *testing.T) {
 
 func TestOps(t *testing.T) {
 	raw := func(s string) json.RawMessage { return json.RawMessage(s) }
-	if v, err := opConst(raw(`{"a":1}`), nil); err != nil || v.(map[string]any)["a"].(float64) != 1 {
+	if v, err := opConst(raw(`{"a":1}`))(nil); err != nil || v.(map[string]any)["a"].(float64) != 1 {
 		t.Errorf("const: %v %v", v, err)
 	}
-	if _, err := opConst(nil, nil); err == nil {
+	if _, err := opConst(nil)(nil); err == nil {
 		t.Error("const without arg should fail")
 	}
-	if v, _ := opSum(raw("10"), []any{1.0, 2.0}); v.(float64) != 13 {
+	if v, _ := opSum(raw("10"))([]any{1.0, 2.0}); v.(float64) != 13 {
 		t.Errorf("sum: %v", v)
 	}
-	if _, err := opSum(nil, []any{"nope"}); err == nil {
+	if _, err := opSum(nil)([]any{"nope"}); err == nil {
 		t.Error("sum of string should fail")
 	}
-	if v, _ := opMul(nil, []any{3.0, 4.0}); v.(float64) != 12 {
+	if v, _ := opMul(nil)([]any{3.0, 4.0}); v.(float64) != 12 {
 		t.Errorf("mul: %v", v)
 	}
-	if v, _ := opConcat(raw(`"-"`), []any{"a", "b"}); v.(string) != "a-b" {
+	if v, _ := opConcat(raw(`"-"`))([]any{"a", "b"}); v.(string) != "a-b" {
 		t.Errorf("concat: %v", v)
 	}
-	if v, _ := opPass(nil, []any{"x"}); v.(string) != "x" {
+	if v, _ := opPass(nil)([]any{"x"}); v.(string) != "x" {
 		t.Errorf("pass: %v", v)
 	}
-	if _, err := opPass(nil, nil); err == nil {
+	if _, err := opPass(nil)(nil); err == nil {
 		t.Error("pass without input should fail")
 	}
-	if _, err := opSpin(raw(fmt.Sprint(spinCap+1)), nil); err == nil {
+	if _, err := opSpin(raw(fmt.Sprint(spinCap + 1)))(nil); err == nil {
 		t.Error("spin over cap should fail")
 	}
-	if _, err := opFail(raw(`"msg"`), nil); err == nil || !strings.Contains(err.Error(), "msg") {
+	if _, err := opFail(raw(`"msg"`))(nil); err == nil || !strings.Contains(err.Error(), "msg") {
 		t.Errorf("fail: %v", err)
 	}
 }

@@ -120,18 +120,13 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.requests.Add(1)
 
-	// Event buffer sized so emitters (task bodies on tenant workers)
-	// never block on a slow or gone client: one transition per task,
-	// every possible result, the error tail and bookends.
-	nProvides := 0
-	for i := range req.Tasks {
-		nProvides += len(req.Tasks[i].Provide)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flush := func() {}
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
 	}
-	events := make(chan Event, len(req.Tasks)+nProvides+maxErrorEvents+8)
-	emit := func(e Event) { events <- e }
-
-	go func() {
-		defer close(events)
+	stream(w, flush, Event{Type: "accepted", Key: name}, func(emit func(Event)) {
 		t0 := time.Now()
 		err := tn.Run(r.Context(), &req, emit)
 		if err != nil {
@@ -146,25 +141,7 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 			iters = 1
 		}
 		emit(Event{Type: "done", Iters: iters, Elapsed: time.Since(t0).Seconds()})
-	}()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	seq := 0
-	writeEvent := func(e Event) {
-		seq++
-		e.Seq = seq
-		_ = enc.Encode(e)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	writeEvent(Event{Type: "accepted", Key: name})
-	for e := range events {
-		writeEvent(e)
-	}
+	})
 }
 
 // maxErrorEvents bounds the error tail of a stream: the primary

@@ -1,0 +1,174 @@
+package serve
+
+import (
+	"encoding/json"
+	"io"
+	"math"
+	"strconv"
+	"sync"
+)
+
+// mailbox is one request's event queue between the tenant's workers and
+// the handler that owns the socket. Producers append under the mutex and
+// move on — put never blocks, however slow or gone the reader is — and
+// the single consumer takes whatever has accumulated in one swap.
+type mailbox struct {
+	mu       sync.Mutex
+	nonEmpty sync.Cond // pending is non-empty or closed is set
+	pending  []Event
+	closed   bool
+}
+
+func newMailbox() *mailbox {
+	m := new(mailbox)
+	m.nonEmpty.L = &m.mu
+	return m
+}
+
+func (m *mailbox) put(e Event) {
+	m.mu.Lock()
+	m.pending = append(m.pending, e)
+	m.mu.Unlock()
+	m.nonEmpty.Signal()
+}
+
+func (m *mailbox) close() {
+	m.mu.Lock()
+	m.closed = true
+	m.mu.Unlock()
+	m.nonEmpty.Signal()
+}
+
+// take blocks until there is something to report, then returns every
+// pending event and whether the mailbox is closed (the batch is then the
+// last). spare, the previous batch, becomes the next pending buffer.
+func (m *mailbox) take(spare []Event) (batch []Event, closed bool) {
+	m.mu.Lock()
+	for len(m.pending) == 0 && !m.closed {
+		m.nonEmpty.Wait()
+	}
+	batch, closed = m.pending, m.closed
+	m.pending = spare[:0]
+	m.mu.Unlock()
+	return batch, closed
+}
+
+// stream writes one request's NDJSON records to w. first goes out, and
+// is flushed, before produce starts; produce then runs on its own
+// goroutine with the mailbox's put as its emit, and stream returns once
+// produce has returned and everything it emitted is written. The mailbox
+// closes when produce returns and emit is reachable only through it, so
+// no put can follow the close.
+//
+// Flush rule: each pass takes every pending event and issues one Write
+// and one flush for them, and the writer sleeps only on an empty
+// mailbox. It never waits while holding unflushed bytes: an event is on
+// the socket in the first write after it was emitted, and shares that
+// write only with events that piled up during the previous one.
+func stream(w io.Writer, flush func(), first Event, produce func(emit func(Event))) {
+	seq := 0
+	var buf []byte
+	write := func(batch []Event) {
+		buf = buf[:0]
+		for i := range batch {
+			seq++
+			batch[i].Seq = seq
+			buf = appendEvent(buf, &batch[i])
+		}
+		if len(buf) > 0 {
+			// A failed write means the client is gone; its request context
+			// aborts the window, and the stream is still drained to its end.
+			_, _ = w.Write(buf)
+			flush()
+		}
+	}
+	write([]Event{first})
+
+	m := newMailbox()
+	go func() {
+		defer m.close()
+		produce(m.put)
+	}()
+	var batch []Event
+	for closed := false; !closed; {
+		batch, closed = m.take(batch)
+		write(batch)
+	}
+}
+
+// appendEvent appends e as one NDJSON record, byte for byte what
+// json.Encoder.Encode(e) writes, without reflection on the fixed fields.
+// Where encoding/json refuses the event (a NaN or infinite number) the
+// record is dropped, as Encode dropped it: b is returned unchanged.
+func appendEvent(b []byte, e *Event) []byte {
+	start, ok := len(b), true
+	b = appendString(append(b, `{"type":`...), e.Type)
+	b = strconv.AppendInt(append(b, `,"seq":`...), int64(e.Seq), 10)
+	b = appendField(b, `,"task":`, e.Task)
+	b = appendField(b, `,"state":`, e.State)
+	b = appendField(b, `,"key":`, e.Key)
+	switch v := e.Value.(type) {
+	case nil:
+	case float64:
+		b, ok = appendFloat(append(b, `,"value":`...), v)
+	case string:
+		b = appendString(append(b, `,"value":`...), v)
+	default:
+		raw, err := json.Marshal(v)
+		b, ok = append(append(b, `,"value":`...), raw...), err == nil
+	}
+	b = appendField(b, `,"error":`, e.Err)
+	if e.Iters != 0 {
+		b = strconv.AppendInt(append(b, `,"iters":`...), int64(e.Iters), 10)
+	}
+	if ok && e.Elapsed != 0 {
+		b, ok = appendFloat(append(b, `,"elapsed":`...), e.Elapsed)
+	}
+	if !ok {
+		return b[:start]
+	}
+	return append(b, '}', '\n')
+}
+
+// appendField appends an omitempty string field: key is the separator,
+// quoted name and colon.
+func appendField(b []byte, key, s string) []byte {
+	if s == "" {
+		return b
+	}
+	return appendString(append(b, key...), s)
+}
+
+// appendString appends s as a JSON string. Strings made of printable
+// ASCII with nothing encoding/json escapes are copied; any other takes
+// encoding/json's own escaper, whose output differs between toolchains.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			raw, _ := json.Marshal(s) // a string always marshals
+			return append(b, raw...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendFloat appends f as encoding/json formats a float64 (ES6 number
+// to string: exponent form below 1e-6 and from 1e21, two-digit negative
+// exponents unpadded), and reports false for the values it refuses.
+func appendFloat(b []byte, f float64) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
+}

@@ -1,0 +1,442 @@
+package serve
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// recorder is a stream sink that keeps every Write apart and counts the
+// flushes; onWrite, when set, runs inside each Write.
+type recorder struct {
+	mu      sync.Mutex
+	writes  [][]byte
+	flushes int
+	onWrite func(n int)
+}
+
+func (r *recorder) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	r.writes = append(r.writes, append([]byte(nil), p...))
+	n := len(r.writes)
+	r.mu.Unlock()
+	if r.onWrite != nil {
+		r.onWrite(n)
+	}
+	return len(p), nil
+}
+
+func (r *recorder) flush() {
+	r.mu.Lock()
+	r.flushes++
+	r.mu.Unlock()
+}
+
+// decodeRecords parses NDJSON bytes into events.
+func decodeRecords(t *testing.T, b []byte) []Event {
+	t.Helper()
+	var evs []Event
+	for _, line := range bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n")) {
+		var e Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("bad record %q: %v", line, err)
+		}
+		evs = append(evs, e)
+	}
+	return evs
+}
+
+func TestMailboxTakesEverythingPending(t *testing.T) {
+	m := newMailbox()
+	const n = 100
+	for i := 0; i < n; i++ {
+		m.put(Event{Type: "task", Iters: i + 1})
+	}
+	batch, closed := m.take(nil)
+	if len(batch) != n || closed {
+		t.Fatalf("take = %d events, closed %v; want %d, false", len(batch), closed, n)
+	}
+	for i, e := range batch {
+		if e.Iters != i+1 {
+			t.Fatalf("event %d out of order: %+v", i, e)
+		}
+	}
+	m.put(Event{Type: "done"})
+	m.close()
+	batch, closed = m.take(batch)
+	if len(batch) != 1 || !closed || batch[0].Type != "done" {
+		t.Fatalf("last take = %+v, closed %v", batch, closed)
+	}
+}
+
+// TestStreamOneFlushPerBurst: events emitted while the writer is busy
+// go out in one write and one flush when it comes back, numbered
+// contiguously after what was already written; `accepted` is written and
+// flushed before the producer starts.
+func TestStreamOneFlushPerBurst(t *testing.T) {
+	const burst = 200
+	inWrite := make(chan struct{})
+	release := make(chan struct{})
+	rec := &recorder{}
+	rec.onWrite = func(n int) {
+		if n == 2 { // the write carrying the lone first task event
+			close(inWrite)
+			<-release
+		}
+	}
+	var flushedBeforeStart int
+	stream(rec, rec.flush, Event{Type: "accepted", Key: "t"}, func(emit func(Event)) {
+		rec.mu.Lock()
+		flushedBeforeStart = rec.flushes
+		rec.mu.Unlock()
+		emit(Event{Type: "task", Task: "first", State: "done"})
+		<-inWrite // the writer is now stuck in Write; everything below piles up
+		for i := 0; i < burst; i++ {
+			emit(Event{Type: "task", Task: fmt.Sprintf("b%d", i), State: "done"})
+		}
+		emit(Event{Type: "done", Iters: 1})
+		close(release)
+	})
+	if flushedBeforeStart != 1 {
+		t.Fatalf("%d flushes before the producer started, want 1 (accepted)", flushedBeforeStart)
+	}
+	if len(rec.writes) != 3 || rec.flushes != 3 {
+		t.Fatalf("%d writes, %d flushes; want 3 and 3 (accepted, first, burst)", len(rec.writes), rec.flushes)
+	}
+	if got := len(decodeRecords(t, rec.writes[2])); got != burst+1 {
+		t.Fatalf("burst write carries %d records, want %d", got, burst+1)
+	}
+	evs := decodeRecords(t, bytes.Join(rec.writes, nil))
+	for i, e := range evs {
+		if e.Seq != i+1 {
+			t.Fatalf("record %d carries seq %d", i+1, e.Seq)
+		}
+	}
+	if evs[0].Type != "accepted" || evs[len(evs)-1].Type != "done" {
+		t.Fatalf("bookends: %+v … %+v", evs[0], evs[len(evs)-1])
+	}
+}
+
+// registerOp adds a test-only operator for the duration of the test.
+func registerOp(t *testing.T, name string, op OpFunc) {
+	t.Helper()
+	Ops[name] = op
+	t.Cleanup(func() { delete(Ops, name) })
+}
+
+// TestStreamLiveness: no event waits for a later one. A task in the
+// middle of the graph is held (a spin that lasts exactly as long as the
+// test needs); everything emitted before it must reach the client while
+// it is still running.
+func TestStreamLiveness(t *testing.T) {
+	gate := make(chan struct{})
+	registerOp(t, "test-hold", func(json.RawMessage) OpBody {
+		return func([]any) (any, error) { <-gate; return 1.0, nil }
+	})
+	_, ts := newTestServer(t, Options{})
+	req := GraphRequest{Tasks: []TaskWire{
+		{Label: "a", Op: "const", Arg: json.RawMessage("1"), Provide: []string{"a"}},
+		{Label: "b", Op: "sum", Consume: []string{"a"}, Provide: []string{"b"}},
+		{Label: "hold", Op: "test-hold", Consume: []string{"b"}, Provide: []string{"h"}},
+		{Label: "tail", Op: "sum", Consume: []string{"h"}, Provide: []string{"out"}},
+	}, Results: []string{"out"}}
+	body, _ := json.Marshal(req)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	hr, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/graphs", bytes.NewReader(body))
+	hr.Header.Set("X-Tenant", "live")
+	resp, err := ts.Client().Do(hr)
+	if err != nil {
+		close(gate)
+		t.Fatalf("post: %v", err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	var got []string
+	for len(got) < 3 && sc.Scan() { // blocks until the records are on the wire
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Errorf("bad record %q: %v", sc.Text(), err)
+		}
+		got = append(got, e.Type+":"+e.Task)
+	}
+	close(gate) // "hold" was still running up to here
+	if want := "accepted: task:a task:b"; strings.Join(got, " ") != want {
+		t.Fatalf("read %q while the held task ran, want %q (err %v)", got, want, sc.Err())
+	}
+	for sc.Scan() {
+		got = append(got, "")
+	}
+	if len(got) != 7 { // accepted, 4 tasks, result, done
+		t.Fatalf("stream carried %d records, want 7", len(got))
+	}
+}
+
+// fanGraph is one const feeding n independent spin tasks and a sum tail:
+// with several workers, events are emitted concurrently.
+func fanGraph(n, iters int) GraphRequest {
+	g := GraphRequest{Tasks: []TaskWire{
+		{Label: "head", Op: "const", Arg: json.RawMessage("1"), Provide: []string{"head"}},
+	}}
+	tail := TaskWire{Label: "tail", Op: "sum", Provide: []string{"out"}}
+	for i := 0; i < n; i++ {
+		slot := fmt.Sprintf("f%d", i)
+		g.Tasks = append(g.Tasks, TaskWire{Label: slot, Op: "spin", Arg: json.RawMessage(fmt.Sprint(iters)),
+			Consume: []string{"head"}, Provide: []string{slot}})
+		tail.Consume = append(tail.Consume, slot)
+	}
+	g.Tasks = append(g.Tasks, tail)
+	g.Results = []string{"out"}
+	return g
+}
+
+// waitGoroutines fails the test unless the goroutine count settles back
+// to base (HTTP connection goroutines take a moment to exit).
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d > baseline %d", n, base)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// TestStreamConcurrentEmittersSlowReaderAndDisconnect: four workers
+// emit at once. A slow reader still receives every record, in order; a
+// reader that goes away mid-burst aborts the window, the tenant stays
+// usable, and nothing is left running once the server is torn down.
+func TestStreamConcurrentEmittersSlowReaderAndDisconnect(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(Options{Workers: 4})
+	ts := httptest.NewServer(s.Handler())
+	const fan = 600
+
+	// Slow reader: the server's writes back up, the workers do not.
+	body, _ := json.Marshal(fanGraph(fan, 100))
+	hr, _ := http.NewRequest("POST", ts.URL+"/v1/graphs", bytes.NewReader(body))
+	hr.Header.Set("X-Tenant", "fan")
+	resp, err := ts.Client().Do(hr)
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	br := bufio.NewReaderSize(resp.Body, 64)
+	n, tasks := 0, 0
+	for {
+		line, err := br.ReadBytes('\n')
+		if len(line) > 0 {
+			n++
+			var e Event
+			if uerr := json.Unmarshal(line, &e); uerr != nil || e.Seq != n {
+				t.Fatalf("record %d = %q (%v)", n, line, uerr)
+			}
+			if e.Type == "task" {
+				tasks++
+			}
+			if n%50 == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if err != nil {
+			break
+		}
+	}
+	resp.Body.Close()
+	if tasks != fan+2 || n != fan+2+3 {
+		t.Fatalf("slow reader saw %d task events in %d records, want %d in %d", tasks, n, fan+2, fan+2+3)
+	}
+
+	// Mid-burst disconnect.
+	ctx, cancel := context.WithCancel(context.Background())
+	body, _ = json.Marshal(fanGraph(fan, 2_000_000))
+	hr, _ = http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/graphs", bytes.NewReader(body))
+	hr.Header.Set("X-Tenant", "fan")
+	resp, err = ts.Client().Do(hr)
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for i := 0; i < 8 && sc.Scan(); i++ { // accepted, head and a few of the fan
+	}
+	cancel()
+	resp.Body.Close()
+	waitTenantUsable(t, ts, "fan")
+	// fan+2 of the first graph, 3 of the probe (more if it was retried):
+	// anything near 2*fan means the abort did not cut the window.
+	if ran := s.Manager().Snapshot()["fan"].Tasks; ran >= 2*fan {
+		t.Errorf("abort did not cut the window: %d bodies ran", ran)
+	}
+
+	ts.Close()
+	s.Shutdown()
+	waitGoroutines(t, base)
+}
+
+// TestFrozenReplayWithCPathRace is the -race regression test for the
+// finish-stamp read: a served graph replayed through the compiled
+// schedule with the critical-path profiler on and two workers. The
+// finisher used to read Task.FinishAtNs after the release walk, when the
+// producer could already be resetting the stamps for the next iteration.
+func TestFrozenReplayWithCPathRace(t *testing.T) {
+	_, ts := newTestServer(t, Options{CPath: true, Workers: 2})
+	req := fanGraph(64, 10)
+	req.Repeat = 8
+	for i := 0; i < 10; i++ {
+		status, evs := postGraph(t, ts.Client(), ts.URL, "cp", req)
+		if status != 200 || hasType(evs, "error") {
+			t.Fatalf("request %d: status %d events %+v", i, status, evs)
+		}
+	}
+}
+
+// TestBadArgFailsAtExecution: arguments are parsed when the graph is
+// built, but a bad one is still a task failure on the stream, not a
+// rejected request.
+func TestBadArgFailsAtExecution(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	status, evs := postGraph(t, ts.Client(), ts.URL, "arg", GraphRequest{Tasks: []TaskWire{
+		{Label: "ok", Op: "const", Arg: json.RawMessage("1"), Provide: []string{"x"}},
+		{Label: "bad", Op: "sum", Arg: json.RawMessage(`"seven"`), Consume: []string{"x"}, Provide: []string{"y"}},
+	}})
+	if status != 200 {
+		t.Fatalf("status %d, want 200: %+v", status, evs)
+	}
+	const want = "sum: numeric arg: json: cannot unmarshal string into Go value of type float64"
+	found := false
+	for _, e := range evs {
+		if e.Type == "error" && e.Task == "bad" && e.Err == want {
+			found = true
+		}
+	}
+	if !found || evs[len(evs)-1].Type != "done" {
+		t.Fatalf("no %q error for task bad: %+v", want, evs)
+	}
+}
+
+// TestLoweredBodyAllocs: executing a built sum task allocates at most
+// the box of its float64 result — no argument parse, no input slice.
+func TestLoweredBodyAllocs(t *testing.T) {
+	m := NewManager(Options{})
+	defer m.CloseAll()
+	tn, err := m.Tenant("allocs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := sumGraph(20, 22)
+	req.Tasks[2].Arg = json.RawMessage("0.5")
+	specs, results, _ := tn.build(&req, func(Event) {})
+	for i := range specs { // the first execution also emits the task event
+		if err := specs[i].Do(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := specs[2].Do
+	if allocs := testing.AllocsPerRun(200, func() { _ = sum(nil) }); allocs > 1 {
+		t.Fatalf("sum body allocates %.0f times per execution, want at most 1", allocs)
+	}
+	if v := results[0].Any(); v != 42.5 {
+		t.Fatalf("total = %v, want 42.5", v)
+	}
+}
+
+// eventShapes are the records the server writes, and the corners of the
+// encoder: escapes, exponent forms, nested and refused values.
+var eventShapes = []Event{
+	{Type: "accepted", Seq: 1, Key: "default"},
+	{Type: "task", Seq: 2, Task: "task-0", State: "done"},
+	{Type: "result", Seq: 3, Key: "out", Value: 42.0},
+	{Type: "result", Seq: 4, Key: "zero", Value: 0.0},
+	{Type: "result", Seq: 5, Key: "s", Value: "a-b"},
+	{Type: "result", Seq: 6, Key: "nested", Value: map[string]any{"b": []any{1.0, "x", nil, true}, "a": map[string]any{"<k>": 1e21}}},
+	{Type: "result", Seq: 7, Key: "unset"},
+	{Type: "result", Seq: 8, Key: "bool", Value: false},
+	{Type: "error", Seq: 9, Task: `quo"te\`, Err: "fail: <b>&amp;\n\t\x00\x7f  é \xff"},
+	{Type: "done", Seq: 516, Iters: 8, Elapsed: 0.003812},
+	{Type: "done", Seq: -1, Iters: -3, Elapsed: 1.5e-7},
+	{Type: "done", Elapsed: 1e-9},
+	{Type: "done", Elapsed: 1e21},
+	{Type: "done", Elapsed: 123456789012345680000},
+	{Type: "done", Elapsed: math.Copysign(0, -1)},
+	{Type: "done", Elapsed: -2.5e-10},
+	{Type: "result", Value: 1e-7},
+	{Type: "result", Value: math.MaxFloat64},
+	{Type: "result", Value: math.SmallestNonzeroFloat64},
+	{Type: "result", Value: math.NaN()},
+	{Type: "result", Value: math.Inf(-1)},
+	{Type: "result", Value: []any{math.Inf(1)}},
+	{Type: "done", Elapsed: math.NaN()},
+	{Type: "result", Value: math.NaN(), Elapsed: 1},
+	{},
+}
+
+// checkAppendEvent asserts appendEvent(e) is what json.Encoder.Encode(e)
+// writes: the marshalled event and a newline, or nothing where
+// encoding/json refuses the event.
+func checkAppendEvent(t *testing.T, e Event) {
+	t.Helper()
+	var want []byte
+	if raw, err := json.Marshal(e); err == nil {
+		want = append(raw, '\n')
+	}
+	prefix := []byte("earlier\n")
+	got := appendEvent(prefix, &e)
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("appendEvent(%+v)\n got %q\nwant %q", e, got[len(prefix):], want)
+	}
+}
+
+func TestAppendEventMatchesEncodingJSON(t *testing.T) {
+	for _, e := range eventShapes {
+		checkAppendEvent(t, e)
+	}
+}
+
+func FuzzAppendEvent(f *testing.F) {
+	for _, e := range eventShapes {
+		var value []byte
+		var num float64
+		kind := uint8(0)
+		switch v := e.Value.(type) {
+		case float64:
+			kind, num = 1, v
+		case nil:
+		default:
+			kind = 3
+			value, _ = json.Marshal(v)
+		}
+		f.Add(e.Type, e.Seq, e.Task, e.State, e.Key, e.Err, e.Iters, e.Elapsed, kind, num, string(value))
+	}
+	f.Fuzz(func(t *testing.T, typ string, seq int, task, state, key, errText string, iters int, elapsed float64,
+		kind uint8, num float64, text string) {
+		e := Event{Type: typ, Seq: seq, Task: task, State: state, Key: key, Err: errText, Iters: iters, Elapsed: elapsed}
+		switch kind % 5 {
+		case 1:
+			e.Value = num
+		case 2:
+			e.Value = text
+		case 3: // whatever a const task can produce
+			if json.Unmarshal([]byte(text), &e.Value) != nil {
+				e.Value = nil
+			}
+		case 4:
+			e.Value = []any{text, map[string]any{text: num}}
+		}
+		checkAppendEvent(t, e)
+	})
+}

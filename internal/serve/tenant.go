@@ -126,9 +126,9 @@ func (t *Tenant) release() {
 
 // Run executes one validated graph on the tenant's runtime, emitting
 // stream events as tasks complete. emit may be called from worker
-// goroutines and must not block (the HTTP layer passes a
-// sufficiently-buffered channel send). The caller must have acquired
-// an admission slot.
+// goroutines and must not block (the HTTP layer passes a mailbox's put);
+// it is not called after Run returns. The caller must have acquired an
+// admission slot.
 func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) error {
 	if t.closed.Load() {
 		return ErrTenantClosed
@@ -138,9 +138,9 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 	if t.closed.Load() {
 		return ErrTenantClosed
 	}
-	// A previous request's disconnect watcher may have aborted the
-	// runtime just as its window drained; consume the stale flag so
-	// this request starts clean.
+	// A previous request's disconnect may have aborted the runtime just
+	// as its window drained; consume the stale flag so this request
+	// starts clean.
 	if t.rt.Aborted() {
 		_ = t.rt.Taskwait()
 	}
@@ -151,17 +151,11 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 
 	// Abort the window when the client goes away mid-stream, so a
 	// disconnected request never pins the tenant for its full graph.
-	var done atomic.Bool
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			if !done.Load() {
-				t.rt.Abort(fmt.Errorf("serve: client disconnected: %w", context.Cause(ctx)))
-			}
-		case <-stop:
-		}
-	}()
+	aborted := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		defer close(aborted)
+		t.rt.Abort(fmt.Errorf("serve: client disconnected: %w", context.Cause(ctx)))
+	})
 
 	iters := req.Repeat
 	if iters < 1 {
@@ -184,8 +178,13 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 			}
 		})
 	}
-	done.Store(true)
-	close(stop)
+	if !stop() {
+		// The disconnect fired: let its abort land while this request
+		// still holds the producer lock, so that if the window had already
+		// drained the next request finds the stale flag and consumes it,
+		// not an abort in the middle of its own window.
+		<-aborted
+	}
 	if err != nil {
 		t.failures.Add(1)
 		return err
@@ -219,9 +218,8 @@ func (t *Tenant) build(req *GraphRequest, emit func(Event)) (specs []rt.Spec, re
 	var provided []string
 	for i := range req.Tasks {
 		w := &req.Tasks[i]
-		op := Ops[w.Op]
 		label := w.Name(i)
-		arg := w.Arg
+		body := Ops[w.Op](w.Arg)
 		consume := bind(w.Consume)
 		update := bind(w.Update)
 		for _, n := range w.Provide {
@@ -230,16 +228,19 @@ func (t *Tenant) build(req *GraphRequest, emit func(Event)) (specs []rt.Spec, re
 			}
 		}
 		provide := bind(w.Provide)
-		runs := new(atomic.Int32)
+		// One input slice and one flag per task, reused by every
+		// execution: a task never runs concurrently with itself, and a
+		// frozen replay's iterations are ordered by its barrier.
+		in := make([]any, len(consume)+len(update))
+		reported := false
 		do := func() error {
-			in := make([]any, 0, len(consume)+len(update))
-			for _, h := range consume {
-				in = append(in, h.Any())
+			for j, h := range consume {
+				in[j] = h.Any()
 			}
-			for _, h := range update {
-				in = append(in, h.Any())
+			for j, h := range update {
+				in[len(consume)+j] = h.Any()
 			}
-			v, err := op(arg, in)
+			v, err := body(in)
 			if err != nil {
 				return err
 			}
@@ -253,7 +254,8 @@ func (t *Tenant) build(req *GraphRequest, emit func(Event)) (specs []rt.Spec, re
 			// One transition event per task: the first completed
 			// execution (frozen replays re-run bodies every
 			// iteration; streaming each would swamp the client).
-			if runs.Add(1) == 1 {
+			if !reported {
+				reported = true
 				emit(Event{Type: "task", Task: label, State: "done"})
 			}
 			return nil
