@@ -319,18 +319,27 @@ func TaskFactorDist(dm *DistMatrix, r *rt.Runtime, comm *mpi.Comm) error {
 	P := dm.Ranks
 	tag := func(k, i int) int { return k*t + i }
 
+	// Install every ghost tile before the first task is submitted: task
+	// bodies read the tile map through dm.Tile while the producer is
+	// still submitting, so from here on the map is only read.
+	for k := 0; k < t; k++ {
+		if dm.Owner(k) == dm.Rank {
+			continue
+		}
+		for i := k + 1; i < t; i++ {
+			if dm.Tile(i, k) == nil {
+				dm.SetTile(i, k, make([]float64, b*b))
+			}
+		}
+	}
+
 	// panelTile returns the local or ghost buffer of panel tile (i,k)
 	// and its dependence key.
 	panelTile := func(i, k int) ([]float64, graph.Key) {
 		if dm.Owner(k) == dm.Rank {
 			return dm.Tile(i, k), tileKey(i, k)
 		}
-		g := dm.tiles[[2]int{i, k}]
-		if g == nil {
-			g = make([]float64, b*b)
-			dm.SetTile(i, k, g)
-		}
-		return g, ghostKey(i, k)
+		return dm.Tile(i, k), ghostKey(i, k)
 	}
 
 	for k := 0; k < t; k++ {

@@ -47,15 +47,6 @@ func key(field, chunk int) graph.Key {
 	return graph.Key(uint64(field)<<32 | uint64(uint32(chunk)))
 }
 
-// keys returns one key per field in fields for the chunk.
-func keys(chunk int, fields ...int) []graph.Key {
-	out := make([]graph.Key, len(fields))
-	for i, f := range fields {
-		out[i] = key(f, chunk)
-	}
-	return out
-}
-
 // chunkBounds splits [0,n) into tpl chunks.
 func chunkBounds(n, tpl, c int) (lo, hi int) {
 	return c * n / tpl, (c + 1) * n / tpl
@@ -330,7 +321,17 @@ func RunTask(d *Domain, r *rt.Runtime, comm *mpi.Comm, cfg TaskConfig) error {
 	d.DtCand = math.Inf(1)
 	var dtMu sync.Mutex
 
-	body := func(iter int) { d.submitIteration(r, comm, ex, cfg, &dtMu) }
+	// The time step's task graph does not change between iterations, so
+	// its specs — keys, and closures over constant chunk bounds — are
+	// built once and resubmitted every step.
+	head, exch, tail := d.buildIteration(comm, ex, cfg, &dtMu)
+	body := func(iter int) {
+		r.SubmitBatch(head)
+		for i := range exch {
+			r.Submit(exch[i])
+		}
+		r.SubmitBatch(tail)
+	}
 
 	abort := func(err error) error {
 		// A failed rank errors out its peers' pending requests instead
@@ -396,16 +397,16 @@ func keysForChunks(fields []int, c0, c1 int) []graph.Key {
 	return out
 }
 
-// submitIteration submits one time step's task graph.
-func (d *Domain) submitIteration(r *rt.Runtime, comm *mpi.Comm, ex *exchanger, cfg TaskConfig, dtMu *sync.Mutex) {
+// buildIteration returns one time step's task graph as three spec lists,
+// submitted in this order: head (the dt task and the force loop) as one
+// batch, exch (the frontier exchange, detached tasks) one by one, tail
+// (every other chunked loop) as one batch.
+func (d *Domain) buildIteration(comm *mpi.Comm, ex *exchanger, cfg TaskConfig, dtMu *sync.Mutex) (head, exch, tail []rt.Spec) {
 	tpl := cfg.TPL
 	nn, ne := d.NumNodes(), d.NumElems()
 	g := groupsFor(cfg)
 
-	// All chunked loops of the iteration are staged into specs and
-	// discovered in batches (one SubmitBatch per phase group), keeping
-	// the per-task submission cost amortized.
-	specs := make([]rt.Spec, 0, 8*tpl+1)
+	specs := make([]rt.Spec, 0, tpl+1)
 
 	// dt task: closes the inoutset group of the previous iteration's
 	// constraints, reduces globally, publishes the new dt.
@@ -445,12 +446,12 @@ func (d *Domain) submitIteration(r *rt.Runtime, comm *mpi.Comm, ex *exchanger, c
 		})
 	}
 
-	r.SubmitBatch(specs)
-	specs = specs[:0]
+	head = specs
+	specs = make([]rt.Spec, 0, 8*tpl)
 
 	// Frontier force exchange: pack -> isend (detached) and irecv
 	// (detached) -> unpack-add, per neighbor.
-	d.submitForceExchange(r, ex, cfg, g)
+	exch = d.forceExchangeSpecs(ex, cfg, g)
 
 	// Acceleration+BC (in place on forces).
 	for c := 0; c < tpl; c++ {
@@ -547,13 +548,13 @@ func (d *Domain) submitIteration(r *rt.Runtime, comm *mpi.Comm, ex *exchanger, c
 			},
 		})
 	}
-	r.SubmitBatch(specs)
+	return head, exch, specs
 }
 
-// submitForceExchange adds the frontier communication tasks.
-func (d *Domain) submitForceExchange(r *rt.Runtime, ex *exchanger, cfg TaskConfig, g fieldGroups) {
+// forceExchangeSpecs builds the frontier communication tasks.
+func (d *Domain) forceExchangeSpecs(ex *exchanger, cfg TaskConfig, g fieldGroups) (specs []rt.Spec) {
 	if ex.comm == nil || (ex.down < 0 && ex.up < 0) {
-		return
+		return nil
 	}
 	nn := d.NumNodes()
 	tpl := cfg.TPL
@@ -592,7 +593,7 @@ func (d *Domain) submitForceExchange(r *rt.Runtime, ex *exchanger, cfg TaskConfi
 		c0, c1 := chunksCovering(nn, tpl, s.lo, s.hi)
 		frontierForce := keysForChunks(g.nodeForce, c0, c1)
 		// Irecv first (posted early, as the paper's Listing 1).
-		r.Submit(rt.Spec{
+		specs = append(specs, rt.Spec{
 			Label:    "irecv",
 			Out:      []graph.Key{s.rKey},
 			Detached: true,
@@ -601,14 +602,14 @@ func (d *Domain) submitForceExchange(r *rt.Runtime, ex *exchanger, cfg TaskConfi
 			},
 		})
 		// Pack frontier forces.
-		r.Submit(rt.Spec{
+		specs = append(specs, rt.Spec{
 			Label: "pack",
 			In:    frontierForce,
 			Out:   []graph.Key{s.sKey},
 			Do:    func(any) error { s.pack(d); return nil },
 		})
 		// Isend (detached).
-		r.Submit(rt.Spec{
+		specs = append(specs, rt.Spec{
 			Label:    "isend",
 			In:       []graph.Key{s.sKey},
 			Detached: true,
@@ -617,11 +618,12 @@ func (d *Domain) submitForceExchange(r *rt.Runtime, ex *exchanger, cfg TaskConfi
 			},
 		})
 		// Unpack adds into the frontier force chunks.
-		r.Submit(rt.Spec{
+		specs = append(specs, rt.Spec{
 			Label: "unpack",
 			In:    []graph.Key{s.rKey},
 			InOut: frontierForce,
 			Do:    func(any) error { s.unpack(d); return nil },
 		})
 	}
+	return specs
 }

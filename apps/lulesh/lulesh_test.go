@@ -2,6 +2,7 @@ package lulesh
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"taskdep/internal/graph"
@@ -98,6 +99,10 @@ func TestTaskMatchesSerialAcrossConfigs(t *testing.T) {
 		{TPL: 13},
 		{TPL: 4, MinimizeDeps: true},
 		{TPL: 4, Persistent: true},
+		// 13 divides neither the 343 nodes nor the 216 elements: uneven
+		// chunks, whose bounds the once-built closures must carry.
+		{TPL: 13, MinimizeDeps: true},
+		{TPL: 13, Persistent: true},
 		{TPL: 7, Persistent: true, MinimizeDeps: true},
 	} {
 		d, _ := NewDomain(p)
@@ -107,6 +112,39 @@ func TestTaskMatchesSerialAcrossConfigs(t *testing.T) {
 		}
 		r.Close()
 		compareDomains(t, ref, d, "task")
+	}
+}
+
+// TestLaterIterationsAllocateNoSpecs pins that RunTask builds the time
+// step's specs once. It measures the persistent form, where iterations
+// after the first are replays and the graph and runtime allocate nothing
+// for them: whatever an additional iteration allocates, the application
+// allocated. Rebuilding the specs — a Spec, a closure and its key slices
+// per task — costs about 300 bytes per task at this size; the bound
+// leaves room for the race detector, under which sync.Pool drops what
+// the runtime's staging buffers put back. The discovered form runs the
+// same region body.
+func TestLaterIterationsAllocateNoSpecs(t *testing.T) {
+	const tpl, few, many, bound = 16, 2, 34, 64
+	run := func(iters int) uint64 {
+		d, err := NewDomain(Params{S: 8, Iters: iters, Ranks: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rt.New(rt.Config{Workers: 1, Opts: graph.OptAll})
+		defer r.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := RunTask(d, r, nil, TaskConfig{TPL: tpl, Persistent: true, MinimizeDeps: true}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(few) // warm the runtime's pools outside the measurement
+	perTask := (float64(run(many)) - float64(run(few))) / float64((many-few)*(8*tpl+1))
+	if perTask > bound {
+		t.Fatalf("%.0f bytes allocated per task per additional iteration, bound %d", perTask, bound)
 	}
 }
 

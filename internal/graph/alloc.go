@@ -13,8 +13,9 @@ package graph
 //     full and reclaimed by the GC when every task in it is dead — so
 //     there is no use-after-reuse hazard; pooling only amortizes the
 //     allocation count by chunkTasks.
-//   - Successor slices start on the Task's inline succs0 array (task.go)
-//     and only spill to the heap past inlineSuccs edges.
+//   - Successor lists start on the Task's inline succs0 array (task.go)
+//     and continue past inlineSuccs edges in fixed-size blocks that are
+//     chained, never regrown: no edge is copied twice.
 //   - keyStates are recycled per shard through a free list
 //     (ResetDiscoveryFrontier refills it), and a keyState's internal
 //     slices keep their capacity across group open/close cycles and
@@ -31,29 +32,11 @@ type taskChunk struct {
 	next int
 }
 
-// allocTask returns a zeroed task with pooled backing storage. Safe for
-// concurrent producers: the chunk pool hands each caller an exclusive
-// chunk. With Config.NoPool every task is an individual heap allocation
-// (the pre-optimization behaviour, kept for A/B benchmarking).
-func (g *Graph) allocTask() *Task {
-	if g.noPool {
-		return &Task{}
-	}
-	c, _ := g.chunkPool.Get().(*taskChunk)
-	if c == nil {
-		c = &taskChunk{buf: make([]Task, chunkTasks)}
-	}
-	t := &c.buf[c.next]
-	c.next++
-	if c.next < len(c.buf) {
-		g.chunkPool.Put(c)
-	}
-	t.succs = t.succs0[:0]
-	return t
-}
-
-// allocTasks bulk-allocates n tasks into out, grabbing the chunk once —
-// the allocator half of SubmitBatch's lock amortization.
+// allocTasks appends n zeroed tasks with pooled backing storage to out,
+// grabbing the chunk once. Safe for concurrent producers: the chunk pool
+// hands each caller an exclusive chunk. With Config.NoPool every task is
+// an individual heap allocation (the pre-optimization behaviour, kept
+// for A/B benchmarking).
 func (g *Graph) allocTasks(n int, out []*Task) []*Task {
 	if g.noPool {
 		for i := 0; i < n; i++ {
@@ -68,7 +51,6 @@ func (g *Graph) allocTasks(n int, out []*Task) []*Task {
 		}
 		t := &c.buf[c.next]
 		c.next++
-		t.succs = t.succs0[:0]
 		out = append(out, t)
 	}
 	if c != nil && c.next < len(c.buf) {

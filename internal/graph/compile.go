@@ -115,19 +115,17 @@ func (g *Graph) Compile() (*Compiled, error) {
 	}
 	total := 0
 	for _, t := range rec {
-		for _, s := range t.succs {
-			if inRecording(s) {
-				total++
-			}
-		}
+		total += int(t.nsucc) // upper bound: includes edges leaving the recording
 	}
 	c.succs = make([]int32, 0, total)
 	for i, t := range rec {
 		c.succOff[i] = int32(len(c.succs))
-		for _, s := range t.succs {
-			if inRecording(s) {
-				c.succs = append(c.succs, s.slot)
-				c.template[s.slot]++
+		for seg, w := t.walkSuccs(int(t.nsucc)); len(seg) > 0; seg = w.next() {
+			for _, s := range seg {
+				if inRecording(s) {
+					c.succs = append(c.succs, s.slot)
+					c.template[s.slot]++
+				}
 			}
 		}
 	}

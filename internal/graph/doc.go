@@ -16,32 +16,43 @@
 //   - The dependence key table is lock-striped (see shard in graph.go):
 //     each key hashes to one of Config.Shards stripes, and all frontier
 //     state for the key (last writers, readers, open inoutset group) is
-//     touched only under that stripe's lock. Producers working on
-//     disjoint keys never serialize, so Submit and SubmitBatch are
-//     safe — and scalable — from concurrent producer goroutines (see
-//     the concurrency contract below for the disjointness requirement).
+//     touched only under that stripe's lock. A submission — one Submit,
+//     or a whole SubmitBatch — locks every stripe its keys hash to once,
+//     in ascending stripe index, and holds them until its last
+//     dependence is resolved: one Lock/Unlock per stripe, not per
+//     dependence, and deadlock-free by order. Producers serialize when
+//     their submissions share a stripe (see the concurrency contract
+//     below for the disjointness requirement).
 //   - Task descriptors are carved from pooled allocation chunks,
-//     successor lists start on inline storage, and keyStates are
-//     recycled per shard (see alloc.go), cutting discovery from ~5 heap
-//     allocations per task to ~1 per 100 tasks.
+//     successor lists start on inline storage and continue in chained
+//     fixed-size blocks that are never regrown or copied (task.go), and
+//     keyStates are recycled per shard (alloc.go).
 //   - SubmitBatch (batch.go) amortizes ID reservation, counter updates,
-//     allocator traffic and ready-queue publication over a slice of
-//     TaskDescs; executors receive the batch's ready tasks in one
-//     OnReadyBatch call.
+//     allocator traffic, the stripe-lock sweep and ready-queue
+//     publication over a slice of TaskDescs; executors receive the
+//     batch's ready tasks in one OnReadyBatch call. Submit is a batch of
+//     one through the same code.
 //
 // # Structure of a submission
 //
-// Submit/SubmitBatch allocate the Task, then run processDep for each
-// declared dependence under the key's shard lock: In accesses join the
-// reader frontier, Out/InOut accesses succeed the out-set and all
-// readers, InOutSet accesses open or join a concurrent-writer group.
-// processDep materializes precedence constraints through addEdge, which
-// applies duplicate elimination (OptDedup, optimization b) and
-// completed-predecessor pruning; optimization (c) (OptInOutSetNode)
-// inserts redirect nodes so an inoutset group of m writers and n
-// consumers costs m+n edges instead of m*n. When the producer sentinel
-// is finally dropped (releaseSentinel) a task with no outstanding
-// predecessors becomes Ready and is delivered to the executor.
+// Submit/SubmitBatch allocate the Tasks, lock the stripes (discover in
+// batch.go), then run processDep for each declared dependence: In
+// accesses join the reader frontier, Out/InOut accesses succeed the
+// out-set and all readers, InOutSet accesses open or join a
+// concurrent-writer group. processDep materializes precedence
+// constraints through addEdge. A predecessor that already finished is
+// pruned on one atomic load of its state, without its mutex (so a
+// repeated constraint on a finished predecessor counts as pruned, not as
+// a duplicate); otherwise addEdge takes the predecessor's mutex, applies
+// duplicate elimination (OptDedup, optimization b) and appends to its
+// successor list. Optimization (c) (OptInOutSetNode) inserts redirect
+// nodes so an inoutset group of m writers and n consumers costs m+n
+// edges instead of m*n. While a task is under discovery its release
+// counter holds a large bias (the producer sentinel) and its live edges
+// are counted in a producer-private field; releaseSentinel swaps one for
+// the other in a single atomic add — one counter update per task, not
+// per edge — and a task with no outstanding predecessors becomes Ready
+// and is delivered to the executor.
 //
 // # Persistence
 //
@@ -57,10 +68,9 @@
 // Submit and SubmitBatch are safe from concurrent producers whose
 // concurrent key footprints are disjoint (or whose tasks declare a
 // single dependence each); the discovered per-key order is then the
-// order producers win the key's shard lock. Concurrent multi-key
-// submissions against shared keys are unsupported — per-key
-// serialization can order two such submissions oppositely on two keys
-// and discover a cycle; see the Graph type comment. Persistence, Flush
+// order the producers' submissions win the key's shard lock. Concurrent
+// multi-key submissions against shared keys remain outside the contract;
+// see the Graph type comment. Persistence, Flush
 // and ResetDiscoveryFrontier are synchronization points and retain the
 // single-producer contract. See Stats for the counter consistency
 // model.

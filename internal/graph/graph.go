@@ -37,7 +37,10 @@ const (
 // Consistency model: every counter is individually monotonic and
 // updated either atomically (Tasks, RedirectNodes, ReplayedTasks) or
 // under the key shard lock that created the edge (EdgesAttempted,
-// EdgesCreated, EdgesPruned, EdgesDuplicate). A Stats snapshot taken
+// EdgesCreated, EdgesPruned, EdgesDuplicate). A constraint against a
+// predecessor that already finished is classified before anything else
+// about the predecessor is looked at, so a repeated one counts as
+// pruned, not as a duplicate. A Stats snapshot taken
 // while producers are running can therefore exhibit bounded cross-field
 // skew — e.g. a task counted whose edges are not yet — but never
 // invented or lost events. At a quiescent point (no in-flight Submit /
@@ -77,8 +80,10 @@ type keyState struct {
 
 // shard is one stripe of the dependence key table. All frontier state
 // for a key — and the edge counters for edges discovered through it —
-// is owned by exactly one shard and touched only under its lock, so
-// producers working on keys in different shards never serialize.
+// is owned by exactly one shard and touched only under its lock. A
+// submission holds the locks of all the stripes its keys hash to for
+// its whole duration (lockStripes), so producers serialize exactly when
+// their submissions share a stripe.
 type shard struct {
 	mu   sync.Mutex
 	keys map[Key]*keyState
@@ -99,9 +104,10 @@ type shard struct {
 // which must schedule them (this is how depth-first executors attribute
 // successors to the completing worker).
 //
-// ReadyFunc may be invoked while graph-internal locks are held (e.g.
-// when a group close readies its redirect node); it must not call back
-// into Submit, SubmitBatch or Flush.
+// ReadyFunc may be invoked while graph-internal locks are held (Submit
+// delivers its task, and any redirect node it closes, before dropping
+// its stripe locks); it must not call back into Submit, SubmitBatch,
+// Flush or Stats.
 type ReadyFunc func(*Task)
 
 // DefaultShards is the default stripe count of the dependence key
@@ -154,12 +160,12 @@ type Config struct {
 // footprints are disjoint (each key is submitted against by one
 // producer at a time) or every task declares at most one dependence.
 // Within that contract the per-key discovery order is the order in
-// which producers win the key's shard lock — a valid linearization of
-// the submissions. Concurrent producers whose tasks span two or more
-// shared keys are NOT supported: submissions are serialized per key,
-// not whole-task, so two in-flight multi-key submissions could be
-// ordered oppositely on two keys and discover a cycle (the single-lock
-// pre-striping engine serialized whole submissions and could not).
+// which the producers' submissions (a Submit, or a whole SubmitBatch)
+// win the key's shard lock — a valid linearization of the submissions.
+// Concurrent producers whose tasks span two or more shared keys remain
+// outside the contract: whole submissions serialize (each holds all its
+// stripes at once), but which producer's comes first on the shared keys
+// is a race the graph does not settle.
 // Complete may be called concurrently from any number of workers.
 // Persistence (BeginRecording through FinishReplay) and Flush retain
 // the single-producer contract: they must not run concurrently with
@@ -261,11 +267,12 @@ func NewWithConfig(cfg Config) *Graph {
 	return g
 }
 
-// shardOf maps a key to its stripe. Fibonacci hashing spreads the
-// sequential block indices applications use as keys across shards.
-func (g *Graph) shardOf(k Key) *shard {
+// stripeOf maps a key to the index of its stripe. Fibonacci hashing
+// spreads the sequential block indices applications use as keys across
+// shards.
+func (g *Graph) stripeOf(k Key) int {
 	h := uint64(k) * 0x9E3779B97F4A7C15
-	return &g.shards[(h>>32)&g.shardMask]
+	return int((h >> 32) & g.shardMask)
 }
 
 // NumShards returns the stripe count of the key table.
@@ -321,64 +328,33 @@ func (g *Graph) Stats() Stats {
 // task descriptor. Safe for concurrent producers (outside recording
 // mode).
 func (g *Graph) Submit(label string, deps []Dep, body func(fp any), fp any) *Task {
-	return g.submit(label, deps, body, nil, fp, false, nil)
+	return g.SubmitTask(&TaskDesc{Label: label, Deps: deps, Body: body, FirstPrivate: fp})
 }
 
 // SubmitDetached is Submit for a detached task: its completion is
 // signalled externally rather than at body return. The flag must be set
 // before the task is released, hence this dedicated entry point.
 func (g *Graph) SubmitDetached(label string, deps []Dep, body func(fp any), fp any) *Task {
-	return g.submit(label, deps, body, nil, fp, true, nil)
+	return g.SubmitTask(&TaskDesc{Label: label, Deps: deps, Body: body, FirstPrivate: fp, Detached: true})
 }
 
 // SubmitTask discovers one task from a full descriptor — the Submit
-// parameters as data, including the error-returning Do body form.
+// parameters as data, including the error-returning Do body form. It is
+// a batch of one (see discover) whose ready tasks go straight to
+// OnReady, one at a time.
 func (g *Graph) SubmitTask(d *TaskDesc) *Task {
-	return g.submit(d.Label, d.Deps, d.Body, d.Do, d.FirstPrivate, d.Detached, d.Attach)
+	one := [1]TaskDesc{*d}
+	var ts [1]*Task
+	g.discover(one[:], g.allocTasks(1, ts[:0]), nil)
+	return ts[0]
 }
 
-func (g *Graph) submit(label string, deps []Dep, body func(fp any), do func(fp any) error, fp any, detached bool, attach any) *Task {
-	var cpT0 int64
-	if g.cpath {
-		cpT0 = g.cpNow()
-	}
-	t := g.allocTask()
-	t.ID = g.nextID.Add(1) - 1
-	t.Label = label
-	t.Body = body
-	t.Do = do
-	t.FirstPrivate = fp
-	t.Detached = detached
-	t.Attach = attach
-	t.captureDeps(deps)
-	g.tasks.Add(1)
-	g.lrAdd(1, 0)
-	t.preds.Store(1) // producer sentinel
-	t.Persistent = g.recording
-	if g.recording {
-		t.recordEpoch = g.epoch
-		g.recorded = append(g.recorded, t)
-	}
-
-	for _, d := range deps {
-		g.processDep(t, d, nil)
-	}
-	// Discovery ends when the dependences are resolved; the stamp must
-	// land before the sentinel release publishes the task.
-	if g.cpath {
-		t.discNs = g.cpNow() - cpT0
-	}
-	g.releaseSentinel(t, nil)
-	return t
-}
-
-// processDep applies one dependence declaration during discovery, under
-// the key's shard lock. readyBuf, when non-nil, collects tasks readied
-// as a side effect (redirect nodes of closing groups) for batched
-// delivery outside the lock.
+// processDep applies one dependence declaration during discovery. The
+// caller holds the key's shard lock. readyBuf collects tasks readied as
+// a side effect (redirect nodes of closing groups) for delivery outside
+// the lock.
 func (g *Graph) processDep(t *Task, d Dep, readyBuf *[]*Task) {
-	sh := g.shardOf(d.Key)
-	sh.mu.Lock()
+	sh := &g.shards[g.stripeOf(d.Key)]
 	ks := sh.keys[d.Key]
 	if ks == nil {
 		if g.noPool {
@@ -428,7 +404,6 @@ func (g *Graph) processDep(t *Task, d Dep, readyBuf *[]*Task) {
 			g.addEdge(sh, t, ks.redirect)
 		}
 	}
-	sh.mu.Unlock()
 }
 
 // dependOnOutSet makes t succeed the current out-set of ks, collapsing an
@@ -494,14 +469,15 @@ func (g *Graph) Flush() {
 // participates in the graph like any task; executors complete it with
 // zero-cost bodies.
 func (g *Graph) newRedirect() *Task {
-	r := g.allocTask()
+	var one [1]*Task
+	r := g.allocTasks(1, one[:0])[0]
 	r.ID = g.nextID.Add(1) - 1
 	r.Label = "redirect"
 	r.Redirect = true
 	g.tasks.Add(1)
 	g.redirects.Add(1)
 	g.lrAdd(1, 0)
-	r.preds.Store(1)
+	r.preds.Store(sentinelBias)
 	r.Persistent = g.recording
 	if g.recording {
 		r.recordEpoch = g.epoch
@@ -527,22 +503,44 @@ func (g *Graph) RedirectNodes() []*Task {
 }
 
 // addEdge records the precedence constraint pred -> succ, applying
-// duplicate elimination (b) and completed-predecessor pruning. succ must
-// be the task currently under discovery (owned by the calling producer);
-// the caller holds the shard lock its dependence is processed under.
+// completed-predecessor pruning and duplicate elimination (b). succ must
+// be the task currently under discovery (owned by the calling producer),
+// or the redirect node of a group whose key's shard lock the caller
+// holds; the caller holds the shard lock its dependence is processed
+// under.
 func (g *Graph) addEdge(sh *shard, pred, succ *Task) {
 	if pred == succ {
 		return
 	}
 	sh.attempted++
 
-	pred.mu.Lock()
-	if g.opts&OptDedup != 0 && pred.lastSucc == succ {
-		pred.mu.Unlock()
-		sh.duplicate++
-		return
-	}
+	// An edge is replay-relevant only when the predecessor belongs to
+	// the same recording: it will be re-instanced and complete again on
+	// every iteration. Edges from outside the recording (earlier tasks,
+	// earlier recordings) are one-time constraints — if the predecessor
+	// already completed they are pruned even while recording, otherwise
+	// they count toward the live indegree only.
+	sameRecording := g.recording && pred.Persistent && pred.recordEpoch == g.epoch
+	keepDone := sameRecording || g.opts&OptKeepPrunedEdges != 0
+
+	// A finished predecessor whose edge need not be kept is pruned on one
+	// atomic load, without pred.mu: a terminal state never reverts for a
+	// task discovery can still reach, and finishInto wrote failEpoch
+	// before it stored the state this load observed. Anything else is
+	// decided under pred.mu, where finishInto stores the state: the
+	// re-read cannot miss a finish that took the successor count before
+	// this edge joined the list. (docs/architecture.md has the argument.)
 	st := State(pred.state.Load())
+	locked := !st.Done() || keepDone
+	if locked {
+		pred.mu.Lock()
+		if g.opts&OptDedup != 0 && pred.lastSucc == succ {
+			pred.mu.Unlock()
+			sh.duplicate++
+			return
+		}
+		st = State(pred.state.Load())
+	}
 	done := st.Done()
 	if done && (st != Completed || pred.Poisoned()) &&
 		pred.failEpoch == g.failEpoch.Load() {
@@ -554,45 +552,41 @@ func (g *Graph) addEdge(sh *shard, pred, succ *Task) {
 		// poison — the producer observed that failure and moved on.
 		succ.Poison()
 	}
-	// An edge is replay-relevant only when the predecessor belongs to
-	// the same recording: it will be re-instanced and complete again on
-	// every iteration. Edges from outside the recording (earlier tasks,
-	// earlier recordings) are one-time constraints — if the predecessor
-	// already completed they are pruned even while recording, otherwise
-	// they count toward the live indegree only.
-	sameRecording := g.recording && pred.Persistent && pred.recordEpoch == g.epoch
-	if done && !sameRecording && g.opts&OptKeepPrunedEdges == 0 {
-		pred.mu.Unlock()
+	if done && !keepDone {
+		if locked {
+			pred.mu.Unlock()
+		}
 		sh.pruned++
 		return
 	}
-	pred.succs = append(pred.succs, succ)
+	pred.appendSucc(succ)
 	pred.lastSucc = succ
-	// The indegree increment MUST happen before pred.mu is released:
-	// the moment the edge is visible in pred.succs, a concurrent
-	// Complete(pred) may snapshot it and decrement succ.preds — if the
-	// increment landed later, succ would be released once by that
-	// completion and once more by the producer sentinel (double
-	// execution / wedged counters).
+	// Only an unfinished predecessor will decrement succ.preds — maybe
+	// before releaseSentinel, which the bias absorbs. An edge kept from a
+	// finished one exists for later iterations (or the audit) only.
 	if !done {
-		succ.preds.Add(1)
+		succ.live++
 	}
 	if sameRecording {
 		succ.recordedIndegree++
 	}
 	pred.mu.Unlock()
-
 	sh.created++
-	// In recording mode with a completed same-recording pred the edge
-	// exists for future iterations but contributes nothing to the live
-	// counter now.
 }
 
-// releaseSentinel drops the producer's hold on t; if no predecessors
-// remain the task becomes ready — appended to *readyBuf when non-nil
-// (batch submission), else delivered to onReady immediately.
+// sentinelBias is the producer's hold on a task under discovery, as a
+// value of Task.preds no number of finishing predecessors can consume.
+const sentinelBias = 1 << 30
+
+// releaseSentinel drops the producer's hold on t and, in the same atomic
+// add, folds in the live edges discovery counted privately: preds goes
+// from sentinelBias-f (f predecessors finished meanwhile) to live-f. It
+// cannot be 0 before this add — the bias exceeds any fan-in — and
+// whichever operation then brings it to 0, this one or a later finish,
+// is the only one that readies t. Ready tasks are appended to *readyBuf
+// when non-nil, else delivered to onReady immediately.
 func (g *Graph) releaseSentinel(t *Task, readyBuf *[]*Task) {
-	if t.preds.Add(-1) == 0 {
+	if t.preds.Add(t.live-sentinelBias) == 0 {
 		g.markReadyQuiet(t)
 		if readyBuf != nil {
 			*readyBuf = append(*readyBuf, t)
@@ -696,7 +690,7 @@ func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 	// corrupts the live count.
 	wasCounted := State(t.state.Load()) != Created
 	t.state.Store(int32(final))
-	succs := t.succs
+	nsucc := int(t.nsucc)
 	t.mu.Unlock()
 
 	// Both gauges settle in one wait-free fetch-add on the shared word
@@ -708,20 +702,22 @@ func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 	}
 	released := buf[:0]
 	cpath := g.cpath
-	for _, s := range succs {
-		if poison {
-			s.poisoned.Store(true)
-		}
-		if cpath {
-			// Fold this task's critical path into the successor BEFORE
-			// the decrement that could release it (same publication
-			// order as the poison store above). Requires the caller to
-			// have run StampFinish, which wrote t.cp*.
-			foldCPInto(t, s)
-		}
-		if s.preds.Add(-1) == 0 {
-			g.markReadyQuiet(s)
-			released = append(released, s)
+	for seg, w := t.walkSuccs(nsucc); len(seg) > 0; seg = w.next() {
+		for _, s := range seg {
+			if poison {
+				s.poisoned.Store(true)
+			}
+			if cpath {
+				// Fold this task's critical path into the successor
+				// BEFORE the decrement that could release it (same
+				// publication order as the poison store above). Requires
+				// the caller to have run StampFinish, which wrote t.cp*.
+				foldCPInto(t, s)
+			}
+			if s.preds.Add(-1) == 0 {
+				g.markReadyQuiet(s)
+				released = append(released, s)
+			}
 		}
 	}
 	return released

@@ -65,7 +65,10 @@ func (g *Graph) BeginReplay() error {
 		}
 	}
 	for _, t := range g.recorded {
-		t.preds.Store(t.recordedIndegree + 1) // +1 producer sentinel
+		// Every recorded edge is live again: its predecessor is replayed
+		// and will finish once more this iteration.
+		t.preds.Store(sentinelBias)
+		t.live = t.recordedIndegree
 		t.state.Store(int32(Created))
 		t.poisoned.Store(false)
 		if g.cpath {

@@ -94,10 +94,20 @@ func (s State) String() string {
 // specifically Completed.
 func (s State) Done() bool { return s >= Completed }
 
-// inlineSuccs is the successor capacity embedded in every Task. Most
-// tasks in block-structured workloads (stencils, factorizations) have
-// out-degree <= 8, so their successor list never touches the heap.
+// inlineSuccs is the successor capacity embedded in every Task: tasks
+// of out-degree <= inlineSuccs never touch the heap for their list.
 const inlineSuccs = 4
+
+// blockSuccs is the capacity of one overflow block: with its link, 16
+// words, exactly the 128-byte allocation class.
+const blockSuccs = 15
+
+// succBlock is one link of a successor list's overflow chain. Blocks
+// are appended, never copied or reused.
+type succBlock struct {
+	next *succBlock
+	s    [blockSuccs]*Task
+}
 
 // inlineDeps is the dependence-declaration capacity embedded in every
 // Task for failure reports. Captures beyond it are truncated (flagged),
@@ -110,8 +120,7 @@ const inlineDeps = 4
 // only manipulates the precedence machinery.
 //
 // Tasks are allocated by the graph (normally from pooled chunks, see
-// alloc.go) and must never be copied: succs may alias the embedded
-// succs0 array.
+// alloc.go) and must never be copied.
 type Task struct {
 	// ID is the submission sequence number, unique within a Graph. With
 	// concurrent producers IDs are allocated atomically: they remain
@@ -146,8 +155,15 @@ type Task struct {
 	// Persistent marks tasks recorded in a persistent region.
 	Persistent bool
 
-	// preds counts outstanding predecessors plus one producer sentinel.
+	// preds is the release counter: sentinelBias, minus one per finished
+	// predecessor, plus live-sentinelBias at the producer's sentinel
+	// release (see releaseSentinel). The task is ready when it is 0.
 	preds atomic.Int32
+	// live counts the edges whose predecessor was unfinished when the
+	// edge was created — the decrements preds will receive. Private to
+	// the goroutine discovering the task (for a redirect node: to the
+	// holder of its group key's stripe lock) until the sentinel release.
+	live int32
 	// recordedIndegree counts incoming edges from tasks of the same
 	// recording, used to reset preds on persistent replay. Written only
 	// by the goroutine that discovered this task.
@@ -208,12 +224,70 @@ type Task struct {
 	depsTrunc bool
 	deps0     [inlineDeps]Dep
 
+	// Successor list, in insertion order: the first inlineSuccs entries
+	// sit in succs0, the rest in the block chain succHead..succTail.
+	// Appended to under mu; a reader that took nsucc under mu may walk
+	// that many entries without the lock while appends continue.
 	mu       sync.Mutex
-	succs    []*Task
+	nsucc    int32
 	lastSucc *Task // duplicate-edge detection for optimization (b)
-	// succs0 is the inline successor storage succs initially aliases
-	// (edge-slice pooling: no heap allocation below inlineSuccs edges).
-	succs0 [inlineSuccs]*Task
+	succs0   [inlineSuccs]*Task
+	succHead *succBlock
+	succTail *succBlock
+}
+
+// appendSucc adds s at the end of t's successor list. Caller holds t.mu.
+func (t *Task) appendSucc(s *Task) {
+	n := int(t.nsucc)
+	if n < inlineSuccs {
+		t.succs0[n] = s
+	} else {
+		i := (n - inlineSuccs) % blockSuccs
+		if i == 0 {
+			b := new(succBlock)
+			if t.succTail == nil {
+				t.succHead = b
+			} else {
+				t.succTail.next = b
+			}
+			t.succTail = b
+		}
+		t.succTail.s[i] = s
+	}
+	t.nsucc++
+}
+
+// succWalk iterates the first n entries of a successor list as
+// contiguous segments, in insertion order:
+//
+//	for seg, w := t.walkSuccs(n); len(seg) > 0; seg = w.next() { ... }
+//
+// n must have been read under t.mu (or at a quiescent point). The walk
+// takes no lock and reads no link or entry beyond the n-th — all that a
+// concurrent appendSucc writes.
+type succWalk struct {
+	blk  *succBlock
+	left int
+}
+
+func (t *Task) walkSuccs(n int) ([]*Task, succWalk) {
+	if n <= inlineSuccs {
+		return t.succs0[:n], succWalk{}
+	}
+	return t.succs0[:], succWalk{blk: t.succHead, left: n - inlineSuccs}
+}
+
+func (w *succWalk) next() []*Task {
+	b, k := w.blk, w.left
+	if k == 0 {
+		return nil
+	}
+	if k > blockSuccs {
+		k = blockSuccs
+		w.blk = b.next
+	}
+	w.left -= k
+	return b.s[:k]
 }
 
 // State returns the task's lifecycle state.
@@ -252,15 +326,17 @@ func (t *Task) captureDeps(deps []Dep) {
 func (t *Task) NumSuccessors() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.succs)
+	return int(t.nsucc)
 }
 
-// Successors returns a snapshot of the successor list.
+// Successors returns a snapshot of the successor list, in the order the
+// edges were discovered.
 func (t *Task) Successors() []*Task {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Task, len(t.succs))
-	copy(out, t.succs)
+	n := t.NumSuccessors()
+	out := make([]*Task, 0, n)
+	for seg, w := t.walkSuccs(n); len(seg) > 0; seg = w.next() {
+		out = append(out, seg...)
+	}
 	return out
 }
 
@@ -276,6 +352,6 @@ func (t *Task) Indegree() int { return int(t.recordedIndegree) }
 // counter is untouched, so the edge does not order execution.
 func ForceEdge(pred, succ *Task) {
 	pred.mu.Lock()
-	pred.succs = append(pred.succs, succ)
+	pred.appendSucc(succ)
 	pred.mu.Unlock()
 }

@@ -1180,7 +1180,7 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 		}
 	}
 	if err != nil {
-		rt.fail(w, t, err)
+		rt.fail(w, t, ev, err)
 		return
 	}
 	if t.Detached {
@@ -1206,7 +1206,7 @@ func (rt *Runtime) executeCompiled(w int, t *graph.Task, cs *graph.Compiled) {
 	}
 	rt.g.StampStart(t) // no Running store on this path; stamp directly
 	if err := rt.runBody(t); err != nil {
-		rt.fail(w, t, err)
+		rt.fail(w, t, nil, err)
 		return
 	}
 	rt.finishCompiled(w, t, cs, graph.Completed)
@@ -1262,12 +1262,14 @@ func (rt *Runtime) skip(w int, t *graph.Task) {
 }
 
 // fail records t's failure and terminally completes it as Aborted,
-// poisoning the successor cone (see graph.AbortInto).
-func (rt *Runtime) fail(w int, t *graph.Task, cause error) {
+// poisoning the successor cone (see graph.AbortInto). ev is the detach
+// event execute read before the body ran (nil for a task that is not
+// detached) — not t.Attach, which a persistent replay may have rewritten
+// since, if the body fulfilled its event before failing.
+func (rt *Runtime) fail(w int, t *graph.Task, ev *Event, cause error) {
 	rt.obs.Instant(w, obs.InstAbort, t.ID, 0, int(rt.iter.Load()))
 	rt.recordFailure(t, cause)
-	if t.Detached {
-		ev := rt.detachEvent(t)
+	if ev != nil {
 		if ev.fired.Swap(true) {
 			// The body fulfilled its own event synchronously and then
 			// failed: the fulfillment completed the task and wins; the

@@ -1,12 +1,15 @@
 package rt
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"taskdep/internal/fault"
 	"taskdep/internal/graph"
 	"taskdep/internal/mpi"
 	"taskdep/internal/sched"
@@ -79,6 +82,43 @@ func TestDetachedInsidePersistentRegion(t *testing.T) {
 		if v != float64(10+i) {
 			t.Fatalf("got[%d] = %v", i, v)
 		}
+	}
+
+	// A body that fulfils its own event and then fails. The fulfilment
+	// completes the task, so the region may move on and replay it —
+	// attaching the next iteration's event — while the executor of the
+	// previous instance is still on its way into fail. fail must settle
+	// the event that executor read before the body: claiming the new one
+	// would abort the next instance and skip its successor. The body only
+	// yields between the two (no channel, no atomic), so that nothing
+	// orders its failure against the replay but the runtime itself.
+	rt = New(Config{Workers: 2, Opts: graph.OptAll})
+	var started, used atomic.Int32
+	err = rt.Persistent(iters, func(iter int) {
+		rt.Submit(Spec{
+			Label: "selfdone", Out: []graph.Key{1}, Detached: true,
+			DetachedBody: func(_ any, ev *Event) {
+				started.Add(1)
+				ev.Fulfill()
+				for i := 0; i < 200; i++ {
+					runtime.Gosched()
+				}
+				panic("failed after fulfilling")
+			},
+		})
+		rt.Submit(Spec{Label: "use", In: []graph.Key{1}, Body: func(any) { used.Add(1) }})
+	})
+	// A failure surfaces at whichever wait follows its recording, which
+	// may be none of this region's.
+	var te *fault.TaskError
+	if err != nil && (!errors.As(err, &te) || te.Label != "selfdone") {
+		t.Fatalf("Persistent: %v, want the selfdone failure", err)
+	}
+	if err := rt.Close(); err != nil && (!errors.As(err, &te) || te.Label != "selfdone") {
+		t.Fatalf("Close: %v, want the selfdone failure", err)
+	}
+	if s, u := started.Load(), used.Load(); s == 0 || u != s {
+		t.Fatalf("%d instances fulfilled but %d successors ran", s, u)
 	}
 }
 
