@@ -18,7 +18,9 @@ type OpBody func(in []any) (any, error)
 // returns the task's body. The argument is parsed here, once per task,
 // not on each execution (a repeat:n graph executes every body n times);
 // a bad argument yields a body that fails with the parse error, so it
-// still surfaces as a task failure at execution.
+// still surfaces as a task failure at execution. arg is a view of the
+// request body, valid during the call only: keep what was parsed from
+// it, not the bytes.
 //
 // Clients submit data, not code, so the executable surface is this
 // fixed registry; it is deliberately small but covers literals,

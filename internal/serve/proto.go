@@ -23,6 +23,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // Wire limits, enforced before any task is submitted. They bound the
@@ -162,5 +163,5 @@ func (t *TaskWire) Name(i int) string {
 	if t.Label != "" {
 		return t.Label
 	}
-	return fmt.Sprintf("task-%d", i)
+	return "task-" + strconv.Itoa(i)
 }

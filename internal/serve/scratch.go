@@ -1,0 +1,68 @@
+package serve
+
+import (
+	"bytes"
+	"io"
+	"reflect"
+	"sync"
+)
+
+// reqScratch is the memory one POST /v1/graphs works in, from the first
+// body byte to the last stream record: the body, the arenas and the
+// request decoded into them, and the stream's buffers. The handler takes
+// one from scratchPool and owns it until stream has returned — that is,
+// until Tenant.Run has, so neither build nor a task body can still be
+// reading the request — and nothing that outlives the handler may keep
+// a slice of it.
+type reqScratch struct {
+	body []byte // as read from the socket; req's Args alias it
+	arenas
+	req    GraphRequest
+	stream streamState
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
+
+// maxPooledScratch bounds the bytes a pooled scratch may hold on to.
+// The pool keeps one per P (and hands it to anyone), so a scratch that
+// one maximal request blew up to megabytes is dropped, not parked.
+const maxPooledScratch = 512 << 10
+
+var (
+	nameSize  = int(reflect.TypeFor[string]().Size())
+	taskSize  = int(reflect.TypeFor[TaskWire]().Size())
+	eventSize = int(reflect.TypeFor[Event]().Size())
+)
+
+// footprint is the capacity of every buffer of the scratch, in bytes.
+func (sc *reqScratch) footprint() int {
+	return cap(sc.body) + cap(sc.names)*nameSize + cap(sc.tasks)*taskSize +
+		(cap(sc.stream.batch)+cap(sc.stream.mbox.pending))*eventSize + cap(sc.stream.out)
+}
+
+// release returns the scratch to the pool with no string, task or event
+// left in it, or drops it when it has outgrown maxPooledScratch. The
+// arenas hold nothing past their length and the stream's batches are
+// cleared as they are written, so clearing up to the lengths clears all.
+func (sc *reqScratch) release() {
+	if sc.footprint() > maxPooledScratch {
+		return
+	}
+	clear(sc.names)
+	clear(sc.tasks)
+	sc.names, sc.tasks = sc.names[:0], sc.tasks[:0]
+	sc.req = GraphRequest{}
+	scratchPool.Put(sc)
+}
+
+// readBody reads r to its end into buf[:0], first growing it for hint
+// bytes (a Content-Length; negative when unknown) if that is no more
+// than MaxBodyBytes.
+func readBody(r io.Reader, buf []byte, hint int64) ([]byte, error) {
+	b := bytes.NewBuffer(buf[:0])
+	if 0 <= hint && hint <= MaxBodyBytes {
+		b.Grow(int(hint) + bytes.MinRead) // ReadFrom wants MinRead spare bytes to read the EOF into
+	}
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
+}

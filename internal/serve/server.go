@@ -85,14 +85,33 @@ func tenantOf(r *http.Request) string {
 }
 
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	var req GraphRequest
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	sc := scratchPool.Get().(*reqScratch)
+	s.serveGraph(w, r, sc)
+	// Not deferred: were serveGraph to panic, the request's producer could
+	// still be reading the scratch, which is then dropped, not pooled.
+	sc.release()
+}
+
+// serveGraph is one POST /v1/graphs: read, decode, validate, admit, run
+// and stream, all in sc.
+func (s *Server) serveGraph(w http.ResponseWriter, r *http.Request, sc *reqScratch) {
+	req := &sc.req
+	var err error
+	sc.body, err = readBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), sc.body, r.ContentLength)
+	if err != nil {
 		s.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "decode: %v", err)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "serve: request body exceeds %d bytes", MaxBodyBytes)
+		} else {
+			httpError(w, http.StatusBadRequest, "serve: read body: %v", err)
+		}
 		return
 	}
-	if err := req.Validate(); err != nil {
+	if err = decodeRequest(req, sc.body, &sc.arenas); err == nil {
+		err = req.Validate()
+	}
+	if err != nil {
 		s.badRequests.Add(1)
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -126,9 +145,10 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	stream(w, flush, Event{Type: "accepted", Key: name}, func(emit func(Event)) {
+	sc.stream.reserve(maxEvents(req))
+	stream(w, flush, &sc.stream, Event{Type: "accepted", Key: name}, func(emit func(Event)) {
 		t0 := time.Now()
-		err := tn.Run(r.Context(), &req, emit)
+		err := tn.Run(r.Context(), req, emit)
 		if err != nil {
 			s.graphErrors.Add(1)
 			if r.Context().Err() != nil {
@@ -142,6 +162,18 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 		}
 		emit(Event{Type: "done", Iters: iters, Elapsed: time.Since(t0).Seconds()})
 	})
+}
+
+// maxEvents bounds the events one request's producer emits: a
+// transition per task, the result slots, the error tail and done.
+func maxEvents(req *GraphRequest) int {
+	n := len(req.Tasks) + len(req.Results) + maxErrorEvents + 1
+	if len(req.Results) == 0 {
+		for i := range req.Tasks {
+			n += len(req.Tasks[i].Provide)
+		}
+	}
+	return n
 }
 
 // maxErrorEvents bounds the error tail of a stream: the primary

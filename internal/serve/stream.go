@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -19,10 +20,10 @@ type mailbox struct {
 	closed   bool
 }
 
-func newMailbox() *mailbox {
-	m := new(mailbox)
+// open readies a zero or closed mailbox for a producer.
+func (m *mailbox) open() {
 	m.nonEmpty.L = &m.mu
-	return m
+	m.closed = false
 }
 
 func (m *mailbox) put(e Event) {
@@ -53,6 +54,24 @@ func (m *mailbox) take(spare []Event) (batch []Event, closed bool) {
 	return batch, closed
 }
 
+// streamState is the memory one stream works in: the mailbox with the
+// batch filling up, the batch being written, and the bytes of the write.
+// The zero value is ready; a state may serve one stream after another
+// (the request scratch keeps one) and keeps its buffers' capacity, but
+// no event: a batch is cleared as soon as it is written.
+type streamState struct {
+	mbox  mailbox
+	batch []Event
+	out   []byte
+}
+
+// reserve gives both batches room for n events, the most a stream can
+// have pending at once, so that no put regrows one.
+func (st *streamState) reserve(n int) {
+	st.batch = slices.Grow(st.batch[:0], n)
+	st.mbox.pending = slices.Grow(st.mbox.pending[:0], n)
+}
+
 // stream writes one request's NDJSON records to w. first goes out, and
 // is flushed, before produce starts; produce then runs on its own
 // goroutine with the mailbox's put as its emit, and stream returns once
@@ -65,34 +84,36 @@ func (m *mailbox) take(spare []Event) (batch []Event, closed bool) {
 // mailbox. It never waits while holding unflushed bytes: an event is on
 // the socket in the first write after it was emitted, and shares that
 // write only with events that piled up during the previous one.
-func stream(w io.Writer, flush func(), first Event, produce func(emit func(Event))) {
+func stream(w io.Writer, flush func(), st *streamState, first Event, produce func(emit func(Event))) {
 	seq := 0
-	var buf []byte
 	write := func(batch []Event) {
-		buf = buf[:0]
+		out := st.out[:0]
 		for i := range batch {
 			seq++
 			batch[i].Seq = seq
-			buf = appendEvent(buf, &batch[i])
+			out = appendEvent(out, &batch[i])
 		}
-		if len(buf) > 0 {
+		if len(out) > 0 {
 			// A failed write means the client is gone; its request context
 			// aborts the window, and the stream is still drained to its end.
-			_, _ = w.Write(buf)
+			_, _ = w.Write(out)
 			flush()
 		}
+		clear(batch)
+		st.out = out
 	}
-	write([]Event{first})
+	st.batch = append(st.batch[:0], first)
+	write(st.batch)
 
-	m := newMailbox()
+	m := &st.mbox
+	m.open()
 	go func() {
 		defer m.close()
 		produce(m.put)
 	}()
-	var batch []Event
 	for closed := false; !closed; {
-		batch, closed = m.take(batch)
-		write(batch)
+		st.batch, closed = m.take(st.batch)
+		write(st.batch)
 	}
 }
 

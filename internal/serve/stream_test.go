@@ -57,7 +57,8 @@ func decodeRecords(t *testing.T, b []byte) []Event {
 }
 
 func TestMailboxTakesEverythingPending(t *testing.T) {
-	m := newMailbox()
+	var m mailbox
+	m.open()
 	const n = 100
 	for i := 0; i < n; i++ {
 		m.put(Event{Type: "task", Iters: i + 1})
@@ -95,7 +96,7 @@ func TestStreamOneFlushPerBurst(t *testing.T) {
 		}
 	}
 	var flushedBeforeStart int
-	stream(rec, rec.flush, Event{Type: "accepted", Key: "t"}, func(emit func(Event)) {
+	stream(rec, rec.flush, new(streamState), Event{Type: "accepted", Key: "t"}, func(emit func(Event)) {
 		rec.mu.Lock()
 		flushedBeforeStart = rec.flushes
 		rec.mu.Unlock()
@@ -340,14 +341,14 @@ func TestLoweredBodyAllocs(t *testing.T) {
 	}
 	req := sumGraph(20, 22)
 	req.Tasks[2].Arg = json.RawMessage("0.5")
-	specs, results, _ := tn.build(&req, func(Event) {})
-	for i := range specs { // the first execution also emits the task event
-		if err := specs[i].Do(nil); err != nil {
+	g, results, _ := tn.build(&req, func(Event) {})
+	for i := range g.tasks { // the first execution also emits the task event
+		if err := runWireTask(&g.tasks[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sum := specs[2].Do
-	if allocs := testing.AllocsPerRun(200, func() { _ = sum(nil) }); allocs > 1 {
+	sum := &g.tasks[2]
+	if allocs := testing.AllocsPerRun(200, func() { _ = runWireTask(sum) }); allocs > 1 {
 		t.Fatalf("sum body allocates %.0f times per execution, want at most 1", allocs)
 	}
 	if v := results[0].Any(); v != 42.5 {

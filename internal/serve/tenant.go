@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -90,6 +92,7 @@ type Tenant struct {
 	store *values.Store
 
 	prodMu sync.Mutex
+	binder values.Binder // the submitting request's key buffer; guarded by prodMu
 	sem    chan struct{} // admission quota (see Options.Queue)
 	closed atomic.Bool
 
@@ -147,7 +150,17 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 	t.store.Reset()
 	t.submissions.Add(1)
 
-	specs, resultHandles, resultNames := t.build(req, emit)
+	g, results, resultNames := t.build(req, emit)
+	// Lowered at submission: the binder's keys are good until its next
+	// Lower, and Submit has copied them out by then.
+	submit := func() {
+		for i := range g.tasks {
+			w := &g.tasks[i]
+			sp := t.binder.Lower(values.Spec{Label: w.label, Consume: w.consume, Provide: w.provide, Update: w.update})
+			sp.Do, sp.FirstPrivate = runWireTask, w
+			t.rt.Submit(sp)
+		}
+	}
 
 	// Abort the window when the client goes away mid-stream, so a
 	// disconnected request never pins the tenant for its full graph.
@@ -163,20 +176,14 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 	}
 	var err error
 	if iters == 1 {
-		for i := range specs {
-			t.rt.Submit(specs[i])
-		}
+		submit()
 		err = t.rt.Taskwait()
 	} else {
 		// The persistent frozen-replay path: the graph is recorded
 		// once and replayed as a compiled flat schedule — the typed
 		// dataflow facade lowers onto plain key dependences, so the
 		// paper's optimization (p) applies to served graphs unchanged.
-		err = t.rt.PersistentFrozen(iters, func() {
-			for i := range specs {
-				t.rt.Submit(specs[i])
-			}
-		})
+		err = t.rt.PersistentFrozen(iters, submit)
 	}
 	if !stop() {
 		// The disconnect fired: let its abort land while this request
@@ -185,98 +192,156 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 		// not an abort in the middle of its own window.
 		<-aborted
 	}
+	// The window has drained: no task will emit again. The runtime still
+	// remembers each slot's last writers, and through them g, until the
+	// tenant's next window; it must not also remember the request's stream.
+	g.emit = nil
 	if err != nil {
 		t.failures.Add(1)
 		return err
 	}
-	for i, h := range resultHandles {
+	for i, h := range results {
 		emit(Event{Type: "result", Key: resultNames[i], Value: h.Any()})
 	}
 	return nil
 }
 
-// build lowers the wire tasks onto runtime specs via the typed value
-// layer. Caller holds prodMu.
-func (t *Tenant) build(req *GraphRequest, emit func(Event)) (specs []rt.Spec, resultHandles []values.Handle, resultNames []string) {
-	handles := make(map[string]values.Handle, 8)
-	bind := func(names []string) []values.Handle {
-		if len(names) == 0 {
-			return nil
-		}
-		hs := make([]values.Handle, len(names))
-		for i, n := range names {
-			h, ok := handles[n]
-			if !ok {
-				h = t.store.Bind(n)
-				handles[n] = h
-			}
-			hs[i] = h
-		}
-		return hs
+// wireGraph is one request lowered for the runtime. It is built per
+// request from a fixed number of allocations, sized from the request,
+// and keeps no view of the request's strings: the slots' names are the
+// store's copies and the labels a string of their own, so a finished
+// task that the runtime still remembers does not hold a request body.
+type wireGraph struct {
+	t     *Tenant
+	emit  func(Event)
+	tasks []wireTask
+}
+
+// wireTask is one task of a wireGraph; the runtime carries a pointer
+// to it as the task's FirstPrivate and runs it with runWireTask.
+type wireTask struct {
+	g     *wireGraph
+	label string
+	body  OpBody
+	// consume, update and provide are runs of one handle arena.
+	consume, update, provide []values.Handle
+	// in is the body's input, a run of one arena, reused by every
+	// execution: a task never runs concurrently with itself, and a
+	// frozen replay's iterations are ordered by its barrier. So is
+	// reported.
+	in       []any
+	reported bool
+}
+
+// runWireTask is the Do of every served task.
+func runWireTask(fp any) error {
+	w := fp.(*wireTask)
+	for j, h := range w.consume {
+		w.in[j] = h.Any()
 	}
-	specs = make([]rt.Spec, 0, len(req.Tasks))
-	var provided []string
+	for j, h := range w.update {
+		w.in[len(w.consume)+j] = h.Any()
+	}
+	v, err := w.body(w.in)
+	if err != nil {
+		return err
+	}
+	for _, h := range w.provide {
+		h.SetAny(v)
+	}
+	for _, h := range w.update {
+		h.SetAny(v)
+	}
+	w.g.t.tasksRun.Add(1)
+	// One transition event per task: the first completed execution
+	// (frozen replays re-run bodies every iteration; streaming each
+	// would swamp the client).
+	if !w.reported {
+		w.reported = true
+		w.g.emit(Event{Type: "task", Task: w.label, State: "done"})
+	}
+	return nil
+}
+
+// build binds the request's slots in the tenant's store and lays its
+// tasks out for submission; results are the slots to report once the
+// graph has drained, under the names the request gave them. Caller
+// holds prodMu.
+func (t *Tenant) build(req *GraphRequest, emit func(Event)) (g *wireGraph, results []values.Handle, resultNames []string) {
+	var nIn, nOut, nLabel int
 	for i := range req.Tasks {
 		w := &req.Tasks[i]
-		label := w.Name(i)
-		body := Ops[w.Op](w.Arg)
-		consume := bind(w.Consume)
-		update := bind(w.Update)
-		for _, n := range w.Provide {
-			if _, ok := handles[n]; !ok {
-				provided = append(provided, n)
+		nIn += len(w.Consume) + len(w.Update)
+		nOut += len(w.Provide)
+		nLabel += len(w.Label)
+	}
+	g = &wireGraph{t: t, emit: emit, tasks: make([]wireTask, len(req.Tasks))}
+	var (
+		handles = make([]values.Handle, 0, nIn+nOut)
+		inputs  = make([]any, nIn)
+		byName  = make(map[string]values.Handle, nOut)
+		labels  strings.Builder
+		name    [len("task-") + 20]byte
+	)
+	// Room for every label plus a "task-<index>" for every task, so the
+	// labels are substrings of one string.
+	labels.Grow(nLabel + len(req.Tasks)*(len("task-")+len(strconv.Itoa(len(req.Tasks)))))
+	bind := func(names []string) []values.Handle {
+		start := len(handles)
+		for _, n := range names {
+			h, ok := byName[n]
+			if !ok {
+				h = t.store.Bind(n)
+				byName[n] = h
+			}
+			handles = append(handles, h)
+		}
+		return handles[start:len(handles):len(handles)]
+	}
+	// With no results named, every slot is reported, in the order the
+	// request first provides them.
+	reportAll := len(req.Results) == 0
+	var provided []string
+	if reportAll {
+		provided = make([]string, 0, nOut)
+	}
+	for i := range req.Tasks {
+		w := &req.Tasks[i]
+		start := labels.Len()
+		if w.Label != "" {
+			labels.WriteString(w.Label)
+		} else {
+			labels.Write(strconv.AppendInt(append(name[:0], "task-"...), int64(i), 10))
+		}
+		consume, update := bind(w.Consume), bind(w.Update)
+		if reportAll {
+			for _, n := range w.Provide {
+				if _, ok := byName[n]; !ok {
+					provided = append(provided, n)
+				}
 			}
 		}
-		provide := bind(w.Provide)
-		// One input slice and one flag per task, reused by every
-		// execution: a task never runs concurrently with itself, and a
-		// frozen replay's iterations are ordered by its barrier.
-		in := make([]any, len(consume)+len(update))
-		reported := false
-		do := func() error {
-			for j, h := range consume {
-				in[j] = h.Any()
-			}
-			for j, h := range update {
-				in[len(consume)+j] = h.Any()
-			}
-			v, err := body(in)
-			if err != nil {
-				return err
-			}
-			for _, h := range provide {
-				h.SetAny(v)
-			}
-			for _, h := range update {
-				h.SetAny(v)
-			}
-			t.tasksRun.Add(1)
-			// One transition event per task: the first completed
-			// execution (frozen replays re-run bodies every
-			// iteration; streaming each would swamp the client).
-			if !reported {
-				reported = true
-				emit(Event{Type: "task", Task: label, State: "done"})
-			}
-			return nil
+		n := len(consume) + len(update)
+		g.tasks[i] = wireTask{
+			g:       g,
+			label:   labels.String()[start:],
+			body:    Ops[w.Op](w.Arg),
+			consume: consume,
+			update:  update,
+			provide: bind(w.Provide),
+			in:      inputs[:n:n],
 		}
-		specs = append(specs, values.Lower(values.Spec{
-			Label:   label,
-			Consume: consume,
-			Provide: provide,
-			Update:  update,
-			Do:      do,
-		}))
+		inputs = inputs[n:]
 	}
-	names := req.Results
-	if len(names) == 0 {
-		names = provided
+	resultNames = req.Results
+	if reportAll {
+		resultNames = provided
 	}
-	resultHandles = make([]values.Handle, len(names))
-	for i, n := range names {
-		resultHandles[i] = handles[n]
+	results = make([]values.Handle, len(resultNames))
+	for i, n := range resultNames {
+		results[i] = byName[n]
 	}
-	return specs, resultHandles, names
+	return g, results, resultNames
 }
 
 // shutdown closes the tenant: aborts any running window, waits for

@@ -24,6 +24,7 @@ package values
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -107,6 +108,9 @@ func (s *Store) Bind(name string) Handle {
 		next[len(old)] = new(chunk)
 		s.chunks.Store(&next)
 	}
+	// The store keeps a name for its own lifetime: hold a copy, not a
+	// view of whatever larger string the caller cut it from.
+	name = strings.Clone(name)
 	s.names[name] = slot
 	s.order = append(s.order, name)
 	s.n.Store(slot + 1)

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"taskdep/internal/fault"
 	"taskdep/internal/graph"
@@ -254,6 +256,41 @@ func TestPersistentFrozenReplay(t *testing.T) {
 	// The frozen region really compiled: the replay counter moved.
 	if iter != 4 {
 		t.Fatalf("iterations = %d", iter)
+	}
+}
+
+// TestBindCopiesTheName: the store outlives whatever its names were cut
+// from (tdgserve cuts them from request bodies of up to 4 MiB), so Bind
+// keeps a copy: once the caller drops the parent string nothing the
+// store holds — name list or map key — keeps it alive.
+func TestBindCopiesTheName(t *testing.T) {
+	buf := make([]byte, 4<<20)
+	copy(buf[len(buf)-4:], "slot")
+	freed := make(chan struct{})
+	runtime.SetFinalizer(&buf[0], func(*byte) { close(freed) })
+	parent := unsafe.String(&buf[0], len(buf))
+
+	s := NewStore()
+	h := s.Bind(parent[len(parent)-4:])
+	name := s.Names()[0]
+	if p, lo := uintptr(unsafe.Pointer(unsafe.StringData(name))), uintptr(unsafe.Pointer(&buf[0])); name != "slot" || lo <= p && p < lo+uintptr(len(buf)) {
+		t.Fatalf("store's name %q shares the caller's backing array", name)
+	}
+	buf, parent = nil, ""
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(10 * time.Millisecond):
+			if i < 100 {
+				continue
+			}
+			t.Fatal("the parent string is still reachable a second after its last use: the store pins it")
+		}
+		break
+	}
+	if again, ok := s.Lookup("slot"); !ok || again != h || h.Name() != "slot" {
+		t.Fatalf("binding lost: %v %v", again, ok)
 	}
 }
 
