@@ -38,7 +38,27 @@ var ErrCompileDetached = errors.New("graph: recording contains detached tasks, w
 // Compiled is the flat replay schedule of one recording: an immutable
 // CSR view of the recorded structure plus the single mutable vector an
 // iteration needs. Built by Compile after the recording iteration's
-// barrier; valid until the next BeginRecording reuses the recording.
+// barrier.
+//
+// Lifetime: a schedule is valid for as long as its graph is, and owes
+// nothing to the persistent region it was compiled in. It holds its own
+// snapshot of the recorded tasks (task memory is never recycled, see
+// alloc.go; Task.slot belongs to the one recording a task is part of)
+// and replays without the key table, so EndPersistent, later plain
+// windows over the same keys and later recordings leave it replayable.
+// The other direction holds because iterations end at a barrier: between
+// replays every task of the schedule is terminal, so a discovery that
+// finds one as a key's last writer or reader prunes the edge (addEdge's
+// lock-free path) and neither waits on it nor appends to its successor
+// list. The exception is OptKeepPrunedEdges (the verifier's mode), which
+// keeps every edge from a finished predecessor: there a later window
+// does append to a schedule's task for as long as that task is a key's
+// last writer or reader, so a long-lived schedule accumulates such edges
+// and through them pins the later tasks. That costs memory, not
+// correctness: the CSR was cut at compile time and Signature counts
+// same-recording edges only. Iterations of different schedules must not
+// overlap — one producer, one iteration at a time, as for the graph
+// itself.
 //
 // All slices except preds are written at compile time and read-only
 // afterwards. preds is written by the producer (BeginIteration's copy)
@@ -81,7 +101,8 @@ type Compiled struct {
 // Compile lowers the current recording into a flat replay schedule.
 // Called by the single producer at a quiescent point: after the
 // recording iteration's barrier, before any replay. The graph must be
-// inside a persistent region with recording closed.
+// inside a persistent region with recording closed; the schedule it
+// returns outlives that region (see Compiled).
 //
 // Recordings containing detached tasks are rejected with
 // ErrCompileDetached (frozen replay cannot re-fire their events); any
@@ -147,6 +168,10 @@ func (g *Graph) Compile() (*Compiled, error) {
 
 // Len returns the number of tasks in the schedule.
 func (c *Compiled) Len() int { return len(c.tasks) }
+
+// Tasks returns the schedule's tasks in recorded order — the snapshot
+// taken at Compile, not the graph's latest recording. Read-only.
+func (c *Compiled) Tasks() []*Task { return c.tasks }
 
 // Roots returns the tasks ready at the start of every iteration
 // (recorded indegree 0), in recorded order. Read-only; the same slice

@@ -21,10 +21,15 @@ import "fmt"
 // sweep (frozen regions). The compiled grade (compile.go) lowers a
 // frozen recording further, into a flat CSR schedule whose only
 // per-iteration mutable state is one predecessor-count vector reset
-// with a single copy; rt drives it when a Frozen region compiles
-// cleanly. The grades are behaviorally identical — same barrier, same
+// with a single copy; rt drives it when a recording compiles cleanly.
+// The grades are behaviorally identical — same barrier, same
 // failure/poison semantics, same divergence detection — differing
-// only in replay cost.
+// only in replay cost, and in lifetime: the generic grade replays the
+// graph's current recording (g.recorded, reused by the next
+// BeginRecording) inside its region, while a compiled schedule is a
+// value of its own that stays replayable after the region has closed
+// and after later recordings (rt.Record / rt.Replay; compile.go has
+// the argument).
 
 // BeginRecording enters persistent discovery: tasks submitted until
 // EndRecording are recorded, never pruned (every edge is materialized so
@@ -164,12 +169,14 @@ func (g *Graph) AbortReplay() {
 
 // EndPersistent closes the persistent region. The recorded task sequence
 // stays readable (Recorded, e.g. for DOT export) until the next
-// BeginRecording reuses it.
+// BeginRecording reuses it; a schedule compiled from it stays
+// replayable regardless.
 func (g *Graph) EndPersistent() {
 	g.persistent = false
 	g.recording = false
 	g.replayIndex = len(g.recorded)
 }
 
-// Recorded exposes the recorded sequence (read-only use: tests, DES).
+// Recorded exposes the latest recording's sequence (read-only use:
+// tests, DES). A compiled schedule answers for its own: Compiled.Tasks.
 func (g *Graph) Recorded() []*Task { return g.recorded }

@@ -131,10 +131,11 @@ type Runtime struct {
 
 	// replay is true while re-running a persistent iteration body.
 	replay bool
-	// persistentDepth guards against nested Persistent calls.
+	// inPersistent guards against nested Persistent, Record and Replay
+	// calls.
 	inPersistent bool
 	// compiled is the active frozen-replay schedule, non-nil only while
-	// replayCompiled runs a Frozen region. Workers load it in finish to
+	// replayCompiled runs a Recording. Workers load it in finish to
 	// route recorded tasks' terminal transitions through the compiled
 	// CSR release instead of the generic graph walk.
 	compiled atomic.Pointer[graph.Compiled]
@@ -236,6 +237,12 @@ type Runtime struct {
 	// pops them, so a queued task is never completed behind its back.
 	detachMu   sync.Mutex
 	detachLive map[*graph.Task]*Event
+
+	// recSig is the verifier's signature of the graph's latest recording
+	// (Config.Verify), taken by recordIteration: what the generic replays
+	// of that recording are checked against, and what a Recording made
+	// from it keeps as its own. Producer-only.
+	recSig uint64
 }
 
 // producerID is the scheduler slot the producer consumes under
@@ -1562,13 +1569,14 @@ var ErrReplayShape = errors.New("rt: persistent body changed its task stream bet
 // body with hidden iteration dependence.
 var ErrReplayDivergence = errors.New("rt: persistent replay diverged from the recorded task structure")
 
-// checkReplayDivergence closes the verifier's replay iteration and
-// surfaces any divergence as an error (graph already drained).
-func (rt *Runtime) checkReplayDivergence() error {
+// checkReplayDivergence closes the verifier's replay iteration over
+// recorded, whose recording-time signature was sig, and surfaces any
+// divergence as an error (graph already drained).
+func (rt *Runtime) checkReplayDivergence(recorded []*graph.Task, sig uint64) error {
 	if rt.ver == nil {
 		return nil
 	}
-	divs := rt.ver.EndReplay(rt.g.Recorded())
+	divs := rt.ver.EndReplay(recorded, sig)
 	if len(divs) == 0 {
 		return nil
 	}
@@ -1602,7 +1610,12 @@ type PersistentOption func(*persistentOpts)
 // iteration the producer restores the predecessor counts with one
 // copy, publishes the root set, and waits on a countdown — no key
 // table, no pools, no hashing, no allocation (see
-// docs/architecture.md, "Frozen-graph compilation"). Recordings with
+// docs/architecture.md, "Frozen-graph compilation"). The region is the
+// two operations Record and Replay back to back — record and compile at
+// iteration 0, replay the other iters-1 — and owns the schedule only
+// because it drops the Recording when it returns; a caller that wants
+// the same graph again later calls the two halves itself and keeps the
+// Recording. Recordings with
 // detached tasks cannot be compiled or frozen (their captured
 // completion events cannot re-fire) and are rejected with
 // graph.ErrCompileDetached; Config.NoCompiledReplay falls back to the
@@ -1691,7 +1704,7 @@ func (rt *Runtime) recordIteration(it int, body func(iter int)) error {
 	rt.g.EndRecording()
 	werr := rt.Taskwait()
 	if rt.ver != nil {
-		rt.ver.EndRecording(rt.g.Recorded())
+		rt.recSig = rt.ver.EndRecording(rt.g.Recorded())
 	}
 	if p := rt.cfg.Profile; p != nil {
 		p.IterationEnd(rt.now())
@@ -1734,7 +1747,7 @@ func (rt *Runtime) persistentPlain(iters int, body func(iter int)) error {
 			rt.g.EndPersistent()
 			return werr
 		}
-		if err := rt.checkReplayDivergence(); err != nil {
+		if err := rt.checkReplayDivergence(rt.g.Recorded(), rt.recSig); err != nil {
 			rt.g.EndPersistent()
 			return err
 		}
@@ -1743,33 +1756,118 @@ func (rt *Runtime) persistentPlain(iters int, body func(iter int)) error {
 	return nil
 }
 
-func (rt *Runtime) persistentFrozen(iters int, body func(iter int)) error {
+// Recording is a recorded task sub-graph compiled into a flat replay
+// schedule (graph.Compile): what Record returns and Replay runs. It owns
+// the schedule and, through it, the recorded tasks with the closures and
+// firstprivates they captured.
+//
+// Lifetime: a Recording stays replayable for as long as its runtime is
+// open — after the region that made it has closed, after any number of
+// plain windows over the same keys, and after later recordings. Nothing
+// it needs is shared with them: the schedule snapshots its tasks, tasks
+// are never recycled, and a replay touches no key table. What makes the
+// coexistence safe is that every recorded task is terminal at every
+// window boundary (a replay's barrier drains its whole iteration, failed
+// or not), so a later discovery that meets one as a key's last writer
+// prunes the edge on its lock-free path and never appends to it (except
+// under Config.Verify, which keeps such edges for the audit: see
+// graph.Compiled). A replay that fails or is aborted leaves the
+// Recording replayable: the next iteration scrubs the poison the failed
+// one left (the schedule's dirty pass). Producer-only, like everything
+// else about persistence.
+type Recording struct {
+	rt *Runtime
+	cs *graph.Compiled
+	// sig is the verifier's signature of the recorded structure, the
+	// reference every replay of this recording is checked against
+	// (Config.Verify; zero otherwise).
+	sig uint64
+}
+
+// ErrNotCompiled reports a recording whose iteration ran to its barrier
+// without a failure but that has no compiled schedule: detached tasks
+// (the error also wraps graph.ErrCompileDetached), Config.NoCompiledReplay,
+// or an internal indegree mismatch. A Frozen region falls back to the
+// generic replay, except for detached tasks; Record has nothing to
+// return, and its caller has a graph that has run once and can be run
+// again only by submitting it.
+var ErrNotCompiled = errors.New("rt: recording was not compiled")
+
+// record is the first half of a frozen region: run body once under
+// recording (iteration 0, through its barrier) and compile what it
+// submitted. The persistent region is left open; the caller closes it
+// (graph.EndPersistent).
+func (rt *Runtime) record(body func(iter int)) (*Recording, error) {
 	if err := rt.recordIteration(0, body); err != nil {
-		rt.g.EndPersistent()
+		return nil, err
+	}
+	if rt.cfg.NoCompiledReplay {
+		return nil, ErrNotCompiled
+	}
+	cs, err := rt.g.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNotCompiled, err)
+	}
+	return &Recording{rt: rt, cs: cs, sig: rt.recSig}, nil
+}
+
+// Record runs body once — its tasks execute, as iteration 0 of a Frozen
+// region would — and returns the compiled recording of what it
+// submitted, for Replay. It fails with the barrier's error when a task
+// of the recording iteration failed, and with ErrNotCompiled when the
+// iteration ran clean but what it recorded cannot be compiled.
+//
+// Persistent(iters, body, Frozen()) is Record followed by Replay of the
+// other iters-1 iterations; the two halves exist on their own so that a
+// recording can outlive the call that made it (internal/serve keeps
+// them per request shape).
+func (rt *Runtime) Record(body func()) (*Recording, error) {
+	if rt.inPersistent {
+		return nil, fmt.Errorf("rt: Record inside a Persistent region")
+	}
+	rt.inPersistent = true
+	defer func() { rt.inPersistent = false }()
+	defer rt.g.EndPersistent()
+	return rt.record(func(int) { body() })
+}
+
+// Replay runs n iterations of rec, numbered first, first+1, ... in
+// traces, each ended by the implicit barrier. The captured closures and
+// firstprivates are re-released as they are: to run the recording on new
+// data, change what the firstprivates point to before calling. Must be
+// called at a quiescent point (after Taskwait), by the producer. A task
+// failure or an abort ends the replay after that iteration's barrier;
+// rec stays replayable.
+func (rt *Runtime) Replay(rec *Recording, first, n int) error {
+	switch {
+	case rec == nil || rec.rt != rt:
+		return fmt.Errorf("rt: Replay of a recording this runtime did not make")
+	case rt.inPersistent:
+		return fmt.Errorf("rt: Replay inside a Persistent region")
+	case rt.g.Live() != 0:
+		return fmt.Errorf("rt: Replay with %d tasks in flight", rt.g.Live())
+	}
+	rt.inPersistent = true
+	defer func() { rt.inPersistent = false }()
+	return rt.replayCompiled(rec, first, n)
+}
+
+func (rt *Runtime) persistentFrozen(iters int, body func(iter int)) error {
+	defer rt.g.EndPersistent()
+	rec, err := rt.record(body)
+	if err == nil {
+		return rt.replayCompiled(rec, 1, iters-1)
+	}
+	if !errors.Is(err, ErrNotCompiled) || errors.Is(err, graph.ErrCompileDetached) {
+		// A failed recording iteration; or detached tasks, which no frozen
+		// replay can run: re-releasing a captured closure re-releases a
+		// completion event that has already fired, so no later iteration
+		// could ever finish.
 		return err
 	}
-	if !rt.cfg.NoCompiledReplay {
-		// Compile the recording into a flat replay schedule — the
-		// frozen fast path (see internal/graph/compile.go). Detached
-		// recordings are rejected outright: frozen replay re-releases
-		// captured closures, including an already-fired completion
-		// event, so no later iteration could ever finish. Any other
-		// compile error is an internal indegree mismatch; the generic
-		// sentinel-release replay below still works, so take it.
-		cs, err := rt.g.Compile()
-		switch {
-		case err == nil:
-			werr := rt.replayCompiled(cs, iters)
-			rt.g.EndPersistent()
-			return werr
-		case errors.Is(err, graph.ErrCompileDetached):
-			rt.g.EndPersistent()
-			return fmt.Errorf("rt: Persistent(Frozen()): %w", err)
-		}
-	}
+	// Not compiled: the generic sentinel-release replay still works.
 	for it := 1; it < iters; it++ {
 		if err := rt.g.BeginReplay(); err != nil {
-			rt.g.EndPersistent()
 			return err
 		}
 		if rt.ver != nil {
@@ -1781,7 +1879,6 @@ func (rt *Runtime) persistentFrozen(iters int, body func(iter int)) error {
 		rt.g.ReplayAll()
 		rt.obs.AddSlot(rt.producerID(), obs.CReplayHits, int64(rt.g.RecordedLen()))
 		if err := rt.g.FinishReplay(); err != nil {
-			rt.g.EndPersistent()
 			return err
 		}
 		werr := rt.Taskwait()
@@ -1789,30 +1886,30 @@ func (rt *Runtime) persistentFrozen(iters int, body func(iter int)) error {
 			p.IterationEnd(rt.now())
 		}
 		if werr != nil {
-			rt.g.EndPersistent()
 			return werr
 		}
-		if err := rt.checkReplayDivergence(); err != nil {
-			rt.g.EndPersistent()
+		if err := rt.checkReplayDivergence(rt.g.Recorded(), rt.recSig); err != nil {
 			return err
 		}
 	}
-	rt.g.EndPersistent()
 	return nil
 }
 
-// replayCompiled runs iterations 1..iters-1 of a Frozen region through
-// the compiled schedule cs. Per iteration the producer does exactly:
-// one copy (predecessor template), one batch publication (the root
-// set, straight into its work-stealing deque with a fan-out wake), and
-// the countdown barrier — no key table, no pools, no hashing, no
-// per-task sentinel releases. Divergence checking, failure windows and
-// the abort protocol are the generic path's, verbatim.
-func (rt *Runtime) replayCompiled(cs *graph.Compiled, iters int) error {
+// replayCompiled runs n iterations of rec, numbered from first, through
+// its compiled schedule — the one loop behind Replay and every Frozen
+// region. Per iteration the producer does exactly: one copy (predecessor
+// template), one batch publication (the root set, straight into its
+// work-stealing deque with a fan-out wake), and the countdown barrier —
+// no key table, no pools, no hashing, no per-task sentinel releases.
+// Divergence checking (against rec's own tasks and signature, not the
+// graph's latest recording), failure windows and the abort protocol are
+// the generic path's, verbatim.
+func (rt *Runtime) replayCompiled(rec *Recording, first, n int) error {
+	cs := rec.cs
 	rt.compiled.Store(cs)
 	defer rt.compiled.Store(nil)
-	n := int64(cs.Len())
-	for it := 1; it < iters; it++ {
+	tasks := int64(cs.Len())
+	for it := first; it < first+n; it++ {
 		if err := cs.BeginIteration(); err != nil {
 			return err
 		}
@@ -1825,7 +1922,7 @@ func (rt *Runtime) replayCompiled(cs *graph.Compiled, iters int) error {
 		rt.iter.Store(int32(it))
 		var sp obs.Span
 		if rt.obs.Sampled(rt.producerID()) {
-			sp = rt.obs.BeginSpan(rt.producerID(), obs.SpanReplayCopy, n, 0, it)
+			sp = rt.obs.BeginSpan(rt.producerID(), obs.SpanReplayCopy, tasks, 0, it)
 		}
 		if rt.cp != nil {
 			// Compiled roots are seeded directly into the deque, not
@@ -1837,7 +1934,7 @@ func (rt *Runtime) replayCompiled(cs *graph.Compiled, iters int) error {
 		}
 		rt.s.SeedReplay(rt.producerID(), cs.Roots())
 		sp.End()
-		rt.obs.AddSlot(rt.producerID(), obs.CReplayHits, n)
+		rt.obs.AddSlot(rt.producerID(), obs.CReplayHits, tasks)
 		rt.obs.IncSlot(rt.producerID(), obs.CReplayCompiled)
 		werr := rt.compiledBarrier(cs)
 		if p := rt.cfg.Profile; p != nil {
@@ -1846,7 +1943,7 @@ func (rt *Runtime) replayCompiled(cs *graph.Compiled, iters int) error {
 		if werr != nil {
 			return werr
 		}
-		if err := rt.checkReplayDivergence(); err != nil {
+		if err := rt.checkReplayDivergence(cs.Tasks(), rec.sig); err != nil {
 			return err
 		}
 	}
@@ -1920,7 +2017,7 @@ func (rt *Runtime) persistentAdaptive(iters int, body func(iter int), changed fu
 				rt.g.EndPersistent()
 				return werr
 			}
-			if err := rt.checkReplayDivergence(); err != nil {
+			if err := rt.checkReplayDivergence(rt.g.Recorded(), rt.recSig); err != nil {
 				rt.g.EndPersistent()
 				return err
 			}

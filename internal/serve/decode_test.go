@@ -7,8 +7,10 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -102,7 +104,7 @@ func checkDecode(t *testing.T, data []byte) (GraphRequest, error) {
 		t.Fatalf("direct decode %+v\nthrough encoding/json %+v\ninput %.200q", got, via, data)
 	}
 	if err == nil {
-		_ = got.Validate()
+		checkShape(t, &got, data)
 	}
 	var want shadowRequest
 	werr := json.Unmarshal(data, &want)
@@ -117,7 +119,57 @@ func checkDecode(t *testing.T, data []byte) (GraphRequest, error) {
 	if differs != "" && !repeatsMember(data) {
 		t.Fatalf("%s\ninput %.200q", differs, data)
 	}
+	if err == nil && werr == nil && differs == "" {
+		if shadow := GraphRequest(want); !bytes.Equal(appendShape(nil, &got), appendShape(nil, &shadow)) {
+			t.Fatalf("the decoded request and its encoding/json shadow differ in shape\ninput %.200q", data)
+		}
+	}
 	return got, err
+}
+
+// shapeVerdicts remembers, for the shapes checkShape has seen, what
+// Validate makes of a request of that shape.
+var shapeVerdicts struct {
+	sync.Mutex
+	m map[string]string
+}
+
+// checkShape holds Validate and the template cache's shape (template.go)
+// to what a hit relies on: Validate looks at nothing outside the shape
+// but repeat and the size of the arguments (which the decoder has bounded
+// already), so req and req with repeat 1 and no arguments get the same
+// verdict, unless req's repeat is what is wrong with it; and the shape
+// leaves out nothing Validate looks at, so two accepted inputs of equal
+// shape get the same verdict, whatever their constants.
+func checkShape(t *testing.T, req *GraphRequest, data []byte) {
+	t.Helper()
+	errString := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	bare := GraphRequest{Tasks: slices.Clone(req.Tasks), Repeat: 1, Results: req.Results}
+	for i := range bare.Tasks {
+		bare.Tasks[i].Arg = nil
+	}
+	shape := appendShape(nil, req)
+	if !bytes.Equal(shape, appendShape(nil, &bare)) {
+		t.Fatalf("arguments or repeat are part of the shape\ninput %.200q", data)
+	}
+	verdict := errString(bare.Validate())
+	if got := errString(req.Validate()); got != verdict && 0 <= req.Repeat && req.Repeat <= MaxRepeat {
+		t.Fatalf("Validate says %q, and %q without the arguments and repeat\ninput %.200q", got, verdict, data)
+	}
+	shapeVerdicts.Lock()
+	defer shapeVerdicts.Unlock()
+	if shapeVerdicts.m == nil || len(shapeVerdicts.m) > 4096 {
+		shapeVerdicts.m = make(map[string]string)
+	}
+	if seen, ok := shapeVerdicts.m[string(shape)]; ok && seen != verdict {
+		t.Fatalf("two inputs of one shape, two verdicts: %q and %q\ninput %.200q", seen, verdict, data)
+	}
+	shapeVerdicts.m[string(shape)] = verdict
 }
 
 // latticeBody renders the benchmark's request shape: w const tasks, then
@@ -190,6 +242,22 @@ var decodeCases = []struct {
 		return len(g.Tasks) == 513 && g.Repeat == 8 && g.Tasks[512].Label == "tail" && len(g.Tasks[512].Consume) == 16
 	}},
 	{"small body", latticeBody(5, 9, 1, true), true, func(g *GraphRequest) bool { return len(g.Tasks) == 46 && g.Results == nil }},
+	// Three inputs for the shape property (checkShape): the second has the
+	// first's shape and other constants, the third one name moved from
+	// consume to update, which is another graph.
+	{"sum graph", []byte(`{"tasks":[{"label":"a","op":"const","arg":1,"provide":["x"]},{"label":"b","op":"const","arg":2,"provide":["y"]},{"label":"add","op":"sum","consume":["x","y"],"provide":["total"]}],"results":["total"]}`), true, func(g *GraphRequest) bool {
+		// A count, then per task two strings and three lists, then the result
+		// list, every string and list behind a one-byte length here.
+		return len(appendShape(nil, g)) == 1+13+13+21+7
+	}},
+	{"sum graph, other constants", []byte(`{"tasks":[{"label":"a","op":"const","arg":7,"provide":["x"]},{"label":"b","op":"const","arg":-1.5e2,"provide":["y"]},{"label":"add","op":"sum","arg":0.5,"consume":["x","y"],"provide":["total"]}],"repeat":4,"results":["total"]}`), true, func(g *GraphRequest) bool {
+		base, _ := decodeDirect([]byte(`{"tasks":[{"label":"a","op":"const","arg":1,"provide":["x"]},{"label":"b","op":"const","arg":2,"provide":["y"]},{"label":"add","op":"sum","consume":["x","y"],"provide":["total"]}],"results":["total"]}`))
+		return g.Repeat == 4 && bytes.Equal(appendShape(nil, g), appendShape(nil, &base))
+	}},
+	{"sum graph, a name moved to update", []byte(`{"tasks":[{"label":"a","op":"const","arg":1,"provide":["x"]},{"label":"b","op":"const","arg":2,"provide":["y"]},{"label":"add","op":"sum","consume":["x"],"update":["y"],"provide":["total"]}],"results":["total"]}`), true, func(g *GraphRequest) bool {
+		base, _ := decodeDirect([]byte(`{"tasks":[{"label":"a","op":"const","arg":1,"provide":["x"]},{"label":"b","op":"const","arg":2,"provide":["y"]},{"label":"add","op":"sum","consume":["x","y"],"provide":["total"]}],"results":["total"]}`))
+		return !bytes.Equal(appendShape(nil, g), appendShape(nil, &base))
+	}},
 	{"empty object", []byte(`{}`), true, func(g *GraphRequest) bool { return g.Tasks == nil }},
 	{"top-level null", []byte(`null`), true, func(g *GraphRequest) bool { return g.Tasks == nil }},
 	{"top-level array", []byte(`[]`), false, nil},

@@ -105,6 +105,13 @@ type Event struct {
 // dataflow semantics without touching any runtime. It returns a
 // descriptive error naming the first offending task.
 func (g *GraphRequest) Validate() error {
+	return g.validate(make(map[string]bool))
+}
+
+// validate is Validate with the set of provided slots kept in provided,
+// which must be empty: the handler passes its scratch's, so a request
+// does not pay for a map of its own.
+func (g *GraphRequest) validate(provided map[string]bool) error {
 	if len(g.Tasks) == 0 {
 		return fmt.Errorf("serve: empty graph")
 	}
@@ -114,7 +121,6 @@ func (g *GraphRequest) Validate() error {
 	if g.Repeat < 0 || g.Repeat > MaxRepeat {
 		return fmt.Errorf("serve: repeat %d out of range [0,%d]", g.Repeat, MaxRepeat)
 	}
-	provided := make(map[string]bool)
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
 		if len(t.Arg) > MaxArgBytes {

@@ -17,8 +17,11 @@ import (
 type reqScratch struct {
 	body []byte // as read from the socket; req's Args alias it
 	arenas
-	req    GraphRequest
-	stream streamState
+	req GraphRequest
+	// provided is validate's set of provided slots; its keys are views of
+	// the body like every other decoded string.
+	provided map[string]bool
+	stream   streamState
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
@@ -34,9 +37,12 @@ var (
 	eventSize = int(reflect.TypeFor[Event]().Size())
 )
 
-// footprint is the capacity of every buffer of the scratch, in bytes.
+// footprint is the capacity of every buffer of the scratch, in bytes. A
+// map has no capacity to ask for: provided is charged two cells per
+// entry it holds, which bounds it because release measures before it
+// clears, and a map that ever held more was dropped then.
 func (sc *reqScratch) footprint() int {
-	return cap(sc.body) + cap(sc.names)*nameSize + cap(sc.tasks)*taskSize +
+	return cap(sc.body) + (cap(sc.names)+2*len(sc.provided))*nameSize + cap(sc.tasks)*taskSize +
 		(cap(sc.stream.batch)+cap(sc.stream.mbox.pending))*eventSize + cap(sc.stream.out)
 }
 
@@ -50,6 +56,7 @@ func (sc *reqScratch) release() {
 	}
 	clear(sc.names)
 	clear(sc.tasks)
+	clear(sc.provided)
 	sc.names, sc.tasks = sc.names[:0], sc.tasks[:0]
 	sc.req = GraphRequest{}
 	scratchPool.Put(sc)

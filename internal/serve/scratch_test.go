@@ -57,7 +57,8 @@ func scratchIsClean(sc *reqScratch) bool {
 		!slices.ContainsFunc(sc.tasks[:cap(sc.tasks)], func(t TaskWire) bool { return !zeroTask(t) }) &&
 		!slices.ContainsFunc(sc.stream.batch[:cap(sc.stream.batch)], func(e Event) bool { return !zeroEvent(e) }) &&
 		!slices.ContainsFunc(sc.stream.mbox.pending[:cap(sc.stream.mbox.pending)], func(e Event) bool { return !zeroEvent(e) }) &&
-		len(sc.names) == 0 && len(sc.tasks) == 0 && sc.req.Tasks == nil && sc.req.Results == nil && sc.req.Repeat == 0
+		len(sc.names) == 0 && len(sc.tasks) == 0 && len(sc.provided) == 0 &&
+		sc.req.Tasks == nil && sc.req.Results == nil && sc.req.Repeat == 0
 }
 
 func zeroTask(t TaskWire) bool {
@@ -89,6 +90,9 @@ func TestScratchReleasedClean(t *testing.T) {
 		}
 		if got := sc.footprint(); got > maxPooledScratch {
 			t.Errorf("%s: scratch holds %d bytes, pooling bound %d", tc.name, got, maxPooledScratch)
+		}
+		if tc.status == http.StatusOK && len(sc.provided) == 0 {
+			t.Errorf("%s: Validate did not use the scratch's set of provided slots", tc.name)
 		}
 		sc.release()
 		if !scratchIsClean(sc) {

@@ -109,7 +109,10 @@ func (s *Server) serveGraph(w http.ResponseWriter, r *http.Request, sc *reqScrat
 		return
 	}
 	if err = decodeRequest(req, sc.body, &sc.arenas); err == nil {
-		err = req.Validate()
+		if sc.provided == nil {
+			sc.provided = make(map[string]bool)
+		}
+		err = req.validate(sc.provided)
 	}
 	if err != nil {
 		s.badRequests.Add(1)
@@ -254,6 +257,15 @@ func (s *Server) handleTenantGraphz(w http.ResponseWriter, r *http.Request) {
 // runtime's last window report plus a coarse classification of what
 // bounds the tenant's graphs — the service-level answer to the paper's
 // question ("is discovery on this workload's critical path?").
+//
+// The last window of a request served from a template (a hit, see
+// template.go) is a compiled replay, as is that of any repeat > 1
+// request: its report carries zero discovery weight by construction —
+// nothing was discovered — so it never reads "discovery" or
+// discovery_impacted. That is the answer for a replayed graph, not a gap
+// in the profile: whether a tenant's requests are hits is on /metrics
+// (tdgserve_tenant_template_hits_total against _misses_total), and a
+// discovery-bound report can only come from a cold or recording window.
 type tenantCPSummary struct {
 	Tenant  string        `json:"tenant"`
 	Enabled bool          `json:"enabled"`
@@ -341,6 +353,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"tdgserve_tenant_rejected_total", func(t TenantSnap) int64 { return t.Rejected }},
 		{"tdgserve_tenant_inflight", func(t TenantSnap) int64 { return t.Inflight }},
 		{"tdgserve_tenant_live_tasks", func(t TenantSnap) int64 { return t.Runtime.Live }},
+		{"tdgserve_tenant_template_hits_total", func(t TenantSnap) int64 { return t.TemplateHits }},
+		{"tdgserve_tenant_template_misses_total", func(t TenantSnap) int64 { return t.TemplateMisses }},
+		{"tdgserve_tenant_templates", func(t TenantSnap) int64 { return t.Templates }},
+		{"tdgserve_tenant_template_tasks", func(t TenantSnap) int64 { return t.TemplateTasks }},
 	} {
 		for _, n := range names {
 			fmt.Fprintf(w, "%s{tenant=%q} %d\n", series.name, n, series.get(snap[n]))

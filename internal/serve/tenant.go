@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"strings"
 	"sync"
@@ -89,10 +90,11 @@ func (o Options) withDefaults() Options {
 type Tenant struct {
 	name  string
 	rt    *rt.Runtime
-	store *values.Store
+	store *values.Store // replaced by swapStore; guarded by prodMu
 
 	prodMu sync.Mutex
 	binder values.Binder // the submitting request's key buffer; guarded by prodMu
+	tpl    templateCache // recorded graphs by request shape; guarded by prodMu
 	sem    chan struct{} // admission quota (see Options.Queue)
 	closed atomic.Bool
 
@@ -101,6 +103,14 @@ type Tenant struct {
 	failures    atomic.Int64 // graphs that drained with an error
 	rejected    atomic.Int64 // admissions refused (quota)
 	inflight    atomic.Int64 // admitted, not yet finished
+
+	// The template cache as /metrics sees it: requests replayed from a
+	// template and requests that were not, and what the cache holds (the
+	// gauges mirror tpl, which only the producer may read).
+	templateHits   atomic.Int64
+	templateMisses atomic.Int64
+	templates      atomic.Int64
+	templateTasks  atomic.Int64
 }
 
 // Name returns the tenant's identifier.
@@ -132,6 +142,24 @@ func (t *Tenant) release() {
 // goroutines and must not block (the HTTP layer passes a mailbox's put);
 // it is not called after Run returns. The caller must have acquired an
 // admission slot.
+//
+// The request takes one of three arms, chosen from what Run can see —
+// whether the tenant has a template of the request's shape, whether the
+// shape was sighted before, and repeat (template.go):
+//
+//   - hit: the cached graph is given the request's arguments and its
+//     compiled recording replayed repeat times. Nothing is built,
+//     lowered, submitted or compiled.
+//   - record: a shape seen before, or any shape with repeat > 1, is
+//     built, recorded and compiled (rt.Record, which runs it once), kept
+//     as a template, and replayed the other repeat-1 times.
+//   - cold: the first sighting of a shape with repeat 1 is a plain
+//     window — a graph that never comes back never pays for a recording.
+//
+// Every arm runs under the same safety: Validate upstream, the store
+// reset, the stale-abort and disconnect handling, and g.emit = nil once
+// the window has drained. A window that ends in an error or an abort
+// drops the template it ran on.
 func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) error {
 	if t.closed.Load() {
 		return ErrTenantClosed
@@ -147,21 +175,26 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 	if t.rt.Aborted() {
 		_ = t.rt.Taskwait()
 	}
+	if t.store.Len() > maxStoreSlots {
+		t.swapStore()
+	}
 	t.store.Reset()
 	t.submissions.Add(1)
 
-	g, results, resultNames := t.build(req, emit)
-	// Lowered at submission: the binder's keys are good until its next
-	// Lower, and Submit has copied them out by then.
-	submit := func() {
-		for i := range g.tasks {
-			w := &g.tasks[i]
-			sp := t.binder.Lower(values.Spec{Label: w.label, Consume: w.consume, Provide: w.provide, Update: w.update})
-			sp.Do, sp.FirstPrivate = runWireTask, w
-			t.rt.Submit(sp)
-		}
+	hash, tp := t.tpl.lookup(req)
+	var (
+		g           *wireGraph
+		results     []values.Handle
+		resultNames []string
+	)
+	if tp != nil {
+		t.templateHits.Add(1)
+		tp.rebind(req, emit)
+		g, results, resultNames = tp.g, tp.results, tp.resultNames
+	} else {
+		t.templateMisses.Add(1)
+		g, results, resultNames = t.build(req, emit)
 	}
-
 	// Abort the window when the client goes away mid-stream, so a
 	// disconnected request never pins the tenant for its full graph.
 	aborted := make(chan struct{})
@@ -170,20 +203,36 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 		t.rt.Abort(fmt.Errorf("serve: client disconnected: %w", context.Cause(ctx)))
 	})
 
-	iters := req.Repeat
-	if iters < 1 {
-		iters = 1
-	}
+	iters := max(req.Repeat, 1)
 	var err error
-	if iters == 1 {
-		submit()
+	switch {
+	case tp != nil:
+		err = t.rt.Replay(tp.rec, 0, iters)
+	case iters > 1 || t.tpl.sighted(hash):
+		// The persistent frozen-replay path: the graph is recorded once
+		// and replayed as a compiled flat schedule — the typed dataflow
+		// facade lowers onto plain key dependences, so the paper's
+		// optimization (p) applies to served graphs unchanged.
+		var rec *rt.Recording
+		rec, err = t.rt.Record(func() { t.submit(g) })
+		switch {
+		case err == nil:
+			tp = t.tpl.insert(hash, g, rec, results, resultNames)
+			err = t.rt.Replay(rec, 1, iters-1)
+		case errors.Is(err, rt.ErrNotCompiled):
+			// The graph ran once, clean, but has no schedule to replay
+			// (detached tasks: none of the registry's operators makes
+			// one). That is not the request's failure: nothing is cached
+			// and the other iterations are plain windows.
+			err = nil
+			for it := 1; it < iters && err == nil; it++ {
+				t.submit(g)
+				err = t.rt.Taskwait()
+			}
+		}
+	default:
+		t.submit(g)
 		err = t.rt.Taskwait()
-	} else {
-		// The persistent frozen-replay path: the graph is recorded
-		// once and replayed as a compiled flat schedule — the typed
-		// dataflow facade lowers onto plain key dependences, so the
-		// paper's optimization (p) applies to served graphs unchanged.
-		err = t.rt.PersistentFrozen(iters, submit)
 	}
 	if !stop() {
 		// The disconnect fired: let its abort land while this request
@@ -194,8 +243,13 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 	}
 	// The window has drained: no task will emit again. The runtime still
 	// remembers each slot's last writers, and through them g, until the
-	// tenant's next window; it must not also remember the request's stream.
+	// tenant's next window — and a template keeps g for good; neither may
+	// also remember the request's stream.
 	g.emit = nil
+	if err != nil && tp != nil {
+		t.tpl.drop(tp)
+	}
+	t.publishTemplates()
 	if err != nil {
 		t.failures.Add(1)
 		return err
@@ -204,6 +258,38 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 		emit(Event{Type: "result", Key: resultNames[i], Value: h.Any()})
 	}
 	return nil
+}
+
+// submit lowers g's tasks and submits them in order. Lowered at
+// submission: the binder's keys are good until its next Lower, and Submit
+// has copied them out by then.
+func (t *Tenant) submit(g *wireGraph) {
+	for i := range g.tasks {
+		w := &g.tasks[i]
+		sp := t.binder.Lower(values.Spec{Label: w.label, Consume: w.consume, Provide: w.provide, Update: w.update})
+		sp.Do, sp.FirstPrivate = runWireTask, w
+		t.rt.Submit(sp)
+	}
+}
+
+// publishTemplates copies what the cache holds into the gauges that
+// Snapshot reads without the producer lock. Caller holds prodMu.
+func (t *Tenant) publishTemplates() {
+	t.templates.Store(int64(len(t.tpl.templates)))
+	t.templateTasks.Store(int64(t.tpl.tasks))
+}
+
+// swapStore replaces the tenant's store with an empty one at the same
+// key base, and forgets everything that indexes the old one: every
+// template, and the runtime's per-key discovery frontier (whose last
+// writers would otherwise pin the old requests' graphs). A store keeps
+// every name it ever bound, and build binds whatever names a request
+// brings, so without this a client sending fresh slot names grows the
+// tenant for ever. Caller holds prodMu with nothing in flight.
+func (t *Tenant) swapStore() {
+	t.tpl.clear()
+	t.store = values.NewStoreAt(t.store.Base())
+	t.rt.Graph().ResetDiscoveryFrontier()
 }
 
 // wireGraph is one request lowered for the runtime. It is built per
@@ -222,7 +308,10 @@ type wireGraph struct {
 type wireTask struct {
 	g     *wireGraph
 	label string
-	body  OpBody
+	// op makes the body from a request's argument: once at build, and again
+	// for every later request that replays the graph (template.rebind).
+	op   OpFunc
+	body OpBody
 	// consume, update and provide are runs of one handle arena.
 	consume, update, provide []values.Handle
 	// in is the body's input, a run of one arena, reused by every
@@ -322,10 +411,12 @@ func (t *Tenant) build(req *GraphRequest, emit func(Event)) (g *wireGraph, resul
 			}
 		}
 		n := len(consume) + len(update)
+		op := Ops[w.Op]
 		g.tasks[i] = wireTask{
 			g:       g,
 			label:   labels.String()[start:],
-			body:    Ops[w.Op](w.Arg),
+			op:      op,
+			body:    op(w.Arg),
 			consume: consume,
 			update:  update,
 			provide: bind(w.Provide),
@@ -355,6 +446,8 @@ func (t *Tenant) shutdown() {
 	t.prodMu.Lock()
 	defer t.prodMu.Unlock()
 	_ = t.rt.Close()
+	t.tpl.clear()
+	t.publishTemplates()
 }
 
 // Manager is the bounded tenant pool plus global admission state.
@@ -428,6 +521,7 @@ func (m *Manager) Tenant(name string) (*Tenant, error) {
 		name:  name,
 		rt:    runtime,
 		store: values.NewStore(),
+		tpl:   templateCache{seed: maphash.MakeSeed()},
 		sem:   make(chan struct{}, m.opt.Queue),
 	}
 	m.tenants[name] = t
@@ -528,12 +622,19 @@ func (m *Manager) CloseAll() {
 
 // TenantSnap is one tenant's stats row in the service snapshot.
 type TenantSnap struct {
-	Submissions int64       `json:"submissions"`
-	Tasks       int64       `json:"tasks"`
-	Failures    int64       `json:"failures"`
-	Rejected    int64       `json:"rejected"`
-	Inflight    int64       `json:"inflight"`
-	Runtime     rt.Snapshot `json:"runtime"`
+	Submissions int64 `json:"submissions"`
+	Tasks       int64 `json:"tasks"`
+	Failures    int64 `json:"failures"`
+	Rejected    int64 `json:"rejected"`
+	Inflight    int64 `json:"inflight"`
+	// TemplateHits counts requests replayed from a cached recording of
+	// their shape, TemplateMisses the rest; Templates and TemplateTasks
+	// are what the tenant's cache holds now.
+	TemplateHits   int64       `json:"template_hits"`
+	TemplateMisses int64       `json:"template_misses"`
+	Templates      int64       `json:"templates"`
+	TemplateTasks  int64       `json:"template_tasks"`
+	Runtime        rt.Snapshot `json:"runtime"`
 }
 
 // Snapshot captures per-tenant stats plus runtime introspection, for
@@ -553,7 +654,13 @@ func (m *Manager) Snapshot() map[string]TenantSnap {
 			Failures:    t.failures.Load(),
 			Rejected:    t.rejected.Load(),
 			Inflight:    t.inflight.Load(),
-			Runtime:     t.rt.Introspect(),
+
+			TemplateHits:   t.templateHits.Load(),
+			TemplateMisses: t.templateMisses.Load(),
+			Templates:      t.templates.Load(),
+			TemplateTasks:  t.templateTasks.Load(),
+
+			Runtime: t.rt.Introspect(),
 		}
 	}
 	return out

@@ -39,11 +39,12 @@ type Recorder struct {
 	// readable without taking mu).
 	recordingFlag atomic.Bool
 
-	// recording state under mu: the structural reference a replay is
-	// checked against.
-	entries  []recEntry // non-redirect tasks of the recording, in order
-	recTasks []*graph.Task
-	recSig   uint64
+	// recording state under mu: the per-submission reference a replay
+	// that resubmits is checked against. The structural reference — the
+	// recording's Signature — is returned by EndRecording and handed back
+	// to EndReplay, so a recording replayed after a later one was made is
+	// still checked against its own.
+	entries []recEntry // non-redirect tasks of the recording, in order
 
 	// replay state
 	replayIter  int
@@ -137,14 +138,12 @@ func (r *Recorder) BeginRecording() {
 }
 
 // EndRecording closes the reference; recorded is the graph's recorded
-// sequence (redirect nodes included) whose structural signature later
-// iterations are compared against.
-func (r *Recorder) EndRecording(recorded []*graph.Task) {
+// sequence (redirect nodes included). It returns the sequence's
+// structural signature, which later iterations are compared against
+// (EndReplay).
+func (r *Recorder) EndRecording(recorded []*graph.Task) uint64 {
 	r.recordingFlag.Store(false)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recTasks = append(r.recTasks[:0], recorded...)
-	r.recSig = Signature(recorded)
+	return Signature(recorded)
 }
 
 // BeginReplay starts checking one replay iteration. perTask enables the
@@ -210,10 +209,11 @@ func depsEqual(a, b []graph.Dep) bool {
 	return true
 }
 
-// EndReplay closes one replay iteration: checks the submission count
-// and the recorded structure's signature, and returns the divergences
-// found during this iteration.
-func (r *Recorder) EndReplay(recorded []*graph.Task) []Divergence {
+// EndReplay closes one replay iteration of the recording recorded, whose
+// EndRecording returned want: checks the submission count and the
+// recorded structure's signature, and returns the divergences found
+// during this iteration.
+func (r *Recorder) EndReplay(recorded []*graph.Task, want uint64) []Divergence {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.replayCheck && r.replayIdx < len(r.entries) {
@@ -222,10 +222,10 @@ func (r *Recorder) EndReplay(recorded []*graph.Task) []Divergence {
 			Detail: fmt.Sprintf("replay submitted %d of %d recorded tasks", r.replayIdx, len(r.entries)),
 		})
 	}
-	if sig := Signature(recorded); sig != r.recSig {
+	if sig := Signature(recorded); sig != want {
 		r.divergences = append(r.divergences, Divergence{
 			Iter: r.replayIter, Index: -1,
-			Detail: fmt.Sprintf("recorded structure mutated between iterations (signature %#x, recorded %#x)", sig, r.recSig),
+			Detail: fmt.Sprintf("recorded structure mutated between iterations (signature %#x, recorded %#x)", sig, want),
 		})
 	}
 	r.replayCheck = false

@@ -279,18 +279,18 @@ func TestRecorderReplayDivergence(t *testing.T) {
 	r.Record(tk, deps)
 	g.Flush()
 	g.EndRecording()
-	r.EndRecording(g.Recorded())
+	sig := r.EndRecording(g.Recorded())
 
 	// Clean replay.
 	r.BeginReplay(1, true)
 	r.ReplayNext("step", deps)
-	if divs := r.EndReplay(g.Recorded()); len(divs) != 0 {
+	if divs := r.EndReplay(g.Recorded(), sig); len(divs) != 0 {
 		t.Fatalf("identical replay flagged: %v", divs)
 	}
 	// Diverging replay: same count, different key.
 	r.BeginReplay(2, true)
 	r.ReplayNext("step", []graph.Dep{{Key: 99, Type: graph.InOut}})
-	divs := r.EndReplay(g.Recorded())
+	divs := r.EndReplay(g.Recorded(), sig)
 	if len(divs) != 1 {
 		t.Fatalf("diverging replay not flagged: %v", divs)
 	}
