@@ -34,11 +34,12 @@
 // overhead (<= 10% on the optimized engine) against BENCH_obs.json.
 //
 // -exp replay measures persistent-region replay: tiled-Cholesky and
-// LULESH-like iteration loops with empty bodies under adaptive,
-// frozen-generic (compiler disabled) and frozen-compiled replay,
-// reporting steady-state ns/task and allocations per iteration. -check
-// gates the committed compiled-vs-adaptive speedup (>= 5x) and the
-// fresh compiled allocation count (0/task) against BENCH_replay.json.
+// LULESH-like iteration loops with empty bodies under adaptive (the
+// body re-run against the compiled schedule), frozen-generic (compiler
+// disabled) and frozen-compiled replay, reporting steady-state ns/task
+// and allocations per iteration. -check validates the fresh run and
+// BENCH_replay.json and gates the allocation count of both compiled
+// rows (0/task) in each; the speedups are reported, not gated.
 //
 // -exp faults drives the failure-domain subsystem: a synthetic
 // poison-cone graph plus LULESH/HPCG/Cholesky under deterministic
@@ -266,8 +267,9 @@ func runObs(smoke bool, jsonPath, checkPath string) int {
 }
 
 // runReplay executes the persistent-replay mode; returns the process
-// exit code. The -check gate holds the committed compiled-vs-adaptive
-// speedup at >= 5x and the fresh compiled path at 0 allocs/task.
+// exit code. The -check gate holds both rows that run off a compiled
+// schedule (adaptive, frozen-compiled) at 0 allocs/task, fresh and
+// committed.
 func runReplay(smoke bool, jsonPath, checkPath string) int {
 	p := experiments.DefaultReplayParams()
 	if smoke {
@@ -302,11 +304,11 @@ func runReplay(smoke bool, jsonPath, checkPath string) int {
 			fmt.Fprintf(os.Stderr, "parse %s: %v\n", checkPath, err)
 			return 1
 		}
-		if err := experiments.CheckReplay(&res, committed, 5.0, 0.01); err != nil {
+		if err := experiments.CheckReplay(&res, committed, 0.01); err != nil {
 			fmt.Fprintf(os.Stderr, "replay check FAILED: %v\n", err)
 			return 1
 		}
-		fmt.Printf("replay check OK (committed compiled >= 5x adaptive, fresh compiled 0 allocs/task vs %s)\n", checkPath)
+		fmt.Printf("replay check OK (adaptive and frozen-compiled 0 allocs/task, fresh and in %s)\n", checkPath)
 	}
 	return 0
 }

@@ -6,11 +6,10 @@ import (
 )
 
 // TestReplaySmoke runs the persistent-replay benchmark at CI size and
-// checks the result validates, round-trips through JSON, and keeps the
-// compiled path allocation-free — the deterministic half of the gate.
-// Speedup ratios are printed, not asserted: smoke sizes on a loaded
-// test machine are too noisy for a timing gate here (the committed
-// BENCH_replay.json carries the gated default-size numbers).
+// checks the result validates, round-trips through JSON, and keeps both
+// rows that run off a compiled schedule allocation-free — the whole of
+// the gate. Speedup ratios are printed, not asserted: smoke sizes on a
+// loaded test machine are too noisy for a timing gate.
 func TestReplaySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay benchmark in -short mode")
@@ -25,9 +24,9 @@ func TestReplaySmoke(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	for _, row := range res.Rows {
-		if row.Mode == "frozen-compiled" && row.AllocsPerTask > 0.01 {
-			t.Errorf("%s compiled replay allocates %.4f/task (%.1f/iter), want 0",
-				row.Workload, row.AllocsPerTask, row.AllocsPerIter)
+		if compiledModes[row.Mode] && row.AllocsPerTask > 0.01 {
+			t.Errorf("%s %s replay allocates %.4f/task (%.1f/iter), want 0",
+				row.Workload, row.Mode, row.AllocsPerTask, row.AllocsPerIter)
 		}
 	}
 	var buf bytes.Buffer
@@ -41,7 +40,7 @@ func TestReplaySmoke(t *testing.T) {
 	if err := back.Validate(); err != nil {
 		t.Fatalf("round-tripped result invalid: %v", err)
 	}
-	if err := CheckReplay(&res, back, 0, 0.01); err != nil {
+	if err := CheckReplay(&res, back, 0.01); err != nil {
 		t.Fatalf("CheckReplay against itself: %v", err)
 	}
 	PrintReplay(&buf, &res)

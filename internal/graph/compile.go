@@ -1,14 +1,23 @@
 package graph
 
-// Frozen-graph compilation: a recorded persistent sub-graph is lowered
-// into a flat, immutable replay schedule so frozen iterations touch no
-// key table, no pools, and no hashing. The recording's tasks become
+// Compiled replay: a recorded persistent sub-graph is lowered into a
+// flat, immutable replay schedule so replay iterations touch no key
+// table, no pools, and no hashing. The recording's tasks become
 // positions 0..n-1 (their order in g.recorded); the dependence
-// structure becomes a CSR successor array over those positions; and the
+// structure becomes a CSR successor array over those positions, cut
+// down to the edges that order something (reduce.go); and the
 // per-iteration mutable state shrinks to one dense predecessor-count
-// vector, reset with a single copy from a pristine template. A replay
-// iteration is then: copy(preds, template); seed the indegree-0
-// positions into the scheduler; count completions down to zero.
+// vector, reset from a pristine template. It is what rt replays for
+// every persistent region, in one of two ways:
+//
+//   - a frozen iteration (BeginIteration) re-releases the captured
+//     closures: copy(preds, template); seed the indegree-0 positions
+//     into the scheduler; count completions down to zero;
+//   - a gated iteration (BeginReplay) lets the region body run again:
+//     every position starts one above its indegree — the producer's
+//     hold — and each Replay call refreshes the next recorded task's
+//     firstprivate and closures, then drops its hold. Nothing else
+//     differs: the same FinishInto walk, the same countdown.
 //
 // Memory ordering. Workers decrement preds entries with atomic adds and
 // decrement remaining (the iteration's completion countdown) LAST in
@@ -16,11 +25,16 @@ package graph
 // The producer begins the next iteration only after loading
 // remaining == 0, so that acquire load — through the release sequence
 // formed by the atomic decrements — happens-after every worker write of
-// the previous iteration: the plain copy in BeginIteration can never
-// race a straggling decrement. Poison is stored on a successor BEFORE
-// the decrement that could make it ready (the same argument as
-// Graph.finishInto), so abort cones drain deterministically as Skipped
-// on the compiled path too.
+// the previous iteration: the plain reset in BeginIteration/BeginReplay
+// can never race a straggling decrement. Poison is stored on a
+// successor BEFORE the decrement that could make it ready (the same
+// argument as Graph.finishInto), so abort cones drain deterministically
+// as Skipped on the compiled path too. The producer's hold orders its
+// plain writes to a task (FirstPrivate, Body, Do, Attach) before the
+// task's execution: they precede the hold's atomic decrement, and the
+// decrement that readies the task is that one — the producer then
+// publishes the task through a queue — or a later one in the same
+// counter's modification order, whose goroutine publishes it.
 
 import (
 	"errors"
@@ -28,11 +42,12 @@ import (
 	"sync/atomic"
 )
 
-// ErrCompileDetached reports a recording that contains detached tasks.
-// Frozen replay re-releases captured closures, including the captured
-// completion Event a detached task already fired — no iteration after
-// the first could ever complete it. Use Adaptive or plain Persistent
-// for detached work.
+// ErrCompileDetached reports a recording that contains detached tasks
+// where only a frozen replay would do. Frozen replay re-releases captured
+// closures, including the captured completion Event a detached task
+// already fired — no iteration after the first could ever complete it.
+// Use Adaptive or plain Persistent for detached work: their body runs
+// every iteration and hands each detached task a fresh event.
 var ErrCompileDetached = errors.New("graph: recording contains detached tasks, which frozen replay cannot re-release")
 
 // Compiled is the flat replay schedule of one recording: an immutable
@@ -75,14 +90,27 @@ type Compiled struct {
 	// succOff/succs is the CSR successor structure: position p's
 	// successors are succs[succOff[p]:succOff[p+1]], each a position.
 	// Only same-recording edges are compiled — edges to tasks outside
-	// the recording were one-time constraints, dead after iteration 0.
-	succOff []int32
-	succs   []int32
+	// the recording were one-time constraints, dead after iteration 0 —
+	// and of those only the ones no other path implies (reduce.go);
+	// edgesRecorded is the count before that reduction.
+	succOff       []int32
+	succs         []int32
+	edgesRecorded int
 
-	// template[p] is position p's recorded indegree; preds is the live
-	// countdown vector, reset from template in one copy per iteration.
+	// template[p] is position p's indegree in the CSR; preds is the live
+	// countdown vector, reset from template every iteration.
 	template []int32
 	preds    []int32
+
+	// detached records that the recording has a detached task, which only
+	// a gated iteration can run (see ErrCompileDetached).
+	detached bool
+
+	// released counts the positions the producer has handed over this
+	// iteration: all of them once a frozen iteration begins; in a gated one
+	// it is the cursor, the position the next Replay call re-instantiates.
+	// Written by the producer only, atomic for Released's other readers.
+	released atomic.Int32
 
 	// roots are the positions with recorded indegree 0, ready the
 	// moment an iteration begins. Reused read-only every iteration.
@@ -105,21 +133,23 @@ type Compiled struct {
 // returns outlives that region (see Compiled).
 //
 // Recordings containing detached tasks are rejected with
-// ErrCompileDetached (frozen replay cannot re-fire their events); any
-// other error reports an internal indegree mismatch, in which case the
-// caller should fall back to the generic replay path.
-func (g *Graph) Compile() (*Compiled, error) {
+// ErrCompileDetached (frozen replay cannot re-fire their events;
+// CompileGated takes them); any other error reports an internal indegree
+// mismatch: the recorded structure was mutated and must not be replayed.
+func (g *Graph) Compile() (*Compiled, error) { return g.compile(false) }
+
+// CompileGated is Compile for a schedule that will only run gated
+// iterations (BeginReplay): detached tasks are accepted, because the
+// region body hands each a fresh completion event every iteration, and
+// BeginIteration refuses a schedule that has one.
+func (g *Graph) CompileGated() (*Compiled, error) { return g.compile(true) }
+
+func (g *Graph) compile(detachedOK bool) (*Compiled, error) {
 	if !g.persistent || g.recording {
 		return nil, fmt.Errorf("graph: Compile outside a persistent region (or recording still open)")
 	}
 	rec := g.recorded
 	n := len(rec)
-	for i, t := range rec {
-		if t.Detached {
-			return nil, fmt.Errorf("%w (task %d %q)", ErrCompileDetached, t.ID, t.Label)
-		}
-		t.slot = int32(i)
-	}
 	c := &Compiled{
 		g: g,
 		// Snapshot the recording: g.recorded's backing array is reused
@@ -128,6 +158,15 @@ func (g *Graph) Compile() (*Compiled, error) {
 		succOff:  make([]int32, n+1),
 		template: make([]int32, n),
 		preds:    make([]int32, n),
+	}
+	for i, t := range rec {
+		if t.Detached {
+			if !detachedOK {
+				return nil, fmt.Errorf("%w (task %d %q)", ErrCompileDetached, t.ID, t.Label)
+			}
+			c.detached = true
+		}
+		t.slot = int32(i)
 	}
 	// The graph is quiescent (recording barrier passed, single
 	// producer), so successor lists are stable and read without locks.
@@ -151,6 +190,7 @@ func (g *Graph) Compile() (*Compiled, error) {
 		}
 	}
 	c.succOff[n] = int32(len(c.succs))
+	c.edgesRecorded = len(c.succs)
 	for i, t := range rec {
 		// Cross-check the CSR column counts against the indegrees the
 		// recording accumulated; a mismatch means the recorded structure
@@ -163,6 +203,7 @@ func (g *Graph) Compile() (*Compiled, error) {
 			c.roots = append(c.roots, t)
 		}
 	}
+	c.reduce()
 	return c, nil
 }
 
@@ -182,7 +223,17 @@ func (c *Compiled) Roots() []*Task { return c.roots }
 // iteration; 0 means the iteration's barrier may pass.
 func (c *Compiled) Remaining() int64 { return c.remaining.Load() }
 
-// BeginIteration resets the schedule for one replay iteration: scrub
+// Edges returns the number of edges the schedule walks per iteration and
+// the number the recording declared between its tasks; the difference is
+// what the transitive reduction dropped.
+func (c *Compiled) Edges() (kept, recorded int) { return len(c.succs), c.edgesRecorded }
+
+// Released returns how many positions of the current iteration the
+// producer has released: all of them in a frozen iteration, the cursor of
+// a gated one. Safe from any goroutine.
+func (c *Compiled) Released() int { return int(c.released.Load()) }
+
+// BeginIteration resets the schedule for one frozen iteration: scrub
 // poison if a previous iteration failed, then restore every predecessor
 // count with a single copy from the pristine template. Producer-only,
 // and only once the previous iteration fully drained (Remaining == 0 —
@@ -193,6 +244,36 @@ func (c *Compiled) Remaining() int64 { return c.remaining.Load() }
 // reads a recorded task's pre-execution state, so stale terminal states
 // from the previous iteration are simply overwritten by Start.
 func (c *Compiled) BeginIteration() error {
+	if c.detached {
+		return fmt.Errorf("%w: the schedule was compiled for gated replay", ErrCompileDetached)
+	}
+	if err := c.begin(); err != nil {
+		return err
+	}
+	copy(c.preds, c.template)
+	c.released.Store(int32(len(c.tasks)))
+	return nil
+}
+
+// BeginReplay resets the schedule for one gated iteration: as
+// BeginIteration, but every position starts one above its indegree. The
+// extra count is the producer's hold, dropped by the Replay call that
+// re-instantiates the position, so no task runs before the region body
+// has resubmitted it, however early its predecessors finish.
+func (c *Compiled) BeginReplay() error {
+	if err := c.begin(); err != nil {
+		return err
+	}
+	for i, d := range c.template {
+		c.preds[i] = d + 1
+	}
+	c.released.Store(0)
+	return nil
+}
+
+// begin is the part of an iteration's reset that does not depend on how
+// its tasks are released.
+func (c *Compiled) begin() error {
 	if r := c.remaining.Load(); r != 0 {
 		return fmt.Errorf("graph: compiled replay iteration started with %d tasks still outstanding", r)
 	}
@@ -210,11 +291,69 @@ func (c *Compiled) BeginIteration() error {
 			t.resetCP()
 		}
 	}
-	copy(c.preds, c.template)
 	n := int64(len(c.tasks))
 	c.remaining.Store(n)
 	c.g.replayed.Add(n)
 	c.g.lrAdd(n, 0)
+	return nil
+}
+
+// Replay re-instantiates the next recorded task of a gated iteration —
+// Graph.Replay's contract on the compiled schedule: the per-task work is
+// the firstprivate copy, an optional closure update (at most one of
+// body/do non-nil; the recorded form is kept otherwise), a fresh attach
+// for a detached task, and one atomic decrement, the producer's hold.
+// Redirect nodes that follow the task in the recording are released with
+// it. A task whose predecessors have all finished is handed to OnReady.
+func (c *Compiled) Replay(fp any, body func(fp any), do func(fp any) error, attach any) *Task {
+	p := int(c.released.Load())
+	if p >= len(c.tasks) {
+		panic("graph: replay past end of recorded task sequence")
+	}
+	t := c.tasks[p]
+	t.FirstPrivate = fp
+	if body != nil {
+		t.Body = body
+	}
+	if do != nil {
+		t.Do = do
+	}
+	if attach != nil {
+		t.Attach = attach
+	}
+	// Redirect nodes go with the task they follow: one is recorded right
+	// after the first member of its group, so it can never be the position
+	// an iteration starts at. A position counts as released before its
+	// hold goes, or a task could run ahead of the count that includes it.
+	for {
+		c.released.Store(int32(p + 1))
+		c.dropHold(p)
+		if p++; p == len(c.tasks) || !c.tasks[p].Redirect {
+			break
+		}
+	}
+	return t
+}
+
+// dropHold releases the producer's hold on position p of a gated
+// iteration.
+func (c *Compiled) dropHold(p int) {
+	if atomic.AddInt32(&c.preds[p], -1) == 0 {
+		t := c.tasks[p]
+		if c.g.cpath {
+			t.readyNs = c.g.cpNow()
+		}
+		c.g.onReady(t)
+	}
+}
+
+// FinishReplay verifies that the gated iteration resubmitted the whole
+// recording. After an error the unreleased positions still hold the
+// iteration open: the caller releases them (Replay) so it can drain.
+func (c *Compiled) FinishReplay() error {
+	if p := c.Released(); p != len(c.tasks) {
+		return fmt.Errorf("graph: replay submitted %d of %d recorded tasks", p, len(c.tasks))
+	}
 	return nil
 }
 

@@ -56,11 +56,17 @@
 //
 // # Persistence
 //
-// BeginRecording/EndRecording capture a task sub-graph; BeginReplay,
-// Replay/ReplayAll and FinishReplay re-instantiate it with per-task
-// cost reduced to a firstprivate copy (persist.go). Replay reuses the
-// recorded Task objects and their successor storage, so a replay
-// iteration performs no discovery and no allocation.
+// BeginRecording/EndRecording capture a task sub-graph (persist.go).
+// Compile lowers the recording into a flat schedule — CSR successors
+// cut down to the edges that order something (reduce.go), one dense
+// predecessor-count vector — whose iterations either re-release the
+// captured closures or let the producer resubmit, per-task cost a
+// firstprivate copy and one atomic decrement (compile.go): what the
+// runtime replays. The graph's own BeginReplay, Replay/ReplayAll and
+// FinishReplay re-instantiate the recording through the tasks' own
+// counters instead, for the simulator and the benchmarks. Either way a
+// replay reuses the recorded Task objects, so an iteration performs no
+// discovery and no allocation.
 //
 // # Concurrency contract
 //

@@ -16,20 +16,22 @@ import "fmt"
 // file re-releases each recorded task through the normal sentinel
 // machinery — BeginReplay resets per-task counters, then either the
 // producer resubmits and Replay maps each submission to its recorded
-// instance (plain/adaptive regions, firstprivate updatable per
-// iteration), or ReplayAll re-releases every captured closure in one
-// sweep (frozen regions). The compiled grade (compile.go) lowers a
-// frozen recording further, into a flat CSR schedule whose only
-// per-iteration mutable state is one predecessor-count vector reset
-// with a single copy; rt drives it when a recording compiles cleanly.
-// The grades are behaviorally identical — same barrier, same
-// failure/poison semantics, same divergence detection — differing
-// only in replay cost, and in lifetime: the generic grade replays the
-// graph's current recording (g.recorded, reused by the next
-// BeginRecording) inside its region, while a compiled schedule is a
-// value of its own that stays replayable after the region has closed
-// and after later recordings (rt.Record / rt.Replay; compile.go has
-// the argument).
+// instance (firstprivate updatable per iteration), or ReplayAll
+// re-releases every captured closure in one sweep. The compiled grade
+// (compile.go) lowers the recording into a flat CSR schedule whose only
+// per-iteration mutable state is one predecessor-count vector, and
+// offers the same two ways to run an iteration on it. rt replays every
+// persistent region on the compiled grade; the generic one remains as
+// what the discrete-event simulator (internal/sim), the paper-table
+// experiments and the benchmark's per-layer ledger drive, and as the
+// Frozen region's fallback when compilation is switched off. The
+// grades are behaviorally identical — same barrier, same failure/poison
+// semantics, same divergence detection — differing only in replay cost,
+// and in lifetime: the generic grade replays the graph's current
+// recording (g.recorded, reused by the next BeginRecording) inside its
+// region, while a compiled schedule is a value of its own that stays
+// replayable after the region has closed and after later recordings
+// (rt.Record / rt.Replay; compile.go has the argument).
 
 // BeginRecording enters persistent discovery: tasks submitted until
 // EndRecording are recorded, never pruned (every edge is materialized so
@@ -147,18 +149,6 @@ func (g *Graph) FinishReplay() error {
 // than Replay, at the cost of forbidding per-iteration updates. Call
 // between BeginReplay and FinishReplay, instead of per-task Replay.
 func (g *Graph) ReplayAll() {
-	for g.replayIndex < len(g.recorded) {
-		t := g.recorded[g.replayIndex]
-		g.replayIndex++
-		g.replayed.Add(1)
-		g.releaseSentinel(t, nil)
-	}
-}
-
-// AbortReplay releases every not-yet-replayed recorded task (keeping its
-// previously recorded firstprivate) so the graph can drain after a replay
-// that failed mid-iteration (e.g. a shape mismatch).
-func (g *Graph) AbortReplay() {
 	for g.replayIndex < len(g.recorded) {
 		t := g.recorded[g.replayIndex]
 		g.replayIndex++

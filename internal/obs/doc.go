@@ -63,7 +63,7 @@
 //	taskdep_tasks_skipped_total      poison-cone / abort skips
 //	taskdep_tasks_aborted_total      failed tasks (panic or Do error)
 //	taskdep_replay_hits_total        persistent replay re-instantiations
-//	taskdep_replay_compiled_iterations_total  frozen iterations run off a compiled schedule
+//	taskdep_replay_compiled_iterations_total  persistent iterations replayed off a compiled schedule
 //	taskdep_deque_pushes_total       scheduler queue publications
 //	taskdep_deque_pops_total         own-deque and global-FIFO pops
 //	taskdep_deque_steals_total       successful Chase–Lev steals

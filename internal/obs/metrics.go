@@ -86,7 +86,7 @@ var counterHelp = [NumCounters]string{
 	CTasksSkipped:     "Tasks drained without executing (poisoned cone of a failure or abort).",
 	CTasksAborted:     "Task bodies that failed (error return or panic).",
 	CReplayHits:       "Persistent-region task re-instantiations (replay iterations).",
-	CReplayCompiled:   "Compiled (frozen flat-schedule) replay iterations.",
+	CReplayCompiled:   "Persistent-region iterations replayed off a compiled flat schedule (every iteration but the recorded ones).",
 	CDequePush:        "Tasks pushed onto work-stealing deques.",
 	CDequePop:         "Tasks popped from the owner's deque.",
 	CDequeSteal:       "Successful steals from another worker's deque.",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -149,6 +150,62 @@ func TestCPathAcrossFrozenReplay(t *testing.T) {
 			if rep.TInfNs <= 0 || rep.TInfNs != rep.CPWaitNs+rep.CPExecNs {
 				t.Fatalf("replay span: Tinf %d = wait %d + exec %d expected",
 					rep.TInfNs, rep.CPWaitNs, rep.CPExecNs)
+			}
+		})
+	}
+}
+
+// TestCPathOnReducedSchedule: the compiled schedule folds critical paths
+// along the edges it kept, the exact oracle along every declared one. An
+// implied edge's source lies on a kept path to the same target, so its
+// path is never the longest: T-infinity must agree to the nanosecond on a
+// schedule the reduction cut and on one too large for it.
+func TestCPathOnReducedSchedule(t *testing.T) {
+	for _, chunks := range []int{64, 2200} {
+		t.Run(fmt.Sprintf("chunks%d", chunks), func(t *testing.T) {
+			r := New(Config{
+				Workers: 2, Opts: graph.OptAll,
+				CPath: CPathOptions{Enable: true, Precise: true},
+			})
+			defer r.Close()
+			spin := func(any) {
+				for i := 0; i < 200; i++ {
+					runtime.Gosched()
+				}
+			}
+			rec, err := r.Record(func() {
+				// Per chunk a chain of four and the anti-dependence from its
+				// head to its tail, which the chain implies.
+				for c := 0; c < chunks; c++ {
+					k := graph.Key(10 * (c + 1))
+					r.Submit(Spec{Label: "force", In: []graph.Key{k}, Out: []graph.Key{k + 1}, Body: spin})
+					r.Submit(Spec{Label: "vel", In: []graph.Key{k + 1}, Out: []graph.Key{k + 2}, Body: func(any) {}})
+					r.Submit(Spec{Label: "pos", In: []graph.Key{k + 2}, Out: []graph.Key{k + 3}, Body: func(any) {}})
+					r.Submit(Spec{Label: "eos", In: []graph.Key{k + 3}, Out: []graph.Key{k}, Body: func(any) {}})
+				}
+			})
+			if err != nil {
+				t.Fatalf("Record: %v", err)
+			}
+			kept, recorded := rec.cs.Edges()
+			if reduced := chunks == 64; reduced != (kept < recorded) || recorded != 4*chunks {
+				t.Fatalf("schedule keeps %d of %d edges", kept, recorded)
+			}
+			for it := 1; it <= 3; it++ {
+				if err := r.Replay(rec, it, 1); err != nil {
+					t.Fatalf("Replay: %v", err)
+				}
+				rep := r.CriticalPath()
+				exact, err := cpath.ExactCP(rec.cs.Tasks())
+				if err != nil {
+					t.Fatalf("ExactCP: %v", err)
+				}
+				if rep == nil || rep.Tasks != int64(4*chunks) {
+					t.Fatalf("iteration %d: report %+v", it, rep)
+				}
+				if rep.TInfNs != exact.TInfNs || rep.TInfNs <= 0 {
+					t.Fatalf("iteration %d: online T-infinity %d ns, exact %d ns", it, rep.TInfNs, exact.TInfNs)
+				}
 			}
 		})
 	}

@@ -24,8 +24,9 @@
 // dependence staging, allocator traffic and ready-queue publication
 // (graph.SubmitBatch + sched.Scheduler.PushBatch) across the batch.
 // Runtime.TaskLoop — the equivalent of `taskloop num_tasks(t)` with a
-// depend clause — submits its chunks through the batch path. Both paths
-// degenerate to recorded-task replays inside persistent regions.
+// depend clause — submits its chunks through the batch path. Inside a
+// replayed iteration of a persistent region both degenerate to the
+// recorded task's refresh on the compiled schedule (Runtime.Persistent).
 //
 // Completion is symmetric: workers return released successors through a
 // per-worker reused buffer (graph.CompleteInto) and publish the whole

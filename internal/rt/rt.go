@@ -59,6 +59,13 @@ type Config struct {
 	// ThrottleTotal bounds live tasks, ready or not (MPC-OMP's extra
 	// threshold for dependent tasks); 0 = unbounded. Legacy twin of
 	// Throttle.Total.
+	//
+	// Both windows bound discovery — descriptors allocated, edges held —
+	// and so apply to the submissions that discover: plain windows and a
+	// persistent region's recording iterations. A replayed iteration
+	// discovers and allocates nothing (its whole recording is live from
+	// the moment it begins, and the compiled schedule keeps no ready
+	// gauge), so Submit inside one never throttles.
 	ThrottleTotal int64
 	// Profile, if non-nil, receives breakdown/trace events. It must be
 	// created with at least Workers+1 slots; slot Workers is the
@@ -101,11 +108,12 @@ type Config struct {
 	// the scheduler's wake policy against detrimental task patterns.
 	// Zero value: off. See docs/architecture.md, "Self-tuning".
 	Tune tune.Options
-	// NoCompiledReplay disables the frozen-graph compiler: Frozen
-	// persistent regions replay through the generic recorded-sequence
-	// machinery (per-task sentinel releases) instead of a compiled flat
-	// schedule. Benchmark baseline knob (tdgbench -exp replay compares
-	// the two); leave false in production.
+	// NoCompiledReplay makes Frozen persistent regions replay through
+	// the generic recorded-sequence machinery (per-task sentinel
+	// releases) instead of a compiled flat schedule. Benchmark baseline
+	// knob (tdgbench -exp replay compares the two); leave false in
+	// production. Plain and Adaptive regions always replay the compiled
+	// schedule.
 	NoCompiledReplay bool
 }
 
@@ -129,16 +137,23 @@ type Runtime struct {
 	wg       sync.WaitGroup
 	shutdown atomic.Bool
 
-	// replay is true while re-running a persistent iteration body.
-	replay bool
+	// replay is the schedule a persistent region's body is being re-run
+	// against (a gated iteration): Submit re-instantiates its next task
+	// and Taskwait waits on its countdown. Nil otherwise. Producer-only.
+	replay *graph.Compiled
 	// inPersistent guards against nested Persistent, Record and Replay
 	// calls.
 	inPersistent bool
-	// compiled is the active frozen-replay schedule, non-nil only while
+	// compiled is the active replay schedule, non-nil only while
 	// replayCompiled runs a Recording. Workers load it in finish to
 	// route recorded tasks' terminal transitions through the compiled
 	// CSR release instead of the generic graph walk.
 	compiled atomic.Pointer[graph.Compiled]
+	// waitRemaining is the countdown value the producer is waiting for
+	// on the compiled schedule: 0 at an iteration's barrier, the number
+	// of tasks not yet released in a Taskwait inside a replayed body. The
+	// executor whose retirement reaches it wakes the producer.
+	waitRemaining atomic.Int64
 
 	iter atomic.Int32 // current persistent iteration, for trace records
 
@@ -202,8 +217,8 @@ type Runtime struct {
 
 	// chainFin[slot] counts the slot's deferred compiled-path finishes
 	// (graph.Compiled.FinishIntoDeferred) not yet settled against the
-	// iteration countdown; settled in one Retire when the chain breaks.
-	// Owner-private, like chained.
+	// iteration countdown; settled in one Retire when the slot's chain
+	// has ended (settleChain). Owner-private, like chained.
 	chainFin []int64
 
 	// spill[slot] holds compiled-replay releases beyond the chained one,
@@ -239,9 +254,9 @@ type Runtime struct {
 	detachLive map[*graph.Task]*Event
 
 	// recSig is the verifier's signature of the graph's latest recording
-	// (Config.Verify), taken by recordIteration: what the generic replays
-	// of that recording are checked against, and what a Recording made
-	// from it keeps as its own. Producer-only.
+	// (Config.Verify), taken by recordIteration: what a Recording made
+	// from it keeps as its own, and what the Frozen region's generic
+	// fallback checks its replays against. Producer-only.
 	recSig uint64
 }
 
@@ -408,6 +423,23 @@ type Snapshot struct {
 	Failures        int         `json:"failures"`
 	FailuresDropped int         `json:"failures_dropped"`
 	Discovery       graph.Stats `json:"discovery"`
+	// Replay is present while a persistent iteration runs off a compiled
+	// schedule. Live then counts the whole recording and Ready nothing
+	// (the schedule keeps no ready gauge); this is where the iteration
+	// actually stands.
+	Replay *ReplaySnapshot `json:"replay,omitempty"`
+}
+
+// ReplaySnapshot is the state of the compiled schedule an iteration is
+// running on.
+type ReplaySnapshot struct {
+	Tasks     int   `json:"tasks"`     // positions in the schedule
+	Remaining int64 `json:"remaining"` // not yet terminal this iteration
+	Released  int   `json:"released"`  // handed over by the producer so far
+	// Edges is what the schedule walks per iteration, EdgesRecorded what
+	// the recording declared; the difference is transitively implied.
+	Edges         int `json:"edges"`
+	EdgesRecorded int `json:"edges_recorded"`
 }
 
 // Introspect captures the runtime's live state (the /graphz payload).
@@ -416,7 +448,13 @@ func (rt *Runtime) Introspect() Snapshot {
 	rt.failMu.Lock()
 	nFail, nDrop := len(rt.failures), rt.failDropped
 	rt.failMu.Unlock()
+	var replay *ReplaySnapshot
+	if cs := rt.compiled.Load(); cs != nil {
+		replay = &ReplaySnapshot{Tasks: cs.Len(), Remaining: cs.Remaining(), Released: cs.Released()}
+		replay.Edges, replay.EdgesRecorded = cs.Edges()
+	}
 	return Snapshot{
+		Replay:          replay,
 		Workers:         rt.cfg.Workers,
 		Engine:          rt.cfg.Engine.String(),
 		Policy:          rt.cfg.Policy.String(),
@@ -606,6 +644,9 @@ func (rt *Runtime) registerDetached(t *graph.Task, ev *Event) {
 // degenerates to the recorded task's firstprivate update. It returns the
 // detach event for Detached tasks, else nil.
 func (rt *Runtime) Submit(spec Spec) *Event {
+	if cs := rt.replay; cs != nil {
+		return rt.resubmit(cs, &spec)
+	}
 	rt.throttle()
 	body, do, ev := rt.wrapBody(&spec)
 	rt.depBuf = spec.depsInto(rt.depBuf[:0])
@@ -614,32 +655,43 @@ func (rt *Runtime) Submit(spec Spec) *Event {
 	if ev != nil {
 		attach = ev
 	}
-	var t *graph.Task
-	if rt.replay {
-		var sp obs.Span
-		if rt.obs.Sampled(rt.producerID()) {
-			sp = rt.obs.BeginSpan(rt.producerID(), obs.SpanReplayCopy, 0, 0, int(rt.iter.Load()))
-		}
-		t = rt.g.Replay(spec.FirstPrivate, body, do, attach)
-		sp.End()
-		rt.obs.IncSlot(rt.producerID(), obs.CReplayHits)
-		if rt.ver != nil {
-			rt.ver.ReplayNext(spec.Label, deps)
-		}
-	} else {
-		d := graph.TaskDesc{
-			Label:        spec.Label,
-			Deps:         deps,
-			Body:         body,
-			Do:           do,
-			FirstPrivate: spec.FirstPrivate,
-			Detached:     spec.Detached,
-			Attach:       attach,
-		}
-		t = rt.g.SubmitTask(&d)
-		if rt.ver != nil {
-			rt.ver.Record(t, deps)
-		}
+	d := graph.TaskDesc{
+		Label:        spec.Label,
+		Deps:         deps,
+		Body:         body,
+		Do:           do,
+		FirstPrivate: spec.FirstPrivate,
+		Detached:     spec.Detached,
+		Attach:       attach,
+	}
+	t := rt.g.SubmitTask(&d)
+	if rt.ver != nil {
+		rt.ver.Record(t, deps)
+	}
+	return rt.finishSubmit(t, ev)
+}
+
+// resubmit is Submit inside a replayed iteration: the spec refreshes the
+// next recorded task — firstprivate, closures, a new event for a
+// detached one — and drops the producer's hold on it. No throttle: there
+// is nothing to discover or allocate (see Config.ThrottleTotal). The
+// dependence list is built for the verifier only; the schedule has the
+// recorded edges.
+func (rt *Runtime) resubmit(cs *graph.Compiled, spec *Spec) *Event {
+	body, do, ev := rt.wrapBody(spec)
+	var attach any
+	if ev != nil {
+		attach = ev
+	}
+	var sp obs.Span
+	if rt.obs.Sampled(rt.producerID()) {
+		sp = rt.obs.BeginSpan(rt.producerID(), obs.SpanReplayCopy, 0, 0, int(rt.iter.Load()))
+	}
+	t := cs.Replay(spec.FirstPrivate, body, do, attach)
+	sp.End()
+	if rt.ver != nil {
+		rt.depBuf = spec.depsInto(rt.depBuf[:0])
+		rt.ver.ReplayNext(spec.Label, rt.depBuf)
 	}
 	return rt.finishSubmit(t, ev)
 }
@@ -663,7 +715,7 @@ func (rt *Runtime) SubmitBatch(specs []Spec) []*Event {
 	if len(specs) == 0 {
 		return nil
 	}
-	if rt.replay {
+	if rt.replay != nil {
 		var evs []*Event
 		for i := range specs {
 			if ev := rt.Submit(specs[i]); ev != nil {
@@ -887,6 +939,9 @@ func (rt *Runtime) produceConsumeOne() bool {
 		return false
 	}
 	rt.execute(id, t)
+	if rt.chainFin[id] != 0 {
+		rt.settleChain(id)
+	}
 	return true
 }
 
@@ -929,7 +984,17 @@ func (rt *Runtime) producerIdle(done func() bool) {
 // the abort cause is included. The graph is fully drained either way
 // (failed cones as Skipped), and the failure state is reset: the
 // runtime is reusable after an error.
+//
+// Inside a replayed persistent iteration Taskwait waits for the tasks
+// the body has resubmitted so far, as it did when the iteration was
+// recorded: the rest of the recording is live but cannot start before
+// its Submit. Where the body waits is part of the shape it must keep —
+// the wait that closed an inoutset group in the recording has to be
+// there again for the group's redirect node to finish.
 func (rt *Runtime) Taskwait() error {
+	if cs := rt.replay; cs != nil {
+		return rt.drainCompiled(cs, int64(cs.Len()-cs.Released()))
+	}
 	rt.g.Flush()
 	if rt.obs.TimingOn() {
 		sp := rt.obs.BeginSpan(rt.producerID(), obs.SpanTaskwait, rt.g.Live(), 0, int(rt.iter.Load()))
@@ -940,13 +1005,21 @@ func (rt *Runtime) Taskwait() error {
 			rt.producerIdle(func() bool { return rt.g.Live() == 0 })
 		}
 	}
-	// Quiescence point: publish the producer's pending counter deltas
-	// (workers publish theirs as they park; Close drains every slot).
+	return rt.settleWindow()
+}
+
+// settleWindow is the bookkeeping of a quiescent point — every task
+// released so far is terminal, no body in flight — shared by Taskwait
+// and the compiled schedule's waits: counter flush, critical-path
+// window, Full-mode audit, and the window's failure state.
+func (rt *Runtime) settleWindow() error {
+	// Publish the producer's pending counter deltas (workers publish
+	// theirs as they park; Close drains every slot).
 	rt.obs.FlushSlot(rt.producerID())
 	if rt.cp != nil {
-		// Close the critical-path window: the graph is drained, so every
-		// Observe was sequenced before a live-count decrement this
-		// goroutine has observed — the slot merge is race-free.
+		// Close the critical-path window: every Observe was sequenced
+		// before a live-count or countdown decrement this goroutine has
+		// observed — the slot merge is race-free.
 		rt.cp.EndWindow(rt.cfg.Workers)
 	}
 	if rt.ver != nil && rt.cfg.Verify == verify.Full {
@@ -1120,11 +1193,13 @@ func (rt *Runtime) LastVerifyReport() *verify.Report { return rt.lastAudit.Load(
 // never run their body: they are terminally Skipped, still releasing
 // their successors so the graph drains.
 func (rt *Runtime) execute(w int, t *graph.Task) {
-	// Compiled replay fast path: recorded tasks during a compiled frozen
-	// region run through a stripped executor — no Running store, no
-	// profiler state transitions, no span sampling — unless the heavier
-	// instrumentation is actually on.
-	if cs := rt.compiled.Load(); cs != nil && t.Persistent &&
+	// Compiled replay fast path: recorded tasks of a compiled iteration
+	// run through a stripped executor — no Running store, no profiler
+	// state transitions, no span sampling — unless the heavier
+	// instrumentation is actually on. A detached task takes the body
+	// below for its event claim and arming; its terminal transition is
+	// the compiled one all the same (finish routes it).
+	if cs := rt.compiled.Load(); cs != nil && t.Persistent && !t.Detached &&
 		rt.cfg.Profile == nil && !rt.obs.TimingOn() {
 		rt.executeCompiled(w, t, cs)
 		return
@@ -1205,7 +1280,7 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 // Running store, profiler transitions and sampling checks — all
 // invisible with that instrumentation disabled — are gone, and the
 // schedule handle rides along instead of being re-loaded at finish.
-// Detached tasks cannot appear here (Compile rejects them).
+// Detached tasks do not come here (see execute).
 func (rt *Runtime) executeCompiled(w int, t *graph.Task, cs *graph.Compiled) {
 	if t.Poisoned() || rt.aborted.Load() {
 		rt.finishCompiled(w, t, cs, graph.Skipped)
@@ -1413,12 +1488,10 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 const spillCap = 16
 
 // finishCompiled retires one recorded task through the compiled
-// schedule (graph.Compiled.FinishInto) and pushes the released
-// successors exactly as finish does: per-slot buffer reuse, one batch
-// publication, terminal-transition counters on the finisher's shard.
-// The producer waits on the iteration countdown, so it is woken on the
-// transitions it watches: a completion releasing nothing, or the
-// countdown reaching zero.
+// schedule (graph.Compiled.FinishInto) and hands on the released
+// successors: per-slot buffer reuse, terminal-transition counters on the
+// finisher's shard, the first successor chained, a bounded spill, the
+// surplus published in one batch.
 func (rt *Runtime) finishCompiled(w int, t *graph.Task, cs *graph.Compiled, final graph.State) {
 	// Same critical-path ordering contract as finish: stamp, observe and
 	// read the stamp back before the compiled release walk decrements
@@ -1429,13 +1502,22 @@ func (rt *Runtime) finishCompiled(w int, t *graph.Task, cs *graph.Compiled, fina
 		rt.cp.Observe(w, t)
 		finNs = t.FinishAtNs()
 	}
-	slotted := w >= 0 && w < len(rt.relBufs)
-	if !slotted {
-		// Unowned context (detach cancellation, external completion):
-		// settle the countdown immediately and publish everything.
+	switch {
+	case t.Redirect: // graph machinery, uncounted
+	case final == graph.Aborted:
+		rt.obs.IncSlot(w, obs.CTasksAborted)
+	case final == graph.Skipped:
+		rt.obs.IncSlot(w, obs.CTasksSkipped)
+	default:
+		rt.obs.IncSlot(w, obs.CTasksExecuted)
+	}
+	if w < 0 || w >= len(rt.relBufs) {
+		// Unowned context (a detached task's Fulfill, abort
+		// cancellation): settle the countdown immediately and publish
+		// everything.
 		released := cs.FinishInto(t, nil, final)
 		rt.s.PushBatch(w, released)
-		if len(released) == 0 || cs.Remaining() == 0 {
+		if len(released) == 0 || cs.Remaining() <= rt.waitRemaining.Load() {
 			rt.s.WakeProducer()
 		}
 		if rt.cp != nil {
@@ -1447,55 +1529,49 @@ func (rt *Runtime) finishCompiled(w int, t *graph.Task, cs *graph.Compiled, fina
 	if rt.cp != nil {
 		rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
 	}
-	switch {
-	case t.Redirect: // graph machinery, uncounted
-	case final == graph.Aborted:
-		rt.obs.IncSlot(w, obs.CTasksAborted)
-	case final == graph.Skipped:
-		rt.obs.IncSlot(w, obs.CTasksSkipped)
-	default:
-		rt.obs.IncSlot(w, obs.CTasksExecuted)
-	}
 	rt.relBufs[w] = released
-	if len(released) > 0 {
-		// Task chaining: the finisher claims the first released successor
-		// for its own next loop turn — no deque publication, no wake —
-		// and defers this finish's countdown decrement to the end of the
-		// chain. The producer needs no wake while a chain runs: the
-		// chained successor is unfinished, so the countdown it waits on
-		// stays above zero until the chain's Retire.
-		rt.chained[w] = released[0]
-		rt.chainFin[w]++
-		if len(released) > 1 {
-			// Burst release: spill the surplus onto the owner's private
-			// stack up to spillCap; anything past the cap is published
-			// for thieves.
-			sp := rt.spill[w]
-			if room := spillCap - len(sp); room >= len(released)-1 {
-				rt.spill[w] = append(sp, released[1:]...)
-			} else {
-				rt.spill[w] = append(sp, released[1:1+room]...)
-				rt.s.PushBatch(w, released[1+room:])
-			}
+	// The countdown decrement is deferred to the end of the slot's chain
+	// (settleChain, one atomic for the whole run). The producer needs no
+	// wake meanwhile: it waits on the countdown, which a finished but
+	// unsettled task holds up as surely as an unfinished one.
+	rt.chainFin[w]++
+	if len(released) == 0 {
+		return
+	}
+	// Task chaining: the finisher claims the first released successor for
+	// its own next loop turn — no deque publication, no wake.
+	rt.chained[w] = released[0]
+	if len(released) > 1 {
+		// Burst release: spill the surplus onto the owner's private
+		// stack up to spillCap; anything past the cap is published for
+		// thieves.
+		sp := rt.spill[w]
+		if room := spillCap - len(sp); room >= len(released)-1 {
+			rt.spill[w] = append(sp, released[1:]...)
+		} else {
+			rt.spill[w] = append(sp, released[1:1+room]...)
+			rt.s.PushBatch(w, released[1+room:])
 		}
+	}
+}
+
+// settleChain retires the slot's deferred compiled-path finishes, if its
+// chain has ended: no chained successor, spill stack dry. The slot's loop
+// calls it after every task it ran, because a chain does not always end
+// in finishCompiled on this goroutine: a detached task retires through
+// Event.Fulfill (or already has), a lost event claim retires nothing, and
+// a slot that went back to its queues with finishes unsettled would hold
+// the countdown — and the barrier — for ever. chainFin > 0 means the
+// iteration is still open, so the schedule pointer is the live one. The
+// producer settling its own chain needs no wake: its wait loop re-checks
+// the countdown next turn.
+func (rt *Runtime) settleChain(slot int) {
+	if rt.chained[slot] != nil || len(rt.spill[slot]) > 0 {
 		return
 	}
-	if len(rt.spill[w]) > 0 {
-		// Released nothing, but private work remains: the chain continues
-		// from the spill stack, so the countdown settlement stays
-		// deferred (the spilled tasks are unfinished and hold it open).
-		rt.chainFin[w]++
-		return
-	}
-	// Chain's end (a sink, or a finish that released nothing, with the
-	// spill stack dry): settle the whole run's countdown with one
-	// atomic. The producer parks in compiledBarrier on exactly one
-	// transition — the countdown reaching zero — and the Retire that
-	// crosses it delivers the wake. The producer settling its own chain
-	// needs no wake: its loop re-checks the countdown next turn.
-	n := rt.chainFin[w] + 1
-	rt.chainFin[w] = 0
-	if cs.Retire(n) == 0 && w != rt.producerID() {
+	n := rt.chainFin[slot]
+	rt.chainFin[slot] = 0
+	if rt.compiled.Load().Retire(n) <= rt.waitRemaining.Load() && slot != rt.producerID() {
 		rt.s.WakeProducer()
 	}
 }
@@ -1551,6 +1627,9 @@ func (rt *Runtime) worker(w int) {
 			p.SetState(w, trace.Overhead, rt.now())
 		}
 		rt.execute(w, t)
+		if rt.chainFin[w] != 0 {
+			rt.settleChain(w)
+		}
 		if rt.cfg.Poll != nil {
 			rt.cfg.Poll() // scheduling point
 		}
@@ -1589,13 +1668,13 @@ type persistentOpts struct {
 	changed func(iter int) bool
 }
 
-// PersistentOption configures Persistent's replay strategy. With no
-// option every iteration re-runs the body against the recorded
-// structure (per-task cost: one firstprivate copy); Frozen and
-// Adaptive trade flexibility for cheaper iterations in opposite
-// directions — Frozen gives up per-iteration updates entirely,
-// Adaptive keeps them and amortizes re-recording over unchanged
-// stretches.
+// PersistentOption configures Persistent's replay strategy. Every
+// region replays the compiled schedule of its recording; with no option
+// each iteration re-runs the body against it (per-task cost: one
+// firstprivate copy and one atomic decrement). Frozen and Adaptive trade
+// flexibility for cheaper iterations in opposite directions — Frozen
+// gives up per-iteration updates entirely, Adaptive keeps them and lets
+// the shape change, amortizing re-recording over unchanged stretches.
 type PersistentOption func(*persistentOpts)
 
 // Frozen selects frozen replay: body runs only at iteration 0 to record
@@ -1605,21 +1684,20 @@ type PersistentOption func(*persistentOpts)
 // its own extension (§3.2, §6) — cheaper per iteration, but nothing can
 // be updated between iterations. Mutually exclusive with Adaptive.
 //
-// Because nothing can change, the runtime compiles the recording into
-// a flat replay schedule (graph.Compile) and replays that: per
-// iteration the producer restores the predecessor counts with one
-// copy, publishes the root set, and waits on a countdown — no key
-// table, no pools, no hashing, no allocation (see
-// docs/architecture.md, "Frozen-graph compilation"). The region is the
-// two operations Record and Replay back to back — record and compile at
-// iteration 0, replay the other iters-1 — and owns the schedule only
-// because it drops the Recording when it returns; a caller that wants
-// the same graph again later calls the two halves itself and keeps the
-// Recording. Recordings with
-// detached tasks cannot be compiled or frozen (their captured
-// completion events cannot re-fire) and are rejected with
-// graph.ErrCompileDetached; Config.NoCompiledReplay falls back to the
-// generic sentinel-release frozen replay for comparison. Task bodies
+// Because nothing can change, an iteration of the compiled schedule
+// (graph.Compile) needs no producer work per task: the producer
+// restores the predecessor counts with one copy, publishes the root
+// set, and waits on a countdown — no key table, no pools, no hashing,
+// no allocation (see docs/architecture.md, "Compiled replay"). The
+// region is the two operations Record and Replay back to back — record
+// and compile at iteration 0, replay the other iters-1 — and owns the
+// schedule only because it drops the Recording when it returns; a
+// caller that wants the same graph again later calls the two halves
+// itself and keeps the Recording. Recordings with detached tasks
+// cannot be frozen (their captured completion events cannot re-fire)
+// and are rejected with graph.ErrCompileDetached; Config.NoCompiledReplay
+// falls back to the generic sentinel-release frozen replay for
+// comparison. Task bodies
 // still run under the full failure domain: panics, Abort and poison
 // cones behave exactly as on the generic path, and structural
 // divergence is still surfaced as ErrReplayDivergence when
@@ -1641,13 +1719,20 @@ func Adaptive(changed func(iter int) bool) PersistentOption {
 }
 
 // Persistent runs body(iter) for iters iterations under the persistent
-// TDG extension (optimization p): iteration 0 records the graph; later
+// TDG extension (optimization p): iteration 0 records the graph and
+// compiles the recording into a flat replay schedule (graph.Compiled:
+// CSR successors, only the edges that order something); later
 // iterations replay it, with per-task cost reduced to the firstprivate
 // copy. An implicit barrier (Taskwait) ends every iteration, as in the
 // paper's implementation. Options select the replay strategy: Frozen
 // for record-once/never-rerun replay, Adaptive for shape-change-driven
 // re-recording; with no options every iteration re-runs body against
-// the recorded structure.
+// the recorded structure — Submit then refreshes the next recorded
+// task (firstprivate, closures, a detached task's event) and releases
+// it, never throttling, and a Taskwait in the body waits for what has
+// been resubmitted so far. The body must submit the tasks it recorded,
+// in order: fewer end the region with ErrReplayShape after the iteration
+// has drained (the rest cancelled), one more panics.
 //
 // A task failure inside any iteration ends the region after that
 // iteration's barrier drains, returning the *fault.TaskError.
@@ -1664,14 +1749,24 @@ func (rt *Runtime) Persistent(iters int, body func(iter int), opts ...Persistent
 	}
 	rt.inPersistent = true
 	defer func() { rt.inPersistent = false }()
-	switch {
-	case o.frozen:
+	defer rt.g.EndPersistent()
+	if o.frozen {
 		return rt.persistentFrozen(iters, body)
-	case o.changed != nil:
-		return rt.persistentAdaptive(iters, body, o.changed)
-	default:
-		return rt.persistentPlain(iters, body)
 	}
+	// Record, then replay the compiled recording with the body re-run
+	// against it, to the end of the region or until changed reports a new
+	// shape, which the next segment records.
+	for it := 0; it < iters; {
+		rec, err := rt.record(it, body, true)
+		if err != nil {
+			return err
+		}
+		if it, err = rt.replayCompiled(rec, it+1, iters, body, o.changed); err != nil {
+			return err
+		}
+		rt.g.EndPersistent()
+	}
+	return nil
 }
 
 // PersistentFrozen runs body once to record the task graph, then replays
@@ -1712,50 +1807,6 @@ func (rt *Runtime) recordIteration(it int, body func(iter int)) error {
 	return werr
 }
 
-func (rt *Runtime) persistentPlain(iters int, body func(iter int)) error {
-	if err := rt.recordIteration(0, body); err != nil {
-		rt.g.EndPersistent()
-		return err
-	}
-	recorded := rt.g.RecordedLen()
-	for it := 1; it < iters; it++ {
-		if err := rt.g.BeginReplay(); err != nil {
-			rt.g.EndPersistent()
-			return err
-		}
-		if rt.ver != nil {
-			rt.ver.BeginReplay(it, true)
-		}
-		rt.iter.Store(int32(it))
-		rt.replay = true
-		body(it)
-		rt.replay = false
-		if err := rt.g.FinishReplay(); err != nil {
-			// Release the rest of the recording so the graph can
-			// drain, then surface the mismatch (joined with any task
-			// failure the drain turned up).
-			rt.g.AbortReplay()
-			werr := rt.Taskwait()
-			rt.g.EndPersistent()
-			return errors.Join(fmt.Errorf("%w: %v (recorded %d tasks)", ErrReplayShape, err, recorded), werr)
-		}
-		werr := rt.Taskwait()
-		if p := rt.cfg.Profile; p != nil {
-			p.IterationEnd(rt.now())
-		}
-		if werr != nil {
-			rt.g.EndPersistent()
-			return werr
-		}
-		if err := rt.checkReplayDivergence(rt.g.Recorded(), rt.recSig); err != nil {
-			rt.g.EndPersistent()
-			return err
-		}
-	}
-	rt.g.EndPersistent()
-	return nil
-}
-
 // Recording is a recorded task sub-graph compiled into a flat replay
 // schedule (graph.Compile): what Record returns and Replay runs. It owns
 // the schedule and, through it, the recorded tasks with the closures and
@@ -1785,26 +1836,36 @@ type Recording struct {
 }
 
 // ErrNotCompiled reports a recording whose iteration ran to its barrier
-// without a failure but that has no compiled schedule: detached tasks
-// (the error also wraps graph.ErrCompileDetached), Config.NoCompiledReplay,
-// or an internal indegree mismatch. A Frozen region falls back to the
-// generic replay, except for detached tasks; Record has nothing to
+// without a failure but that has no compiled schedule: detached tasks in
+// a recording made for frozen replay (the error also wraps
+// graph.ErrCompileDetached), Config.NoCompiledReplay, or an internal
+// indegree mismatch. A Frozen region falls back to the generic replay,
+// except for detached tasks; a plain or Adaptive region, which can only
+// fail the indegree check, ends with the error; Record has nothing to
 // return, and its caller has a graph that has run once and can be run
 // again only by submitting it.
 var ErrNotCompiled = errors.New("rt: recording was not compiled")
 
-// record is the first half of a frozen region: run body once under
-// recording (iteration 0, through its barrier) and compile what it
-// submitted. The persistent region is left open; the caller closes it
-// (graph.EndPersistent).
-func (rt *Runtime) record(body func(iter int)) (*Recording, error) {
-	if err := rt.recordIteration(0, body); err != nil {
+// record is the first half of every persistent region (or segment of an
+// Adaptive one): run body once under recording (iteration it, through
+// its barrier) and compile what it submitted. gated says how the
+// recording will be replayed: with the body re-run, which hands every
+// detached task a fresh event, or frozen, which cannot — re-releasing a
+// captured closure re-releases a completion event that has already
+// fired — and therefore refuses a recording that has one. The persistent
+// region is left open; the caller closes it (graph.EndPersistent).
+func (rt *Runtime) record(it int, body func(iter int), gated bool) (*Recording, error) {
+	if err := rt.recordIteration(it, body); err != nil {
 		return nil, err
 	}
-	if rt.cfg.NoCompiledReplay {
-		return nil, ErrNotCompiled
+	compile := rt.g.CompileGated
+	if !gated {
+		if rt.cfg.NoCompiledReplay {
+			return nil, ErrNotCompiled
+		}
+		compile = rt.g.Compile
 	}
-	cs, err := rt.g.Compile()
+	cs, err := compile()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrNotCompiled, err)
 	}
@@ -1828,7 +1889,7 @@ func (rt *Runtime) Record(body func()) (*Recording, error) {
 	rt.inPersistent = true
 	defer func() { rt.inPersistent = false }()
 	defer rt.g.EndPersistent()
-	return rt.record(func(int) { body() })
+	return rt.record(0, func(int) { body() }, false)
 }
 
 // Replay runs n iterations of rec, numbered first, first+1, ... in
@@ -1849,20 +1910,19 @@ func (rt *Runtime) Replay(rec *Recording, first, n int) error {
 	}
 	rt.inPersistent = true
 	defer func() { rt.inPersistent = false }()
-	return rt.replayCompiled(rec, first, n)
+	_, err := rt.replayCompiled(rec, first, first+n, nil, nil)
+	return err
 }
 
 func (rt *Runtime) persistentFrozen(iters int, body func(iter int)) error {
-	defer rt.g.EndPersistent()
-	rec, err := rt.record(body)
+	rec, err := rt.record(0, body, false)
 	if err == nil {
-		return rt.replayCompiled(rec, 1, iters-1)
+		_, err = rt.replayCompiled(rec, 1, iters, nil, nil)
+		return err
 	}
 	if !errors.Is(err, ErrNotCompiled) || errors.Is(err, graph.ErrCompileDetached) {
-		// A failed recording iteration; or detached tasks, which no frozen
-		// replay can run: re-releasing a captured closure re-releases a
-		// completion event that has already fired, so no later iteration
-		// could ever finish.
+		// A failed recording iteration; or detached tasks, which no
+		// frozen replay can run (see record).
 		return err
 	}
 	// Not compiled: the generic sentinel-release replay still works.
@@ -1895,31 +1955,64 @@ func (rt *Runtime) persistentFrozen(iters int, body func(iter int)) error {
 	return nil
 }
 
-// replayCompiled runs n iterations of rec, numbered from first, through
-// its compiled schedule — the one loop behind Replay and every Frozen
-// region. Per iteration the producer does exactly: one copy (predecessor
-// template), one batch publication (the root set, straight into its
-// work-stealing deque with a fan-out wake), and the countdown barrier —
-// no key table, no pools, no hashing, no per-task sentinel releases.
-// Divergence checking (against rec's own tasks and signature, not the
-// graph's latest recording), failure windows and the abort protocol are
-// the generic path's, verbatim.
-func (rt *Runtime) replayCompiled(rec *Recording, first, n int) error {
+// replayCompiled runs iterations first, first+1, ... end-1 of rec through
+// its compiled schedule — the one loop behind Replay and every persistent
+// region — and returns the iteration it stopped before: end, or the
+// first one changed reports a new shape for (Adaptive).
+//
+// With a nil body an iteration is frozen: one copy (predecessor
+// template), one batch publication (the root set, straight into the
+// producer's work-stealing deque with a fan-out wake), and the countdown
+// barrier. With a body it is gated: the body runs again and each Submit
+// refreshes the next recorded task and drops the producer's hold on it
+// (resubmit). Either way no key table, no pools, no hashing, and one
+// executor: divergence checking (against rec's own tasks and signature,
+// not the graph's latest recording), failure windows and the abort
+// protocol do not know the difference.
+func (rt *Runtime) replayCompiled(rec *Recording, first, end int, body func(iter int), changed func(iter int) bool) (int, error) {
+	// Not reset by a defer: a body that panics out of the region (one
+	// Submit too many) leaves tasks in flight that must still find their
+	// schedule.
+	rt.compiled.Store(rec.cs)
+	it := first
+	var err error
+	for it < end && err == nil {
+		if changed != nil && changed(it) {
+			break
+		}
+		err = rt.replayIteration(rec, it, body)
+		it++
+	}
+	rt.compiled.Store(nil)
+	return it, err
+}
+
+// replayIteration is one iteration of replayCompiled, through its
+// barrier and the divergence check.
+func (rt *Runtime) replayIteration(rec *Recording, it int, body func(iter int)) error {
 	cs := rec.cs
-	rt.compiled.Store(cs)
-	defer rt.compiled.Store(nil)
 	tasks := int64(cs.Len())
-	for it := first; it < first+n; it++ {
+	if rt.ver != nil {
+		// Per-submission checking needs submissions; a frozen iteration
+		// has only the end-of-iteration signature check.
+		rt.ver.BeginReplay(it, body != nil)
+	}
+	rt.iter.Store(int32(it))
+	var shape error
+	if body != nil {
+		if err := cs.BeginReplay(); err != nil {
+			return err
+		}
+		rt.replay = cs
+		body(it)
+		rt.replay = nil
+		if shape = cs.FinishReplay(); shape != nil {
+			rt.cancelRest(cs)
+		}
+	} else {
 		if err := cs.BeginIteration(); err != nil {
 			return err
 		}
-		if rt.ver != nil {
-			// As in generic frozen replay: captured closures are
-			// re-released, not resubmitted; only the end-of-iteration
-			// structural signature is checked.
-			rt.ver.BeginReplay(it, false)
-		}
-		rt.iter.Store(int32(it))
 		var sp obs.Span
 		if rt.obs.Sampled(rt.producerID()) {
 			sp = rt.obs.BeginSpan(rt.producerID(), obs.SpanReplayCopy, tasks, 0, it)
@@ -1934,98 +2027,73 @@ func (rt *Runtime) replayCompiled(rec *Recording, first, n int) error {
 		}
 		rt.s.SeedReplay(rt.producerID(), cs.Roots())
 		sp.End()
-		rt.obs.AddSlot(rt.producerID(), obs.CReplayHits, tasks)
-		rt.obs.IncSlot(rt.producerID(), obs.CReplayCompiled)
-		werr := rt.compiledBarrier(cs)
-		if p := rt.cfg.Profile; p != nil {
-			p.IterationEnd(rt.now())
-		}
-		if werr != nil {
-			return werr
-		}
-		if err := rt.checkReplayDivergence(cs.Tasks(), rec.sig); err != nil {
-			return err
-		}
 	}
-	return nil
+	rt.obs.AddSlot(rt.producerID(), obs.CReplayHits, tasks)
+	rt.obs.IncSlot(rt.producerID(), obs.CReplayCompiled)
+	werr := rt.compiledBarrier(cs)
+	if p := rt.cfg.Profile; p != nil {
+		p.IterationEnd(rt.now())
+	}
+	if shape != nil {
+		return errors.Join(fmt.Errorf("%w: %v (an Adaptive region reports shape changes through changed)", ErrReplayShape, shape), werr)
+	}
+	if werr != nil {
+		return werr
+	}
+	return rt.checkReplayDivergence(cs.Tasks(), rec.sig)
+}
+
+// cancelRest releases what a replayed body did not resubmit, so the
+// iteration drains to its barrier and the shape mismatch can be
+// reported. The tasks go out poisoned: running their closures would run
+// them on the previous iteration's firstprivates. A detached one gets an
+// event for its skip to claim; the one it holds has fired.
+func (rt *Runtime) cancelRest(cs *graph.Compiled) {
+	for tasks := cs.Tasks(); cs.Released() < len(tasks); {
+		t := tasks[cs.Released()]
+		t.Poison()
+		var ev *Event
+		var attach any
+		if t.Detached {
+			ev = &Event{rt: rt}
+			attach = ev
+		}
+		cs.Replay(t.FirstPrivate, nil, nil, attach)
+		rt.finishSubmit(t, ev)
+	}
 }
 
 // compiledBarrier is the compiled iteration's implicit Taskwait: the
-// producer executes ready tasks (popping its own deque first, then the
-// shared queues) until the iteration countdown reaches zero, then
-// settles the usual quiescent-point bookkeeping — counter flush,
-// Full-mode audit, the window's failure state. No open inoutset groups
-// can exist mid-replay (the recording barrier flushed them), so no
-// Flush is needed.
+// countdown runs to zero, then the iteration's live count is retired. No
+// open inoutset groups can exist mid-replay (the recording barrier
+// flushed them), so no Flush is needed.
 func (rt *Runtime) compiledBarrier(cs *graph.Compiled) error {
-	if rt.obs.TimingOn() {
-		sp := rt.obs.BeginSpan(rt.producerID(), obs.SpanTaskwait, cs.Remaining(), 0, int(rt.iter.Load()))
-		defer sp.End()
-	}
-	for cs.Remaining() > 0 {
-		if !rt.produceConsumeOne() {
-			rt.producerIdle(func() bool { return cs.Remaining() == 0 })
-		}
-	}
+	err := rt.drainCompiled(cs, 0)
 	cs.EndIteration()
-	rt.obs.FlushSlot(rt.producerID())
-	if rt.cp != nil {
-		// Per-iteration critical-path report: the countdown reached zero,
-		// so every recorded task's Observe is visible (same quiescence
-		// argument as Taskwait's).
-		rt.cp.EndWindow(rt.cfg.Workers)
-	}
-	if rt.ver != nil && rt.cfg.Verify == verify.Full {
-		rt.lastAudit.Store(rt.ver.Audit(rt.g.RedirectNodes()))
-	}
-	return rt.takeFailure()
+	return err
 }
 
-func (rt *Runtime) persistentAdaptive(iters int, body func(iter int), changed func(iter int) bool) error {
-	it := 0
-	for it < iters {
-		// Record a fresh graph at the segment head.
-		if err := rt.recordIteration(it, body); err != nil {
-			rt.g.EndPersistent()
-			return err
-		}
-		it++
-		// Replay while the shape holds.
-		for it < iters && !changed(it) {
-			if err := rt.g.BeginReplay(); err != nil {
-				rt.g.EndPersistent()
-				return err
-			}
-			if rt.ver != nil {
-				rt.ver.BeginReplay(it, true)
-			}
-			rt.iter.Store(int32(it))
-			rt.replay = true
-			body(it)
-			rt.replay = false
-			if err := rt.g.FinishReplay(); err != nil {
-				rt.g.AbortReplay()
-				werr := rt.Taskwait()
-				rt.g.EndPersistent()
-				return errors.Join(fmt.Errorf("%w: %v (use changed() to flag shape changes)", ErrReplayShape, err), werr)
-			}
-			werr := rt.Taskwait()
-			if p := rt.cfg.Profile; p != nil {
-				p.IterationEnd(rt.now())
-			}
-			if werr != nil {
-				rt.g.EndPersistent()
-				return werr
-			}
-			if err := rt.checkReplayDivergence(rt.g.Recorded(), rt.recSig); err != nil {
-				rt.g.EndPersistent()
-				return err
-			}
-			it++
-		}
-		rt.g.EndPersistent()
+// drainCompiled is a wait on the compiled schedule's countdown: the
+// producer executes ready tasks (popping its own deque first, then the
+// shared queues) until remaining tasks are left unfinished — none at an
+// iteration's barrier, the not yet released ones at a Taskwait inside a
+// replayed body, which cannot start before their Submit — then settles
+// the quiescent-point bookkeeping. The countdown cannot pass below
+// remaining, so the executor that brings it there is the one to wake the
+// producer (waitRemaining).
+func (rt *Runtime) drainCompiled(cs *graph.Compiled, remaining int64) error {
+	if rt.obs.TimingOn() {
+		sp := rt.obs.BeginSpan(rt.producerID(), obs.SpanTaskwait, cs.Remaining()-remaining, 0, int(rt.iter.Load()))
+		defer sp.End()
 	}
-	return nil
+	rt.waitRemaining.Store(remaining)
+	for cs.Remaining() > remaining {
+		if !rt.produceConsumeOne() {
+			rt.producerIdle(func() bool { return cs.Remaining() <= remaining })
+		}
+	}
+	rt.waitRemaining.Store(0)
+	return rt.settleWindow()
 }
 
 // Close waits for all tasks, then stops the workers, returning whatever

@@ -13,8 +13,10 @@
 //   - (c) inoutset redirect nodes turning m×n edges into m+n
 //     (OptInOutSetNode);
 //   - (p) persistent task sub-graphs: Runtime.Persistent records the
-//     graph on the first iteration and replays it afterwards, reducing
-//     per-task discovery to a firstprivate copy;
+//     graph on the first iteration, compiles the recording into a flat
+//     schedule that keeps only the edges that order something, and
+//     replays that afterwards: the body runs again, but each Submit is
+//     reduced to a firstprivate copy and one atomic decrement;
 //   - ready-task and total-task throttling;
 //   - detached tasks whose completion is signalled by an external event
 //     (the OpenMP detach clause), used to nest nonblocking message
@@ -165,18 +167,18 @@ type PersistentOption = rt.PersistentOption
 
 // Frozen selects frozen replay for Runtime.Persistent: the body runs
 // only at iteration 0 and later iterations re-release the captured
-// closures (the OpenMP `taskgraph` proposal's semantics). The
-// recording is compiled into a flat replay schedule, making steady-
-// state iterations allocation-free with no key-table or discovery
-// work at all (docs/architecture.md, "Frozen-graph compilation").
-// Recordings containing detached tasks cannot be frozen.
+// closures (the OpenMP `taskgraph` proposal's semantics) off the
+// compiled schedule every persistent region replays
+// (docs/architecture.md, "Compiled replay"), with no per-task producer
+// work at all. Recordings containing detached tasks cannot be frozen:
+// their captured completion events have fired.
 func Frozen() PersistentOption { return rt.Frozen() }
 
 // Adaptive selects adaptive re-recording for Runtime.Persistent: the
-// graph is re-recorded whenever changed(iter) reports a shape change,
-// and replayed (body re-run, per-task cost one firstprivate copy)
-// over the unchanged stretches — the paper's AMR amortization
-// argument (§3.2).
+// graph is re-recorded (and recompiled) whenever changed(iter) reports a
+// shape change, and replayed as a plain region's is — body re-run,
+// per-task cost one firstprivate copy — over the unchanged stretches:
+// the paper's AMR amortization argument (§3.2).
 func Adaptive(changed func(iter int) bool) PersistentOption { return rt.Adaptive(changed) }
 
 // Dep is one dependence declaration (key + access type), as carried by
