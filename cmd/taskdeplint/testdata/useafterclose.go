@@ -18,6 +18,15 @@ func closeThenPersistent() {
 	_ = rt.Persistent(2, func(iter int) {}) // want "use-after-close"
 }
 
+// Positive: recording, and replaying a recording, after Close.
+func closeThenRecordReplay() {
+	rt := taskdep.New(taskdep.Config{Workers: 1})
+	rec, _ := rt.Record(func() {})
+	rt.Close()
+	_ = rt.Replay(rec, 1, 1)    // want "use-after-close"
+	_, _ = rt.Record(func() {}) // want "use-after-close"
+}
+
 // Negative: the deferred-Close idiom runs at return, after every use.
 func closeDeferred() {
 	rt := taskdep.New(taskdep.Config{Workers: 1})

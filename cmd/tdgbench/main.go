@@ -20,30 +20,29 @@
 // mismatch or a throughput regression beyond -maxregress.
 //
 // -exp executor measures the execution hot path alone: a pre-submitted
-// gate graph is drained by the worker pool, mutex/broadcast baseline
-// engine vs the lock-free Chase–Lev + parking rebuild, sweeping worker
-// count and task grain and reporting the METG@50% shift. -json/-check/
+// gate graph is drained by the worker pool, sweeping worker count and
+// task grain and reporting the METG@50%. -json/-check/
 // -maxregress/-smoke work as in discovery mode (committed baseline:
 // BENCH_executor.json).
 //
 // -exp obs measures the observability layer itself: the grain-0
-// executor drain under obs off / metrics / metrics+spans on both
-// engines, plus a microbenchmark of the disabled per-task hook
-// sequence and a live /metrics completeness scrape. -check gates the
-// fresh disabled-hook cost (<= 2 ns/task) and the committed enabled
-// overhead (<= 10% on the optimized engine) against BENCH_obs.json.
+// executor drain under obs off / metrics / metrics+spans, plus a
+// microbenchmark of the disabled per-task hook sequence and a live
+// /metrics completeness scrape. -check gates the fresh disabled-hook
+// cost (<= 2 ns/task) and the committed enabled overhead (<= 10%)
+// against BENCH_obs.json.
 //
 // -exp replay measures persistent-region replay: tiled-Cholesky and
 // LULESH-like iteration loops with empty bodies under adaptive (the
-// body re-run against the compiled schedule), frozen-generic (compiler
-// disabled) and frozen-compiled replay, reporting steady-state ns/task
-// and allocations per iteration. -check validates the fresh run and
-// BENCH_replay.json and gates the allocation count of both compiled
-// rows (0/task) in each; the speedups are reported, not gated.
+// body re-run against the compiled schedule) and frozen-compiled
+// replay, reporting steady-state ns/task and allocations per iteration.
+// -check validates the fresh run and BENCH_replay.json and gates the
+// allocation count of every row (0/task) in each; the speedup is
+// reported, not gated.
 //
 // -exp faults drives the failure-domain subsystem: a synthetic
 // poison-cone graph plus LULESH/HPCG/Cholesky under deterministic
-// fault injection on both engines, checking that the failed task is
+// fault injection, checking that the failed task is
 // named, its cone is skipped, disjoint work completes, the runtime
 // closes cleanly and no goroutines leak. -check validates invariants
 // and coverage against BENCH_faults.json; there is no timing gate.

@@ -12,7 +12,6 @@ import (
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
 	"taskdep/internal/rt"
-	"taskdep/internal/sched"
 	"taskdep/internal/trace"
 )
 
@@ -150,7 +149,7 @@ type CPathResult struct {
 // both modes so the delta isolates the profiler itself.
 func runCPathDrain(p CPathParams, enable bool) float64 {
 	r := rt.New(rt.Config{
-		Workers: 1, Engine: sched.EngineLockFree, Opts: graph.OptAll,
+		Workers: 1, Opts: graph.OptAll,
 		CPath: rt.CPathOptions{Enable: enable},
 	})
 	defer r.Close()

@@ -5,19 +5,17 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
 	"taskdep/internal/graph"
 	"taskdep/internal/metg"
 	"taskdep/internal/rt"
-	"taskdep/internal/sched"
 )
 
-// Executor-throughput benchmark for the lock-free execution hot path.
-// It compares the two scheduler engines (sched.EngineMutex, the
-// pre-rebuild mutex-deque/broadcast/poll baseline, vs
-// sched.EngineLockFree, the Chase–Lev + parking rebuild) on a
+// Executor-throughput benchmark for the execution hot path: the
+// scheduler (Chase–Lev deques + parking) and the executor on a
 // ready-heavy synthetic graph, sweeping worker count and task grain.
 //
 // The workload separates discovery from execution with a detached gate
@@ -25,7 +23,7 @@ import (
 // whole graph — Roots independent roots, each fanning into Lanes
 // dependence chains of Depth tasks — is submitted while the workers
 // have nothing to do (they park). The timed region is gate-fulfill to
-// Taskwait return: a pure drain, exercising exactly the rebuilt paths
+// Taskwait return: a pure drain, exercising exactly the hot paths
 // (batched successor release, owner-deque LIFO pops, steals, park/wake)
 // with zero discovery work mixed in. Task bodies spin a calibrated
 // xorshift loop of Grain iterations; Grain 0 is the pure-overhead
@@ -34,7 +32,7 @@ import (
 
 // ExecutorSchemaVersion identifies the BENCH_executor.json layout; bump
 // on incompatible changes so stale baselines fail loudly.
-const ExecutorSchemaVersion = 1
+const ExecutorSchemaVersion = 2
 
 // ExecutorParams sizes the synthetic drain workload.
 type ExecutorParams struct {
@@ -61,11 +59,10 @@ func SmokeExecutorParams() ExecutorParams {
 	return ExecutorParams{Roots: 16, Lanes: 2, Depth: 30, Workers: []int{1, 2}, Grains: []int{0, 128}, Repeats: 2}
 }
 
-// ExecutorRow is one engine/worker/grain measurement.
+// ExecutorRow is one worker/grain measurement.
 type ExecutorRow struct {
-	Engine  string `json:"engine"` // "baseline" | "optimized"
-	Workers int    `json:"workers"`
-	Grain   int    `json:"grain_iters"` // spin iterations per task body
+	Workers int `json:"workers"`
+	Grain   int `json:"grain_iters"` // spin iterations per task body
 
 	GrainNs     float64 `json:"grain_ns"` // calibrated body cost
 	WallSeconds float64 `json:"wall_seconds"`
@@ -85,16 +82,9 @@ type ExecutorResult struct {
 	Params ExecutorParams `json:"params"`
 	Rows   []ExecutorRow  `json:"rows"`
 
-	// SpeedupMulti is the headline: optimized vs baseline tasks/sec at
-	// the largest swept worker count and the smallest grain (the
-	// fine-grain ready-heavy point).
-	SpeedupMulti float64 `json:"speedup_multi"`
-	// SpeedupSingle is the same ratio at one worker.
-	SpeedupSingle float64 `json:"speedup_single"`
-	// METG at 50% efficiency per engine (ns), from the grain sweep at
+	// METGNs is the METG at 50% efficiency (ns), from the grain sweep at
 	// the largest worker count; 0 when no swept grain reached 50%.
-	METGBaselineNs  float64 `json:"metg_baseline_ns"`
-	METGOptimizedNs float64 `json:"metg_optimized_ns"`
+	METGNs float64 `json:"metg_ns"`
 }
 
 // spinSink defeats dead-code elimination of spin bodies.
@@ -137,8 +127,8 @@ const (
 // runExecutorOnce builds the gate graph on a fresh runtime and times the
 // drain. The submission phase is untimed by construction: nothing is
 // ready until the gate's detach event fires.
-func runExecutorOnce(p ExecutorParams, engine sched.Engine, workers, grain int) float64 {
-	r := rt.New(rt.Config{Workers: workers, Engine: engine, Opts: graph.OptAll})
+func runExecutorOnce(p ExecutorParams, workers, grain int) float64 {
+	r := rt.New(rt.Config{Workers: workers, Opts: graph.OptAll})
 	defer r.Close()
 
 	gate := r.Submit(rt.Spec{
@@ -177,14 +167,14 @@ func runExecutorOnce(p ExecutorParams, engine sched.Engine, workers, grain int) 
 }
 
 // runExecutorBest repeats a configuration and keeps the fastest drain.
-func runExecutorBest(p ExecutorParams, engine sched.Engine, workers, grain int, nsPerIter float64) ExecutorRow {
+func runExecutorBest(p ExecutorParams, workers, grain int, nsPerIter float64) ExecutorRow {
 	reps := p.Repeats
 	if reps < 1 {
 		reps = 1
 	}
-	wall := runExecutorOnce(p, engine, workers, grain)
+	wall := runExecutorOnce(p, workers, grain)
 	for r := 1; r < reps; r++ {
-		if w := runExecutorOnce(p, engine, workers, grain); w < wall {
+		if w := runExecutorOnce(p, workers, grain); w < wall {
 			wall = w
 		}
 	}
@@ -206,72 +196,28 @@ func runExecutorBest(p ExecutorParams, engine sched.Engine, workers, grain int, 
 		}
 		row.Efficiency = float64(tasks) * grainNs / (float64(pp) * wall * 1e9)
 	}
-	if engine == sched.EngineLockFree {
-		row.Engine = "optimized"
-	} else {
-		row.Engine = "baseline"
-	}
 	return row
 }
 
-// RunExecutor measures both engines over the worker and grain sweeps.
+// RunExecutor measures the drain over the worker and grain sweeps.
 func RunExecutor(p ExecutorParams) ExecutorResult {
 	res := ExecutorResult{Schema: ExecutorSchemaVersion, Params: p}
 	nsPerIter := calibrateSpin()
-	for _, eng := range []sched.Engine{sched.EngineMutex, sched.EngineLockFree} {
-		for _, w := range p.Workers {
-			for _, g := range p.Grains {
-				res.Rows = append(res.Rows, runExecutorBest(p, eng, w, g, nsPerIter))
-			}
+	for _, w := range p.Workers {
+		for _, g := range p.Grains {
+			res.Rows = append(res.Rows, runExecutorBest(p, w, g, nsPerIter))
 		}
 	}
-	minG, maxW := minMaxSweep(p)
-	res.SpeedupMulti = executorSpeedup(res.Rows, maxW, minG)
-	res.SpeedupSingle = executorSpeedup(res.Rows, 1, minG)
-	res.METGBaselineNs = executorMETG(res.Rows, "baseline", maxW)
-	res.METGOptimizedNs = executorMETG(res.Rows, "optimized", maxW)
+	res.METGNs = executorMETG(res.Rows, slices.Max(p.Workers))
 	return res
 }
 
-func minMaxSweep(p ExecutorParams) (minGrain, maxWorkers int) {
-	for i, g := range p.Grains {
-		if i == 0 || g < minGrain {
-			minGrain = g
-		}
-	}
-	for i, w := range p.Workers {
-		if i == 0 || w > maxWorkers {
-			maxWorkers = w
-		}
-	}
-	return
-}
-
-func executorSpeedup(rows []ExecutorRow, workers, grain int) float64 {
-	var base, opt float64
-	for _, r := range rows {
-		if r.Workers != workers || r.Grain != grain {
-			continue
-		}
-		switch r.Engine {
-		case "baseline":
-			base = r.TasksPerSec
-		case "optimized":
-			opt = r.TasksPerSec
-		}
-	}
-	if base == 0 {
-		return 0
-	}
-	return opt / base
-}
-
-// executorMETG derives the engine's 50%-efficiency METG from the grain
-// sweep at the given worker count; 0 when no swept grain reaches it.
-func executorMETG(rows []ExecutorRow, engine string, workers int) float64 {
+// executorMETG derives the 50%-efficiency METG from the grain sweep at
+// the given worker count; 0 when no swept grain reaches it.
+func executorMETG(rows []ExecutorRow, workers int) float64 {
 	var samples []metg.EffSample
 	for _, r := range rows {
-		if r.Engine == engine && r.Workers == workers && r.Grain > 0 {
+		if r.Workers == workers && r.Grain > 0 {
 			samples = append(samples, metg.EffSample{Grain: r.GrainNs, Eff: r.Efficiency})
 		}
 	}
@@ -294,9 +240,6 @@ func (r *ExecutorResult) Validate() error {
 	}
 	want := int64(r.Params.Tasks())
 	for i, row := range r.Rows {
-		if row.Engine != "baseline" && row.Engine != "optimized" {
-			return fmt.Errorf("row %d: unknown engine %q", i, row.Engine)
-		}
 		if row.Workers <= 0 || row.Grain < 0 {
 			return fmt.Errorf("row %d: bad workers/grain", i)
 		}
@@ -314,7 +257,7 @@ func (r *ExecutorResult) Validate() error {
 }
 
 // CheckExecutor compares a fresh run against a committed baseline
-// result: same schema, and fresh optimized throughput within maxRegress
+// result: same schema, and fresh throughput within maxRegress
 // of the committed one at every worker/grain point both share. Returns
 // nil when the run is acceptable.
 func CheckExecutor(fresh, committed *ExecutorResult, maxRegress float64) error {
@@ -327,22 +270,17 @@ func CheckExecutor(fresh, committed *ExecutorResult, maxRegress float64) error {
 	type point struct{ w, g int }
 	ref := make(map[point]float64)
 	for _, row := range committed.Rows {
-		if row.Engine == "optimized" {
-			ref[point{row.Workers, row.Grain}] = row.TasksPerSec
-		}
+		ref[point{row.Workers, row.Grain}] = row.TasksPerSec
 	}
 	checked := 0
 	for _, row := range fresh.Rows {
-		if row.Engine != "optimized" {
-			continue
-		}
 		want, ok := ref[point{row.Workers, row.Grain}]
 		if !ok {
 			continue
 		}
 		checked++
 		if row.TasksPerSec*maxRegress < want {
-			return fmt.Errorf("optimized throughput at %d workers grain %d is %.0f tasks/s, >%.1fx below committed %.0f",
+			return fmt.Errorf("throughput at %d workers grain %d is %.0f tasks/s, >%.1fx below committed %.0f",
 				row.Workers, row.Grain, row.TasksPerSec, maxRegress, want)
 		}
 	}
@@ -356,9 +294,6 @@ func CheckExecutor(fresh, committed *ExecutorResult, maxRegress float64) error {
 func (r *ExecutorResult) WriteJSON(w io.Writer) error {
 	sort.SliceStable(r.Rows, func(i, j int) bool {
 		a, b := r.Rows[i], r.Rows[j]
-		if a.Engine != b.Engine {
-			return a.Engine < b.Engine
-		}
 		if a.Workers != b.Workers {
 			return a.Workers < b.Workers
 		}
@@ -382,15 +317,11 @@ func ReadExecutorJSON(data []byte) (*ExecutorResult, error) {
 func PrintExecutor(w io.Writer, r *ExecutorResult) {
 	fmt.Fprintf(w, "== executor drain throughput (gate graph: %d roots x %d lanes x depth %d = %d tasks) ==\n",
 		r.Params.Roots, r.Params.Lanes, r.Params.Depth, r.Params.Tasks())
-	fmt.Fprintf(w, "%-10s %7s %11s %9s %12s %9s %5s\n",
-		"engine", "workers", "grain", "grain-ns", "tasks/s", "ns/task", "eff")
+	fmt.Fprintf(w, "%7s %11s %9s %12s %9s %5s\n",
+		"workers", "grain", "grain-ns", "tasks/s", "ns/task", "eff")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %7d %11d %9.0f %12.0f %9.1f %5.2f\n",
-			row.Engine, row.Workers, row.Grain, row.GrainNs, row.TasksPerSec, row.NsPerTask, row.Efficiency)
+		fmt.Fprintf(w, "%7d %11d %9.0f %12.0f %9.1f %5.2f\n",
+			row.Workers, row.Grain, row.GrainNs, row.TasksPerSec, row.NsPerTask, row.Efficiency)
 	}
-	minG, maxW := minMaxSweep(r.Params)
-	fmt.Fprintf(w, "speedup (grain %d): %.2fx at %d workers, %.2fx single-worker\n",
-		minG, r.SpeedupMulti, maxW, r.SpeedupSingle)
-	fmt.Fprintf(w, "METG@50%%: baseline %.0f ns, optimized %.0f ns (0 = not reached in sweep)\n",
-		r.METGBaselineNs, r.METGOptimizedNs)
+	fmt.Fprintf(w, "METG@50%%: %.0f ns (0 = not reached in sweep)\n", r.METGNs)
 }

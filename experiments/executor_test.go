@@ -7,7 +7,6 @@ import (
 
 	"taskdep/internal/graph"
 	"taskdep/internal/rt"
-	"taskdep/internal/sched"
 	"taskdep/internal/verify"
 )
 
@@ -21,17 +20,14 @@ func TestRunExecutorShape(t *testing.T) {
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// 2 engines x 2 worker counts x 2 grains.
-	if len(res.Rows) != 8 {
-		t.Fatalf("got %d rows, want 8", len(res.Rows))
-	}
-	if res.SpeedupMulti <= 0 || res.SpeedupSingle <= 0 {
-		t.Fatalf("speedups not computed: %v / %v", res.SpeedupMulti, res.SpeedupSingle)
+	// 2 worker counts x 2 grains.
+	if len(res.Rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(res.Rows))
 	}
 	var out bytes.Buffer
 	PrintExecutor(&out, &res)
-	if !strings.Contains(out.String(), "optimized") || !strings.Contains(out.String(), "baseline") {
-		t.Fatalf("print output missing engines:\n%s", out.String())
+	if !strings.Contains(out.String(), "tasks/s") || !strings.Contains(out.String(), "METG@50%") {
+		t.Fatalf("print output missing the table or the METG line:\n%s", out.String())
 	}
 }
 
@@ -48,7 +44,7 @@ func TestExecutorJSONRoundTrip(t *testing.T) {
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Rows) != len(res.Rows) || back.SpeedupMulti != res.SpeedupMulti {
+	if len(back.Rows) != len(res.Rows) || back.METGNs != res.METGNs {
 		t.Fatalf("round trip changed the result")
 	}
 }
@@ -77,55 +73,53 @@ func TestCheckExecutor(t *testing.T) {
 
 func TestExecutorValidateCatchesBadRows(t *testing.T) {
 	res := RunExecutor(tinyExecutorParams())
-	res.Rows[0].Engine = "turbo"
+	res.Rows[0].Workers = 0
 	if err := res.Validate(); err == nil {
-		t.Fatalf("unknown engine validated")
+		t.Fatalf("a row with no workers validated")
 	}
 }
 
 // TestExecutorGateGraphVerifies re-runs the benchmark's gate graph under
-// the TDG verifier on both engines: the batched-release drain must
+// the TDG verifier: the batched-release drain must
 // preserve every declared happens-before edge (satellite check for the
 // executor rewiring).
 func TestExecutorGateGraphVerifies(t *testing.T) {
-	for _, eng := range []sched.Engine{sched.EngineLockFree, sched.EngineMutex} {
-		t.Run(eng.String(), func(t *testing.T) {
-			r := rt.New(rt.Config{Workers: 2, Engine: eng, Opts: graph.OptAll, Verify: verify.Observe})
-			gate := r.Submit(rt.Spec{
-				Label:        "gate",
-				Out:          []graph.Key{execGateKey},
-				Detached:     true,
-				DetachedBody: func(any, *rt.Event) {},
-			})
-			p := tinyExecutorParams()
-			specs := make([]rt.Spec, 0, 1+p.Lanes*p.Depth)
-			for g := 0; g < p.Roots; g++ {
-				specs = specs[:0]
-				specs = append(specs, rt.Spec{
-					Label: "root",
-					In:    []graph.Key{execGateKey},
-					Out:   []graph.Key{execRootKey + graph.Key(g)},
-					Body:  func(any) {},
-				})
-				for f := 0; f < p.Lanes; f++ {
-					lane := execLaneKey + graph.Key(g*p.Lanes+f)
-					for i := 0; i < p.Depth; i++ {
-						s := rt.Spec{Label: "lane", InOut: []graph.Key{lane}, Body: func(any) {}}
-						if i == 0 {
-							s.In = []graph.Key{execRootKey + graph.Key(g)}
-						}
-						specs = append(specs, s)
-					}
-				}
-				r.SubmitBatch(specs)
-			}
-			gate.Fulfill()
-			r.Taskwait()
-			r.Close()
-			rep := r.Verify()
-			if !rep.OK() {
-				t.Fatalf("verifier flagged the gate graph on %v: %v", eng, rep)
-			}
+	t.Run("lock-free", func(t *testing.T) {
+		r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+		gate := r.Submit(rt.Spec{
+			Label:        "gate",
+			Out:          []graph.Key{execGateKey},
+			Detached:     true,
+			DetachedBody: func(any, *rt.Event) {},
 		})
-	}
+		p := tinyExecutorParams()
+		specs := make([]rt.Spec, 0, 1+p.Lanes*p.Depth)
+		for g := 0; g < p.Roots; g++ {
+			specs = specs[:0]
+			specs = append(specs, rt.Spec{
+				Label: "root",
+				In:    []graph.Key{execGateKey},
+				Out:   []graph.Key{execRootKey + graph.Key(g)},
+				Body:  func(any) {},
+			})
+			for f := 0; f < p.Lanes; f++ {
+				lane := execLaneKey + graph.Key(g*p.Lanes+f)
+				for i := 0; i < p.Depth; i++ {
+					s := rt.Spec{Label: "lane", InOut: []graph.Key{lane}, Body: func(any) {}}
+					if i == 0 {
+						s.In = []graph.Key{execRootKey + graph.Key(g)}
+					}
+					specs = append(specs, s)
+				}
+			}
+			r.SubmitBatch(specs)
+		}
+		gate.Fulfill()
+		r.Taskwait()
+		r.Close()
+		rep := r.Verify()
+		if !rep.OK() {
+			t.Fatalf("verifier flagged the gate graph: %v", rep)
+		}
+	})
 }

@@ -1,6 +1,6 @@
 // Fault-injection experiment (`tdgbench -exp faults`): drives the
 // failure-domain subsystem end to end and checks its invariants under
-// deterministic fault injection, on both executor engines.
+// deterministic fault injection.
 //
 // Two layers:
 //
@@ -38,11 +38,10 @@ import (
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
 	"taskdep/internal/rt"
-	"taskdep/internal/sched"
 )
 
 // FaultsSchemaVersion identifies the BENCH_faults.json layout.
-const FaultsSchemaVersion = 2
+const FaultsSchemaVersion = 3
 
 // errSyntheticFault is the planted failure of the poison-cone check.
 var errSyntheticFault = errors.New("faults experiment: planted failure")
@@ -56,7 +55,7 @@ type FaultParams struct {
 	// executes at least one full window before draining.
 	Every int64 `json:"every"`
 	// Seeds is how many distinct injection seeds to run per
-	// app x engine x mode point (different seeds fail different tasks).
+	// app x mode point (different seeds fail different tasks).
 	Seeds int `json:"seeds"`
 	// ConeDepth is the chain length of the synthetic poison-cone graph.
 	ConeDepth int `json:"cone_depth"`
@@ -104,10 +103,9 @@ func SmokeFaultParams() FaultParams {
 
 // FaultRow is one application run under injection.
 type FaultRow struct {
-	App    string `json:"app"`
-	Engine string `json:"engine"`
-	Mode   string `json:"mode"`
-	Seed   int64  `json:"seed"`
+	App  string `json:"app"`
+	Mode string `json:"mode"`
+	Seed int64  `json:"seed"`
 	// FailedTask is the label carried by the surfaced *fault.TaskError.
 	FailedTask string `json:"failed_task"`
 	FailedID   int64  `json:"failed_id"`
@@ -123,9 +121,8 @@ type FaultRow struct {
 	WallSeconds  float64 `json:"wall_seconds"`
 }
 
-// ConeRow is the synthetic poison-cone check on one engine.
+// ConeRow is the synthetic poison-cone check.
 type ConeRow struct {
-	Engine string `json:"engine"`
 	// Completed is how many out-of-cone tasks ran (must equal the
 	// disjoint chain length); Skipped is how many poisoned bodies ran
 	// (must be zero — the field counts executions, not skips).
@@ -147,7 +144,7 @@ type ConeRow struct {
 type FaultResult struct {
 	Schema int         `json:"schema"`
 	Params FaultParams `json:"params"`
-	Cone   []ConeRow   `json:"cone"`
+	Cone   ConeRow     `json:"cone"`
 	Rows   []FaultRow  `json:"rows"`
 	// BaselineNsPerCall / RecoverNsPerCall bracket the panic-fence
 	// overhead: a direct indirect call vs the same call under the
@@ -156,38 +153,24 @@ type FaultResult struct {
 	RecoverNsPerCall  float64 `json:"recover_ns_per_call"`
 }
 
-var faultEngines = []struct {
-	name string
-	e    sched.Engine
-}{
-	{"mutex", sched.EngineMutex},
-	{"lockfree", sched.EngineLockFree},
-}
-
 var faultModes = []fault.Mode{fault.Panic, fault.Error}
 
 // RunFaults executes the experiment. A violated invariant is returned
 // as an error (the caller exits nonzero), not encoded in the result.
 func RunFaults(p FaultParams) (FaultResult, error) {
 	res := FaultResult{Schema: FaultsSchemaVersion, Params: p}
-	for _, eng := range faultEngines {
-		cone, err := runCone(eng.e, p)
-		if err != nil {
-			return res, fmt.Errorf("cone check (%s): %w", eng.name, err)
-		}
-		cone.Engine = eng.name
-		res.Cone = append(res.Cone, cone)
+	var err error
+	if res.Cone, err = runCone(p); err != nil {
+		return res, fmt.Errorf("cone check: %w", err)
 	}
 	for _, app := range []string{"lulesh", "hpcg", "cholesky"} {
-		for _, eng := range faultEngines {
-			for _, mode := range faultModes {
-				for seed := int64(0); seed < int64(p.Seeds); seed++ {
-					row, err := runAppFault(app, eng.name, eng.e, mode, seed, p)
-					if err != nil {
-						return res, fmt.Errorf("%s/%s/%s seed %d: %w", app, eng.name, mode, seed, err)
-					}
-					res.Rows = append(res.Rows, row)
+		for _, mode := range faultModes {
+			for seed := int64(0); seed < int64(p.Seeds); seed++ {
+				row, err := runAppFault(app, mode, seed, p)
+				if err != nil {
+					return res, fmt.Errorf("%s/%s seed %d: %w", app, mode, seed, err)
 				}
+				res.Rows = append(res.Rows, row)
 			}
 		}
 	}
@@ -197,10 +180,10 @@ func RunFaults(p FaultParams) (FaultResult, error) {
 
 // runCone builds two disjoint dependence chains, fails the head of one,
 // and checks the deterministic poison-cone contract.
-func runCone(engine sched.Engine, p FaultParams) (ConeRow, error) {
+func runCone(p FaultParams) (ConeRow, error) {
 	var row ConeRow
 	depth := p.ConeDepth
-	r := rt.New(rt.Config{Workers: p.Workers, Engine: engine})
+	r := rt.New(rt.Config{Workers: p.Workers})
 	var freeRan, poisonRan atomic.Int64
 	r.Submit(rt.Spec{
 		Label: "cone-head",
@@ -271,11 +254,11 @@ func runCone(engine sched.Engine, p FaultParams) (ConeRow, error) {
 // runAppFault runs one application under injection and checks that the
 // failure surfaces as a *fault.TaskError, the runtime closes cleanly,
 // and no goroutines leak.
-func runAppFault(app, engineName string, engine sched.Engine, mode fault.Mode, seed int64, p FaultParams) (FaultRow, error) {
-	row := FaultRow{App: app, Engine: engineName, Mode: mode.String(), Seed: seed}
+func runAppFault(app string, mode fault.Mode, seed int64, p FaultParams) (FaultRow, error) {
+	row := FaultRow{App: app, Mode: mode.String(), Seed: seed}
 	before := runtime.NumGoroutine()
 	inj := &fault.Inject{Every: p.Every, Seed: seed, Mode: mode}
-	r := rt.New(rt.Config{Workers: p.Workers, Engine: engine, Inject: inj})
+	r := rt.New(rt.Config{Workers: p.Workers, Inject: inj})
 	start := time.Now()
 	var err error
 	switch app {
@@ -383,26 +366,22 @@ func (r *FaultResult) Validate() error {
 	if r.Schema != FaultsSchemaVersion {
 		return fmt.Errorf("schema %d, want %d", r.Schema, FaultsSchemaVersion)
 	}
-	if len(r.Cone) != len(faultEngines) {
-		return fmt.Errorf("%d cone rows, want %d", len(r.Cone), len(faultEngines))
+	c := r.Cone
+	if c.FailedTask != "cone-head" || c.PoisonRan != 0 || c.Completed != r.Params.ConeDepth+1 {
+		return fmt.Errorf("cone row %+v violates the poison contract", c)
 	}
-	for _, c := range r.Cone {
-		if c.FailedTask != "cone-head" || c.PoisonRan != 0 || c.Completed != r.Params.ConeDepth+1 {
-			return fmt.Errorf("cone row %+v violates the poison contract", c)
-		}
-		if c.SubmittedCounter != c.ExecutedCounter+c.SkippedCounter+c.AbortedCounter ||
-			c.SkippedCounter != int64(r.Params.ConeDepth) || c.AbortedCounter != 1 {
-			return fmt.Errorf("cone row %+v counters disagree with the ground truth", c)
-		}
+	if c.SubmittedCounter != c.ExecutedCounter+c.SkippedCounter+c.AbortedCounter ||
+		c.SkippedCounter != int64(r.Params.ConeDepth) || c.AbortedCounter != 1 {
+		return fmt.Errorf("cone row %+v counters disagree with the ground truth", c)
 	}
-	want := 3 * len(faultEngines) * len(faultModes) * r.Params.Seeds
+	want := 3 * len(faultModes) * r.Params.Seeds
 	if len(r.Rows) != want {
 		return fmt.Errorf("%d app rows, want %d", len(r.Rows), want)
 	}
 	for _, row := range r.Rows {
 		if row.FailedTask == "" || !row.CloseClean || !row.GoroutinesOK || row.Injected == 0 {
-			return fmt.Errorf("row %s/%s/%s seed %d violates invariants: %+v",
-				row.App, row.Engine, row.Mode, row.Seed, row)
+			return fmt.Errorf("row %s/%s seed %d violates invariants: %+v",
+				row.App, row.Mode, row.Seed, row)
 		}
 	}
 	if r.RecoverNsPerCall <= 0 || r.BaselineNsPerCall <= 0 {
@@ -412,7 +391,7 @@ func (r *FaultResult) Validate() error {
 }
 
 // CheckFaults gates CI: the fresh run must validate, and must cover at
-// least every (app, engine, mode) point the committed baseline covers.
+// least every (app, mode) point the committed baseline covers.
 // There is deliberately no timing comparison.
 func CheckFaults(fresh, committed *FaultResult) error {
 	if err := fresh.Validate(); err != nil {
@@ -423,10 +402,10 @@ func CheckFaults(fresh, committed *FaultResult) error {
 	}
 	cover := make(map[string]bool, len(fresh.Rows))
 	for _, row := range fresh.Rows {
-		cover[row.App+"/"+row.Engine+"/"+row.Mode] = true
+		cover[row.App+"/"+row.Mode] = true
 	}
 	for _, row := range committed.Rows {
-		if k := row.App + "/" + row.Engine + "/" + row.Mode; !cover[k] {
+		if k := row.App + "/" + row.Mode; !cover[k] {
 			return fmt.Errorf("fresh run lost coverage of %s", k)
 		}
 	}
@@ -452,15 +431,13 @@ func ReadFaultsJSON(data []byte) (*FaultResult, error) {
 // PrintFaults renders the human-readable report.
 func PrintFaults(w io.Writer, r *FaultResult) {
 	fmt.Fprintln(w, "== Fault-injection report (failure domains) ==")
-	for _, c := range r.Cone {
-		fmt.Fprintf(w, "cone %-8s failed=%q out-of-cone ran %d/%d, poisoned ran %d\n",
-			c.Engine, c.FailedTask, c.Completed, r.Params.ConeDepth+1, c.PoisonRan)
-	}
-	fmt.Fprintf(w, "%-8s %-8s %-6s %4s  %-24s %9s %9s %8s\n",
-		"app", "engine", "mode", "seed", "failed task", "injected", "executed", "wall")
+	fmt.Fprintf(w, "cone: failed=%q out-of-cone ran %d/%d, poisoned ran %d\n",
+		r.Cone.FailedTask, r.Cone.Completed, r.Params.ConeDepth+1, r.Cone.PoisonRan)
+	fmt.Fprintf(w, "%-8s %-6s %4s  %-24s %9s %9s %8s\n",
+		"app", "mode", "seed", "failed task", "injected", "executed", "wall")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-8s %-8s %-6s %4d  %-24s %9d %9d %7.3fs\n",
-			row.App, row.Engine, row.Mode, row.Seed, row.FailedTask,
+		fmt.Fprintf(w, "%-8s %-6s %4d  %-24s %9d %9d %7.3fs\n",
+			row.App, row.Mode, row.Seed, row.FailedTask,
 			row.Injected, row.Executed, row.WallSeconds)
 	}
 	fmt.Fprintf(w, "panic-fence overhead: %.1f ns/call bare vs %.1f ns/call with defer/recover (+%.1f ns)\n",

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 // TestRunFaultsSmoke runs the CI-sized fault-injection experiment —
-// LULESH/HPCG/Cholesky plus the synthetic poison cone on both engines —
+// LULESH/HPCG/Cholesky plus the synthetic poison cone —
 // and validates every failure-domain invariant. Run under -race this
 // doubles as the subsystem's concurrency check.
 func TestRunFaultsSmoke(t *testing.T) {

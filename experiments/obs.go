@@ -5,21 +5,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
 	"taskdep/internal/rt"
-	"taskdep/internal/sched"
 )
 
 // Observability-overhead benchmark for the always-on metrics and span
 // tracing layer. It reuses the executor gate graph at the pure-overhead
 // point (grain 0, one worker — the configuration where every added
 // nanosecond of instrumentation is maximally visible) and measures the
-// same drain under three modes on both scheduler engines:
+// same drain under three modes:
 //
 //	off     — Obs.Disable: every hook is a nil/flag branch
 //	metrics — default tier: sharded counters on (spans off)
@@ -32,7 +30,7 @@ import (
 
 // ObsSchemaVersion identifies the BENCH_obs.json layout; bump on
 // incompatible changes so stale baselines fail loudly.
-const ObsSchemaVersion = 1
+const ObsSchemaVersion = 2
 
 // ObsParams sizes the drain workload and the span sampling rate.
 type ObsParams struct {
@@ -60,22 +58,19 @@ func SmokeObsParams() ObsParams {
 	return ObsParams{Roots: 16, Lanes: 2, Depth: 30, Repeats: 3, SpanSample: 32}
 }
 
-// ObsRow is one engine/mode drain measurement.
+// ObsRow is one mode's drain measurement.
 type ObsRow struct {
-	Engine      string  `json:"engine"` // "baseline" | "optimized"
-	Mode        string  `json:"mode"`   // "off" | "metrics" | "spans"
+	Mode        string  `json:"mode"` // "off" | "metrics" | "spans"
 	WallSeconds float64 `json:"wall_seconds"`
 	NsPerTask   float64 `json:"ns_per_task"`
 	Tasks       int64   `json:"tasks_executed"`
 }
 
-// ObsOverhead is the per-engine cost of one enabled tier relative to
-// the off mode on the same engine.
+// ObsOverhead is the cost of one enabled tier relative to the off mode.
 type ObsOverhead struct {
-	Engine string  `json:"engine"`
-	Mode   string  `json:"mode"`
-	Pct    float64 `json:"pct"`         // (mode - off)/off * 100
-	AddNs  float64 `json:"add_ns_task"` // absolute ns/task added
+	Mode  string  `json:"mode"`
+	Pct   float64 `json:"pct"`         // (mode - off)/off * 100
+	AddNs float64 `json:"add_ns_task"` // absolute ns/task added
 }
 
 // ObsResult is the benchmark output committed as BENCH_obs.json.
@@ -90,16 +85,15 @@ type ObsResult struct {
 	// is turned off. The CI gate holds it under 2 ns.
 	DisabledHookNs float64 `json:"disabled_hook_ns"`
 
-	// Overheads holds the enabled-tier cost per engine, derived from
-	// Rows. The acceptance gate is metrics+spans <= 10% on the
-	// optimized engine at this grain-0 point.
+	// Overheads holds the enabled-tier costs, derived from Rows. The
+	// acceptance gate is metrics+spans <= 10% at this grain-0 point.
 	Overheads []ObsOverhead `json:"overheads"`
 
 	// MetricsComplete records whether a live /metrics scrape over HTTP
 	// contained every pre-registered counter and histogram series.
 	MetricsComplete bool `json:"metrics_complete"`
 	// SpanEvents is the number of span events drained after the spans-
-	// mode run on the optimized engine (must be > 0: tracing works).
+	// mode run (must be > 0: tracing works).
 	SpanEvents int64 `json:"span_events"`
 }
 
@@ -118,8 +112,8 @@ var obsModes = []struct {
 // runObsOnce builds the gate graph and times the 1-worker drain under
 // the given registry options, returning the wall time and the number of
 // span events left in the rings.
-func runObsOnce(p ObsParams, engine sched.Engine, o obs.Options) (float64, int64) {
-	r := rt.New(rt.Config{Workers: 1, Engine: engine, Opts: graph.OptAll, Obs: o})
+func runObsOnce(p ObsParams, o obs.Options) (float64, int64) {
+	r := rt.New(rt.Config{Workers: 1, Opts: graph.OptAll, Obs: o})
 	defer r.Close()
 
 	gate := r.Submit(rt.Spec{
@@ -158,13 +152,13 @@ func runObsOnce(p ObsParams, engine sched.Engine, o obs.Options) (float64, int64
 	return wall, int64(r.Obs().SpanCount())
 }
 
-// runObsEngine measures all modes on one engine. Repeats are
+// runObsModes measures all modes. Repeats are
 // interleaved — each round runs off, metrics, spans back to back — so
 // slow machine drift (frequency scaling, co-tenancy) hits every mode
 // alike instead of biasing whichever mode ran last; the per-mode
 // minimum is the reported wall time (the fastest observed drain is
 // the least noise-contaminated estimate of the true cost).
-func runObsEngine(p ObsParams, engine sched.Engine) ([]ObsRow, int64) {
+func runObsModes(p ObsParams) ([]ObsRow, int64) {
 	reps := p.Repeats
 	if reps < 1 {
 		reps = 1
@@ -173,23 +167,18 @@ func runObsEngine(p ObsParams, engine sched.Engine) ([]ObsRow, int64) {
 	var spanEvents int64
 	for r := 0; r < reps; r++ {
 		for m, mode := range obsModes {
-			w, s := runObsOnce(p, engine, mode.opts(p))
+			w, s := runObsOnce(p, mode.opts(p))
 			walls[m] = append(walls[m], w)
 			if mode.name == "spans" {
 				spanEvents = s
 			}
 		}
 	}
-	name := "baseline"
-	if engine == sched.EngineLockFree {
-		name = "optimized"
-	}
 	tasks := p.Tasks()
 	rows := make([]ObsRow, len(obsModes))
 	for m, mode := range obsModes {
 		wall := minOf(walls[m])
 		rows[m] = ObsRow{
-			Engine:      name,
 			Mode:        mode.name,
 			WallSeconds: wall,
 			NsPerTask:   wall * 1e9 / float64(tasks),
@@ -294,37 +283,19 @@ func checkMetricsEndpoint() (bool, error) {
 	return true, nil
 }
 
-// RunObs measures both engines under all three modes and the disabled
+// RunObs measures the drain under all three modes and the disabled
 // hook microbench.
 func RunObs(p ObsParams) (ObsResult, error) {
 	res := ObsResult{Schema: ObsSchemaVersion, Params: p}
-	offNs := map[string]float64{}
-	for _, eng := range []sched.Engine{sched.EngineMutex, sched.EngineLockFree} {
-		rows, spans := runObsEngine(p, eng)
-		for _, row := range rows {
-			res.Rows = append(res.Rows, row)
-			if row.Mode == "off" {
-				offNs[row.Engine] = row.NsPerTask
-			}
+	res.Rows, res.SpanEvents = runObsModes(p)
+	if off := res.Rows[0].NsPerTask; off > 0 { // obsModes starts with "off"
+		for _, row := range res.Rows[1:] {
+			res.Overheads = append(res.Overheads, ObsOverhead{
+				Mode:  row.Mode,
+				Pct:   (row.NsPerTask - off) / off * 100,
+				AddNs: row.NsPerTask - off,
+			})
 		}
-		if eng == sched.EngineLockFree {
-			res.SpanEvents = spans
-		}
-	}
-	for _, row := range res.Rows {
-		if row.Mode == "off" {
-			continue
-		}
-		off := offNs[row.Engine]
-		if off <= 0 {
-			continue
-		}
-		res.Overheads = append(res.Overheads, ObsOverhead{
-			Engine: row.Engine,
-			Mode:   row.Mode,
-			Pct:    (row.NsPerTask - off) / off * 100,
-			AddNs:  row.NsPerTask - off,
-		})
 	}
 	res.DisabledHookNs = measureDisabledHookNs()
 	ok, err := checkMetricsEndpoint()
@@ -340,15 +311,12 @@ func (r *ObsResult) Validate() error {
 	if r.Schema != ObsSchemaVersion {
 		return fmt.Errorf("schema %d, tool expects %d", r.Schema, ObsSchemaVersion)
 	}
-	if len(r.Rows) != 6 {
-		return fmt.Errorf("%d rows, want 6 (2 engines x 3 modes)", len(r.Rows))
+	if len(r.Rows) != len(obsModes) {
+		return fmt.Errorf("%d rows, want %d (one per mode)", len(r.Rows), len(obsModes))
 	}
 	want := int64(r.Params.Tasks())
 	seen := map[string]bool{}
 	for i, row := range r.Rows {
-		if row.Engine != "baseline" && row.Engine != "optimized" {
-			return fmt.Errorf("row %d: unknown engine %q", i, row.Engine)
-		}
 		if row.Mode != "off" && row.Mode != "metrics" && row.Mode != "spans" {
 			return fmt.Errorf("row %d: unknown mode %q", i, row.Mode)
 		}
@@ -358,13 +326,13 @@ func (r *ObsResult) Validate() error {
 		if row.Tasks != want {
 			return fmt.Errorf("row %d: executed %d tasks, params imply %d", i, row.Tasks, want)
 		}
-		seen[row.Engine+"/"+row.Mode] = true
+		seen[row.Mode] = true
 	}
-	if len(seen) != 6 {
-		return fmt.Errorf("duplicate engine/mode rows: %v", seen)
+	if len(seen) != len(obsModes) {
+		return fmt.Errorf("duplicate mode rows: %v", seen)
 	}
-	if len(r.Overheads) != 4 {
-		return fmt.Errorf("%d overhead entries, want 4", len(r.Overheads))
+	if len(r.Overheads) != len(obsModes)-1 {
+		return fmt.Errorf("%d overhead entries, want %d", len(r.Overheads), len(obsModes)-1)
 	}
 	if !r.MetricsComplete {
 		return fmt.Errorf("/metrics scrape was missing pre-registered series")
@@ -380,8 +348,8 @@ func (r *ObsResult) Validate() error {
 
 // CheckObs gates a fresh run against the committed baseline: both must
 // validate, the fresh disabled hook must stay under maxDisabledNs (the
-// always-on budget), and the committed enabled overheads on the
-// optimized engine must be under maxOverheadPct. Fresh overhead
+// always-on budget), and the committed enabled overheads must be under
+// maxOverheadPct. Fresh overhead
 // percentages are reported but not gated — CI machines are too noisy
 // for a relative wall-clock gate on a sub-millisecond drain.
 func CheckObs(fresh, committed *ObsResult, maxDisabledNs, maxOverheadPct float64) error {
@@ -395,31 +363,17 @@ func CheckObs(fresh, committed *ObsResult, maxDisabledNs, maxOverheadPct float64
 		return fmt.Errorf("disabled hook costs %.2f ns/task, budget is %.1f", fresh.DisabledHookNs, maxDisabledNs)
 	}
 	for _, o := range committed.Overheads {
-		if o.Engine == "optimized" && o.Pct > maxOverheadPct {
-			return fmt.Errorf("committed %s overhead on optimized engine is %.1f%%, budget is %.0f%%",
+		if o.Pct > maxOverheadPct {
+			return fmt.Errorf("committed %s overhead is %.1f%%, budget is %.0f%%",
 				o.Mode, o.Pct, maxOverheadPct)
 		}
 	}
 	return nil
 }
 
-// WriteJSON serializes the result (stable row order).
+// WriteJSON serializes the result; rows and overheads are in obsModes
+// order, as RunObs built them.
 func (r *ObsResult) WriteJSON(w io.Writer) error {
-	order := map[string]int{"off": 0, "metrics": 1, "spans": 2}
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		a, b := r.Rows[i], r.Rows[j]
-		if a.Engine != b.Engine {
-			return a.Engine < b.Engine
-		}
-		return order[a.Mode] < order[b.Mode]
-	})
-	sort.SliceStable(r.Overheads, func(i, j int) bool {
-		a, b := r.Overheads[i], r.Overheads[j]
-		if a.Engine != b.Engine {
-			return a.Engine < b.Engine
-		}
-		return order[a.Mode] < order[b.Mode]
-	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
@@ -438,13 +392,12 @@ func ReadObsJSON(data []byte) (*ObsResult, error) {
 func PrintObs(w io.Writer, r *ObsResult) {
 	fmt.Fprintf(w, "== observability overhead (grain-0 drain, 1 worker, %d tasks, span sample 1/%d) ==\n",
 		r.Params.Tasks(), r.Params.SpanSample)
-	fmt.Fprintf(w, "%-10s %-8s %12s %9s\n", "engine", "mode", "wall-ms", "ns/task")
+	fmt.Fprintf(w, "%-8s %12s %9s\n", "mode", "wall-ms", "ns/task")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %-8s %12.3f %9.1f\n",
-			row.Engine, row.Mode, row.WallSeconds*1e3, row.NsPerTask)
+		fmt.Fprintf(w, "%-8s %12.3f %9.1f\n", row.Mode, row.WallSeconds*1e3, row.NsPerTask)
 	}
 	for _, o := range r.Overheads {
-		fmt.Fprintf(w, "overhead %s/%s: %+.1f%% (%+.1f ns/task)\n", o.Engine, o.Mode, o.Pct, o.AddNs)
+		fmt.Fprintf(w, "overhead %s: %+.1f%% (%+.1f ns/task)\n", o.Mode, o.Pct, o.AddNs)
 	}
 	fmt.Fprintf(w, "disabled hook: %.2f ns/task (budget 2.0)\n", r.DisabledHookNs)
 	fmt.Fprintf(w, "metrics endpoint complete: %v, span events: %d\n", r.MetricsComplete, r.SpanEvents)

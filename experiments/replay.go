@@ -17,14 +17,12 @@ import (
 // paper's optimization (p) targets — a tiled Cholesky factorization sweep
 // and a LULESH-like staged stencil with an inoutset timestep reduction —
 // with empty task bodies, so the measured time is pure runtime machinery,
-// and compares three replay strategies:
+// and compares two replay strategies, both on the compiled schedule:
 //
 //	adaptive        — Adaptive(never-changed): the body re-runs every
 //	                  iteration and each Submit degenerates to the
 //	                  recorded task's firstprivate update and the drop
 //	                  of the producer's hold on the compiled schedule
-//	frozen-generic  — Frozen() with NoCompiledReplay: captured-closure
-//	                  replay through per-task sentinel releases
 //	frozen-compiled — Frozen(): the compiled flat schedule (CSR
 //	                  successors, one-copy predecessor reset), roots
 //	                  seeded, no body
@@ -33,7 +31,7 @@ import (
 // (a Spec's key slices escape through Submit, so a body that builds them
 // per call allocates them per call — the body's cost, not the runtime's):
 // what a steady-state iteration allocates is then the runtime's alone,
-// and zero on both compiled rows.
+// and zero on both rows.
 //
 // Replay cost is isolated by differencing two region lengths: the wall
 // time of Persistent(WarmIters) — which contains the recording and the
@@ -44,7 +42,7 @@ import (
 
 // ReplaySchemaVersion identifies the BENCH_replay.json layout; bump on
 // incompatible changes so stale baselines fail loudly.
-const ReplaySchemaVersion = 1
+const ReplaySchemaVersion = 2
 
 // ReplayParams sizes the two workloads and the measurement.
 type ReplayParams struct {
@@ -204,23 +202,20 @@ func luleshReplayBody(r *rt.Runtime, chunks, stages int) func(int) {
 
 // replayModes enumerates the swept strategies.
 var replayModes = []struct {
-	name      string
-	frozen    bool
-	noCompile bool
+	name   string
+	frozen bool
 }{
-	{"adaptive", false, false},
-	{"frozen-generic", true, true},
-	{"frozen-compiled", true, false},
+	{"adaptive", false},
+	{"frozen-compiled", true},
 }
 
 // runReplayOnce runs one Persistent region of the given length and
 // returns its wall time and heap allocation count.
-func runReplayOnce(p ReplayParams, workload, mode string, noCompile, frozen bool, iters int) (wall float64, mallocs uint64, err error) {
+func runReplayOnce(p ReplayParams, workload, mode string, frozen bool, iters int) (wall float64, mallocs uint64, err error) {
 	r, err := rt.NewRuntime(rt.Config{
-		Workers:          p.Workers,
-		Opts:             graph.OptAll,
-		Obs:              obs.Options{Disable: true},
-		NoCompiledReplay: noCompile,
+		Workers: p.Workers,
+		Opts:    graph.OptAll,
+		Obs:     obs.Options{Disable: true},
 	})
 	if err != nil {
 		return 0, 0, err
@@ -266,11 +261,11 @@ type ReplayRow struct {
 	AllocsPerTask   float64 `json:"allocs_per_task"`
 }
 
-// ReplaySpeedup is the compiled path's throughput ratio per workload.
+// ReplaySpeedup is the frozen iteration's throughput ratio to the gated
+// (body re-run) one, per workload.
 type ReplaySpeedup struct {
 	Workload           string  `json:"workload"`
 	CompiledVsAdaptive float64 `json:"compiled_vs_adaptive"`
-	CompiledVsGeneric  float64 `json:"compiled_vs_generic"`
 }
 
 // ReplayResult is the benchmark output committed as BENCH_replay.json.
@@ -311,11 +306,11 @@ func RunReplay(p ReplayParams) (ReplayResult, error) {
 		for _, w := range replayWorkloads {
 			for _, m := range replayModes {
 				c := cells[w+"/"+m.name]
-				wallW, alW, err := runReplayOnce(p, w, m.name, m.noCompile, m.frozen, p.WarmIters)
+				wallW, alW, err := runReplayOnce(p, w, m.name, m.frozen, p.WarmIters)
 				if err != nil {
 					return res, err
 				}
-				wallF, alF, err := runReplayOnce(p, w, m.name, m.noCompile, m.frozen, p.Iters)
+				wallF, alF, err := runReplayOnce(p, w, m.name, m.frozen, p.Iters)
 				if err != nil {
 					return res, err
 				}
@@ -357,7 +352,6 @@ func RunReplay(p ReplayParams) (ReplayResult, error) {
 		sp := ReplaySpeedup{Workload: w}
 		if compiled > 0 {
 			sp.CompiledVsAdaptive = nsPerTask[w+"/adaptive"] / compiled
-			sp.CompiledVsGeneric = nsPerTask[w+"/frozen-generic"] / compiled
 		}
 		res.Speedups = append(res.Speedups, sp)
 	}
@@ -380,7 +374,7 @@ func (r *ReplayResult) Validate() error {
 		return fmt.Errorf("schema %d, tool expects %d", r.Schema, ReplaySchemaVersion)
 	}
 	if len(r.Rows) != len(replayWorkloads)*len(replayModes) {
-		return fmt.Errorf("%d rows, want %d (2 workloads x 3 modes)", len(r.Rows), len(replayWorkloads)*len(replayModes))
+		return fmt.Errorf("%d rows, want %d (workloads x modes)", len(r.Rows), len(replayWorkloads)*len(replayModes))
 	}
 	seen := map[string]bool{}
 	for i, row := range r.Rows {
@@ -412,20 +406,17 @@ func (r *ReplayResult) Validate() error {
 		return fmt.Errorf("%d speedup entries, want %d", len(r.Speedups), len(replayWorkloads))
 	}
 	for _, sp := range r.Speedups {
-		if sp.CompiledVsAdaptive <= 0 || sp.CompiledVsGeneric <= 0 {
+		if sp.CompiledVsAdaptive <= 0 {
 			return fmt.Errorf("workload %s: non-positive speedup", sp.Workload)
 		}
 	}
 	return nil
 }
 
-// compiledModes are the rows that run off a compiled schedule.
-var compiledModes = map[string]bool{"adaptive": true, "frozen-compiled": true}
-
 // CheckReplay gates a fresh run against the committed baseline: both
-// must validate, and in both the rows that run off a compiled schedule —
-// the gated adaptive replay and the frozen one — must stay
-// allocation-free in steady state (<= maxAllocsPerTask). Allocation
+// must validate, and in both every row — the gated adaptive replay and
+// the frozen one — must stay allocation-free in steady state
+// (<= maxAllocsPerTask). Allocation
 // counts are deterministic enough to gate on a noisy CI machine; the
 // speedups, ratios of sub-millisecond wall-clock deltas, are reported
 // and not gated.
@@ -438,7 +429,7 @@ func CheckReplay(fresh, committed *ReplayResult, maxAllocsPerTask float64) error
 	}
 	for _, res := range []*ReplayResult{fresh, committed} {
 		for _, row := range res.Rows {
-			if compiledModes[row.Mode] && row.AllocsPerTask > maxAllocsPerTask {
+			if row.AllocsPerTask > maxAllocsPerTask {
 				return fmt.Errorf("%s steady-state %s replay allocates %.4f/task (%.1f/iteration), gate is %.2f/task",
 					row.Workload, row.Mode, row.AllocsPerTask, row.AllocsPerIter, maxAllocsPerTask)
 			}
@@ -489,7 +480,6 @@ func PrintReplay(w io.Writer, r *ReplayResult) {
 			row.AllocsPerIter, row.AllocsPerTask)
 	}
 	for _, sp := range r.Speedups {
-		fmt.Fprintf(w, "speedup %s: compiled %.2fx vs adaptive, %.2fx vs frozen-generic\n",
-			sp.Workload, sp.CompiledVsAdaptive, sp.CompiledVsGeneric)
+		fmt.Fprintf(w, "speedup %s: frozen %.2fx vs adaptive\n", sp.Workload, sp.CompiledVsAdaptive)
 	}
 }

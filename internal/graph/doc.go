@@ -62,7 +62,7 @@
 // predecessor-count vector — whose iterations either re-release the
 // captured closures or let the producer resubmit, per-task cost a
 // firstprivate copy and one atomic decrement (compile.go): what the
-// runtime replays. The graph's own BeginReplay, Replay/ReplayAll and
+// runtime replays. The graph's own BeginReplay, Replay and
 // FinishReplay re-instantiate the recording through the tasks' own
 // counters instead, for the simulator and the benchmarks. Either way a
 // replay reuses the recorded Task objects, so an iteration performs no

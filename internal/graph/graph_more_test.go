@@ -123,53 +123,6 @@ func TestSequentialRecordingsIndependent(t *testing.T) {
 	}
 }
 
-func TestReplayAllKeepsRecordedState(t *testing.T) {
-	g, c := newTestGraph(OptAll)
-	g.BeginRecording()
-	var seen []int
-	for i := 0; i < 4; i++ {
-		i := i
-		g.Submit("t", []Dep{{1, InOut}}, func(fp any) { seen = append(seen, fp.(int)) }, i)
-	}
-	g.Flush()
-	g.EndRecording()
-	// Execute with bodies (the collector's drain does not run bodies;
-	// run them explicitly like an executor would).
-	run := func() {
-		for {
-			tk := c.pop()
-			if tk == nil {
-				return
-			}
-			g.Start(tk)
-			if tk.Body != nil {
-				tk.Body(tk.FirstPrivate)
-			}
-			c.complete(g, tk)
-		}
-	}
-	run()
-	if err := g.BeginReplay(); err != nil {
-		t.Fatal(err)
-	}
-	g.ReplayAll()
-	if err := g.FinishReplay(); err != nil {
-		t.Fatal(err)
-	}
-	run()
-	// Frozen replay: firstprivate captured at record time, so the same
-	// 0..3 sequence repeats.
-	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
-	if len(seen) != len(want) {
-		t.Fatalf("seen = %v", seen)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("seen = %v", seen)
-		}
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	g, c := newTestGraph(OptAll)
 	g.BeginRecording()

@@ -14,20 +14,18 @@ import "fmt"
 //
 // Two replay grades share the recording. The generic grade in this
 // file re-releases each recorded task through the normal sentinel
-// machinery — BeginReplay resets per-task counters, then either the
-// producer resubmits and Replay maps each submission to its recorded
-// instance (firstprivate updatable per iteration), or ReplayAll
-// re-releases every captured closure in one sweep. The compiled grade
+// machinery — BeginReplay resets per-task counters, then the producer
+// resubmits and Replay maps each submission to its recorded instance
+// (firstprivate updatable per iteration). The compiled grade
 // (compile.go) lowers the recording into a flat CSR schedule whose only
-// per-iteration mutable state is one predecessor-count vector, and
-// offers the same two ways to run an iteration on it. rt replays every
-// persistent region on the compiled grade; the generic one remains as
-// what the discrete-event simulator (internal/sim), the paper-table
-// experiments and the benchmark's per-layer ledger drive, and as the
-// Frozen region's fallback when compilation is switched off. The
-// grades are behaviorally identical — same barrier, same failure/poison
-// semantics, same divergence detection — differing only in replay cost,
-// and in lifetime: the generic grade replays the graph's current
+// per-iteration mutable state is one predecessor-count vector, and runs
+// an iteration on it either that way or by re-releasing every captured
+// closure at once. rt replays every persistent region on the compiled
+// grade; the generic one is driven by the discrete-event simulator
+// (internal/sim), the paper-table experiments and the benchmark's
+// per-layer ledger only. The grades are behaviorally identical — same
+// barrier, same failure/poison semantics, same divergence detection —
+// differing only in replay cost, and in lifetime: the generic grade replays the graph's current
 // recording (g.recorded, reused by the next BeginRecording) inside its
 // region, while a compiled schedule is a value of its own that stays
 // replayable after the region has closed and after later recordings
@@ -140,21 +138,6 @@ func (g *Graph) FinishReplay() error {
 		return fmt.Errorf("graph: replay submitted %d of %d recorded tasks", g.replayIndex, len(g.recorded))
 	}
 	return nil
-}
-
-// ReplayAll re-instantiates the entire recording without touching any
-// task's firstprivate or body — the captured-closure replay semantics of
-// the OpenMP `taskgraph` proposal discussed in the paper's related work
-// ("all the closures are captured during first execution"). Even cheaper
-// than Replay, at the cost of forbidding per-iteration updates. Call
-// between BeginReplay and FinishReplay, instead of per-task Replay.
-func (g *Graph) ReplayAll() {
-	for g.replayIndex < len(g.recorded) {
-		t := g.recorded[g.replayIndex]
-		g.replayIndex++
-		g.replayed.Add(1)
-		g.releaseSentinel(t, nil)
-	}
 }
 
 // EndPersistent closes the persistent region. The recorded task sequence

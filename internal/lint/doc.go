@@ -19,8 +19,8 @@
 //	                  iteration reassigns after the Spec is built; a
 //	                  fused body may run inline before or after that
 //	                  write and observe either value.
-//	use-after-close   Submit/Taskwait/Persistent after Close on the same
-//	                  runtime variable in one function.
+//	use-after-close   Submit/Taskwait/Persistent/Record/Replay after Close
+//	                  on the same runtime variable in one function.
 //	fulfill-nil-event Fulfill on the Submit result of a non-Detached Spec
 //	                  (Submit returns a nil *Event for those).
 //	missing-out       body writes package-level state with no writer keys,

@@ -63,7 +63,7 @@ func Rules() []RuleInfo {
 	return []RuleInfo{
 		{RuleLoopCapture, "a Spec Body/DetachedBody closure captures a variable the enclosing loop mutates; the body runs concurrently with later iterations"},
 		{RuleFusedCapture, "a Spec body closure captures a loop-local variable the same iteration reassigns after the Spec is built; a fused body may run inline before or after that write and observe either value"},
-		{RuleUseAfterClose, "Submit/Taskwait/Persistent on a runtime after Close() in the same function"},
+		{RuleUseAfterClose, "Submit/Taskwait/Persistent/Record/Replay on a runtime after Close() in the same function"},
 		{RuleFulfillNil, "Fulfill on the result of a Submit whose Spec is not Detached (Submit returns nil)"},
 		{RuleMissingOut, "a Spec whose body writes package-level state but declares no Out/InOut/InOutSet keys, when type information is too incomplete for effect analysis"},
 		{RuleDroppedError, "a Spec Do closure that blank-discards a call result while every return is `return nil` — the task can never fail"},

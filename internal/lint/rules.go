@@ -489,7 +489,7 @@ func (l *pkgLint) seqLint(body *ast.BlockStmt, runtimes map[types.Object]bool) {
 					closed[obj] = s.Pos()
 				}
 			case "Submit", "SubmitBatch", "TaskLoop", "Taskwait", "Abort",
-				"Persistent", "PersistentFrozen", "PersistentAdaptive":
+				"Persistent", "Record", "Replay":
 				if pos, bad := closed[obj]; bad {
 					l.report(s.Pos(), RuleUseAfterClose,
 						"%s on %q after its Close at %s — the workers are gone; move the Close after the last use (or defer it)",

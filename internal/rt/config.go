@@ -4,44 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"taskdep/internal/graph"
 	"taskdep/internal/sched"
 	"taskdep/internal/verify"
 )
-
-// config.go holds the Config surface's grouped sub-structs and the
-// normalization/validation pass NewRuntime runs. The Config type
-// itself (rt.go) grew one field per PR — Opts, Engine, throttle
-// windows, Obs, Tune — and the grouped forms below organize that
-// surface without breaking a single existing caller: every legacy
-// top-level field keeps working, and setting both a legacy field and
-// its grouped twin to conflicting values is a validation error rather
-// than a silent precedence rule.
-
-// SchedOptions groups the executor-selection knobs: the scheduling
-// order and the engine implementation. Twin of the legacy top-level
-// Config.Policy / Config.Engine fields.
-type SchedOptions struct {
-	// Policy selects depth-first (default, MPC-OMP-like) or
-	// breadth-first scheduling.
-	Policy sched.Policy
-	// Engine selects EngineLockFree (default) or the EngineMutex
-	// baseline.
-	Engine sched.Engine
-}
-
-// ThrottleOptions groups the producer-throttle windows ("task
-// creation throttling", paper §2): the producer stops producing and
-// starts consuming when either window is exceeded. Twin of the legacy
-// top-level Config.ThrottleReady / Config.ThrottleTotal fields; the
-// live values are runtime-resizable via Runtime.SetThrottle.
-type ThrottleOptions struct {
-	// Ready bounds ready tasks (GCC/LLVM-style); 0 = unbounded.
-	Ready int64
-	// Total bounds live tasks, ready or not (MPC-OMP's extra threshold
-	// for dependent tasks); 0 = unbounded.
-	Total int64
-}
 
 // CPathOptions configures the online critical-path profiler
 // (internal/cpath): per-task phase attribution (discovery, ready-wait,
@@ -71,32 +36,8 @@ type CPathOptions struct {
 	PathMax int
 }
 
-// DiscoveryOptions groups the TDG-discovery knobs. Twin of the legacy
-// top-level Config.Opts field.
-type DiscoveryOptions struct {
-	// Opts enables discovery optimizations (b) and (c); see OptDedup,
-	// OptInOutSetNode, OptAll.
-	Opts graph.Opt
-}
-
-// mergeInt64 resolves one legacy/grouped field pair: zero means
-// unset, both set to different values is a conflict.
-func mergeInt64(what string, legacy, grouped int64) (int64, error) {
-	switch {
-	case grouped == 0:
-		return legacy, nil
-	case legacy == 0 || legacy == grouped:
-		return grouped, nil
-	default:
-		return 0, fmt.Errorf("rt: %s set to %d at the top level and %d in the grouped options; set one (or both to the same value)", what, legacy, grouped)
-	}
-}
-
-// normalize resolves the legacy top-level fields against their
-// grouped twins (writing the merged value back into both forms, so
-// internal readers and introspection agree), applies defaults, and
-// validates the result. Returned by value: the caller's Config is
-// never mutated.
+// normalize applies defaults and validates ranges and enum values.
+// Returned by value: the caller's Config is never mutated.
 func (cfg Config) normalize() (Config, error) {
 	if cfg.Workers < 0 {
 		return cfg, fmt.Errorf("rt: Workers is %d; want >= 0 (0 selects the default of 1)", cfg.Workers)
@@ -104,51 +45,12 @@ func (cfg Config) normalize() (Config, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
-
-	// Grouped/legacy merges. Enum zero values are the defaults, so
-	// "set" means nonzero and a conflict needs both nonzero and
-	// different.
-	p, err := mergeInt64("Policy", int64(cfg.Policy), int64(cfg.Sched.Policy))
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Policy = sched.Policy(p)
-	cfg.Sched.Policy = cfg.Policy
-	e, err := mergeInt64("Engine", int64(cfg.Engine), int64(cfg.Sched.Engine))
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Engine = sched.Engine(e)
-	cfg.Sched.Engine = cfg.Engine
-	o, err := mergeInt64("discovery Opts", int64(cfg.Opts), int64(cfg.Discovery.Opts))
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Opts = graph.Opt(o)
-	cfg.Discovery.Opts = cfg.Opts
 	if cfg.ThrottleReady < 0 {
 		return cfg, fmt.Errorf("rt: ThrottleReady is %d; want >= 0 (0 disables ready-task throttling)", cfg.ThrottleReady)
 	}
 	if cfg.ThrottleTotal < 0 {
 		return cfg, fmt.Errorf("rt: ThrottleTotal is %d; want >= 0 (0 disables total-task throttling)", cfg.ThrottleTotal)
 	}
-	if cfg.Throttle.Ready < 0 || cfg.Throttle.Total < 0 {
-		return cfg, fmt.Errorf("rt: Throttle windows are (%d, %d); want >= 0 (0 disables that window)", cfg.Throttle.Ready, cfg.Throttle.Total)
-	}
-	r, err := mergeInt64("ThrottleReady", cfg.ThrottleReady, cfg.Throttle.Ready)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.ThrottleReady = r
-	cfg.Throttle.Ready = r
-	t, err := mergeInt64("ThrottleTotal", cfg.ThrottleTotal, cfg.Throttle.Total)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.ThrottleTotal = t
-	cfg.Throttle.Total = t
-
-	// Range/enum validation on the merged result.
 	if cfg.Profile != nil && cfg.Profile.NumWorkers() < cfg.Workers+1 {
 		return cfg, fmt.Errorf("rt: profile has %d slots, need Workers+1 = %d (slot %d is the producer)",
 			cfg.Profile.NumWorkers(), cfg.Workers+1, cfg.Workers)
@@ -157,11 +59,6 @@ func (cfg Config) normalize() (Config, error) {
 	case sched.DepthFirst, sched.BreadthFirst:
 	default:
 		return cfg, fmt.Errorf("rt: unknown Policy %d; want DepthFirst or BreadthFirst", cfg.Policy)
-	}
-	switch cfg.Engine {
-	case sched.EngineLockFree, sched.EngineMutex:
-	default:
-		return cfg, fmt.Errorf("rt: unknown Engine %d; want EngineLockFree or EngineMutex", cfg.Engine)
 	}
 	switch cfg.Verify {
 	case verify.Off, verify.Observe, verify.Full:

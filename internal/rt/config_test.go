@@ -1,106 +1,19 @@
 package rt
 
 import (
-	"strings"
 	"testing"
 
-	"taskdep/internal/graph"
 	"taskdep/internal/sched"
 )
 
-func TestNormalizeGroupedOnly(t *testing.T) {
-	cfg, err := Config{
-		Workers:   2,
-		Sched:     SchedOptions{Policy: sched.BreadthFirst, Engine: sched.EngineMutex},
-		Discovery: DiscoveryOptions{Opts: graph.OptAll},
-		Throttle:  ThrottleOptions{Ready: 10, Total: 20},
-	}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Policy != sched.BreadthFirst || cfg.Engine != sched.EngineMutex {
-		t.Fatalf("legacy twins not populated: %+v", cfg.Sched)
-	}
-	if cfg.Opts != graph.OptAll {
-		t.Fatalf("Opts = %v", cfg.Opts)
-	}
-	if cfg.ThrottleReady != 10 || cfg.ThrottleTotal != 20 {
-		t.Fatalf("throttle twins = %d, %d", cfg.ThrottleReady, cfg.ThrottleTotal)
-	}
-}
-
-func TestNormalizeLegacyOnly(t *testing.T) {
-	cfg, err := Config{
-		Workers:       2,
-		Policy:        sched.BreadthFirst,
-		Opts:          graph.OptDedup,
-		ThrottleReady: 5,
-	}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Sched.Policy != sched.BreadthFirst {
-		t.Fatalf("grouped twin not populated: %+v", cfg.Sched)
-	}
-	if cfg.Discovery.Opts != graph.OptDedup || cfg.Throttle.Ready != 5 {
-		t.Fatalf("grouped twins = %+v, %+v", cfg.Discovery, cfg.Throttle)
-	}
-}
-
-func TestNormalizeAgreementOK(t *testing.T) {
-	_, err := Config{
-		ThrottleReady: 8,
-		Throttle:      ThrottleOptions{Ready: 8},
-	}.normalize()
-	if err != nil {
-		t.Fatalf("agreeing twins rejected: %v", err)
-	}
-}
-
-func TestNormalizeConflicts(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		want string
-	}{
-		{"policy", Config{Policy: sched.BreadthFirst, Sched: SchedOptions{Policy: sched.DepthFirst}}, ""},
-		{"throttle-ready", Config{ThrottleReady: 4, Throttle: ThrottleOptions{Ready: 8}}, "ThrottleReady"},
-		{"throttle-total", Config{ThrottleTotal: 4, Throttle: ThrottleOptions{Total: 8}}, "ThrottleTotal"},
-		{"engine", Config{Engine: sched.EngineMutex, Sched: SchedOptions{Engine: sched.Engine(99)}}, "Engine"},
-		{"opts", Config{Opts: graph.OptDedup, Discovery: DiscoveryOptions{Opts: graph.OptAll}}, "Opts"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := c.cfg.normalize()
-			if c.want == "" {
-				// DepthFirst is the zero value, so a grouped DepthFirst
-				// against a legacy BreadthFirst is "unset vs set", not a
-				// conflict.
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("err = %v; want mention of %s", err, c.want)
-			}
-		})
-	}
-}
-
-func TestNormalizeRejectsNegativeGroupedThrottle(t *testing.T) {
-	if _, err := (Config{Throttle: ThrottleOptions{Ready: -1}}).normalize(); err == nil {
-		t.Fatal("negative grouped throttle accepted")
-	}
-}
-
-// The grouped form must drive the real runtime: windows seeded from
-// Throttle, engine/policy from Sched.
-func TestGroupedConfigDrivesRuntime(t *testing.T) {
+// The Config fields must drive the real runtime: the live windows are
+// seeded from ThrottleReady/ThrottleTotal, the scheduler from Policy.
+func TestConfigDrivesRuntime(t *testing.T) {
 	r, err := NewRuntime(Config{
-		Workers:  1,
-		Sched:    SchedOptions{Policy: sched.BreadthFirst},
-		Throttle: ThrottleOptions{Ready: 3, Total: 7},
+		Workers:       1,
+		Policy:        sched.BreadthFirst,
+		ThrottleReady: 3,
+		ThrottleTotal: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +23,8 @@ func TestGroupedConfigDrivesRuntime(t *testing.T) {
 	if ready != 3 || total != 7 {
 		t.Fatalf("live windows = %d, %d; want 3, 7", ready, total)
 	}
-	if r.cfg.Policy != sched.BreadthFirst {
-		t.Fatalf("policy = %v", r.cfg.Policy)
+	if got := r.Scheduler().Policy(); got != sched.BreadthFirst {
+		t.Fatalf("policy = %v", got)
 	}
 	n := 0
 	r.Submit(Spec{Label: "t", Do: func(any) error { n++; return nil }})

@@ -50,10 +50,6 @@
 // a timer remains, and it is a parked wait, not a sleep loop — wakes
 // still arrive immediately.
 //
-// Config.Engine selects between the lock-free scheduler and the
-// pre-rebuild mutex/broadcast baseline (sched.EngineMutex), which
-// tdgbench -exp executor compares head to head.
-//
 // # Hot-path layering
 //
 // Submit/SubmitBatch -> graph discovery (sharded key table) -> ready

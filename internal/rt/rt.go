@@ -19,46 +19,28 @@ import (
 	"taskdep/internal/verify"
 )
 
-// Config parametrizes a Runtime. The surface is organized into
-// grouped sub-structs — Sched (executor), Discovery (TDG discovery),
-// Throttle (producer windows), Obs (observability), Tune
-// (self-tuning) — with the historical top-level fields (Policy,
-// Engine, Opts, ThrottleReady, ThrottleTotal) kept as working twins
-// for backward compatibility. Either form may be used; setting a
-// legacy field and its grouped twin to conflicting values is a
-// NewRuntime validation error, never a silent precedence rule, and
-// after construction both forms carry the merged value.
+// Config parametrizes a Runtime. Every knob has one form: a top-level
+// field, or a field of CPath (critical-path profiler), Obs
+// (observability) or Tune (self-tuning). NewRuntime validates ranges and
+// enum values and applies defaults.
 type Config struct {
 	// Workers is the number of worker goroutines ("cores"). The producer
 	// is an additional goroutine (the caller of Submit), matching the
 	// paper's single-producer model. Default 1.
 	Workers int
 
-	// Sched groups the executor knobs: scheduling order and engine
-	// implementation.
-	Sched SchedOptions
-	// Discovery groups the TDG-discovery knobs.
-	Discovery DiscoveryOptions
-	// Throttle groups the producer-throttle windows.
-	Throttle ThrottleOptions
-
 	// Policy selects depth-first (default, MPC-OMP-like) or
-	// breadth-first scheduling. Legacy twin of Sched.Policy.
+	// breadth-first scheduling.
 	Policy sched.Policy
-	// Engine selects the scheduler implementation: EngineLockFree
-	// (default — Chase–Lev deques, wake-one parking) or EngineMutex
-	// (the pre-rebuild mutex/broadcast baseline, kept for comparison
-	// runs; see tdgbench -exp executor). Legacy twin of Sched.Engine.
-	Engine sched.Engine
-	// Opts enables TDG discovery optimizations (b) and (c). Legacy
-	// twin of Discovery.Opts.
+	// Opts enables TDG discovery optimizations (b) and (c).
 	Opts graph.Opt
 	// ThrottleReady bounds ready tasks (GCC/LLVM-style); 0 = unbounded.
-	// Legacy twin of Throttle.Ready.
+	// The producer stops producing and starts consuming when either
+	// window is exceeded ("task creation throttling", paper §2); the live
+	// values are resizable via Runtime.SetThrottle.
 	ThrottleReady int64
 	// ThrottleTotal bounds live tasks, ready or not (MPC-OMP's extra
-	// threshold for dependent tasks); 0 = unbounded. Legacy twin of
-	// Throttle.Total.
+	// threshold for dependent tasks); 0 = unbounded.
 	//
 	// Both windows bound discovery — descriptors allocated, edges held —
 	// and so apply to the submissions that discover: plain windows and a
@@ -78,8 +60,8 @@ type Config struct {
 	// Verify enables the TDG verifier (internal/verify). Off: zero
 	// overhead. Observe: dependence declarations are recorded at
 	// submission, persistent replays are checked for structural
-	// divergence (a lying PersistentAdaptive `changed` callback makes
-	// Persistent* return ErrReplayDivergence), and Runtime.Verify runs
+	// divergence (a lying Adaptive `changed` callback makes Persistent
+	// return ErrReplayDivergence), and Runtime.Verify runs
 	// the full audit on demand. Full: additionally audits at every
 	// Taskwait (see Runtime.LastVerifyReport). Verify mode materializes
 	// normally-pruned edges (graph.OptKeepPrunedEdges) and retains all
@@ -108,13 +90,6 @@ type Config struct {
 	// the scheduler's wake policy against detrimental task patterns.
 	// Zero value: off. See docs/architecture.md, "Self-tuning".
 	Tune tune.Options
-	// NoCompiledReplay makes Frozen persistent regions replay through
-	// the generic recorded-sequence machinery (per-task sentinel
-	// releases) instead of a compiled flat schedule. Benchmark baseline
-	// knob (tdgbench -exp replay compares the two); leave false in
-	// production. Plain and Adaptive regions always replay the compiled
-	// schedule.
-	NoCompiledReplay bool
 }
 
 // Runtime executes dependent tasks discovered by a single producer.
@@ -255,14 +230,13 @@ type Runtime struct {
 
 	// recSig is the verifier's signature of the graph's latest recording
 	// (Config.Verify), taken by recordIteration: what a Recording made
-	// from it keeps as its own, and what the Frozen region's generic
-	// fallback checks its replays against. Producer-only.
+	// from it keeps as its own. Producer-only.
 	recSig uint64
 }
 
 // producerID is the scheduler slot the producer consumes under
-// (taskwait, throttle): its own deque in the lock-free engine, so
-// producer-executed chains keep depth-first locality.
+// (taskwait, throttle): its own deque, so producer-executed chains keep
+// depth-first locality.
 func (rt *Runtime) producerID() int { return rt.cfg.Workers }
 
 // New creates and starts a runtime, panicking on invalid configuration.
@@ -294,7 +268,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		cfg:        cfg,
-		s:          sched.NewEngine(cfg.Policy, cfg.Workers, cfg.Engine),
+		s:          sched.New(cfg.Policy, cfg.Workers),
 		start:      time.Now(),
 		detachLive: make(map[*graph.Task]*Event),
 	}
@@ -411,7 +385,6 @@ func (rt *Runtime) ObsAddr() string { return rt.obsSrv.Addr() }
 // tasks run, exact at quiescent points.
 type Snapshot struct {
 	Workers         int         `json:"workers"`
-	Engine          string      `json:"engine"`
 	Policy          string      `json:"policy"`
 	Live            int64       `json:"live"`
 	Ready           int64       `json:"ready"`
@@ -456,7 +429,6 @@ func (rt *Runtime) Introspect() Snapshot {
 	return Snapshot{
 		Replay:          replay,
 		Workers:         rt.cfg.Workers,
-		Engine:          rt.cfg.Engine.String(),
 		Policy:          rt.cfg.Policy.String(),
 		Live:            rt.g.Live(),
 		Ready:           rt.g.ReadyCount(),
@@ -1193,16 +1165,14 @@ func (rt *Runtime) LastVerifyReport() *verify.Report { return rt.lastAudit.Load(
 // never run their body: they are terminally Skipped, still releasing
 // their successors so the graph drains.
 func (rt *Runtime) execute(w int, t *graph.Task) {
-	// Compiled replay fast path: recorded tasks of a compiled iteration
-	// run through a stripped executor — no Running store, no profiler
-	// state transitions, no span sampling — unless the heavier
-	// instrumentation is actually on. A detached task takes the body
-	// below for its event claim and arming; its terminal transition is
-	// the compiled one all the same (finish routes it).
-	if cs := rt.compiled.Load(); cs != nil && t.Persistent && !t.Detached &&
-		rt.cfg.Profile == nil && !rt.obs.TimingOn() {
-		rt.executeCompiled(w, t, cs)
-		return
+	// cs is the schedule t retires through when it is a recorded task of
+	// the compiled iteration in flight, nil otherwise. Loaded once: it
+	// picks the start stamp below and rides to the finisher. Instrumented
+	// and bare runs share this path, so Config.Profile, span timing and
+	// the critical-path profiler observe what production executes.
+	var cs *graph.Compiled
+	if t.Persistent {
+		cs = rt.compiled.Load()
 	}
 	if t.Poisoned() || rt.aborted.Load() {
 		rt.skip(w, t)
@@ -1238,15 +1208,13 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	if !t.Redirect && rt.obs.Sampled(slot) {
 		sp = rt.obs.BeginSpan(slot, obs.SpanTaskBody, t.ID, depHash(t), int(rt.iter.Load()))
 	}
-	// Compiled replay leaves states terminal between transitions (see
-	// graph.Compiled.FinishIntoDeferred): nothing reads Running there,
-	// and skipping the store keeps an atomic full barrier off the
-	// steady-state path.
-	if rt.compiled.Load() == nil || !t.Persistent {
+	if cs == nil {
 		rt.g.Start(t) // stamps the body-start clock when CPath is on
 	} else {
-		// Compiled replay through the instrumented executor: no Running
-		// store, but the phase clock still needs the start stamp.
+		// Compiled replay leaves states terminal between transitions (see
+		// graph.Compiled.FinishIntoDeferred): nothing reads Running there,
+		// and skipping the store keeps an atomic full barrier off the
+		// steady-state path. The phase clock still gets its start stamp.
 		rt.g.StampStart(t)
 	}
 	err := rt.runBody(t)
@@ -1271,27 +1239,11 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 		rt.armDetached(ev)
 		return
 	}
+	if cs != nil {
+		rt.finishCompiled(w, t, cs, graph.Completed)
+		return
+	}
 	rt.complete(w, t)
-}
-
-// executeCompiled is execute for recorded tasks on the compiled replay
-// path with profiling and span timing off: poison/abort skips, panic
-// recovery and fault injection behave exactly as in execute, but the
-// Running store, profiler transitions and sampling checks — all
-// invisible with that instrumentation disabled — are gone, and the
-// schedule handle rides along instead of being re-loaded at finish.
-// Detached tasks do not come here (see execute).
-func (rt *Runtime) executeCompiled(w int, t *graph.Task, cs *graph.Compiled) {
-	if t.Poisoned() || rt.aborted.Load() {
-		rt.finishCompiled(w, t, cs, graph.Skipped)
-		return
-	}
-	rt.g.StampStart(t) // no Running store on this path; stamp directly
-	if err := rt.runBody(t); err != nil {
-		rt.fail(w, t, nil, err)
-		return
-	}
-	rt.finishCompiled(w, t, cs, graph.Completed)
 }
 
 // runBody executes t's closure under panic recovery, applying the
@@ -1378,10 +1330,11 @@ func (rt *Runtime) complete(w int, t *graph.Task) {
 // operation; other contexts (detach events, abort cancellation, which
 // may run concurrently) allocate per call.
 func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
-	// Compiled frozen replay: recorded tasks retire through the flat
-	// schedule — no task mutex, no key table, no global counters. The
-	// branch sits here (not in execute) so skip/fail funnel through it
-	// too: poison cones and aborts drain on the compiled path with the
+	// Compiled replay: recorded tasks retire through the flat schedule —
+	// no task mutex, no key table, no global counters. execute hands a
+	// completed task over directly; the branch here is for everything
+	// else — skip, fail, a detached task's Fulfill, abort cancellation —
+	// so poison cones and aborts drain on the compiled path with the
 	// exact generic semantics.
 	if cs := rt.compiled.Load(); cs != nil && t.Persistent {
 		rt.finishCompiled(w, t, cs, final)
@@ -1644,8 +1597,8 @@ var ErrReplayShape = errors.New("rt: persistent body changed its task stream bet
 // caught a persistent replay submitting a task stream whose labels or
 // dependence declarations differ from the recording — the replay
 // executed the recorded ordering, not the declared one. Typical cause:
-// a PersistentAdaptive `changed` callback that lied, or a Persistent
-// body with hidden iteration dependence.
+// an Adaptive `changed` callback that lied, or a Persistent body with
+// hidden iteration dependence.
 var ErrReplayDivergence = errors.New("rt: persistent replay diverged from the recorded task structure")
 
 // checkReplayDivergence closes the verifier's replay iteration over
@@ -1695,13 +1648,11 @@ type PersistentOption func(*persistentOpts)
 // caller that wants the same graph again later calls the two halves
 // itself and keeps the Recording. Recordings with detached tasks
 // cannot be frozen (their captured completion events cannot re-fire)
-// and are rejected with graph.ErrCompileDetached; Config.NoCompiledReplay
-// falls back to the generic sentinel-release frozen replay for
-// comparison. Task bodies
-// still run under the full failure domain: panics, Abort and poison
-// cones behave exactly as on the generic path, and structural
-// divergence is still surfaced as ErrReplayDivergence when
-// Config.Verify is on.
+// and are rejected with ErrNotCompiled wrapping
+// graph.ErrCompileDetached. Task bodies still run under the full
+// failure domain: panics, Abort and poison cones behave exactly as in a
+// plain window, and structural divergence is still surfaced as
+// ErrReplayDivergence when Config.Verify is on.
 func Frozen() PersistentOption {
 	return func(o *persistentOpts) { o.frozen = true }
 }
@@ -1751,7 +1702,13 @@ func (rt *Runtime) Persistent(iters int, body func(iter int), opts ...Persistent
 	defer func() { rt.inPersistent = false }()
 	defer rt.g.EndPersistent()
 	if o.frozen {
-		return rt.persistentFrozen(iters, body)
+		// Record followed by Replay of the other iterations.
+		rec, err := rt.record(0, body, false)
+		if err != nil {
+			return err
+		}
+		_, err = rt.replayCompiled(rec, 1, iters, nil, nil)
+		return err
 	}
 	// Record, then replay the compiled recording with the body re-run
 	// against it, to the end of the region or until changed reports a new
@@ -1767,22 +1724,6 @@ func (rt *Runtime) Persistent(iters int, body func(iter int), opts ...Persistent
 		rt.g.EndPersistent()
 	}
 	return nil
-}
-
-// PersistentFrozen runs body once to record the task graph, then replays
-// it iters-1 more times without re-running the body.
-//
-// Deprecated: use Persistent(iters, func(int) { ... }, Frozen()).
-func (rt *Runtime) PersistentFrozen(iters int, body func()) error {
-	return rt.Persistent(iters, func(int) { body() }, Frozen())
-}
-
-// PersistentAdaptive runs body under the persistent extension,
-// re-recording whenever changed reports a shape change.
-//
-// Deprecated: use Persistent(iters, body, Adaptive(changed)).
-func (rt *Runtime) PersistentAdaptive(iters int, body func(iter int), changed func(iter int) bool) error {
-	return rt.Persistent(iters, body, Adaptive(changed))
 }
 
 // recordIteration runs one recording iteration: body under BeginRecording,
@@ -1838,12 +1779,10 @@ type Recording struct {
 // ErrNotCompiled reports a recording whose iteration ran to its barrier
 // without a failure but that has no compiled schedule: detached tasks in
 // a recording made for frozen replay (the error also wraps
-// graph.ErrCompileDetached), Config.NoCompiledReplay, or an internal
-// indegree mismatch. A Frozen region falls back to the generic replay,
-// except for detached tasks; a plain or Adaptive region, which can only
-// fail the indegree check, ends with the error; Record has nothing to
-// return, and its caller has a graph that has run once and can be run
-// again only by submitting it.
+// graph.ErrCompileDetached), or an internal indegree mismatch. The
+// region — or Record, which has nothing to return — ends with the error;
+// the graph has run once and can be run again only by submitting it, and
+// the runtime stays usable.
 var ErrNotCompiled = errors.New("rt: recording was not compiled")
 
 // record is the first half of every persistent region (or segment of an
@@ -1860,9 +1799,6 @@ func (rt *Runtime) record(it int, body func(iter int), gated bool) (*Recording, 
 	}
 	compile := rt.g.CompileGated
 	if !gated {
-		if rt.cfg.NoCompiledReplay {
-			return nil, ErrNotCompiled
-		}
 		compile = rt.g.Compile
 	}
 	cs, err := compile()
@@ -1912,47 +1848,6 @@ func (rt *Runtime) Replay(rec *Recording, first, n int) error {
 	defer func() { rt.inPersistent = false }()
 	_, err := rt.replayCompiled(rec, first, first+n, nil, nil)
 	return err
-}
-
-func (rt *Runtime) persistentFrozen(iters int, body func(iter int)) error {
-	rec, err := rt.record(0, body, false)
-	if err == nil {
-		_, err = rt.replayCompiled(rec, 1, iters, nil, nil)
-		return err
-	}
-	if !errors.Is(err, ErrNotCompiled) || errors.Is(err, graph.ErrCompileDetached) {
-		// A failed recording iteration; or detached tasks, which no
-		// frozen replay can run (see record).
-		return err
-	}
-	// Not compiled: the generic sentinel-release replay still works.
-	for it := 1; it < iters; it++ {
-		if err := rt.g.BeginReplay(); err != nil {
-			return err
-		}
-		if rt.ver != nil {
-			// Frozen replays re-release captured closures without
-			// resubmitting; only the structural signature is checked.
-			rt.ver.BeginReplay(it, false)
-		}
-		rt.iter.Store(int32(it))
-		rt.g.ReplayAll()
-		rt.obs.AddSlot(rt.producerID(), obs.CReplayHits, int64(rt.g.RecordedLen()))
-		if err := rt.g.FinishReplay(); err != nil {
-			return err
-		}
-		werr := rt.Taskwait()
-		if p := rt.cfg.Profile; p != nil {
-			p.IterationEnd(rt.now())
-		}
-		if werr != nil {
-			return werr
-		}
-		if err := rt.checkReplayDivergence(rt.g.Recorded(), rt.recSig); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // replayCompiled runs iterations first, first+1, ... end-1 of rec through

@@ -250,7 +250,7 @@ func TestPersistentFrozenReplaysCapturedClosures(t *testing.T) {
 	var mu sync.Mutex
 	var seen []int
 	const iters = 4
-	err := rt.PersistentFrozen(iters, func() {
+	err := rt.Persistent(iters, func(int) {
 		for i := 0; i < 8; i++ {
 			i := i
 			rt.Submit(Spec{
@@ -263,7 +263,7 @@ func TestPersistentFrozenReplaysCapturedClosures(t *testing.T) {
 				},
 			})
 		}
-	})
+	}, Frozen())
 	rt.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestPersistentAdaptiveReRecordsOnShapeChange(t *testing.T) {
 	const iters = 12
 	// The task stream widens at iterations 4 and 8 (AMR-style).
 	width := func(iter int) int { return 4 + (iter/4)*2 }
-	err := rt.PersistentAdaptive(iters,
+	err := rt.Persistent(iters,
 		func(iter int) {
 			for i := 0; i < width(iter); i++ {
 				rt.Submit(Spec{
@@ -299,7 +299,7 @@ func TestPersistentAdaptiveReRecordsOnShapeChange(t *testing.T) {
 				})
 			}
 		},
-		func(iter int) bool { return iter == 4 || iter == 8 },
+		Adaptive(func(iter int) bool { return iter == 4 || iter == 8 }),
 	)
 	rt.Close()
 	if err != nil {
@@ -321,7 +321,7 @@ func TestPersistentAdaptiveReRecordsOnShapeChange(t *testing.T) {
 
 func TestPersistentAdaptiveUndetectedChangeErrors(t *testing.T) {
 	rt := New(Config{Workers: 2})
-	err := rt.PersistentAdaptive(3,
+	err := rt.Persistent(3,
 		func(iter int) {
 			n := 2
 			if iter == 1 {
@@ -331,7 +331,7 @@ func TestPersistentAdaptiveUndetectedChangeErrors(t *testing.T) {
 				rt.Submit(Spec{InOut: []graph.Key{1}, Body: func(any) {}})
 			}
 		},
-		func(iter int) bool { return false },
+		Adaptive(func(iter int) bool { return false }),
 	)
 	rt.Close()
 	if err == nil {

@@ -214,8 +214,7 @@ func TestRecordAndReplayRefuseMisuse(t *testing.T) {
 		t.Errorf("Replay inside Persistent = %v (region: %v)", inner, err)
 	}
 
-	// What a Frozen region refuses, Record refuses; with the compiler off
-	// there is no schedule to hand out.
+	// What a Frozen region refuses, Record refuses.
 	_, err = r.Record(func() {
 		r.Submit(Spec{Label: "det", Out: []graph.Key{3}, Detached: true,
 			DetachedBody: func(_ any, ev *Event) { ev.Fulfill() }})
@@ -226,13 +225,8 @@ func TestRecordAndReplayRefuseMisuse(t *testing.T) {
 	if err := r.Persistent(2, func(int) {
 		r.Submit(Spec{Label: "det", Out: []graph.Key{3}, Detached: true,
 			DetachedBody: func(_ any, ev *Event) { ev.Fulfill() }})
-	}, Frozen()); !errors.Is(err, graph.ErrCompileDetached) {
-		t.Errorf("Frozen region with a detached task = %v, want ErrCompileDetached", err)
-	}
-	plain := New(Config{Workers: 1, Opts: graph.OptAll, NoCompiledReplay: true})
-	defer plain.Close()
-	if rec, err := plain.Record(func() { plain.Submit(Spec{Label: "a", Out: []graph.Key{1}}) }); !errors.Is(err, ErrNotCompiled) || rec != nil {
-		t.Errorf("Record with NoCompiledReplay = %v, %v, want ErrNotCompiled", rec, err)
+	}, Frozen()); !errors.Is(err, graph.ErrCompileDetached) || !errors.Is(err, ErrNotCompiled) {
+		t.Errorf("Frozen region with a detached task = %v, want ErrNotCompiled wrapping ErrCompileDetached", err)
 	}
 	// Either way the runtime is usable afterwards.
 	if err := r.Replay(rec, 0, 2); err != nil {

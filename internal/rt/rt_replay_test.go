@@ -110,34 +110,28 @@ func TestCompiledReplayPreservesOrdering(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesGenericFrozen runs the same region with the
-// compiler disabled and checks both the results and that the
-// NoCompiledReplay baseline really stays off the compiled path.
-func TestCompiledMatchesGenericFrozen(t *testing.T) {
+// TestCompiledFrozenCounts runs a small Frozen region on two workers
+// through to Close: every chunk ran once per iteration, every iteration
+// but the recording was a compiled one, and the runtime closes clean.
+func TestCompiledFrozenCounts(t *testing.T) {
 	const depth, width, iters = 4, 4, 10
-	for _, noCompile := range []bool{false, true} {
-		r := New(Config{Workers: 2, Opts: graph.OptAll, NoCompiledReplay: noCompile})
-		counts := newCounts(depth, width)
-		if err := r.Persistent(iters, stencilBody(r, counts, depth, width), Frozen()); err != nil {
-			t.Fatalf("NoCompiledReplay=%v: Persistent: %v", noCompile, err)
-		}
-		for s := range counts {
-			for c := range counts[s] {
-				if got := counts[s][c].Load(); got != iters {
-					t.Fatalf("NoCompiledReplay=%v: chunk (%d,%d) ran %d times, want %d", noCompile, s, c, got, iters)
-				}
+	r := New(Config{Workers: 2, Opts: graph.OptAll})
+	counts := newCounts(depth, width)
+	if err := r.Persistent(iters, stencilBody(r, counts, depth, width), Frozen()); err != nil {
+		t.Fatalf("Persistent: %v", err)
+	}
+	for s := range counts {
+		for c := range counts[s] {
+			if got := counts[s][c].Load(); got != iters {
+				t.Fatalf("chunk (%d,%d) ran %d times, want %d", s, c, got, iters)
 			}
 		}
-		wantCompiled := int64(iters - 1)
-		if noCompile {
-			wantCompiled = 0
-		}
-		if got := r.Obs().Counter(obs.CReplayCompiled); got != wantCompiled {
-			t.Fatalf("NoCompiledReplay=%v: compiled iterations = %d, want %d", noCompile, got, wantCompiled)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
+	}
+	if got := r.Obs().Counter(obs.CReplayCompiled); got != iters-1 {
+		t.Fatalf("compiled iterations = %d, want %d", got, iters-1)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"taskdep/internal/fault"
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
+	"taskdep/internal/trace"
 	"taskdep/internal/verify"
 )
 
@@ -34,7 +35,9 @@ type modeStream struct {
 	detached int
 	acc      [modeKeys]atomic.Uint64
 	// ran[i] counts task i's executions; failTask fails (before folding)
-	// when its firstprivate is failIter.
+	// on the one numbered failIter, from 0 — iteration failIter in every
+	// mode, and readable in a Frozen region, whose firstprivate never
+	// changes.
 	ran      []atomic.Int64
 	failTask int
 	failIter int
@@ -100,7 +103,7 @@ func newModeStream(seed int64, n int, iterFree, detached bool) *modeStream {
 		}
 		fold := func(fp any) error {
 			it := fp.(int)
-			if i == s.failTask && it == s.failIter {
+			if i == s.failTask && s.ran[i].Load() == int64(s.failIter) {
 				return errPlanted
 			}
 			s.ran[i].Add(1)
@@ -365,6 +368,98 @@ func TestReplayModesFault(t *testing.T) {
 					sameResult(t, m.name, got, want)
 				}
 			})
+		}
+	}
+}
+
+// TestReplayModesInstrumentedEqualsBare: Config.Profile, span timing and
+// the critical-path profiler, all on, observe the executor production
+// runs — a replayed task retires through the compiled schedule either way.
+// Each persistent mode is run bare and instrumented, clean and with a
+// failure planted in a compiled iteration: same accumulators, same
+// executions, same terminal-state and compiled-iteration counters; and
+// the instruments saw it all — one task record per body started, one skip
+// instant per task of the poisoned cone.
+func TestReplayModesInstrumentedEqualsBare(t *testing.T) {
+	const tasks, iters, reRecordAt, failIter = 48, 6, 2, 3
+	counters := []obs.Counter{obs.CTasksExecuted, obs.CTasksSkipped, obs.CTasksAborted, obs.CReplayCompiled}
+	for _, workers := range []int{1, 2, 4} {
+		for _, faulted := range []bool{false, true} {
+			for _, m := range replayModes(t, reRecordAt)[1:] {
+				t.Run(fmt.Sprintf("workers%d/faulted=%v/%s", workers, faulted, m.name), func(t *testing.T) {
+					frozen := m.name == "frozen" // no detached tasks, no new firstprivates
+					run := func(cfg Config) (*Runtime, *modeStream, modeResult) {
+						s := newModeStream(int64(workers), tasks, frozen, !frozen)
+						defer s.stop()
+						if faulted {
+							s.plantFailure(rand.New(rand.NewSource(int64(workers))), failIter)
+						}
+						r := New(cfg)
+						var err error
+						finishes(t, m.name, func() { err, _ = m.run(r, s, iters) })
+						checkQuiescent(t, r, m.name+" after its run")
+						if cerr := r.Close(); cerr != nil {
+							t.Fatalf("%s: Close: %v", m.name, cerr)
+						}
+						return r, s, s.result(err)
+					}
+					bare, _, want := run(Config{Workers: workers, Opts: graph.OptAll})
+					prof := trace.New(workers+1, true)
+					inst, s, got := run(Config{
+						Workers: workers, Opts: graph.OptAll, Profile: prof,
+						Obs:   obs.Options{Spans: true},
+						CPath: CPathOptions{Enable: true},
+					})
+
+					sameResult(t, "instrumented "+m.name, got, want)
+					var te, wantTE *fault.TaskError
+					if errors.As(want.err, &wantTE) != faulted || errors.As(got.err, &te) != faulted {
+						t.Fatalf("bare run returned %v, instrumented %v (faulted=%v)", want.err, got.err, faulted)
+					}
+					if faulted && te.Label != wantTE.Label {
+						t.Fatalf("instrumented run failed task %q, bare %q", te.Label, wantTE.Label)
+					}
+					for _, c := range counters {
+						if g, w := inst.Obs().Counter(c), bare.Obs().Counter(c); g != w {
+							t.Fatalf("%s: instrumented %d, bare %d", c.Name(), g, w)
+						}
+					}
+					if inst.Obs().Counter(obs.CReplayCompiled) == 0 {
+						t.Fatalf("no iteration of the instrumented run was a compiled one")
+					}
+
+					records := map[string]int64{}
+					for _, rec := range prof.Tasks() {
+						records[rec.Label]++
+					}
+					for i, n := range got.ran {
+						if faulted && i == s.failTask {
+							n++ // its body started, then failed before it counted
+						}
+						if records[s.specs[i].Label] != n {
+							t.Fatalf("task %d: %d task records for %d bodies started", i, records[s.specs[i].Label], n)
+						}
+					}
+					// The region ended at the failing iteration, so every skip is
+					// of its cone; redirect nodes are skipped too, but not counted.
+					redirect := map[int64]bool{}
+					for _, tk := range inst.Graph().Recorded() {
+						redirect[tk.ID] = tk.Redirect
+					}
+					var skips int64
+					for _, ev := range inst.Obs().DrainSpans() {
+						if ev.Name == obs.InstSkip && !redirect[ev.TaskID] {
+							if ev.Iter != failIter {
+								t.Fatalf("skip instant for task %d in iteration %d, want %d", ev.TaskID, ev.Iter, failIter)
+							}
+							skips++
+						}
+					}
+					if skipped := inst.Obs().Counter(obs.CTasksSkipped); skips != skipped || (skipped > 0) != faulted {
+						t.Fatalf("%d skip instants for %d skipped tasks (faulted=%v)", skips, skipped, faulted)
+					}
+				})
+			}
 		}
 	}
 }

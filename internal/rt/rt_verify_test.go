@@ -104,7 +104,7 @@ func TestVerifyPersistentDivergence(t *testing.T) {
 	}
 }
 
-// TestVerifyAdaptiveLyingChanged: PersistentAdaptive with a `changed`
+// TestVerifyAdaptiveLyingChanged: an Adaptive region with a `changed`
 // callback that lies (reports no change while the stream's shape moved)
 // replays stale structure; the verifier catches it. The honest variant
 // re-records and passes.
@@ -120,14 +120,14 @@ func TestVerifyAdaptiveLyingChanged(t *testing.T) {
 	}
 	liar := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	defer liar.Close()
-	err := liar.PersistentAdaptive(4, body(liar), func(iter int) bool { return false })
+	err := liar.Persistent(4, body(liar), Adaptive(func(iter int) bool { return false }))
 	if !errors.Is(err, ErrReplayDivergence) {
 		t.Fatalf("lying changed() not caught: err = %v", err)
 	}
 
 	honest := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	defer honest.Close()
-	err = honest.PersistentAdaptive(4, body(honest), func(iter int) bool { return iter == 2 })
+	err = honest.Persistent(4, body(honest), Adaptive(func(iter int) bool { return iter == 2 }))
 	if err != nil {
 		t.Fatalf("honest changed() flagged: %v", err)
 	}

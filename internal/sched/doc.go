@@ -5,24 +5,17 @@
 // the paper's discovery experiments sweep), and idleness (how a worker
 // with nothing to run waits without burning CPU or missing a wakeup).
 //
-// Two engines implement those concerns (see Engine):
+// Each worker — and the producer acting as a consumer — owns a
+// Chase–Lev work-stealing deque (WSDeque): owner-side LIFO push/pop
+// with no locks, one CAS per steal, batch publication via PushTopAll.
+// Idle workers park on per-worker capacity-1 channels guarded by a
+// seqlock-style wake counter; publications wake at most one parked
+// slot and ramp-up cascades (a woken worker that finds surplus work
+// wakes the next). Victim selection starts at a per-worker random
+// index and sweeps sequentially.
 //
-//   - EngineLockFree (default): each worker owns a Chase–Lev
-//     work-stealing deque (WSDeque) — owner-side LIFO push/pop with no
-//     locks, one CAS per steal, batch publication via PushTopAll.
-//     Idle workers park on per-worker capacity-1 channels guarded by a
-//     seqlock-style wake counter; publications wake at most one parked
-//     slot and ramp-up cascades (a woken worker that finds surplus work
-//     wakes the next). Victim selection starts at a per-worker random
-//     index and sweeps sequentially.
-//
-//   - EngineMutex: the pre-rebuild baseline kept for comparison runs
-//     (tdgbench -exp executor): mutex ring deques (Deque), a
-//     condition-variable broadcast to every parked worker on each
-//     publication, round-robin victim order.
-//
-// The breadth-first global queue is a mutex Deque in both engines; it
-// is also the cross-thread entry point for producer submissions and
+// The breadth-first global queue is a mutex FIFO (Deque); it is also
+// the cross-thread entry point for producer submissions and
 // detach-event completions, which are not bound to a worker.
 //
 // The parking protocol and its lost-wakeup argument are documented on

@@ -28,39 +28,17 @@ func (p Policy) String() string {
 	return "breadth-first"
 }
 
-// Engine selects the scheduler's synchronization implementation.
-type Engine int
-
-const (
-	// EngineLockFree is the production engine: Chase–Lev work-stealing
-	// deques (WSDeque) per worker, a seqlock-style wake counter with
-	// per-worker parking, targeted wake-one on publication and
-	// randomized-start victim sweeps.
-	EngineLockFree Engine = iota
-	// EngineMutex is the pre-rebuild engine, kept in-tree as the
-	// comparison baseline (tdgbench -exp executor): mutex ring deques,
-	// a condition-variable wake counter, and a broadcast to every
-	// parked worker on each publication.
-	EngineMutex
-)
-
-func (e Engine) String() string {
-	if e == EngineLockFree {
-		return "lock-free"
-	}
-	return "mutex"
-}
-
-// Deque is an unbounded mutex-guarded double-ended queue of tasks backed
-// by a growable ring buffer; every operation is O(1) amortized. The top
-// is the LIFO end; the bottom is the FIFO end. It is safe for concurrent
-// use from any goroutine. It serves as the breadth-first global queue in
-// both engines (cross-thread pushes need no ownership discipline there)
-// and as the per-worker deque of the EngineMutex baseline.
+// Deque is the scheduler's cross-thread entry queue and nothing else: an
+// unbounded mutex-guarded FIFO of tasks backed by a growable ring buffer,
+// pushed at the top and popped at the bottom, every operation O(1)
+// amortized. It is safe for concurrent use from any goroutine — pushes
+// from the producer, detach-event callbacks and (breadth-first) every
+// worker need no ownership discipline here. Per-worker queues are
+// WSDeques.
 type Deque struct {
 	mu   sync.Mutex
 	buf  []*graph.Task
-	head int // index of the bottom element
+	head int // index of the bottom (oldest) element
 	n    int
 }
 
@@ -83,7 +61,7 @@ func (d *Deque) grow(need int) {
 	d.head = 0
 }
 
-// PushTop adds t at the LIFO end.
+// PushTop adds t behind everything already queued.
 func (d *Deque) PushTop(t *graph.Task) {
 	d.mu.Lock()
 	if d.n == len(d.buf) {
@@ -94,8 +72,8 @@ func (d *Deque) PushTop(t *graph.Task) {
 	d.mu.Unlock()
 }
 
-// PushTopAll adds every task in ts at the LIFO end under one lock
-// acquisition (batch publication path).
+// PushTopAll adds every task in ts, in order, under one lock acquisition
+// (batch publication path).
 func (d *Deque) PushTopAll(ts []*graph.Task) {
 	if len(ts) == 0 {
 		return
@@ -111,34 +89,7 @@ func (d *Deque) PushTopAll(ts []*graph.Task) {
 	d.mu.Unlock()
 }
 
-// PushBottom adds t at the FIFO end, ahead of everything already queued.
-func (d *Deque) PushBottom(t *graph.Task) {
-	d.mu.Lock()
-	if d.n == len(d.buf) {
-		d.grow(d.n + 1)
-	}
-	d.head = (d.head - 1 + len(d.buf)) % len(d.buf)
-	d.buf[d.head] = t
-	d.n++
-	d.mu.Unlock()
-}
-
-// PopTop removes and returns the most recently top-pushed task, or nil.
-func (d *Deque) PopTop() *graph.Task {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.n == 0 {
-		return nil
-	}
-	i := (d.head + d.n - 1) % len(d.buf)
-	t := d.buf[i]
-	d.buf[i] = nil
-	d.n--
-	return t
-}
-
-// PopBottom removes and returns the oldest task, or nil. Used by thieves
-// (stealing breadth keeps the owner's locality intact).
+// PopBottom removes and returns the oldest task, or nil.
 func (d *Deque) PopBottom() *graph.Task {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -165,8 +116,8 @@ const (
 	slotParked
 )
 
-// wsWorker is the per-worker state of the lock-free engine, padded so
-// neighbouring workers' hot fields never share a cache line.
+// wsWorker is the per-worker queue state, padded so neighbouring
+// workers' hot fields never share a cache line.
 type wsWorker struct {
 	deque WSDeque
 	rng   uint64 // xorshift victim-selection state, owner-only
@@ -182,12 +133,12 @@ type slotStatus struct {
 
 // Scheduler distributes ready tasks over nWorkers according to a policy.
 // Worker IDs are 0..nWorkers-1; ID nWorkers designates the producer
-// acting as a consumer (taskwait, throttle) — in the lock-free engine it
-// owns a deque of its own, so producer-executed chains keep depth-first
-// locality instead of cycling through the global FIFO. ID -1 designates
-// any other non-worker context (e.g. an MPI completion callback).
+// acting as a consumer (taskwait, throttle) — it owns a deque of its own,
+// so producer-executed chains keep depth-first locality instead of
+// cycling through the global FIFO. ID -1 designates any other non-worker
+// context (e.g. an MPI completion callback).
 //
-// Ownership contract (lock-free engine): Push/PushBatch with worker >= 0
+// Ownership contract: Push/PushBatch with worker >= 0
 // and Pop(worker) for worker >= 0 must be called from that worker's own
 // goroutine — they touch the slot's Chase–Lev deque at its owner end.
 // The producer slot nWorkers is owned by the producer goroutine.
@@ -213,17 +164,14 @@ type slotStatus struct {
 // that claimed a slot whose parker simultaneously cancelled) at worst
 // cause one extra loop through the caller's re-check.
 //
-// The lock-free engine wakes at most one parked slot per publication
-// (WakeOne) and relies on wake cascading — a worker that pops from the
-// global queue or steals while more work remains wakes the next slot —
-// to ramp the pool up; the mutex baseline broadcasts to every parked
-// slot on every publication instead.
+// A publication wakes at most one parked slot (WakeOne) and relies on
+// wake cascading — a worker that pops from the global queue or steals
+// while more work remains wakes the next slot — to ramp the pool up.
 type Scheduler struct {
 	policy Policy
-	engine Engine
 
-	// Lock-free engine state. ws has nWorkers+1 entries: the last is
-	// the producer-as-consumer's own deque.
+	// ws has nWorkers+1 entries: the last is the producer-as-consumer's
+	// own deque.
 	ws    []*wsWorker
 	prng  uint64 // victim RNG for worker = -1 contexts (rare; racy is fine)
 	seq   atomic.Uint64
@@ -245,17 +193,9 @@ type Scheduler struct {
 	// shows the cascade chain ramping too slowly for bursty frontiers.
 	wakeFanout atomic.Int32
 
-	// Mutex-baseline engine state (also used by EngineMutex parking).
-	mworkers []*Deque
-	wakeMu   sync.Mutex
-	wake     *sync.Cond
-	mseq     uint64
-	snaps    []uint64 // per-slot PrePark sequence snapshots (slot-owned)
-
 	// global receives producer-submitted tasks and, under BreadthFirst,
-	// all work. PushTop/PopBottom make it a FIFO. Mutex-based in both
-	// engines: it is the cross-thread entry point, touched only when a
-	// worker's own deque is empty.
+	// all work. Mutex-based: it is the cross-thread entry point, touched
+	// only when a worker's own deque is empty.
 	global *Deque
 
 	// obs receives queue counters (pushes, pops, steals, steal
@@ -266,36 +206,21 @@ type Scheduler struct {
 	obs *obs.Registry
 }
 
-// New creates a lock-free scheduler for nWorkers workers.
+// New creates a scheduler for nWorkers workers.
 func New(policy Policy, nWorkers int) *Scheduler {
-	return NewEngine(policy, nWorkers, EngineLockFree)
-}
-
-// NewEngine creates a scheduler with an explicit engine selection.
-func NewEngine(policy Policy, nWorkers int, engine Engine) *Scheduler {
 	s := &Scheduler{
 		policy: policy,
-		engine: engine,
 		global: &Deque{},
 		prng:   0x9E3779B97F4A7C15,
 		stat:   make([]slotStatus, nWorkers+1),
 		parks:  make([]chan struct{}, nWorkers+1),
 		timers: make([]*time.Timer, nWorkers+1),
-		snaps:  make([]uint64, nWorkers+1),
 	}
 	for i := range s.parks {
 		s.parks[i] = make(chan struct{}, 1)
 	}
 	s.wakeStride.Store(1)
 	s.wakeFanout.Store(1)
-	if engine == EngineMutex {
-		s.mworkers = make([]*Deque, nWorkers)
-		for i := range s.mworkers {
-			s.mworkers[i] = &Deque{}
-		}
-		s.wake = sync.NewCond(&s.wakeMu)
-		return s
-	}
 	s.ws = make([]*wsWorker, nWorkers+1)
 	for i := range s.ws {
 		s.ws[i] = &wsWorker{rng: uint64(i)*0x9E3779B97F4A7C15 + 1}
@@ -314,8 +239,7 @@ func (s *Scheduler) SetObs(r *obs.Registry) { s.obs = r }
 // surplus publication or cascade step may wake; stride is how far each
 // wake advances the rotating scan hint. Values are clamped to
 // [1, slots]; the default policy is (1, 1) — wake-one with a unit
-// rotation. The mutex baseline engine broadcasts regardless and
-// ignores both.
+// rotation.
 func (s *Scheduler) SetWakePolicy(fanout, stride int) {
 	n := len(s.stat)
 	if fanout < 1 {
@@ -342,9 +266,6 @@ func (s *Scheduler) WakePolicy() (fanout, stride int) {
 // Policy returns the scheduling policy.
 func (s *Scheduler) Policy() Policy { return s.policy }
 
-// Engine returns the synchronization engine.
-func (s *Scheduler) Engine() Engine { return s.engine }
-
 // NumWorkers returns the worker count.
 func (s *Scheduler) NumWorkers() int { return len(s.stat) - 1 }
 
@@ -359,41 +280,18 @@ func (s *Scheduler) slot(worker int) int {
 
 // bump advances the wake counter after a publication (or Kick) so any
 // parker between its PrePark snapshot and its block observes the change.
-func (s *Scheduler) bump() {
-	if s.engine == EngineMutex {
-		s.wakeMu.Lock()
-		s.mseq++
-		s.wakeMu.Unlock()
-		return
-	}
-	s.seq.Add(1)
-}
+func (s *Scheduler) bump() { s.seq.Add(1) }
 
 // Seq returns the wake counter. Read it via PrePark before a final
 // emptiness check; a changed value means a publication (or Kick)
 // happened since and parking must be retried.
-func (s *Scheduler) Seq() uint64 {
-	if s.engine == EngineMutex {
-		s.wakeMu.Lock()
-		defer s.wakeMu.Unlock()
-		return s.mseq
-	}
-	return s.seq.Load()
-}
+func (s *Scheduler) Seq() uint64 { return s.seq.Load() }
 
 // ownDeque reports whether a push attributed to worker lands on that
 // worker's own deque (depth-first locality) rather than the global FIFO.
-// In the lock-free engine the producer slot (worker == NumWorkers) has
-// its own deque too; the mutex baseline routes it through the global
-// FIFO, as the pre-rebuild engine did.
+// The producer slot (worker == NumWorkers) has its own deque too.
 func (s *Scheduler) ownDeque(worker int) bool {
-	if s.policy != DepthFirst || worker < 0 {
-		return false
-	}
-	if s.engine == EngineMutex {
-		return worker < len(s.mworkers)
-	}
-	return worker < len(s.ws)
+	return s.policy == DepthFirst && worker >= 0 && worker < len(s.ws)
 }
 
 // Push makes t runnable, attributed to worker (or -1). Depth-first
@@ -403,16 +301,6 @@ func (s *Scheduler) ownDeque(worker int) bool {
 // parked slot.
 func (s *Scheduler) Push(worker int, t *graph.Task) {
 	s.obs.IncSlot(worker, obs.CDequePush)
-	if s.engine == EngineMutex {
-		if s.ownDeque(worker) {
-			s.mworkers[worker].PushTop(t)
-		} else {
-			s.global.PushTop(t)
-		}
-		s.bump()
-		s.wake.Broadcast()
-		return
-	}
 	own := s.ownDeque(worker)
 	if own {
 		s.ws[worker].deque.PushTop(t)
@@ -435,16 +323,6 @@ func (s *Scheduler) PushBatch(worker int, ts []*graph.Task) {
 		return
 	}
 	s.obs.AddSlot(worker, obs.CDequePush, int64(len(ts)))
-	if s.engine == EngineMutex {
-		if s.ownDeque(worker) {
-			s.mworkers[worker].PushTopAll(ts)
-		} else {
-			s.global.PushTopAll(ts)
-		}
-		s.bump()
-		s.wake.Broadcast()
-		return
-	}
 	own := s.ownDeque(worker)
 	if own {
 		s.ws[worker].deque.PushTopAll(ts)
@@ -482,16 +360,6 @@ func (s *Scheduler) SeedReplay(owner int, ts []*graph.Task) {
 		return
 	}
 	s.obs.AddSlot(owner, obs.CDequePush, int64(len(ts)))
-	if s.engine == EngineMutex {
-		if s.ownDeque(owner) {
-			s.mworkers[owner].PushTopAll(ts)
-		} else {
-			s.global.PushTopAll(ts)
-		}
-		s.bump()
-		s.wake.Broadcast()
-		return
-	}
 	if s.ownDeque(owner) {
 		s.ws[owner].deque.PushTopAll(ts)
 	} else {
@@ -535,18 +403,17 @@ func xorshift64(x uint64) uint64 {
 // Pop returns the next task for the worker, or nil if none is available
 // anywhere. Depth-first order: own deque top, then the global FIFO, then
 // steal the oldest task from a sibling — randomized sweep start so
-// thieves spread over victims, sequential sweep order from there. A
-// non-own pop that leaves surplus work behind cascades one wake.
+// thieves spread over victims, sequential sweep order from there.
+// Breadth-first: the global FIFO only. A non-own pop that leaves surplus
+// work behind cascades one wake.
 func (s *Scheduler) Pop(worker int) *graph.Task {
 	if s.policy == BreadthFirst {
-		if t := s.global.PopBottom(); t != nil {
+		t := s.global.PopBottom()
+		if t != nil {
 			s.obs.IncSlot(worker, obs.CDequePop)
-			return t
+			s.cascade()
 		}
-		return nil
-	}
-	if s.engine == EngineMutex {
-		return s.popMutex(worker)
+		return t
 	}
 	if worker >= 0 && worker < len(s.ws) {
 		if t := s.ws[worker].deque.PopTop(); t != nil {
@@ -623,52 +490,14 @@ func (s *Scheduler) cascade() {
 	}
 }
 
-// popMutex is the baseline engine's pop: own top, global FIFO, then a
-// round-robin sweep from worker+1 (the pre-rebuild victim order).
-func (s *Scheduler) popMutex(worker int) *graph.Task {
-	if worker >= 0 && worker < len(s.mworkers) {
-		if t := s.mworkers[worker].PopTop(); t != nil {
-			s.obs.IncSlot(worker, obs.CDequePop)
-			return t
-		}
-	}
-	if t := s.global.PopBottom(); t != nil {
-		s.obs.IncSlot(worker, obs.CDequePop)
-		return t
-	}
-	n := len(s.mworkers)
-	if n == 0 {
-		return nil
-	}
-	victim := worker
-	if victim < 0 {
-		victim = 0
-	}
-	for i := 1; i <= n; i++ {
-		if t := s.mworkers[(victim+i)%n].PopBottom(); t != nil {
-			s.obs.IncSlot(worker, obs.CDequeSteal)
-			return t
-		}
-	}
-	s.obs.IncSlot(worker, obs.CDequeStealFail)
-	s.obs.MaybeFlush(worker)
-	return nil
-}
-
 // PrePark announces that the caller (worker, or -1 for the producer) is
 // about to park and returns the wake-counter snapshot to re-check
 // against. The caller must then re-examine its wake condition (queues,
 // shutdown flag, Seq) and either CancelPark or Park/ParkTimeout.
 func (s *Scheduler) PrePark(worker int) uint64 {
-	sl := s.slot(worker)
-	if s.engine == EngineMutex {
-		s.snaps[sl] = s.Seq()
-		return s.snaps[sl]
-	}
 	s.nIdle.Add(1)
-	s.stat[sl].v.Store(slotParked)
-	s.snaps[sl] = s.seq.Load()
-	return s.snaps[sl]
+	s.stat[s.slot(worker)].v.Store(slotParked)
+	return s.seq.Load()
 }
 
 // CancelPark retracts a PrePark announcement without blocking.
@@ -679,9 +508,6 @@ func (s *Scheduler) PrePark(worker int) uint64 {
 // claim — exactly one of a retracting owner and any number of
 // concurrent wakers can read it.
 func (s *Scheduler) CancelPark(worker int) {
-	if s.engine == EngineMutex {
-		return
-	}
 	sl := s.slot(worker)
 	if s.stat[sl].v.Swap(slotActive) == slotParked {
 		s.nIdle.Add(-1)
@@ -715,17 +541,6 @@ func (s *Scheduler) Park(worker int) {
 	// About to block: publish pending deltas so /metrics sees an idle
 	// slot's full history.
 	s.obs.FlushSlot(sl)
-	if s.engine == EngineMutex {
-		// The baseline's condition-variable wait: broadcast on every
-		// publication, re-checked against the PrePark snapshot.
-		snap := s.snaps[sl]
-		s.wakeMu.Lock()
-		for s.mseq == snap {
-			s.wake.Wait()
-		}
-		s.wakeMu.Unlock()
-		return
-	}
 	<-s.parks[sl]
 	s.unparkSelf(sl)
 }
@@ -749,12 +564,6 @@ func (s *Scheduler) ParkTimeout(worker int, d time.Duration) bool {
 			}
 		}
 		tm.Reset(d)
-	}
-	if s.engine == EngineMutex {
-		// The baseline engine slept blindly here (time.Sleep in the old
-		// poll loops); a bare timer wait reproduces that cadence.
-		<-tm.C
-		return false
 	}
 	woken := false
 	select {
@@ -794,10 +603,6 @@ func (s *Scheduler) wakeSlot(sl int) bool {
 // scanning from a rotating start for fairness. A no-op when nobody is
 // parked — one atomic load on the publication fast path.
 func (s *Scheduler) WakeOne() {
-	if s.engine == EngineMutex {
-		s.wake.Broadcast()
-		return
-	}
 	if s.nIdle.Load() == 0 {
 		return
 	}
@@ -819,11 +624,6 @@ func (s *Scheduler) WakeOne() {
 // waits on — counter drops with no published successors, or the graph
 // draining to empty.
 func (s *Scheduler) WakeProducer() {
-	if s.engine == EngineMutex {
-		s.bump()
-		s.wake.Broadcast()
-		return
-	}
 	s.bump()
 	s.wakeSlot(s.NumWorkers())
 }
@@ -832,10 +632,6 @@ func (s *Scheduler) WakeProducer() {
 // events, external completions).
 func (s *Scheduler) Kick() {
 	s.bump()
-	if s.engine == EngineMutex {
-		s.wake.Broadcast()
-		return
-	}
 	for sl := range s.stat {
 		s.wakeSlot(sl)
 	}
@@ -854,9 +650,6 @@ func (s *Scheduler) Pending() int {
 	n := s.global.Len()
 	for _, w := range s.ws {
 		n += w.deque.Len()
-	}
-	for _, d := range s.mworkers {
-		n += d.Len()
 	}
 	return n
 }

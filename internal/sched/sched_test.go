@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -20,23 +21,6 @@ func mkTasks(n int) []*graph.Task {
 	return ts
 }
 
-func TestDequeLIFO(t *testing.T) {
-	d := &Deque{}
-	ts := mkTasks(10)
-	for _, tk := range ts {
-		d.PushTop(tk)
-	}
-	for i := 9; i >= 0; i-- {
-		got := d.PopTop()
-		if got == nil || got.ID != int64(i) {
-			t.Fatalf("PopTop = %v, want id %d", got, i)
-		}
-	}
-	if d.PopTop() != nil || d.PopBottom() != nil {
-		t.Fatalf("empty deque should return nil")
-	}
-}
-
 func TestDequeStealFIFO(t *testing.T) {
 	d := &Deque{}
 	ts := mkTasks(10)
@@ -49,20 +33,8 @@ func TestDequeStealFIFO(t *testing.T) {
 			t.Fatalf("PopBottom = %v, want id %d", got, i)
 		}
 	}
-}
-
-func TestDequePushBottom(t *testing.T) {
-	d := &Deque{}
-	ts := mkTasks(6)
-	for _, tk := range ts[:3] {
-		d.PushTop(tk)
-	}
-	d.PushBottom(ts[3]) // jumps the FIFO line
-	if got := d.PopBottom(); got != ts[3] {
-		t.Fatalf("PushBottom not at bottom: got id %d", got.ID)
-	}
-	if got := d.PopTop(); got != ts[2] {
-		t.Fatalf("top disturbed: got id %d", got.ID)
+	if d.PopBottom() != nil {
+		t.Fatalf("empty deque should return nil")
 	}
 }
 
@@ -92,7 +64,7 @@ func TestDequeGrowthAcrossWrap(t *testing.T) {
 	}
 }
 
-// TestPropertyDequeSequence model-checks the deque against a reference
+// TestPropertyDequeSequence model-checks the queue against a reference
 // slice under random operation sequences.
 func TestPropertyDequeSequence(t *testing.T) {
 	f := func(seed int64) bool {
@@ -101,31 +73,22 @@ func TestPropertyDequeSequence(t *testing.T) {
 		var ref []*graph.Task
 		id := int64(0)
 		for op := 0; op < 200; op++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0:
 				tk := &graph.Task{ID: id}
 				id++
 				d.PushTop(tk)
 				ref = append(ref, tk)
 			case 1:
-				tk := &graph.Task{ID: id}
-				id++
-				d.PushBottom(tk)
-				ref = append([]*graph.Task{tk}, ref...)
-			case 2:
-				got := d.PopTop()
-				if len(ref) == 0 {
-					if got != nil {
-						return false
-					}
-				} else {
-					want := ref[len(ref)-1]
-					ref = ref[:len(ref)-1]
-					if got != want {
-						return false
-					}
+				// A batch long enough to force growth across a wrapped head.
+				batch := make([]*graph.Task, rng.Intn(12))
+				for i := range batch {
+					batch[i] = &graph.Task{ID: id}
+					id++
 				}
-			case 3:
+				d.PushTopAll(batch)
+				ref = append(ref, batch...)
+			case 2:
 				got := d.PopBottom()
 				if len(ref) == 0 {
 					if got != nil {
@@ -231,15 +194,9 @@ func parkBlocked(s *Scheduler, w int) chan struct{} {
 	return done
 }
 
-func engines(t *testing.T, f func(t *testing.T, e Engine)) {
-	for _, e := range []Engine{EngineLockFree, EngineMutex} {
-		t.Run(e.String(), func(t *testing.T) { f(t, e) })
-	}
-}
-
 func TestParkWakesOnPush(t *testing.T) {
-	engines(t, func(t *testing.T, e Engine) {
-		s := NewEngine(DepthFirst, 1, e)
+	t.Run("lock-free", func(t *testing.T) {
+		s := New(DepthFirst, 1)
 		done := parkBlocked(s, 0)
 		s.Push(-1, &graph.Task{})
 		<-done // must not hang
@@ -250,8 +207,8 @@ func TestParkWakesOnPush(t *testing.T) {
 }
 
 func TestKickWakesParkedWithoutWork(t *testing.T) {
-	engines(t, func(t *testing.T, e Engine) {
-		s := NewEngine(DepthFirst, 1, e)
+	t.Run("lock-free", func(t *testing.T) {
+		s := New(DepthFirst, 1)
 		done := parkBlocked(s, 0)
 		s.Kick()
 		<-done
@@ -259,8 +216,8 @@ func TestKickWakesParkedWithoutWork(t *testing.T) {
 }
 
 func TestWakeProducerWakesParkedProducer(t *testing.T) {
-	engines(t, func(t *testing.T, e Engine) {
-		s := NewEngine(DepthFirst, 2, e)
+	t.Run("lock-free", func(t *testing.T) {
+		s := New(DepthFirst, 2)
 		done := parkBlocked(s, -1)
 		s.WakeProducer()
 		<-done
@@ -284,8 +241,8 @@ func TestCancelParkAbsorbsConcurrentWake(t *testing.T) {
 }
 
 func TestParkTimeoutExpires(t *testing.T) {
-	engines(t, func(t *testing.T, e Engine) {
-		s := NewEngine(DepthFirst, 1, e)
+	t.Run("lock-free", func(t *testing.T) {
+		s := New(DepthFirst, 1)
 		for i := 0; i < 3; i++ { // timer reuse across calls
 			s.PrePark(0)
 			if s.ParkTimeout(0, time.Millisecond) {
@@ -311,16 +268,74 @@ func TestParkTimeoutWoken(t *testing.T) {
 	}
 }
 
+// TestBatchRampsUpEveryWorker: one batch published to a fully parked pool
+// must reach every worker, under either policy — PushBatch wakes one slot
+// and each pop that leaves work behind wakes the next. The bodies block
+// until the test has counted the workers that started, so a pool that
+// runs the batch on one worker never gets there.
+func TestBatchRampsUpEveryWorker(t *testing.T) {
+	for _, policy := range []Policy{DepthFirst, BreadthFirst} {
+		for _, workers := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%v/%d", policy, workers), func(t *testing.T) {
+				s := New(policy, workers)
+				started := make(chan int, workers)
+				release := make(chan struct{})
+				var stop atomic.Bool
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for !stop.Load() {
+							if s.Pop(w) != nil {
+								started <- w
+								<-release // the task's body
+								continue
+							}
+							snap := s.PrePark(w)
+							if s.Pending() > 0 || stop.Load() || s.Seq() != snap {
+								s.CancelPark(w)
+								continue
+							}
+							s.Park(w)
+						}
+					}(w)
+				}
+				for s.IdleWorkers() < workers {
+					runtime.Gosched()
+				}
+				s.PushBatch(-1, mkTasks(workers))
+				seen := make(map[int]bool)
+				timeout := time.After(10 * time.Second)
+			wait:
+				for len(seen) < workers {
+					select {
+					case w := <-started:
+						seen[w] = true
+					case <-timeout:
+						t.Errorf("%d of %d workers started a task of the batch; %d tasks still queued", len(seen), workers, s.Pending())
+						break wait
+					}
+				}
+				close(release)
+				stop.Store(true)
+				s.Kick()
+				wg.Wait()
+			})
+		}
+	}
+}
+
 // TestConcurrentStealNoLossNoDup runs a cross-thread producer against
 // stealing workers, each of which also owner-pushes follow-up tasks to
 // its own deque, and checks every task is seen exactly once. Run with
 // -race.
 func TestConcurrentStealNoLossNoDup(t *testing.T) {
-	engines(t, func(t *testing.T, e Engine) {
+	t.Run("lock-free", func(t *testing.T) {
 		const nRoots = 5000
 		const nWorkers = 8
 		const fanout = 1 // one child per root, owner-pushed
-		s := NewEngine(DepthFirst, nWorkers, e)
+		s := New(DepthFirst, nWorkers)
 		ts := mkTasks(nRoots * (1 + fanout))
 
 		var seen sync.Map
@@ -386,7 +401,7 @@ func BenchmarkDequePushPop(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.PushTop(tk)
-		d.PopTop()
+		d.PopBottom()
 	}
 }
 

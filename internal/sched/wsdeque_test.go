@@ -341,16 +341,6 @@ func BenchmarkSchedulerPushPopLockFree(b *testing.B) {
 	}
 }
 
-func BenchmarkSchedulerPushPopMutex(b *testing.B) {
-	s := NewEngine(DepthFirst, 1, EngineMutex)
-	tk := &graph.Task{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Push(0, tk)
-		s.Pop(0)
-	}
-}
-
 func BenchmarkParkWakeRoundTrip(b *testing.B) {
 	s := New(DepthFirst, 1)
 	ready := make(chan struct{}, 1)

@@ -18,8 +18,6 @@ import (
 	"testing"
 	"time"
 	"unsafe"
-
-	"taskdep/internal/rt"
 )
 
 // newTestTenant is a tenant of a manager of its own.
@@ -379,36 +377,6 @@ func TestTemplateArms(t *testing.T) {
 		if got := run(tc.req, tc.want); got.hits != 2 || got.misses != misses+int64(i)+1 || got.templates != int64(i)+2 {
 			t.Fatalf("variant %d: %+v, want a miss that is recorded", i, got)
 		}
-	}
-}
-
-// TestUncompilableRecordingRunsUncached: a recording the runtime makes no
-// schedule from (here: a runtime with the compiler off; a detached task
-// would be the other way) has still run the graph once. The request gets
-// its results, the other iterations run as plain windows, nothing is
-// cached and nothing counts as a failure — on the second sighting with
-// repeat 1, which was a plain window before there were templates, and
-// with repeat > 1.
-func TestUncompilableRecordingRunsUncached(t *testing.T) {
-	tn := newTestTenant(t, Options{})
-	tn.rt.Close()
-	tn.rt = rt.New(rt.Config{Workers: 1, NoCompiledReplay: true})
-	for i, repeat := range []int{1, 1, 1, 4} {
-		req := sumGraph(float64(i), 2)
-		req.Repeat = repeat
-		evs, err := runCollect(tn, &req)
-		if v, ok := resultOf(evs, "total"); err != nil || !ok || v != float64(i)+2 {
-			t.Fatalf("request %d: total = %v, want %v (%v)", i, v, float64(i)+2, err)
-		}
-		if n := len(evs); n != 3+1 {
-			t.Fatalf("request %d: %d events, want one per task and the result", i, n)
-		}
-		if got := armOf(tn); got != (arm{0, int64(i) + 1, 0, 0}) {
-			t.Fatalf("request %d: %+v, want a miss and nothing cached", i, got)
-		}
-	}
-	if ran, failed := tn.tasksRun.Load(), tn.failures.Load(); ran != 3*(1+1+1+4) || failed != 0 {
-		t.Fatalf("%d bodies ran and %d requests failed, want 21 and 0", ran, failed)
 	}
 }
 

@@ -214,21 +214,9 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 		// facade lowers onto plain key dependences, so the paper's
 		// optimization (p) applies to served graphs unchanged.
 		var rec *rt.Recording
-		rec, err = t.rt.Record(func() { t.submit(g) })
-		switch {
-		case err == nil:
+		if rec, err = t.rt.Record(func() { t.submit(g) }); err == nil {
 			tp = t.tpl.insert(hash, g, rec, results, resultNames)
 			err = t.rt.Replay(rec, 1, iters-1)
-		case errors.Is(err, rt.ErrNotCompiled):
-			// The graph ran once, clean, but has no schedule to replay
-			// (detached tasks: none of the registry's operators makes
-			// one). That is not the request's failure: nothing is cached
-			// and the other iterations are plain windows.
-			err = nil
-			for it := 1; it < iters && err == nil; it++ {
-				t.submit(g)
-				err = t.rt.Taskwait()
-			}
 		}
 	default:
 		t.submit(g)
@@ -510,9 +498,10 @@ func (m *Manager) Tenant(name string) (*Tenant, error) {
 		ready, total = m.opt.TightReady, m.opt.TightTotal
 	}
 	runtime, err := rt.NewRuntime(rt.Config{
-		Workers:  m.opt.Workers,
-		Throttle: rt.ThrottleOptions{Ready: ready, Total: total},
-		CPath:    rt.CPathOptions{Enable: m.opt.CPath},
+		Workers:       m.opt.Workers,
+		ThrottleReady: ready,
+		ThrottleTotal: total,
+		CPath:         rt.CPathOptions{Enable: m.opt.CPath},
 	})
 	if err != nil {
 		return nil, err

@@ -15,9 +15,9 @@
 //     members feeding them;
 //   - duplicate edges that survived optimization (b);
 //   - PTSG replay divergence: a structural signature (task count, dep
-//     lists, edge multiset) compared across Persistent /
-//     PersistentAdaptive iterations, catching `changed` callbacks that
-//     lie (see Recorder).
+//     lists, edge multiset) compared across the iterations of a
+//     Persistent region, catching Adaptive `changed` callbacks that lie
+//     (see Recorder).
 //
 // The real executor hooks it in through rt.Config.Verify; the audit can
 // also run standalone over any task set (tests, offline dumps).

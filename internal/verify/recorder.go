@@ -147,10 +147,10 @@ func (r *Recorder) EndRecording(recorded []*graph.Task) uint64 {
 }
 
 // BeginReplay starts checking one replay iteration. perTask enables the
-// per-submission label/dependence comparison (Persistent and
-// PersistentAdaptive); frozen replays (PersistentFrozen) re-release the
-// captured closures without resubmitting, so only the end-of-iteration
-// signature check applies.
+// per-submission label/dependence comparison (plain and Adaptive
+// Persistent regions); Frozen replays re-release the captured closures
+// without resubmitting, so only the end-of-iteration signature check
+// applies.
 func (r *Recorder) BeginReplay(iter int, perTask bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -106,40 +106,12 @@ const (
 	BreadthFirst = sched.BreadthFirst
 )
 
-// Engine selects the executor hot-path implementation; set it in
-// Config.Engine.
-type Engine = sched.Engine
-
-// Executor engines.
-const (
-	// EngineLockFree (the default) runs workers on per-worker Chase–Lev
-	// work-stealing deques with real parking/wakeup — no locks on the
-	// push/pop/steal fast path.
-	EngineLockFree = sched.EngineLockFree
-	// EngineMutex is the pre-rebuild baseline: mutex-protected ring
-	// deques and a broadcast condition variable, kept for comparison
-	// (tdgbench -exp executor).
-	EngineMutex = sched.EngineMutex
-)
-
 // Config parametrizes a Runtime; see rt.Config for field
-// documentation. The surface is organized into grouped sub-structs —
-// Sched, Discovery, Throttle, Obs, Tune — with the historical
-// top-level fields (Policy, Engine, Opts, ThrottleReady,
-// ThrottleTotal) kept as working twins; NewRuntime rejects a legacy
-// field and its grouped twin set to conflicting values.
+// documentation. Each knob has one form: a top-level field (Workers,
+// Policy, Opts, ThrottleReady, ThrottleTotal, Profile, Poll, Verify,
+// Inject) or a field of CPath, Obs or Tune. NewRuntime validates ranges
+// and enum values.
 type Config = rt.Config
-
-// SchedOptions groups the executor knobs (Config.Sched): scheduling
-// Policy and Engine implementation.
-type SchedOptions = rt.SchedOptions
-
-// ThrottleOptions groups the producer-throttle windows
-// (Config.Throttle): Ready and Total live-task bounds, 0 = unbounded.
-type ThrottleOptions = rt.ThrottleOptions
-
-// DiscoveryOptions groups the TDG-discovery knobs (Config.Discovery).
-type DiscoveryOptions = rt.DiscoveryOptions
 
 // Spec describes one task submission.
 type Spec = rt.Spec
