@@ -2,7 +2,8 @@
 // Gradient benchmark, modeled on HPCG as ported by the paper (§4.3): a
 // conjugate-gradient solve on a 27-point stencil sparse matrix, with
 // blocked vector operations (the TPL grain parameter), sub-blocked SpMV,
-// halo exchange with z neighbors and allreduce dot products.
+// halo exchange with z neighbors and allreduce dot products. SpMV is a
+// line-sweep stencil kernel, bitwise equal to the per-neighbour form.
 //
 // Like the LULESH package, it provides a serial reference, a
 // parallel-for form and a dependent-task form that produce bitwise
@@ -63,10 +64,6 @@ type Problem struct {
 
 	// Residual history for verification.
 	Rnorm []float64
-
-	// iterSpecs is the reused staging slice for submitIteration's
-	// batched submission.
-	iterSpecs []rt.Spec
 }
 
 // New builds the local problem with the HPCG-style RHS (b = 27ish row
@@ -102,64 +99,114 @@ func (pr *Problem) globalNZ() int { return pr.P.Ranks * pr.P.NZ }
 
 // SpMV computes y[lo:hi] = A*x over local rows, using ghost layers for
 // cross-rank neighbors. x must be the full local vector; ghostLo/Hi the
-// neighbor layers (zero for physical boundaries).
+// neighbor layers (zero for physical boundaries); y must not alias them.
+//
+// It sweeps x-lines: the up-to-nine source lines of a line — in (dk, dj)
+// order, each a piece of x or of a ghost layer, left out past the global
+// boundary or a j edge — are resolved once, then i runs along the line.
+// Every row subtracts its neighbors in (dk, dj, di) order, so the result
+// is bitwise that of the per-neighbour triple loop, whatever [lo, hi).
 func (pr *Problem) SpMV(y, x, ghostLo, ghostHi []float64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
 	nx, ny, nz := pr.P.NX, pr.P.NY, pr.P.NZ
-	nxy := nx * ny
-	gnz := pr.globalNZ()
-	for row := lo; row < hi; row++ {
-		i := row % nx
-		j := (row / nx) % ny
-		k := row / nxy
-		gk := pr.globalK(k)
-		sum := 26.0 * x[row]
+	gk0, gnz := pr.globalK(0), pr.globalNZ()
+	for base := lo - lo%nx; base < hi; base += nx {
+		j, k := base/nx%ny, base/(nx*ny)
+		var lines [9][]float64
+		m, own := 0, 0
 		for dk := -1; dk <= 1; dk++ {
-			gk2 := gk + dk
-			if gk2 < 0 || gk2 >= gnz {
+			if g := gk0 + k + dk; g < 0 || g >= gnz {
 				continue
 			}
+			plane, first := x, (k+dk)*ny
+			switch {
+			case k+dk < 0:
+				plane, first = ghostLo, 0
+			case k+dk >= nz:
+				plane, first = ghostHi, 0
+			}
 			for dj := -1; dj <= 1; dj++ {
-				j2 := j + dj
-				if j2 < 0 || j2 >= ny {
+				if j+dj < 0 || j+dj >= ny {
 					continue
 				}
-				for di := -1; di <= 1; di++ {
-					i2 := i + di
-					if i2 < 0 || i2 >= nx {
-						continue
-					}
-					if di == 0 && dj == 0 && dk == 0 {
-						continue
-					}
-					k2 := k + dk
-					var v float64
-					switch {
-					case k2 < 0:
-						v = ghostLo[j2*nx+i2]
-					case k2 >= nz:
-						v = ghostHi[j2*nx+i2]
-					default:
-						v = x[(k2*ny+j2)*nx+i2]
-					}
-					sum -= v
+				if dk == 0 && dj == 0 {
+					own = m
 				}
+				at := (first + j + dj) * nx
+				lines[m] = plane[at : at+nx : at+nx]
+				m++
 			}
 		}
-		y[row] = sum
+		src, yl := lines[:m], y[base:base+nx:base+nx]
+		i0, i1 := max(lo-base, 0), min(hi-base, nx)
+		// [ia, ib) is what the unrolled interior takes of [i0, i1): rows
+		// with both i neighbors, on a line with all nine sources.
+		ia, ib := i1, i1
+		if m == 9 {
+			ia, ib = max(i0, 1), min(i1, nx-1)
+			// Windows [ia-1, ib+1) of the nine lines and of y, indexed by
+			// the right-hand neighbor t so that no access needs a check.
+			a, b, c := src[0][ia-1:ib+1], src[1][ia-1:ib+1], src[2][ia-1:ib+1]
+			d, e, f := src[3][ia-1:ib+1], src[4][ia-1:ib+1], src[5][ia-1:ib+1]
+			g, h, l := src[6][ia-1:ib+1], src[7][ia-1:ib+1], src[8][ia-1:ib+1]
+			yw := yl[ia-1 : ib+1]
+			for t := 2; t < len(yw); t++ {
+				s := 26.0 * e[t-1]
+				s = s - a[t-2] - a[t-1] - a[t]
+				s = s - b[t-2] - b[t-1] - b[t]
+				s = s - c[t-2] - c[t-1] - c[t]
+				s = s - d[t-2] - d[t-1] - d[t]
+				s = s - e[t-2] - e[t]
+				s = s - f[t-2] - f[t-1] - f[t]
+				s = s - g[t-2] - g[t-1] - g[t]
+				s = s - h[t-2] - h[t-1] - h[t]
+				s = s - l[t-2] - l[t-1] - l[t]
+				yw[t-1] = s
+			}
+		}
+		for i := i0; i < ia; i++ {
+			yl[i] = stencilRow(src, own, i)
+		}
+		for i := ib; i < i1; i++ {
+			yl[i] = stencilRow(src, own, i)
+		}
 	}
+}
+
+// stencilRow is row i of the line whose source lines are src, src[own]
+// the line itself: the form for the i = 0 and i = NX-1 rows and for
+// lines that lack a source.
+func stencilRow(src [][]float64, own, i int) float64 {
+	sum := 26.0 * src[own][i]
+	for s, l := range src {
+		if i > 0 {
+			sum -= l[i-1]
+		}
+		if s != own {
+			sum -= l[i]
+		}
+		if i+1 < len(l) {
+			sum -= l[i+1]
+		}
+	}
+	return sum
 }
 
 // Waxpby computes w = alpha*x + beta*y over [lo,hi).
 func Waxpby(w, x, y []float64, alpha, beta float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	w, x, y = w[lo:hi], x[lo:hi], y[lo:hi]
+	for i := range w {
 		w[i] = alpha*x[i] + beta*y[i]
 	}
 }
 
 // Dot returns sum(x[i]*y[i]) over [lo,hi).
 func Dot(x, y []float64, lo, hi int) float64 {
+	x, y = x[lo:hi], y[lo:hi]
 	s := 0.0
-	for i := lo; i < hi; i++ {
+	for i := range x {
 		s += x[i] * y[i]
 	}
 	return s
@@ -370,7 +417,12 @@ func (pr *Problem) RunTask(r *rt.Runtime, comm *mpi.Comm, cfg TaskConfig) error 
 	}
 	pr.RtzOld = allreduceSum(comm, mergeParts(pr.partRz))
 
-	body := func(iter int) { pr.submitIteration(r, comm, cfg) }
+	// A CG iteration's task graph does not change between iterations, so
+	// its specs — keys, and closures over constant block bounds — are
+	// built once and resubmitted: one SubmitBatch call per iteration, one
+	// pass over the graph's submission path.
+	specs := pr.buildIteration(comm, cfg)
+	body := func(iter int) { r.SubmitBatch(specs) }
 
 	abort := func(err error) error {
 		// Error out the peers' halo/allreduce requests rather than
@@ -423,14 +475,11 @@ func keysRange(f, c0, c1 int) []graph.Key {
 	return out
 }
 
-// submitIteration submits one CG iteration's tasks.
-func (pr *Problem) submitIteration(r *rt.Runtime, comm *mpi.Comm, cfg TaskConfig) {
+// buildIteration returns one CG iteration's tasks in submission order.
+func (pr *Problem) buildIteration(comm *mpi.Comm, cfg TaskConfig) []rt.Spec {
 	n := pr.Rows
 	tpl := cfg.TPL
-	// The whole iteration is staged into one slice and discovered through
-	// a single SubmitBatch call: one pass over the graph's submission
-	// path, one ready-queue publication per chunk.
-	specs := pr.iterSpecs[:0]
+	specs := make([]rt.Spec, 0, 4+tpl*(cfg.SpMVSub+5)+2)
 	nx, ny := pr.P.NX, pr.P.NY
 	nxy := nx * ny
 
@@ -583,7 +632,5 @@ func (pr *Problem) submitIteration(r *rt.Runtime, comm *mpi.Comm, cfg TaskConfig
 			Do:    func(any) error { Waxpby(pr.Pv, pr.R, pr.Pv, 1, pr.Beta, lo2, hi2); return nil },
 		})
 	}
-
-	r.SubmitBatch(specs)
-	pr.iterSpecs = specs[:0]
+	return specs
 }

@@ -221,19 +221,6 @@ func (pr *Problem) rowIndex(i, j, k int) int {
 	return (k*pr.P.NY+j)*pr.P.NX + i
 }
 
-func BenchmarkSerialSpMV(b *testing.B) {
-	pr, _ := New(Params{NX: 32, NY: 32, NZ: 32, Iters: 1, Ranks: 1})
-	x := make([]float64, pr.Rows)
-	y := make([]float64, pr.Rows)
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr.SpMV(y, x, pr.GhostLo, pr.GhostHi, 0, pr.Rows)
-	}
-}
-
 func BenchmarkTaskCGIteration(b *testing.B) {
 	pr, _ := New(Params{NX: 16, NY: 16, NZ: 16, Iters: 1, Ranks: 1})
 	r := rt.New(rt.Config{Workers: 4, Opts: graph.OptAll})

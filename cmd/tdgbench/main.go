@@ -28,9 +28,9 @@
 // -exp obs measures the observability layer itself: the grain-0
 // executor drain under obs off / metrics / metrics+spans, plus a
 // microbenchmark of the disabled per-task hook sequence and a live
-// /metrics completeness scrape. -check gates the fresh disabled-hook
-// cost (<= 2 ns/task) and the committed enabled overhead (<= 10%)
-// against BENCH_obs.json.
+// /metrics completeness scrape. -check gates the disabled-hook cost as
+// a share of the same run's off-mode task (<= 10%, fresh and committed)
+// and the committed enabled overhead (<= 10%) against BENCH_obs.json.
 //
 // -exp replay measures persistent-region replay: tiled-Cholesky and
 // LULESH-like iteration loops with empty bodies under adaptive (the
@@ -220,8 +220,8 @@ func runFaults(smoke bool, jsonPath, checkPath string) int {
 }
 
 // runObs executes the observability-overhead mode; returns the process
-// exit code. The -check gate holds the disabled hook under 2 ns/task
-// and the committed enabled overhead under 10%.
+// exit code. The -check gate holds the disabled hook under 10% of the
+// run's own off-mode task and the committed enabled overhead under 10%.
 func runObs(smoke bool, jsonPath, checkPath string) int {
 	p := experiments.DefaultObsParams()
 	if smoke {
@@ -256,11 +256,11 @@ func runObs(smoke bool, jsonPath, checkPath string) int {
 			fmt.Fprintf(os.Stderr, "parse %s: %v\n", checkPath, err)
 			return 1
 		}
-		if err := experiments.CheckObs(&res, committed, 2.0, 10.0); err != nil {
+		if err := experiments.CheckObs(&res, committed, 10.0, 10.0); err != nil {
 			fmt.Fprintf(os.Stderr, "obs overhead check FAILED: %v\n", err)
 			return 1
 		}
-		fmt.Printf("obs overhead check OK (disabled hook <= 2 ns, committed overhead <= 10%% vs %s)\n", checkPath)
+		fmt.Printf("obs overhead check OK (disabled hook <= 10%% of an off-mode task, committed overhead <= 10%% vs %s)\n", checkPath)
 	}
 	return 0
 }

@@ -24,9 +24,9 @@ import (
 //	spans   — timing tier: counters + sampled span recording + histograms
 //
 // It additionally microbenchmarks the disabled hook sequence in
-// isolation (DisabledHookNs, the "always-on costs ~nothing" claim) and
-// confirms over a real HTTP listener that /metrics serves every
-// pre-registered series.
+// isolation (DisabledHookNs, the "always-on costs ~nothing" claim, read
+// as a share of the off-mode drain of the same run) and confirms over a
+// real HTTP listener that /metrics serves every pre-registered series.
 
 // ObsSchemaVersion identifies the BENCH_obs.json layout; bump on
 // incompatible changes so stale baselines fail loudly.
@@ -82,7 +82,8 @@ type ObsResult struct {
 	// DisabledHookNs is the microbenched cost of the per-task hook
 	// sequence (sampling check + two counter increments) against a
 	// disabled registry — the price every task pays when observability
-	// is turned off. The CI gate holds it under 2 ns.
+	// is turned off. The CI gate reads it against the off row of the same
+	// run (DisabledHookShare), never against another machine's clock.
 	DisabledHookNs float64 `json:"disabled_hook_ns"`
 
 	// Overheads holds the enabled-tier costs, derived from Rows. The
@@ -306,6 +307,14 @@ func RunObs(p ObsParams) (ObsResult, error) {
 	return res, nil
 }
 
+// DisabledHookShare is the disabled hook sequence as a fraction of what
+// the same run measured for one grain-0 task with observability off:
+// both terms come from one process on one machine within a second of
+// each other, so a slow or busy box scales them together.
+func (r *ObsResult) DisabledHookShare() float64 {
+	return r.DisabledHookNs / r.Rows[0].NsPerTask // obsModes starts with "off"
+}
+
 // Validate checks a result's schema and structural invariants.
 func (r *ObsResult) Validate() error {
 	if r.Schema != ObsSchemaVersion {
@@ -347,20 +356,26 @@ func (r *ObsResult) Validate() error {
 }
 
 // CheckObs gates a fresh run against the committed baseline: both must
-// validate, the fresh disabled hook must stay under maxDisabledNs (the
-// always-on budget), and the committed enabled overheads must be under
-// maxOverheadPct. Fresh overhead
-// percentages are reported but not gated — CI machines are too noisy
-// for a relative wall-clock gate on a sub-millisecond drain.
-func CheckObs(fresh, committed *ObsResult, maxDisabledNs, maxOverheadPct float64) error {
+// validate, in both the disabled hook must stay under maxDisabledPct of
+// that run's own off-mode task (the always-on budget, an in-run ratio),
+// and the committed enabled overheads must be under maxOverheadPct.
+// Fresh overhead percentages are reported but not gated — CI machines
+// are too noisy for a relative wall-clock gate on a sub-millisecond drain.
+func CheckObs(fresh, committed *ObsResult, maxDisabledPct, maxOverheadPct float64) error {
 	if err := fresh.Validate(); err != nil {
 		return fmt.Errorf("fresh result: %w", err)
 	}
 	if err := committed.Validate(); err != nil {
 		return fmt.Errorf("committed baseline: %w", err)
 	}
-	if fresh.DisabledHookNs > maxDisabledNs {
-		return fmt.Errorf("disabled hook costs %.2f ns/task, budget is %.1f", fresh.DisabledHookNs, maxDisabledNs)
+	for _, r := range []struct {
+		name string
+		res  *ObsResult
+	}{{"fresh", fresh}, {"committed", committed}} {
+		if pct := r.res.DisabledHookShare() * 100; pct > maxDisabledPct {
+			return fmt.Errorf("%s disabled hook costs %.2f ns/task, %.1f%% of an off-mode task (%.1f ns), budget is %.0f%%",
+				r.name, r.res.DisabledHookNs, pct, r.res.Rows[0].NsPerTask, maxDisabledPct)
+		}
 	}
 	for _, o := range committed.Overheads {
 		if o.Pct > maxOverheadPct {
@@ -399,6 +414,6 @@ func PrintObs(w io.Writer, r *ObsResult) {
 	for _, o := range r.Overheads {
 		fmt.Fprintf(w, "overhead %s: %+.1f%% (%+.1f ns/task)\n", o.Mode, o.Pct, o.AddNs)
 	}
-	fmt.Fprintf(w, "disabled hook: %.2f ns/task (budget 2.0)\n", r.DisabledHookNs)
+	fmt.Fprintf(w, "disabled hook: %.2f ns/task, %.1f%% of an off-mode task\n", r.DisabledHookNs, r.DisabledHookShare()*100)
 	fmt.Fprintf(w, "metrics endpoint complete: %v, span events: %d\n", r.MetricsComplete, r.SpanEvents)
 }
