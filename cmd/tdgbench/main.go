@@ -280,6 +280,14 @@ func runReplay(smoke bool, jsonPath, checkPath string) int {
 		return 1
 	}
 	experiments.PrintReplay(os.Stdout, &res)
+	if !smoke {
+		// A full-size run differences milliseconds: its timings must be
+		// positive. A smoke run's are reported only.
+		if err := res.ValidateTimings(); err != nil {
+			fmt.Fprintf(os.Stderr, "replay benchmark FAILED: %v\n", err)
+			return 1
+		}
+	}
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
 		if err != nil {

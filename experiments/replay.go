@@ -368,7 +368,9 @@ func minOfU64(xs []uint64) uint64 {
 	return best
 }
 
-// Validate checks a result's schema and structural invariants.
+// Validate checks a result's schema and structural invariants: rows,
+// task counts, allocation counts. It looks at no timing — see
+// ValidateTimings.
 func (r *ReplayResult) Validate() error {
 	if r.Schema != ReplaySchemaVersion {
 		return fmt.Errorf("schema %d, tool expects %d", r.Schema, ReplaySchemaVersion)
@@ -391,9 +393,6 @@ func (r *ReplayResult) Validate() error {
 		if row.TasksPerIter != r.Params.TasksPerIter(row.Workload) {
 			return fmt.Errorf("row %d: %d tasks/iter, params imply %d", i, row.TasksPerIter, r.Params.TasksPerIter(row.Workload))
 		}
-		if row.ReplayNsPerTask <= 0 {
-			return fmt.Errorf("row %d (%s/%s): non-positive replay timing", i, row.Workload, row.Mode)
-		}
 		if row.AllocsPerIter < 0 || row.AllocsPerTask < 0 {
 			return fmt.Errorf("row %d: negative alloc count", i)
 		}
@@ -405,6 +404,22 @@ func (r *ReplayResult) Validate() error {
 	if len(r.Speedups) != len(replayWorkloads) {
 		return fmt.Errorf("%d speedup entries, want %d", len(r.Speedups), len(replayWorkloads))
 	}
+	return nil
+}
+
+// ValidateTimings checks that every row's replay cost, and with it every
+// speedup, came out positive. A row's cost is the difference of two wall
+// clocks, so this holds for a run whose measured iterations add up to
+// well over the machine's timer and scheduling noise — the default size,
+// the committed baseline — and is not asked of a smoke run, where the
+// difference is a few hundred microseconds and a loaded machine makes it
+// negative.
+func (r *ReplayResult) ValidateTimings() error {
+	for i, row := range r.Rows {
+		if row.ReplayNsPerTask <= 0 {
+			return fmt.Errorf("row %d (%s/%s): non-positive replay timing", i, row.Workload, row.Mode)
+		}
+	}
 	for _, sp := range r.Speedups {
 		if sp.CompiledVsAdaptive <= 0 {
 			return fmt.Errorf("workload %s: non-positive speedup", sp.Workload)
@@ -414,7 +429,8 @@ func (r *ReplayResult) Validate() error {
 }
 
 // CheckReplay gates a fresh run against the committed baseline: both
-// must validate, and in both every row — the gated adaptive replay and
+// must validate, the baseline — a full-size run — with positive timings,
+// and in both every row — the gated adaptive replay and
 // the frozen one — must stay allocation-free in steady state
 // (<= maxAllocsPerTask). Allocation
 // counts are deterministic enough to gate on a noisy CI machine; the
@@ -425,6 +441,9 @@ func CheckReplay(fresh, committed *ReplayResult, maxAllocsPerTask float64) error
 		return fmt.Errorf("fresh result: %w", err)
 	}
 	if err := committed.Validate(); err != nil {
+		return fmt.Errorf("committed baseline: %w", err)
+	}
+	if err := committed.ValidateTimings(); err != nil {
 		return fmt.Errorf("committed baseline: %w", err)
 	}
 	for _, res := range []*ReplayResult{fresh, committed} {

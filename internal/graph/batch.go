@@ -30,6 +30,9 @@ type TaskDesc struct {
 //     reserved once per batch instead of once per task;
 //   - every key-table stripe the batch touches is locked once, for the
 //     whole batch, instead of once per dependence (see lockStripes);
+//   - consecutive descs that read the same keys share one redirect pair
+//     for those reads instead of an edge per key each (read runs, below;
+//     under OptInOutSetNode) — the same orderings from fewer edges;
 //   - tasks that become ready during the batch are published once, at
 //     the end, through OnReadyBatch when configured (one queue lock +
 //     one wake-up instead of len(batch));
@@ -72,6 +75,8 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 	}
 	g.lockStripes(descs, held)
 	cpath := g.cpath
+	grouping := g.opts&OptInOutSetNode != 0
+	var run readRun
 	for i := range descs {
 		var cpT0 int64
 		if cpath {
@@ -93,8 +98,26 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 			t.recordEpoch = g.epoch
 			g.recorded = append(g.recorded, t)
 		}
+		if grouping {
+			if run.first != nil && !g.admits(&run, d.Deps) {
+				g.closeRun(&run, ready)
+			}
+			if run.first == nil && i+1 < len(descs) {
+				g.openRun(&run, t, d.Deps, descs[i+1:], ready)
+			}
+		}
+		// For a member the run's redirect pair stands for its reads.
+		member := run.first != nil
+		if member && run.entry != nil {
+			g.addEdge(run.sh, run.entry, t)
+		}
 		for _, dep := range d.Deps {
-			g.processDep(t, dep, ready)
+			if !member || dep.Type != In {
+				g.processDep(t, dep, ready)
+			}
+		}
+		if member {
+			g.addEdge(run.sh, t, run.exit)
 		}
 		if cpath {
 			// Discovery ends when the dependences are resolved; the
@@ -104,7 +127,185 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 		}
 		g.releaseSentinel(t, ready)
 	}
+	if run.first != nil {
+		g.closeRun(&run, ready)
+	}
 	g.unlockStripes(held)
+}
+
+// Read runs: optimization (c) for read sets. Consecutive tasks of a batch
+// that read the same keys — LULESH's force tasks declare the 40 to 150
+// keys of whole z-layers, some sixteen tasks in a row — are the paper's
+// m x n pattern with the sides swapped: the m writers of the keys against
+// n readers, then the n readers against the next m writers. Discovered
+// task by task that is 2mn constraints and mn key lookups. A run takes
+// the shared reads once, on an entry redirect node that succeeds every
+// key's out-set, and leaves one reader on every key, an exit redirect
+// node that succeeds every member: 2(m+n) constraints and m lookups —
+// and two nodes, which is what decides whether a run pays (minRunSaving).
+//
+// Nothing else changes, because the members' read sets are the same set.
+// Every member waits for the writers of all the shared keys either way,
+// and the next writer of any of them waits for all the members either
+// way; a failed writer skips every member and a failed member skips the
+// next writer of every shared key, through the redirect pair as through
+// direct edges. The nodes are ordinary redirect nodes to everything
+// downstream: recording, Compile and its reduction, replay, the
+// critical-path fold, DOT, the verifier's log.
+
+// minRunSaving is what a run must save to be opened, in constraints per
+// side: task by task a side is mn of them, through a redirect node m+n,
+// so (m-1)(n-1) - 1 fewer. Against that stands the node. A constraint is
+// a key lookup and, mostly, one load of a finished predecessor's state;
+// a redirect node is a task — allocated, counted four times, published,
+// popped, finished, and in a recording all of that again every replay,
+// where the reduction would have dropped the implied ones among the mn
+// edges and cannot drop a node — some sixteen constraints' worth, and a
+// run is asked to save twice that. HPCG's SpMV sub-tasks are the measured
+// break-even: four tasks reading seven keys, (m-1)(n-1) = 18, the same
+// speed either way on one rank and 4 % slower grouped on two ranks that
+// share a P. LULESH's force tasks, forty keys or more, pay at n = 2.
+const minRunSaving = 32
+
+// runPays reports whether the descs after the one declaring deps carry
+// on with its m reads for long enough that a run saves minRunSaving.
+// rest[0] is known to: each further desc looked at is one more member,
+// and the fewer the keys the more it takes.
+func runPays(m int, deps []Dep, rest []TaskDesc) bool {
+	for n := 2; (m-1)*(n-1) < minRunSaving; n++ {
+		if n > len(rest) || sharedReads(deps, rest[n-1].Deps) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// readRun is the open read run of one discover call. A run never outlives
+// the call: it closes before the stripe locks are dropped, so the marks
+// it leaves on keyStates are never seen by another producer, and a batch
+// of one (SubmitTask) — no next desc to look at — never opens one.
+type readRun struct {
+	// first is the run's first member, and the mark on the keyStates of
+	// the shared keys; nil when no run is open.
+	first *Task
+	// reads are the first member's declarations: the In ones are the key
+	// sequence every member declares.
+	reads []Dep
+	// keys are the shared keys' frontier states, looked up once.
+	keys []*keyState
+	// sh is the stripe whose counters the run's own edges are counted in
+	// (the first shared key's; the call holds every stripe involved).
+	sh *shard
+	// entry succeeds the out-sets of the shared keys and precedes every
+	// member; nil when no shared key has an out-set to wait for. exit
+	// succeeds every member and becomes each shared key's one reader when
+	// the run closes, its producer sentinel held until then.
+	entry, exit *Task
+}
+
+// sharedReads returns the length of the In key sequence that a and b both
+// declare, 0 when their In declarations differ.
+func sharedReads(a, b []Dep) int {
+	n, j := 0, 0
+	for _, d := range a {
+		if d.Type != In {
+			continue
+		}
+		for j < len(b) && b[j].Type != In {
+			j++
+		}
+		if j == len(b) || b[j].Key != d.Key {
+			return 0
+		}
+		j++
+		n++
+	}
+	for ; j < len(b); j++ {
+		if b[j].Type == In {
+			return 0
+		}
+	}
+	return n
+}
+
+// writesShared reports whether a declaration of deps other than In names
+// a key marked by the run whose first member is mark. Such a task must
+// be ordered against the members before it one by one, which a run does
+// not record.
+func (g *Graph) writesShared(deps []Dep, mark *Task) bool {
+	for _, d := range deps {
+		if d.Type == In {
+			continue
+		}
+		if ks := g.shards[g.stripeOf(d.Key)].keys[d.Key]; ks != nil && ks.run == mark {
+			return true
+		}
+	}
+	return false
+}
+
+// admits reports whether a task declaring deps is the open run's next
+// member.
+func (g *Graph) admits(run *readRun, deps []Dep) bool {
+	return sharedReads(run.reads, deps) != 0 && !g.writesShared(deps, run.first)
+}
+
+// openRun opens a run at t, the task under discovery, if the descs after
+// it (rest, not empty) continue it: the next one declares the same reads
+// as deps and neither writes one, and enough of them follow for the run
+// to pay. The entry node takes the reads here; newRedirect records both
+// nodes after t, as an inoutset group's node follows the group's first
+// member (Compiled.Replay relies on a recording not starting with one).
+func (g *Graph) openRun(run *readRun, t *Task, deps []Dep, rest []TaskDesc, ready *[]*Task) {
+	next := rest[0].Deps
+	if m := sharedReads(deps, next); m < 2 || !runPays(m, deps, rest) {
+		return
+	}
+	keys := run.keys[:0]
+	ordered := false
+	for _, d := range deps {
+		if d.Type != In {
+			continue
+		}
+		sh, ks := g.frontierOf(d.Key)
+		if ks.run == t {
+			continue // declared twice
+		}
+		ks.run = t
+		if len(keys) == 0 {
+			run.sh = sh
+		}
+		keys = append(keys, ks)
+		ordered = ordered || len(ks.outSet) > 0
+	}
+	run.keys = keys
+	if g.writesShared(deps, t) || g.writesShared(next, t) {
+		for _, ks := range keys {
+			ks.run = nil
+		}
+		return
+	}
+	run.first, run.reads, run.entry = t, deps, nil
+	if ordered {
+		run.entry = g.newRedirect()
+		for _, ks := range keys {
+			g.dependOnOutSet(run.sh, run.entry, ks, ready)
+		}
+		g.releaseSentinel(run.entry, ready)
+	}
+	run.exit = g.newRedirect()
+}
+
+// closeRun ends the open run: the exit node is registered as the reader
+// of every shared key, where each member would have been, and its
+// sentinel is dropped.
+func (g *Graph) closeRun(run *readRun, ready *[]*Task) {
+	for _, ks := range run.keys {
+		ks.readers = append(ks.readers, run.exit)
+		ks.run = nil
+	}
+	g.releaseSentinel(run.exit, ready)
+	run.first = nil
 }
 
 // lockStripes locks every key-table stripe a dependence of descs hashes

@@ -1,0 +1,375 @@
+package graph
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// Read runs (batch.go): what a run must and must not do to the graph a
+// batch discovers. The generated, executed and audited side is
+// discover_stress_test.go's; these are the cases picked by hand.
+
+func keysOf(lo, n int, typ DepType) []Dep {
+	deps := make([]Dep, n)
+	for i := range deps {
+		deps[i] = Dep{Key: Key(lo + i), Type: typ}
+	}
+	return deps
+}
+
+// writers returns one Out task per key lo..lo+m-1.
+func writers(lo, m int) []TaskDesc {
+	descs := make([]TaskDesc, m)
+	for i := range descs {
+		descs[i] = TaskDesc{Label: "w", Deps: keysOf(lo+i, 1, Out)}
+	}
+	return descs
+}
+
+// readers returns n tasks reading keys lo..lo+m-1, each also writing a
+// key of its own from private up.
+func readers(lo, m, n, private int) []TaskDesc {
+	descs := make([]TaskDesc, n)
+	for i := range descs {
+		deps := append(keysOf(lo, m, In), Dep{Key: Key(private + i), Type: Out})
+		descs[i] = TaskDesc{Label: "r", Deps: deps}
+	}
+	return descs
+}
+
+// reaches reports whether a path of successor edges leads from a to b.
+func reaches(a, b *Task) bool {
+	seen := map[*Task]bool{a: true}
+	stack := []*Task{a}
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range t.Successors() {
+			if s == b {
+				return true
+			}
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return false
+}
+
+// noMarks fails if a run's mark survived the call that made it.
+func noMarks(t *testing.T, g *Graph) {
+	t.Helper()
+	for i := range g.shards {
+		for k, ks := range g.shards[i].keys {
+			if ks.run != nil {
+				t.Fatalf("key %d still carries the mark of a run after its discover call returned", k)
+			}
+		}
+	}
+}
+
+// TestReadRunEdgeCounts: m writers, n readers of all their keys, m
+// writers again. One batch with optimization (c) materializes 2(m+n)
+// constraints through one redirect pair; without it, or task by task,
+// the 2mn the declarations spell out. (And m either way from each key's
+// first writer to its second.)
+func TestReadRunEdgeCounts(t *testing.T) {
+	const m, n = 6, 8 // (m-1)(n-1) = 35, over minRunSaving
+	descs := slices.Concat(writers(0, m), readers(0, m, n, 100), writers(0, m))
+	for _, tc := range []struct {
+		name      string
+		opts      Opt
+		batched   bool
+		edges     int64
+		redirects int64
+	}{
+		{"batch", OptAll, true, 2*(m+n) + m, 2},
+		{"batch without (c)", OptDedup, true, 2*m*n + m, 0},
+		{"task by task", OptAll, false, 2*m*n + m, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, c := newTestGraph(tc.opts)
+			var ts []*Task
+			if tc.batched {
+				ts = g.SubmitBatch(descs, nil)
+			} else {
+				for i := range descs {
+					ts = append(ts, g.SubmitTask(&descs[i]))
+				}
+			}
+			noMarks(t, g)
+			st := g.Stats()
+			if st.EdgesCreated != tc.edges || st.RedirectNodes != tc.redirects {
+				t.Fatalf("%d edges and %d redirect nodes, want %d and %d", st.EdgesCreated, st.RedirectNodes, tc.edges, tc.redirects)
+			}
+			// The orderings are the declared ones either way.
+			for r := m; r < m+n; r++ {
+				for w := 0; w < m; w++ {
+					if !reaches(ts[w], ts[r]) || !reaches(ts[r], ts[m+n+w]) {
+						t.Fatalf("reader %d is not between writers %d and %d", r, w, m+n+w)
+					}
+				}
+				for r2 := m; r2 < m+n; r2++ {
+					if reaches(ts[r], ts[r2]) {
+						t.Fatalf("reader %d ordered before reader %d", r, r2)
+					}
+				}
+			}
+			c.drain(g)
+			assertQuiescentStats(t, g, len(descs))
+		})
+	}
+}
+
+// TestReadRunClosesBeforeSharedKeyWriter: a task that has the run's reads
+// and also writes one of the shared keys is not a member. It succeeds the
+// members before it, the members after it succeed it, and both halves are
+// runs of their own.
+func TestReadRunClosesBeforeSharedKeyWriter(t *testing.T) {
+	const m, half = 9, 5 // either half pays on its own
+	for _, typ := range []DepType{Out, InOut, InOutSet} {
+		t.Run(typ.String(), func(t *testing.T) {
+			g, c := newTestGraph(OptAll)
+			cut := TaskDesc{Label: "cut", Deps: append(keysOf(0, m, In), Dep{Key: 2, Type: typ})}
+			descs := slices.Concat(writers(0, m), readers(0, m, half, 100), []TaskDesc{cut}, readers(0, m, half, 200))
+			ts := g.SubmitBatch(descs, nil)
+			g.Flush()
+			noMarks(t, g)
+			w := ts[m+half]
+			for i := 0; i < half; i++ {
+				before, after := ts[m+i], ts[m+half+1+i]
+				if !reaches(before, w) || !reaches(w, after) {
+					t.Fatalf("the task that writes a shared key is not between the members around it")
+				}
+			}
+			// Two runs of two nodes; an inoutset write adds its own.
+			want := int64(4)
+			if typ == InOutSet {
+				want++
+			}
+			if st := g.Stats(); st.RedirectNodes != want {
+				t.Fatalf("%d redirect nodes, want %d", st.RedirectNodes, want)
+			}
+			c.drain(g)
+			assertQuiescentStats(t, g, len(descs))
+		})
+	}
+}
+
+// TestReadRunClosesAtFirstOtherTask: a task with other reads ends the
+// run, whatever it touches, and the same reads after it start another.
+func TestReadRunClosesAtFirstOtherTask(t *testing.T) {
+	const m = 33 // a run of two pays
+	g, c := newTestGraph(OptAll)
+	other := TaskDesc{Label: "other", Deps: keysOf(50, 1, InOut)}
+	short := TaskDesc{Label: "short", Deps: keysOf(0, m-1, In)} // a prefix of the reads is not the reads
+	descs := slices.Concat(writers(0, m), readers(0, m, 2, 100), []TaskDesc{other}, readers(0, m, 2, 200),
+		[]TaskDesc{short}, readers(0, m, 2, 300), writers(0, m))
+	ts := g.SubmitBatch(descs, nil)
+	noMarks(t, g)
+	if st := g.Stats(); st.RedirectNodes != 6 {
+		t.Fatalf("%d redirect nodes, want three runs' pairs", st.RedirectNodes)
+	}
+	// Each run's exit node is a reader of every shared key: the last
+	// writers succeed all six members.
+	for r := m; r < len(descs)-m; r++ {
+		if descs[r].Label != "r" {
+			continue
+		}
+		for w := len(descs) - m; w < len(descs); w++ {
+			if !reaches(ts[r], ts[w]) {
+				t.Fatalf("reader %d does not precede the next writer %d", r, w)
+			}
+		}
+	}
+	c.drain(g)
+	assertQuiescentStats(t, g, len(descs))
+}
+
+// TestReadRunStaysInsideItsCall: the stripe locks are dropped between two
+// SubmitBatch calls, so a run ends with the first — its exit node
+// released, able to finish before the second call — and SubmitTask, which
+// has no next desc to look at, never opens one.
+func TestReadRunStaysInsideItsCall(t *testing.T) {
+	const m, n = 9, 5
+	g, c := newTestGraph(OptAll)
+	g.SubmitBatch(writers(0, m), nil)
+	g.SubmitBatch(readers(0, m, n, 100), nil)
+	noMarks(t, g)
+	c.drain(g)
+	if live := g.Live(); live != 0 {
+		t.Fatalf("%d tasks live after the first run's members finished: its exit node was not released", live)
+	}
+	g.SubmitBatch(readers(0, m, n, 200), nil)
+	noMarks(t, g)
+	c.drain(g)
+	st := g.Stats()
+	if st.RedirectNodes != 4 {
+		t.Fatalf("%d redirect nodes for the same reads in two calls, want two pairs", st.RedirectNodes)
+	}
+	assertQuiescentStats(t, g, m+2*n)
+
+	g2, c2 := newTestGraph(OptAll)
+	for _, d := range slices.Concat(writers(0, m), readers(0, m, n, 100), writers(0, m)) {
+		g2.SubmitTask(&d)
+	}
+	if st := g2.Stats(); st.RedirectNodes != 0 || st.EdgesCreated != 2*m*n+m {
+		t.Fatalf("SubmitTask grouped: %+v", st)
+	}
+	c2.drain(g2)
+	assertQuiescentStats(t, g2, 2*m+n)
+}
+
+// TestReadRunWithoutWritersHasNoEntry: keys nobody has written give the
+// members nothing to wait for, and a redirect node without a predecessor
+// is what the verifier calls dangling.
+func TestReadRunWithoutWritersHasNoEntry(t *testing.T) {
+	const m, n = 9, 5
+	g, c := newTestGraph(OptAll)
+	ts := g.SubmitBatch(slices.Concat(readers(0, m, n, 100), writers(0, m)), nil)
+	st := g.Stats()
+	if st.RedirectNodes != 1 || st.EdgesCreated != n+m {
+		t.Fatalf("%d redirect nodes and %d edges, want the exit node alone and %d", st.RedirectNodes, st.EdgesCreated, n+m)
+	}
+	if len(c.ready) != n {
+		t.Fatalf("%d tasks ready, want the %d readers", len(c.ready), n)
+	}
+	for r := 0; r < n; r++ {
+		if !reaches(ts[r], ts[n]) {
+			t.Fatalf("reader %d does not precede the writer", r)
+		}
+	}
+	c.drain(g)
+	assertQuiescentStats(t, g, n+m)
+}
+
+// TestReadRunThreshold: a run is opened when the descs ahead make it
+// save minRunSaving, (m-1)(n-1), and not one member short of that; one
+// shared key never pays, and a lone task is not a run.
+func TestReadRunThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		m, n      int
+		redirects int64
+	}{
+		{"5 keys, 9 tasks: 32", 5, 9, 2},
+		{"5 keys, 8 tasks: 28", 5, 8, 0},
+		{"33 keys, 2 tasks: 32", 33, 2, 2},
+		{"32 keys, 2 tasks: 31", 32, 2, 0},
+		{"2 keys, 33 tasks: 32", 2, 33, 2},
+		{"1 key, 100 tasks", 1, 100, 0},
+		{"40 keys, 1 task", 40, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, c := newTestGraph(OptAll)
+			descs := slices.Concat(writers(0, tc.m), readers(0, tc.m, tc.n, 1000))
+			g.SubmitBatch(descs, nil)
+			noMarks(t, g)
+			if st := g.Stats(); st.RedirectNodes != tc.redirects {
+				t.Fatalf("%d redirect nodes, want %d", st.RedirectNodes, tc.redirects)
+			}
+			c.drain(g)
+			assertQuiescentStats(t, g, len(descs))
+		})
+	}
+}
+
+// TestReadRunRecording: both nodes of a run are recorded after the run's
+// first member — so a recording that opens with a run starts with a task
+// a resubmission releases — Compile takes the recording, and a frozen and
+// a gated iteration of it run every member before the writers.
+func TestReadRunRecording(t *testing.T) {
+	const m, n = 9, 5
+	g, c := newTestGraph(OptAll)
+	g.SubmitBatch(writers(0, m), nil) // outside the recording: the entry node's predecessors
+	g.BeginRecording()
+	descs := slices.Concat(readers(0, m, n, 100), writers(0, m))
+	ts := g.SubmitBatch(descs, nil)
+	g.EndRecording()
+	c.drain(g)
+	rec := g.Recorded()
+	if rec[0] != ts[0] || !rec[1].Redirect || !rec[2].Redirect || rec[3] != ts[1] {
+		t.Fatalf("recorded order: %v", labelsOf(rec))
+	}
+	cs, err := g.CompileGated()
+	if err != nil {
+		t.Fatalf("CompileGated: %v", err)
+	}
+	for _, gated := range []bool{false, true} {
+		c.order = c.order[:0]
+		if gated {
+			if err := cs.BeginReplay(); err != nil {
+				t.Fatal(err)
+			}
+			for range descs {
+				cs.Replay(nil, nil, nil, nil)
+			}
+			if err := cs.FinishReplay(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if err := cs.BeginIteration(); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range cs.Roots() {
+				c.onReady(r)
+			}
+		}
+		var buf []*Task
+		done := 0
+		for tk := c.pop(); tk != nil; tk = c.pop() {
+			buf = cs.FinishInto(tk, buf, Completed)
+			for _, s := range buf {
+				c.onReady(s)
+			}
+			done++
+		}
+		cs.EndIteration()
+		if done != len(rec) || cs.Remaining() != 0 {
+			t.Fatalf("gated=%v: %d of %d recorded tasks finished, %d remaining", gated, done, len(rec), cs.Remaining())
+		}
+		pos := map[int64]int{}
+		for i, id := range c.order {
+			pos[id] = i
+		}
+		for r := 0; r < n; r++ {
+			for w := n; w < n+m; w++ {
+				if pos[ts[r].ID] > pos[ts[w].ID] {
+					t.Fatalf("gated=%v: writer %d became ready before reader %d", gated, w, r)
+				}
+			}
+		}
+	}
+	g.EndPersistent()
+	assertQuiescentStats(t, g, m+len(descs))
+}
+
+func labelsOf(ts []*Task) []string {
+	out := make([]string, len(ts))
+	for i, t := range ts {
+		out[i] = fmt.Sprintf("%d:%s", t.ID, t.Label)
+	}
+	return out
+}
+
+// TestCompileRefusesLeadingRedirect: Replay releases a redirect node with
+// the task recorded before it, so a recording that starts with one would
+// leave it held for ever. Discovery never records that; Compile says so
+// instead of trusting it.
+func TestCompileRefusesLeadingRedirect(t *testing.T) {
+	g, c := newTestGraph(OptAll)
+	g.BeginRecording()
+	g.SubmitBatch(slices.Concat(readers(0, 9, 5, 100), writers(0, 9)), nil)
+	g.EndRecording()
+	c.drain(g)
+	rec := g.recorded
+	rec[0], rec[1] = rec[1], rec[0]
+	for _, compile := range []func() (*Compiled, error){g.Compile, g.CompileGated} {
+		if cs, err := compile(); err == nil || cs != nil {
+			t.Fatalf("compiled a recording that starts with a redirect node (err %v)", err)
+		}
+	}
+	g.EndPersistent()
+}

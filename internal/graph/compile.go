@@ -134,8 +134,9 @@ type Compiled struct {
 //
 // Recordings containing detached tasks are rejected with
 // ErrCompileDetached (frozen replay cannot re-fire their events;
-// CompileGated takes them); any other error reports an internal indegree
-// mismatch: the recorded structure was mutated and must not be replayed.
+// CompileGated takes them); any other error reports a recording that must
+// not be replayed: one that starts with a redirect node, or an internal
+// indegree mismatch — the recorded structure was mutated.
 func (g *Graph) Compile() (*Compiled, error) { return g.compile(false) }
 
 // CompileGated is Compile for a schedule that will only run gated
@@ -150,6 +151,10 @@ func (g *Graph) compile(detachedOK bool) (*Compiled, error) {
 	}
 	rec := g.recorded
 	n := len(rec)
+	if n > 0 && rec[0].Redirect {
+		// Replay releases a redirect node with the task it follows.
+		return nil, fmt.Errorf("graph: recording starts with redirect node %d, which no resubmission would release", rec[0].ID)
+	}
 	c := &Compiled{
 		g: g,
 		// Snapshot the recording: g.recorded's backing array is reused
@@ -321,10 +326,10 @@ func (c *Compiled) Replay(fp any, body func(fp any), do func(fp any) error, atta
 	if attach != nil {
 		t.Attach = attach
 	}
-	// Redirect nodes go with the task they follow: one is recorded right
-	// after the first member of its group, so it can never be the position
-	// an iteration starts at. A position counts as released before its
-	// hold goes, or a task could run ahead of the count that includes it.
+	// Redirect nodes go with the task they follow: one is recorded after
+	// the first member of its group or run, and compile refuses a recording
+	// that starts with one. A position counts as released before its hold
+	// goes, or a task could run ahead of the count that includes it.
 	for {
 		c.released.Store(int32(p + 1))
 		c.dropHold(p)

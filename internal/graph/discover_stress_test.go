@@ -10,6 +10,7 @@ package graph_test
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -155,8 +156,11 @@ func within(t *testing.T, d time.Duration, f func()) {
 
 // genTDG generates a random dependence stream over keys base..: ordinary
 // tasks with 1-4 distinct keys of mixed access types, inoutset groups,
-// and fan bursts — one writer, up to 200 readers of it, and one collector
-// reading what each of them wrote (fan-out and fan-in of the same width).
+// fan bursts — one writer, up to 200 readers of it, and one collector
+// reading what each of them wrote (fan-out and fan-in of the same width)
+// — and read runs: up to 24 tasks in a row reading the same 4-9 keys,
+// between the keys' writers, now and then one of them writing a shared
+// key as well (which a batch must not take into the run).
 func genTDG(rng *rand.Rand, base graph.Key, n int) []graph.TaskDesc {
 	const shared = 16
 	types := []graph.DepType{graph.In, graph.In, graph.In, graph.Out, graph.InOut, graph.InOutSet, graph.InOutSet}
@@ -184,6 +188,26 @@ func genTDG(rng *rand.Rand, base graph.Key, n int) []graph.TaskDesc {
 				add("member", graph.Dep{Key: k, Type: graph.InOutSet})
 			}
 			add("consumer", graph.Dep{Key: k, Type: graph.In})
+		case p < 16: // read run between the writers of its keys
+			keys := rng.Perm(shared)[:4+rng.Intn(6)]
+			reads := make([]graph.Dep, len(keys))
+			for i, k := range keys {
+				reads[i] = graph.Dep{Key: base + graph.Key(k), Type: graph.In}
+				if rng.Intn(4) != 0 {
+					add("writer", graph.Dep{Key: reads[i].Key, Type: graph.Out})
+				}
+			}
+			width := 2 + rng.Intn(23)
+			cut := rng.Intn(2 * width) // the member that writes a shared key, if there is one
+			for i := 0; i < width; i++ {
+				deps := append(append([]graph.Dep(nil), reads...), graph.Dep{Key: next, Type: graph.Out})
+				next++
+				if i == cut {
+					deps = append(deps, graph.Dep{Key: reads[rng.Intn(len(reads))].Key, Type: types[3+rng.Intn(4)]})
+				}
+				add("reader", deps...)
+			}
+			add("rewriter", graph.Dep{Key: reads[0].Key, Type: graph.InOut}, graph.Dep{Key: reads[1].Key, Type: graph.Out})
 		default:
 			perm := rng.Perm(shared)[:1+rng.Intn(4)]
 			deps := make([]graph.Dep, len(perm))
@@ -266,6 +290,80 @@ func TestStressDiscoveryWhileCompleting(t *testing.T) {
 				t.Fatalf("audit of the discovered graph:\n%v", rep)
 			}
 		})
+	}
+}
+
+// TestStressReadRunsKeepTheDeclaredOrder is the read runs' oracle: the
+// same stream discovered in batches, where runs form, and task by task,
+// where they cannot, must order the same pairs of tasks — every pair, not
+// only the conflicting ones the audit looks at: a run may add no ordering
+// either. Nothing completes, so nothing is pruned and the comparison is
+// exact. The batches must also have had something to group.
+func TestStressReadRunsKeepTheDeclaredOrder(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		descs := genTDG(rand.New(rand.NewSource(seed)), 0, 1000)
+		discover := func(batched bool) ([]*graph.Task, graph.Stats) {
+			g := graph.New(graph.OptAll, func(*graph.Task) {})
+			var tasks []*graph.Task
+			if batched {
+				tasks = submitMixed(g, descs)
+			} else {
+				for i := range descs {
+					tasks = append(tasks, g.SubmitTask(&descs[i]))
+				}
+			}
+			g.Flush()
+			return tasks, g.Stats()
+		}
+		// order[i] has bit j set when task i precedes task j, redirect nodes
+		// followed through and left out.
+		order := func(tasks []*graph.Task) [][]uint64 {
+			index := make(map[*graph.Task]int, len(tasks))
+			for i, tk := range tasks {
+				index[tk] = i
+			}
+			words := (len(tasks) + 63) / 64
+			memo := make(map[*graph.Task][]uint64)
+			var below func(tk *graph.Task) []uint64
+			below = func(tk *graph.Task) []uint64 {
+				if set, ok := memo[tk]; ok {
+					return set
+				}
+				set := make([]uint64, words)
+				for _, s := range tk.Successors() {
+					if j, ok := index[s]; ok {
+						set[j>>6] |= 1 << (j & 63)
+					}
+					for w, x := range below(s) {
+						set[w] |= x
+					}
+				}
+				memo[tk] = set
+				return set
+			}
+			out := make([][]uint64, len(tasks))
+			for i, tk := range tasks {
+				out[i] = below(tk)
+			}
+			return out
+		}
+		grouped, gst := discover(true)
+		plain, pst := discover(false)
+		if gst.RedirectNodes <= pst.RedirectNodes || gst.EdgesCreated >= pst.EdgesCreated {
+			t.Fatalf("seed %d: batches made %d redirect nodes and %d edges, single tasks %d and %d: no run formed",
+				seed, gst.RedirectNodes, gst.EdgesCreated, pst.RedirectNodes, pst.EdgesCreated)
+		}
+		want := order(plain)
+		for i, got := range order(grouped) {
+			for w := range got {
+				if d := got[w] ^ want[i][w]; d != 0 {
+					j := w<<6 + bits.TrailingZeros64(d)
+					t.Fatalf("seed %d: task %d (%s %v) before task %d (%s %v): %v in batches, %v task by task",
+						seed, i, descs[i].Label, descs[i].Deps, j, descs[j].Label, descs[j].Deps,
+						got[w]&(d&-d) != 0, want[i][w]&(d&-d) != 0)
+				}
+			}
+		}
 	}
 }
 

@@ -47,7 +47,9 @@
 // duplicate elimination (OptDedup, optimization b) and appends to its
 // successor list. Optimization (c) (OptInOutSetNode) inserts redirect
 // nodes so an inoutset group of m writers and n consumers costs m+n
-// edges instead of m*n. While a task is under discovery its release
+// edges instead of m*n, and — inside one batch — so a run of n
+// consecutive tasks that read the same m keys costs 2(m+n) edges and m
+// key lookups instead of 2mn and mn (read runs, batch.go). While a task is under discovery its release
 // counter holds a large bias (the producer sentinel) and its live edges
 // are counted in a producer-private field; releaseSentinel swaps one for
 // the other in a single atomic add — one counter update per task, not

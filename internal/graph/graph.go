@@ -15,7 +15,10 @@ const (
 	OptDedup Opt = 1 << iota
 	// OptInOutSetNode is optimization (c): insert an empty redirect node
 	// after an inoutset group so m producers and n consumers need m+n
-	// edges instead of m*n.
+	// edges instead of m*n — and, the same idea for read sets, a pair of
+	// them around a run of batch tasks that read the same m keys, so m
+	// writers, n readers and the next m writers need 2(m+n) edges instead
+	// of 2mn (read runs, batch.go).
 	OptInOutSetNode
 	// OptKeepPrunedEdges materializes precedence edges even when the
 	// predecessor already completed (the case the discovery normally
@@ -48,7 +51,7 @@ const (
 // and EdgesAttempted == EdgesCreated + EdgesPruned + EdgesDuplicate.
 type Stats struct {
 	Tasks          int64 // tasks discovered (including redirect nodes)
-	RedirectNodes  int64 // empty nodes inserted by optimization (c)
+	RedirectNodes  int64 // empty nodes inserted by optimization (c), both forms
 	EdgesAttempted int64 // precedence constraints processed
 	EdgesCreated   int64 // edges actually materialized
 	EdgesPruned    int64 // skipped: predecessor already completed
@@ -76,6 +79,10 @@ type keyState struct {
 	// redirectReleased records that the producer sentinel of the group's
 	// redirect node was dropped (on group close or frontier flush).
 	redirectReleased bool
+	// run marks the key as one the open read run of a discover call shares
+	// (batch.go): that run's first member. Set and cleared inside the call,
+	// under the key's stripe lock, so it is nil whenever the lock is free.
+	run *Task
 }
 
 // shard is one stripe of the dependence key table. All frontier state
@@ -349,21 +356,28 @@ func (g *Graph) SubmitTask(d *TaskDesc) *Task {
 	return ts[0]
 }
 
-// processDep applies one dependence declaration during discovery. The
-// caller holds the key's shard lock. readyBuf collects tasks readied as
-// a side effect (redirect nodes of closing groups) for delivery outside
-// the lock.
-func (g *Graph) processDep(t *Task, d Dep, readyBuf *[]*Task) {
-	sh := &g.shards[g.stripeOf(d.Key)]
-	ks := sh.keys[d.Key]
+// frontierOf returns k's stripe and frontier state, creating the state
+// on first access. The caller holds the stripe's lock.
+func (g *Graph) frontierOf(k Key) (*shard, *keyState) {
+	sh := &g.shards[g.stripeOf(k)]
+	ks := sh.keys[k]
 	if ks == nil {
 		if g.noPool {
 			ks = &keyState{}
 		} else {
 			ks = sh.allocKeyState()
 		}
-		sh.keys[d.Key] = ks
+		sh.keys[k] = ks
 	}
+	return sh, ks
+}
+
+// processDep applies one dependence declaration during discovery. The
+// caller holds the key's shard lock. readyBuf collects tasks readied as
+// a side effect (redirect nodes of closing groups) for delivery outside
+// the lock.
+func (g *Graph) processDep(t *Task, d Dep, readyBuf *[]*Task) {
+	sh, ks := g.frontierOf(d.Key)
 	switch d.Type {
 	case In:
 		g.dependOnOutSet(sh, t, ks, readyBuf)

@@ -97,7 +97,7 @@
 //
 //	taskdep_edges_created_total      precedence edges materialized
 //	taskdep_edges_deduped_total      duplicates pruned by optimization (b)
-//	taskdep_edges_redirected_total   inoutset redirect nodes (optimization c)
+//	taskdep_edges_redirected_total   redirect nodes (optimization c)
 //	taskdep_edges_pruned_total       edges to already-completed predecessors
 //
 // Gauges (registered by rt):

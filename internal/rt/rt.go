@@ -117,7 +117,7 @@ type Runtime struct {
 	// and Taskwait waits on its countdown. Nil otherwise. Producer-only.
 	replay *graph.Compiled
 	// inPersistent guards against nested Persistent, Record and Replay
-	// calls.
+	// calls; outside a replayed iteration it means the region is recording.
 	inPersistent bool
 	// compiled is the active replay schedule, non-nil only while
 	// replayCompiled runs a Recording. Workers load it in finish to
@@ -784,6 +784,20 @@ func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*E
 	st.descs, st.deps, st.tasks = descs[:0], flat[:0], tasks[:0]
 	rt.stagePool.Put(st)
 	sp.End()
+	// Hand the P to the workers the chunk's ready tasks woke. Where they
+	// have a P of their own this returns at once. Where they do not, the
+	// producer would otherwise keep the P for a scheduler quantum and
+	// discover thousands of tasks against predecessors that are ready and
+	// have not run, an edge materialized, stored and later decremented for
+	// each; after the yield they have finished, and the next chunk's
+	// constraints on them are pruned on one load. It also bounds how far
+	// discovery runs ahead of execution to about a chunk. Not while a
+	// region records: there every edge inside the recording is kept
+	// whether its predecessor has finished or not, and so is every task,
+	// so the yield would buy nothing.
+	if !rt.inPersistent {
+		runtime.Gosched()
+	}
 	return evs
 }
 

@@ -1,11 +1,14 @@
 package rt
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"taskdep/internal/graph"
+	"taskdep/internal/obs"
 	"taskdep/internal/verify"
 )
 
@@ -204,5 +207,128 @@ func TestSubmitBatchPersistentReplay(t *testing.T) {
 	}
 	if rep := rt.Verify(); !rep.OK() {
 		t.Fatalf("persistent batched run reported: %v", rep)
+	}
+}
+
+// TestRegionOpensWithRedirectOwner: the first submission of a persistent
+// region is a batch whose first task owns redirect nodes — a read run's
+// pair, or an inoutset group's node — so position 1 of the recording is a
+// redirect node and position 0 must not be: a replayed body releases a
+// redirect node with the task recorded before it. Plain, Adaptive (which
+// re-records once) and Frozen regions all run every task every iteration.
+func TestRegionOpensWithRedirectOwner(t *testing.T) {
+	const iters, readers = 6, 5
+	shared := []graph.Key{1, 2, 3, 4, 5, 6, 7, 8, 9} // nine keys, five readers: a run pays
+	modes := []struct {
+		name       string
+		opts       []PersistentOption
+		recordings int64
+	}{
+		{"plain", nil, 1},
+		{"adaptive", []PersistentOption{Adaptive(func(it int) bool { return it == 3 })}, 2},
+		{"frozen", []PersistentOption{Frozen()}, 1},
+	}
+	for _, first := range []string{"read run", "inoutset group"} {
+		for _, m := range modes {
+			t.Run(first+"/"+m.name, func(t *testing.T) {
+				r := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+				defer r.Close()
+				// Writers outside the region: the run has an entry node.
+				var seed []Spec
+				for _, k := range shared {
+					seed = append(seed, Spec{Out: []graph.Key{k}, Body: func(any) {}})
+				}
+				r.SubmitBatch(seed)
+				if err := r.Taskwait(); err != nil {
+					t.Fatal(err)
+				}
+				var ran [readers + 1]atomic.Int64
+				var specs []Spec
+				for i := 0; i < readers; i++ {
+					i := i
+					sp := Spec{Label: fmt.Sprintf("m%d", i), Body: func(any) { ran[i].Add(1) }}
+					if first == "read run" {
+						sp.In, sp.Out = shared, []graph.Key{graph.Key(20 + i)}
+					} else {
+						sp.InOutSet = shared[:1]
+					}
+					specs = append(specs, sp)
+				}
+				specs = append(specs, Spec{Label: "next", InOut: shared, Body: func(any) { ran[readers].Add(1) }})
+				var err error
+				finishes(t, m.name, func() {
+					err = r.Persistent(iters, func(int) { r.SubmitBatch(specs) }, m.opts...)
+				})
+				if err != nil {
+					t.Fatalf("Persistent: %v", err)
+				}
+				rec := r.Graph().Recorded()
+				if rec[0].Redirect || !rec[1].Redirect {
+					t.Fatalf("the recording does not open with a task and its redirect node")
+				}
+				for i := range ran {
+					if n := ran[i].Load(); n != iters {
+						t.Fatalf("task %d ran %d times in %d iterations", i, n, iters)
+					}
+				}
+				if got, want := r.Obs().Counter(obs.CReplayCompiled), iters-m.recordings; got != want {
+					t.Fatalf("%d compiled iterations, want %d", got, want)
+				}
+				checkQuiescent(t, r, "after the region")
+				if rep := r.Verify(); !rep.OK() {
+					t.Fatalf("audit: %v", rep)
+				}
+			})
+		}
+	}
+}
+
+// TestBatchProducerHandsOverItsP: on one P, a producer that keeps it after
+// publishing a chunk discovers thousands of tasks against predecessors
+// that are ready and have not run. SubmitBatch yields once per chunk
+// instead: the worker drains what is ready, the graph's live count stays
+// within a few chunks, and most constraints of the next chunk are pruned
+// against finished predecessors. With a second P the yield returns at
+// once and must change nothing.
+func TestBatchProducerHandsOverItsP(t *testing.T) {
+	const batches = 40
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			r := New(Config{Workers: 1, Opts: graph.OptAll})
+			var count [batchChunk]int // count[i] is ordered by key i
+			specs := make([]Spec, batchChunk)
+			for i := range specs {
+				i := i
+				specs[i] = Spec{InOut: []graph.Key{graph.Key(i)}, Body: func(any) { count[i]++ }}
+			}
+			var maxLive int64
+			finishes(t, "the batches", func() {
+				for b := 0; b < batches; b++ {
+					r.SubmitBatch(specs)
+					if live := r.Graph().Live(); live > maxLive {
+						maxLive = live
+					}
+				}
+				if err := r.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			})
+			for i, n := range count {
+				if n != batches {
+					t.Fatalf("task %d ran %d times, want %d", i, n, batches)
+				}
+			}
+			checkQuiescent(t, r, "after Close")
+			if procs != 1 {
+				return
+			}
+			if maxLive > 3*batchChunk {
+				t.Fatalf("%d tasks live after a SubmitBatch: the producer ran ahead of the worker", maxLive)
+			}
+			if st := r.Graph().Stats(); 2*st.EdgesPruned <= st.EdgesAttempted {
+				t.Fatalf("%d of %d constraints pruned, want more than half", st.EdgesPruned, st.EdgesAttempted)
+			}
+		})
 	}
 }

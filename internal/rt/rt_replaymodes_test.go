@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,7 +26,13 @@ import (
 	"taskdep/internal/verify"
 )
 
-const modeKeys = 6
+// modeKeys is the key count of a plain stream, runModeKeys of one with
+// read runs, whose members share up to nine keys and have a few others to
+// write.
+const (
+	modeKeys    = 6
+	runModeKeys = 20
+)
 
 // modeStream is a generated iteration: specs built once and resubmitted
 // every iteration with the iteration number as firstprivate, as the
@@ -33,14 +40,22 @@ const modeKeys = 6
 type modeStream struct {
 	specs    []Spec
 	detached int
-	acc      [modeKeys]atomic.Uint64
+	acc      []atomic.Uint64
 	// ran[i] counts task i's executions; failTask fails (before folding)
 	// on the one numbered failIter, from 0 — iteration failIter in every
 	// mode, and readable in a Frozen region, whose firstprivate never
-	// changes.
-	ran      []atomic.Int64
-	failTask int
-	failIter int
+	// changes — by returning errPlanted, or panicking with it.
+	ran        []atomic.Int64
+	failTask   int
+	failIter   int
+	failPanics bool
+	// batched makes body submit an iteration in one SubmitBatch call (in
+	// chunks of batchChunk, where read runs form) instead of task by task.
+	batched bool
+	// writers and members index the tasks of the stream's read runs: the
+	// writers of the shared keys ahead of each run, and the members that
+	// are not detached.
+	writers, members []int
 	// armed carries the events of detached tasks that leave fulfilment to
 	// another goroutine, as an MPI progress engine would do it.
 	armed chan *Event
@@ -55,14 +70,27 @@ func mix(h, v uint64) uint64 {
 	return h ^ h>>31
 }
 
-// newModeStream generates n tasks over modeKeys keys. iterFree makes the
-// bodies ignore the iteration number — what a Frozen region, which never
-// sees a new firstprivate, can be compared on — and detached lets about
-// one task in six complete through an event.
-func newModeStream(seed int64, n int, iterFree, detached bool) *modeStream {
+// modeAccess is one declared dependence of a generated task.
+type modeAccess struct {
+	k   int
+	typ graph.DepType
+}
+
+// newModeStream generates n tasks. iterFree makes the bodies ignore the
+// iteration number — what a Frozen region, which never sees a new
+// firstprivate, can be compared on — and detached lets about one task in
+// six complete through an event. runs puts read runs in the stream
+// (genRun), one of them across the batchChunk-th task when n reaches
+// well past it.
+func newModeStream(seed int64, n int, iterFree, detached, runs bool) *modeStream {
 	rng := rand.New(rand.NewSource(seed))
+	nkeys := modeKeys
+	if runs {
+		nkeys = runModeKeys
+	}
 	s := &modeStream{
-		specs:    make([]Spec, n),
+		specs:    make([]Spec, 0, n),
+		acc:      make([]atomic.Uint64, nkeys),
 		ran:      make([]atomic.Int64, n),
 		failTask: -1,
 		armed:    make(chan *Event, n),
@@ -74,77 +102,135 @@ func newModeStream(seed int64, n int, iterFree, detached bool) *modeStream {
 			ev.Fulfill()
 		}
 	}()
-	for i := range s.specs {
-		i := i
-		sp := &s.specs[i]
-		sp.Label = fmt.Sprintf("t%d", i)
-		type access struct {
-			k   int
-			typ graph.DepType
-		}
-		var deps []access
-		for _, k := range rng.Perm(modeKeys)[:1+rng.Intn(3)] {
-			typ := graph.DepType(rng.Intn(4))
-			if rng.Intn(3) == 0 {
-				typ = graph.InOutSet // enough of them in a row to form groups
+	fill := func(n int) {
+		for len(s.specs) < n {
+			if runs && rng.Intn(8) == 0 {
+				s.genRun(rng, n, 2+rng.Intn(15), iterFree, detached)
+				continue
 			}
-			deps = append(deps, access{k, typ})
-			key := graph.Key(k + 1)
-			switch typ {
-			case graph.In:
-				sp.In = append(sp.In, key)
-			case graph.Out:
-				sp.Out = append(sp.Out, key)
-			case graph.InOut:
-				sp.InOut = append(sp.InOut, key)
-			case graph.InOutSet:
-				sp.InOutSet = append(sp.InOutSet, key)
-			}
-		}
-		fold := func(fp any) error {
-			it := fp.(int)
-			if i == s.failTask && s.ran[i].Load() == int64(s.failIter) {
-				return errPlanted
-			}
-			s.ran[i].Add(1)
-			h := uint64(i + 1)
-			if !iterFree {
-				h = mix(h, uint64(it))
-			}
-			for _, d := range deps {
-				if d.typ == graph.In {
-					h = mix(h, s.acc[d.k].Load())
+			var deps []modeAccess
+			for _, k := range rng.Perm(nkeys)[:1+rng.Intn(3)] {
+				typ := graph.DepType(rng.Intn(4))
+				if rng.Intn(3) == 0 {
+					typ = graph.InOutSet // enough of them in a row to form groups
 				}
+				deps = append(deps, modeAccess{k, typ})
 			}
-			for _, d := range deps {
-				switch d.typ {
-				case graph.Out:
-					s.acc[d.k].Store(h)
-				case graph.InOut:
-					s.acc[d.k].Store(mix(h, s.acc[d.k].Load()))
-				case graph.InOutSet:
-					s.acc[d.k].Add(h) // concurrent with the rest of its group
-				}
-			}
-			return nil
-		}
-		if detached && rng.Intn(6) == 0 {
-			s.detached++
-			inline := rng.Intn(2) == 0
-			sp.Detached = true
-			sp.DetachedBody = func(fp any, ev *Event) {
-				_ = fold(fp) // a detached task is never the planted failure
-				if inline {
-					ev.Fulfill()
-				} else {
-					s.armed <- ev
-				}
-			}
-		} else {
-			sp.Do = fold
+			s.emit(deps, iterFree, detached && rng.Intn(6) == 0, rng)
 		}
 	}
+	if runs && n > batchChunk+16 {
+		// At most nine writers, then twenty-four members: nine or more of
+		// them on either side of the chunk boundary, a run each.
+		fill(batchChunk - 18)
+		s.genRun(rng, n, 24, iterFree, detached)
+	}
+	fill(n)
 	return s
+}
+
+// genRun appends a read run, as far as a stream of n tasks has room: a
+// writer for each of 5-9 shared keys (one task each, so that what a run
+// saves does not hinge on duplicate elimination), then width members that
+// read them all in the same order and write up to two other keys — wide
+// enough or not for a batch to group them (graph's minRunSaving). About
+// one run in three has a member that writes a shared key as well, which
+// cuts the run in two.
+func (s *modeStream) genRun(rng *rand.Rand, n, width int, iterFree, detached bool) {
+	perm := rng.Perm(len(s.acc))
+	shared, spare := perm[:5+rng.Intn(5)], perm[9:]
+	write := func() graph.DepType { return graph.Out + graph.DepType(rng.Intn(3)) }
+	for _, k := range shared {
+		if len(s.specs) == n {
+			return
+		}
+		s.writers = append(s.writers, len(s.specs))
+		s.emit([]modeAccess{{k, graph.Out + graph.DepType(rng.Intn(2))}}, iterFree, false, rng)
+	}
+	cut := rng.Intn(3 * width)
+	for j := 0; j < width && len(s.specs) < n; j++ {
+		var deps []modeAccess
+		for _, k := range shared {
+			deps = append(deps, modeAccess{k, graph.In})
+		}
+		for _, k := range spare[:rng.Intn(3)] {
+			deps = append(deps, modeAccess{k, write()})
+		}
+		if j == cut {
+			deps = append(deps, modeAccess{shared[rng.Intn(len(shared))], write()})
+		}
+		det := detached && rng.Intn(6) == 0
+		if j != cut && !det {
+			s.members = append(s.members, len(s.specs))
+		}
+		s.emit(deps, iterFree, det, rng)
+	}
+}
+
+// emit appends the task that declares deps: its body folds its number,
+// the iteration's and what it reads into what it writes.
+func (s *modeStream) emit(deps []modeAccess, iterFree, detached bool, rng *rand.Rand) {
+	i := len(s.specs)
+	s.specs = append(s.specs, Spec{Label: fmt.Sprintf("t%d", i)})
+	sp := &s.specs[i]
+	for _, d := range deps {
+		key := graph.Key(d.k + 1)
+		switch d.typ {
+		case graph.In:
+			sp.In = append(sp.In, key)
+		case graph.Out:
+			sp.Out = append(sp.Out, key)
+		case graph.InOut:
+			sp.InOut = append(sp.InOut, key)
+		case graph.InOutSet:
+			sp.InOutSet = append(sp.InOutSet, key)
+		}
+	}
+	fold := func(fp any) error {
+		it := fp.(int)
+		if i == s.failTask && s.ran[i].Load() == int64(s.failIter) {
+			if s.failPanics {
+				panic(errPlanted)
+			}
+			return errPlanted
+		}
+		s.ran[i].Add(1)
+		h := uint64(i + 1)
+		if !iterFree {
+			h = mix(h, uint64(it))
+		}
+		for _, d := range deps {
+			if d.typ == graph.In {
+				h = mix(h, s.acc[d.k].Load())
+			}
+		}
+		for _, d := range deps {
+			switch d.typ {
+			case graph.Out:
+				s.acc[d.k].Store(h)
+			case graph.InOut:
+				s.acc[d.k].Store(mix(h, s.acc[d.k].Load()))
+			case graph.InOutSet:
+				s.acc[d.k].Add(h) // concurrent with the rest of its group
+			}
+		}
+		return nil
+	}
+	if !detached {
+		sp.Do = fold
+		return
+	}
+	s.detached++
+	inline := rng.Intn(2) == 0
+	sp.Detached = true
+	sp.DetachedBody = func(fp any, ev *Event) {
+		_ = fold(fp) // a detached task is never the planted failure
+		if inline {
+			ev.Fulfill()
+		} else {
+			s.armed <- ev
+		}
+	}
 }
 
 // plantFailure picks a task that is not detached to fail at iteration
@@ -160,11 +246,18 @@ func (s *modeStream) plantFailure(rng *rand.Rand, iter int) {
 
 // body submits the first n tasks of the stream for iteration it.
 func (s *modeStream) body(r *Runtime, n int) func(it int) {
+	staged := make([]Spec, n)
 	return func(it int) {
-		for i := 0; i < n; i++ {
-			sp := s.specs[i]
-			sp.FirstPrivate = it
-			r.Submit(sp)
+		copy(staged, s.specs)
+		for i := range staged {
+			staged[i].FirstPrivate = it
+		}
+		if s.batched {
+			r.SubmitBatch(staged)
+			return
+		}
+		for i := range staged {
+			r.Submit(staged[i])
 		}
 	}
 }
@@ -176,13 +269,19 @@ func (s *modeStream) stop() {
 
 // result is what two runs of the same stream are compared on.
 type modeResult struct {
-	acc [modeKeys]uint64
+	acc []uint64
 	ran []int64
 	err error
+	// What runMode reads off the runtime once it has closed it: executed,
+	// skipped and aborted task counts, the graph's discovery counters, and
+	// the verifier's audit of everything discovered (nil with Verify off).
+	finished [3]int64
+	stats    graph.Stats
+	audit    *verify.Report
 }
 
 func (s *modeStream) result(err error) modeResult {
-	res := modeResult{ran: make([]int64, len(s.ran)), err: err}
+	res := modeResult{acc: make([]uint64, len(s.acc)), ran: make([]int64, len(s.ran)), err: err}
 	for k := range s.acc {
 		res.acc[k] = s.acc[k].Load()
 	}
@@ -278,16 +377,17 @@ func runMode(t *testing.T, m replayMode, cfg Config, mk func() *modeStream, iter
 	// iteration runs tasks nobody submitted.)
 	o := r.Obs()
 	sub := o.Counter(obs.CTasksSubmitted)
-	fin := o.Counter(obs.CTasksExecuted) + o.Counter(obs.CTasksSkipped) + o.Counter(obs.CTasksAborted)
-	if sub != fin && m.name != "frozen" {
+	res.finished = [3]int64{o.Counter(obs.CTasksExecuted), o.Counter(obs.CTasksSkipped), o.Counter(obs.CTasksAborted)}
+	if fin := res.finished[0] + res.finished[1] + res.finished[2]; sub != fin && m.name != "frozen" {
 		t.Fatalf("%s: %d tasks submitted, %d executed+skipped+aborted", m.name, sub, fin)
 	}
+	res.stats, res.audit = r.Graph().Stats(), r.Verify()
 	return res
 }
 
 func sameResult(t *testing.T, mode string, got, want modeResult) {
 	t.Helper()
-	if got.acc != want.acc {
+	if !slices.Equal(got.acc, want.acc) {
 		t.Fatalf("%s: accumulators %x, oracle %x", mode, got.acc, want.acc)
 	}
 	for i := range want.ran {
@@ -311,7 +411,7 @@ func TestReplayModesAgree(t *testing.T) {
 					if seed == 4 {
 						cfg.Verify = verify.Observe // per-submission divergence checking on
 					}
-					mk := func() *modeStream { return newModeStream(seed, tasks, frozenComparable, !frozenComparable) }
+					mk := func() *modeStream { return newModeStream(seed, tasks, frozenComparable, !frozenComparable, false) }
 					modes := replayModes(t, 1+int(seed)%(iters-1))
 					want := runMode(t, modes[0], cfg, mk, iters)
 					if want.err != nil {
@@ -345,7 +445,7 @@ func TestReplayModesFault(t *testing.T) {
 				cfg := Config{Workers: workers, Opts: graph.OptAll}
 				failIter := 1 + int(seed)%(iters-2) // a replayed iteration, not the last
 				mk := func() *modeStream {
-					s := newModeStream(seed, tasks, false, true)
+					s := newModeStream(seed, tasks, false, true, false)
 					s.plantFailure(rand.New(rand.NewSource(seed)), failIter)
 					return s
 				}
@@ -372,6 +472,80 @@ func TestReplayModesFault(t *testing.T) {
 	}
 }
 
+// TestReplayModesBatchedEqualsTaskByTask is the read runs' differential
+// test, with an oracle that costs nothing: Submit discovers a task with
+// no next one to look at, so the same stream submitted task by task
+// cannot form a run. Streams with runs in them — cut by a member that
+// writes a shared key, by batchChunk, with detached members — go through
+// every mode both ways, clean, with a shared key's writer returning an
+// error and with a member panicking, under the verifier and the
+// critical-path profiler: same accumulators, same executions, same
+// terminal-state counts, the same task named, a clean audit of both
+// graphs — and in batches more redirect nodes and, as the verifier has
+// every edge kept and so makes the count exact, fewer edges.
+func TestReplayModesBatchedEqualsTaskByTask(t *testing.T) {
+	const tasks, iters = batchChunk + 40, 3
+	for _, workers := range []int{1, 2, 4} {
+		for _, fail := range []string{"", "writer", "member"} {
+			for seed := int64(1); seed <= 2; seed++ {
+				frozen := seed == 2 // bodies a Frozen region can be compared on
+				if frozen && fail != "" {
+					continue // a Frozen region is not compared on failures
+				}
+				t.Run(fmt.Sprintf("workers%d/fail=%s/seed%d", workers, fail, seed), func(t *testing.T) {
+					// Observe audits once, when runMode asks; Full at every wait,
+					// which under the race detector is most of this test's time.
+					cfg := Config{Workers: workers, Opts: graph.OptAll, Verify: verify.Observe, CPath: CPathOptions{Enable: true}}
+					if workers == 2 && fail == "" {
+						cfg.Verify = verify.Full
+					}
+					failIter := int(seed) % iters
+					mk := func(batched bool) func() *modeStream {
+						return func() *modeStream {
+							s := newModeStream(seed+int64(10*workers), tasks, frozen, !frozen, true)
+							s.batched = batched
+							pick := rand.New(rand.NewSource(seed))
+							switch fail {
+							case "writer":
+								s.failTask, s.failIter = s.writers[pick.Intn(len(s.writers))], failIter
+							case "member":
+								s.failTask, s.failIter, s.failPanics = s.members[pick.Intn(len(s.members))], failIter, true
+							}
+							return s
+						}
+					}
+					for _, m := range replayModes(t, 1) {
+						if m.name == "frozen" && !frozen {
+							continue
+						}
+						want := runMode(t, m, cfg, mk(false), iters)
+						got := runMode(t, m, cfg, mk(true), iters)
+						sameResult(t, m.name+" in batches", got, want)
+						var te, wantTE *fault.TaskError
+						if errors.As(want.err, &wantTE) != (fail != "") || errors.As(got.err, &te) != (fail != "") {
+							t.Fatalf("%s: task by task returned %v, in batches %v", m.name, want.err, got.err)
+						}
+						if fail != "" && te.Label != wantTE.Label {
+							t.Fatalf("%s: failed task %q in batches, %q task by task", m.name, te.Label, wantTE.Label)
+						}
+						if got.finished != want.finished {
+							t.Fatalf("%s: executed, skipped, aborted %v in batches, %v task by task", m.name, got.finished, want.finished)
+						}
+						for _, res := range []modeResult{want, got} {
+							if !res.audit.OK() {
+								t.Fatalf("%s: audit: %v", m.name, res.audit)
+							}
+						}
+						if got.stats.RedirectNodes <= want.stats.RedirectNodes || got.stats.EdgesCreated >= want.stats.EdgesCreated {
+							t.Fatalf("%s: in batches %+v, task by task %+v: no run formed", m.name, got.stats, want.stats)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestReplayModesInstrumentedEqualsBare: Config.Profile, span timing and
 // the critical-path profiler, all on, observe the executor production
 // runs — a replayed task retires through the compiled schedule either way.
@@ -389,7 +563,7 @@ func TestReplayModesInstrumentedEqualsBare(t *testing.T) {
 				t.Run(fmt.Sprintf("workers%d/faulted=%v/%s", workers, faulted, m.name), func(t *testing.T) {
 					frozen := m.name == "frozen" // no detached tasks, no new firstprivates
 					run := func(cfg Config) (*Runtime, *modeStream, modeResult) {
-						s := newModeStream(int64(workers), tasks, frozen, !frozen)
+						s := newModeStream(int64(workers), tasks, frozen, !frozen, false)
 						defer s.stop()
 						if faulted {
 							s.plantFailure(rand.New(rand.NewSource(int64(workers))), failIter)
@@ -472,7 +646,7 @@ func TestReplayModesShapeMismatch(t *testing.T) {
 	const tasks = 48
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			s := newModeStream(int64(workers), tasks, false, true)
+			s := newModeStream(int64(workers), tasks, false, true, false)
 			defer s.stop()
 			r := New(Config{Workers: workers, Opts: graph.OptAll})
 			defer r.Close()
@@ -529,7 +703,7 @@ func TestReplayModesSteadyStateAllocs(t *testing.T) {
 	for _, detached := range []bool{false, true} {
 		t.Run(fmt.Sprintf("detached=%v", detached), func(t *testing.T) {
 			region := func(iters int) (mallocs uint64, ndetached int) {
-				s := newModeStream(7, tasks, false, detached)
+				s := newModeStream(7, tasks, false, detached, false)
 				defer s.stop()
 				r := New(Config{Workers: 1, Opts: graph.OptAll})
 				defer r.Close()

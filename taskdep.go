@@ -10,8 +10,9 @@
 // and work stealing. The paper's discovery optimizations are built in:
 //
 //   - (b) O(1) duplicate-edge elimination (OptDedup);
-//   - (c) inoutset redirect nodes turning m×n edges into m+n
-//     (OptInOutSetNode);
+//   - (c) redirect nodes turning the m×n edges of an inoutset group into
+//     m+n, and the 2mn edges around a run of batch tasks that read the
+//     same keys into 2(m+n) (OptInOutSetNode);
 //   - (p) persistent task sub-graphs: Runtime.Persistent records the
 //     graph on the first iteration, compiles the recording into a flat
 //     schedule that keeps only the edges that order something, and
@@ -87,7 +88,8 @@ type Opt = graph.Opt
 const (
 	// OptDedup is optimization (b): duplicate-edge elimination.
 	OptDedup = graph.OptDedup
-	// OptInOutSetNode is optimization (c): inoutset redirect nodes.
+	// OptInOutSetNode is optimization (c): redirect nodes, for inoutset
+	// groups and for runs of batch tasks that read the same keys.
 	OptInOutSetNode = graph.OptInOutSetNode
 	// OptAll enables every runtime-side optimization.
 	OptAll = graph.OptAll
