@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"taskdep/internal/cpath"
@@ -33,17 +32,14 @@ import (
 // A live scrape proves /criticalpath serves the discovery share of
 // T-infinity and the zero-cost-discovery what-if makespan over HTTP.
 
-// CPathSchemaVersion identifies the BENCH_cpath.json layout; bump on
-// incompatible changes so stale baselines fail loudly.
+// CPathSchemaVersion identifies the BENCH_cpath.json layout.
 const CPathSchemaVersion = 1
 
 // CPathParams sizes the drain workload, the agreement graphs and the
 // replay region.
 type CPathParams struct {
-	// Overhead drain shape (the executor gate graph at grain 0).
-	Roots   int `json:"roots"`
-	Lanes   int `json:"lanes"`
-	Depth   int `json:"depth"`
+	// Overhead drain shape (the gate graph at grain 0).
+	GateShape
 	Repeats int `json:"repeats"` // interleaved repetitions; best run wins
 
 	// Agreement / replay workloads.
@@ -58,40 +54,22 @@ type CPathParams struct {
 	ReplayIters int `json:"replay_iters"`
 }
 
-// DrainTasks returns the overhead drain's task count (gate excluded).
-func (p CPathParams) DrainTasks() int { return p.Roots + p.Roots*p.Lanes*p.Depth }
-
 // DefaultCPathParams is the committed-baseline configuration.
 func DefaultCPathParams() CPathParams {
 	return CPathParams{
-		Roots: 64, Lanes: 4, Depth: 200, Repeats: 9,
+		GateShape: GateShape{Roots: 64, Lanes: 4, Depth: 200}, Repeats: 9,
 		Workers: 4, CholTiles: 10, LuleshChunks: 16, LuleshStages: 6,
 		Stencil: 12, ReplayIters: 6,
 	}
 }
 
-// SmokeCPathParams is the CI configuration: small enough for a gate,
-// same shape.
+// SmokeCPathParams is the CI configuration: small, same shape.
 func SmokeCPathParams() CPathParams {
 	return CPathParams{
-		Roots: 16, Lanes: 2, Depth: 30, Repeats: 3,
+		GateShape: GateShape{Roots: 16, Lanes: 2, Depth: 30}, Repeats: 3,
 		Workers: 2, CholTiles: 6, LuleshChunks: 8, LuleshStages: 3,
 		Stencil: 8, ReplayIters: 3,
 	}
-}
-
-// CPathRow is one drain measurement (profiler off or on).
-type CPathRow struct {
-	Mode        string  `json:"mode"` // "off" | "cpath"
-	WallSeconds float64 `json:"wall_seconds"`
-	NsPerTask   float64 `json:"ns_per_task"`
-	Tasks       int64   `json:"tasks_executed"`
-}
-
-// CPathOverhead is the enabled profiler's cost relative to off.
-type CPathOverhead struct {
-	Pct   float64 `json:"pct"`         // (cpath - off)/off * 100
-	AddNs float64 `json:"add_ns_task"` // absolute ns/task added
 }
 
 // CPathAgreement is one app's online-vs-exact critical-path comparison
@@ -128,11 +106,11 @@ type CPathReplayCheck struct {
 
 // CPathResult is the benchmark output committed as BENCH_cpath.json.
 type CPathResult struct {
-	Schema int         `json:"schema"`
+	Meta
 	Params CPathParams `json:"params"`
 
-	Rows     []CPathRow    `json:"rows"`
-	Overhead CPathOverhead `json:"overhead"`
+	Rows     []DrainRow `json:"rows"` // profiler off, then on
+	Overhead Overhead   `json:"overhead"`
 
 	Agreements []CPathAgreement `json:"agreements"`
 	Replay     CPathReplayCheck `json:"replay"`
@@ -143,60 +121,31 @@ type CPathResult struct {
 	EndpointOK bool `json:"endpoint_ok"`
 }
 
-// runCPathDrain times the 1-worker grain-0 gate-graph drain (the
-// executor benchmark's shape) with the critical-path profiler off or on
-// (cached clock, production tier). Metrics stay at the default tier in
-// both modes so the delta isolates the profiler itself.
+// runCPathDrain times the 1-worker grain-0 drain of the gate graph with
+// the critical-path profiler off or on (cached clock, production tier).
+// Metrics stay at the default tier in both modes so the delta isolates
+// the profiler itself.
 func runCPathDrain(p CPathParams, enable bool) float64 {
 	r := rt.New(rt.Config{
 		Workers: 1, Opts: graph.OptAll,
 		CPath: rt.CPathOptions{Enable: enable},
 	})
 	defer r.Close()
-
-	gate := r.Submit(rt.Spec{
-		Label:        "gate",
-		Out:          []graph.Key{execGateKey},
-		Detached:     true,
-		DetachedBody: func(any, *rt.Event) {},
-	})
-	body := func(any) {}
-	specs := make([]rt.Spec, 0, 1+p.Lanes*p.Depth)
-	for g := 0; g < p.Roots; g++ {
-		specs = specs[:0]
-		specs = append(specs, rt.Spec{
-			Label: "root",
-			In:    []graph.Key{execGateKey},
-			Out:   []graph.Key{execRootKey + graph.Key(g)},
-			Body:  body,
-		})
-		for f := 0; f < p.Lanes; f++ {
-			lane := execLaneKey + graph.Key(g*p.Lanes+f)
-			for i := 0; i < p.Depth; i++ {
-				s := rt.Spec{Label: "lane", InOut: []graph.Key{lane}, Body: body}
-				if i == 0 {
-					s.In = []graph.Key{execRootKey + graph.Key(g)}
-				}
-				specs = append(specs, s)
-			}
-		}
-		r.SubmitBatch(specs)
-	}
-
-	start := time.Now()
-	gate.Fulfill()
-	r.Taskwait()
-	return time.Since(start).Seconds()
+	return drainGateGraph(r, p.GateShape, func(any) {})
 }
 
 // stencilWavefrontBody builds the N x N dependence wavefront: cell
 // (i,j) reads its up and left neighbours, so every path from (0,0) to
 // the unique sink (N-1,N-1) holds exactly 2N-1 tasks — a closed-form
-// critical-path length the profiler must reproduce.
+// critical-path length the profiler must reproduce. Cell (0,0) is
+// detached and fulfilled once the last cell is submitted: nothing can
+// finish while the graph is being discovered, so no edge is pruned and
+// the longest recorded path is the closed-form one on every run.
 func stencilWavefrontBody(r *rt.Runtime, n int) func(int) {
 	nop := func(any) {}
 	cell := func(i, j int) graph.Key { return graph.Key(4<<40 | uint64(i)<<20 | uint64(j)) }
 	return func(int) {
+		var origin *rt.Event
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				sp := rt.Spec{Label: "cell", Out: []graph.Key{cell(i, j)}, Body: nop}
@@ -206,9 +155,15 @@ func stencilWavefrontBody(r *rt.Runtime, n int) func(int) {
 				if j > 0 {
 					sp.In = append(sp.In, cell(i, j-1))
 				}
+				if i == 0 && j == 0 {
+					sp.Body, sp.Detached, sp.DetachedBody = nil, true, func(any, *rt.Event) {}
+					origin = r.Submit(sp)
+					continue
+				}
 				r.Submit(sp)
 			}
 		}
+		origin.Fulfill()
 	}
 }
 
@@ -368,32 +323,22 @@ func checkCPathEndpoint(p CPathParams) (bool, error) {
 	return true, nil
 }
 
+// cpathModes are the overhead drain's modes: profiler off, profiler on.
+var cpathModes = []string{"off", "cpath"}
+
 // RunCPath measures overhead, exactness, replay behaviour and the live
 // endpoint.
-func RunCPath(p CPathParams) (CPathResult, error) {
-	res := CPathResult{Schema: CPathSchemaVersion, Params: p}
+func RunCPath(p CPathParams) (*CPathResult, error) {
+	res := &CPathResult{Meta: Meta{Schema: CPathSchemaVersion}, Params: p}
 
-	// Overhead: interleaved off/on repeats, per-mode minimum (the
-	// fastest observed drain is the least noise-contaminated estimate).
-	reps := p.Repeats
-	if reps < 1 {
-		reps = 1
+	walls := make([][]float64, len(cpathModes))
+	for i := 0; i < max(p.Repeats, 1); i++ {
+		walls[0] = append(walls[0], runCPathDrain(p, false))
+		walls[1] = append(walls[1], runCPathDrain(p, true))
 	}
-	var offWalls, onWalls []float64
-	for i := 0; i < reps; i++ {
-		offWalls = append(offWalls, runCPathDrain(p, false))
-		onWalls = append(onWalls, runCPathDrain(p, true))
-	}
-	tasks := int64(p.DrainTasks())
-	off, on := minOf(offWalls), minOf(onWalls)
-	res.Rows = []CPathRow{
-		{Mode: "off", WallSeconds: off, NsPerTask: off * 1e9 / float64(tasks), Tasks: tasks},
-		{Mode: "cpath", WallSeconds: on, NsPerTask: on * 1e9 / float64(tasks), Tasks: tasks},
-	}
-	res.Overhead = CPathOverhead{
-		Pct:   (on - off) / off * 100,
-		AddNs: (on - off) * 1e9 / float64(tasks),
-	}
+	var over []Overhead
+	res.Rows, over = drainRows(cpathModes, walls, p.Tasks())
+	res.Overhead = over[0]
 
 	for _, app := range []string{"cholesky", "lulesh", "stencil"} {
 		a, err := runCPathAgreement(p, app)
@@ -421,20 +366,11 @@ func RunCPath(p CPathParams) (CPathResult, error) {
 // including the exactness gates (they are machine-independent: the fold
 // either reproduces the offline longest path or it does not).
 func (r *CPathResult) Validate() error {
-	if r.Schema != CPathSchemaVersion {
-		return fmt.Errorf("schema %d, tool expects %d", r.Schema, CPathSchemaVersion)
+	if err := r.checkSchema(CPathSchemaVersion); err != nil {
+		return err
 	}
-	if len(r.Rows) != 2 || r.Rows[0].Mode != "off" || r.Rows[1].Mode != "cpath" {
-		return fmt.Errorf("want rows [off cpath], got %v", r.Rows)
-	}
-	wantDrain := int64(r.Params.DrainTasks())
-	for i, row := range r.Rows {
-		if row.WallSeconds <= 0 || row.NsPerTask <= 0 {
-			return fmt.Errorf("row %d: non-positive timing", i)
-		}
-		if row.Tasks != wantDrain {
-			return fmt.Errorf("row %d: executed %d tasks, params imply %d", i, row.Tasks, wantDrain)
-		}
+	if err := checkDrainRows(r.Rows, cpathModes, r.Params.Tasks()); err != nil {
+		return err
 	}
 	if len(r.Agreements) != 3 {
 		return fmt.Errorf("%d agreement entries, want 3", len(r.Agreements))
@@ -482,49 +418,14 @@ func (r *CPathResult) Validate() error {
 	return nil
 }
 
-// CheckCPath gates a fresh run against the committed baseline: both
-// must validate (which re-proves exactness, the replay invariants and
-// the endpoint fresh), and the committed enabled overhead must stay
-// under maxOverheadPct. The fresh overhead percentage is reported but
-// not gated — CI machines are too noisy for a relative wall-clock gate
-// on a sub-millisecond drain.
-func CheckCPath(fresh, committed *CPathResult, maxOverheadPct float64) error {
-	if err := fresh.Validate(); err != nil {
-		return fmt.Errorf("fresh result: %w", err)
-	}
-	if err := committed.Validate(); err != nil {
-		return fmt.Errorf("committed baseline: %w", err)
-	}
-	if committed.Overhead.Pct > maxOverheadPct {
-		return fmt.Errorf("committed profiler overhead is %.1f%%, budget is %.0f%%",
-			committed.Overhead.Pct, maxOverheadPct)
-	}
-	return nil
-}
+// ValidateFull holds the enabled profiler to its overhead budget on the
+// grain-0 drain. Not asked of a smoke run: the ratio of two
+// sub-millisecond drains is noise.
+func (r *CPathResult) ValidateFull() error { return checkOverheads([]Overhead{r.Overhead}) }
 
-// WriteJSON serializes the result (stable order).
-func (r *CPathResult) WriteJSON(w io.Writer) error {
-	order := map[string]int{"cholesky": 0, "lulesh": 1, "stencil": 2}
-	sort.SliceStable(r.Agreements, func(i, j int) bool {
-		return order[r.Agreements[i].App] < order[r.Agreements[j].App]
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadCPathJSON parses a committed result.
-func ReadCPathJSON(data []byte) (*CPathResult, error) {
-	var r CPathResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// PrintCPath renders the result as the EXPERIMENTS.md table.
-func PrintCPath(w io.Writer, r *CPathResult) {
-	fmt.Fprintf(w, "== critical-path profiler (grain-0 drain, 1 worker, %d tasks) ==\n", r.Params.DrainTasks())
+// Print renders the result as the EXPERIMENTS.md table.
+func (r *CPathResult) Print(w io.Writer) {
+	fmt.Fprintf(w, "== critical-path profiler (grain-0 drain, 1 worker, %d tasks) ==\n", r.Params.Tasks())
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-8s %10.3f ms  %7.1f ns/task\n", row.Mode, row.WallSeconds*1e3, row.NsPerTask)
 	}
@@ -574,24 +475,7 @@ func RunCPathGantt(tiles, workers int, grain time.Duration) (CPathGantt, error) 
 		for time.Now().Before(end) {
 		}
 	}
-	tile := replayTile
-	for k := 0; k < tiles; k++ {
-		r.Submit(rt.Spec{Label: "potrf", InOut: []graph.Key{tile(k, k)}, Body: spin})
-		for i := k + 1; i < tiles; i++ {
-			r.Submit(rt.Spec{Label: "trsm", In: []graph.Key{tile(k, k)}, InOut: []graph.Key{tile(i, k)}, Body: spin})
-		}
-		for j := k + 1; j < tiles; j++ {
-			r.Submit(rt.Spec{Label: "syrk", In: []graph.Key{tile(j, k)}, InOut: []graph.Key{tile(j, j)}, Body: spin})
-			for i := j + 1; i < tiles; i++ {
-				r.Submit(rt.Spec{
-					Label: "gemm",
-					In:    []graph.Key{tile(i, k), tile(j, k)},
-					InOut: []graph.Key{tile(i, j)},
-					Body:  spin,
-				})
-			}
-		}
-	}
+	resubmit(r, choleskySpecs(tiles, spin))(0)
 	if err := r.Taskwait(); err != nil {
 		r.Close()
 		return out, err

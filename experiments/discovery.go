@@ -1,24 +1,22 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"taskdep/internal/graph"
 )
 
-// Discovery-throughput benchmark for the sharded/pooled discovery
-// engine. It measures the graph layer in isolation — no executor, no
-// task bodies — on a dedup-heavy synthetic workload, comparing the
-// baseline engine configuration (one stripe, no pooling, per-task
-// Submit: the pre-optimization engine) against the optimized one
-// (striped, pooled, batched submission), single-producer and with
-// concurrent producers on disjoint key ranges.
+// Discovery-throughput benchmark. It measures the graph layer in
+// isolation — no executor, no task bodies — on a dedup-heavy synthetic
+// workload submitted in batches, by one producer (the paper's model) and
+// by Params.Producers concurrent producers on disjoint key ranges. The
+// producers take turns on the one discovery lock, so the second row says
+// what concurrent submission costs, not what it gains: concurrent
+// producers are safe, not scaled.
 //
 // The workload is the paper's discovery argument in miniature: every
 // task InOut-writes one key of a small working set and In-reads two
@@ -27,16 +25,15 @@ import (
 // the key table is under maximum pressure. A slice of tasks joins
 // inoutset groups to exercise optimization (c)'s redirect path too.
 
-// DiscoverySchemaVersion identifies the BENCH_discovery.json layout;
-// bump on incompatible changes so stale baselines fail loudly.
-const DiscoverySchemaVersion = 1
+// DiscoverySchemaVersion identifies the BENCH_discovery.json layout.
+const DiscoverySchemaVersion = 2
 
 // DiscoveryParams sizes the synthetic workload.
 type DiscoveryParams struct {
 	Tasks     int `json:"tasks"`     // tasks per producer
 	Keys      int `json:"keys"`      // working-set keys per producer
 	Producers int `json:"producers"` // concurrent producers (disjoint key ranges)
-	BatchLen  int `json:"batch_len"` // SubmitBatch staging length (optimized engine)
+	BatchLen  int `json:"batch_len"` // SubmitBatch staging length
 	SetEvery  int `json:"set_every"` // every n-th task joins an inoutset group (0 = never)
 	Repeats   int `json:"repeats"`   // measurement repetitions; best throughput wins
 }
@@ -46,16 +43,14 @@ func DefaultDiscoveryParams() DiscoveryParams {
 	return DiscoveryParams{Tasks: 200_000, Keys: 256, Producers: 4, BatchLen: 256, SetEvery: 16, Repeats: 3}
 }
 
-// SmokeDiscoveryParams is the CI configuration: small enough for a
-// regression gate, same shape.
+// SmokeDiscoveryParams is the CI configuration: small, same shape.
 func SmokeDiscoveryParams() DiscoveryParams {
 	return DiscoveryParams{Tasks: 30_000, Keys: 128, Producers: 2, BatchLen: 128, SetEvery: 16, Repeats: 2}
 }
 
-// DiscoveryRow is one engine configuration's measurement.
+// DiscoveryRow is the measurement at one producer count.
 type DiscoveryRow struct {
-	Engine    string `json:"engine"`    // "baseline" | "optimized"
-	Producers int    `json:"producers"` // concurrent producers in this row
+	Producers int `json:"producers"` // concurrent producers in this row
 
 	TasksPerSec   float64 `json:"tasks_per_sec"`
 	NsPerTask     float64 `json:"ns_per_task"`
@@ -75,23 +70,18 @@ type DiscoveryRow struct {
 // DiscoveryResult is the benchmark output committed as
 // BENCH_discovery.json.
 type DiscoveryResult struct {
-	Schema int             `json:"schema"`
+	Meta
 	Params DiscoveryParams `json:"params"`
 	Rows   []DiscoveryRow  `json:"rows"`
-
-	// Headline speedups (optimized vs baseline, same producer count).
-	SpeedupSingle float64 `json:"speedup_single"`
-	SpeedupMulti  float64 `json:"speedup_multi"`
 }
 
-// discoveryDeps writes task i's dependence list for a producer whose
-// working set starts at base. The keys form pairs: task i InOut-writes
+// appendDiscoveryDeps appends task i's dependence list for a producer
+// whose working set starts at base. The keys form pairs: task i InOut-writes
 // both keys of pair i%(keys/2) and In-reads both keys of the next pair
 // — whose last writer is one single earlier task, so the second read
 // (and the second write) resolve to an already-recorded predecessor and
 // optimization (b) dedup fires on every task.
-func discoveryDeps(buf []graph.Dep, base graph.Key, i, keys, setEvery int) []graph.Dep {
-	buf = buf[:0]
+func appendDiscoveryDeps(buf []graph.Dep, base graph.Key, i, keys, setEvery int) []graph.Dep {
 	pairs := keys / 2
 	if pairs < 2 {
 		pairs = 2
@@ -110,17 +100,12 @@ func discoveryDeps(buf []graph.Dep, base graph.Key, i, keys, setEvery int) []gra
 	return buf
 }
 
-// runDiscoveryOnce runs one engine configuration once and returns the
+// runDiscoveryOnce runs one producer count once and returns the
 // throughput row. Completion is deliberately outside the timed region:
-// the benchmark isolates discovery (Submit/SubmitBatch), the paper's
+// the benchmark isolates discovery (SubmitBatch), the paper's
 // bottleneck.
-func runDiscoveryOnce(p DiscoveryParams, optimized bool, producers int) DiscoveryRow {
-	var cfg graph.Config
-	if optimized {
-		cfg = graph.Config{Opts: graph.OptAll}
-	} else {
-		cfg = graph.Config{Opts: graph.OptAll, Shards: 1, NoPool: true}
-	}
+func runDiscoveryOnce(p DiscoveryParams, producers int) DiscoveryRow {
+	cfg := graph.Config{Opts: graph.OptAll}
 	var mu sync.Mutex
 	var readyQ []*graph.Task
 	cfg.OnReady = func(t *graph.Task) {
@@ -146,32 +131,18 @@ func runDiscoveryOnce(p DiscoveryParams, optimized bool, producers int) Discover
 		go func(pr int) {
 			defer wg.Done()
 			base := graph.Key(pr * (p.Keys + 8) * 4)
-			if optimized {
-				descs := make([]graph.TaskDesc, 0, p.BatchLen)
-				depArena := make([]graph.Dep, 0, p.BatchLen*4)
-				var tasks []*graph.Task
-				depBuf := make([]graph.Dep, 0, 4)
-				for lo := 0; lo < p.Tasks; lo += p.BatchLen {
-					hi := lo + p.BatchLen
-					if hi > p.Tasks {
-						hi = p.Tasks
-					}
-					descs = descs[:0]
-					depArena = depArena[:0]
-					for i := lo; i < hi; i++ {
-						depBuf = discoveryDeps(depBuf, base, i, p.Keys, p.SetEvery)
-						s := len(depArena)
-						depArena = append(depArena, depBuf...)
-						descs = append(descs, graph.TaskDesc{Label: "d", Deps: depArena[s:len(depArena):len(depArena)]})
-					}
-					tasks = g.SubmitBatch(descs, tasks[:0])
+			descs := make([]graph.TaskDesc, 0, p.BatchLen)
+			depArena := make([]graph.Dep, 0, p.BatchLen*5)
+			var tasks []*graph.Task
+			for lo := 0; lo < p.Tasks; lo += p.BatchLen {
+				descs = descs[:0]
+				depArena = depArena[:0]
+				for i := lo; i < min(lo+p.BatchLen, p.Tasks); i++ {
+					s := len(depArena)
+					depArena = appendDiscoveryDeps(depArena, base, i, p.Keys, p.SetEvery)
+					descs = append(descs, graph.TaskDesc{Label: "d", Deps: depArena[s:len(depArena):len(depArena)]})
 				}
-			} else {
-				depBuf := make([]graph.Dep, 0, 4)
-				for i := 0; i < p.Tasks; i++ {
-					depBuf = discoveryDeps(depBuf, base, i, p.Keys, p.SetEvery)
-					g.Submit("d", depBuf, nil, nil)
-				}
+				tasks = g.SubmitBatch(descs, tasks[:0])
 			}
 		}(pr)
 	}
@@ -213,83 +184,45 @@ func runDiscoveryOnce(p DiscoveryParams, optimized bool, producers int) Discover
 	if st.EdgesAttempted > 0 {
 		row.NsPerEdge = float64(elapsed.Nanoseconds()) / float64(st.EdgesAttempted)
 	}
-	if optimized {
-		row.Engine = "optimized"
-	} else {
-		row.Engine = "baseline"
-	}
 	return row
 }
 
-// runDiscoveryBest repeats a configuration and keeps the
-// highest-throughput run (lowest interference).
-func runDiscoveryBest(p DiscoveryParams, optimized bool, producers int) DiscoveryRow {
-	reps := p.Repeats
-	if reps < 1 {
-		reps = 1
-	}
-	best := runDiscoveryOnce(p, optimized, producers)
-	for r := 1; r < reps; r++ {
-		row := runDiscoveryOnce(p, optimized, producers)
-		if row.TasksPerSec > best.TasksPerSec {
-			best = row
-		}
-	}
-	return best
-}
-
-// RunDiscovery measures baseline and optimized engines at one and
-// Params.Producers producers.
-func RunDiscovery(p DiscoveryParams) DiscoveryResult {
-	res := DiscoveryResult{Schema: DiscoverySchemaVersion, Params: p}
+// RunDiscovery measures discovery at one and at Params.Producers
+// producers, keeping the highest-throughput repeat of each (the one with
+// the least interference).
+func RunDiscovery(p DiscoveryParams) *DiscoveryResult {
+	res := &DiscoveryResult{Meta: Meta{Schema: DiscoverySchemaVersion}, Params: p}
 	counts := []int{1}
 	if p.Producers > 1 {
 		counts = append(counts, p.Producers)
 	}
 	for _, n := range counts {
-		res.Rows = append(res.Rows, runDiscoveryBest(p, false, n))
-		res.Rows = append(res.Rows, runDiscoveryBest(p, true, n))
+		best := runDiscoveryOnce(p, n)
+		for r := 1; r < p.Repeats; r++ {
+			if row := runDiscoveryOnce(p, n); row.TasksPerSec > best.TasksPerSec {
+				best = row
+			}
+		}
+		res.Rows = append(res.Rows, best)
 	}
-	res.SpeedupSingle = discoverySpeedup(res.Rows, 1)
-	res.SpeedupMulti = discoverySpeedup(res.Rows, p.Producers)
 	return res
 }
 
-func discoverySpeedup(rows []DiscoveryRow, producers int) float64 {
-	var base, opt float64
-	for _, r := range rows {
-		if r.Producers != producers {
-			continue
-		}
-		switch r.Engine {
-		case "baseline":
-			base = r.TasksPerSec
-		case "optimized":
-			opt = r.TasksPerSec
-		}
-	}
-	if base == 0 {
-		return 0
-	}
-	return opt / base
-}
-
-// Validate checks a result's schema and structural invariants — the
-// JSON-shape gate the CI smoke step applies to both the fresh run and
-// the committed baseline.
+// Validate checks the schema and what every run owes whatever its size:
+// every task discovered, and the edge counters balanced.
 func (r *DiscoveryResult) Validate() error {
-	if r.Schema != DiscoverySchemaVersion {
-		return fmt.Errorf("schema %d, tool expects %d", r.Schema, DiscoverySchemaVersion)
+	if err := r.checkSchema(DiscoverySchemaVersion); err != nil {
+		return err
 	}
 	if len(r.Rows) == 0 {
 		return fmt.Errorf("no rows")
 	}
 	for i, row := range r.Rows {
-		if row.Engine != "baseline" && row.Engine != "optimized" {
-			return fmt.Errorf("row %d: unknown engine %q", i, row.Engine)
-		}
 		if row.TasksPerSec <= 0 || row.Producers <= 0 {
 			return fmt.Errorf("row %d: non-positive throughput or producers", i)
+		}
+		if want := int64(row.Producers*r.Params.Tasks) + row.RedirectNodes; row.Tasks != want {
+			return fmt.Errorf("row %d: %d tasks discovered, %d submitted and redirect nodes", i, row.Tasks, want)
 		}
 		if row.EdgesAttempted != row.EdgesCreated+row.EdgesPruned+row.EdgesDuplicate {
 			return fmt.Errorf("row %d: edge counters unbalanced", i)
@@ -298,77 +231,15 @@ func (r *DiscoveryResult) Validate() error {
 	return nil
 }
 
-// CheckDiscovery compares a fresh run against a committed baseline
-// result: same schema, and fresh optimized throughput within maxRegress
-// of the committed one at every producer count both share. Returns nil
-// when the run is acceptable.
-func CheckDiscovery(fresh, committed *DiscoveryResult, maxRegress float64) error {
-	if err := fresh.Validate(); err != nil {
-		return fmt.Errorf("fresh result: %w", err)
-	}
-	if err := committed.Validate(); err != nil {
-		return fmt.Errorf("committed baseline: %w", err)
-	}
-	ref := make(map[int]float64)
-	for _, row := range committed.Rows {
-		if row.Engine == "optimized" {
-			ref[row.Producers] = row.TasksPerSec
-		}
-	}
-	checked := 0
-	for _, row := range fresh.Rows {
-		if row.Engine != "optimized" {
-			continue
-		}
-		want, ok := ref[row.Producers]
-		if !ok {
-			continue
-		}
-		checked++
-		if row.TasksPerSec*maxRegress < want {
-			return fmt.Errorf("optimized %d-producer throughput %.0f tasks/s is >%.1fx below committed %.0f",
-				row.Producers, row.TasksPerSec, maxRegress, want)
-		}
-	}
-	if checked == 0 {
-		return fmt.Errorf("no producer counts in common with the committed baseline")
-	}
-	return nil
-}
-
-// WriteJSON serializes the result (stable row order).
-func (r *DiscoveryResult) WriteJSON(w io.Writer) error {
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		if r.Rows[i].Producers != r.Rows[j].Producers {
-			return r.Rows[i].Producers < r.Rows[j].Producers
-		}
-		return r.Rows[i].Engine < r.Rows[j].Engine
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadDiscoveryJSON parses a committed result.
-func ReadDiscoveryJSON(data []byte) (*DiscoveryResult, error) {
-	var r DiscoveryResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// PrintDiscovery renders the result as the EXPERIMENTS.md table.
-func PrintDiscovery(w io.Writer, r *DiscoveryResult) {
+// Print renders the result as the EXPERIMENTS.md table.
+func (r *DiscoveryResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "== discovery throughput (dedup-heavy synthetic, %d tasks x %d producers max) ==\n",
 		r.Params.Tasks, r.Params.Producers)
-	fmt.Fprintf(w, "%-10s %5s %12s %9s %9s %8s %8s %11s %9s %9s\n",
-		"engine", "prod", "tasks/s", "ns/task", "ns/edge", "allocs/t", "B/task", "edges-att", "dedup", "redirects")
+	fmt.Fprintf(w, "%5s %12s %9s %9s %8s %8s %11s %9s %9s\n",
+		"prod", "tasks/s", "ns/task", "ns/edge", "allocs/t", "B/task", "edges-att", "dedup", "redirects")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %5d %12.0f %9.1f %9.2f %8.2f %8.1f %11d %9d %9d\n",
-			row.Engine, row.Producers, row.TasksPerSec, row.NsPerTask, row.NsPerEdge,
+		fmt.Fprintf(w, "%5d %12.0f %9.1f %9.2f %8.2f %8.1f %11d %9d %9d\n",
+			row.Producers, row.TasksPerSec, row.NsPerTask, row.NsPerEdge,
 			row.AllocsPerTask, row.BytesPerTask, row.EdgesAttempted, row.EdgesDuplicate, row.RedirectNodes)
 	}
-	fmt.Fprintf(w, "speedup: %.2fx single-producer, %.2fx with %d producers\n",
-		r.SpeedupSingle, r.SpeedupMulti, r.Params.Producers)
 }

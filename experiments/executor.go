@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"taskdep/internal/graph"
@@ -18,45 +16,30 @@ import (
 // scheduler (Chase–Lev deques + parking) and the executor on a
 // ready-heavy synthetic graph, sweeping worker count and task grain.
 //
-// The workload separates discovery from execution with a detached gate
-// task: every root In-depends on a key only the gate writes, so the
-// whole graph — Roots independent roots, each fanning into Lanes
-// dependence chains of Depth tasks — is submitted while the workers
-// have nothing to do (they park). The timed region is gate-fulfill to
-// Taskwait return: a pure drain, exercising exactly the hot paths
-// (batched successor release, owner-deque LIFO pops, steals, park/wake)
-// with zero discovery work mixed in. Task bodies spin a calibrated
-// xorshift loop of Grain iterations; Grain 0 is the pure-overhead
-// point, the paper's fine-grain limit where executor overhead decides
-// METG.
+// The workload is the gate graph (drainGateGraph): the timed region is a
+// pure drain. Task bodies spin a calibrated xorshift loop of Grain
+// iterations; Grain 0 is the pure-overhead point, the paper's fine-grain
+// limit where executor overhead decides METG.
 
-// ExecutorSchemaVersion identifies the BENCH_executor.json layout; bump
-// on incompatible changes so stale baselines fail loudly.
+// ExecutorSchemaVersion identifies the BENCH_executor.json layout.
 const ExecutorSchemaVersion = 2
 
 // ExecutorParams sizes the synthetic drain workload.
 type ExecutorParams struct {
-	Roots   int   `json:"roots"`   // independent roots released by the gate
-	Lanes   int   `json:"lanes"`   // dependence chains per root
-	Depth   int   `json:"depth"`   // tasks per chain
+	GateShape
 	Workers []int `json:"workers"` // worker counts to sweep
 	Grains  []int `json:"grains"`  // task-body spin iterations to sweep
 	Repeats int   `json:"repeats"` // measurement repetitions; best run wins
 }
 
-// Tasks returns the number of executed tasks per run (the gate task is
-// excluded: it completes outside the timed region's task accounting).
-func (p ExecutorParams) Tasks() int { return p.Roots + p.Roots*p.Lanes*p.Depth }
-
 // DefaultExecutorParams is the committed-baseline configuration.
 func DefaultExecutorParams() ExecutorParams {
-	return ExecutorParams{Roots: 64, Lanes: 4, Depth: 100, Workers: []int{1, 2, 4}, Grains: []int{0, 64, 512}, Repeats: 3}
+	return ExecutorParams{GateShape: GateShape{Roots: 64, Lanes: 4, Depth: 100}, Workers: []int{1, 2, 4}, Grains: []int{0, 64, 512}, Repeats: 3}
 }
 
-// SmokeExecutorParams is the CI configuration: small enough for a
-// regression gate, same shape.
+// SmokeExecutorParams is the CI configuration: small, same shape.
 func SmokeExecutorParams() ExecutorParams {
-	return ExecutorParams{Roots: 16, Lanes: 2, Depth: 30, Workers: []int{1, 2}, Grains: []int{0, 128}, Repeats: 2}
+	return ExecutorParams{GateShape: GateShape{Roots: 16, Lanes: 2, Depth: 30}, Workers: []int{1, 2}, Grains: []int{0, 128}, Repeats: 2}
 }
 
 // ExecutorRow is one worker/grain measurement.
@@ -78,7 +61,7 @@ type ExecutorRow struct {
 // ExecutorResult is the benchmark output committed as
 // BENCH_executor.json.
 type ExecutorResult struct {
-	Schema int            `json:"schema"`
+	Meta
 	Params ExecutorParams `json:"params"`
 	Rows   []ExecutorRow  `json:"rows"`
 
@@ -117,63 +100,17 @@ func calibrateSpin() float64 {
 	return best
 }
 
-// executorKeys lays out the disjoint dependence keys of the gate graph.
-const (
-	execGateKey graph.Key = 1 << 40
-	execRootKey graph.Key = 2 << 40
-	execLaneKey graph.Key = 3 << 40
-)
-
-// runExecutorOnce builds the gate graph on a fresh runtime and times the
-// drain. The submission phase is untimed by construction: nothing is
-// ready until the gate's detach event fires.
+// runExecutorOnce times the drain of the gate graph on a fresh runtime.
 func runExecutorOnce(p ExecutorParams, workers, grain int) float64 {
 	r := rt.New(rt.Config{Workers: workers, Opts: graph.OptAll})
 	defer r.Close()
-
-	gate := r.Submit(rt.Spec{
-		Label:        "gate",
-		Out:          []graph.Key{execGateKey},
-		Detached:     true,
-		DetachedBody: func(any, *rt.Event) {},
-	})
-	body := func(any) { spin(grain) }
-	specs := make([]rt.Spec, 0, 1+p.Lanes*p.Depth)
-	for g := 0; g < p.Roots; g++ {
-		specs = specs[:0]
-		specs = append(specs, rt.Spec{
-			Label: "root",
-			In:    []graph.Key{execGateKey},
-			Out:   []graph.Key{execRootKey + graph.Key(g)},
-			Body:  body,
-		})
-		for f := 0; f < p.Lanes; f++ {
-			lane := execLaneKey + graph.Key(g*p.Lanes+f)
-			for i := 0; i < p.Depth; i++ {
-				s := rt.Spec{Label: "lane", InOut: []graph.Key{lane}, Body: body}
-				if i == 0 {
-					s.In = []graph.Key{execRootKey + graph.Key(g)}
-				}
-				specs = append(specs, s)
-			}
-		}
-		r.SubmitBatch(specs)
-	}
-
-	start := time.Now()
-	gate.Fulfill()
-	r.Taskwait()
-	return time.Since(start).Seconds()
+	return drainGateGraph(r, p.GateShape, func(any) { spin(grain) })
 }
 
 // runExecutorBest repeats a configuration and keeps the fastest drain.
 func runExecutorBest(p ExecutorParams, workers, grain int, nsPerIter float64) ExecutorRow {
-	reps := p.Repeats
-	if reps < 1 {
-		reps = 1
-	}
 	wall := runExecutorOnce(p, workers, grain)
-	for r := 1; r < reps; r++ {
+	for r := 1; r < p.Repeats; r++ {
 		if w := runExecutorOnce(p, workers, grain); w < wall {
 			wall = w
 		}
@@ -190,18 +127,15 @@ func runExecutorBest(p ExecutorParams, workers, grain int, nsPerIter float64) Ex
 		Tasks:       int64(tasks),
 	}
 	if grain > 0 {
-		pp := workers
-		if mp := runtime.GOMAXPROCS(0); mp < pp {
-			pp = mp
-		}
+		pp := min(workers, runtime.GOMAXPROCS(0))
 		row.Efficiency = float64(tasks) * grainNs / (float64(pp) * wall * 1e9)
 	}
 	return row
 }
 
 // RunExecutor measures the drain over the worker and grain sweeps.
-func RunExecutor(p ExecutorParams) ExecutorResult {
-	res := ExecutorResult{Schema: ExecutorSchemaVersion, Params: p}
+func RunExecutor(p ExecutorParams) *ExecutorResult {
+	res := &ExecutorResult{Meta: Meta{Schema: ExecutorSchemaVersion}, Params: p}
 	nsPerIter := calibrateSpin()
 	for _, w := range p.Workers {
 		for _, g := range p.Grains {
@@ -228,12 +162,11 @@ func executorMETG(rows []ExecutorRow, workers int) float64 {
 	return m
 }
 
-// Validate checks a result's schema and structural invariants — the
-// JSON-shape gate the CI smoke step applies to both the fresh run and
-// the committed baseline.
+// Validate checks the schema and that every point of the sweep ran the
+// whole graph.
 func (r *ExecutorResult) Validate() error {
-	if r.Schema != ExecutorSchemaVersion {
-		return fmt.Errorf("schema %d, tool expects %d", r.Schema, ExecutorSchemaVersion)
+	if err := r.checkSchema(ExecutorSchemaVersion); err != nil {
+		return err
 	}
 	if len(r.Rows) == 0 {
 		return fmt.Errorf("no rows")
@@ -256,65 +189,8 @@ func (r *ExecutorResult) Validate() error {
 	return nil
 }
 
-// CheckExecutor compares a fresh run against a committed baseline
-// result: same schema, and fresh throughput within maxRegress
-// of the committed one at every worker/grain point both share. Returns
-// nil when the run is acceptable.
-func CheckExecutor(fresh, committed *ExecutorResult, maxRegress float64) error {
-	if err := fresh.Validate(); err != nil {
-		return fmt.Errorf("fresh result: %w", err)
-	}
-	if err := committed.Validate(); err != nil {
-		return fmt.Errorf("committed baseline: %w", err)
-	}
-	type point struct{ w, g int }
-	ref := make(map[point]float64)
-	for _, row := range committed.Rows {
-		ref[point{row.Workers, row.Grain}] = row.TasksPerSec
-	}
-	checked := 0
-	for _, row := range fresh.Rows {
-		want, ok := ref[point{row.Workers, row.Grain}]
-		if !ok {
-			continue
-		}
-		checked++
-		if row.TasksPerSec*maxRegress < want {
-			return fmt.Errorf("throughput at %d workers grain %d is %.0f tasks/s, >%.1fx below committed %.0f",
-				row.Workers, row.Grain, row.TasksPerSec, maxRegress, want)
-		}
-	}
-	if checked == 0 {
-		return fmt.Errorf("no worker/grain points in common with the committed baseline")
-	}
-	return nil
-}
-
-// WriteJSON serializes the result (stable row order).
-func (r *ExecutorResult) WriteJSON(w io.Writer) error {
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		a, b := r.Rows[i], r.Rows[j]
-		if a.Workers != b.Workers {
-			return a.Workers < b.Workers
-		}
-		return a.Grain < b.Grain
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadExecutorJSON parses a committed result.
-func ReadExecutorJSON(data []byte) (*ExecutorResult, error) {
-	var r ExecutorResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// PrintExecutor renders the result as the EXPERIMENTS.md table.
-func PrintExecutor(w io.Writer, r *ExecutorResult) {
+// Print renders the result as the EXPERIMENTS.md table.
+func (r *ExecutorResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "== executor drain throughput (gate graph: %d roots x %d lanes x depth %d = %d tasks) ==\n",
 		r.Params.Roots, r.Params.Lanes, r.Params.Depth, r.Params.Tasks())
 	fmt.Fprintf(w, "%7s %11s %9s %12s %9s %5s\n",

@@ -17,13 +17,11 @@
 //     goroutines.
 //
 // A recover-overhead microbenchmark quantifies what the panic fence
-// around every task body costs (EXPERIMENTS.md). There is no timing
-// gate: CheckFaults validates schema and coverage only, so the CI
-// smoke step is immune to shared-runner noise.
+// around every task body costs (EXPERIMENTS.md). Nothing here looks at
+// a clock: Validate is invariants and coverage only.
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -142,7 +140,7 @@ type ConeRow struct {
 // FaultResult is the machine-readable experiment outcome
 // (BENCH_faults.json).
 type FaultResult struct {
-	Schema int         `json:"schema"`
+	Meta
 	Params FaultParams `json:"params"`
 	Cone   ConeRow     `json:"cone"`
 	Rows   []FaultRow  `json:"rows"`
@@ -153,17 +151,20 @@ type FaultResult struct {
 	RecoverNsPerCall  float64 `json:"recover_ns_per_call"`
 }
 
-var faultModes = []fault.Mode{fault.Panic, fault.Error}
+var (
+	faultApps  = []string{"lulesh", "hpcg", "cholesky"}
+	faultModes = []fault.Mode{fault.Panic, fault.Error}
+)
 
 // RunFaults executes the experiment. A violated invariant is returned
 // as an error (the caller exits nonzero), not encoded in the result.
-func RunFaults(p FaultParams) (FaultResult, error) {
-	res := FaultResult{Schema: FaultsSchemaVersion, Params: p}
+func RunFaults(p FaultParams) (*FaultResult, error) {
+	res := &FaultResult{Meta: Meta{Schema: FaultsSchemaVersion}, Params: p}
 	var err error
 	if res.Cone, err = runCone(p); err != nil {
 		return res, fmt.Errorf("cone check: %w", err)
 	}
-	for _, app := range []string{"lulesh", "hpcg", "cholesky"} {
+	for _, app := range faultApps {
 		for _, mode := range faultModes {
 			for seed := int64(0); seed < int64(p.Seeds); seed++ {
 				row, err := runAppFault(app, mode, seed, p)
@@ -228,7 +229,7 @@ func runCone(p FaultParams) (ConeRow, error) {
 	if row.PoisonRan != 0 {
 		return row, fmt.Errorf("%d poisoned bodies executed, want 0", row.PoisonRan)
 	}
-	// Counters are exact after Close (every shard flushed): check them
+	// Counters are exact after Close (every slot flushed): check them
 	// against the ground truth the task bodies observed.
 	reg := r.Obs()
 	row.SubmittedCounter = reg.Counter(obs.CTasksSubmitted)
@@ -363,8 +364,8 @@ func measureRecoverOverhead() (baseNs, recoverNs float64) {
 
 // Validate checks result invariants that must hold in any honest run.
 func (r *FaultResult) Validate() error {
-	if r.Schema != FaultsSchemaVersion {
-		return fmt.Errorf("schema %d, want %d", r.Schema, FaultsSchemaVersion)
+	if err := r.checkSchema(FaultsSchemaVersion); err != nil {
+		return err
 	}
 	c := r.Cone
 	if c.FailedTask != "cone-head" || c.PoisonRan != 0 || c.Completed != r.Params.ConeDepth+1 {
@@ -374,14 +375,23 @@ func (r *FaultResult) Validate() error {
 		c.SkippedCounter != int64(r.Params.ConeDepth) || c.AbortedCounter != 1 {
 		return fmt.Errorf("cone row %+v counters disagree with the ground truth", c)
 	}
-	want := 3 * len(faultModes) * r.Params.Seeds
+	want := len(faultApps) * len(faultModes) * r.Params.Seeds
 	if len(r.Rows) != want {
 		return fmt.Errorf("%d app rows, want %d", len(r.Rows), want)
 	}
+	cover := make(map[string]bool, len(r.Rows))
 	for _, row := range r.Rows {
+		cover[row.App+"/"+row.Mode] = true
 		if row.FailedTask == "" || !row.CloseClean || !row.GoroutinesOK || row.Injected == 0 {
 			return fmt.Errorf("row %s/%s seed %d violates invariants: %+v",
 				row.App, row.Mode, row.Seed, row)
+		}
+	}
+	for _, app := range faultApps {
+		for _, mode := range faultModes {
+			if k := app + "/" + mode.String(); !cover[k] {
+				return fmt.Errorf("no row covers %s", k)
+			}
 		}
 	}
 	if r.RecoverNsPerCall <= 0 || r.BaselineNsPerCall <= 0 {
@@ -390,46 +400,8 @@ func (r *FaultResult) Validate() error {
 	return nil
 }
 
-// CheckFaults gates CI: the fresh run must validate, and must cover at
-// least every (app, mode) point the committed baseline covers.
-// There is deliberately no timing comparison.
-func CheckFaults(fresh, committed *FaultResult) error {
-	if err := fresh.Validate(); err != nil {
-		return fmt.Errorf("fresh result: %w", err)
-	}
-	if committed.Schema != fresh.Schema {
-		return fmt.Errorf("schema mismatch: committed %d, fresh %d", committed.Schema, fresh.Schema)
-	}
-	cover := make(map[string]bool, len(fresh.Rows))
-	for _, row := range fresh.Rows {
-		cover[row.App+"/"+row.Mode] = true
-	}
-	for _, row := range committed.Rows {
-		if k := row.App + "/" + row.Mode; !cover[k] {
-			return fmt.Errorf("fresh run lost coverage of %s", k)
-		}
-	}
-	return nil
-}
-
-// WriteJSON emits the machine-readable result.
-func (r *FaultResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadFaultsJSON parses a committed BENCH_faults.json.
-func ReadFaultsJSON(data []byte) (*FaultResult, error) {
-	var r FaultResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// PrintFaults renders the human-readable report.
-func PrintFaults(w io.Writer, r *FaultResult) {
+// Print renders the human-readable report.
+func (r *FaultResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "== Fault-injection report (failure domains) ==")
 	fmt.Fprintf(w, "cone: failed=%q out-of-cone ran %d/%d, poisoned ran %d\n",
 		r.Cone.FailedTask, r.Cone.Completed, r.Params.ConeDepth+1, r.Cone.PoisonRan)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,15 +27,12 @@ import (
 // as a share of the off-mode drain of the same run) and confirms over a
 // real HTTP listener that /metrics serves every pre-registered series.
 
-// ObsSchemaVersion identifies the BENCH_obs.json layout; bump on
-// incompatible changes so stale baselines fail loudly.
+// ObsSchemaVersion identifies the BENCH_obs.json layout.
 const ObsSchemaVersion = 2
 
 // ObsParams sizes the drain workload and the span sampling rate.
 type ObsParams struct {
-	Roots   int `json:"roots"`
-	Lanes   int `json:"lanes"`
-	Depth   int `json:"depth"`
+	GateShape
 	Repeats int `json:"repeats"` // measurement repetitions; best run wins
 	// SpanSample is the 1-in-N task-body span sampling modulus used in
 	// spans mode (the bounded-memory production setting; 0/1 = every
@@ -44,51 +40,32 @@ type ObsParams struct {
 	SpanSample int `json:"span_sample"`
 }
 
-// Tasks returns the executed task count per run (gate excluded).
-func (p ObsParams) Tasks() int { return p.Roots + p.Roots*p.Lanes*p.Depth }
-
 // DefaultObsParams is the committed-baseline configuration.
 func DefaultObsParams() ObsParams {
-	return ObsParams{Roots: 64, Lanes: 4, Depth: 200, Repeats: 9, SpanSample: 32}
+	return ObsParams{GateShape: GateShape{Roots: 64, Lanes: 4, Depth: 200}, Repeats: 9, SpanSample: 32}
 }
 
-// SmokeObsParams is the CI configuration: small enough for a gate,
-// same shape.
+// SmokeObsParams is the CI configuration: small, same shape.
 func SmokeObsParams() ObsParams {
-	return ObsParams{Roots: 16, Lanes: 2, Depth: 30, Repeats: 3, SpanSample: 32}
-}
-
-// ObsRow is one mode's drain measurement.
-type ObsRow struct {
-	Mode        string  `json:"mode"` // "off" | "metrics" | "spans"
-	WallSeconds float64 `json:"wall_seconds"`
-	NsPerTask   float64 `json:"ns_per_task"`
-	Tasks       int64   `json:"tasks_executed"`
-}
-
-// ObsOverhead is the cost of one enabled tier relative to the off mode.
-type ObsOverhead struct {
-	Mode  string  `json:"mode"`
-	Pct   float64 `json:"pct"`         // (mode - off)/off * 100
-	AddNs float64 `json:"add_ns_task"` // absolute ns/task added
+	return ObsParams{GateShape: GateShape{Roots: 16, Lanes: 2, Depth: 30}, Repeats: 3, SpanSample: 32}
 }
 
 // ObsResult is the benchmark output committed as BENCH_obs.json.
 type ObsResult struct {
-	Schema int       `json:"schema"`
-	Params ObsParams `json:"params"`
-	Rows   []ObsRow  `json:"rows"`
+	Meta
+	Params ObsParams  `json:"params"`
+	Rows   []DrainRow `json:"rows"`
 
 	// DisabledHookNs is the microbenched cost of the per-task hook
 	// sequence (sampling check + two counter increments) against a
 	// disabled registry — the price every task pays when observability
-	// is turned off. The CI gate reads it against the off row of the same
+	// is turned off. Validate reads it against the off row of the same
 	// run (DisabledHookShare), never against another machine's clock.
 	DisabledHookNs float64 `json:"disabled_hook_ns"`
 
-	// Overheads holds the enabled-tier costs, derived from Rows. The
-	// acceptance gate is metrics+spans <= 10% at this grain-0 point.
-	Overheads []ObsOverhead `json:"overheads"`
+	// Overheads holds the enabled-tier costs, derived from Rows. A
+	// full-size run owes metrics+spans <= 10% at this grain-0 point.
+	Overheads []Overhead `json:"overheads"`
 
 	// MetricsComplete records whether a live /metrics scrape over HTTP
 	// contained every pre-registered counter and histogram series.
@@ -98,105 +75,28 @@ type ObsResult struct {
 	SpanEvents int64 `json:"span_events"`
 }
 
-// obsModes enumerates the swept modes with their registry options.
-var obsModes = []struct {
-	name string
-	opts func(p ObsParams) obs.Options
-}{
-	{"off", func(ObsParams) obs.Options { return obs.Options{Disable: true} }},
-	{"metrics", func(ObsParams) obs.Options { return obs.Options{} }},
-	{"spans", func(p ObsParams) obs.Options {
+// obsModes are the swept modes, off first.
+var obsModes = []string{"off", "metrics", "spans"}
+
+// obsOptions returns a mode's registry options.
+func obsOptions(mode string, p ObsParams) obs.Options {
+	switch mode {
+	case "off":
+		return obs.Options{Disable: true}
+	case "spans":
 		return obs.Options{Spans: true, SpanSample: p.SpanSample}
-	}},
+	}
+	return obs.Options{}
 }
 
-// runObsOnce builds the gate graph and times the 1-worker drain under
-// the given registry options, returning the wall time and the number of
-// span events left in the rings.
+// runObsOnce times the 1-worker drain of the gate graph under the given
+// registry options, returning the wall time and the number of span
+// events left in the rings.
 func runObsOnce(p ObsParams, o obs.Options) (float64, int64) {
 	r := rt.New(rt.Config{Workers: 1, Opts: graph.OptAll, Obs: o})
 	defer r.Close()
-
-	gate := r.Submit(rt.Spec{
-		Label:        "gate",
-		Out:          []graph.Key{execGateKey},
-		Detached:     true,
-		DetachedBody: func(any, *rt.Event) {},
-	})
-	body := func(any) {}
-	specs := make([]rt.Spec, 0, 1+p.Lanes*p.Depth)
-	for g := 0; g < p.Roots; g++ {
-		specs = specs[:0]
-		specs = append(specs, rt.Spec{
-			Label: "root",
-			In:    []graph.Key{execGateKey},
-			Out:   []graph.Key{execRootKey + graph.Key(g)},
-			Body:  body,
-		})
-		for f := 0; f < p.Lanes; f++ {
-			lane := execLaneKey + graph.Key(g*p.Lanes+f)
-			for i := 0; i < p.Depth; i++ {
-				s := rt.Spec{Label: "lane", InOut: []graph.Key{lane}, Body: body}
-				if i == 0 {
-					s.In = []graph.Key{execRootKey + graph.Key(g)}
-				}
-				specs = append(specs, s)
-			}
-		}
-		r.SubmitBatch(specs)
-	}
-
-	start := time.Now()
-	gate.Fulfill()
-	r.Taskwait()
-	wall := time.Since(start).Seconds()
+	wall := drainGateGraph(r, p.GateShape, func(any) {})
 	return wall, int64(r.Obs().SpanCount())
-}
-
-// runObsModes measures all modes. Repeats are
-// interleaved — each round runs off, metrics, spans back to back — so
-// slow machine drift (frequency scaling, co-tenancy) hits every mode
-// alike instead of biasing whichever mode ran last; the per-mode
-// minimum is the reported wall time (the fastest observed drain is
-// the least noise-contaminated estimate of the true cost).
-func runObsModes(p ObsParams) ([]ObsRow, int64) {
-	reps := p.Repeats
-	if reps < 1 {
-		reps = 1
-	}
-	walls := make([][]float64, len(obsModes))
-	var spanEvents int64
-	for r := 0; r < reps; r++ {
-		for m, mode := range obsModes {
-			w, s := runObsOnce(p, mode.opts(p))
-			walls[m] = append(walls[m], w)
-			if mode.name == "spans" {
-				spanEvents = s
-			}
-		}
-	}
-	tasks := p.Tasks()
-	rows := make([]ObsRow, len(obsModes))
-	for m, mode := range obsModes {
-		wall := minOf(walls[m])
-		rows[m] = ObsRow{
-			Mode:        mode.name,
-			WallSeconds: wall,
-			NsPerTask:   wall * 1e9 / float64(tasks),
-			Tasks:       int64(tasks),
-		}
-	}
-	return rows, spanEvents
-}
-
-func minOf(xs []float64) float64 {
-	best := xs[0]
-	for _, x := range xs[1:] {
-		if x < best {
-			best = x
-		}
-	}
-	return best
 }
 
 // hookSink defeats dead-code elimination in the hook microbenchmark.
@@ -286,18 +186,19 @@ func checkMetricsEndpoint() (bool, error) {
 
 // RunObs measures the drain under all three modes and the disabled
 // hook microbench.
-func RunObs(p ObsParams) (ObsResult, error) {
-	res := ObsResult{Schema: ObsSchemaVersion, Params: p}
-	res.Rows, res.SpanEvents = runObsModes(p)
-	if off := res.Rows[0].NsPerTask; off > 0 { // obsModes starts with "off"
-		for _, row := range res.Rows[1:] {
-			res.Overheads = append(res.Overheads, ObsOverhead{
-				Mode:  row.Mode,
-				Pct:   (row.NsPerTask - off) / off * 100,
-				AddNs: row.NsPerTask - off,
-			})
+func RunObs(p ObsParams) (*ObsResult, error) {
+	res := &ObsResult{Meta: Meta{Schema: ObsSchemaVersion}, Params: p}
+	walls := make([][]float64, len(obsModes))
+	for r := 0; r < max(p.Repeats, 1); r++ {
+		for m, mode := range obsModes {
+			w, spans := runObsOnce(p, obsOptions(mode, p))
+			walls[m] = append(walls[m], w)
+			if mode == "spans" {
+				res.SpanEvents = spans
+			}
 		}
 	}
+	res.Rows, res.Overheads = drainRows(obsModes, walls, p.Tasks())
 	res.DisabledHookNs = measureDisabledHookNs()
 	ok, err := checkMetricsEndpoint()
 	if err != nil {
@@ -315,30 +216,15 @@ func (r *ObsResult) DisabledHookShare() float64 {
 	return r.DisabledHookNs / r.Rows[0].NsPerTask // obsModes starts with "off"
 }
 
-// Validate checks a result's schema and structural invariants.
+// Validate checks the schema, that every mode ran the whole graph, that
+// /metrics was complete and spans flowed, and the disabled-hook budget —
+// a ratio of two clocks of this run, so it holds at any size.
 func (r *ObsResult) Validate() error {
-	if r.Schema != ObsSchemaVersion {
-		return fmt.Errorf("schema %d, tool expects %d", r.Schema, ObsSchemaVersion)
+	if err := r.checkSchema(ObsSchemaVersion); err != nil {
+		return err
 	}
-	if len(r.Rows) != len(obsModes) {
-		return fmt.Errorf("%d rows, want %d (one per mode)", len(r.Rows), len(obsModes))
-	}
-	want := int64(r.Params.Tasks())
-	seen := map[string]bool{}
-	for i, row := range r.Rows {
-		if row.Mode != "off" && row.Mode != "metrics" && row.Mode != "spans" {
-			return fmt.Errorf("row %d: unknown mode %q", i, row.Mode)
-		}
-		if row.WallSeconds <= 0 || row.NsPerTask <= 0 {
-			return fmt.Errorf("row %d: non-positive timing", i)
-		}
-		if row.Tasks != want {
-			return fmt.Errorf("row %d: executed %d tasks, params imply %d", i, row.Tasks, want)
-		}
-		seen[row.Mode] = true
-	}
-	if len(seen) != len(obsModes) {
-		return fmt.Errorf("duplicate mode rows: %v", seen)
+	if err := checkDrainRows(r.Rows, obsModes, r.Params.Tasks()); err != nil {
+		return err
 	}
 	if len(r.Overheads) != len(obsModes)-1 {
 		return fmt.Errorf("%d overhead entries, want %d", len(r.Overheads), len(obsModes)-1)
@@ -352,59 +238,19 @@ func (r *ObsResult) Validate() error {
 	if r.DisabledHookNs < 0 {
 		return fmt.Errorf("negative DisabledHookNs %g", r.DisabledHookNs)
 	}
-	return nil
-}
-
-// CheckObs gates a fresh run against the committed baseline: both must
-// validate, in both the disabled hook must stay under maxDisabledPct of
-// that run's own off-mode task (the always-on budget, an in-run ratio),
-// and the committed enabled overheads must be under maxOverheadPct.
-// Fresh overhead percentages are reported but not gated — CI machines
-// are too noisy for a relative wall-clock gate on a sub-millisecond drain.
-func CheckObs(fresh, committed *ObsResult, maxDisabledPct, maxOverheadPct float64) error {
-	if err := fresh.Validate(); err != nil {
-		return fmt.Errorf("fresh result: %w", err)
-	}
-	if err := committed.Validate(); err != nil {
-		return fmt.Errorf("committed baseline: %w", err)
-	}
-	for _, r := range []struct {
-		name string
-		res  *ObsResult
-	}{{"fresh", fresh}, {"committed", committed}} {
-		if pct := r.res.DisabledHookShare() * 100; pct > maxDisabledPct {
-			return fmt.Errorf("%s disabled hook costs %.2f ns/task, %.1f%% of an off-mode task (%.1f ns), budget is %.0f%%",
-				r.name, r.res.DisabledHookNs, pct, r.res.Rows[0].NsPerTask, maxDisabledPct)
-		}
-	}
-	for _, o := range committed.Overheads {
-		if o.Pct > maxOverheadPct {
-			return fmt.Errorf("committed %s overhead is %.1f%%, budget is %.0f%%",
-				o.Mode, o.Pct, maxOverheadPct)
-		}
+	if pct := r.DisabledHookShare() * 100; pct > instrumentBudgetPct {
+		return fmt.Errorf("disabled hook costs %.2f ns/task, %.1f%% of an off-mode task (%.1f ns), budget is %.0f%%",
+			r.DisabledHookNs, pct, r.Rows[0].NsPerTask, instrumentBudgetPct)
 	}
 	return nil
 }
 
-// WriteJSON serializes the result; rows and overheads are in obsModes
-// order, as RunObs built them.
-func (r *ObsResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+// ValidateFull holds the enabled tiers to their overhead budget. Not
+// asked of a smoke run: the ratio of two sub-millisecond drains is noise.
+func (r *ObsResult) ValidateFull() error { return checkOverheads(r.Overheads) }
 
-// ReadObsJSON parses a committed result.
-func ReadObsJSON(data []byte) (*ObsResult, error) {
-	var r ObsResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// PrintObs renders the result as the EXPERIMENTS.md table.
-func PrintObs(w io.Writer, r *ObsResult) {
+// Print renders the result as the EXPERIMENTS.md table.
+func (r *ObsResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "== observability overhead (grain-0 drain, 1 worker, %d tasks, span sample 1/%d) ==\n",
 		r.Params.Tasks(), r.Params.SpanSample)
 	fmt.Fprintf(w, "%-8s %12s %9s\n", "mode", "wall-ms", "ns/task")

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"taskdep/internal/graph"
@@ -38,10 +37,9 @@ import (
 // pool/deque warm-up — is subtracted from Persistent(Iters), leaving
 // (Iters-WarmIters) steady-state replay iterations. Allocations are
 // differenced the same way from runtime.MemStats.Mallocs, which is how
-// the committed "0 allocs/task in steady-state replay" claim is gated.
+// the "0 allocs/task in steady-state replay" claim is held.
 
-// ReplaySchemaVersion identifies the BENCH_replay.json layout; bump on
-// incompatible changes so stale baselines fail loudly.
+// ReplaySchemaVersion identifies the BENCH_replay.json layout.
 const ReplaySchemaVersion = 2
 
 // ReplayParams sizes the two workloads and the measurement.
@@ -72,8 +70,7 @@ func DefaultReplayParams() ReplayParams {
 	}
 }
 
-// SmokeReplayParams is the CI configuration: same shape, small enough
-// for a gate. As many measured iterations as the default, though: a
+// SmokeReplayParams is the CI configuration: same shape, small. As many measured iterations as the default, though: a
 // 61-task iteration replays in 4 µs, and over 8 of them the differenced
 // wall clock came out non-positive, and half a dozen stray runtime
 // allocations came out above the gate, one run in five.
@@ -128,20 +125,25 @@ func resubmit(r *rt.Runtime, specs []rt.Spec) func(int) {
 // choleskyReplayBody is apps/cholesky's single-rank taskFactor loop
 // with no-op kernels, one Submit per task.
 func choleskyReplayBody(r *rt.Runtime, tiles int) func(int) {
-	nop := func(any) {}
+	return resubmit(r, choleskySpecs(tiles, func(any) {}))
+}
+
+// choleskySpecs is the tiled right-looking sweep with every kernel
+// replaced by body.
+func choleskySpecs(tiles int, body func(any)) []rt.Spec {
 	var specs []rt.Spec
 	for k := 0; k < tiles; k++ {
 		specs = append(specs, rt.Spec{
 			Label: "potrf",
 			InOut: []graph.Key{replayTile(k, k)},
-			Body:  nop,
+			Body:  body,
 		})
 		for i := k + 1; i < tiles; i++ {
 			specs = append(specs, rt.Spec{
 				Label: "trsm",
 				In:    []graph.Key{replayTile(k, k)},
 				InOut: []graph.Key{replayTile(i, k)},
-				Body:  nop,
+				Body:  body,
 			})
 		}
 		for j := k + 1; j < tiles; j++ {
@@ -149,19 +151,19 @@ func choleskyReplayBody(r *rt.Runtime, tiles int) func(int) {
 				Label: "syrk",
 				In:    []graph.Key{replayTile(j, k)},
 				InOut: []graph.Key{replayTile(j, j)},
-				Body:  nop,
+				Body:  body,
 			})
 			for i := j + 1; i < tiles; i++ {
 				specs = append(specs, rt.Spec{
 					Label: "gemm",
 					In:    []graph.Key{replayTile(i, k), replayTile(j, k)},
 					InOut: []graph.Key{replayTile(i, j)},
-					Body:  nop,
+					Body:  body,
 				})
 			}
 		}
 	}
-	return resubmit(r, specs)
+	return specs
 }
 
 // luleshReplayBody mirrors apps/lulesh's per-chunk driver: staged
@@ -270,7 +272,7 @@ type ReplaySpeedup struct {
 
 // ReplayResult is the benchmark output committed as BENCH_replay.json.
 type ReplayResult struct {
-	Schema   int             `json:"schema"`
+	Meta
 	Params   ReplayParams    `json:"params"`
 	Rows     []ReplayRow     `json:"rows"`
 	Speedups []ReplaySpeedup `json:"speedups"`
@@ -283,14 +285,10 @@ var replayWorkloads = []string{"cholesky", "lulesh"}
 // — each round runs all pairs at both region lengths back to back — so
 // machine drift hits every mode alike; the per-pair minimum wall (and
 // minimum alloc delta) is the reported steady-state cost.
-func RunReplay(p ReplayParams) (ReplayResult, error) {
-	res := ReplayResult{Schema: ReplaySchemaVersion, Params: p}
+func RunReplay(p ReplayParams) (*ReplayResult, error) {
+	res := &ReplayResult{Meta: Meta{Schema: ReplaySchemaVersion}, Params: p}
 	if p.Iters <= p.WarmIters || p.WarmIters < 1 {
 		return res, fmt.Errorf("need Iters > WarmIters >= 1 (got %d, %d)", p.Iters, p.WarmIters)
-	}
-	reps := p.Repeats
-	if reps < 1 {
-		reps = 1
 	}
 	type cell struct {
 		warm, full     []float64
@@ -302,7 +300,7 @@ func RunReplay(p ReplayParams) (ReplayResult, error) {
 			cells[w+"/"+m.name] = &cell{}
 		}
 	}
-	for rep := 0; rep < reps; rep++ {
+	for rep := 0; rep < max(p.Repeats, 1); rep++ {
 		for _, w := range replayWorkloads {
 			for _, m := range replayModes {
 				c := cells[w+"/"+m.name]
@@ -327,14 +325,8 @@ func RunReplay(p ReplayParams) (ReplayResult, error) {
 		tasks := float64(p.TasksPerIter(w))
 		for _, m := range replayModes {
 			c := cells[w+"/"+m.name]
-			dWall := minOf(c.full) - minOf(c.warm)
-			if dWall < 0 {
-				dWall = 0
-			}
-			dAllocs := float64(minOfU64(c.fullAl)) - float64(minOfU64(c.warmAl))
-			if dAllocs < 0 {
-				dAllocs = 0
-			}
+			dWall := max(slices.Min(c.full)-slices.Min(c.warm), 0)
+			dAllocs := max(float64(slices.Min(c.fullAl))-float64(slices.Min(c.warmAl)), 0)
 			row := ReplayRow{
 				Workload:        w,
 				Mode:            m.name,
@@ -358,22 +350,18 @@ func RunReplay(p ReplayParams) (ReplayResult, error) {
 	return res, nil
 }
 
-func minOfU64(xs []uint64) uint64 {
-	best := xs[0]
-	for _, x := range xs[1:] {
-		if x < best {
-			best = x
-		}
-	}
-	return best
-}
+// maxSteadyAllocsPerTask is "allocation-free" with room for the few
+// stray allocations the Go runtime makes over a measured region (here
+// and on the tuner's fusion fast path).
+const maxSteadyAllocsPerTask = 0.01
 
-// Validate checks a result's schema and structural invariants: rows,
-// task counts, allocation counts. It looks at no timing — see
-// ValidateTimings.
+// Validate checks the schema, rows and task counts, and that every row —
+// the gated adaptive replay and the frozen one — is allocation-free in
+// steady state: counts, deterministic at any size. It looks at no timing
+// — see ValidateFull.
 func (r *ReplayResult) Validate() error {
-	if r.Schema != ReplaySchemaVersion {
-		return fmt.Errorf("schema %d, tool expects %d", r.Schema, ReplaySchemaVersion)
+	if err := r.checkSchema(ReplaySchemaVersion); err != nil {
+		return err
 	}
 	if len(r.Rows) != len(replayWorkloads)*len(replayModes) {
 		return fmt.Errorf("%d rows, want %d (workloads x modes)", len(r.Rows), len(replayWorkloads)*len(replayModes))
@@ -396,6 +384,10 @@ func (r *ReplayResult) Validate() error {
 		if row.AllocsPerIter < 0 || row.AllocsPerTask < 0 {
 			return fmt.Errorf("row %d: negative alloc count", i)
 		}
+		if row.AllocsPerTask > maxSteadyAllocsPerTask {
+			return fmt.Errorf("%s steady-state %s replay allocates %.4f/task (%.1f/iteration), want 0",
+				row.Workload, row.Mode, row.AllocsPerTask, row.AllocsPerIter)
+		}
 		seen[row.Workload+"/"+row.Mode] = true
 	}
 	if len(seen) != len(r.Rows) {
@@ -407,14 +399,14 @@ func (r *ReplayResult) Validate() error {
 	return nil
 }
 
-// ValidateTimings checks that every row's replay cost, and with it every
+// ValidateFull checks that every row's replay cost, and with it every
 // speedup, came out positive. A row's cost is the difference of two wall
 // clocks, so this holds for a run whose measured iterations add up to
 // well over the machine's timer and scheduling noise — the default size,
 // the committed baseline — and is not asked of a smoke run, where the
 // difference is a few hundred microseconds and a loaded machine makes it
-// negative.
-func (r *ReplayResult) ValidateTimings() error {
+// negative. The speedups themselves are reported, not held to anything.
+func (r *ReplayResult) ValidateFull() error {
 	for i, row := range r.Rows {
 		if row.ReplayNsPerTask <= 0 {
 			return fmt.Errorf("row %d (%s/%s): non-positive replay timing", i, row.Workload, row.Mode)
@@ -428,67 +420,8 @@ func (r *ReplayResult) ValidateTimings() error {
 	return nil
 }
 
-// CheckReplay gates a fresh run against the committed baseline: both
-// must validate, the baseline — a full-size run — with positive timings,
-// and in both every row — the gated adaptive replay and
-// the frozen one — must stay allocation-free in steady state
-// (<= maxAllocsPerTask). Allocation
-// counts are deterministic enough to gate on a noisy CI machine; the
-// speedups, ratios of sub-millisecond wall-clock deltas, are reported
-// and not gated.
-func CheckReplay(fresh, committed *ReplayResult, maxAllocsPerTask float64) error {
-	if err := fresh.Validate(); err != nil {
-		return fmt.Errorf("fresh result: %w", err)
-	}
-	if err := committed.Validate(); err != nil {
-		return fmt.Errorf("committed baseline: %w", err)
-	}
-	if err := committed.ValidateTimings(); err != nil {
-		return fmt.Errorf("committed baseline: %w", err)
-	}
-	for _, res := range []*ReplayResult{fresh, committed} {
-		for _, row := range res.Rows {
-			if row.AllocsPerTask > maxAllocsPerTask {
-				return fmt.Errorf("%s steady-state %s replay allocates %.4f/task (%.1f/iteration), gate is %.2f/task",
-					row.Workload, row.Mode, row.AllocsPerTask, row.AllocsPerIter, maxAllocsPerTask)
-			}
-		}
-	}
-	return nil
-}
-
-// WriteJSON serializes the result (stable row order).
-func (r *ReplayResult) WriteJSON(w io.Writer) error {
-	order := map[string]int{}
-	for i, m := range replayModes {
-		order[m.name] = i
-	}
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		a, b := r.Rows[i], r.Rows[j]
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		return order[a.Mode] < order[b.Mode]
-	})
-	sort.SliceStable(r.Speedups, func(i, j int) bool {
-		return r.Speedups[i].Workload < r.Speedups[j].Workload
-	})
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadReplayJSON parses a committed result.
-func ReadReplayJSON(data []byte) (*ReplayResult, error) {
-	var r ReplayResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// PrintReplay renders the result as the EXPERIMENTS.md table.
-func PrintReplay(w io.Writer, r *ReplayResult) {
+// Print renders the result as the EXPERIMENTS.md table.
+func (r *ReplayResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "== persistent replay (steady state, %d workers, %d measured iterations) ==\n",
 		r.Params.Workers, r.Params.Iters-r.Params.WarmIters)
 	fmt.Fprintf(w, "%-10s %-16s %11s %12s %12s %12s\n",

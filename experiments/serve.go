@@ -32,12 +32,11 @@ import (
 //	admission — a deliberately undersized probe (queue quota 1) turns
 //	            excess load into 429s instead of queueing it.
 //
-// The committed baseline gates throughput regressions; correctness
-// (isolation, zero unexpected rejections, probe rejections observed)
-// is re-proven on every fresh run.
+// Correctness (isolation, zero unexpected rejections, probe rejections
+// observed) is proven on every run; a full-size run also owes the
+// throughput floor.
 
-// ServeSchemaVersion identifies the BENCH_serve.json layout; bump on
-// incompatible changes so stale baselines fail loudly.
+// ServeSchemaVersion identifies the BENCH_serve.json layout.
 const ServeSchemaVersion = 1
 
 // ServeParams sizes the load test.
@@ -82,7 +81,7 @@ func DefaultServeParams() ServeParams {
 }
 
 // SmokeServeParams is the CI configuration: same shape, small enough
-// for a gate on a loaded runner.
+// for a loaded runner.
 func SmokeServeParams() ServeParams {
 	return ServeParams{
 		Tenants: 4, Clients: 64, GraphsPerClient: 2,
@@ -94,7 +93,7 @@ func SmokeServeParams() ServeParams {
 
 // ServeResult is the benchmark output (committed as BENCH_serve.json).
 type ServeResult struct {
-	Schema int         `json:"schema"`
+	Meta
 	Params ServeParams `json:"params"`
 
 	// Load-phase figures.
@@ -121,10 +120,14 @@ type ServeResult struct {
 	Probe429 int64 `json:"probe_429"` // must be > 0
 }
 
-// Validate rejects structurally damaged results.
+// Validate checks the schema and the service properties every run must
+// show: every graph completed with the right result and none was
+// rejected at the benchmark's geometry, the poison tenant's failures
+// stayed on the poison tenant, and the undersized probe turned load into
+// 429s.
 func (r *ServeResult) Validate() error {
-	if r.Schema != ServeSchemaVersion {
-		return fmt.Errorf("schema %d, want %d", r.Schema, ServeSchemaVersion)
+	if err := r.checkSchema(ServeSchemaVersion); err != nil {
+		return err
 	}
 	if r.Graphs <= 0 || r.Tasks <= 0 || r.WallSeconds <= 0 {
 		return fmt.Errorf("empty load phase: graphs=%d tasks=%d wall=%.3f", r.Graphs, r.Tasks, r.WallSeconds)
@@ -135,6 +138,32 @@ func (r *ServeResult) Validate() error {
 	want := int64(r.Params.Clients) * int64(r.Params.GraphsPerClient)
 	if r.Graphs != want {
 		return fmt.Errorf("%d graphs completed, want %d", r.Graphs, want)
+	}
+	if r.Rejected != 0 {
+		return fmt.Errorf("%d load-phase requests rejected at benchmark geometry", r.Rejected)
+	}
+	if r.BadResults != 0 {
+		return fmt.Errorf("%d wrong results", r.BadResults)
+	}
+	if r.GoodFailures != 0 {
+		return fmt.Errorf("%d failures leaked onto good tenants — isolation broken", r.GoodFailures)
+	}
+	if r.PoisonMissing != 0 || r.PoisonErrors != r.PoisonGraphs {
+		return fmt.Errorf("poison tenant errors %d/%d (missing %d)", r.PoisonErrors, r.PoisonGraphs, r.PoisonMissing)
+	}
+	if r.Probe429 == 0 {
+		return fmt.Errorf("admission probe produced no 429s")
+	}
+	return nil
+}
+
+// serveMinGraphsPerSec is the throughput floor of a full-size run.
+const serveMinGraphsPerSec = 100
+
+// ValidateFull holds a full-size run to the throughput floor.
+func (r *ServeResult) ValidateFull() error {
+	if r.GraphsPerSec < serveMinGraphsPerSec {
+		return fmt.Errorf("throughput %.1f graphs/s is below the %d floor", r.GraphsPerSec, serveMinGraphsPerSec)
 	}
 	return nil
 }
@@ -231,8 +260,8 @@ func percentile(sorted []float64, q float64) float64 {
 
 // RunServe executes the load test against an in-process server bound
 // to a loopback listener.
-func RunServe(p ServeParams) (ServeResult, error) {
-	res := ServeResult{Schema: ServeSchemaVersion, Params: p}
+func RunServe(p ServeParams) (*ServeResult, error) {
+	res := &ServeResult{Meta: Meta{Schema: ServeSchemaVersion}, Params: p}
 	if p.TasksPerGraph < 3 {
 		return res, fmt.Errorf("TasksPerGraph must be >= 3")
 	}
@@ -429,66 +458,8 @@ func runServeProbe(p ServeParams) (int64, error) {
 	return rejects.Load(), nil
 }
 
-// CheckServe gates a fresh run against the committed baseline.
-// Correctness figures (isolation, zero load-phase rejections, probe
-// rejections observed) are re-proven fresh; the throughput floor is
-// enforced on the committed baseline and regression-checked fresh
-// (fresh*maxRegress must reach the committed figure), mirroring the
-// discovery gate's tolerance for loaded CI runners.
-func CheckServe(fresh, committed *ServeResult, minGraphsPerSec, maxRegress float64) error {
-	if err := fresh.Validate(); err != nil {
-		return fmt.Errorf("fresh result: %w", err)
-	}
-	if err := committed.Validate(); err != nil {
-		return fmt.Errorf("committed baseline: %w", err)
-	}
-	for name, r := range map[string]*ServeResult{"fresh": fresh, "committed": committed} {
-		if r.Rejected != 0 {
-			return fmt.Errorf("%s run rejected %d load-phase requests at benchmark geometry", name, r.Rejected)
-		}
-		if r.BadResults != 0 {
-			return fmt.Errorf("%s run returned %d wrong results", name, r.BadResults)
-		}
-		if r.GoodFailures != 0 {
-			return fmt.Errorf("%s run leaked %d failures onto good tenants — isolation broken", name, r.GoodFailures)
-		}
-		if r.PoisonMissing != 0 || r.PoisonErrors != r.PoisonGraphs {
-			return fmt.Errorf("%s run: poison tenant errors %d/%d (missing %d)",
-				name, r.PoisonErrors, r.PoisonGraphs, r.PoisonMissing)
-		}
-		if r.Probe429 == 0 {
-			return fmt.Errorf("%s run: admission probe produced no 429s", name)
-		}
-	}
-	if committed.GraphsPerSec < minGraphsPerSec {
-		return fmt.Errorf("committed throughput %.1f graphs/s is below the %.1f floor",
-			committed.GraphsPerSec, minGraphsPerSec)
-	}
-	if fresh.GraphsPerSec*maxRegress < committed.GraphsPerSec {
-		return fmt.Errorf("fresh throughput %.1f graphs/s is >%.1fx below committed %.1f",
-			fresh.GraphsPerSec, maxRegress, committed.GraphsPerSec)
-	}
-	return nil
-}
-
-// WriteJSON serializes the result.
-func (r *ServeResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadServeJSON parses a committed result.
-func ReadServeJSON(data []byte) (*ServeResult, error) {
-	var r ServeResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// PrintServe renders the human-readable report.
-func PrintServe(w io.Writer, r *ServeResult) {
+// Print renders the human-readable report.
+func (r *ServeResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "graph-as-a-service load test (schema v%d)\n", r.Schema)
 	fmt.Fprintf(w, "  %d clients x %d graphs over %d tenants (%d workers/tenant), %d-task chains, repeat %d\n",
 		r.Params.Clients, r.Params.GraphsPerClient, r.Params.Tenants,

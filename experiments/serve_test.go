@@ -1,17 +1,13 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // TestServeSmoke runs the graph-as-a-service load test at a small
-// size and asserts the deterministic properties the CI gate re-proves
-// on every fresh run: all graphs complete with correct results and no
-// rejections, the poison tenant's failures stay on the poison tenant,
-// and the undersized admission probe turns load into 429s. Throughput
-// figures are printed, not asserted (the committed BENCH_serve.json
-// carries the gated default-size numbers).
+// size and asserts the deterministic properties Validate holds on every
+// run: all graphs complete with correct results and no rejections, the
+// poison tenant's failures stay on the poison tenant, and the undersized
+// admission probe turns load into 429s. Throughput figures are printed,
+// not asserted (the floor is ValidateFull's, for default-size runs).
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serve benchmark in -short mode")
@@ -26,29 +22,11 @@ func TestServeSmoke(t *testing.T) {
 	if err := res.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if res.Rejected != 0 || res.BadResults != 0 {
-		t.Errorf("rejected=%d bad=%d, want 0/0", res.Rejected, res.BadResults)
-	}
-	if res.GoodFailures != 0 || res.PoisonErrors != res.PoisonGraphs {
-		t.Errorf("isolation: good failures %d, poison %d/%d",
-			res.GoodFailures, res.PoisonErrors, res.PoisonGraphs)
-	}
-	if res.Probe429 == 0 {
-		t.Error("admission probe produced no 429s")
-	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	back, err := ReadServeJSON(buf.Bytes())
-	if err != nil {
-		t.Fatalf("ReadServeJSON: %v", err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("round-trip Validate: %v", err)
-	}
-	if err := CheckServe(&res, back, 0, 2.0); err != nil {
-		t.Fatalf("self-check against own result: %v", err)
+	roundTrip(t, res, new(ServeResult))
+	leaked := *res
+	leaked.GoodFailures = 1
+	if leaked.Validate() == nil {
+		t.Error("a failure on a good tenant validated")
 	}
 	t.Logf("%.1f graphs/s, p99 %.1f ms, probe 429s %d", res.GraphsPerSec, res.P99Ms, res.Probe429)
 }

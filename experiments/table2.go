@@ -200,3 +200,12 @@ func RunMETG(c IntranodeConfig) (METGResult, error) {
 	res.METG95 = m
 	return res, nil
 }
+
+// Print writes the §3.3 report.
+func (r METGResult) Print(w io.Writer) {
+	fmt.Fprintln(w, "== METG report (§3.3) ==")
+	for _, s := range r.Samples {
+		fmt.Fprintf(w, "grain %8.1f us -> wall %.3f s\n", s.Grain*1e6, s.Wall)
+	}
+	fmt.Fprintf(w, "METG(95%%) = %.1f us\n", r.METG95*1e6)
+}

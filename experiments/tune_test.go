@@ -6,12 +6,11 @@ import (
 )
 
 // TestTuneSmoke runs the self-tuning benchmark at a tiny size and
-// checks the result validates, round-trips through JSON, and keeps the
-// fusion fast path allocation-free — the deterministic half of the
-// gate. Recovery ratios are printed, not asserted: tiny runs on a
-// loaded test machine are too short for the control loop to converge
-// reliably (the committed BENCH_tune.json carries the gated
-// default-size numbers).
+// checks the result validates — every cell ran its graph, the fusion
+// fast path allocation-free — and round-trips through JSON. Recovery
+// ratios are printed, not asserted: tiny runs on a loaded test machine
+// are too short for the control loop to converge reliably (that is
+// ValidateFull, held by default-size runs and BENCH_tune.json).
 func TestTuneSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tune benchmark in -short mode")
@@ -29,31 +28,8 @@ func TestTuneSmoke(t *testing.T) {
 	if err := res.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if res.FusionAllocsPerTask > 0.01 {
-		t.Errorf("fusion fast path allocates %.4f/task, want 0", res.FusionAllocsPerTask)
-	}
+	roundTrip(t, res, new(TuneResult))
 	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	back, err := ReadTuneJSON(buf.Bytes())
-	if err != nil {
-		t.Fatalf("ReadTuneJSON: %v", err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("round-tripped result invalid: %v", err)
-	}
-	// Self-check with the recovery and actuation gates open: a run this
-	// small cannot promise the loop converged; the structural and alloc
-	// gates are what this exercises.
-	for i := range back.Rows {
-		if back.Rows[i].Config == "adaptive" && back.Rows[i].TuneAdjusts == 0 {
-			back.Rows[i].TuneAdjusts = 1 // not asserted at this size
-		}
-	}
-	if err := CheckTune(&res, back, 0, 0.01); err != nil {
-		t.Fatalf("CheckTune against itself: %v", err)
-	}
-	PrintTune(&buf, &res)
+	res.Print(&buf)
 	t.Logf("\n%s", buf.String())
 }

@@ -16,7 +16,7 @@ package graph
 //   - Successor lists start on the Task's inline succs0 array (task.go)
 //     and continue past inlineSuccs edges in fixed-size blocks that are
 //     chained, never regrown: no edge is copied twice.
-//   - keyStates are recycled per shard through a free list
+//   - keyStates are recycled through a free list
 //     (ResetDiscoveryFrontier refills it), and a keyState's internal
 //     slices keep their capacity across group open/close cycles and
 //     across frontier resets, so steady-state discovery re-walks
@@ -34,16 +34,8 @@ type taskChunk struct {
 
 // allocTasks appends n zeroed tasks with pooled backing storage to out,
 // grabbing the chunk once. Safe for concurrent producers: the chunk pool
-// hands each caller an exclusive chunk. With Config.NoPool every task is
-// an individual heap allocation (the pre-optimization behaviour, kept
-// for A/B benchmarking).
+// hands each caller an exclusive chunk.
 func (g *Graph) allocTasks(n int, out []*Task) []*Task {
-	if g.noPool {
-		for i := 0; i < n; i++ {
-			out = append(out, &Task{})
-		}
-		return out
-	}
 	c, _ := g.chunkPool.Get().(*taskChunk)
 	for i := 0; i < n; i++ {
 		if c == nil || c.next == len(c.buf) {
@@ -59,22 +51,21 @@ func (g *Graph) allocTasks(n int, out []*Task) []*Task {
 	return out
 }
 
-// allocKeyState returns a keyState for this shard, recycling one from
-// the shard free list (with its slice capacities intact) when possible.
-// Caller holds sh.mu.
-func (sh *shard) allocKeyState() *keyState {
-	if n := len(sh.free); n > 0 {
-		ks := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
+// allocKeyState returns a keyState, recycling one from the free list
+// (with its slice capacities intact) when possible. Caller holds g.mu.
+func (g *Graph) allocKeyState() *keyState {
+	if n := len(g.free); n > 0 {
+		ks := g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
 		return ks
 	}
 	return &keyState{}
 }
 
 // recycle resets ks for reuse, keeping slice capacities. Caller holds
-// sh.mu.
-func (sh *shard) recycle(ks *keyState) {
+// g.mu.
+func (g *Graph) recycle(ks *keyState) {
 	clearTasks(ks.outSet)
 	clearTasks(ks.readers)
 	clearTasks(ks.baseOut)
@@ -85,7 +76,7 @@ func (sh *shard) recycle(ks *keyState) {
 		baseOut:     ks.baseOut[:0],
 		baseReaders: ks.baseReaders[:0],
 	}
-	sh.free = append(sh.free, ks)
+	g.free = append(g.free, ks)
 }
 
 // clearTasks nils out the full capacity of a task slice so recycled

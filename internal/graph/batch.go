@@ -1,7 +1,5 @@
 package graph
 
-import "math/bits"
-
 // TaskDesc describes one task for SubmitBatch: the Submit parameters as
 // data, so a producer can stage a slice of submissions and hand them to
 // the graph in one call.
@@ -28,8 +26,8 @@ type TaskDesc struct {
 //
 //   - task IDs, the task/live counters and chunk-pool traffic are
 //     reserved once per batch instead of once per task;
-//   - every key-table stripe the batch touches is locked once, for the
-//     whole batch, instead of once per dependence (see lockStripes);
+//   - the discovery lock is taken once, for the whole batch, instead of
+//     once per task;
 //   - consecutive descs that read the same keys share one redirect pair
 //     for those reads instead of an edge per key each (read runs, below;
 //     under OptInOutSetNode) — the same orderings from fewer edges;
@@ -43,8 +41,8 @@ type TaskDesc struct {
 // first task of a batch at worst one batch later than with Submit —
 // the latency/throughput trade the paper's discovery argument is about.
 // Like Submit, SubmitBatch is safe for concurrent producers (outside
-// recording mode) under the Graph concurrency contract: concurrent
-// producers must keep disjoint key footprints.
+// recording mode) under the Graph concurrency contract: a whole batch
+// is one submission.
 func (g *Graph) SubmitBatch(descs []TaskDesc, out []*Task) []*Task {
 	if len(descs) == 0 {
 		return out
@@ -58,22 +56,17 @@ func (g *Graph) SubmitBatch(descs []TaskDesc, out []*Task) []*Task {
 }
 
 // discover is the one submission path: it turns descs into the freshly
-// allocated tasks ts (same length), resolving every dependence under a
-// single sweep of the stripe locks. Tasks that become ready are appended
-// to *ready for the caller to publish once the locks are dropped, or,
-// when ready is nil, handed to OnReady on the spot.
+// allocated tasks ts (same length), resolving every dependence under one
+// hold of the discovery lock. Tasks that become ready are appended to
+// *ready for the caller to publish once the lock is dropped, or, when
+// ready is nil, handed to OnReady on the spot.
 func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 	n := int64(len(descs))
 	firstID := g.nextID.Add(n) - n
 	g.tasks.Add(n)
 	g.lrAdd(n, 0)
 
-	var small [4]uint64 // covers up to 256 stripes without allocating
-	held := small[:]
-	if words := (len(g.shards) + 63) / 64; words > len(small) {
-		held = make([]uint64, words)
-	}
-	g.lockStripes(descs, held)
+	g.mu.Lock()
 	cpath := g.cpath
 	grouping := g.opts&OptInOutSetNode != 0
 	var run readRun
@@ -109,7 +102,7 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 		// For a member the run's redirect pair stands for its reads.
 		member := run.first != nil
 		if member && run.entry != nil {
-			g.addEdge(run.sh, run.entry, t)
+			g.addEdge(run.entry, t)
 		}
 		for _, dep := range d.Deps {
 			if !member || dep.Type != In {
@@ -117,7 +110,7 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 			}
 		}
 		if member {
-			g.addEdge(run.sh, t, run.exit)
+			g.addEdge(t, run.exit)
 		}
 		if cpath {
 			// Discovery ends when the dependences are resolved; the
@@ -130,7 +123,7 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 	if run.first != nil {
 		g.closeRun(&run, ready)
 	}
-	g.unlockStripes(held)
+	g.mu.Unlock()
 }
 
 // Read runs: optimization (c) for read sets. Consecutive tasks of a batch
@@ -181,7 +174,7 @@ func runPays(m int, deps []Dep, rest []TaskDesc) bool {
 }
 
 // readRun is the open read run of one discover call. A run never outlives
-// the call: it closes before the stripe locks are dropped, so the marks
+// the call: it closes before the discovery lock is dropped, so the marks
 // it leaves on keyStates are never seen by another producer, and a batch
 // of one (SubmitTask) — no next desc to look at — never opens one.
 type readRun struct {
@@ -193,9 +186,6 @@ type readRun struct {
 	reads []Dep
 	// keys are the shared keys' frontier states, looked up once.
 	keys []*keyState
-	// sh is the stripe whose counters the run's own edges are counted in
-	// (the first shared key's; the call holds every stripe involved).
-	sh *shard
 	// entry succeeds the out-sets of the shared keys and precedes every
 	// member; nil when no shared key has an out-set to wait for. exit
 	// succeeds every member and becomes each shared key's one reader when
@@ -237,7 +227,7 @@ func (g *Graph) writesShared(deps []Dep, mark *Task) bool {
 		if d.Type == In {
 			continue
 		}
-		if ks := g.shards[g.stripeOf(d.Key)].keys[d.Key]; ks != nil && ks.run == mark {
+		if ks := g.keys[d.Key]; ks != nil && ks.run == mark {
 			return true
 		}
 	}
@@ -267,14 +257,11 @@ func (g *Graph) openRun(run *readRun, t *Task, deps []Dep, rest []TaskDesc, read
 		if d.Type != In {
 			continue
 		}
-		sh, ks := g.frontierOf(d.Key)
+		ks := g.frontierOf(d.Key)
 		if ks.run == t {
 			continue // declared twice
 		}
 		ks.run = t
-		if len(keys) == 0 {
-			run.sh = sh
-		}
 		keys = append(keys, ks)
 		ordered = ordered || len(ks.outSet) > 0
 	}
@@ -289,7 +276,7 @@ func (g *Graph) openRun(run *readRun, t *Task, deps []Dep, rest []TaskDesc, read
 	if ordered {
 		run.entry = g.newRedirect()
 		for _, ks := range keys {
-			g.dependOnOutSet(run.sh, run.entry, ks, ready)
+			g.dependOnOutSet(run.entry, ks, ready)
 		}
 		g.releaseSentinel(run.entry, ready)
 	}
@@ -306,39 +293,4 @@ func (g *Graph) closeRun(run *readRun, ready *[]*Task) {
 	}
 	g.releaseSentinel(run.exit, ready)
 	run.first = nil
-}
-
-// lockStripes locks every key-table stripe a dependence of descs hashes
-// to, marking each in held (one bit per stripe). Locks are taken in
-// ascending stripe index: every goroutine that holds more than one
-// stripe lock acquired them in that order, so no cycle of waiters can
-// form, whatever Config.Shards is.
-func (g *Graph) lockStripes(descs []TaskDesc, held []uint64) {
-	unmarked := len(g.shards)
-scan:
-	for i := range descs {
-		for _, d := range descs[i].Deps {
-			s := g.stripeOf(d.Key)
-			if w, bit := s>>6, uint64(1)<<(s&63); held[w]&bit == 0 {
-				held[w] |= bit
-				if unmarked--; unmarked == 0 {
-					break scan // the batch holds the whole table
-				}
-			}
-		}
-	}
-	for w, m := range held {
-		for ; m != 0; m &= m - 1 {
-			g.shards[w<<6+bits.TrailingZeros64(m)].mu.Lock()
-		}
-	}
-}
-
-// unlockStripes releases the stripes marked in held.
-func (g *Graph) unlockStripes(held []uint64) {
-	for w, m := range held {
-		for ; m != 0; m &= m - 1 {
-			g.shards[w<<6+bits.TrailingZeros64(m)].mu.Unlock()
-		}
-	}
 }

@@ -61,11 +61,9 @@ func reaches(a, b *Task) bool {
 // noMarks fails if a run's mark survived the call that made it.
 func noMarks(t *testing.T, g *Graph) {
 	t.Helper()
-	for i := range g.shards {
-		for k, ks := range g.shards[i].keys {
-			if ks.run != nil {
-				t.Fatalf("key %d still carries the mark of a run after its discover call returned", k)
-			}
+	for k, ks := range g.keys {
+		if ks.run != nil {
+			t.Fatalf("key %d still carries the mark of a run after its discover call returned", k)
 		}
 	}
 }
@@ -188,7 +186,7 @@ func TestReadRunClosesAtFirstOtherTask(t *testing.T) {
 	assertQuiescentStats(t, g, len(descs))
 }
 
-// TestReadRunStaysInsideItsCall: the stripe locks are dropped between two
+// TestReadRunStaysInsideItsCall: the discovery lock is dropped between two
 // SubmitBatch calls, so a run ends with the first — its exit node
 // released, able to finish before the second call — and SubmitTask, which
 // has no next desc to look at, never opens one.

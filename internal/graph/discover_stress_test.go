@@ -2,7 +2,7 @@ package graph_test
 
 // Stress and regression tests for the discovery protocols: the lock-free
 // prune of finished predecessors, the biased producer sentinel, the
-// ordered stripe-lock sweep and the chained successor blocks. Everything
+// discovery lock under several producers and the chained successor blocks. Everything
 // here is meant to run under -race; the package is external so that the
 // verifier and the critical-path oracle (which import graph) can audit
 // what was discovered.
@@ -137,8 +137,8 @@ func (e *executor) check(t *testing.T, g *graph.Graph) graph.Stats {
 	return st
 }
 
-// within fails the test if f has not returned after d: a deadlock (stripe
-// locks taken out of order, a task never released) must not hang CI.
+// within fails the test if f has not returned after d: a deadlock (locks
+// taken out of order, a task never released) must not hang CI.
 func within(t *testing.T, d time.Duration, f func()) {
 	t.Helper()
 	done := make(chan struct{})
@@ -367,38 +367,50 @@ func TestStressReadRunsKeepTheDeclaredOrder(t *testing.T) {
 	}
 }
 
-// TestStressConcurrentProducersShareStripes runs two producers over
-// disjoint key sets, each wider than the stripe table, so their
-// submissions — single tasks and batches that hold many stripes at once —
-// keep meeting on the same stripe locks. Acquisition in ascending stripe
-// order must keep them deadlock-free at every stripe count, and since no
-// key is shared the discovered structure must be the one a lone producer
-// finds.
+// TestStressConcurrentProducersShareStripes (named for the stripe table
+// the producers used to meet on; it is one discovery lock now) runs two
+// and four producers over disjoint key sets, their submissions — single
+// tasks and batches — taking turns on the lock while completers finish
+// tasks under them. Since no key is shared the discovered structure must
+// be the one a lone producer finds. The scrape case adds what /metrics
+// does to a running graph (rt.registerCollectors): Stats from another
+// goroutine all the while, each snapshot taken under the discovery lock
+// and so balanced and monotonic, not only the quiescent one.
 func TestStressConcurrentProducersShareStripes(t *testing.T) {
 	const perProducer = 1500
 	opts := graph.OptAll | graph.OptKeepPrunedEdges // nothing pruned: structure is timing-independent
-	streams := func() [2][]graph.TaskDesc {
-		return [2][]graph.TaskDesc{
-			genTDG(rand.New(rand.NewSource(11)), 0, perProducer),
-			genTDG(rand.New(rand.NewSource(12)), 1<<20, perProducer),
+	streams := func(n int) [][]graph.TaskDesc {
+		out := make([][]graph.TaskDesc, n)
+		for i := range out {
+			out[i] = genTDG(rand.New(rand.NewSource(int64(11+i))), graph.Key(i)<<20, perProducer)
 		}
+		return out
 	}
-	serial := newExecutor()
-	ref := graph.NewWithConfig(graph.Config{Opts: opts, OnReady: serial.one, Shards: 1})
-	for _, descs := range streams() {
-		submitMixed(ref, descs)
-	}
-	ref.Flush()
-	serial.drain(ref)
-	want := serial.check(t, ref)
+	for _, tc := range []struct {
+		name      string
+		producers int
+		scrape    bool
+	}{
+		{"producers2", 2, false},
+		{"producers4", 4, false},
+		{"scrape", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := newExecutor()
+			ref := graph.New(opts, serial.one)
+			for _, descs := range streams(tc.producers) {
+				submitMixed(ref, descs)
+			}
+			ref.Flush()
+			serial.drain(ref)
+			want := serial.check(t, ref)
 
-	for _, shards := range []int{1, 4, 64, 256} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			e := newExecutor()
-			g := graph.NewWithConfig(graph.Config{Opts: opts, OnReady: e.one, OnReadyBatch: e.many, Shards: shards})
+			g := graph.NewWithConfig(graph.Config{Opts: opts, OnReady: e.one, OnReadyBatch: e.many})
+			var scrapeErr error
 			within(t, time.Minute, func() {
 				var discovered atomic.Bool
-				var producers, completers sync.WaitGroup
+				var producers, completers, scraper sync.WaitGroup
 				for i := 0; i < 2; i++ {
 					completers.Add(1)
 					go func() {
@@ -406,7 +418,26 @@ func TestStressConcurrentProducersShareStripes(t *testing.T) {
 						e.complete(g, &discovered)
 					}()
 				}
-				for _, descs := range streams() {
+				if tc.scrape {
+					scraper.Add(1)
+					go func() {
+						defer scraper.Done()
+						var last graph.Stats
+						for !discovered.Load() && scrapeErr == nil {
+							st := g.Stats()
+							switch {
+							case st.EdgesAttempted != st.EdgesCreated+st.EdgesPruned+st.EdgesDuplicate:
+								scrapeErr = fmt.Errorf("snapshot does not balance: %+v", st)
+							case st.Tasks < last.Tasks || st.EdgesAttempted < last.EdgesAttempted ||
+								st.EdgesCreated < last.EdgesCreated || st.RedirectNodes < last.RedirectNodes:
+								scrapeErr = fmt.Errorf("counters went backwards: %+v after %+v", st, last)
+							}
+							last = st
+							runtime.Gosched()
+						}
+					}()
+				}
+				for _, descs := range streams(tc.producers) {
 					producers.Add(1)
 					go func(descs []graph.TaskDesc) {
 						defer producers.Done()
@@ -417,9 +448,13 @@ func TestStressConcurrentProducersShareStripes(t *testing.T) {
 				g.Flush()
 				discovered.Store(true)
 				completers.Wait()
+				scraper.Wait()
 			})
+			if scrapeErr != nil {
+				t.Fatal(scrapeErr)
+			}
 			if got := e.check(t, g); got != want {
-				t.Fatalf("two producers discovered %+v, one producer %+v", got, want)
+				t.Fatalf("%d producers discovered %+v, one producer %+v", tc.producers, got, want)
 			}
 		})
 	}

@@ -13,30 +13,26 @@
 // Discovery is the paper's limiting factor, so the hot path is built
 // for throughput:
 //
-//   - The dependence key table is lock-striped (see shard in graph.go):
-//     each key hashes to one of Config.Shards stripes, and all frontier
-//     state for the key (last writers, readers, open inoutset group) is
-//     touched only under that stripe's lock. A submission — one Submit,
-//     or a whole SubmitBatch — locks every stripe its keys hash to once,
-//     in ascending stripe index, and holds them until its last
-//     dependence is resolved: one Lock/Unlock per stripe, not per
-//     dependence, and deadlock-free by order. Producers serialize when
-//     their submissions share a stripe (see the concurrency contract
-//     below for the disjointness requirement).
+//   - The dependence key table is one map under one lock, the
+//     discovery lock (Graph.mu). A submission — one Submit, or a whole
+//     SubmitBatch — takes it once and holds it until its last dependence
+//     is resolved: one Lock/Unlock per submission, not per dependence.
+//     The paper's model is one producer thread; several are safe and
+//     take turns (see the concurrency contract below).
 //   - Task descriptors are carved from pooled allocation chunks,
 //     successor lists start on inline storage and continue in chained
 //     fixed-size blocks that are never regrown or copied (task.go), and
-//     keyStates are recycled per shard (alloc.go).
+//     keyStates are recycled (alloc.go).
 //   - SubmitBatch (batch.go) amortizes ID reservation, counter updates,
-//     allocator traffic, the stripe-lock sweep and ready-queue
+//     allocator traffic, the discovery lock and ready-queue
 //     publication over a slice of TaskDescs; executors receive the
 //     batch's ready tasks in one OnReadyBatch call. Submit is a batch of
 //     one through the same code.
 //
 // # Structure of a submission
 //
-// Submit/SubmitBatch allocate the Tasks, lock the stripes (discover in
-// batch.go), then run processDep for each declared dependence: In
+// Submit/SubmitBatch allocate the Tasks, take the discovery lock (discover
+// in batch.go), then run processDep for each declared dependence: In
 // accesses join the reader frontier, Out/InOut accesses succeed the
 // out-set and all readers, InOutSet accesses open or join a
 // concurrent-writer group. processDep materializes precedence
@@ -73,12 +69,11 @@
 // # Concurrency contract
 //
 // Complete is safe for concurrent use from any number of workers.
-// Submit and SubmitBatch are safe from concurrent producers whose
-// concurrent key footprints are disjoint (or whose tasks declare a
-// single dependence each); the discovered per-key order is then the
-// order the producers' submissions win the key's shard lock. Concurrent
-// multi-key submissions against shared keys remain outside the contract;
-// see the Graph type comment. Persistence, Flush
+// Submit and SubmitBatch are safe from concurrent producers: whole
+// submissions linearize on the discovery lock, so producers with
+// disjoint key footprints discover the graph a lone producer would, and
+// between producers that share keys the order is whoever wins the lock
+// (see the Graph type comment). Safe, not scaled. Persistence, Flush
 // and ResetDiscoveryFrontier are synchronization points and retain the
 // single-producer contract. See Stats for the counter consistency
 // model.

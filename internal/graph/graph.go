@@ -37,18 +37,17 @@ const (
 // Stats aggregates discovery-side counters. All counts are cumulative
 // since graph creation.
 //
-// Consistency model: every counter is individually monotonic and
-// updated either atomically (Tasks, RedirectNodes, ReplayedTasks) or
-// under the key shard lock that created the edge (EdgesAttempted,
-// EdgesCreated, EdgesPruned, EdgesDuplicate). A constraint against a
+// Consistency model: every counter is monotonic. The four edge counters
+// are updated under the discovery lock and Stats reads them under it, so
+// EdgesAttempted == EdgesCreated + EdgesPruned + EdgesDuplicate holds in
+// every snapshot, mid-batch scrapes included. A constraint against a
 // predecessor that already finished is classified before anything else
 // about the predecessor is looked at, so a repeated one counts as
-// pruned, not as a duplicate. A Stats snapshot taken
-// while producers are running can therefore exhibit bounded cross-field
-// skew — e.g. a task counted whose edges are not yet — but never
-// invented or lost events. At a quiescent point (no in-flight Submit /
-// SubmitBatch / Complete, e.g. after a taskwait) the snapshot is exact
-// and EdgesAttempted == EdgesCreated + EdgesPruned + EdgesDuplicate.
+// pruned, not as a duplicate. Tasks, RedirectNodes and ReplayedTasks are
+// atomics: a snapshot taken while producers are running can show a task
+// counted whose edges are not yet, never invented or lost events, and is
+// exact at a quiescent point (no in-flight Submit / SubmitBatch /
+// Complete, e.g. after a taskwait).
 type Stats struct {
 	Tasks          int64 // tasks discovered (including redirect nodes)
 	RedirectNodes  int64 // empty nodes inserted by optimization (c), both forms
@@ -81,28 +80,8 @@ type keyState struct {
 	redirectReleased bool
 	// run marks the key as one the open read run of a discover call shares
 	// (batch.go): that run's first member. Set and cleared inside the call,
-	// under the key's stripe lock, so it is nil whenever the lock is free.
+	// under the discovery lock, so it is nil whenever the lock is free.
 	run *Task
-}
-
-// shard is one stripe of the dependence key table. All frontier state
-// for a key — and the edge counters for edges discovered through it —
-// is owned by exactly one shard and touched only under its lock. A
-// submission holds the locks of all the stripes its keys hash to for
-// its whole duration (lockStripes), so producers serialize exactly when
-// their submissions share a stripe.
-type shard struct {
-	mu   sync.Mutex
-	keys map[Key]*keyState
-	// open tracks keys of this shard whose inoutset group holds an
-	// unreleased redirect node, for Flush.
-	open []*keyState
-	// free is the keyState recycling list (see alloc.go).
-	free []*keyState
-	// Edge counters, guarded by mu (see Stats).
-	attempted, created, pruned, duplicate int64
-
-	_ [24]byte // pad to limit false sharing between neighbouring shards
 }
 
 // ReadyFunc receives tasks that become ready on the producer side — at
@@ -111,22 +90,12 @@ type shard struct {
 // which must schedule them (this is how depth-first executors attribute
 // successors to the completing worker).
 //
-// ReadyFunc may be invoked while graph-internal locks are held (Submit
+// ReadyFunc may be invoked while the discovery lock is held (Submit
 // delivers its task, and any redirect node it closes, before dropping
-// its stripe locks); it must not call back into Submit, SubmitBatch,
-// Flush or Stats.
+// it); it must not call back into Submit, SubmitBatch, Flush or Stats.
 type ReadyFunc func(*Task)
 
-// DefaultShards is the default stripe count of the dependence key
-// table. Power of two; plenty for the producer counts a single process
-// runs (contention halves with every doubling, and 64 shards keep the
-// per-graph footprint under 8 KiB).
-const DefaultShards = 64
-
-// Config parametrizes a Graph beyond the optimization mask. The zero
-// value of every field selects the production default; the knobs exist
-// so benchmarks (cmd/tdgbench -exp discovery) can A/B the discovery
-// engine against its pre-optimization configuration.
+// Config parametrizes a Graph beyond the optimization mask.
 type Config struct {
 	// Opts is the optimization bitmask.
 	Opts Opt
@@ -137,14 +106,6 @@ type Config struct {
 	// OnReady calls, letting executors amortize queue locking. Tasks
 	// readied one at a time still go through OnReady.
 	OnReadyBatch func([]*Task)
-	// Shards is the key-table stripe count, rounded up to a power of
-	// two; 0 means DefaultShards. 1 degenerates to a single global
-	// lock (the baseline configuration).
-	Shards int
-	// NoPool disables task-chunk and keyState pooling: every
-	// allocation goes to the heap individually, as the engine did
-	// before pooling. Baseline configuration for benchmarks.
-	NoPool bool
 	// CPath enables critical-path stamping and the release-time fold
 	// (see cpath.go). Requires CPathNow.
 	CPath bool
@@ -163,16 +124,14 @@ type Config struct {
 // Graph is a task dependency graph under concurrent discovery.
 //
 // Concurrency contract: Submit and SubmitBatch may be called from any
-// number of producer goroutines provided the producers' concurrent key
-// footprints are disjoint (each key is submitted against by one
-// producer at a time) or every task declares at most one dependence.
-// Within that contract the per-key discovery order is the order in
-// which the producers' submissions (a Submit, or a whole SubmitBatch)
-// win the key's shard lock — a valid linearization of the submissions.
-// Concurrent producers whose tasks span two or more shared keys remain
-// outside the contract: whole submissions serialize (each holds all its
-// stripes at once), but which producer's comes first on the shared keys
-// is a race the graph does not settle.
+// number of producer goroutines; each submission (a Submit, or a whole
+// SubmitBatch) is discovered under the one discovery lock, so whole
+// submissions linearize in the order they win it. That makes concurrent
+// producers safe, not scaled: they take turns. Producers whose key
+// footprints are disjoint (or whose tasks declare at most one
+// dependence) get a graph that does not depend on who wins; between
+// producers that share keys, which submission comes first is a race the
+// graph does not settle.
 // Complete may be called concurrently from any number of workers.
 // Persistence (BeginRecording through FinishReplay) and Flush retain
 // the single-producer contract: they must not run concurrently with
@@ -184,9 +143,20 @@ type Graph struct {
 
 	nextID atomic.Int64
 
-	shards    []shard
-	shardMask uint64
-	noPool    bool
+	// mu is the discovery lock: it guards the key table, the open-group
+	// list, the keyState free list and the edge counters, and is held for
+	// the whole of a submission. Lock order: mu, then a predecessor's
+	// Task.mu (addEdge); nothing takes them the other way round.
+	mu   sync.Mutex
+	keys map[Key]*keyState
+	// open tracks keys whose inoutset group holds an unreleased redirect
+	// node, for Flush.
+	open []*keyState
+	// free is the keyState recycling list (see alloc.go).
+	free []*keyState
+	// Edge counters (see Stats).
+	attempted, created, pruned, duplicate int64
+
 	chunkPool sync.Pool // *taskChunk, see alloc.go
 
 	// Critical-path profiling (see cpath.go): cpath gates every stamp
@@ -232,15 +202,14 @@ type Graph struct {
 	replayIndex int
 }
 
-// New creates an empty graph with the given optimization set and
-// default engine configuration. onReady must be non-nil; it is called
-// exactly once per task when it becomes ready on the producer side.
+// New creates an empty graph with the given optimization set. onReady
+// must be non-nil; it is called exactly once per task when it becomes
+// ready on the producer side.
 func New(opts Opt, onReady ReadyFunc) *Graph {
 	return NewWithConfig(Config{Opts: opts, OnReady: onReady})
 }
 
-// NewWithConfig creates an empty graph from an explicit engine
-// configuration.
+// NewWithConfig creates an empty graph from an explicit configuration.
 func NewWithConfig(cfg Config) *Graph {
 	if cfg.OnReady == nil {
 		panic("graph: nil ReadyFunc")
@@ -248,42 +217,16 @@ func NewWithConfig(cfg Config) *Graph {
 	if cfg.CPath && cfg.CPathNow == nil {
 		panic("graph: CPath enabled without a CPathNow clock")
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	// Round up to a power of two so shardOf can mask.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	g := &Graph{
+	return &Graph{
 		opts:         cfg.Opts,
 		onReady:      cfg.OnReady,
 		onReadyBatch: cfg.OnReadyBatch,
-		shards:       make([]shard, p),
-		shardMask:    uint64(p - 1),
-		noPool:       cfg.NoPool,
+		keys:         make(map[Key]*keyState),
 		cpath:        cfg.CPath,
 		cpathNow:     cfg.CPathNow,
 		cpathCached:  cfg.CPathCached,
 	}
-	for i := range g.shards {
-		g.shards[i].keys = make(map[Key]*keyState)
-	}
-	return g
 }
-
-// stripeOf maps a key to the index of its stripe. Fibonacci hashing
-// spreads the sequential block indices applications use as keys across
-// shards.
-func (g *Graph) stripeOf(k Key) int {
-	h := uint64(k) * 0x9E3779B97F4A7C15
-	return int((h >> 32) & g.shardMask)
-}
-
-// NumShards returns the stripe count of the key table.
-func (g *Graph) NumShards() int { return len(g.shards) }
 
 // Opts returns the optimization mask the graph was created with.
 func (g *Graph) Opts() Opt { return g.opts }
@@ -300,9 +243,9 @@ func (g *Graph) lrAdd(live, ready int64) {
 
 // Live returns the number of discovered-but-uncompleted tasks, the
 // quantity bounded by MPC-OMP's total-tasks throttling threshold.
-// Under striped submission it is exact up to in-flight transitions: a
-// task is counted from before it becomes visible to any other
-// goroutine until its Complete returns.
+// It is exact up to in-flight transitions: a task is counted from
+// before it becomes visible to any other goroutine until its Complete
+// returns.
 func (g *Graph) Live() int64 { return int64(g.lr.Load() >> 32) }
 
 // ReadyCount returns the number of ready-or-running tasks, the quantity
@@ -314,21 +257,17 @@ func (g *Graph) ReadyCount() int64 { return int64(uint32(g.lr.Load())) }
 // Stats returns a snapshot of the discovery counters; see the Stats
 // type for the consistency model under concurrent producers.
 func (g *Graph) Stats() Stats {
-	s := Stats{
-		Tasks:         g.tasks.Load(),
-		RedirectNodes: g.redirects.Load(),
-		ReplayedTasks: g.replayed.Load(),
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return Stats{
+		Tasks:          g.tasks.Load(),
+		RedirectNodes:  g.redirects.Load(),
+		ReplayedTasks:  g.replayed.Load(),
+		EdgesAttempted: g.attempted,
+		EdgesCreated:   g.created,
+		EdgesPruned:    g.pruned,
+		EdgesDuplicate: g.duplicate,
 	}
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		s.EdgesAttempted += sh.attempted
-		s.EdgesCreated += sh.created
-		s.EdgesPruned += sh.pruned
-		s.EdgesDuplicate += sh.duplicate
-		sh.mu.Unlock()
-	}
-	return s
 }
 
 // Submit discovers one task with the given dependences. It returns the
@@ -356,36 +295,31 @@ func (g *Graph) SubmitTask(d *TaskDesc) *Task {
 	return ts[0]
 }
 
-// frontierOf returns k's stripe and frontier state, creating the state
-// on first access. The caller holds the stripe's lock.
-func (g *Graph) frontierOf(k Key) (*shard, *keyState) {
-	sh := &g.shards[g.stripeOf(k)]
-	ks := sh.keys[k]
+// frontierOf returns k's frontier state, creating it on first access.
+// The caller holds the discovery lock.
+func (g *Graph) frontierOf(k Key) *keyState {
+	ks := g.keys[k]
 	if ks == nil {
-		if g.noPool {
-			ks = &keyState{}
-		} else {
-			ks = sh.allocKeyState()
-		}
-		sh.keys[k] = ks
+		ks = g.allocKeyState()
+		g.keys[k] = ks
 	}
-	return sh, ks
+	return ks
 }
 
 // processDep applies one dependence declaration during discovery. The
-// caller holds the key's shard lock. readyBuf collects tasks readied as
+// caller holds the discovery lock. readyBuf collects tasks readied as
 // a side effect (redirect nodes of closing groups) for delivery outside
 // the lock.
 func (g *Graph) processDep(t *Task, d Dep, readyBuf *[]*Task) {
-	sh, ks := g.frontierOf(d.Key)
+	ks := g.frontierOf(d.Key)
 	switch d.Type {
 	case In:
-		g.dependOnOutSet(sh, t, ks, readyBuf)
+		g.dependOnOutSet(t, ks, readyBuf)
 		ks.readers = append(ks.readers, t)
 	case Out, InOut:
-		g.dependOnOutSet(sh, t, ks, readyBuf)
+		g.dependOnOutSet(t, ks, readyBuf)
 		for _, r := range ks.readers {
-			g.addEdge(sh, r, t)
+			g.addEdge(r, t)
 		}
 		ks.readers = ks.readers[:0]
 		ks.outSet = append(ks.outSet[:0], t)
@@ -404,36 +338,36 @@ func (g *Graph) processDep(t *Task, d Dep, readyBuf *[]*Task) {
 			ks.redirectReleased = false
 			if g.opts&OptInOutSetNode != 0 {
 				ks.redirect = g.newRedirect()
-				sh.open = append(sh.open, ks)
+				g.open = append(g.open, ks)
 			}
 		}
 		for _, p := range ks.baseOut {
-			g.addEdge(sh, p, t)
+			g.addEdge(p, t)
 		}
 		for _, r := range ks.baseReaders {
-			g.addEdge(sh, r, t)
+			g.addEdge(r, t)
 		}
 		ks.outSet = append(ks.outSet, t)
 		if ks.redirect != nil {
-			g.addEdge(sh, t, ks.redirect)
+			g.addEdge(t, ks.redirect)
 		}
 	}
 }
 
 // dependOnOutSet makes t succeed the current out-set of ks, collapsing an
 // open inoutset group through its redirect node when optimization (c) is
-// enabled. A non-inoutset access closes any open group. Caller holds
-// sh.mu.
-func (g *Graph) dependOnOutSet(sh *shard, t *Task, ks *keyState, readyBuf *[]*Task) {
+// enabled. A non-inoutset access closes any open group. Caller holds the
+// discovery lock.
+func (g *Graph) dependOnOutSet(t *Task, ks *keyState, readyBuf *[]*Task) {
 	if ks.setOpen {
 		if ks.redirect != nil {
-			g.addEdge(sh, ks.redirect, t)
+			g.addEdge(ks.redirect, t)
 			// With a redirect node, the node now stands for the
 			// whole group.
 			ks.outSet = append(ks.outSet[:0], ks.redirect)
 		} else {
 			for _, p := range ks.outSet {
-				g.addEdge(sh, p, t)
+				g.addEdge(p, t)
 			}
 		}
 		// Group closes on first non-inoutset access.
@@ -441,13 +375,13 @@ func (g *Graph) dependOnOutSet(sh *shard, t *Task, ks *keyState, readyBuf *[]*Ta
 		return
 	}
 	for _, p := range ks.outSet {
-		g.addEdge(sh, p, t)
+		g.addEdge(p, t)
 	}
 }
 
 // closeGroup ends an open inoutset group, dropping the producer sentinel
 // of its redirect node so the node can complete once all members finish.
-// Caller holds the shard lock of the group's key.
+// Caller holds the discovery lock.
 func (g *Graph) closeGroup(ks *keyState, readyBuf *[]*Task) {
 	if ks.redirect != nil && !ks.redirectReleased {
 		ks.redirectReleased = true
@@ -465,17 +399,14 @@ func (g *Graph) closeGroup(ks *keyState, readyBuf *[]*Task) {
 // Single-producer: must not run concurrently with Submit/SubmitBatch.
 func (g *Graph) Flush() {
 	var ready []*Task
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		for _, ks := range sh.open {
-			if ks.setOpen {
-				g.closeGroup(ks, &ready)
-			}
+	g.mu.Lock()
+	for _, ks := range g.open {
+		if ks.setOpen {
+			g.closeGroup(ks, &ready)
 		}
-		sh.open = sh.open[:0]
-		sh.mu.Unlock()
 	}
+	g.open = g.open[:0]
+	g.mu.Unlock()
 	g.notifyReady(ready)
 }
 
@@ -518,15 +449,13 @@ func (g *Graph) RedirectNodes() []*Task {
 
 // addEdge records the precedence constraint pred -> succ, applying
 // completed-predecessor pruning and duplicate elimination (b). succ must
-// be the task currently under discovery (owned by the calling producer),
-// or the redirect node of a group whose key's shard lock the caller
-// holds; the caller holds the shard lock its dependence is processed
-// under.
-func (g *Graph) addEdge(sh *shard, pred, succ *Task) {
+// be the task currently under discovery or a redirect node whose sentinel
+// is still held; the caller holds the discovery lock.
+func (g *Graph) addEdge(pred, succ *Task) {
 	if pred == succ {
 		return
 	}
-	sh.attempted++
+	g.attempted++
 
 	// An edge is replay-relevant only when the predecessor belongs to
 	// the same recording: it will be re-instanced and complete again on
@@ -550,7 +479,7 @@ func (g *Graph) addEdge(sh *shard, pred, succ *Task) {
 		pred.mu.Lock()
 		if g.opts&OptDedup != 0 && pred.lastSucc == succ {
 			pred.mu.Unlock()
-			sh.duplicate++
+			g.duplicate++
 			return
 		}
 		st = State(pred.state.Load())
@@ -570,7 +499,7 @@ func (g *Graph) addEdge(sh *shard, pred, succ *Task) {
 		if locked {
 			pred.mu.Unlock()
 		}
-		sh.pruned++
+		g.pruned++
 		return
 	}
 	pred.appendSucc(succ)
@@ -585,7 +514,7 @@ func (g *Graph) addEdge(sh *shard, pred, succ *Task) {
 		succ.recordedIndegree++
 	}
 	pred.mu.Unlock()
-	sh.created++
+	g.created++
 }
 
 // sentinelBias is the producer's hold on a task under discovery, as a
@@ -750,19 +679,14 @@ func (g *Graph) FailEpoch() uint64 { return g.failEpoch.Load() }
 
 // ResetDiscoveryFrontier clears the per-key discovery state (last
 // writers/readers) without touching counters, used between independent
-// phases in benchmarks. The shard maps and keyStates are recycled, not
+// phases in benchmarks. The key map and keyStates are recycled, not
 // reallocated. Single-producer.
 func (g *Graph) ResetDiscoveryFrontier() {
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		for k, ks := range sh.keys {
-			delete(sh.keys, k)
-			if !g.noPool {
-				sh.recycle(ks)
-			}
-		}
-		sh.open = sh.open[:0]
-		sh.mu.Unlock()
+	g.mu.Lock()
+	for _, ks := range g.keys {
+		g.recycle(ks)
 	}
+	clear(g.keys)
+	g.open = g.open[:0]
+	g.mu.Unlock()
 }

@@ -162,7 +162,7 @@ type Task struct {
 	// live counts the edges whose predecessor was unfinished when the
 	// edge was created — the decrements preds will receive. Private to
 	// the goroutine discovering the task (for a redirect node: to the
-	// holder of its group key's stripe lock) until the sentinel release.
+	// holder of the discovery lock) until the sentinel release.
 	live int32
 	// recordedIndegree counts incoming edges from tasks of the same
 	// recording, used to reset preds on persistent replay. Written only
