@@ -12,20 +12,17 @@ import (
 	"taskdep/internal/tune"
 )
 
-// Self-tuning benchmark: three pathological graph shapes, each chosen
-// to defeat one fixed scheduler policy, run under three configurations:
+// Self-tuning benchmark: two pathological graph shapes, each chosen to
+// defeat one fixed scheduler policy, run under three configurations:
 //
 //	untuned  — the runtime's defaults (the pathology hits full force)
 //	hand     — the actuator statically set to the known-good value
-//	           (fusion limit, throttle window or wake fanout)
+//	           (throttle window or wake fanout)
 //	adaptive — the closed control loop (Config.Tune) starting from the
 //	           untuned state and steering the same actuator live
 //
 // The pathologies:
 //
-//	finegrain — parallel serial chains of near-empty tasks: per-task
-//	            deque round trips and wakes dominate body work. Hand
-//	            remedy: task fusion at the max run limit.
 //	throttle  — a wide independent task sweep against a pathologically
 //	            tight ThrottleReady window: the producer stalls and
 //	            parks per handful of tasks. Hand remedy: a wide window.
@@ -38,17 +35,19 @@ import (
 // recovering >= 80% of the hand-tuned value on every pathology
 // (ValidateFull), with the untuned column documenting what the
 // pathology costs when nothing adapts. What holds at any size is the
-// deterministic half: the fusion fast path stays allocation-free.
+// deterministic half: draining parallel chains of near-empty tasks —
+// the executor's hand-over on every link — allocates nothing.
 
 // TuneSchemaVersion identifies the BENCH_tune.json layout.
-const TuneSchemaVersion = 1
+const TuneSchemaVersion = 2
 
-// TuneParams sizes the three pathologies and the control loop.
+// TuneParams sizes the two pathologies, the chain drain and the
+// control loop.
 type TuneParams struct {
 	Workers int `json:"workers"`
 
-	// finegrain: Chains parallel dependence chains of ChainLen
-	// near-empty tasks each, pre-submitted behind a gate.
+	// Chains parallel dependence chains of ChainLen near-empty tasks
+	// each, pre-submitted behind a gate: the allocation probe.
 	Chains   int `json:"chains"`
 	ChainLen int `json:"chain_len"`
 
@@ -69,11 +68,8 @@ type TuneParams struct {
 	SerialGrain int `json:"serial_grain"`
 	BurstGrain  int `json:"burst_grain"`
 
-	// MaxFuse is both the hand-tuned fusion limit and the adaptive
-	// ramp's cap; TuneIntervalUs is the control-loop tick in
-	// microseconds (short enough that the loop converges well inside a
-	// measurement run).
-	MaxFuse        int `json:"max_fuse"`
+	// TuneIntervalUs is the control-loop tick in microseconds (short
+	// enough that the loop converges well inside a measurement run).
 	TuneIntervalUs int `json:"tune_interval_us"`
 	Repeats        int `json:"repeats"` // best wall per cell wins
 }
@@ -86,7 +82,7 @@ func DefaultTuneParams() TuneParams {
 		WideTasks: 40000, WideGrain: 2000,
 		ThrottleTight: 4, ThrottleHand: 4096,
 		Rounds: 400, Burst: 64, SerialGrain: 20000, BurstGrain: 1000,
-		MaxFuse: 16, TuneIntervalUs: 250, Repeats: 5,
+		TuneIntervalUs: 250, Repeats: 5,
 	}
 }
 
@@ -99,15 +95,13 @@ func SmokeTuneParams() TuneParams {
 		WideTasks: 10000, WideGrain: 1500,
 		ThrottleTight: 4, ThrottleHand: 4096,
 		Rounds: 120, Burst: 48, SerialGrain: 15000, BurstGrain: 800,
-		MaxFuse: 16, TuneIntervalUs: 100, Repeats: 3,
+		TuneIntervalUs: 100, Repeats: 3,
 	}
 }
 
 // Tasks returns the per-run task count of a pathology.
 func (p TuneParams) Tasks(pathology string) int {
 	switch pathology {
-	case "finegrain":
-		return p.Chains * p.ChainLen
 	case "throttle":
 		return p.WideTasks
 	case "waves":
@@ -116,7 +110,7 @@ func (p TuneParams) Tasks(pathology string) int {
 	return 0
 }
 
-var tunePathologies = []string{"finegrain", "throttle", "waves"}
+var tunePathologies = []string{"throttle", "waves"}
 var tuneConfigs = []string{"untuned", "hand", "adaptive"}
 
 // Key layout of the tune workloads. Repeats reuse one runtime per
@@ -135,7 +129,6 @@ const (
 // control loop (or the hand setting) actually landed on the knobs.
 type tuneRun struct {
 	wall        float64
-	fuseEnd     int
 	thrReadyEnd int64
 	fanoutEnd   int
 	adjusts     int64
@@ -154,7 +147,6 @@ func tuneConfigFor(p TuneParams, pathology, config string) rt.Config {
 		cfg.Tune = tune.Options{
 			Enable:   true,
 			Interval: time.Duration(p.TuneIntervalUs) * time.Microsecond,
-			MaxFuse:  p.MaxFuse,
 		}
 	}
 	return cfg
@@ -176,13 +168,8 @@ func runTuneCell(p TuneParams, pathology, config string, reps int) (tuneRun, err
 	if err != nil {
 		return tuneRun{}, err
 	}
-	if config == "hand" {
-		switch pathology {
-		case "finegrain":
-			r.SetFuseLimit(p.MaxFuse)
-		case "waves":
-			r.Scheduler().SetWakePolicy(p.Workers, p.Workers/2+1)
-		}
+	if config == "hand" && pathology == "waves" {
+		r.Scheduler().SetWakePolicy(p.Workers, p.Workers/2+1)
 	}
 	settle := 4 * time.Duration(p.TuneIntervalUs) * time.Microsecond
 	if settle < 2*time.Millisecond {
@@ -192,8 +179,6 @@ func runTuneCell(p TuneParams, pathology, config string, reps int) (tuneRun, err
 	for rep := 0; rep < reps; rep++ {
 		var wall float64
 		switch pathology {
-		case "finegrain":
-			wall = runTuneFinegrain(r, p)
 		case "throttle":
 			wall = runTuneThrottle(r, p)
 		case "waves":
@@ -207,7 +192,6 @@ func runTuneCell(p TuneParams, pathology, config string, reps int) (tuneRun, err
 		}
 		time.Sleep(settle)
 	}
-	run.fuseEnd = r.FuseLimit()
 	run.thrReadyEnd, _ = r.ThrottleLimits()
 	run.fanoutEnd, _ = r.Scheduler().WakePolicy()
 	reg := r.Obs()
@@ -215,14 +199,13 @@ func runTuneCell(p TuneParams, pathology, config string, reps int) (tuneRun, err
 		return run, fmt.Errorf("%s/%s: %w", pathology, config, err)
 	}
 	// Counters are exact after Close's FlushAll.
-	run.adjusts = reg.Counter(obs.CTuneFusion) +
-		reg.Counter(obs.CTuneThrottle) + reg.Counter(obs.CTuneWake)
+	run.adjusts = reg.Counter(obs.CTuneThrottle) + reg.Counter(obs.CTuneWake)
 	return run, nil
 }
 
-// submitTuneFinegrain pre-submits the chains behind a detached gate and
+// submitTuneChains pre-submits the chains behind a detached gate and
 // returns the gate event; nothing is ready until it fires.
-func submitTuneFinegrain(r *rt.Runtime, p TuneParams) *rt.Event {
+func submitTuneChains(r *rt.Runtime, p TuneParams) *rt.Event {
 	gate := r.Submit(rt.Spec{
 		Label:        "gate",
 		Out:          []graph.Key{tuneGateKey},
@@ -244,16 +227,6 @@ func submitTuneFinegrain(r *rt.Runtime, p TuneParams) *rt.Event {
 		r.SubmitBatch(specs)
 	}
 	return gate
-}
-
-// runTuneFinegrain builds and drains the chains; only the drain is
-// timed (the submission phase is untimed by construction).
-func runTuneFinegrain(r *rt.Runtime, p TuneParams) float64 {
-	gate := submitTuneFinegrain(r, p)
-	start := time.Now()
-	gate.Fulfill()
-	r.Taskwait()
-	return time.Since(start).Seconds()
 }
 
 // runTuneThrottle submits the wide sweep live — the producer-side
@@ -314,21 +287,19 @@ func runTuneWaves(r *rt.Runtime, p TuneParams) float64 {
 	return time.Since(start).Seconds()
 }
 
-// runFusionAllocs measures the fusion fast path's allocation count: the
-// finegrain chains, fusion forced on, drained repeatedly on one runtime
-// — the first drain warms the release buffers and deques, later drains
-// are measured. Only the drain (Fulfill through Taskwait) is inside the
-// measured window; discovery allocates task records by design and is
-// excluded.
-func runFusionAllocs(p TuneParams) (perTask float64, err error) {
+// runChainAllocs measures the chain drain's allocation count: the
+// chains drained repeatedly on one runtime — the first drain warms the
+// release buffers and deques, later drains are measured. Only the drain
+// (Fulfill through Taskwait) is inside the measured window; discovery
+// allocates task records by design and is excluded.
+func runChainAllocs(p TuneParams) (perTask float64, err error) {
 	r, err := rt.NewRuntime(rt.Config{Workers: p.Workers, Opts: graph.OptAll})
 	if err != nil {
 		return 0, err
 	}
 	defer r.Close()
-	r.SetFuseLimit(p.MaxFuse)
 	drain := func() uint64 {
-		gate := submitTuneFinegrain(r, p)
+		gate := submitTuneChains(r, p)
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -344,7 +315,7 @@ func runFusionAllocs(p TuneParams) (perTask float64, err error) {
 			best = m
 		}
 	}
-	return float64(best) / float64(p.Tasks("finegrain")), nil
+	return float64(best) / float64(p.Chains*p.ChainLen), nil
 }
 
 // TuneRow is one pathology/configuration measurement.
@@ -354,10 +325,9 @@ type TuneRow struct {
 	Tasks       int64   `json:"tasks"`
 	WallSeconds float64 `json:"wall_seconds"`
 	TasksPerSec float64 `json:"tasks_per_sec"`
-	// End-state knob evidence from the best run: the fusion limit, the
-	// ready-throttle window and the wake fanout after the drain, plus
-	// the total number of tuner actuations (0 for untuned/hand).
-	FuseLimitEnd     int   `json:"fuse_limit_end"`
+	// End-state knob evidence from the best run: the ready-throttle
+	// window and the wake fanout after the drain, plus the total number
+	// of tuner actuations (0 for untuned/hand).
 	ThrottleReadyEnd int64 `json:"throttle_ready_end"`
 	WakeFanoutEnd    int   `json:"wake_fanout_end"`
 	TuneAdjusts      int64 `json:"tune_adjusts"`
@@ -379,9 +349,9 @@ type TuneResult struct {
 	Params     TuneParams     `json:"params"`
 	Rows       []TuneRow      `json:"rows"`
 	Recoveries []TuneRecovery `json:"recoveries"`
-	// FusionAllocsPerTask is the measured steady-state allocation count
-	// of the fusion fast path (finegrain drain, fusion forced on).
-	FusionAllocsPerTask float64 `json:"fusion_allocs_per_task"`
+	// ChainAllocsPerTask is the measured steady-state allocation count
+	// of the chain drain.
+	ChainAllocsPerTask float64 `json:"chain_allocs_per_task"`
 }
 
 // RunTune measures every pathology/configuration cell: one runtime per
@@ -390,7 +360,7 @@ type TuneResult struct {
 func RunTune(p TuneParams) (*TuneResult, error) {
 	res := &TuneResult{Meta: Meta{Schema: TuneSchemaVersion}, Params: p}
 	if p.Workers < 1 || p.Chains < 1 || p.ChainLen < 1 || p.WideTasks < 1 ||
-		p.Rounds < 1 || p.Burst < 1 || p.MaxFuse < 1 || p.TuneIntervalUs < 1 {
+		p.Rounds < 1 || p.Burst < 1 || p.TuneIntervalUs < 1 {
 		return res, fmt.Errorf("tune params must all be >= 1: %+v", p)
 	}
 	best := map[string]*tuneRun{}
@@ -414,7 +384,6 @@ func RunTune(p TuneParams) (*TuneResult, error) {
 				Tasks:            int64(tasks),
 				WallSeconds:      run.wall,
 				TasksPerSec:      tasks / run.wall,
-				FuseLimitEnd:     run.fuseEnd,
 				ThrottleReadyEnd: run.thrReadyEnd,
 				WakeFanoutEnd:    run.fanoutEnd,
 				TuneAdjusts:      run.adjusts,
@@ -432,16 +401,16 @@ func RunTune(p TuneParams) (*TuneResult, error) {
 		}
 		res.Recoveries = append(res.Recoveries, rec)
 	}
-	allocs, err := runFusionAllocs(p)
+	allocs, err := runChainAllocs(p)
 	if err != nil {
 		return res, err
 	}
-	res.FusionAllocsPerTask = allocs
+	res.ChainAllocsPerTask = allocs
 	return res, nil
 }
 
 // Validate checks the schema, that every cell ran its whole graph and
-// only the adaptive ones actuated, and that the fusion fast path is
+// only the adaptive ones actuated, and that the chain drain is
 // allocation-free.
 func (r *TuneResult) Validate() error {
 	if err := r.checkSchema(TuneSchemaVersion); err != nil {
@@ -449,7 +418,7 @@ func (r *TuneResult) Validate() error {
 	}
 	want := len(tunePathologies) * len(tuneConfigs)
 	if len(r.Rows) != want {
-		return fmt.Errorf("%d rows, want %d (3 pathologies x 3 configs)", len(r.Rows), want)
+		return fmt.Errorf("%d rows, want %d (%d pathologies x %d configs)", len(r.Rows), want, len(tunePathologies), len(tuneConfigs))
 	}
 	seen := map[string]bool{}
 	for i, row := range r.Rows {
@@ -485,8 +454,8 @@ func (r *TuneResult) Validate() error {
 			return fmt.Errorf("pathology %s: non-positive recovery ratio", rec.Pathology)
 		}
 	}
-	if r.FusionAllocsPerTask < 0 || r.FusionAllocsPerTask > maxSteadyAllocsPerTask {
-		return fmt.Errorf("fusion fast path allocates %.4f/task, want 0", r.FusionAllocsPerTask)
+	if r.ChainAllocsPerTask < 0 || r.ChainAllocsPerTask > maxSteadyAllocsPerTask {
+		return fmt.Errorf("chain drain allocates %.4f/task, want 0", r.ChainAllocsPerTask)
 	}
 	return nil
 }
@@ -506,10 +475,10 @@ func (r *TuneResult) ValidateFull() error {
 		}
 	}
 	for _, row := range r.Rows {
-		// The waves actuation is the most timing-sensitive of the three
-		// (churn must cross the threshold inside a tick), so only the
-		// fusion and throttle pathologies must prove engagement.
-		if row.Config == "adaptive" && row.Pathology != "waves" && row.TuneAdjusts == 0 {
+		// The waves actuation is timing-sensitive (churn must cross the
+		// threshold inside a tick), so only the throttle pathology must
+		// prove engagement.
+		if row.Config == "adaptive" && row.Pathology == "throttle" && row.TuneAdjusts == 0 {
 			return fmt.Errorf("%s adaptive run shows zero tuner actuations — the loop never engaged", row.Pathology)
 		}
 	}
@@ -519,16 +488,16 @@ func (r *TuneResult) ValidateFull() error {
 // Print renders the result as the EXPERIMENTS.md table.
 func (r *TuneResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "== self-tuning scheduler (%d workers, pathological graphs) ==\n", r.Params.Workers)
-	fmt.Fprintf(w, "%-10s %-9s %9s %10s %13s %6s %9s %7s %8s\n",
-		"pathology", "config", "tasks", "wall(ms)", "tasks/sec", "fuse", "thr.ready", "fanout", "adjusts")
+	fmt.Fprintf(w, "%-10s %-9s %9s %10s %13s %9s %7s %8s\n",
+		"pathology", "config", "tasks", "wall(ms)", "tasks/sec", "thr.ready", "fanout", "adjusts")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %-9s %9d %10.2f %13.0f %6d %9d %7d %8d\n",
+		fmt.Fprintf(w, "%-10s %-9s %9d %10.2f %13.0f %9d %7d %8d\n",
 			row.Pathology, row.Config, row.Tasks, row.WallSeconds*1e3, row.TasksPerSec,
-			row.FuseLimitEnd, row.ThrottleReadyEnd, row.WakeFanoutEnd, row.TuneAdjusts)
+			row.ThrottleReadyEnd, row.WakeFanoutEnd, row.TuneAdjusts)
 	}
 	for _, rec := range r.Recoveries {
 		fmt.Fprintf(w, "recovery %-10s adaptive = %3.0f%% of hand-tuned (%.2fx untuned; hand is %.2fx untuned)\n",
 			rec.Pathology, 100*rec.AdaptiveVsHand, rec.AdaptiveVsUntuned, rec.HandVsUntuned)
 	}
-	fmt.Fprintf(w, "fusion fast path: %.4f allocs/task\n", r.FusionAllocsPerTask)
+	fmt.Fprintf(w, "chain drain: %.4f allocs/task\n", r.ChainAllocsPerTask)
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // TestTuneSmoke runs the self-tuning benchmark at a tiny size and
-// checks the result validates — every cell ran its graph, the fusion
-// fast path allocation-free — and round-trips through JSON. Recovery
+// checks the result validates — every cell ran its graph, the chain
+// drain allocation-free — and round-trips through JSON. Recovery
 // ratios are printed, not asserted: tiny runs on a loaded test machine
 // are too short for the control loop to converge reliably (that is
 // ValidateFull, held by default-size runs and BENCH_tune.json).

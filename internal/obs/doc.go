@@ -77,8 +77,7 @@
 //	taskdep_mpi_bytes_sent_total     send+collective payload bytes
 //	taskdep_mpi_bytes_recvd_total    receive payload bytes
 //	taskdep_faults_injected_total    faults manufactured by fault.Inject
-//	taskdep_tasks_fused_total        successors executed inline via task fusion
-//	taskdep_tune_fusion_adjust_total    tuner changes to the fusion run limit
+//	taskdep_tasks_fused_total        successors kept by their finisher (the hand-over's chained slot)
 //	taskdep_tune_throttle_adjust_total  tuner resizes of the throttle windows
 //	taskdep_tune_wake_adjust_total      tuner changes to the wake policy
 //	taskdep_phase_discovery_ns_total    ns in discovery (submit -> deps resolved), cpath tier
@@ -92,8 +91,7 @@
 // internal/tune can react to ready-wait vs execute imbalance.
 //
 // Counters backed by graph collectors (registered by rt, values from
-// the graph's own striped discovery counters — zero added hot-path
-// cost):
+// the graph's own discovery counters — zero added hot-path cost):
 //
 //	taskdep_edges_created_total      precedence edges materialized
 //	taskdep_edges_deduped_total      duplicates pruned by optimization (b)

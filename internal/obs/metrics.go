@@ -33,7 +33,6 @@ const (
 	CMPIBytesRecvd
 	CFaultsInjected
 	CTasksFused
-	CTuneFusion
 	CTuneThrottle
 	CTuneWake
 	// Per-phase time attribution (internal/cpath): cumulative
@@ -69,7 +68,6 @@ var counterNames = [NumCounters]string{
 	CMPIBytesRecvd:    "taskdep_mpi_bytes_recvd_total",
 	CFaultsInjected:   "taskdep_faults_injected_total",
 	CTasksFused:       "taskdep_tasks_fused_total",
-	CTuneFusion:       "taskdep_tune_fusion_adjust_total",
 	CTuneThrottle:     "taskdep_tune_throttle_adjust_total",
 	CTuneWake:         "taskdep_tune_wake_adjust_total",
 	CPhaseDiscoveryNs: "taskdep_phase_discovery_ns_total",
@@ -100,8 +98,7 @@ var counterHelp = [NumCounters]string{
 	CMPIBytesSent:     "Bytes sent over MPI point-to-point operations.",
 	CMPIBytesRecvd:    "Bytes received over MPI point-to-point operations.",
 	CFaultsInjected:   "Faults injected by the fault-injection test harness.",
-	CTasksFused:       "Tasks executed as part of a fused same-chain run.",
-	CTuneFusion:       "Self-tuner adjustments to the fusion limit.",
+	CTasksFused:       "Released successors a finishing executor kept to run next instead of queuing them.",
 	CTuneThrottle:     "Self-tuner adjustments to the throttle window.",
 	CTuneWake:         "Self-tuner adjustments to the wake policy.",
 	CPhaseDiscoveryNs: "Nanoseconds spent in the discovery phase (submit to deps-resolved), summed over finished tasks.",
@@ -232,8 +229,8 @@ type Options struct {
 type GaugeFunc func() float64
 
 // CounterFunc is a callback-backed monotone counter sampled at scrape
-// time (used for series whose source already keeps its own striped
-// counters, like graph discovery stats).
+// time (used for series whose source already keeps its own counters,
+// like graph discovery stats).
 type CounterFunc func() int64
 
 type namedGauge struct {

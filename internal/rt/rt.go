@@ -86,8 +86,8 @@ type Config struct {
 	Obs obs.Options
 	// Tune configures the self-tuning control loop (internal/tune): a
 	// low-frequency controller that snapshots windowed deltas from the
-	// metrics registry and steers task fusion, the throttle windows and
-	// the scheduler's wake policy against detrimental task patterns.
+	// metrics registry and steers the throttle windows and the
+	// scheduler's wake policy against detrimental task patterns.
 	// Zero value: off. See docs/architecture.md, "Self-tuning".
 	Tune tune.Options
 }
@@ -145,15 +145,6 @@ type Runtime struct {
 	thrTotal   atomic.Int64
 	throttleOn atomic.Bool
 
-	// fuseLimit is the task-fusion run limit (0 = fusion off): how many
-	// consecutive chain successors a finishing executor may keep and run
-	// inline (via chained) before the run is forced back through the
-	// deque. Set by SetFuseLimit (the tuner's fusion actuator), read on
-	// every generic-path finish. fuseRun[slot] is the owner's current
-	// run length, owner-private like chained.
-	fuseLimit atomic.Int32
-	fuseRun   []int32
-
 	// tuner is the self-tuning control loop; non-nil only when
 	// Config.Tune.Enable, stopped first in Close.
 	tuner *tune.Tuner
@@ -175,37 +166,10 @@ type Runtime struct {
 	// producers get distinct ones.
 	stagePool sync.Pool
 
-	// relBufs[w] is worker w's reused buffer for successors released by
-	// graph.CompleteInto; slot Workers is the producer-as-consumer's
-	// (completions from other non-worker contexts — detach events —
-	// allocate).
-	relBufs [][]*graph.Task
-
-	// chained[slot] is the slot's direct-handoff successor on the
-	// compiled replay path: a finishing executor keeps the first task it
-	// released for its own next loop turn instead of round-tripping it
-	// through the deque (LIFO task chaining). Written and read only by
-	// the owning goroutine; always consumed before the slot can park,
-	// because a chained task is unfinished and therefore holds the
-	// iteration countdown above zero.
-	chained []*graph.Task
-
-	// chainFin[slot] counts the slot's deferred compiled-path finishes
-	// (graph.Compiled.FinishIntoDeferred) not yet settled against the
-	// iteration countdown; settled in one Retire when the slot's chain
-	// has ended (settleChain). Owner-private, like chained.
-	chainFin []int64
-
-	// spill[slot] holds compiled-replay releases beyond the chained one,
-	// up to spillCap, so burst releases stay on the owner instead of
-	// round-tripping through the deque (a push and a pop are two full
-	// barriers each on amd64). Overflow past the cap is published for
-	// thieves — wide releases spill to the shared deque exactly when
-	// there is enough slack to be worth stealing. Owner-private, and
-	// like chained always drained before the slot can park: a spilled
-	// task is unfinished, so it holds the iteration countdown above
-	// zero and the compiled barrier open.
-	spill [][]*graph.Task
+	// slots[w] is executor slot w's own state: workers 0..Workers-1, the
+	// producer-as-consumer at Workers. Finishes from contexts without a
+	// slot (detach events, abort cancellation) touch none of it.
+	slots []slotState
 
 	// Failure-domain state, scoped to one wait window: Taskwait drains
 	// the graph, composes these into the returned *fault.TaskError and
@@ -232,6 +196,26 @@ type Runtime struct {
 	// (Config.Verify), taken by recordIteration: what a Recording made
 	// from it keeps as its own. Producer-only.
 	recSig uint64
+}
+
+// slotState is what one executor slot keeps between its finishes,
+// written and read only by the owning goroutine: one 64-byte record, so
+// what a finish touches sits together.
+type slotState struct {
+	// relBuf is the reused buffer the slot's finishes release into.
+	relBuf []*graph.Task
+	// chained and spill are what the slot's finishes kept for it
+	// (handOver): the first released task, and up to spillCap more.
+	// Always drained before the slot parks or, for the producer, returns
+	// to discovery (throttle); a kept task is unfinished, so it holds the
+	// live gauge or the iteration countdown above the producer's wait.
+	chained *graph.Task
+	spill   []*graph.Task
+	// chainFin counts the slot's deferred compiled-path finishes
+	// (graph.Compiled.FinishIntoDeferred) not yet settled against the
+	// iteration countdown; settled in one Retire when the slot's chain
+	// has ended (settleChain).
+	chainFin int64
 }
 
 // producerID is the scheduler slot the producer consumes under
@@ -310,11 +294,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			rt.s.PushBatch(-1, ts)
 		},
 	})
-	rt.relBufs = make([][]*graph.Task, cfg.Workers+1)
-	rt.chained = make([]*graph.Task, cfg.Workers+1)
-	rt.chainFin = make([]int64, cfg.Workers+1)
-	rt.spill = make([][]*graph.Task, cfg.Workers+1)
-	rt.fuseRun = make([]int32, cfg.Workers+1)
+	rt.slots = make([]slotState, cfg.Workers+1)
 	if cfg.Obs.Addr != "" {
 		srv, err := obs.Serve(cfg.Obs.Addr, rt.httpHandler())
 		if err != nil {
@@ -330,11 +310,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		rt.tuner = tune.New(tune.Target{
 			Obs:           rt.obs,
 			Workers:       cfg.Workers,
-			Ready:         rt.g.ReadyCount,
-			Live:          rt.g.Live,
 			Pending:       rt.s.Pending,
-			FuseLimit:     rt.FuseLimit,
-			SetFuseLimit:  rt.SetFuseLimit,
 			Throttle:      rt.ThrottleLimits,
 			SetThrottle:   rt.SetThrottle,
 			WakePolicy:    rt.s.WakePolicy,
@@ -350,7 +326,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 func (rt *Runtime) Tuner() *tune.Tuner { return rt.tuner }
 
 // registerCollectors wires the callback-backed /metrics series: edge
-// counters read from the graph's own striped discovery stats, and the
+// counters read from the graph's own discovery stats, and the
 // live-state gauges. Collectors run at scrape time only, so the
 // discovery and execution hot paths pay nothing for them.
 func (rt *Runtime) registerCollectors() {
@@ -369,7 +345,6 @@ func (rt *Runtime) registerCollectors() {
 	// (the static-config gauges drifted the moment a window was resized).
 	reg.RegisterGauge("taskdep_throttle_ready_limit", func() float64 { return float64(rt.thrReady.Load()) })
 	reg.RegisterGauge("taskdep_throttle_total_limit", func() float64 { return float64(rt.thrTotal.Load()) })
-	reg.RegisterGauge("taskdep_fuse_limit", func() float64 { return float64(rt.fuseLimit.Load()) })
 }
 
 // Obs returns the runtime's metrics registry (always non-nil; its
@@ -561,7 +536,7 @@ func (e *Event) Fulfill() {
 	rt.detachMu.Lock()
 	delete(rt.detachLive, t)
 	rt.detachMu.Unlock()
-	rt.complete(-1, t)
+	rt.finish(-1, t, graph.Completed)
 	rt.detached.Add(-1)
 }
 
@@ -834,10 +809,7 @@ func (rt *Runtime) throttle() {
 	if !rt.throttleOn.Load() {
 		return
 	}
-	for {
-		if !rt.overThrottle() {
-			return
-		}
+	for rt.overThrottle() {
 		if !rt.produceConsumeOne() {
 			// External (atomic) shard: throttle is reachable from
 			// concurrent SubmitBatch producers, and a stall is about to
@@ -845,6 +817,17 @@ func (rt *Runtime) throttle() {
 			rt.obs.Add(obs.CThrottleStalls, 1)
 			rt.producerIdle(func() bool { return !rt.overThrottle() })
 		}
+	}
+	// The producer's slot is the only executor that leaves its consume
+	// loop for other work: what its runs kept (handOver) would sit unseen
+	// until the next stall or Taskwait, so it goes to the slot's deque,
+	// stealable, with a wake — its owner is not about to pop it.
+	id := rt.producerID()
+	if t := rt.takeChained(id); t != nil {
+		for ; t != nil; t = rt.takeChained(id) {
+			rt.s.Push(id, t)
+		}
+		rt.s.WakeOne()
 	}
 }
 
@@ -881,33 +864,19 @@ func (rt *Runtime) SetThrottle(ready, total int64) {
 	rt.s.WakeProducer()
 }
 
-// FuseLimit returns the current task-fusion run limit (0 = off).
-func (rt *Runtime) FuseLimit() int { return int(rt.fuseLimit.Load()) }
-
-// SetFuseLimit sets the task-fusion run limit: how many consecutive
-// chain successors a finishing executor may keep and execute inline
-// before the run is forced back through the deque (0 disables fusion;
-// negative clamps to 0). Safe from any goroutine — the limit is a
-// single atomic word read per finish, and lowering it only shortens
-// runs already in flight at their next finish.
-func (rt *Runtime) SetFuseLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	rt.fuseLimit.Store(int32(n))
-}
-
-// takeChained claims the slot's direct-handoff successor (compiled
-// replay's deque bypass), if any. Single-goroutine per slot: the owner
-// is the only writer and the only reader.
+// takeChained claims the next task the slot's finishes kept (handOver):
+// the chained one, then the spill stack's top. The popped entry is
+// cleared, so the stack pins nothing that has run. Owner-only.
 func (rt *Runtime) takeChained(slot int) *graph.Task {
-	if t := rt.chained[slot]; t != nil {
-		rt.chained[slot] = nil
+	sl := &rt.slots[slot]
+	if t := sl.chained; t != nil {
+		sl.chained = nil
 		return t
 	}
-	if sp := rt.spill[slot]; len(sp) > 0 {
-		t := sp[len(sp)-1]
-		rt.spill[slot] = sp[:len(sp)-1]
+	if n := len(sl.spill); n > 0 {
+		t := sl.spill[n-1]
+		sl.spill[n-1] = nil
+		sl.spill = sl.spill[:n-1]
 		return t
 	}
 	return nil
@@ -925,7 +894,7 @@ func (rt *Runtime) produceConsumeOne() bool {
 		return false
 	}
 	rt.execute(id, t)
-	if rt.chainFin[id] != 0 {
+	if rt.slots[id].chainFin != 0 {
 		rt.settleChain(id)
 	}
 	return true
@@ -1179,15 +1148,11 @@ func (rt *Runtime) LastVerifyReport() *verify.Report { return rt.lastAudit.Load(
 // never run their body: they are terminally Skipped, still releasing
 // their successors so the graph drains.
 func (rt *Runtime) execute(w int, t *graph.Task) {
-	// cs is the schedule t retires through when it is a recorded task of
-	// the compiled iteration in flight, nil otherwise. Loaded once: it
-	// picks the start stamp below and rides to the finisher. Instrumented
-	// and bare runs share this path, so Config.Profile, span timing and
-	// the critical-path profiler observe what production executes.
-	var cs *graph.Compiled
-	if t.Persistent {
-		cs = rt.compiled.Load()
-	}
+	// compiled: t is a recorded task of the compiled iteration in flight
+	// (finish retires it through the schedule). Instrumented and bare
+	// runs share this path, so Config.Profile, span timing and the
+	// critical-path profiler observe what production executes.
+	compiled := t.Persistent && rt.compiled.Load() != nil
 	if t.Poisoned() || rt.aborted.Load() {
 		rt.skip(w, t)
 		return
@@ -1222,7 +1187,7 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	if !t.Redirect && rt.obs.Sampled(slot) {
 		sp = rt.obs.BeginSpan(slot, obs.SpanTaskBody, t.ID, depHash(t), int(rt.iter.Load()))
 	}
-	if cs == nil {
+	if !compiled {
 		rt.g.Start(t) // stamps the body-start clock when CPath is on
 	} else {
 		// Compiled replay leaves states terminal between transitions (see
@@ -1253,11 +1218,7 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 		rt.armDetached(ev)
 		return
 	}
-	if cs != nil {
-		rt.finishCompiled(w, t, cs, graph.Completed)
-		return
-	}
-	rt.complete(w, t)
+	rt.finish(w, t, graph.Completed)
 }
 
 // runBody executes t's closure under panic recovery, applying the
@@ -1332,38 +1293,23 @@ func (rt *Runtime) fail(w int, t *graph.Task, ev *Event, cause error) {
 	rt.finish(w, t, graph.Aborted)
 }
 
-// complete finishes t successfully; see finish.
-func (rt *Runtime) complete(w int, t *graph.Task) {
-	rt.finish(w, t, graph.Completed)
-}
-
-// finish moves t to the terminal state final and schedules released
-// successors on worker w's deque (depth-first locality) or the global
-// queue for w == -1. Worker and producer contexts reuse a per-slot
-// release buffer and publish the whole release set with one queue
-// operation; other contexts (detach events, abort cancellation, which
-// may run concurrently) allocate per call.
+// finish is the one terminal transition: t reaches final, its released
+// successors are handed over (handOver), and the producer hears of the
+// progress it waits on. A recorded task of the compiled iteration in
+// flight releases through the schedule's CSR rows — with its countdown
+// decrement deferred to the end of its slot's chain (settleChain), or
+// settled at once from a context without a slot (a detached task's
+// Fulfill, abort cancellation); every other task through the graph's
+// successor walk. Worker and producer slots reuse a per-slot release
+// buffer; the other contexts, which may run concurrently, allocate.
 func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
-	// Compiled replay: recorded tasks retire through the flat schedule —
-	// no task mutex, no key table, no global counters. execute hands a
-	// completed task over directly; the branch here is for everything
-	// else — skip, fail, a detached task's Fulfill, abort cancellation —
-	// so poison cones and aborts drain on the compiled path with the
-	// exact generic semantics.
-	if cs := rt.compiled.Load(); cs != nil && t.Persistent {
-		rt.finishCompiled(w, t, cs, final)
-		return
-	}
-	var buf []*graph.Task
-	slotted := w >= 0 && w < len(rt.relBufs)
-	if slotted {
-		buf = rt.relBufs[w]
-	}
 	// Critical-path profiling: stamp the finish and fold the task into
-	// the window aggregation BEFORE the terminal transition below — its
-	// successor walk publishes the cp* values, and its live-count
-	// decrement is what lets a quiescent producer read the profiler
-	// slots without synchronization (see cpath.Profiler.Observe).
+	// the window aggregation BEFORE the release below — its successor walk
+	// publishes the cp* values, and its live-count or countdown decrement
+	// is what lets a quiescent producer read the profiler slots without
+	// synchronization (see cpath.Profiler.Observe). The stamp is read back
+	// now: once t's successors are released a replay may drain, and the
+	// producer's next BeginIteration rewrites it.
 	var finNs int64
 	if rt.cp != nil {
 		rt.g.StampFinish(t)
@@ -1374,71 +1320,66 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 	// routes to the external shard). Redirect sentinels are graph
 	// machinery, not user tasks: uncounted, so at quiescent points
 	// submitted == executed + skipped + aborted.
+	switch {
+	case t.Redirect:
+	case final == graph.Aborted:
+		rt.obs.IncSlot(w, obs.CTasksAborted)
+	case final == graph.Skipped:
+		rt.obs.IncSlot(w, obs.CTasksSkipped)
+	default:
+		rt.obs.IncSlot(w, obs.CTasksExecuted)
+	}
+	var cs *graph.Compiled
+	if t.Persistent {
+		cs = rt.compiled.Load()
+	}
+	var sl *slotState
+	var buf []*graph.Task
+	if w >= 0 && w < len(rt.slots) {
+		sl = &rt.slots[w]
+		buf = sl.relBuf
+	}
 	var released []*graph.Task
-	switch final {
-	case graph.Aborted:
+	switch {
+	case cs != nil && sl != nil:
+		released = cs.FinishIntoDeferred(t, buf, final)
+		sl.chainFin++
+	case cs != nil:
+		released = cs.FinishInto(t, buf, final)
+	case final == graph.Aborted:
 		released = rt.g.AbortInto(t, buf)
-		if !t.Redirect {
-			rt.obs.IncSlot(w, obs.CTasksAborted)
-		}
-	case graph.Skipped:
+	case final == graph.Skipped:
 		released = rt.g.SkipInto(t, buf)
-		if !t.Redirect {
-			rt.obs.IncSlot(w, obs.CTasksSkipped)
-		}
 	default:
 		released = rt.g.CompleteInto(t, buf)
-		if !t.Redirect {
-			rt.obs.IncSlot(w, obs.CTasksExecuted)
+	}
+	if sl != nil {
+		sl.relBuf = released
+	}
+	rt.handOver(w, sl, released)
+	// How the producer hears of progress. In a plain window it waits on
+	// the live gauge: publications wake it through the scheduler, but a
+	// completion that releases nothing (Taskwait counts Live down), the
+	// graph draining, or — with a throttle on — any drop under a window
+	// carries no queue entry. On the compiled schedule it waits on the
+	// countdown, and whoever brings that to waitRemaining wakes it:
+	// settleChain for a slot's deferred finishes, this finish otherwise.
+	// A kept successor is live and unfinished, so none of these
+	// predicates can have turned on it.
+	switch {
+	case cs == nil:
+		if len(released) == 0 || rt.throttleOn.Load() || rt.g.Live() == 0 {
+			rt.s.WakeProducer()
+		}
+	case sl == nil:
+		if cs.Remaining() <= rt.waitRemaining.Load() {
+			rt.s.WakeProducer()
 		}
 	}
-	if slotted {
-		rt.relBufs[w] = released
-	}
-	publish := released
-	if slotted && len(released) > 0 {
-		// Task fusion (tuner actuator): within the run limit, the
-		// finishing executor keeps the first released successor and runs
-		// it inline on its next loop turn (rt.chained — every consumer
-		// drains it before popping) instead of round-tripping it through
-		// the deque. No allocation, no queue operation, no wake. The
-		// task is hidden from thieves for at most one body execution,
-		// and an executor never parks with a chained task, so fusion
-		// delays work at most one run. Lifecycle is untouched: the fused
-		// task still goes through execute(), so poison cones, aborts and
-		// panics behave exactly as if it had queued.
-		if lim := rt.fuseLimit.Load(); lim > 0 && rt.fuseRun[w] < lim && rt.chained[w] == nil {
-			rt.fuseRun[w]++
-			rt.chained[w] = released[0]
-			publish = released[1:]
-			if !released[0].Redirect {
-				rt.obs.IncSlot(w, obs.CTasksFused)
-			}
-		} else {
-			rt.fuseRun[w] = 0 // limit hit or fusion off: break the run
-		}
-	} else if slotted {
-		rt.fuseRun[w] = 0 // sink released nothing: the chain ends here
-	}
-	rt.s.PushBatch(w, publish)
-	// PushBatch already wakes (at most) one worker for the published
-	// batch. The producer additionally waits on counter transitions that
-	// carry no queue entries: a completion releasing nothing (taskwait
-	// counts Live down), the graph draining to empty, or — with a
-	// throttle configured — any completion dropping Live/ReadyCount back
-	// under a threshold. The decision keys off the original release set,
-	// not the published remainder: a fused successor is live and
-	// unfinished, so none of the producer's predicates can have turned
-	// on it.
-	if len(released) == 0 || rt.throttleOn.Load() || rt.g.Live() == 0 {
-		rt.s.WakeProducer()
-	}
-	// Release-phase accounting (finish stamp to end of the successor
-	// walk + publication), counter-only: release time overlaps the
-	// released successors' ready-wait, so it never enters the window's
-	// T1 (see cpath.Profiler.ObserveRelease). The stamp was read before
-	// the terminal transition: once t's successors are released a replay
-	// may drain, and the producer's next BeginIteration rewrites it.
+	// Release-phase accounting (finish stamp to the end of the hand-over),
+	// counter-only: release time overlaps the released successors'
+	// ready-wait, so it never enters the window's T1 (see
+	// cpath.Profiler.ObserveRelease).
 	if rt.cp != nil {
 		rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
 	}
@@ -1454,78 +1395,41 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 // per task.
 const spillCap = 16
 
-// finishCompiled retires one recorded task through the compiled
-// schedule (graph.Compiled.FinishInto) and hands on the released
-// successors: per-slot buffer reuse, terminal-transition counters on the
-// finisher's shard, the first successor chained, a bounded spill, the
-// surplus published in one batch.
-func (rt *Runtime) finishCompiled(w int, t *graph.Task, cs *graph.Compiled, final graph.State) {
-	// Same critical-path ordering contract as finish: stamp, observe and
-	// read the stamp back before the compiled release walk decrements
-	// anything.
-	var finNs int64
-	if rt.cp != nil {
-		rt.g.StampFinish(t)
-		rt.cp.Observe(w, t)
-		finNs = t.FinishAtNs()
-	}
-	switch {
-	case t.Redirect: // graph machinery, uncounted
-	case final == graph.Aborted:
-		rt.obs.IncSlot(w, obs.CTasksAborted)
-	case final == graph.Skipped:
-		rt.obs.IncSlot(w, obs.CTasksSkipped)
-	default:
-		rt.obs.IncSlot(w, obs.CTasksExecuted)
-	}
-	if w < 0 || w >= len(rt.relBufs) {
-		// Unowned context (a detached task's Fulfill, abort
-		// cancellation): settle the countdown immediately and publish
-		// everything.
-		released := cs.FinishInto(t, nil, final)
-		rt.s.PushBatch(w, released)
-		if len(released) == 0 || cs.Remaining() <= rt.waitRemaining.Load() {
-			rt.s.WakeProducer()
-		}
-		if rt.cp != nil {
-			rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
-		}
-		return
-	}
-	released := cs.FinishIntoDeferred(t, rt.relBufs[w], final)
-	if rt.cp != nil {
-		rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
-	}
-	rt.relBufs[w] = released
-	// The countdown decrement is deferred to the end of the slot's chain
-	// (settleChain, one atomic for the whole run). The producer needs no
-	// wake meanwhile: it waits on the countdown, which a finished but
-	// unsettled task holds up as surely as an unfinished one.
-	rt.chainFin[w]++
+// handOver schedules what a finish on w released: the executor's one
+// depth-first hand-over (PAPER.md §2), the same on both paths. Under
+// DepthFirst a finisher that owns a slot (sl, nil for other contexts)
+// keeps the first task for its own next loop turn (chained: no queue
+// operation, no wake), parks up to spillCap more on its spill stack, and
+// publishes the rest in one batch for thieves. Under BreadthFirst, and
+// without a slot, every task is published. A kept task still goes
+// through execute, so poison cones, aborts and panics behave exactly as
+// if it had queued. sl.chained is always empty here: the slot claimed
+// what it is finishing before running it.
+func (rt *Runtime) handOver(w int, sl *slotState, released []*graph.Task) {
 	if len(released) == 0 {
 		return
 	}
-	// Task chaining: the finisher claims the first released successor for
-	// its own next loop turn — no deque publication, no wake.
-	rt.chained[w] = released[0]
-	if len(released) > 1 {
-		// Burst release: spill the surplus onto the owner's private
-		// stack up to spillCap; anything past the cap is published for
-		// thieves.
-		sp := rt.spill[w]
-		if room := spillCap - len(sp); room >= len(released)-1 {
-			rt.spill[w] = append(sp, released[1:]...)
-		} else {
-			rt.spill[w] = append(sp, released[1:1+room]...)
-			rt.s.PushBatch(w, released[1+room:])
+	if sl != nil && rt.cfg.Policy == sched.DepthFirst {
+		sl.chained = released[0]
+		if !released[0].Redirect {
+			rt.obs.IncSlot(w, obs.CTasksFused)
+		}
+		if len(released) == 1 {
+			return
+		}
+		n := min(len(released)-1, spillCap-len(sl.spill))
+		sl.spill = append(sl.spill, released[1:1+n]...)
+		if released = released[1+n:]; len(released) == 0 {
+			return
 		}
 	}
+	rt.s.PushBatch(w, released)
 }
 
 // settleChain retires the slot's deferred compiled-path finishes, if its
 // chain has ended: no chained successor, spill stack dry. The slot's loop
 // calls it after every task it ran, because a chain does not always end
-// in finishCompiled on this goroutine: a detached task retires through
+// in a finish on this goroutine: a detached task retires through
 // Event.Fulfill (or already has), a lost event claim retires nothing, and
 // a slot that went back to its queues with finishes unsettled would hold
 // the countdown — and the barrier — for ever. chainFin > 0 means the
@@ -1533,11 +1437,12 @@ func (rt *Runtime) finishCompiled(w int, t *graph.Task, cs *graph.Compiled, fina
 // producer settling its own chain needs no wake: its wait loop re-checks
 // the countdown next turn.
 func (rt *Runtime) settleChain(slot int) {
-	if rt.chained[slot] != nil || len(rt.spill[slot]) > 0 {
+	sl := &rt.slots[slot]
+	if sl.chained != nil || len(sl.spill) > 0 {
 		return
 	}
-	n := rt.chainFin[slot]
-	rt.chainFin[slot] = 0
+	n := sl.chainFin
+	sl.chainFin = 0
 	if rt.compiled.Load().Retire(n) <= rt.waitRemaining.Load() && slot != rt.producerID() {
 		rt.s.WakeProducer()
 	}
@@ -1594,7 +1499,7 @@ func (rt *Runtime) worker(w int) {
 			p.SetState(w, trace.Overhead, rt.now())
 		}
 		rt.execute(w, t)
-		if rt.chainFin[w] != 0 {
+		if rt.slots[w].chainFin != 0 {
 			rt.settleChain(w)
 		}
 		if rt.cfg.Poll != nil {

@@ -12,24 +12,43 @@ import (
 	"taskdep/internal/fault"
 	"taskdep/internal/graph"
 	"taskdep/internal/mpi"
+	"taskdep/internal/obs"
 	"taskdep/internal/sched"
 	"taskdep/internal/trace"
 )
 
+// TestBreadthFirstPersistentReplay: under BreadthFirst every executed
+// task, recorded or replayed, passes through the global FIFO — no
+// finisher keeps a successor for itself.
 func TestBreadthFirstPersistentReplay(t *testing.T) {
-	rt := New(Config{Workers: 3, Policy: sched.BreadthFirst, Opts: graph.OptAll})
-	var runs atomic.Int32
-	err := rt.Persistent(4, func(iter int) {
-		for i := 0; i < 24; i++ {
-			rt.Submit(Spec{InOut: []graph.Key{graph.Key(i % 6)}, Body: func(any) { runs.Add(1) }})
-		}
-	})
-	rt.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 4*24 {
-		t.Fatalf("runs = %d", runs.Load())
+	for _, tc := range []struct {
+		name string
+		opts []PersistentOption
+	}{
+		{"plain", nil},
+		{"adaptive", []PersistentOption{Adaptive(func(iter int) bool { return iter == 2 })}},
+		{"frozen", []PersistentOption{Frozen()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New(Config{Workers: 3, Policy: sched.BreadthFirst, Opts: graph.OptAll})
+			var runs atomic.Int32
+			err := rt.Persistent(4, func(iter int) {
+				for i := 0; i < 24; i++ {
+					rt.Submit(Spec{InOut: []graph.Key{graph.Key(i % 6)}, Body: func(any) { runs.Add(1) }})
+				}
+			}, tc.opts...)
+			rt.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runs.Load() != 4*24 {
+				t.Fatalf("runs = %d", runs.Load())
+			}
+			c := rt.Obs().Counter
+			if popped, exec := c(obs.CDequePop)+c(obs.CDequeSteal), c(obs.CTasksExecuted); popped != exec || c(obs.CTasksFused) != 0 {
+				t.Fatalf("%d of %d executed tasks came off a queue, %d kept by their finisher", popped, exec, c(obs.CTasksFused))
+			}
+		})
 	}
 }
 

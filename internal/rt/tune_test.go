@@ -16,7 +16,6 @@ import (
 
 func TestFusionChainExecutesInOrder(t *testing.T) {
 	rt := New(Config{Workers: 4})
-	rt.SetFuseLimit(8)
 	const n = 500
 	var order []int
 	var mu sync.Mutex
@@ -42,29 +41,7 @@ func TestFusionChainExecutesInOrder(t *testing.T) {
 		}
 	}
 	if fused := rt.Obs().Counter(obs.CTasksFused); fused == 0 {
-		t.Fatal("a serial chain with fusion on must fuse some successors")
-	}
-}
-
-// TestFusionRunLimit: a serial chain fuses at most lim consecutive
-// successors before round-tripping through the deque — the counter
-// can never exceed the chain length, and with a limit of 1 at most
-// every other task may have been fused.
-func TestFusionRunLimit(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	rt.SetFuseLimit(1)
-	const n = 200
-	var ran atomic.Int64
-	for i := 0; i < n; i++ {
-		rt.Submit(Spec{InOut: []graph.Key{7}, Body: func(any) { ran.Add(1) }})
-	}
-	rt.Close()
-	if ran.Load() != n {
-		t.Fatalf("ran %d of %d", ran.Load(), n)
-	}
-	fused := rt.Obs().Counter(obs.CTasksFused)
-	if fused > n/2+1 {
-		t.Fatalf("fused %d tasks with run limit 1 over a %d-chain; want <= %d", fused, n, n/2+1)
+		t.Fatal("a serial chain must hand some successors over to their finisher")
 	}
 }
 
@@ -73,7 +50,6 @@ func TestFusionRunLimit(t *testing.T) {
 // and the accounting (executed + skipped + aborted == submitted) holds.
 func TestFusionAbortConePreserved(t *testing.T) {
 	rt := New(Config{Workers: 4})
-	rt.SetFuseLimit(16)
 	const n = 100
 	boom := errors.New("boom")
 	var after atomic.Int64
@@ -113,7 +89,6 @@ func TestFusionAbortConePreserved(t *testing.T) {
 // cone skipped, like on the queued path.
 func TestFusionPanicMidChain(t *testing.T) {
 	rt := New(Config{Workers: 2})
-	rt.SetFuseLimit(8)
 	const n = 50
 	for i := 0; i < n; i++ {
 		i := i
@@ -135,7 +110,6 @@ func TestFusionPanicMidChain(t *testing.T) {
 // producers feed disjoint-key chains through the batch path (-race).
 func TestFusionUnderConcurrentSubmitBatch(t *testing.T) {
 	rt := New(Config{Workers: 4})
-	rt.SetFuseLimit(8)
 	const producers, chain = 2, 300
 	var ran atomic.Int64
 	var wg sync.WaitGroup
@@ -163,38 +137,79 @@ func TestFusionUnderConcurrentSubmitBatch(t *testing.T) {
 	}
 }
 
-// TestSetFuseLimitRacesExecution flips the fusion knob while workers
-// chew through chains (-race): the limit is a single atomic word, so
-// every interleaving must drain completely.
-func TestSetFuseLimitRacesExecution(t *testing.T) {
-	rt := New(Config{Workers: 4})
-	stop := make(chan struct{})
-	var flips sync.WaitGroup
-	flips.Add(1)
-	go func() {
-		defer flips.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+// TestHandOverKeepsSerialChain: every link of a serial chain but the
+// first is kept by the finisher of the link before it — n−1 hand-overs
+// for n links, on one worker or four, in a plain window and in every
+// iteration of a Frozen region. The first link waits on a gate (a
+// detached task, or a body blocked until the chain is discovered) so
+// no edge is pruned and the count is exact.
+func TestHandOverKeepsSerialChain(t *testing.T) {
+	const n, iters = 64, 4
+	chain := func(rt *Runtime, first func(any)) {
+		for i := 0; i < n; i++ {
+			s := Spec{InOut: []graph.Key{1}, Body: func(any) {}}
+			if i == 0 {
+				s.In, s.Body = []graph.Key{0}, first
 			}
-			rt.SetFuseLimit(i % 17)
+			rt.Submit(s)
 		}
-	}()
-	var ran atomic.Int64
-	const n = 2000
-	for i := 0; i < n; i++ {
-		rt.Submit(Spec{InOut: []graph.Key{graph.Key(i % 8)}, Body: func(any) { ran.Add(1) }})
 	}
-	err := rt.Close()
-	close(stop)
-	flips.Wait()
-	if err != nil {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("plain/%dw", workers), func(t *testing.T) {
+			rt := New(Config{Workers: workers})
+			gate := rt.Submit(Spec{Out: []graph.Key{0}, Detached: true})
+			chain(rt, func(any) {})
+			gate.Fulfill()
+			if err := rt.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if got := rt.Obs().Counter(obs.CTasksFused); got != n-1 {
+				t.Fatalf("%d hand-overs, want %d", got, n-1)
+			}
+		})
+		t.Run(fmt.Sprintf("frozen/%dw", workers), func(t *testing.T) {
+			rt := New(Config{Workers: workers})
+			open := make(chan struct{})
+			err := rt.Persistent(iters, func(int) {
+				chain(rt, func(any) { <-open })
+				close(open)
+			}, Frozen())
+			if err != nil {
+				t.Fatalf("Persistent: %v", err)
+			}
+			if err := rt.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if got := rt.Obs().Counter(obs.CTasksFused); got != iters*(n-1) {
+				t.Fatalf("%d hand-overs over %d iterations, want %d", got, iters, iters*(n-1))
+			}
+		})
+	}
+}
+
+// TestThrottledProducerHoldsNoWork: a successor the producer released
+// while stalled at the throttle is not kept on its slot once it returns
+// to discovery — the idle worker runs it without waiting for the next
+// stall or Taskwait.
+func TestThrottledProducerHoldsNoWork(t *testing.T) {
+	rt := New(Config{Workers: 1, ThrottleTotal: 3})
+	started, open, ranY := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	rt.Submit(Spec{Label: "gated", Body: func(any) { close(started); <-open }})
+	<-started
+	rt.Submit(Spec{Label: "X", Out: []graph.Key{1}, Body: func(any) {}})
+	rt.Submit(Spec{Label: "Y", In: []graph.Key{1}, Body: func(any) { close(ranY) }})
+	// Three live tasks: this Submit stalls, runs X on the producer's
+	// slot (the worker is blocked), and discovers once Y is all that X
+	// left behind.
+	rt.Submit(Spec{Label: "on", Body: func(any) {}})
+	close(open)
+	select {
+	case <-ranY:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Y did not run: the producer's slot still holds it")
+	}
+	if err := rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
-	}
-	if ran.Load() != n {
-		t.Fatalf("ran %d of %d", ran.Load(), n)
 	}
 }
 
@@ -278,10 +293,6 @@ func TestThrottleSetClamps(t *testing.T) {
 	if r != 0 || tot != 0 {
 		t.Fatalf("SetThrottle(-1,-5) = (%d,%d), want (0,0)", r, tot)
 	}
-	rt.SetFuseLimit(-3)
-	if rt.FuseLimit() != 0 {
-		t.Fatalf("SetFuseLimit(-3) = %d, want 0", rt.FuseLimit())
-	}
 	if err := rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -303,7 +314,7 @@ func TestTunerEndToEnd(t *testing.T) {
 	rt := New(Config{
 		Workers:       4,
 		ThrottleReady: 64,
-		Tune:          tune.Options{Enable: true, Interval: 100 * time.Microsecond, MaxFuse: 8},
+		Tune:          tune.Options{Enable: true, Interval: 100 * time.Microsecond},
 	})
 	if rt.Tuner() == nil {
 		t.Fatal("Tune.Enable did not start a tuner")
@@ -322,18 +333,11 @@ func TestTunerEndToEnd(t *testing.T) {
 	if ran.Load() != n {
 		t.Fatalf("ran %d of %d", ran.Load(), n)
 	}
-	if rt.FuseLimit() < 0 || rt.FuseLimit() > 8 {
-		t.Fatalf("fuse limit out of range: %d", rt.FuseLimit())
-	}
-	if rt.Obs().TimingOn() {
-		t.Fatal("tuner left its grain probe open after Close")
-	}
 }
 
 // TestTunerWithCompiledReplay: the control loop runs across a Frozen
-// persistent region (-race) — compiled-path chaining and generic
-// fusion share the chained slots, and the tuner must not disturb the
-// iteration barrier.
+// persistent region (-race) and must not disturb the iteration
+// barrier.
 func TestTunerWithCompiledReplay(t *testing.T) {
 	rt := New(Config{
 		Workers: 4,

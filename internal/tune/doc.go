@@ -1,30 +1,23 @@
 // Package tune is the runtime's self-tuning control layer: a
 // closed-loop adaptation engine that watches the always-on metrics of
 // internal/obs and steers the scheduler live against the detrimental
-// task patterns that collapse mainstream task runtimes — too-fine
-// grains, producer/consumer imbalance at a throttle window, and
-// starvation waves whose frontiers outrun the wake-one cascade.
+// task patterns that collapse mainstream task runtimes — producer/
+// consumer imbalance at a throttle window, and starvation waves whose
+// frontiers outrun the wake-one cascade. Too-fine grains need no loop:
+// the executor's depth-first hand-over keeps a finished task's first
+// successor on its own slot whatever the grain.
 //
 // # Control loop
 //
 // A Tuner snapshots windowed deltas (obs.Window) from the sharded
 // counter registry on a low-frequency ticker (Options.Interval,
-// default 1ms): executed-task and park/wake/steal rates, throttle
-// stalls, and — during short periodic probe windows that flip the
-// timing tier on for one tick in eight — the task-body latency
-// histogram, from which it keeps an EWMA grain estimate. Each tick
-// costs two merged counter reads; each decision writes at most a few
-// atomic knob words. The loop never blocks an executor.
+// default 1ms): executed-task and park/wake rates, throttle stalls and
+// queue depth. Each tick costs two merged counter reads; each decision
+// writes at most a few atomic knob words. The loop never blocks an
+// executor.
 //
 // # Actuators
 //
-//   - Task fusion (rt): when the grain estimate shows runs of tiny
-//     tasks, the finishing worker keeps the first released successor
-//     and executes it inline instead of round-tripping it through the
-//     deque, up to a run limit the tuner ramps between 0 (off) and
-//     Options.MaxFuse. Poison cones, Abort and panic domains are
-//     preserved per task — fusion changes where a task queues, never
-//     its lifecycle.
 //   - Throttle resizing (rt): ThrottleReady/ThrottleTotal windows
 //     widen geometrically while the producer stalls against them with
 //     the pool running shallow, and decay back toward the configured

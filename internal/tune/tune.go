@@ -16,21 +16,10 @@ type Options struct {
 	// is deliberately low-frequency: each tick costs two merged counter
 	// reads and a handful of atomic knob writes.
 	Interval time.Duration
-	// MaxFuse bounds the task-fusion run length (consecutive chain
-	// successors one worker may execute inline before the run is forced
-	// back through the deque). Default 16; fusion ramps geometrically
-	// up to this.
-	MaxFuse int
-	// NoFusion, NoThrottle and NoWake disable individual actuators
-	// while keeping the rest of the loop running.
-	NoFusion   bool
+	// NoThrottle and NoWake disable one actuator while keeping the other
+	// running.
 	NoThrottle bool
 	NoWake     bool
-	// NoProbe disables the periodic grain probe (one tick in probeEvery
-	// with the timing tier temporarily enabled). Without a grain
-	// measurement the fusion actuator stays inactive unless the timing
-	// tier is already on.
-	NoProbe bool
 }
 
 // Validate reports a descriptive error for out-of-range option values.
@@ -38,29 +27,11 @@ func (o *Options) Validate() error {
 	if o.Interval < 0 {
 		return fmt.Errorf("tune: Interval is %v; want >= 0 (0 selects the default of %v)", o.Interval, defaultInterval)
 	}
-	if o.MaxFuse < 0 {
-		return fmt.Errorf("tune: MaxFuse is %d; want >= 0 (0 selects the default of %d)", o.MaxFuse, defaultMaxFuse)
-	}
 	return nil
 }
 
 const (
 	defaultInterval = time.Millisecond
-	defaultMaxFuse  = 16
-
-	// probeEvery is the grain-probe period in ticks: when the timing
-	// tier is off, the tuner enables it for one tick out of probeEvery
-	// to sample the task-body histogram, so grain is measured at ~12%
-	// duty cycle instead of paying two timestamps per task always.
-	probeEvery = 8
-
-	// fuseGrainNs / unfuseGrainNs are the fusion hysteresis band: ramp
-	// the run limit up while the measured mean body time is below
-	// fuseGrainNs (per-task scheduling overhead dominates real work),
-	// decay it once grain exceeds unfuseGrainNs (fusion would only hide
-	// parallelism). Between the two the limit holds.
-	fuseGrainNs   = 4000.0
-	unfuseGrainNs = 16000.0
 
 	// throttleCap bounds how far the throttle actuator may widen a
 	// configured window (the user's nonzero config expresses intent to
@@ -72,20 +43,13 @@ const (
 // closures so tune depends only on obs. rt wires it to the runtime,
 // scheduler and graph; tests wire it to counters.
 type Target struct {
-	// Obs is the registry snapshotted each tick (and probed for grain).
+	// Obs is the registry snapshotted each tick.
 	Obs *obs.Registry
 	// Workers is the pool width, the scale for depth/churn thresholds.
 	Workers int
 
-	// Ready/Live/Pending read the current graph and queue depths.
-	Ready   func() int64
-	Live    func() int64
+	// Pending reads the current queue depth.
 	Pending func() int
-
-	// FuseLimit/SetFuseLimit read and set the fusion run limit
-	// (0 = fusion off).
-	FuseLimit    func() int
-	SetFuseLimit func(int)
 
 	// Throttle/SetThrottle read and resize the producer throttle
 	// windows (ready, total; 0 = that window unbounded).
@@ -100,10 +64,10 @@ type Target struct {
 
 // Tuner is the closed-loop adaptation engine: it snapshots windowed
 // deltas from the metrics registry on a low-frequency ticker and
-// nudges the three actuators (task fusion, throttle windows, wake
-// policy) against the detrimental patterns the deltas reveal. All
-// actuator writes are single atomic knobs on the hot paths they steer,
-// so the loop can run while workers execute at full speed.
+// nudges its two actuators (throttle windows, wake policy) against
+// the detrimental patterns the deltas reveal. All actuator writes are
+// single atomic knobs on the hot paths they steer, so the loop can run
+// while workers execute at full speed.
 type Tuner struct {
 	t   Target
 	opt Options
@@ -111,12 +75,6 @@ type Tuner struct {
 	win  *obs.Window
 	stop chan struct{}
 	done chan struct{}
-
-	// Control state, touched only by the loop goroutine (or the test
-	// driving Step directly).
-	tick    int
-	probing bool    // we enabled the timing tier for this tick
-	grainNs float64 // EWMA of measured mean task-body nanoseconds
 
 	// baseReady/baseTotal anchor the throttle actuator: windows decay
 	// back toward the configured values once pressure subsides, and
@@ -129,9 +87,6 @@ type Tuner struct {
 func New(t Target, o Options) *Tuner {
 	if o.Interval <= 0 {
 		o.Interval = defaultInterval
-	}
-	if o.MaxFuse <= 0 {
-		o.MaxFuse = defaultMaxFuse
 	}
 	tn := &Tuner{
 		t:    t,
@@ -166,39 +121,10 @@ func (tn *Tuner) loop() {
 	for {
 		select {
 		case <-tn.stop:
-			if tn.probing {
-				tn.t.Obs.SetTiming(false)
-				tn.probing = false
-			}
 			return
 		case <-ticker.C:
 			tn.Step(tn.win.Advance())
-			tn.endProbe()
 		}
-	}
-}
-
-// endProbe closes this tick's grain probe and opens the next one when
-// due: the timing tier is flipped on for exactly one interval out of
-// probeEvery, and only if it was off (a user-enabled timing tier is
-// never touched). While no grain measurement has landed yet the probe
-// reopens every other tick instead — ticks can be sparse when the
-// machine is saturated (the loop goroutine only runs when the scheduler
-// preempts a worker), and waiting probeEvery sparse ticks for the FIRST
-// evidence would leave the fusion actuator blind for most of a run.
-func (tn *Tuner) endProbe() {
-	tn.tick++
-	if tn.probing {
-		tn.t.Obs.SetTiming(false)
-		tn.probing = false
-		return
-	}
-	if tn.opt.NoProbe || tn.opt.NoFusion {
-		return
-	}
-	if (tn.grainNs == 0 || tn.tick%probeEvery == 0) && !tn.t.Obs.TimingOn() {
-		tn.t.Obs.SetTiming(true)
-		tn.probing = true
 	}
 }
 
@@ -207,70 +133,11 @@ func (tn *Tuner) endProbe() {
 // the ticker.
 func (tn *Tuner) Step(d obs.Delta) {
 	exec := d.Counters[obs.CTasksExecuted]
-	// Fold this window's grain measurement (probe ticks, or a
-	// user-enabled timing tier) into the EWMA. Sampled histograms still
-	// estimate the mean correctly: both Sum and Count scale down.
-	if h := d.Hists[obs.HTaskBodyNs]; h.Count > 0 {
-		m := h.Mean()
-		if tn.grainNs == 0 {
-			tn.grainNs = m
-		} else {
-			tn.grainNs = 0.75*tn.grainNs + 0.25*m
-		}
-	}
 	if exec == 0 {
 		return // idle window: no evidence, hold every knob
 	}
-	tn.fusionStep(d, exec)
 	tn.throttleStep(d)
 	tn.wakeStep(d, exec)
-}
-
-// GrainNs returns the tuner's current task-grain estimate in
-// nanoseconds (EWMA of measured mean body time), 0 before the first
-// measurement. Introspection/tests.
-func (tn *Tuner) GrainNs() float64 { return tn.grainNs }
-
-// fusionStep steers the task-fusion run limit from the measured grain:
-// runs of tiny tasks on a dependence chain pay more in deque round
-// trips and wake churn than in body work, so consecutive chain
-// successors are aggregated into inline runs by the finishing worker.
-func (tn *Tuner) fusionStep(d obs.Delta, exec int64) {
-	if tn.opt.NoFusion || tn.t.FuseLimit == nil {
-		return
-	}
-	cur := tn.t.FuseLimit()
-	switch {
-	case tn.grainNs > 0 && tn.grainNs < fuseGrainNs:
-		// Fine grains: ramp geometrically toward MaxFuse. When the
-		// measured grain is deep inside the band (under a quarter of the
-		// threshold) the response is proportional to the evidence and
-		// jumps straight to MaxFuse — ticks can be sparse on a saturated
-		// machine, and creeping 2→4→8→16 across four of them would leave
-		// most of a short run unfused.
-		next := cur * 2
-		if next == 0 {
-			next = 2
-		}
-		if tn.grainNs < fuseGrainNs/4 {
-			next = tn.opt.MaxFuse
-		}
-		if next > tn.opt.MaxFuse {
-			next = tn.opt.MaxFuse
-		}
-		if next != cur {
-			tn.t.SetFuseLimit(next)
-			tn.t.Obs.Add(obs.CTuneFusion, 1)
-		}
-	case tn.grainNs > unfuseGrainNs && cur > 0:
-		// Coarse grains: decay geometrically to off.
-		next := cur / 2
-		if next == 1 {
-			next = 0
-		}
-		tn.t.SetFuseLimit(next)
-		tn.t.Obs.Add(obs.CTuneFusion, 1)
-	}
 }
 
 // throttleStep resizes the producer throttle windows from the observed

@@ -336,12 +336,10 @@ func NewWorld(n int) *World { return mpi.NewWorld(n) }
 
 // TuneOptions configures the self-tuning control loop via Config.Tune:
 // set Enable and the runtime snapshots windowed metric deltas on a
-// low-frequency ticker and steers three live actuators against
-// detrimental task patterns — task fusion (consecutive chain successors
-// executed inline when the measured grain is fine, see
-// Runtime.SetFuseLimit), producer-throttle window resizing (see
-// Runtime.SetThrottle), and the scheduler's wake fanout. Every
-// actuation increments CTuneFusion/CTuneThrottle/CTuneWake. See
+// low-frequency ticker and steers two live actuators against
+// detrimental task patterns — producer-throttle window resizing (see
+// Runtime.SetThrottle) and the scheduler's wake fanout. Every
+// actuation increments CTuneThrottle/CTuneWake. See
 // docs/architecture.md, "Self-tuning".
 type TuneOptions = tune.Options
 
@@ -387,7 +385,6 @@ const (
 	CParks          = obs.CParks
 	CWakes          = obs.CWakes
 	CThrottleStalls = obs.CThrottleStalls
-	CTuneFusion     = obs.CTuneFusion
 	CTuneThrottle   = obs.CTuneThrottle
 	CTuneWake       = obs.CTuneWake
 	CMPISends       = obs.CMPISends
