@@ -24,8 +24,6 @@
 //	           disabled hook, a /metrics scrape
 //	replay     persistent regions with empty bodies, adaptive and frozen:
 //	           ns/task and allocations per iteration
-//	tune       two pathological graphs, untuned / hand-tuned / closed
-//	           loop, and a chain drain's allocations
 //	cpath      the critical-path profiler: overhead, online == exact,
 //	           frozen replay window, a /criticalpath scrape
 //	serve      tdgserve under concurrent clients, a poison tenant and an

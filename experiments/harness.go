@@ -23,7 +23,7 @@ import (
 // identities, allocation counts, exactness against an oracle, isolation —
 // and ratios of two wall clocks taken inside the same run. ValidateFull
 // holds the budgets only a full-size run can meet (an overhead under
-// 10 %, a tuner that converged): tdgbench asks it of runs without -smoke
+// 10 %): tdgbench asks it of runs without -smoke
 // and TestCommittedBaselines of the committed BENCH_*.json. Nothing
 // compares a fresh wall clock with one committed from another machine.
 
@@ -85,7 +85,6 @@ var Experiments = []Experiment{
 	{"faults", func(o Options) (Result, error) { return RunFaults(sized(o, DefaultFaultParams, SmokeFaultParams)) }},
 	{"obs", func(o Options) (Result, error) { return RunObs(sized(o, DefaultObsParams, SmokeObsParams)) }},
 	{"replay", func(o Options) (Result, error) { return RunReplay(sized(o, DefaultReplayParams, SmokeReplayParams)) }},
-	{"tune", func(o Options) (Result, error) { return RunTune(sized(o, DefaultTuneParams, SmokeTuneParams)) }},
 	{"cpath", func(o Options) (Result, error) { return RunCPath(sized(o, DefaultCPathParams, SmokeCPathParams)) }},
 	{"serve", func(o Options) (Result, error) { return RunServe(sized(o, DefaultServeParams, SmokeServeParams)) }},
 }

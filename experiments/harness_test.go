@@ -21,7 +21,6 @@ func TestCommittedBaselines(t *testing.T) {
 		{"faults", new(FaultResult)},
 		{"obs", new(ObsResult)},
 		{"replay", new(ReplayResult)},
-		{"tune", new(TuneResult)},
 		{"cpath", new(CPathResult)},
 		{"serve", new(ServeResult)},
 	} {
@@ -50,7 +49,7 @@ func TestCommittedBaselines(t *testing.T) {
 	}
 }
 
-// TestExperimentsTable: thirteen modes, each named once, and every one
+// TestExperimentsTable: twelve modes, each named once, and every one
 // with a committed baseline among them.
 func TestExperimentsTable(t *testing.T) {
 	seen := map[string]bool{}
@@ -60,8 +59,8 @@ func TestExperimentsTable(t *testing.T) {
 		}
 		seen[e.Name] = true
 	}
-	if len(seen) != 13 {
-		t.Fatalf("%d experiments, want 13", len(seen))
+	if len(seen) != 12 {
+		t.Fatalf("%d experiments, want 12", len(seen))
 	}
 	files, err := os.ReadDir("..")
 	if err != nil {

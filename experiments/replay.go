@@ -351,8 +351,7 @@ func RunReplay(p ReplayParams) (*ReplayResult, error) {
 }
 
 // maxSteadyAllocsPerTask is "allocation-free" with room for the few
-// stray allocations the Go runtime makes over a measured region (here
-// and in the tune experiment's chain drain).
+// stray allocations the Go runtime makes over a measured region.
 const maxSteadyAllocsPerTask = 0.01
 
 // Validate checks the schema, rows and task counts, and that every row —

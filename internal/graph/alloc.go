@@ -6,13 +6,19 @@ package graph
 // slice, and one per keyState — a GC storm at millions of tasks per
 // second. Three poolings remove almost all of it:
 //
-//   - Tasks are carved out of fixed-size chunks ([]Task blocks). A chunk
-//     is handed to exactly one producer at a time through a sync.Pool
-//     (per-P free lists), so concurrent producers never contend on the
-//     allocator. Task memory is never recycled — a chunk is dropped once
-//     full and reclaimed by the GC when every task in it is dead — so
-//     there is no use-after-reuse hazard; pooling only amortizes the
-//     allocation count by chunkTasks.
+//   - Tasks are carved out of fixed-size chunks ([]Task blocks). The
+//     graph keeps one partly used chunk in an atomic slot; a producer
+//     swaps it out, so it owns the chunk exclusively, and a concurrent
+//     producer that finds the slot empty starts a fresh chunk. Task memory
+//     is never recycled — a chunk is dropped once full and reclaimed by
+//     the GC when every task in it is dead — so there is no
+//     use-after-reuse hazard; chunking only amortizes the allocation
+//     count by chunkTasks. The slot is the Graph's own, not a sync.Pool:
+//     a pool stays reachable from the runtime's global pool list for two
+//     collections after its last Put, and its chunk's tasks hold their
+//     bodies, so a closed runtime's whole last region stayed live for
+//     one more cycle. That doubled the heap goal and kept it doubled, a
+//     steady state that some processes fell into and others did not.
 //   - Successor lists start on the Task's inline succs0 array (task.go)
 //     and continue past inlineSuccs edges in fixed-size blocks that are
 //     chained, never regrown: no edge is copied twice.
@@ -32,11 +38,12 @@ type taskChunk struct {
 	next int
 }
 
-// allocTasks appends n zeroed tasks with pooled backing storage to out,
-// grabbing the chunk once. Safe for concurrent producers: the chunk pool
-// hands each caller an exclusive chunk.
+// allocTasks appends n zeroed tasks with chunked backing storage to out,
+// grabbing the chunk once. Safe for concurrent producers: the swap hands
+// each caller an exclusive chunk, and of two partly used chunks put back
+// at once one is dropped.
 func (g *Graph) allocTasks(n int, out []*Task) []*Task {
-	c, _ := g.chunkPool.Get().(*taskChunk)
+	c := g.chunk.Swap(nil)
 	for i := 0; i < n; i++ {
 		if c == nil || c.next == len(c.buf) {
 			c = &taskChunk{buf: make([]Task, chunkTasks)}
@@ -46,7 +53,7 @@ func (g *Graph) allocTasks(n int, out []*Task) []*Task {
 		out = append(out, t)
 	}
 	if c != nil && c.next < len(c.buf) {
-		g.chunkPool.Put(c)
+		g.chunk.Store(c)
 	}
 	return out
 }

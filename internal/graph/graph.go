@@ -157,7 +157,7 @@ type Graph struct {
 	// Edge counters (see Stats).
 	attempted, created, pruned, duplicate int64
 
-	chunkPool sync.Pool // *taskChunk, see alloc.go
+	chunk atomic.Pointer[taskChunk] // see alloc.go
 
 	// Critical-path profiling (see cpath.go): cpath gates every stamp
 	// and fold site with one predictable branch; cpathNow is the clock,

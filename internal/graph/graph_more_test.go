@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestStringers(t *testing.T) {
@@ -149,4 +151,26 @@ func TestWriteDOT(t *testing.T) {
 		t.Fatalf("dot edges = %d, want %d:\n%s", got, want, out)
 	}
 	c.drain(g)
+}
+
+// TestDroppedGraphFreesItsTasksInOneCycle: once a graph is unreachable,
+// one collection frees its tasks and what their bodies hold. A partly
+// used task chunk kept in a sync.Pool outlived the graph by a cycle (the
+// pool stays on the runtime's global list), which kept a finished
+// region live and doubled the heap goal for as long as regions ran one
+// collection apart.
+func TestDroppedGraphFreesItsTasksInOneCycle(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		g := New(OptAll, func(*Task) {})
+		payload := new([64]byte)
+		runtime.SetFinalizer(payload, func(*[64]byte) { close(freed) })
+		g.Submit("t", []Dep{{Key: 1, Type: Out}}, func(any) {}, payload)
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a dropped graph's task outlived one collection")
+	}
 }

@@ -16,9 +16,10 @@
 //	                  iterations (pre-1.22 semantics, or captured index
 //	                  reused after the loop).
 //	fused-capture     Spec body captures a loop-local variable the same
-//	                  iteration reassigns after the Spec is built; a
-//	                  fused body may run inline before or after that
-//	                  write and observe either value.
+//	                  iteration reassigns after the Spec is built; the
+//	                  depth-first hand-over may run the body inline on
+//	                  the finishing worker before or after that write,
+//	                  and it observes either value.
 //	use-after-close   Submit/Taskwait/Persistent/Record/Replay after Close
 //	                  on the same runtime variable in one function.
 //	fulfill-nil-event Fulfill on the Submit result of a non-Detached Spec

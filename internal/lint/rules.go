@@ -182,8 +182,9 @@ func (l *pkgLint) mutatedIn(loop ast.Node, obj *types.Var, exclude *ast.FuncLit)
 // built. Per-iteration variables are immune to the classic loop-capture
 // hazard, but a write that follows the Submit still races with the
 // body: the runtime may execute it at any point after submission — and
-// task fusion makes "immediately, inline on the finishing worker" a
-// common schedule — so the closure observes either the pre- or
+// the executor's always-on depth-first hand-over (a finisher keeps the
+// successor it released) makes "inline on the finishing worker, right
+// after Submit" a common schedule — so the closure observes either the pre- or
 // post-write value nondeterministically. A batch-submitted Spec is no
 // better off: there the body always sees the final value, which the
 // capture-at-build-time shape suggests the author did not intend.

@@ -48,12 +48,6 @@
 // after Taskwait), and may lag a busy worker by at most ~256 events
 // in a live /metrics scrape.
 //
-// Monotonicity is also what makes windowed deltas free: Window
-// (NewWindow/Advance) remembers the previous merged read and returns
-// element-wise differences, giving rates without any coordination with
-// concurrent owners or flushes. The self-tuning control loop
-// (internal/tune) runs entirely off these deltas.
-//
 // # Pre-registered series (exposed on /metrics, Prometheus text format)
 //
 // Counters backed by registry shards:
@@ -78,17 +72,13 @@
 //	taskdep_mpi_bytes_recvd_total    receive payload bytes
 //	taskdep_faults_injected_total    faults manufactured by fault.Inject
 //	taskdep_tasks_fused_total        successors kept by their finisher (the hand-over's chained slot)
-//	taskdep_tune_throttle_adjust_total  tuner resizes of the throttle windows
-//	taskdep_tune_wake_adjust_total      tuner changes to the wake policy
 //	taskdep_phase_discovery_ns_total    ns in discovery (submit -> deps resolved), cpath tier
 //	taskdep_phase_ready_wait_ns_total   ns tasks sat ready before running, cpath tier
 //	taskdep_phase_execute_ns_total      ns in task bodies, cpath tier
 //	taskdep_phase_release_ns_total      ns releasing successors after finish, cpath tier
 //
 // The taskdep_phase_* series are populated only when critical-path
-// profiling (rt.Config.CPath, internal/cpath) is enabled; they feed
-// the same Window delta machinery as every other counter, so
-// internal/tune can react to ready-wait vs execute imbalance.
+// profiling (rt.Config.CPath, internal/cpath) is enabled.
 //
 // Counters backed by graph collectors (registered by rt, values from
 // the graph's own discovery counters — zero added hot-path cost):

@@ -33,8 +33,6 @@ const (
 	CMPIBytesRecvd
 	CFaultsInjected
 	CTasksFused
-	CTuneThrottle
-	CTuneWake
 	// Per-phase time attribution (internal/cpath): cumulative
 	// nanoseconds each lifecycle phase consumed, summed over finished
 	// tasks. Zero unless critical-path profiling is enabled.
@@ -68,8 +66,6 @@ var counterNames = [NumCounters]string{
 	CMPIBytesRecvd:    "taskdep_mpi_bytes_recvd_total",
 	CFaultsInjected:   "taskdep_faults_injected_total",
 	CTasksFused:       "taskdep_tasks_fused_total",
-	CTuneThrottle:     "taskdep_tune_throttle_adjust_total",
-	CTuneWake:         "taskdep_tune_wake_adjust_total",
 	CPhaseDiscoveryNs: "taskdep_phase_discovery_ns_total",
 	CPhaseReadyWaitNs: "taskdep_phase_ready_wait_ns_total",
 	CPhaseExecuteNs:   "taskdep_phase_execute_ns_total",
@@ -99,8 +95,6 @@ var counterHelp = [NumCounters]string{
 	CMPIBytesRecvd:    "Bytes received over MPI point-to-point operations.",
 	CFaultsInjected:   "Faults injected by the fault-injection test harness.",
 	CTasksFused:       "Released successors a finishing executor kept to run next instead of queuing them.",
-	CTuneThrottle:     "Self-tuner adjustments to the throttle window.",
-	CTuneWake:         "Self-tuner adjustments to the wake policy.",
 	CPhaseDiscoveryNs: "Nanoseconds spent in the discovery phase (submit to deps-resolved), summed over finished tasks.",
 	CPhaseReadyWaitNs: "Nanoseconds tasks spent ready but not yet running, summed over finished tasks.",
 	CPhaseExecuteNs:   "Nanoseconds spent executing task bodies, summed over finished tasks.",

@@ -3,7 +3,9 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCounterNamesComplete(t *testing.T) {
@@ -202,5 +204,77 @@ func TestWriteMetricsServesAllSeries(t *testing.T) {
 		if !strings.Contains(page, want) {
 			t.Errorf("/metrics page is missing %q", want)
 		}
+	}
+}
+
+// TestWindowConcurrentPhaseFlush drives the critical-path phase
+// counters through both write disciplines — owner AddSlot with
+// FlushSlot drains (the ObserveRelease path) and external Add (the
+// cold-point EndWindow flush) — while a reader samples the merged
+// counters concurrently, then runs FlushAll against the still-running
+// reader. Under -race this pins down the snapshot contract: readers
+// never need shard coordination, and FlushAll only requires writer
+// quiescence, not reader quiescence. Reads must never go backwards and
+// totals must be exact at the end.
+func TestWindowConcurrentPhaseFlush(t *testing.T) {
+	const (
+		slots   = 3
+		perSlot = 10000
+		extAdds = 25000
+	)
+	r := New(slots, Options{})
+
+	var wg sync.WaitGroup
+	for s := 0; s < slots; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSlot; i++ {
+				r.AddSlot(s, CPhaseReleaseNs, 1)
+				if i%64 == 0 {
+					r.FlushSlot(s)
+				}
+			}
+			r.FlushSlot(s)
+		}(s)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < extAdds; i++ {
+			r.Add(CPhaseExecuteNs, 1)
+		}
+	}()
+
+	var stop atomic.Bool
+	var regress atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var rel, exec int64
+		for !stop.Load() {
+			nr, ne := r.Counter(CPhaseReleaseNs), r.Counter(CPhaseExecuteNs)
+			if nr < rel || ne < exec {
+				regress.Store(true)
+			}
+			rel, exec = nr, ne
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+
+	wg.Wait()
+	// Writers quiescent, reader still live: FlushAll's documented
+	// contract.
+	r.FlushAll()
+	stop.Store(true)
+	<-done
+	if regress.Load() {
+		t.Fatal("a merged phase counter went backwards under concurrent reads")
+	}
+	if got, want := r.Counter(CPhaseReleaseNs), int64(slots*perSlot); got != want {
+		t.Fatalf("release-phase total = %d, want %d", got, want)
+	}
+	if got := r.Counter(CPhaseExecuteNs); got != extAdds {
+		t.Fatalf("execute-phase total = %d, want %d", got, extAdds)
 	}
 }

@@ -68,8 +68,5 @@ func (cfg Config) normalize() (Config, error) {
 	if cfg.Inject != nil && cfg.Inject.Every < 0 {
 		return cfg, fmt.Errorf("rt: Inject.Every is %d; want >= 0 (0 disables injection)", cfg.Inject.Every)
 	}
-	if err := cfg.Tune.Validate(); err != nil {
-		return cfg, fmt.Errorf("rt: %w", err)
-	}
 	return cfg, nil
 }

@@ -15,14 +15,13 @@ import (
 	"taskdep/internal/obs"
 	"taskdep/internal/sched"
 	"taskdep/internal/trace"
-	"taskdep/internal/tune"
 	"taskdep/internal/verify"
 )
 
 // Config parametrizes a Runtime. Every knob has one form: a top-level
-// field, or a field of CPath (critical-path profiler), Obs
-// (observability) or Tune (self-tuning). NewRuntime validates ranges and
-// enum values and applies defaults.
+// field, or a field of CPath (critical-path profiler) or Obs
+// (observability). NewRuntime validates ranges and enum values and
+// applies defaults.
 type Config struct {
 	// Workers is the number of worker goroutines ("cores"). The producer
 	// is an additional goroutine (the caller of Submit), matching the
@@ -37,7 +36,8 @@ type Config struct {
 	// ThrottleReady bounds ready tasks (GCC/LLVM-style); 0 = unbounded.
 	// The producer stops producing and starts consuming when either
 	// window is exceeded ("task creation throttling", paper §2); the live
-	// values are resizable via Runtime.SetThrottle.
+	// values are resizable via Runtime.SetThrottle (serve's pressure
+	// manager narrows them under backpressure).
 	ThrottleReady int64
 	// ThrottleTotal bounds live tasks, ready or not (MPC-OMP's extra
 	// threshold for dependent tasks); 0 = unbounded.
@@ -84,12 +84,6 @@ type Config struct {
 	// latency histograms, Obs.Addr to serve /metrics, /graphz, /spans
 	// and /debug/pprof/, and Obs.Disable to turn everything off.
 	Obs obs.Options
-	// Tune configures the self-tuning control loop (internal/tune): a
-	// low-frequency controller that snapshots windowed deltas from the
-	// metrics registry and steers the throttle windows and the
-	// scheduler's wake policy against detrimental task patterns.
-	// Zero value: off. See docs/architecture.md, "Self-tuning".
-	Tune tune.Options
 }
 
 // Runtime executes dependent tasks discovered by a single producer.
@@ -135,19 +129,15 @@ type Runtime struct {
 	detached atomic.Int64 // detached tasks awaiting Fulfill
 
 	// thrReady/thrTotal are the live throttle windows, seeded from
-	// Config and resized at runtime by SetThrottle (the tuner's throttle
-	// actuator). throttleOn caches whether either window is nonzero, so
-	// completions know the producer may be parked on a counter
-	// transition rather than a queue publication. All three are single
-	// atomic words: the hot paths re-read them, so a resize needs no
-	// coordination beyond the producer wake in SetThrottle.
+	// Config and resized at runtime by SetThrottle. throttleOn caches
+	// whether either window is nonzero, so completions know the producer
+	// may be parked on a counter transition rather than a queue
+	// publication. All three are single atomic words: the hot paths
+	// re-read them, so a resize needs no coordination beyond the
+	// producer wake in SetThrottle.
 	thrReady   atomic.Int64
 	thrTotal   atomic.Int64
 	throttleOn atomic.Bool
-
-	// tuner is the self-tuning control loop; non-nil only when
-	// Config.Tune.Enable, stopped first in Close.
-	tuner *tune.Tuner
 
 	// ver records dependence declarations for the TDG verifier; nil
 	// unless Config.Verify != verify.Off.
@@ -306,24 +296,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		rt.wg.Add(1)
 		go rt.worker(w)
 	}
-	if cfg.Tune.Enable {
-		rt.tuner = tune.New(tune.Target{
-			Obs:           rt.obs,
-			Workers:       cfg.Workers,
-			Pending:       rt.s.Pending,
-			Throttle:      rt.ThrottleLimits,
-			SetThrottle:   rt.SetThrottle,
-			WakePolicy:    rt.s.WakePolicy,
-			SetWakePolicy: rt.s.SetWakePolicy,
-		}, cfg.Tune)
-		rt.tuner.Start()
-	}
 	return rt, nil
 }
-
-// Tuner returns the self-tuning control loop, or nil when
-// Config.Tune.Enable is false (introspection/tests).
-func (rt *Runtime) Tuner() *tune.Tuner { return rt.tuner }
 
 // registerCollectors wires the callback-backed /metrics series: edge
 // counters read from the graph's own discovery stats, and the
@@ -340,7 +314,7 @@ func (rt *Runtime) registerCollectors() {
 	reg.RegisterGauge("taskdep_sched_pending_tasks", func() float64 { return float64(rt.s.Pending()) })
 	reg.RegisterGauge("taskdep_detached_tasks", func() float64 { return float64(rt.detached.Load()) })
 	reg.RegisterGauge("taskdep_failure_epoch", func() float64 { return float64(rt.g.FailEpoch()) })
-	// Live knob values, not Config echoes: the tuner resizes these at
+	// Live knob values, not Config echoes: SetThrottle resizes these at
 	// runtime, and /metrics must report what the hot paths actually read
 	// (the static-config gauges drifted the moment a window was resized).
 	reg.RegisterGauge("taskdep_throttle_ready_limit", func() float64 { return float64(rt.thrReady.Load()) })
@@ -837,7 +811,7 @@ func (rt *Runtime) overThrottle() bool {
 }
 
 // ThrottleLimits returns the live throttle windows (ready, total) —
-// the values the producer actually checks, which the tuner may have
+// the values the producer actually checks, which SetThrottle may have
 // resized away from the Config seeds. 0 = that window unbounded.
 func (rt *Runtime) ThrottleLimits() (ready, total int64) {
 	return rt.thrReady.Load(), rt.thrTotal.Load()
@@ -1914,12 +1888,6 @@ func (rt *Runtime) drainCompiled(cs *graph.Compiled, remaining int64) error {
 // the final implicit Taskwait returned. The runtime must not be used
 // afterwards.
 func (rt *Runtime) Close() error {
-	if rt.tuner != nil {
-		// Quiesce the control loop before draining: knobs freeze at
-		// their last values (always safe) and the final drain runs
-		// without concurrent actuation.
-		rt.tuner.Stop()
-	}
 	if rt.obs.TimingOn() {
 		sp := rt.obs.BeginSpan(rt.producerID(), obs.SpanClose, rt.g.Live(), 0, int(rt.iter.Load()))
 		defer sp.End()

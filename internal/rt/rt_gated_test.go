@@ -18,7 +18,6 @@ import (
 
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
-	"taskdep/internal/tune"
 )
 
 // finishes runs f on its own goroutine — the producer is whichever
@@ -231,15 +230,12 @@ func TestGatedThrottle(t *testing.T) {
 		})
 	}
 	t.Run("resized-mid-region", func(t *testing.T) {
-		// The tuner's actuator, by hand: a window set while replaying.
+		// serve's pressure manager, by hand: a window set while replaying.
 		run(t, Config{}, func(r *Runtime, iter int) {
 			if iter == 1 {
 				r.SetThrottle(4, 4)
 			}
 		})
-	})
-	t.Run("tuner", func(t *testing.T) {
-		run(t, Config{ThrottleTotal: 8, Tune: tune.Options{Enable: true, Interval: 100 * time.Microsecond}}, nil)
 	})
 }
 

@@ -181,17 +181,9 @@ type Scheduler struct {
 	// timers are the per-slot reusable park timeouts (ParkTimeout);
 	// created lazily, touched only by the slot's own goroutine.
 	timers []*time.Timer
-	// wakeHint rotates WakeOne's scan start for fairness; wakeStride is
-	// how far each wake advances it (the rotating-hint aggressiveness —
-	// a stride above 1 spreads consecutive wakes across distant slots
-	// instead of re-probing recent ones). Tuned live via SetWakePolicy.
-	wakeHint   atomic.Uint32
-	wakeStride atomic.Uint32
-	// wakeFanout is how many parked slots a surplus publication or
-	// cascade step may wake (default 1 — the wake-one + cascade policy).
-	// The self-tuning layer raises it when measured park/wake churn
-	// shows the cascade chain ramping too slowly for bursty frontiers.
-	wakeFanout atomic.Int32
+	// wakeHint rotates the wake scan's start for fairness: every wake
+	// advances it by one slot.
+	wakeHint atomic.Uint32
 
 	// global receives producer-submitted tasks and, under BreadthFirst,
 	// all work. Mutex-based: it is the cross-thread entry point, touched
@@ -219,8 +211,6 @@ func New(policy Policy, nWorkers int) *Scheduler {
 	for i := range s.parks {
 		s.parks[i] = make(chan struct{}, 1)
 	}
-	s.wakeStride.Store(1)
-	s.wakeFanout.Store(1)
 	s.ws = make([]*wsWorker, nWorkers+1)
 	for i := range s.ws {
 		s.ws[i] = &wsWorker{rng: uint64(i)*0x9E3779B97F4A7C15 + 1}
@@ -232,36 +222,6 @@ func New(policy Policy, nWorkers int) *Scheduler {
 // before workers start; the field is read without synchronization on
 // the hot path.
 func (s *Scheduler) SetObs(r *obs.Registry) { s.obs = r }
-
-// SetWakePolicy adjusts the wake aggressiveness live (safe from any
-// goroutine, racing parks and wakes freely — both knobs are single
-// atomic words read at wake time). fanout is how many parked slots a
-// surplus publication or cascade step may wake; stride is how far each
-// wake advances the rotating scan hint. Values are clamped to
-// [1, slots]; the default policy is (1, 1) — wake-one with a unit
-// rotation.
-func (s *Scheduler) SetWakePolicy(fanout, stride int) {
-	n := len(s.stat)
-	if fanout < 1 {
-		fanout = 1
-	}
-	if fanout > n {
-		fanout = n
-	}
-	if stride < 1 {
-		stride = 1
-	}
-	if stride > n {
-		stride = n
-	}
-	s.wakeFanout.Store(int32(fanout))
-	s.wakeStride.Store(uint32(stride))
-}
-
-// WakePolicy returns the current (fanout, stride) wake policy.
-func (s *Scheduler) WakePolicy() (fanout, stride int) {
-	return int(s.wakeFanout.Load()), int(s.wakeStride.Load())
-}
 
 // Policy returns the scheduling policy.
 func (s *Scheduler) Policy() Policy { return s.policy }
@@ -331,18 +291,10 @@ func (s *Scheduler) PushBatch(worker int, ts []*graph.Task) {
 	}
 	s.bump()
 	// An owner batch of one needs no help — the owner pops it next.
-	// Anything beyond that is stealable surplus worth a wake: one by
-	// default, up to the configured fanout (bounded by the surplus) when
-	// the wake policy has been raised for bursty frontiers.
+	// Anything beyond that is stealable surplus worth one wake; the woken
+	// worker cascades the next.
 	if !own || len(ts) > 1 {
-		if f := int(s.wakeFanout.Load()); f > 1 {
-			if f > len(ts) {
-				f = len(ts)
-			}
-			s.wakeN(f)
-		} else {
-			s.WakeOne()
-		}
+		s.WakeOne()
 	}
 }
 
@@ -379,7 +331,7 @@ func (s *Scheduler) wakeN(n int) {
 	if n > total {
 		n = total
 	}
-	start := int(s.wakeHint.Add(s.wakeStride.Load())) % total
+	start := int(s.wakeHint.Add(1)) % total
 	woken := 0
 	for i := 0; i < total && woken < n; i++ {
 		sl := start + i
@@ -475,18 +427,12 @@ func (s *Scheduler) steal(worker int) *graph.Task {
 	return nil
 }
 
-// cascade wakes more slots when surplus work remains and someone is
-// parked — the ramp-up half of the wake-one policy. The fanout knob
-// widens each cascade step: a chain that doubles per step instead of
-// growing by one reaches pool width in log time, which is what the
-// tuner buys when starvation waves make linear ramp-up the bottleneck.
+// cascade wakes one more slot when surplus work remains and someone is
+// parked — the ramp-up half of the wake-one policy: each woken worker
+// that finds surplus wakes the next.
 func (s *Scheduler) cascade() {
 	if s.nIdle.Load() > 0 && s.Pending() > 0 {
-		if f := int(s.wakeFanout.Load()); f > 1 {
-			s.wakeN(f)
-		} else {
-			s.WakeOne()
-		}
+		s.WakeOne()
 	}
 }
 
@@ -607,7 +553,7 @@ func (s *Scheduler) WakeOne() {
 		return
 	}
 	n := len(s.stat)
-	start := int(s.wakeHint.Add(s.wakeStride.Load())) % n
+	start := int(s.wakeHint.Add(1)) % n
 	for i := 0; i < n; i++ {
 		sl := start + i
 		if sl >= n {

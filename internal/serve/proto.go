@@ -15,9 +15,9 @@
 // two-level: a per-tenant queue quota and a global in-flight cap, both
 // rejecting with 429 rather than queueing unboundedly. When global
 // occupancy crosses a high-water mark the server tightens every
-// tenant's throttle windows (Runtime.SetThrottle — the same actuator
-// the self-tuner drives), shrinking per-tenant discovery frontiers
-// instead of failing requests; the windows reopen when load drains.
+// tenant's throttle windows (Runtime.SetThrottle), shrinking per-tenant
+// discovery frontiers instead of failing requests; the windows reopen
+// when load drains.
 package serve
 
 import (

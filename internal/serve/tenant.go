@@ -548,9 +548,9 @@ func (m *Manager) Admit(t *Tenant) (release func(), err error) {
 
 // adjustPressure engages the tightened throttle windows on every
 // tenant when occupancy crosses PressureAt, and releases them (with
-// hysteresis, at half the mark) when load drains. SetThrottle is the
-// same actuator the self-tuner drives: a pair of atomic stores plus a
-// producer wake, cheap enough to call on crossings.
+// hysteresis, at half the mark) when load drains. SetThrottle is a
+// pair of atomic stores plus a producer wake, cheap enough to call on
+// crossings.
 func (m *Manager) adjustPressure(inflight int64) {
 	occ := float64(inflight) / float64(m.opt.GlobalInflight)
 	switch {

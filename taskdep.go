@@ -72,7 +72,6 @@ import (
 	"taskdep/internal/rt"
 	"taskdep/internal/sched"
 	"taskdep/internal/trace"
-	"taskdep/internal/tune"
 	"taskdep/internal/verify"
 )
 
@@ -111,8 +110,8 @@ const (
 // Config parametrizes a Runtime; see rt.Config for field
 // documentation. Each knob has one form: a top-level field (Workers,
 // Policy, Opts, ThrottleReady, ThrottleTotal, Profile, Poll, Verify,
-// Inject) or a field of CPath, Obs or Tune. NewRuntime validates ranges
-// and enum values.
+// Inject) or a field of CPath or Obs. NewRuntime validates ranges and
+// enum values.
 type Config = rt.Config
 
 // Spec describes one task submission.
@@ -334,15 +333,6 @@ const (
 // execute a function per rank.
 func NewWorld(n int) *World { return mpi.NewWorld(n) }
 
-// TuneOptions configures the self-tuning control loop via Config.Tune:
-// set Enable and the runtime snapshots windowed metric deltas on a
-// low-frequency ticker and steers two live actuators against
-// detrimental task patterns — producer-throttle window resizing (see
-// Runtime.SetThrottle) and the scheduler's wake fanout. Every
-// actuation increments CTuneThrottle/CTuneWake. See
-// docs/architecture.md, "Self-tuning".
-type TuneOptions = tune.Options
-
 // ObsOptions configures the always-on observability layer via
 // Config.Obs: the zero value keeps the sharded counters on, spans off
 // and no HTTP endpoint; set Spans for span tracing + latency
@@ -385,8 +375,6 @@ const (
 	CParks          = obs.CParks
 	CWakes          = obs.CWakes
 	CThrottleStalls = obs.CThrottleStalls
-	CTuneThrottle   = obs.CTuneThrottle
-	CTuneWake       = obs.CTuneWake
 	CMPISends       = obs.CMPISends
 	CMPIRecvs       = obs.CMPIRecvs
 	CMPICollectives = obs.CMPICollectives
