@@ -45,25 +45,22 @@ type Clock struct {
 	done    chan struct{}
 }
 
-// NewClock starts a clock. tick <= 0 selects DefaultTick; precise mode
+// NewClock starts a clock refreshed every DefaultTick; precise mode
 // starts no updater.
-func NewClock(precise bool, tick time.Duration) *Clock {
+func NewClock(precise bool) *Clock {
 	c := &Clock{base: time.Now(), precise: precise}
 	if precise {
 		return c
 	}
-	if tick <= 0 {
-		tick = DefaultTick
-	}
 	c.stop = make(chan struct{})
 	c.done = make(chan struct{})
-	go c.run(tick)
+	go c.run()
 	return c
 }
 
-func (c *Clock) run(tick time.Duration) {
+func (c *Clock) run() {
 	defer close(c.done)
-	tk := time.NewTicker(tick)
+	tk := time.NewTicker(DefaultTick)
 	defer tk.Stop()
 	for {
 		select {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestClockPrecise(t *testing.T) {
-	c := NewClock(true, 0)
+	c := NewClock(true)
 	defer c.Stop()
 	if c.CachedRef() != nil {
 		t.Fatalf("precise clock exposed a cached cell")
@@ -31,7 +31,7 @@ func TestClockPrecise(t *testing.T) {
 }
 
 func TestClockCached(t *testing.T) {
-	c := NewClock(false, 50*time.Microsecond)
+	c := NewClock(false)
 	ref := c.CachedRef()
 	if ref == nil {
 		t.Fatalf("cached clock returned a nil CachedRef")

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
@@ -16,8 +15,6 @@ type Options struct {
 	// Precise reads the real clock on every stamp instead of the cached
 	// atomic; exact attribution at ~30-60 ns per stamp.
 	Precise bool
-	// Tick is the cached-clock refresh period; <= 0 means DefaultTick.
-	Tick time.Duration
 	// Retain keeps every observed task until TakeRetained, so tests and
 	// the cpath benchmark can run the offline exact longest-path
 	// cross-check. Pins task memory; not for production.
@@ -77,7 +74,7 @@ func New(nslots int, reg *obs.Registry, opt Options) *Profiler {
 		opt.PathMax = 64
 	}
 	return &Profiler{
-		clock: NewClock(opt.Precise, opt.Tick),
+		clock: NewClock(opt.Precise),
 		reg:   reg,
 		opts:  opt,
 		slots: make([]pslot, nslots),

@@ -243,8 +243,8 @@ type namedCounter struct {
 // methods are safe on a nil receiver (no-ops), so callers can keep an
 // unconditional hook and drop the registry pointer to disable it.
 type Registry struct {
-	on     atomic.Bool // metrics tier
-	timing atomic.Bool // spans + histograms tier
+	on     bool // metrics tier
+	timing bool // spans + histograms tier
 	start  time.Time
 
 	shards []shard // nSlots owner shards + 1 trailing external shard
@@ -277,6 +277,8 @@ func New(slots int, opt Options) *Registry {
 		sample = 1
 	}
 	r := &Registry{
+		on:         !opt.Disable,
+		timing:     !opt.Disable && opt.Spans,
 		start:      time.Now(),
 		shards:     make([]shard, slots+1),
 		sampleMask: uint64(ceilPow2(sample)) - 1,
@@ -286,8 +288,6 @@ func New(slots int, opt Options) *Registry {
 	for i := range r.rings {
 		r.rings[i].ev = make([]evSlot, bufCap)
 	}
-	r.on.Store(!opt.Disable)
-	r.timing.Store(!opt.Disable && opt.Spans)
 	return r
 }
 
@@ -300,24 +300,10 @@ func ceilPow2(n int) int {
 }
 
 // Enabled reports whether the metrics tier is on.
-func (r *Registry) Enabled() bool { return r != nil && r.on.Load() }
-
-// SetEnabled toggles the metrics tier at runtime.
-func (r *Registry) SetEnabled(on bool) {
-	if r != nil {
-		r.on.Store(on)
-	}
-}
+func (r *Registry) Enabled() bool { return r != nil && r.on }
 
 // TimingOn reports whether the timing tier (spans + histograms) is on.
-func (r *Registry) TimingOn() bool { return r != nil && r.timing.Load() }
-
-// SetTiming toggles the timing tier at runtime.
-func (r *Registry) SetTiming(on bool) {
-	if r != nil {
-		r.timing.Store(on)
-	}
-}
+func (r *Registry) TimingOn() bool { return r != nil && r.timing }
 
 // Slots returns the number of owner slots (excluding the external
 // shard), or 0 for a nil registry.
@@ -347,7 +333,7 @@ func (r *Registry) ownShard(slot int) (*shard, bool) {
 // The guard stays under the inlining budget so the disabled path
 // compiles to a branch at the call site.
 func (r *Registry) IncSlot(slot int, c Counter) {
-	if r == nil || !r.on.Load() {
+	if r == nil || !r.on {
 		return
 	}
 	// Open-coded so the whole enabled path inlines: plain increments on
@@ -366,7 +352,7 @@ func (r *Registry) IncSlot(slot int, c Counter) {
 // AddSlot adds n to counter c on slot's shard (same ownership contract
 // as IncSlot; open-coded for the same inlining reason).
 func (r *Registry) AddSlot(slot int, c Counter, n int64) {
-	if r == nil || !r.on.Load() {
+	if r == nil || !r.on {
 		return
 	}
 	if uint(slot) < uint(len(r.shards)-1) {
@@ -421,7 +407,7 @@ func (r *Registry) FlushAll() {
 // Add adds n to counter c on the external shard. Safe from any
 // goroutine.
 func (r *Registry) Add(c Counter, n int64) {
-	if r == nil || !r.on.Load() {
+	if r == nil || !r.on {
 		return
 	}
 	r.ext.c[c].Add(n)
@@ -459,7 +445,7 @@ func (r *Registry) Counters() [NumCounters]int64 {
 // ObserveSlot records a nanosecond value into histogram h on slot's
 // shard (ownership contract as IncSlot). Gated on the timing tier.
 func (r *Registry) ObserveSlot(slot int, h Histo, ns int64) {
-	if r == nil || !r.timing.Load() {
+	if r == nil || !r.timing {
 		return
 	}
 	r.observeSlot(slot, h, ns)

@@ -104,7 +104,7 @@ func (sp Span) Active() bool { return sp.r != nil }
 // tier is off. Every BeginSpan must be paired with End on all return
 // paths — taskdeplint enforces this (rule span-no-end).
 func (r *Registry) BeginSpan(slot int, name SpanName, task int64, key uint64, iter int) Span {
-	if r == nil || !r.timing.Load() {
+	if r == nil || !r.timing {
 		return Span{}
 	}
 	return r.beginSpan(slot, name, task, key, iter)
@@ -128,7 +128,7 @@ func (r *Registry) beginSpan(slot int, name SpanName, task int64, key uint64, it
 // calls. Must be called by slot's owner (it advances the shard's plain
 // sampling clock); unowned slots sample every call.
 func (r *Registry) Sampled(slot int) bool {
-	if r == nil || !r.timing.Load() {
+	if r == nil || !r.timing {
 		return false
 	}
 	// Open-coded for inlining: tick the owner's plain clock and mask
@@ -171,7 +171,7 @@ func histoFor(n SpanName) (Histo, bool) {
 
 // Instant records a zero-duration marker event (skip, abort).
 func (r *Registry) Instant(slot int, name SpanName, task int64, key uint64, iter int) {
-	if r == nil || !r.timing.Load() {
+	if r == nil || !r.timing {
 		return
 	}
 	r.instantSlow(slot, name, task, key, iter)

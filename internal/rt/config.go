@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"time"
 
 	"taskdep/internal/sched"
 	"taskdep/internal/verify"
@@ -24,9 +23,6 @@ type CPathOptions struct {
 	// atomic: exact attribution at ~30-60 ns per stamp, for tests and
 	// coarse-grained workloads.
 	Precise bool
-	// Tick is the cached clock's refresh period; <= 0 selects
-	// cpath.DefaultTick (50us).
-	Tick time.Duration
 	// Retain keeps every finished task until Runtime.CPathProfiler().
 	// TakeRetained, so the offline exact longest-path cross-check can
 	// run. Pins task memory; benchmark/test machinery, not production.

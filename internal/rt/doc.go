@@ -12,9 +12,8 @@
 //     (internal/sched);
 //   - ready-task and total-task throttling: past the thresholds the
 //     producer stops producing and starts consuming (§5);
-//   - detached tasks completed by an external event (MPI requests);
-//   - progress polling hooks invoked at scheduling points, the mechanism
-//     MPC-OMP uses to advance MPI requests;
+//   - detached tasks completed by an external event (an MPI request's
+//     OnComplete callback fulfils the task's Event);
 //   - profiling of the work/overhead/idle breakdown and discovery window.
 //
 // # Submission paths
@@ -35,24 +34,20 @@
 //
 // # Idleness
 //
-// Nothing in the executor sleeps on a timer to wait for work. Idle
-// workers, a producer blocked in Taskwait, and a throttled producer all
-// follow the scheduler's parking protocol (see sched.Scheduler):
+// Nothing in the executor waits on a timer. Idle workers, a producer
+// blocked in Taskwait, and a throttled producer all follow the
+// scheduler's parking protocol (see sched.Scheduler):
 // announce via PrePark, re-check the wake condition — queued work, the
 // waited-on counter transition, the wake counter — then park on a
 // per-slot channel. Completions wake exactly what the transition needs:
 // PushBatch wakes at most one worker for a published release set, and
 // complete calls sched.Scheduler.WakeProducer only on transitions the
 // producer actually waits on (a release-less completion, the graph
-// draining, or any completion while a throttle is configured). With an
-// external engine attached (Config.Poll), parking takes a deadline
-// (ParkTimeout) so the engine keeps being polled; that is the one place
-// a timer remains, and it is a parked wait, not a sleep loop — wakes
-// still arrive immediately.
+// draining, or any completion while a throttle is configured).
 //
 // # Hot-path layering
 //
-// Submit/SubmitBatch -> graph discovery (sharded key table) -> ready
+// Submit/SubmitBatch -> graph discovery (one key table, one lock) -> ready
 // tasks -> sched deques (Chase–Lev work stealing) -> worker execute ->
 // graph.CompleteInto -> released successors pushed depth-first.
 // docs/architecture.md maps this pipeline to the paper's optimizations

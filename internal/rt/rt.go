@@ -35,9 +35,7 @@ type Config struct {
 	Opts graph.Opt
 	// ThrottleReady bounds ready tasks (GCC/LLVM-style); 0 = unbounded.
 	// The producer stops producing and starts consuming when either
-	// window is exceeded ("task creation throttling", paper §2); the live
-	// values are resizable via Runtime.SetThrottle (serve's pressure
-	// manager narrows them under backpressure).
+	// window is exceeded ("task creation throttling", paper §2).
 	ThrottleReady int64
 	// ThrottleTotal bounds live tasks, ready or not (MPC-OMP's extra
 	// threshold for dependent tasks); 0 = unbounded.
@@ -53,10 +51,6 @@ type Config struct {
 	// created with at least Workers+1 slots; slot Workers is the
 	// producer.
 	Profile *trace.Profile
-	// Poll is invoked at scheduling points (idle workers, throttled
-	// producer, taskwait) to progress external engines such as MPI.
-	// It returns true if it made progress.
-	Poll func() bool
 	// Verify enables the TDG verifier (internal/verify). Off: zero
 	// overhead. Observe: dependence declarations are recorded at
 	// submission, persistent replays are checked for structural
@@ -128,16 +122,10 @@ type Runtime struct {
 
 	detached atomic.Int64 // detached tasks awaiting Fulfill
 
-	// thrReady/thrTotal are the live throttle windows, seeded from
-	// Config and resized at runtime by SetThrottle. throttleOn caches
-	// whether either window is nonzero, so completions know the producer
-	// may be parked on a counter transition rather than a queue
-	// publication. All three are single atomic words: the hot paths
-	// re-read them, so a resize needs no coordination beyond the
-	// producer wake in SetThrottle.
-	thrReady   atomic.Int64
-	thrTotal   atomic.Int64
-	throttleOn atomic.Bool
+	// throttleOn is whether either throttle window is nonzero, so
+	// completions know the producer may be parked on a counter transition
+	// rather than a queue publication.
+	throttleOn bool
 
 	// ver records dependence declarations for the TDG verifier; nil
 	// unless Config.Verify != verify.Off.
@@ -149,12 +137,15 @@ type Runtime struct {
 	depBuf    []graph.Dep
 	loopSpecs []Spec
 
-	// stagePool hands out SubmitBatch staging buffer sets. Pooled rather
-	// than Runtime-owned because the batch path supports concurrent
-	// producers on disjoint keys (see the graph's concurrency contract):
-	// a single producer keeps hitting the same warm set, concurrent
-	// producers get distinct ones.
-	stagePool sync.Pool
+	// stage holds the warm SubmitBatch staging buffer set. The batch path
+	// supports concurrent producers on disjoint keys (see the graph's
+	// concurrency contract), so a producer swaps the set out and owns it;
+	// one that finds the slot empty builds a fresh set. Not a sync.Pool:
+	// a pool stays on the runtime's global pool list for a collection
+	// after its last use, and this one is a field of the Runtime, so a
+	// closed runtime and its last region stayed live for one more cycle
+	// (the graph's task chunk had the same defect, see graph/alloc.go).
+	stage atomic.Pointer[batchStage]
 
 	// slots[w] is executor slot w's own state: workers 0..Workers-1, the
 	// producer-as-consumer at Workers. Finishes from contexts without a
@@ -245,10 +236,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		s:          sched.New(cfg.Policy, cfg.Workers),
 		start:      time.Now(),
 		detachLive: make(map[*graph.Task]*Event),
+		throttleOn: cfg.ThrottleTotal > 0 || cfg.ThrottleReady > 0,
 	}
-	rt.thrReady.Store(cfg.ThrottleReady)
-	rt.thrTotal.Store(cfg.ThrottleTotal)
-	rt.throttleOn.Store(cfg.ThrottleTotal > 0 || cfg.ThrottleReady > 0)
 	// Registry slots mirror the scheduler's: workers 0..W-1 plus the
 	// producer-as-consumer at W (the external shard is implicit).
 	rt.obs = obs.New(cfg.Workers+1, cfg.Obs)
@@ -263,7 +252,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.CPath.Enable {
 		rt.cp = cpath.New(cfg.Workers+1, rt.obs, cpath.Options{
 			Precise: cfg.CPath.Precise,
-			Tick:    cfg.CPath.Tick,
 			Retain:  cfg.CPath.Retain,
 			PathMax: cfg.CPath.PathMax,
 		})
@@ -314,11 +302,6 @@ func (rt *Runtime) registerCollectors() {
 	reg.RegisterGauge("taskdep_sched_pending_tasks", func() float64 { return float64(rt.s.Pending()) })
 	reg.RegisterGauge("taskdep_detached_tasks", func() float64 { return float64(rt.detached.Load()) })
 	reg.RegisterGauge("taskdep_failure_epoch", func() float64 { return float64(rt.g.FailEpoch()) })
-	// Live knob values, not Config echoes: SetThrottle resizes these at
-	// runtime, and /metrics must report what the hot paths actually read
-	// (the static-config gauges drifted the moment a window was resized).
-	reg.RegisterGauge("taskdep_throttle_ready_limit", func() float64 { return float64(rt.thrReady.Load()) })
-	reg.RegisterGauge("taskdep_throttle_total_limit", func() float64 { return float64(rt.thrTotal.Load()) })
 }
 
 // Obs returns the runtime's metrics registry (always non-nil; its
@@ -659,7 +642,7 @@ func (rt *Runtime) SubmitBatch(specs []Spec) []*Event {
 	return evs
 }
 
-// batchStage is one SubmitBatch staging buffer set (see stagePool).
+// batchStage is one SubmitBatch staging buffer set (see Runtime.stage).
 type batchStage struct {
 	descs []graph.TaskDesc
 	deps  []graph.Dep
@@ -678,7 +661,7 @@ func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*E
 	if rt.obs.TimingOn() {
 		sp = rt.obs.BeginSpan(-1, obs.SpanDiscoveryBatch, int64(hi-lo), 0, int(rt.iter.Load()))
 	}
-	st, _ := rt.stagePool.Get().(*batchStage)
+	st := rt.stage.Swap(nil)
 	if st == nil {
 		st = &batchStage{}
 	}
@@ -727,11 +710,11 @@ func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*E
 			ev.t.Store(t)
 		}
 	}
-	// Drop closure/task references before pooling the buffers.
+	// Drop closure/task references before keeping the buffers.
 	clear(descs)
 	clear(tasks)
 	st.descs, st.deps, st.tasks = descs[:0], flat[:0], tasks[:0]
-	rt.stagePool.Put(st)
+	rt.stage.Store(st)
 	sp.End()
 	// Hand the P to the workers the chunk's ready tasks woke. Where they
 	// have a P of their own this returns at once. Where they do not, the
@@ -780,7 +763,7 @@ func (rt *Runtime) TaskLoop(n, numTasks int, depsFor func(c, lo, hi int) Spec, b
 // thresholds, executing tasks meanwhile ("producer threads stop producing
 // and start consuming").
 func (rt *Runtime) throttle() {
-	if !rt.throttleOn.Load() {
+	if !rt.throttleOn {
 		return
 	}
 	for rt.overThrottle() {
@@ -806,36 +789,8 @@ func (rt *Runtime) throttle() {
 }
 
 func (rt *Runtime) overThrottle() bool {
-	tot, rdy := rt.thrTotal.Load(), rt.thrReady.Load()
+	tot, rdy := rt.cfg.ThrottleTotal, rt.cfg.ThrottleReady
 	return (tot > 0 && rt.g.Live() >= tot) || (rdy > 0 && rt.g.ReadyCount() >= rdy)
-}
-
-// ThrottleLimits returns the live throttle windows (ready, total) —
-// the values the producer actually checks, which SetThrottle may have
-// resized away from the Config seeds. 0 = that window unbounded.
-func (rt *Runtime) ThrottleLimits() (ready, total int64) {
-	return rt.thrReady.Load(), rt.thrTotal.Load()
-}
-
-// SetThrottle resizes the producer throttle windows at runtime
-// (negative values clamp to 0 = unbounded). Safe from any goroutine:
-// the windows are single atomic words re-read on every throttle check.
-// The unconditional producer wake closes the resize race — a producer
-// parked against the old windows re-evaluates overThrottle against the
-// new ones, so widening can never strand it on thresholds that no
-// longer exist (the drift the old static-config accounting baked in:
-// throttle() read Config while a resize had nowhere to land).
-func (rt *Runtime) SetThrottle(ready, total int64) {
-	if ready < 0 {
-		ready = 0
-	}
-	if total < 0 {
-		total = 0
-	}
-	rt.thrReady.Store(ready)
-	rt.thrTotal.Store(total)
-	rt.throttleOn.Store(ready > 0 || total > 0)
-	rt.s.WakeProducer()
 }
 
 // takeChained claims the next task the slot's finishes kept (handOver):
@@ -874,11 +829,6 @@ func (rt *Runtime) produceConsumeOne() bool {
 	return true
 }
 
-// pollInterval is the park deadline when an external engine must keep
-// being polled (Config.Poll): completions may only arrive via Poll, so
-// the producer and workers park with a timeout instead of indefinitely.
-const pollInterval = 5 * time.Microsecond
-
 // producerIdle blocks the producer when it has nothing to execute,
 // following the scheduler's parking protocol: announce (PrePark),
 // re-check every wake condition — queued work, the caller's wait
@@ -887,16 +837,9 @@ const pollInterval = 5 * time.Microsecond
 // watches (counter drops, graph drain); publications reach it through
 // the normal wake path.
 func (rt *Runtime) producerIdle(done func() bool) {
-	if rt.cfg.Poll != nil && rt.cfg.Poll() {
-		return
-	}
 	snap := rt.s.PrePark(-1)
 	if rt.s.Pending() > 0 || done() || rt.s.Seq() != snap {
 		rt.s.CancelPark(-1)
-		return
-	}
-	if rt.cfg.Poll != nil {
-		rt.s.ParkTimeout(-1, pollInterval)
 		return
 	}
 	rt.s.Park(-1)
@@ -1342,7 +1285,7 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 	// predicates can have turned on it.
 	switch {
 	case cs == nil:
-		if len(released) == 0 || rt.throttleOn.Load() || rt.g.Live() == 0 {
+		if len(released) == 0 || rt.throttleOn || rt.g.Live() == 0 {
 			rt.s.WakeProducer()
 		}
 	case sl == nil:
@@ -1449,9 +1392,6 @@ func (rt *Runtime) worker(w int) {
 				// next loop iteration corrects the state.)
 				p.SetState(w, trace.Idle, rt.now())
 			}
-			if rt.cfg.Poll != nil && rt.cfg.Poll() {
-				continue
-			}
 			// Park until a publication or Kick. Announce first, then
 			// re-check work and shutdown: Close() stores the shutdown
 			// flag before Kick bumps the wake counter, so a worker that
@@ -1462,11 +1402,7 @@ func (rt *Runtime) worker(w int) {
 				rt.s.CancelPark(w)
 				continue
 			}
-			if rt.cfg.Poll != nil {
-				rt.s.ParkTimeout(w, pollInterval)
-			} else {
-				rt.s.Park(w)
-			}
+			rt.s.Park(w)
 			continue
 		}
 		if p != nil {
@@ -1475,9 +1411,6 @@ func (rt *Runtime) worker(w int) {
 		rt.execute(w, t)
 		if rt.slots[w].chainFin != 0 {
 			rt.settleChain(w)
-		}
-		if rt.cfg.Poll != nil {
-			rt.cfg.Poll() // scheduling point
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
@@ -65,6 +66,30 @@ func TestSubmitBatchLargerThanChunk(t *testing.T) {
 	want := int64(n*(n-1)) / 2
 	if got := sum.Load(); got != want {
 		t.Fatalf("sum = %d, want %d", got, want)
+	}
+}
+
+// TestClosedRuntimeFreedInOneCycle: once a runtime that took a batch is
+// closed and dropped, one collection frees it and what its tasks hold.
+// Staging buffers kept in a sync.Pool field pinned the whole Runtime for
+// a cycle (the pool stays on the runtime's global pool list), which kept
+// a closed runtime's last region live and doubled the heap goal.
+func TestClosedRuntimeFreedInOneCycle(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		r := New(Config{Workers: 1})
+		payload := new([64]byte)
+		runtime.SetFinalizer(payload, func(*[64]byte) { close(freed) })
+		r.SubmitBatch([]Spec{{Body: func(any) {}, FirstPrivate: payload}})
+		if err := r.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a closed runtime's task outlived one collection")
 	}
 }
 

@@ -197,15 +197,12 @@ func TestGatedTaskwaitInsideBody(t *testing.T) {
 // replayed Submit, the whole recording being live and nothing released.
 func TestGatedThrottle(t *testing.T) {
 	const tasks, iters = 64, 4
-	run := func(t *testing.T, cfg Config, during func(r *Runtime, iter int)) {
+	run := func(t *testing.T, cfg Config) {
 		cfg.Workers, cfg.Opts = 2, graph.OptAll
 		r := New(cfg)
 		var ran atomic.Int64
 		finishes(t, "region", func() {
-			err := r.Persistent(iters, func(iter int) {
-				if during != nil {
-					during(r, iter)
-				}
+			err := r.Persistent(iters, func(int) {
 				for i := 0; i < tasks; i++ {
 					r.Submit(Spec{InOut: []graph.Key{graph.Key(i % 8)}, Body: func(any) { ran.Add(1) }})
 				}
@@ -226,16 +223,11 @@ func TestGatedThrottle(t *testing.T) {
 	}
 	for _, total := range []int64{1, 8} {
 		t.Run(fmt.Sprintf("total%d", total), func(t *testing.T) {
-			run(t, Config{ThrottleTotal: total}, nil)
+			run(t, Config{ThrottleTotal: total})
 		})
 	}
-	t.Run("resized-mid-region", func(t *testing.T) {
-		// serve's pressure manager, by hand: a window set while replaying.
-		run(t, Config{}, func(r *Runtime, iter int) {
-			if iter == 1 {
-				r.SetThrottle(4, 4)
-			}
-		})
+	t.Run("ready4total4", func(t *testing.T) {
+		run(t, Config{ThrottleReady: 4, ThrottleTotal: 4})
 	})
 }
 

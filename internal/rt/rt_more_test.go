@@ -141,36 +141,6 @@ func TestDetachedInsidePersistentRegion(t *testing.T) {
 	}
 }
 
-func TestTaskwaitDrivenByPollHook(t *testing.T) {
-	// A detached task fulfilled only from the Poll hook must not
-	// deadlock Taskwait.
-	var fulfilled atomic.Bool
-	var pending atomic.Pointer[Event]
-	rt := New(Config{Workers: 1, Poll: func() bool {
-		if ev := pending.Swap(nil); ev != nil {
-			fulfilled.Store(true)
-			ev.Fulfill()
-			return true
-		}
-		return false
-	}})
-	rt.Submit(Spec{
-		Label: "d", Out: []graph.Key{1}, Detached: true,
-		DetachedBody: func(_ any, ev *Event) { pending.Store(ev) },
-	})
-	doneCh := make(chan struct{})
-	go func() { rt.Taskwait(); close(doneCh) }()
-	select {
-	case <-doneCh:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("taskwait deadlocked on poll-fulfilled detach")
-	}
-	if !fulfilled.Load() {
-		t.Fatalf("poll hook never fulfilled the event")
-	}
-	rt.Close()
-}
-
 func TestProfileSeparatesProducerSlot(t *testing.T) {
 	const workers = 2
 	p := trace.New(workers+1, false)

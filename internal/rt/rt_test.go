@@ -201,21 +201,6 @@ func TestThrottleTotalBoundsLiveTasks(t *testing.T) {
 	}
 }
 
-func TestPollHookInvoked(t *testing.T) {
-	var polls atomic.Int64
-	rt := New(Config{Workers: 2, Poll: func() bool {
-		polls.Add(1)
-		return false
-	}})
-	for i := 0; i < 10; i++ {
-		rt.Submit(Spec{Body: func(any) { time.Sleep(time.Millisecond) }})
-	}
-	rt.Close()
-	if polls.Load() == 0 {
-		t.Fatalf("poll hook never invoked")
-	}
-}
-
 func TestPersistentReplayRunsEveryIteration(t *testing.T) {
 	rt := New(Config{Workers: 4, Opts: graph.OptAll})
 	const iters, chain = 5, 32

@@ -3,7 +3,6 @@ package sched
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
@@ -178,9 +177,6 @@ type Scheduler struct {
 	nIdle atomic.Int32
 	stat  []slotStatus    // nWorkers+1 slots; the last is the producer
 	parks []chan struct{} // capacity-1 token channels, same indexing
-	// timers are the per-slot reusable park timeouts (ParkTimeout);
-	// created lazily, touched only by the slot's own goroutine.
-	timers []*time.Timer
 	// wakeHint rotates the wake scan's start for fairness: every wake
 	// advances it by one slot.
 	wakeHint atomic.Uint32
@@ -206,7 +202,6 @@ func New(policy Policy, nWorkers int) *Scheduler {
 		prng:   0x9E3779B97F4A7C15,
 		stat:   make([]slotStatus, nWorkers+1),
 		parks:  make([]chan struct{}, nWorkers+1),
-		timers: make([]*time.Timer, nWorkers+1),
 	}
 	for i := range s.parks {
 		s.parks[i] = make(chan struct{}, 1)
@@ -439,7 +434,7 @@ func (s *Scheduler) cascade() {
 // PrePark announces that the caller (worker, or -1 for the producer) is
 // about to park and returns the wake-counter snapshot to re-check
 // against. The caller must then re-examine its wake condition (queues,
-// shutdown flag, Seq) and either CancelPark or Park/ParkTimeout.
+// shutdown flag, Seq) and either CancelPark or Park.
 func (s *Scheduler) PrePark(worker int) uint64 {
 	s.nIdle.Add(1)
 	s.stat[s.slot(worker)].v.Store(slotParked)
@@ -469,9 +464,9 @@ func (s *Scheduler) CancelPark(worker int) {
 	}
 }
 
-// unparkSelf restores a slot to active after Park/ParkTimeout returns,
-// covering wakes that arrived without a claiming waker (stale tokens,
-// timeouts). Same wait-free swap-claim as CancelPark.
+// unparkSelf restores a slot to active after Park returns, covering
+// wakes that arrived without a claiming waker (stale tokens). Same
+// wait-free swap-claim as CancelPark.
 func (s *Scheduler) unparkSelf(sl int) {
 	if s.stat[sl].v.Swap(slotActive) == slotParked {
 		s.nIdle.Add(-1)
@@ -489,36 +484,6 @@ func (s *Scheduler) Park(worker int) {
 	s.obs.FlushSlot(sl)
 	<-s.parks[sl]
 	s.unparkSelf(sl)
-}
-
-// ParkTimeout is Park with a deadline, for callers that must keep
-// polling an external engine (Config.Poll): it returns true if woken by
-// a token, false on timeout. The per-slot timer is reused across calls.
-func (s *Scheduler) ParkTimeout(worker int, d time.Duration) bool {
-	sl := s.slot(worker)
-	s.obs.IncSlot(sl, obs.CParks)
-	s.obs.FlushSlot(sl)
-	tm := s.timers[sl]
-	if tm == nil {
-		tm = time.NewTimer(d)
-		s.timers[sl] = tm
-	} else {
-		if !tm.Stop() {
-			select {
-			case <-tm.C:
-			default:
-			}
-		}
-		tm.Reset(d)
-	}
-	woken := false
-	select {
-	case <-s.parks[sl]:
-		woken = true
-	case <-tm.C:
-	}
-	s.unparkSelf(sl)
-	return woken
 }
 
 // wakeSlot claims one parked slot and delivers its token; reports

@@ -240,34 +240,6 @@ func TestCancelParkAbsorbsConcurrentWake(t *testing.T) {
 	}
 }
 
-func TestParkTimeoutExpires(t *testing.T) {
-	t.Run("lock-free", func(t *testing.T) {
-		s := New(DepthFirst, 1)
-		for i := 0; i < 3; i++ { // timer reuse across calls
-			s.PrePark(0)
-			if s.ParkTimeout(0, time.Millisecond) {
-				t.Fatalf("ParkTimeout reported a wake with no waker")
-			}
-		}
-	})
-}
-
-func TestParkTimeoutWoken(t *testing.T) {
-	s := New(DepthFirst, 1)
-	done := make(chan bool)
-	ready := make(chan struct{})
-	go func() {
-		s.PrePark(0)
-		close(ready)
-		done <- s.ParkTimeout(0, 10*time.Second)
-	}()
-	<-ready
-	s.Kick()
-	if woken := <-done; !woken {
-		t.Fatalf("ParkTimeout timed out despite Kick")
-	}
-}
-
 // TestBatchRampsUpEveryWorker: one batch published to a fully parked pool
 // must reach every worker, under either policy — PushBatch wakes one slot
 // and each pop that leaves work behind wakes the next. The bodies block

@@ -13,11 +13,9 @@
 // Within a tenant, requests serialize on the runtime's single-producer
 // contract; across tenants they run concurrently. Admission control is
 // two-level: a per-tenant queue quota and a global in-flight cap, both
-// rejecting with 429 rather than queueing unboundedly. When global
-// occupancy crosses a high-water mark the server tightens every
-// tenant's throttle windows (Runtime.SetThrottle), shrinking per-tenant
-// discovery frontiers instead of failing requests; the windows reopen
-// when load drains.
+// rejecting with 429 rather than queueing unboundedly. That is the
+// whole of backpressure: each tenant runtime's throttle windows are
+// fixed when the tenant is created (Options.ThrottleReady/Total).
 package serve
 
 import (

@@ -445,60 +445,6 @@ func TestTenantTeardownReleasesWorkers(t *testing.T) {
 	}
 }
 
-func TestPressureTightensThrottles(t *testing.T) {
-	s, ts := newTestServer(t, Options{
-		MaxTenants: 4, Queue: 4, GlobalInflight: 4,
-		PressureAt: 0.5, TightReady: 2, TightTotal: 8,
-	})
-	// Warm a tenant so its throttle windows are observable.
-	if status, _ := postGraph(t, ts.Client(), ts.URL, "w", sumGraph(1, 1)); status != 200 {
-		t.Fatal("warmup failed")
-	}
-	tn, ok := s.Manager().Lookup("w")
-	if !ok {
-		t.Fatal("no tenant w")
-	}
-	if r, tot := tn.Runtime().ThrottleLimits(); r != 0 || tot != 0 {
-		t.Fatalf("initial windows %d/%d, want unbounded", r, tot)
-	}
-	cancelA, doneA := startStreaming(t, ts, "a", spinChain(64, 2_000_000))
-	cancelB, doneB := startStreaming(t, ts, "b", spinChain(64, 2_000_000))
-	// Occupancy 2/4 >= 0.5: tightened windows engage on every tenant.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if r, tot := tn.Runtime().ThrottleLimits(); r == 2 && tot == 8 {
-			break
-		}
-		if time.Now().After(deadline) {
-			r, tot := tn.Runtime().ThrottleLimits()
-			t.Fatalf("windows %d/%d under pressure, want 2/8", r, tot)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !s.Manager().Pressured() {
-		t.Fatal("manager not pressured")
-	}
-	cancelA()
-	cancelB()
-	<-doneA
-	<-doneB
-	// Load drained: occupancy 0 <= PressureAt/2 releases the windows.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if status, _ := postGraph(t, ts.Client(), ts.URL, "w", sumGraph(1, 1)); status != 200 {
-			t.Fatal("drain probe failed")
-		}
-		if r, tot := tn.Runtime().ThrottleLimits(); r == 0 && tot == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			r, tot := tn.Runtime().ThrottleLimits()
-			t.Fatalf("windows %d/%d after drain, want unbounded", r, tot)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func TestObservabilityEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	if status, _ := postGraph(t, ts.Client(), ts.URL, "obs", sumGraph(1, 2)); status != 200 {

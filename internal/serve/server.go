@@ -328,12 +328,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	bool01 := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	fmt.Fprintf(w, "# TYPE tdgserve_requests_total counter\ntdgserve_requests_total %d\n", s.requests.Load())
 	fmt.Fprintf(w, "# TYPE tdgserve_rejected_total counter\ntdgserve_rejected_total %d\n", s.rejected.Load())
 	fmt.Fprintf(w, "# TYPE tdgserve_bad_requests_total counter\ntdgserve_bad_requests_total %d\n", s.badRequests.Load())
@@ -341,7 +335,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE tdgserve_disconnects_total counter\ntdgserve_disconnects_total %d\n", s.disconnects.Load())
 	fmt.Fprintf(w, "# TYPE tdgserve_inflight gauge\ntdgserve_inflight %d\n", s.m.Inflight())
 	fmt.Fprintf(w, "# TYPE tdgserve_tenants gauge\ntdgserve_tenants %d\n", len(snap))
-	fmt.Fprintf(w, "# TYPE tdgserve_pressure gauge\ntdgserve_pressure %d\n", bool01(s.m.Pressured()))
 	fmt.Fprintf(w, "# TYPE tdgserve_uptime_seconds gauge\ntdgserve_uptime_seconds %.3f\n", time.Since(s.start).Seconds())
 	for _, series := range []struct {
 		name string
@@ -366,10 +359,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // Graphz is the service-level /graphz payload.
 type Graphz struct {
-	Inflight  int64                 `json:"inflight"`
-	Pressured bool                  `json:"pressured"`
-	Options   Options               `json:"options"`
-	Tenants   map[string]TenantSnap `json:"tenants"`
+	Inflight int64                 `json:"inflight"`
+	Options  Options               `json:"options"`
+	Tenants  map[string]TenantSnap `json:"tenants"`
 }
 
 func (s *Server) handleGraphz(w http.ResponseWriter, _ *http.Request) {
@@ -377,9 +369,8 @@ func (s *Server) handleGraphz(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(Graphz{
-		Inflight:  s.m.Inflight(),
-		Pressured: s.m.Pressured(),
-		Options:   s.m.Options(),
-		Tenants:   s.m.Snapshot(),
+		Inflight: s.m.Inflight(),
+		Options:  s.m.Options(),
+		Tenants:  s.m.Snapshot(),
 	})
 }

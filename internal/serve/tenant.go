@@ -43,14 +43,6 @@ type Options struct {
 	// ThrottleReady/ThrottleTotal are each tenant runtime's normal
 	// throttle windows (0 = unbounded).
 	ThrottleReady, ThrottleTotal int64
-	// TightReady/TightTotal are the windows applied to every tenant
-	// while global occupancy is above PressureAt — backpressure by
-	// shrinking discovery frontiers instead of rejecting. Defaults
-	// 64/256.
-	TightReady, TightTotal int64
-	// PressureAt is the global-occupancy fraction that engages the
-	// tightened windows; they release at half this mark. Default 0.75.
-	PressureAt float64
 	// CPath enables the online critical-path profiler on every tenant
 	// runtime: per-graph phase attribution and discovery-impact what-if
 	// reports, served per tenant at GET /v1/tenants/{name}/criticalpath.
@@ -70,15 +62,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GlobalInflight <= 0 {
 		o.GlobalInflight = 1024
-	}
-	if o.TightReady <= 0 {
-		o.TightReady = 64
-	}
-	if o.TightTotal <= 0 {
-		o.TightTotal = 256
-	}
-	if o.PressureAt <= 0 || o.PressureAt > 1 {
-		o.PressureAt = 0.75
 	}
 	return o
 }
@@ -447,7 +430,6 @@ type Manager struct {
 	closed  bool
 
 	inflight       atomic.Int64
-	pressured      atomic.Bool
 	rejectedGlobal atomic.Int64
 }
 
@@ -493,14 +475,10 @@ func (m *Manager) Tenant(name string) (*Tenant, error) {
 	if len(m.tenants) >= m.opt.MaxTenants {
 		return nil, ErrPoolFull
 	}
-	ready, total := m.opt.ThrottleReady, m.opt.ThrottleTotal
-	if m.pressured.Load() {
-		ready, total = m.opt.TightReady, m.opt.TightTotal
-	}
 	runtime, err := rt.NewRuntime(rt.Config{
 		Workers:       m.opt.Workers,
-		ThrottleReady: ready,
-		ThrottleTotal: total,
+		ThrottleReady: m.opt.ThrottleReady,
+		ThrottleTotal: m.opt.ThrottleTotal,
 		CPath:         rt.CPathOptions{Enable: m.opt.CPath},
 	})
 	if err != nil {
@@ -538,43 +516,11 @@ func (m *Manager) Admit(t *Tenant) (release func(), err error) {
 		m.rejectedGlobal.Add(1)
 		return nil, fmt.Errorf("%w: global in-flight cap (%d) reached", ErrQuota, m.opt.GlobalInflight)
 	}
-	m.adjustPressure(n)
 	return func() {
-		left := m.inflight.Add(-1)
+		m.inflight.Add(-1)
 		t.release()
-		m.adjustPressure(left)
 	}, nil
 }
-
-// adjustPressure engages the tightened throttle windows on every
-// tenant when occupancy crosses PressureAt, and releases them (with
-// hysteresis, at half the mark) when load drains. SetThrottle is a
-// pair of atomic stores plus a producer wake, cheap enough to call on
-// crossings.
-func (m *Manager) adjustPressure(inflight int64) {
-	occ := float64(inflight) / float64(m.opt.GlobalInflight)
-	switch {
-	case occ >= m.opt.PressureAt:
-		if !m.pressured.Swap(true) {
-			m.setAllThrottles(m.opt.TightReady, m.opt.TightTotal)
-		}
-	case occ <= m.opt.PressureAt/2:
-		if m.pressured.Swap(false) {
-			m.setAllThrottles(m.opt.ThrottleReady, m.opt.ThrottleTotal)
-		}
-	}
-}
-
-func (m *Manager) setAllThrottles(ready, total int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, t := range m.tenants {
-		t.rt.SetThrottle(ready, total)
-	}
-}
-
-// Pressured reports whether the tightened windows are engaged.
-func (m *Manager) Pressured() bool { return m.pressured.Load() }
 
 // Inflight returns the globally admitted request count.
 func (m *Manager) Inflight() int64 { return m.inflight.Load() }

@@ -3,8 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"io"
-
-	"taskdep/internal/obs"
 )
 
 // Export is the JSON-serializable snapshot of a profile, for external
@@ -45,16 +43,9 @@ func ReadExport(r io.Reader) (Export, error) {
 	return e, err
 }
 
-// WriteChrome writes span events as Chrome trace-event JSON (loadable
-// in Perfetto / chrome://tracing). Thin re-export of the obs encoder
-// so trace consumers need only this package.
-func WriteChrome(w io.Writer, events []obs.SpanEvent) error {
-	return obs.WriteChromeTrace(w, events)
-}
-
 // chromeTaskEvent is one complete ("X") Chrome trace event; the
-// task-record export writes these directly instead of round-tripping
-// through obs.SpanEvent so labels survive and critical-path tasks can
+// task-record export writes these directly (not through obs.SpanEvent) so
+// labels survive and critical-path tasks can
 // carry Perfetto's color hint.
 type chromeTaskEvent struct {
 	Name string  `json:"name"`
@@ -112,25 +103,4 @@ func WriteChromeTasks(w io.Writer, tasks []TaskRecord) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// SpanTasks converts obs span events back into profile task boxes:
-// every complete task-body span becomes a TaskRecord (seconds clock),
-// so the Gantt renderers work on top of the new span stream too.
-func SpanTasks(events []obs.SpanEvent) []TaskRecord {
-	var out []TaskRecord
-	for _, ev := range events {
-		if ev.Name != obs.SpanTaskBody || ev.Kind != 'X' {
-			continue
-		}
-		out = append(out, TaskRecord{
-			TaskID: ev.TaskID,
-			Label:  ev.Name.String(),
-			Worker: ev.Slot,
-			Iter:   ev.Iter,
-			Start:  float64(ev.StartNs) / 1e9,
-			End:    float64(ev.EndNs) / 1e9,
-		})
-	}
-	return out
 }

@@ -109,9 +109,9 @@ const (
 
 // Config parametrizes a Runtime; see rt.Config for field
 // documentation. Each knob has one form: a top-level field (Workers,
-// Policy, Opts, ThrottleReady, ThrottleTotal, Profile, Poll, Verify,
-// Inject) or a field of CPath or Obs. NewRuntime validates ranges and
-// enum values.
+// Policy, Opts, ThrottleReady, ThrottleTotal, Profile, Verify, Inject)
+// or a field of CPath or Obs. NewRuntime validates ranges and enum
+// values.
 type Config = rt.Config
 
 // Spec describes one task submission.
