@@ -100,6 +100,20 @@ func TestTable2OptimizationOrdering(t *testing.T) {
 		t.Fatalf("missing row %s", label)
 		return Table2Row{}
 	}
+	// Discovery is a wall clock: each row's is the fastest of up to three
+	// runs, so one run slowed by a loaded machine cannot fail the order.
+	ordered := func() bool {
+		none, abc, p := get("none"), get("(a)+(b)+(c)"), get("(a)+(b)+(c)+(p)")
+		return abc.Discovery < none.Discovery*1.15 && p.Discovery < abc.Discovery*0.8
+	}
+	for run := 2; run <= 3 && !ordered(); run++ {
+		for i, r := range RunTable2(c, 256) {
+			if r.Label != rows[i].Label {
+				t.Fatalf("run %d: row %d is %s, was %s", run, i, r.Label, rows[i].Label)
+			}
+			rows[i].Discovery = min(rows[i].Discovery, r.Discovery)
+		}
+	}
 	none := get("none")
 	abc := get("(a)+(b)+(c)")
 	p := get("(a)+(b)+(c)+(p)")

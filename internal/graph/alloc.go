@@ -13,7 +13,10 @@ package graph
 //     is never recycled — a chunk is dropped once full and reclaimed by
 //     the GC when every task in it is dead — so there is no
 //     use-after-reuse hazard; chunking only amortizes the allocation
-//     count by chunkTasks. The slot is the Graph's own, not a sync.Pool:
+//     count by chunkTasks, and keeps each chunk under the small-object
+//     limit (see chunkTasks). A graph with the critical-path profiler
+//     gets a side array of cpStates with every chunk; one without it
+//     allocates none. The slot is the Graph's own, not a sync.Pool:
 //     a pool stays reachable from the runtime's global pool list for two
 //     collections after its last Put, and its chunk's tasks hold their
 //     bodies, so a closed runtime's whole last region stayed live for
@@ -23,18 +26,27 @@ package graph
 //     and continue past inlineSuccs edges in fixed-size blocks that are
 //     chained, never regrown: no edge is copied twice.
 //   - keyStates are recycled through a free list
-//     (ResetDiscoveryFrontier refills it), and a keyState's internal
+//     (ResetDiscoveryFrontier refills it), the key table (keytable.go)
+//     keeps its slot array across resets, and a keyState's internal
 //     slices keep their capacity across group open/close cycles and
 //     across frontier resets, so steady-state discovery re-walks
 //     already-grown buffers instead of reallocating them.
 
 // chunkTasks is the number of Tasks per allocation chunk: one heap
-// allocation amortized over this many submissions.
+// allocation amortized over this many submissions. With the 232-byte
+// Task a chunk is 29 696 bytes, which with the allocator's 8-byte
+// header still fits the largest small-object size class (32 KiB):
+// the chunk comes from the per-P cache like any small object, not from
+// the large-object path that takes the heap lock and zeroes it on the
+// side (TestTaskLayout pins this).
 const chunkTasks = 128
 
 // taskChunk is a block of tasks owned by at most one producer at a time.
+// cps is the chunk's critical-path side array (cpath.go), one record per
+// task, allocated only for a graph configured with CPath.
 type taskChunk struct {
 	buf  []Task
+	cps  []cpState
 	next int
 }
 
@@ -47,8 +59,14 @@ func (g *Graph) allocTasks(n int, out []*Task) []*Task {
 	for i := 0; i < n; i++ {
 		if c == nil || c.next == len(c.buf) {
 			c = &taskChunk{buf: make([]Task, chunkTasks)}
+			if g.cpath {
+				c.cps = make([]cpState, chunkTasks)
+			}
 		}
 		t := &c.buf[c.next]
+		if c.cps != nil {
+			t.cp = &c.cps[c.next]
+		}
 		c.next++
 		out = append(out, t)
 	}

@@ -116,7 +116,7 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 			// Discovery ends when the dependences are resolved; the
 			// stamp must land before the sentinel release publishes the
 			// task.
-			t.discNs = g.cpNow() - cpT0
+			t.cp.discNs = g.cpNow() - cpT0
 		}
 		g.releaseSentinel(t, ready)
 	}
@@ -227,7 +227,7 @@ func (g *Graph) writesShared(deps []Dep, mark *Task) bool {
 		if d.Type == In {
 			continue
 		}
-		if ks := g.keys[d.Key]; ks != nil && ks.run == mark {
+		if ks := g.keys.get(d.Key); ks != nil && ks.run == mark {
 			return true
 		}
 	}

@@ -61,11 +61,11 @@ func reaches(a, b *Task) bool {
 // noMarks fails if a run's mark survived the call that made it.
 func noMarks(t *testing.T, g *Graph) {
 	t.Helper()
-	for k, ks := range g.keys {
+	g.keys.each(func(k Key, ks *keyState) {
 		if ks.run != nil {
 			t.Fatalf("key %d still carries the mark of a run after its discover call returned", k)
 		}
-	}
+	})
 }
 
 // TestReadRunEdgeCounts: m writers, n readers of all their keys, m

@@ -290,8 +290,9 @@ func (c *Compiled) begin() error {
 	}
 	if c.g.cpath {
 		// Clean critical-path slate per iteration: stale stamps or
-		// cpBest chains from the previous iteration must not leak into
-		// this one's fold (clean iterations must report identical CPs).
+		// best-predecessor chains from the previous iteration must not
+		// leak into this one's fold (clean iterations must report
+		// identical CPs).
 		for _, t := range c.tasks {
 			t.resetCP()
 		}
@@ -346,7 +347,7 @@ func (c *Compiled) dropHold(p int) {
 	if atomic.AddInt32(&c.preds[p], -1) == 0 {
 		t := c.tasks[p]
 		if c.g.cpath {
-			t.readyNs = c.g.cpNow()
+			t.cp.readyNs = c.g.cpNow()
 		}
 		c.g.onReady(t)
 	}
@@ -428,7 +429,7 @@ func (c *Compiled) FinishIntoDeferred(t *Task, buf []*Task, final State) []*Task
 			if cpath {
 				// No markReadyQuiet on the compiled path: stamp the
 				// ready transition here, before queue publication.
-				s.readyNs = c.g.cpNow()
+				s.cp.readyNs = c.g.cpNow()
 			}
 			released = append(released, s)
 		}

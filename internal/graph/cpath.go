@@ -1,5 +1,7 @@
 package graph
 
+import "sync/atomic"
+
 // Critical-path stamping and the O(1) release-time fold (the graph side
 // of internal/cpath). When a Graph is built with Config.CPath, every
 // task carries four clock stamps splitting its life into the paper's
@@ -13,13 +15,13 @@ package graph
 // The fold is O(out-degree) amortized over the successor walk the
 // terminal transition already performs, so critical-path maintenance
 // adds no extra graph traversal: by the time the LAST task finishes,
-// the maximum cpTotal over finished tasks is T-infinity, exactly as an
+// the maximum path total over finished tasks is T-infinity, exactly as an
 // offline longest-path computation over the same weights would report
 // (internal/cpath.ExactCP cross-checks this in the cpath experiment).
 //
-// Memory ordering. A finishing task's cp* fields are written (once) in
+// Memory ordering. A finishing task's path fields are written (once) in
 // StampFinish before its successor walk; each fold CASes the successor's
-// cpBest pointer and is sequenced before the same goroutine's decrement
+// best pointer and is sequenced before the same goroutine's decrement
 // of the successor's predecessor counter. The decrement that releases
 // the successor therefore happens-after every predecessor's fold — the
 // identical publication argument as poison propagation (see
@@ -33,6 +35,39 @@ package graph
 // a monotonic nanosecond clock. internal/cpath provides a cached one
 // (a periodically refreshed atomic, ~1 ns per read) so stamping stays
 // within the observability overhead budget on grain-0 workloads.
+//
+// Storage. The stamps and the fold live in a cpState beside the task,
+// not in it: allocTasks carves one per task out of a side array of the
+// chunk, and only for a graph configured with CPath, so a graph without
+// the profiler pays neither the 72 bytes per task nor their zeroing
+// (Task.cp stays nil; the accessors below read zero from it). Every
+// stamp site is gated on g.cpath, so none dereferences a nil record.
+
+// cpState is a task's critical-path record. The stamps are
+// single-writer by construction: discNs is written by the producer
+// before the sentinel release publishes the task, readyNs by the
+// releasing goroutine before queue publication, startNs and finNs by
+// the executing worker. best is the only concurrently written field
+// (CAS-max by finishing predecessors, ordered before their counter
+// decrements exactly like poison propagation).
+type cpState struct {
+	readyNs int64 // clock at the ready transition (release-side stamp)
+	startNs int64 // clock at body start
+	finNs   int64 // clock at the terminal transition
+	discNs  int64 // discovery phase: submit entry -> sentinel release
+	// total..exec hold the longest weighted predecessor path ending at
+	// (and including) this task, split by phase. Written exactly once, by
+	// the finishing goroutine in StampFinish, BEFORE the successor walk
+	// that publishes them to the folds of later tasks.
+	total int64
+	disc  int64
+	wait  int64
+	exec  int64
+	// best points to the finished predecessor realizing the longest
+	// path into this task. The chain of best pointers from the critical
+	// task back to a root IS the critical path.
+	best atomic.Pointer[Task]
+}
 
 // cpNow reads the stamp clock: one inlined atomic load when the cached
 // cell was wired (Config.CPathCached), else the CPathNow call. Callers
@@ -49,7 +84,7 @@ func (g *Graph) cpNow() int64 {
 // state store — calls it directly.
 func (g *Graph) StampStart(t *Task) {
 	if g.cpath {
-		t.startNs = g.cpNow()
+		t.cp.startNs = g.cpNow()
 	}
 }
 
@@ -59,31 +94,32 @@ func (g *Graph) StampStart(t *Task) {
 // predecessor walk. Must be called before the task is published.
 func (g *Graph) StampReady(t *Task) {
 	if g.cpath {
-		t.readyNs = g.cpNow()
+		t.cp.readyNs = g.cpNow()
 	}
 }
 
 // StampFinish closes t's phase accounting and computes its critical
 // path: finNs is stamped, the phase durations are derived from the
-// stamps, and cp* become own-phase plus the best folded predecessor
-// path. Must be called by the finishing goroutine BEFORE the terminal
-// transition (CompleteInto/SkipInto/AbortInto or the compiled
-// FinishInto), whose successor walk publishes the cp* values. No-op
-// when CPath is off.
+// stamps, and the path fields become own-phase plus the best folded
+// predecessor path. Must be called by the finishing goroutine BEFORE the
+// terminal transition (CompleteInto/SkipInto/AbortInto or the compiled
+// FinishInto), whose successor walk publishes them. No-op when CPath is
+// off.
 func (g *Graph) StampFinish(t *Task) {
 	if !g.cpath {
 		return
 	}
-	now := g.cpNow()
-	t.finNs = now
-	disc, wait, exec := t.phaseNs()
-	t.cpDisc, t.cpWait, t.cpExec = disc, wait, exec
-	t.cpTotal = disc + wait + exec
-	if best := t.cpBest.Load(); best != nil {
-		t.cpTotal += best.cpTotal
-		t.cpDisc += best.cpDisc
-		t.cpWait += best.cpWait
-		t.cpExec += best.cpExec
+	c := t.cp
+	c.finNs = g.cpNow()
+	disc, wait, exec := c.phaseNs()
+	c.disc, c.wait, c.exec = disc, wait, exec
+	c.total = disc + wait + exec
+	if best := c.best.Load(); best != nil {
+		b := best.cp
+		c.total += b.total
+		c.disc += b.disc
+		c.wait += b.wait
+		c.exec += b.exec
 	}
 }
 
@@ -91,17 +127,17 @@ func (g *Graph) StampFinish(t *Task) {
 // Negative differences are clamped to zero: the cached clock quantizes
 // stamps, and a task can finish externally (detached Fulfill) before
 // ever being released or started, leaving stamps at zero.
-func (t *Task) phaseNs() (disc, wait, exec int64) {
-	disc = t.discNs
-	if t.startNs != 0 {
-		if t.readyNs != 0 {
-			wait = t.startNs - t.readyNs
+func (c *cpState) phaseNs() (disc, wait, exec int64) {
+	disc = c.discNs
+	if c.startNs != 0 {
+		if c.readyNs != 0 {
+			wait = c.startNs - c.readyNs
 		}
-		exec = t.finNs - t.startNs
-	} else if t.readyNs != 0 {
+		exec = c.finNs - c.startNs
+	} else if c.readyNs != 0 {
 		// Never started (skipped, or detached-completed before a worker
 		// picked it up): the whole ready->finish interval is wait.
-		wait = t.finNs - t.readyNs
+		wait = c.finNs - c.readyNs
 	}
 	if disc < 0 {
 		disc = 0
@@ -116,9 +152,9 @@ func (t *Task) phaseNs() (disc, wait, exec int64) {
 }
 
 // foldCPInto folds the finished task t's critical path into successor
-// s: a CAS-max on s.cpBest keyed by cpTotal. Lock-free; concurrent
+// s: a CAS-max on s's best pointer keyed by total. Lock-free; concurrent
 // predecessor finishes race only on the pointer, and every candidate's
-// cpTotal is immutable by the time its pointer is visible (written in
+// total is immutable by the time its pointer is visible (written in
 // StampFinish before the walk that published it).
 func foldCPInto(t, s *Task) {
 	// A weightless path contributes nothing to max over preds: skip the
@@ -127,15 +163,17 @@ func foldCPInto(t, s *Task) {
 	// them would only extend the recovered path chain with zero-length
 	// links. (The precise clock, which the exactness cross-check runs
 	// under, essentially never produces an all-zero path.)
-	if t.cpTotal == 0 {
+	total := t.cp.total
+	if total == 0 {
 		return
 	}
+	best := &s.cp.best
 	for {
-		cur := s.cpBest.Load()
-		if cur != nil && cur.cpTotal >= t.cpTotal {
+		cur := best.Load()
+		if cur != nil && cur.cp.total >= total {
 			return
 		}
-		if s.cpBest.CompareAndSwap(cur, t) {
+		if best.CompareAndSwap(cur, t) {
 			return
 		}
 	}
@@ -146,37 +184,53 @@ func foldCPInto(t, s *Task) {
 // discovery does not recur, so replay iterations carry zero discovery
 // weight on their paths (the recording iteration keeps the real cost).
 func (t *Task) resetCP() {
-	t.readyNs = 0
-	t.startNs = 0
-	t.finNs = 0
-	t.discNs = 0
-	t.cpTotal = 0
-	t.cpDisc = 0
-	t.cpWait = 0
-	t.cpExec = 0
-	t.cpBest.Store(nil)
+	c := t.cp
+	if c == nil {
+		return
+	}
+	c.readyNs = 0
+	c.startNs = 0
+	c.finNs = 0
+	c.discNs = 0
+	c.total = 0
+	c.disc = 0
+	c.wait = 0
+	c.exec = 0
+	c.best.Store(nil)
+}
+
+// noCP is the record the accessors below read for a task without one
+// (CPath off): all zero. Never written.
+var noCP cpState
+
+func (t *Task) cpRecord() *cpState {
+	if t.cp != nil {
+		return t.cp
+	}
+	return &noCP
 }
 
 // CP returns the longest weighted path ending at t, split by phase.
 // Valid once t is Done (the values are published by the successor walk
 // of its terminal transition, or readable by the goroutine that
-// finished it).
+// finished it). Zero when CPath is off.
 func (t *Task) CP() (total, disc, wait, exec int64) {
-	return t.cpTotal, t.cpDisc, t.cpWait, t.cpExec
+	c := t.cpRecord()
+	return c.total, c.disc, c.wait, c.exec
 }
 
 // CPBest returns the predecessor realizing t's critical path (nil for
-// path roots). Walking CPBest from the critical task recovers the
-// whole path in O(path length).
-func (t *Task) CPBest() *Task { return t.cpBest.Load() }
+// path roots, and when CPath is off). Walking CPBest from the critical
+// task recovers the whole path in O(path length).
+func (t *Task) CPBest() *Task { return t.cpRecord().best.Load() }
 
 // PhaseNs returns t's own phase durations (discovery, ready-wait,
 // execute), derived from its stamps. Valid once t is Done.
-func (t *Task) PhaseNs() (disc, wait, exec int64) { return t.phaseNs() }
+func (t *Task) PhaseNs() (disc, wait, exec int64) { return t.cpRecord().phaseNs() }
 
 // ReadyAtNs, StartAtNs and FinishAtNs expose the raw clock stamps (in
 // the Config.CPathNow clock's domain) for trace alignment; zero means
 // the transition never happened (or CPath is off).
-func (t *Task) ReadyAtNs() int64  { return t.readyNs }
-func (t *Task) StartAtNs() int64  { return t.startNs }
-func (t *Task) FinishAtNs() int64 { return t.finNs }
+func (t *Task) ReadyAtNs() int64  { return t.cpRecord().readyNs }
+func (t *Task) StartAtNs() int64  { return t.cpRecord().startNs }
+func (t *Task) FinishAtNs() int64 { return t.cpRecord().finNs }

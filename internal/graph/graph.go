@@ -148,7 +148,7 @@ type Graph struct {
 	// the whole of a submission. Lock order: mu, then a predecessor's
 	// Task.mu (addEdge); nothing takes them the other way round.
 	mu   sync.Mutex
-	keys map[Key]*keyState
+	keys keyTable // see keytable.go
 	// open tracks keys whose inoutset group holds an unreleased redirect
 	// node, for Flush.
 	open []*keyState
@@ -197,7 +197,7 @@ type Graph struct {
 	// persistence (single-producer)
 	persistent  bool
 	recording   bool
-	epoch       int
+	epoch       int32
 	recorded    []*Task
 	replayIndex int
 }
@@ -221,7 +221,6 @@ func NewWithConfig(cfg Config) *Graph {
 		opts:         cfg.Opts,
 		onReady:      cfg.OnReady,
 		onReadyBatch: cfg.OnReadyBatch,
-		keys:         make(map[Key]*keyState),
 		cpath:        cfg.CPath,
 		cpathNow:     cfg.CPathNow,
 		cpathCached:  cfg.CPathCached,
@@ -298,10 +297,10 @@ func (g *Graph) SubmitTask(d *TaskDesc) *Task {
 // frontierOf returns k's frontier state, creating it on first access.
 // The caller holds the discovery lock.
 func (g *Graph) frontierOf(k Key) *keyState {
-	ks := g.keys[k]
+	ks := g.keys.get(k)
 	if ks == nil {
 		ks = g.allocKeyState()
-		g.keys[k] = ks
+		g.keys.put(k, ks)
 	}
 	return ks
 }
@@ -546,7 +545,7 @@ func (g *Graph) releaseSentinel(t *Task, readyBuf *[]*Task) {
 // published to any queue (single writer, pre-publication).
 func (g *Graph) markReadyQuiet(t *Task) {
 	if g.cpath {
-		t.readyNs = g.cpNow()
+		t.cp.readyNs = g.cpNow()
 	}
 	t.state.Store(int32(Ready))
 	g.lrAdd(0, 1)
@@ -571,7 +570,7 @@ func (g *Graph) notifyReady(ts []*Task) {
 // begin the body; it is advisory (used by traces and tests).
 func (g *Graph) Start(t *Task) {
 	if g.cpath {
-		t.startNs = g.cpNow()
+		t.cp.startNs = g.cpNow()
 	}
 	t.state.Store(int32(Running))
 }
@@ -654,7 +653,7 @@ func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 				// Fold this task's critical path into the successor
 				// BEFORE the decrement that could release it (same
 				// publication order as the poison store above). Requires
-				// the caller to have run StampFinish, which wrote t.cp*.
+				// the caller to have run StampFinish, which wrote t's path.
 				foldCPInto(t, s)
 			}
 			if s.preds.Add(-1) == 0 {
@@ -683,10 +682,8 @@ func (g *Graph) FailEpoch() uint64 { return g.failEpoch.Load() }
 // reallocated. Single-producer.
 func (g *Graph) ResetDiscoveryFrontier() {
 	g.mu.Lock()
-	for _, ks := range g.keys {
-		g.recycle(ks)
-	}
-	clear(g.keys)
+	g.keys.each(func(_ Key, ks *keyState) { g.recycle(ks) })
+	g.keys.reset()
 	g.open = g.open[:0]
 	g.mu.Unlock()
 }

@@ -121,14 +121,57 @@ const inlineDeps = 4
 //
 // Tasks are allocated by the graph (normally from pooled chunks, see
 // alloc.go) and must never be copied.
+//
+// Layout. The fields are grouped by the paths that touch them, so the
+// paths that visit OTHER tasks touch as few cache lines as possible:
+//
+//   - line 0 (the first 64 bytes) is everything addEdge reads of a
+//     predecessor and appends to it, everything finishInto reads of the
+//     finishing task and writes to its successors, and the counter
+//     releaseSentinel adds to: discovery's pruning of a finished
+//     predecessor is one load of this line, and a created edge or a
+//     successor walk of up to inlineSuccs entries stays on it;
+//   - line 1 is what a worker reads to run the task (ID, closures,
+//     firstprivate, flags) and what the producer writes once per task or
+//     per recording (live, recordedIndegree, recordEpoch, slot);
+//   - the rest is cold: the label, the runtime attachment, the overflow
+//     chain of the successor list, the failure window, the
+//     critical-path side record, and the declaration capture of failure
+//     reports.
+//
+// TestTaskLayout pins the size and line 0. A chunk of chunkTasks tasks
+// must stay a small-object allocation (see alloc.go): a field added here
+// is paid on every task of every discovery.
 type Task struct {
+	// --- line 0: discovery and release ---
+
+	state atomic.Int32
+	// preds is the release counter: sentinelBias, minus one per finished
+	// predecessor, plus live-sentinelBias at the producer's sentinel
+	// release (see releaseSentinel). The task is ready when it is 0.
+	preds atomic.Int32
+	// Successor list, in insertion order: the first inlineSuccs entries
+	// sit in succs0, the rest in the block chain succHead..succTail.
+	// Appended to under mu; a reader that took nsucc under mu may walk
+	// that many entries without the lock while appends continue.
+	mu    sync.Mutex
+	nsucc int32
+	// poisoned marks the task as lying in a failed task's successor cone
+	// (or cancelled by a runtime abort): executors complete it as Skipped
+	// without running the body. Set before the poisoning predecessor's
+	// counter decrement, so it is always visible by the time the task can
+	// be popped (see Graph.finishInto).
+	poisoned atomic.Bool
+	lastSucc *Task // duplicate-edge detection for optimization (b)
+	succs0   [inlineSuccs]*Task
+
+	// --- line 1: execution and the producer's per-task state ---
+
 	// ID is the submission sequence number, unique within a Graph. With
 	// concurrent producers IDs are allocated atomically: they remain
 	// unique and per-producer monotonic, but are not globally dense in
 	// per-key discovery order.
 	ID int64
-	// Label names the task for traces and Gantt charts.
-	Label string
 	// Body is the work closure run by the real executor (nil for
 	// redirect nodes and for DES-only tasks).
 	Body func(fp any)
@@ -140,25 +183,12 @@ type Task struct {
 	// FirstPrivate is the per-instance private datum, copied on
 	// persistent replay (the paper's single-memcpy replay cost).
 	FirstPrivate any
-	// Data carries executor-specific payload (e.g. a DES cost spec).
-	Data any
-	// Attach carries an opaque runtime attachment (the rt layer's detach
-	// event). Written by the producer before the task is published — or,
-	// on persistent replay, before the instance is re-released — so any
-	// worker that pops the task reads it without synchronization.
-	Attach any
-	// Detached marks a task whose completion is signalled externally
-	// (MPI request completion) rather than at body return.
-	Detached bool
-	// Redirect marks an empty node inserted by optimization (c).
-	Redirect bool
-	// Persistent marks tasks recorded in a persistent region.
-	Persistent bool
-
-	// preds is the release counter: sentinelBias, minus one per finished
-	// predecessor, plus live-sentinelBias at the producer's sentinel
-	// release (see releaseSentinel). The task is ready when it is 0.
-	preds atomic.Int32
+	// slot is the task's position in the compiled replay schedule of
+	// its recording (see compile.go): the row index of its CSR
+	// successor range and predecessor-count cell. Written by the
+	// producer at compile time (graph quiescent), read by workers
+	// during compiled replay.
+	slot int32
 	// live counts the edges whose predecessor was unfinished when the
 	// edge was created — the decrements preds will receive. Private to
 	// the goroutine discovering the task (for a redirect node: to the
@@ -171,69 +201,44 @@ type Task struct {
 	// recordEpoch identifies which recording the task belongs to, so
 	// edges from earlier recordings (or from outside any recording)
 	// never count toward replay indegrees.
-	recordEpoch int
-	// slot is the task's position in the compiled replay schedule of
-	// its recording (see compile.go): the row index of its CSR
-	// successor range and predecessor-count cell. Written by the
-	// producer at compile time (graph quiescent), read by workers
-	// during compiled replay.
-	slot  int32
-	state atomic.Int32
-	// poisoned marks the task as lying in a failed task's successor cone
-	// (or cancelled by a runtime abort): executors complete it as Skipped
-	// without running the body. Set before the poisoning predecessor's
-	// counter decrement, so it is always visible by the time the task can
-	// be popped (see Graph.finishInto).
-	poisoned atomic.Bool
+	recordEpoch int32
+	// Detached marks a task whose completion is signalled externally
+	// (MPI request completion) rather than at body return.
+	Detached bool
+	// Redirect marks an empty node inserted by optimization (c).
+	Redirect bool
+	// Persistent marks tasks recorded in a persistent region.
+	Persistent bool
+
+	// --- cold ---
+
+	// Label names the task for traces and Gantt charts.
+	Label string
+	// Attach carries an opaque executor attachment (the rt layer's detach
+	// event, the DES's cost spec). Written by the producer before the
+	// task is published — or, on persistent replay, before the instance
+	// is re-released — so any worker that pops the task reads it without
+	// synchronization.
+	Attach   any
+	succHead *succBlock
+	succTail *succBlock
 	// failEpoch stamps the failure window (Graph.failEpoch) the task
 	// drained non-Completed in. Written before the terminal state store
 	// and read only after observing a Done state, so no synchronization
 	// beyond the state atomic is needed. Discovery-time poisoning
 	// ignores predecessors that failed in an already-consumed window.
 	failEpoch uint64
-
-	// Critical-path profiling state, populated only when the graph is
-	// configured with Config.CPath (see cpath.go). The stamps are
-	// single-writer by construction: discNs is written by the producer
-	// before the sentinel release publishes the task, readyNs by the
-	// releasing goroutine before queue publication, startNs and finNs by
-	// the executing worker. cpBest is the only concurrently written
-	// field (CAS-max by finishing predecessors, ordered before their
-	// counter decrements exactly like poison propagation).
-	readyNs int64 // clock at the ready transition (release-side stamp)
-	startNs int64 // clock at body start
-	finNs   int64 // clock at the terminal transition
-	discNs  int64 // discovery phase: submit entry -> sentinel release
-	// cp* hold the longest weighted predecessor path ending at (and
-	// including) this task, split by phase. Written exactly once, by the
-	// finishing goroutine in StampFinish, BEFORE the successor walk that
-	// publishes them to the folds of later tasks.
-	cpTotal int64
-	cpDisc  int64
-	cpWait  int64
-	cpExec  int64
-	// cpBest points to the finished predecessor realizing the longest
-	// path into this task. The chain of cpBest pointers from the
-	// critical task back to a root IS the critical path.
-	cpBest atomic.Pointer[Task]
-
+	// cp is the task's critical-path record (cpath.go), nil unless the
+	// graph was configured with Config.CPath.
+	cp *cpState
 	// Inline capture of the task's dependence declarations, for failure
-	// reports (*fault.TaskError names the key set of a failed task).
-	// Bounded by inlineDeps; depsTrunc flags a truncated capture.
+	// reports (*fault.TaskError names the key set of a failed task),
+	// stored as parallel key and type arrays. Bounded by inlineDeps;
+	// depsTrunc flags a truncated capture.
+	depKeys   [inlineDeps]Key
+	depTypes  [inlineDeps]DepType
 	ndeps     uint8
 	depsTrunc bool
-	deps0     [inlineDeps]Dep
-
-	// Successor list, in insertion order: the first inlineSuccs entries
-	// sit in succs0, the rest in the block chain succHead..succTail.
-	// Appended to under mu; a reader that took nsucc under mu may walk
-	// that many entries without the lock while appends continue.
-	mu       sync.Mutex
-	nsucc    int32
-	lastSucc *Task // duplicate-edge detection for optimization (b)
-	succs0   [inlineSuccs]*Task
-	succHead *succBlock
-	succTail *succBlock
 }
 
 // appendSucc adds s at the end of t's successor list. Caller holds t.mu.
@@ -303,11 +308,14 @@ func (t *Task) Poison() { t.poisoned.Store(true) }
 // cone (or was cancelled by an abort).
 func (t *Task) Poisoned() bool { return t.poisoned.Load() }
 
-// DeclaredDeps returns the dependence declarations captured at
-// submission (at most inlineDeps of them) and whether the capture was
-// truncated. Used to name the key set of a failed task.
-func (t *Task) DeclaredDeps() ([]Dep, bool) {
-	return t.deps0[:t.ndeps], t.depsTrunc
+// DeclaredDeps appends the dependence declarations captured at
+// submission (at most inlineDeps of them) to dst and reports whether the
+// capture was truncated. Used to name the key set of a failed task.
+func (t *Task) DeclaredDeps(dst []Dep) ([]Dep, bool) {
+	for i := 0; i < int(t.ndeps); i++ {
+		dst = append(dst, Dep{Key: t.depKeys[i], Type: t.depTypes[i]})
+	}
+	return dst, t.depsTrunc
 }
 
 // captureDeps stores up to inlineDeps declarations inline.
@@ -317,7 +325,10 @@ func (t *Task) captureDeps(deps []Dep) {
 		n = inlineDeps
 		t.depsTrunc = true
 	}
-	copy(t.deps0[:n], deps[:n])
+	for i, d := range deps[:n] {
+		t.depKeys[i] = d.Key
+		t.depTypes[i] = d.Type
+	}
 	t.ndeps = uint8(n)
 }
 

@@ -378,7 +378,8 @@ func (rt *Runtime) Introspect() Snapshot {
 // depHash is an FNV-1a fold of a task's declared dependence set, the
 // key-set fingerprint attached to span events.
 func depHash(t *graph.Task) uint64 {
-	deps, _ := t.DeclaredDeps()
+	var buf [4]graph.Dep
+	deps, _ := t.DeclaredDeps(buf[:0])
 	h := uint64(14695981039346656037)
 	for _, d := range deps {
 		h ^= uint64(d.Key)
@@ -944,11 +945,11 @@ func (rt *Runtime) takeFailure() error {
 // Bounded: beyond maxRecordedFailures per window only a count is kept,
 // so a mass failure cannot accumulate unbounded error state.
 func (rt *Runtime) recordFailure(t *graph.Task, cause error) {
-	keys, trunc := t.DeclaredDeps()
+	keys, trunc := t.DeclaredDeps(nil)
 	te := &fault.TaskError{
 		TaskID:        t.ID,
 		Label:         t.Label,
-		Keys:          append([]graph.Dep(nil), keys...),
+		Keys:          keys,
 		KeysTruncated: trunc,
 		Cause:         cause,
 	}
@@ -1147,7 +1148,9 @@ func (rt *Runtime) runBody(t *graph.Task) (err error) {
 			err = &fault.PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if !t.Redirect {
+	// The injector is tested first, so that without one the executor
+	// never loads the label from the task's cold bytes.
+	if rt.cfg.Inject != nil && !t.Redirect {
 		if ierr := rt.cfg.Inject.Apply(t.Label); ierr != nil {
 			return ierr
 		}

@@ -332,14 +332,14 @@ func (r *Rank) doSubmit(spec TaskSpec) float64 {
 		return cs.ReplayTask
 	}
 	st0 := r.g.Stats()
-	sp := spec // copy; Data must outlive the call
+	sp := spec // copy; the attachment must outlive the call
 	var t *graph.Task
 	if spec.Comm != nil {
 		t = r.g.SubmitDetached(spec.Label, spec.Deps, nil, r.iter)
 	} else {
 		t = r.g.Submit(spec.Label, spec.Deps, nil, r.iter)
 	}
-	t.Data = &sp
+	t.Attach = &sp
 	st1 := r.g.Stats()
 	return cs.TaskAlloc +
 		cs.PerDep*float64(len(spec.Deps)) +
@@ -436,7 +436,7 @@ func (r *Rank) startTask(c int, t *graph.Task) {
 		r.eng.After(cs.SchedPerTsk, func() { r.finishTask(c, t, now, now) })
 		return
 	}
-	spec, _ := t.Data.(*TaskSpec)
+	spec, _ := t.Attach.(*TaskSpec)
 	if spec == nil {
 		spec = &TaskSpec{}
 	}
