@@ -22,8 +22,8 @@ import (
 )
 
 // Matrix is a symmetric positive-definite matrix stored as T x T lower
-// tiles of b x b column-major... row-major float64 blocks. Only tiles
-// with i >= j are stored.
+// tiles of b x b row-major float64 blocks. Only tiles with i >= j are
+// stored.
 type Matrix struct {
 	T, B  int
 	tiles map[[2]int][]float64
@@ -71,24 +71,57 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// --- tile kernels (naive, genuinely computed) ---
+// --- tile kernels ---
+//
+// The kernels are register-blocked, and every output element still gets
+// the same operations in the same order as the one-element loop, so the
+// factor's bits are those of the textbook kernels: each sum starts from
+// the same value (0.0 in Gemm and Syrk, the element itself in Trsm and
+// Potrf) and runs over k in ascending order. Blocking only interleaves
+// sums that were already independent, and the Go compiler does not fuse
+// x*y+z into one rounding on amd64. Rows are re-sliced to their length
+// so the k loops run without bounds checks. Four rows by two columns
+// is eight accumulators, plus six operands, within amd64's fifteen
+// usable XMM registers; a 4 x 4 block spills. TestKernelsMatchNaiveBitwise
+// compares every element with the one-element loops, and
+// TestSerialFactorBitsPinned pins the factor's hash.
 
 // Potrf factors tile a (b x b) in place into its lower Cholesky factor.
 func Potrf(a []float64, b int) error {
 	for j := 0; j < b; j++ {
+		rj := a[j*b : j*b+j]
 		d := a[j*b+j]
-		for k := 0; k < j; k++ {
-			d -= a[j*b+k] * a[j*b+k]
+		for _, v := range rj {
+			d -= v * v
 		}
 		if d <= 0 {
 			return fmt.Errorf("cholesky: not positive definite at %d (d=%v)", j, d)
 		}
 		d = math.Sqrt(d)
 		a[j*b+j] = d
-		for i := j + 1; i < b; i++ {
+		i := j + 1
+		for ; i+4 <= b; i += 4 {
+			r0 := a[i*b:][:len(rj)]
+			r1 := a[(i+1)*b:][:len(rj)]
+			r2 := a[(i+2)*b:][:len(rj)]
+			r3 := a[(i+3)*b:][:len(rj)]
+			s0, s1, s2, s3 := a[i*b+j], a[(i+1)*b+j], a[(i+2)*b+j], a[(i+3)*b+j]
+			for k, v := range rj {
+				s0 -= r0[k] * v
+				s1 -= r1[k] * v
+				s2 -= r2[k] * v
+				s3 -= r3[k] * v
+			}
+			a[i*b+j] = s0 / d
+			a[(i+1)*b+j] = s1 / d
+			a[(i+2)*b+j] = s2 / d
+			a[(i+3)*b+j] = s3 / d
+		}
+		for ; i < b; i++ {
+			ri := a[i*b:][:len(rj)]
 			s := a[i*b+j]
-			for k := 0; k < j; k++ {
-				s -= a[i*b+k] * a[j*b+k]
+			for k, v := range rj {
+				s -= ri[k] * v
 			}
 			a[i*b+j] = s / d
 		}
@@ -100,43 +133,162 @@ func Potrf(a []float64, b int) error {
 }
 
 // Trsm solves X * L^T = A in place (A := A * L^-T) where l is the lower
-// factor of the diagonal tile.
+// factor of the diagonal tile. Rows are independent; within a row,
+// column j needs the final values of columns k < j.
 func Trsm(l, a []float64, b int) {
-	for i := 0; i < b; i++ {
-		for j := 0; j < b; j++ {
-			s := a[i*b+j]
-			for k := 0; k < j; k++ {
-				s -= a[i*b+k] * l[j*b+k]
-			}
-			a[i*b+j] = s / l[j*b+j]
+	i := 0
+	for ; i+4 <= b; i += 4 {
+		trsm4(l, a, b, i)
+	}
+	for ; i < b; i++ {
+		row := a[i*b : i*b+b]
+		for j := range row {
+			trsmElem(l, row, b, j)
 		}
 	}
 }
 
-// Syrk updates a diagonal tile: C := C - A*A^T (lower part only).
+// trsm4 solves rows i..i+3 of a, two columns at a time. For columns j
+// and j+1 the k < j terms go together; column j+1's k = j term is taken
+// once a[.][j] is final, and its division comes last, as in the
+// one-element loop.
+func trsm4(l, a []float64, b, i int) {
+	a0 := a[i*b : i*b+b]
+	a1 := a[(i+1)*b:][:b]
+	a2 := a[(i+2)*b:][:b]
+	a3 := a[(i+3)*b:][:b]
+	j := 0
+	for ; j+2 <= b; j += 2 {
+		l0 := l[j*b : j*b+j]
+		l1 := l[(j+1)*b:][:len(l0)]
+		x0, x1, x2, x3 := a0[:len(l0)], a1[:len(l0)], a2[:len(l0)], a3[:len(l0)]
+		s00, s01 := a0[j], a0[j+1]
+		s10, s11 := a1[j], a1[j+1]
+		s20, s21 := a2[j], a2[j+1]
+		s30, s31 := a3[j], a3[j+1]
+		for k, v0 := range l0 {
+			v1 := l1[k]
+			y0, y1, y2, y3 := x0[k], x1[k], x2[k], x3[k]
+			s00 -= y0 * v0
+			s01 -= y0 * v1
+			s10 -= y1 * v0
+			s11 -= y1 * v1
+			s20 -= y2 * v0
+			s21 -= y2 * v1
+			s30 -= y3 * v0
+			s31 -= y3 * v1
+		}
+		d0, v, d1 := l[j*b+j], l[(j+1)*b+j], l[(j+1)*b+j+1]
+		a0[j] = s00 / d0
+		a1[j] = s10 / d0
+		a2[j] = s20 / d0
+		a3[j] = s30 / d0
+		a0[j+1] = (s01 - a0[j]*v) / d1
+		a1[j+1] = (s11 - a1[j]*v) / d1
+		a2[j+1] = (s21 - a2[j]*v) / d1
+		a3[j+1] = (s31 - a3[j]*v) / d1
+	}
+	if j < b {
+		for _, row := range [4][]float64{a0, a1, a2, a3} {
+			trsmElem(l, row, b, j)
+		}
+	}
+}
+
+// trsmElem solves element j of one row of a, the one-element loop.
+func trsmElem(l, row []float64, b, j int) {
+	lj := l[j*b : j*b+j]
+	x := row[:len(lj)]
+	s := row[j]
+	for k, v := range lj {
+		s -= x[k] * v
+	}
+	row[j] = s / l[j*b+j]
+}
+
+// Syrk updates a diagonal tile: C := C - A*A^T (lower part only). It
+// writes nothing above the diagonal.
 func Syrk(aTile, c []float64, b int) {
-	for i := 0; i < b; i++ {
-		for j := 0; j <= i; j++ {
-			s := 0.0
-			for k := 0; k < b; k++ {
-				s += aTile[i*b+k] * aTile[j*b+k]
+	i := 0
+	for ; i+4 <= b; i += 4 {
+		for j := 0; j < i; j += 2 {
+			update4x2(aTile, aTile, c, b, i, j)
+		}
+		for r := i; r < i+4; r++ {
+			for j := i; j <= r; j++ {
+				c[r*b+j] -= dot(aTile, aTile, b, r, j)
 			}
-			c[i*b+j] -= s
+		}
+	}
+	for ; i < b; i++ {
+		for j := 0; j <= i; j++ {
+			c[i*b+j] -= dot(aTile, aTile, b, i, j)
 		}
 	}
 }
 
 // Gemm updates an off-diagonal tile: C := C - A*B^T.
 func Gemm(aTile, bTile, c []float64, b int) {
-	for i := 0; i < b; i++ {
-		for j := 0; j < b; j++ {
-			s := 0.0
-			for k := 0; k < b; k++ {
-				s += aTile[i*b+k] * bTile[j*b+k]
+	i := 0
+	for ; i+4 <= b; i += 4 {
+		j := 0
+		for ; j+2 <= b; j += 2 {
+			update4x2(aTile, bTile, c, b, i, j)
+		}
+		if j < b {
+			for r := i; r < i+4; r++ {
+				c[r*b+j] -= dot(aTile, bTile, b, r, j)
 			}
-			c[i*b+j] -= s
 		}
 	}
+	for ; i < b; i++ {
+		for j := 0; j < b; j++ {
+			c[i*b+j] -= dot(aTile, bTile, b, i, j)
+		}
+	}
+}
+
+// update4x2 subtracts from c[i..i+3][j..j+1] the dot products of rows
+// i..i+3 of x with rows j, j+1 of y, each summed from 0.0 in ascending k.
+func update4x2(x, y, c []float64, b, i, j int) {
+	x0 := x[i*b : i*b+b]
+	x1 := x[(i+1)*b:][:len(x0)]
+	x2 := x[(i+2)*b:][:len(x0)]
+	x3 := x[(i+3)*b:][:len(x0)]
+	y0 := y[j*b:][:len(x0)]
+	y1 := y[(j+1)*b:][:len(x0)]
+	var s00, s01, s10, s11, s20, s21, s30, s31 float64
+	for k, u0 := range x0 {
+		u1, u2, u3 := x1[k], x2[k], x3[k]
+		v0, v1 := y0[k], y1[k]
+		s00 += u0 * v0
+		s01 += u0 * v1
+		s10 += u1 * v0
+		s11 += u1 * v1
+		s20 += u2 * v0
+		s21 += u2 * v1
+		s30 += u3 * v0
+		s31 += u3 * v1
+	}
+	c[i*b+j] -= s00
+	c[i*b+j+1] -= s01
+	c[(i+1)*b+j] -= s10
+	c[(i+1)*b+j+1] -= s11
+	c[(i+2)*b+j] -= s20
+	c[(i+2)*b+j+1] -= s21
+	c[(i+3)*b+j] -= s30
+	c[(i+3)*b+j+1] -= s31
+}
+
+// dot is the one-element loop: row i of x times row j of y, from 0.0.
+func dot(x, y []float64, b, i, j int) float64 {
+	xi := x[i*b : i*b+b]
+	yj := y[j*b:][:len(xi)]
+	s := 0.0
+	for k, u := range xi {
+		s += u * yj[k]
+	}
+	return s
 }
 
 // SerialFactor computes the tiled factorization in place (reference).
@@ -160,24 +312,41 @@ func SerialFactor(m *Matrix) error {
 }
 
 // Verify checks L*L^T ~= A0 on the lower part with relative tolerance.
+// Element (gi, gj) sums L[gi][k]*L[gj][k] over k <= gj from 0.0 in
+// ascending k, walking the two rows tile by tile.
 func Verify(a0, l *Matrix, tol float64) error {
 	t, b := l.T, l.B
-	n := t * b
-	get := func(m *Matrix, gi, gj int) float64 {
-		if gi < gj {
-			return 0
+	lt := make([][][]float64, t) // lt[i][j] is tile (i, j) of l
+	for i := range lt {
+		lt[i] = make([][]float64, i+1)
+		for j := range lt[i] {
+			lt[i][j] = l.Tile(i, j)
 		}
-		return m.Tile(gi/b, gj/b)[(gi%b)*b+(gj%b)]
 	}
-	for gi := 0; gi < n; gi++ {
-		for gj := 0; gj <= gi; gj++ {
-			s := 0.0
-			for k := 0; k <= gj; k++ {
-				s += get(l, gi, k) * get(l, gj, k)
-			}
-			want := get(a0, gi, gj)
-			if math.Abs(s-want) > tol*(1+math.Abs(want)) {
-				return fmt.Errorf("cholesky: L*L^T[%d,%d] = %v, want %v", gi, gj, s, want)
+	for ti := 0; ti < t; ti++ {
+		for r := 0; r < b; r++ {
+			for tj := 0; tj <= ti; tj++ {
+				want := a0.Tile(ti, tj)[r*b : r*b+b]
+				cmax := b
+				if tj == ti {
+					cmax = r + 1
+				}
+				for c := 0; c < cmax; c++ {
+					s := 0.0
+					for tk := 0; tk <= tj; tk++ {
+						lj := lt[tj][tk][c*b : c*b+b]
+						if tk == tj {
+							lj = lj[:c+1]
+						}
+						li := lt[ti][tk][r*b:][:len(lj)]
+						for k, v := range lj {
+							s += li[k] * v
+						}
+					}
+					if math.Abs(s-want[c]) > tol*(1+math.Abs(want[c])) {
+						return fmt.Errorf("cholesky: L*L^T[%d,%d] = %v, want %v", ti*b+r, tj*b+c, s, want[c])
+					}
+				}
 			}
 		}
 	}
