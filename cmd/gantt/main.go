@@ -76,7 +76,7 @@ func main() {
 				os.Exit(1)
 			}
 			defer f.Close()
-			if err := taskdep.WriteChromeTasks(f, res.Records); err != nil {
+			if err := taskdep.WriteChrome(f, res.Records, nil); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -116,7 +116,7 @@ func main() {
 				os.Exit(1)
 			}
 			defer f.Close()
-			if err := taskdep.WriteChromeTasks(f, recs); err != nil {
+			if err := taskdep.WriteChrome(f, recs, nil); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}

@@ -1,7 +1,7 @@
-// Command taskdeplint statically checks taskdep API usage: six
-// misuse rules plus the dep-coverage analysis that cross-checks each
-// Spec's declared In/Out/InOut/InOutSet keys against the effect set of
-// its body closure. The engine lives in internal/lint; this is the
+// Command taskdeplint statically checks taskdep API usage with ten
+// rules (taskdeplint -list): six misuse checks, the three dep-coverage
+// checks that cross-check each Spec's declared In/Out/InOut/InOutSet
+// keys against the effect set of its body closure, and unused-ignore. The engine lives in internal/lint; this is the
 // driver.
 //
 // Usage:

@@ -2,13 +2,13 @@ package fixtures
 
 import "taskdep"
 
-// Positive: buf is per-iteration (safe from loop-capture) but the
-// iteration reassigns it after the Submit; a fused body runs inline on
-// the finishing worker and may observe either value.
+// Positive: buf is per-iteration (no later iteration overwrites it)
+// but the iteration reassigns it after the Submit; the body may run at
+// once on the finishing worker and observe either value.
 func fusedCaptureReassign(rt *taskdep.Runtime, xs []int) {
 	for i := 0; i < len(xs); i++ {
 		buf := make([]int, 4)
-		rt.Submit(taskdep.Spec{ // want "fused-capture"
+		rt.Submit(taskdep.Spec{ // want "loop-capture"
 			Label: "bad",
 			Out:   []taskdep.Key{taskdep.Key(i)},
 			Body:  func(any) { _ = buf[0] },
@@ -22,7 +22,7 @@ func fusedCaptureReassign(rt *taskdep.Runtime, xs []int) {
 func fusedCaptureConditional(rt *taskdep.Runtime, xs []int) {
 	for i, x := range xs {
 		acc := x
-		rt.Submit(taskdep.Spec{ // want "fused-capture"
+		rt.Submit(taskdep.Spec{ // want "loop-capture"
 			Label: "bad",
 			Out:   []taskdep.Key{taskdep.Key(i)},
 			Body:  func(any) { _ = acc },

@@ -2,11 +2,11 @@ package fusedcapture
 
 import "taskdep"
 
-// Seeded defect: res is per-iteration (so the classic loop-capture rule
-// stays quiet) but the iteration keeps writing to it after the Submit.
-// With task fusion the finishing worker may execute the body inline
-// before, between, or after those writes and observe any of the three
-// values. Exactly one fused-capture at the Spec.
+// Seeded defect: res is per-iteration (no later iteration overwrites
+// it) but the iteration keeps writing to it after the Submit. The
+// finishing worker may execute the body at once, before, between, or
+// after those writes and observe any of the three values. Exactly one
+// loop-capture at the Spec.
 func pipeline(rt *taskdep.Runtime, xs []float64) {
 	for i := range xs {
 		res := xs[i]

@@ -29,10 +29,9 @@ func missingOutIndex(rt *taskdep.Runtime) {
 }
 
 // Positive: a write through another package's qualifier. The stub
-// importer cannot type it, the effect analysis gives up, and the
-// missing-out fallback carries the report.
+// importer cannot type it, but it is package-level state all the same.
 func missingOutCrossPackage(rt *taskdep.Runtime) {
-	rt.Submit(taskdep.Spec{ // want "missing-out"
+	rt.Submit(taskdep.Spec{ // want "undeclared-write"
 		Label: "cross",
 		Body:  func(any) { ext.Counter = 1 },
 	})

@@ -107,7 +107,7 @@ var hookSink int64
 // executes per task — against a disabled registry, minus an equivalent
 // control loop, best of several runs.
 func measureDisabledHookNs() float64 {
-	r := obs.New(2, obs.Options{Disable: true})
+	r := obs.New(2, time.Now(), obs.Options{Disable: true})
 	const n = 1 << 22
 	best := 0.0
 	for rep := 0; rep < 5; rep++ {

@@ -38,20 +38,22 @@ const DefaultTick = 50 * time.Microsecond
 // grain-0 drain's 112 ns/task. Precise mode reads the real clock on
 // every call, for tests and fine-grained attribution of long tasks.
 type Clock struct {
-	base    time.Time
+	origin  time.Time
 	cached  atomic.Int64
 	precise bool
 	stop    chan struct{}
 	done    chan struct{}
 }
 
-// NewClock starts a clock refreshed every DefaultTick; precise mode
-// starts no updater.
-func NewClock(precise bool) *Clock {
-	c := &Clock{base: time.Now(), precise: precise}
+// NewClock starts a clock of nanoseconds since origin, refreshed every
+// DefaultTick; precise mode starts no updater. A runtime passes the
+// origin its span registry measures from, so both read one time line.
+func NewClock(origin time.Time, precise bool) *Clock {
+	c := &Clock{origin: origin, precise: precise}
 	if precise {
 		return c
 	}
+	c.cached.Store(int64(time.Since(origin)))
 	c.stop = make(chan struct{})
 	c.done = make(chan struct{})
 	go c.run()
@@ -67,19 +69,19 @@ func (c *Clock) run() {
 		case <-tk.C:
 			// The stored value is always a precise reading; only the
 			// refresh frequency is coarse.
-			c.cached.Store(int64(time.Since(c.base)))
+			c.cached.Store(int64(time.Since(c.origin)))
 		case <-c.stop:
 			return
 		}
 	}
 }
 
-// Now returns monotonic nanoseconds since the clock started. Cached
+// Now returns monotonic nanoseconds since the origin. Cached
 // mode: one atomic load, value at most one tick old. Monotone
 // non-decreasing in both modes.
 func (c *Clock) Now() int64 {
 	if c.precise {
-		return int64(time.Since(c.base))
+		return int64(time.Since(c.origin))
 	}
 	return c.cached.Load()
 }

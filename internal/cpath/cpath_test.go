@@ -9,7 +9,7 @@ import (
 )
 
 func TestClockPrecise(t *testing.T) {
-	c := NewClock(true)
+	c := NewClock(time.Now(), true)
 	defer c.Stop()
 	if c.CachedRef() != nil {
 		t.Fatalf("precise clock exposed a cached cell")
@@ -31,13 +31,13 @@ func TestClockPrecise(t *testing.T) {
 }
 
 func TestClockCached(t *testing.T) {
-	c := NewClock(false)
+	c := NewClock(time.Now(), false)
 	ref := c.CachedRef()
 	if ref == nil {
 		t.Fatalf("cached clock returned a nil CachedRef")
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for c.Now() == 0 {
+	for first := c.Now(); c.Now() == first; {
 		if time.Now().After(deadline) {
 			t.Fatalf("cached clock never ticked")
 		}
@@ -141,7 +141,7 @@ func driveSerial(g *graph.Graph, p *Profiler, ready *[]*graph.Task, slot int, de
 // fold against the offline exact longest-path computation, plus the
 // report's structural invariants.
 func TestDiamondWindowMatchesExact(t *testing.T) {
-	p := New(2, nil, Options{Precise: true, Retain: true})
+	p := New(2, nil, time.Now(), Options{Precise: true, Retain: true})
 	defer p.Close()
 	var ready []*graph.Task
 	g := graph.NewWithConfig(graph.Config{
@@ -223,7 +223,7 @@ func TestDiamondWindowMatchesExact(t *testing.T) {
 // through the external slot without losing tasks.
 func TestChainPathTruncation(t *testing.T) {
 	const n, pathMax = 10, 4
-	p := New(2, nil, Options{Precise: true, PathMax: pathMax})
+	p := New(2, nil, time.Now(), Options{Precise: true, PathMax: pathMax})
 	defer p.Close()
 	var ready []*graph.Task
 	g := graph.NewWithConfig(graph.Config{

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
@@ -65,8 +66,9 @@ type Profiler struct {
 // workers+1, matching the obs registry layout). reg, when non-nil,
 // receives the taskdep_phase_* counter totals, flushed once per window
 // at EndWindow — the cold-point-flush discipline: the per-task hot path
-// touches only the owner's padded slot, never a shared counter.
-func New(nslots int, reg *obs.Registry, opt Options) *Profiler {
+// touches only the owner's padded slot, never a shared counter. Stamps
+// are nanoseconds since origin (see NewClock).
+func New(nslots int, reg *obs.Registry, origin time.Time, opt Options) *Profiler {
 	if nslots < 1 {
 		nslots = 1
 	}
@@ -74,7 +76,7 @@ func New(nslots int, reg *obs.Registry, opt Options) *Profiler {
 		opt.PathMax = 64
 	}
 	return &Profiler{
-		clock: NewClock(opt.Precise),
+		clock: NewClock(origin, opt.Precise),
 		reg:   reg,
 		opts:  opt,
 		slots: make([]pslot, nslots),

@@ -114,7 +114,6 @@ func (l *pkgLint) specSiteOf(sc *scopeCtx, lit *ast.CompositeLit) (specSite, boo
 		case "Body", "Do", "DetachedBody":
 			if fl, ok := kv.Value.(*ast.FuncLit); ok {
 				bodies = append(bodies, fl)
-				l.isTaskBody[fl] = true
 			}
 		case "Label":
 			if bl, ok := kv.Value.(*ast.BasicLit); ok {
@@ -127,19 +126,12 @@ func (l *pkgLint) specSiteOf(sc *scopeCtx, lit *ast.CompositeLit) (specSite, boo
 	}
 	site.keys = sc.resolveSpecKeys(lit)
 	eff := &effects{}
-	adequate := l.info != nil && l.pkg != nil
 	for _, fl := range bodies {
 		e := l.collectEffects(sc, fl)
 		eff.list = append(eff.list, e.list...)
 		eff.opaque = eff.opaque || e.opaque
-		eff.incomplete = eff.incomplete || e.incomplete
 	}
 	site.eff = eff
-	if adequate && !eff.incomplete {
-		// Effect analysis succeeded: missing-out defers to
-		// undeclared-write for this literal.
-		l.analyzed[lit] = true
-	}
 	return site, true
 }
 
@@ -230,7 +222,7 @@ func siblingEvidence(group []specSite, self int, a access, writersOnly bool) boo
 }
 
 func (l *pkgLint) checkUndeclaredWrite(site *specSite, group []specSite, self int, convOnly bool) {
-	if !l.on(RuleUndeclaredWrite) || site.eff.incomplete {
+	if !l.on(RuleUndeclaredWrite) {
 		return
 	}
 	own := &site.keys
@@ -300,7 +292,7 @@ func (l *pkgLint) checkUndeclaredWrite(site *specSite, group []specSite, self in
 }
 
 func (l *pkgLint) checkUndeclaredRead(site *specSite, group []specSite, self int) {
-	if !l.on(RuleUndeclaredRead) || site.eff.incomplete {
+	if !l.on(RuleUndeclaredRead) {
 		return
 	}
 	own := &site.keys
@@ -335,7 +327,7 @@ func (l *pkgLint) checkStaleDep(site *specSite) {
 		return
 	}
 	eff := site.eff
-	if eff.opaque || eff.incomplete || len(eff.list) == 0 {
+	if eff.opaque || len(eff.list) == 0 {
 		return
 	}
 	if site.keys.wild {

@@ -12,27 +12,22 @@
 //
 // # Rule catalogue
 //
-//	loop-capture      Spec body captures a loop variable mutated by later
-//	                  iterations (pre-1.22 semantics, or captured index
-//	                  reused after the loop).
-//	fused-capture     Spec body captures a loop-local variable the same
-//	                  iteration reassigns after the Spec is built; the
-//	                  depth-first hand-over may run the body inline on
-//	                  the finishing worker before or after that write,
-//	                  and it observes either value.
+//	loop-capture      Spec body captures a variable an enclosing loop
+//	                  writes while the body can still run: declared
+//	                  outside the loop and written anywhere in it, or
+//	                  declared inside and written after the Spec is
+//	                  built (the depth-first hand-over may run the body
+//	                  at once, before or after that write).
 //	use-after-close   Submit/Taskwait/Persistent/Record/Replay after Close
 //	                  on the same runtime variable in one function.
 //	fulfill-nil-event Fulfill on the Submit result of a non-Detached Spec
 //	                  (Submit returns a nil *Event for those).
-//	missing-out       body writes package-level state with no writer keys,
-//	                  reported only when type info was too incomplete for
-//	                  the effect analysis (dep-coverage subsumes it
-//	                  otherwise).
 //	dropped-error     a Do closure discards a call result with _ while
 //	                  every return is `return nil`.
 //	span-no-end       a BeginSpan result never End()ed on some path.
 //	undeclared-write  the body mutates shared captured state covered by no
-//	                  Out/InOut/InOutSet key.
+//	                  Out/InOut/InOutSet key; package-level state of this
+//	                  or another package counts without further evidence.
 //	undeclared-read   the body reads indexed state a sibling task declares
 //	                  it writes, with no connecting key.
 //	stale-dep         a declared indexed key matching nothing the body

@@ -55,15 +55,14 @@ type access struct {
 	path     string   // rendered base path, e.g. "m.Tile", "table"
 	idx      []string // normalized index/argument expressions along the path
 	at       token.Pos
-	pkgLevel bool // rooted at a package-level variable of the linted package
+	pkgLevel bool // rooted at a package-level variable, of this package or another
 	mutRoot  bool // the root variable's type can alias shared state
 }
 
 // effects is the computed effect set of one closure.
 type effects struct {
-	list       []access
-	opaque     bool // an unresolvable mutation of captured state exists
-	incomplete bool // type info too weak to trust the set (cross-package state writes)
+	list   []access
+	opaque bool // an unresolvable mutation of captured state exists
 }
 
 // pathInfo is the symbolic resolution of an access expression.
@@ -310,10 +309,13 @@ func mutableType(t types.Type) bool {
 
 func (ec *effectCollector) add(kind accessKind, p pathInfo, at token.Pos) {
 	if p.pkgQual {
-		// State of another package: type info cannot classify it, so
-		// the effect set is not trustworthy for write checking.
+		// State of another package is package-level by definition. The
+		// stub importer cannot type it, so it may alias (mutRoot).
+		// Reads of it order against nothing the linted code declares.
 		if kind != accRead {
-			ec.eff.incomplete = true
+			ec.eff.list = append(ec.eff.list, access{
+				kind: kind, path: p.path, idx: p.idx, at: at, pkgLevel: true, mutRoot: true,
+			})
 		}
 		return
 	}

@@ -39,10 +39,8 @@ func (f Finding) String() string {
 // ignore comments refer to these names.
 const (
 	RuleLoopCapture       = "loop-capture"
-	RuleFusedCapture      = "fused-capture"
 	RuleUseAfterClose     = "use-after-close"
 	RuleFulfillNil        = "fulfill-nil-event"
-	RuleMissingOut        = "missing-out"
 	RuleDroppedError      = "dropped-error"
 	RuleSpanNoEnd         = "span-no-end"
 	RuleUndeclaredWrite   = "undeclared-write"
@@ -61,11 +59,9 @@ type RuleInfo struct {
 // Rules returns the registry in stable order.
 func Rules() []RuleInfo {
 	return []RuleInfo{
-		{RuleLoopCapture, "a Spec Body/DetachedBody closure captures a variable the enclosing loop mutates; the body runs concurrently with later iterations"},
-		{RuleFusedCapture, "a Spec body closure captures a loop-local variable the same iteration reassigns after the Spec is built; a fused body may run inline before or after that write and observe either value"},
+		{RuleLoopCapture, "a Spec body closure captures a variable an enclosing loop writes while the body can still run: declared outside the loop and written in it, or declared inside and written after the Spec is built"},
 		{RuleUseAfterClose, "Submit/Taskwait/Persistent/Record/Replay on a runtime after Close() in the same function"},
 		{RuleFulfillNil, "Fulfill on the result of a Submit whose Spec is not Detached (Submit returns nil)"},
-		{RuleMissingOut, "a Spec whose body writes package-level state but declares no Out/InOut/InOutSet keys, when type information is too incomplete for effect analysis"},
 		{RuleDroppedError, "a Spec Do closure that blank-discards a call result while every return is `return nil` — the task can never fail"},
 		{RuleSpanNoEnd, "a BeginSpan result that is never End()ed, or leaks past an early return with no deferred End"},
 		{RuleUndeclaredWrite, "the task body mutates shared captured state reachable from no declared Out/InOut/InOutSet key — a latent race the dynamic verifier may never see"},
@@ -366,9 +362,7 @@ func parseIgnores(fset *token.FileSet, f *ast.File) map[int]*ignoreDirective {
 // type errors) and returns its findings with suppression applied and
 // unused-ignore findings appended.
 func lintPackage(fset *token.FileSet, files []*ast.File, info *types.Info, pkg *types.Package, enabled map[string]bool, restricted bool) []Finding {
-	l := &pkgLint{fset: fset, info: info, pkg: pkg, enabled: enabled,
-		analyzed:   map[*ast.CompositeLit]bool{},
-		isTaskBody: map[*ast.FuncLit]bool{}}
+	l := &pkgLint{fset: fset, info: info, pkg: pkg, enabled: enabled}
 	for _, f := range files {
 		l.lintFile(f, restricted)
 	}
@@ -376,13 +370,11 @@ func lintPackage(fset *token.FileSet, files []*ast.File, info *types.Info, pkg *
 }
 
 type pkgLint struct {
-	fset       *token.FileSet
-	info       *types.Info
-	pkg        *types.Package
-	enabled    map[string]bool
-	analyzed   map[*ast.CompositeLit]bool // dep-coverage ran with adequate type info
-	isTaskBody map[*ast.FuncLit]bool      // FuncLits that are Spec Body/Do/DetachedBody values
-	finds      []Finding
+	fset    *token.FileSet
+	info    *types.Info
+	pkg     *types.Package
+	enabled map[string]bool
+	finds   []Finding
 }
 
 func (l *pkgLint) on(rule string) bool { return l.enabled[rule] }
@@ -402,9 +394,7 @@ func (l *pkgLint) lintFile(f *ast.File, restricted bool) {
 	ignores := parseIgnores(l.fset, f)
 	before := len(l.finds)
 
-	// Dep-coverage runs first: it records which Spec literals had
-	// adequate type information, and missing-out demotes itself for
-	// those (the effect analysis subsumes it).
+	// Dep-coverage cross-checks, one scope per function body.
 	for _, decl := range f.Decls {
 		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 			l.depCoverageScope(nil, fd.Body)
@@ -420,8 +410,6 @@ func (l *pkgLint) lintFile(f *ast.File, restricted bool) {
 		}
 		if lit, ok := n.(*ast.CompositeLit); ok && isSpecLit(lit) {
 			l.checkLoopCapture(lit, stack)
-			l.checkFusedCapture(lit, stack)
-			l.checkMissingOut(lit)
 			l.checkDroppedError(lit)
 		}
 		stack = append(stack, n)

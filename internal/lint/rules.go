@@ -1,6 +1,6 @@
 package lint
 
-// rules.go implements the six original taskdep API-misuse rules over
+// rules.go implements the taskdep API-misuse rules over
 // go/ast + go/types. Type information is best-effort: imports resolve
 // through a stub importer (no module loading, no new dependencies),
 // which is enough for the rules here — they need object identity and
@@ -77,11 +77,15 @@ func (l *pkgLint) varOf(id *ast.Ident) *types.Var {
 
 // --- rule: loop-capture ---
 
-// checkLoopCapture flags Body/DetachedBody closures that capture a
-// variable mutated by an enclosing loop. Go 1.22 made loop-declared
-// variables per-iteration, so the dangerous remainder is precisely a
-// variable declared OUTSIDE the loop and assigned inside it: the task
-// body runs concurrently with later iterations overwriting it.
+// checkLoopCapture flags Body/Do/DetachedBody closures that capture a
+// variable an enclosing loop writes while the body can still run. Go
+// 1.22 made loop-declared variables per-iteration, so two shapes are
+// left. A variable declared OUTSIDE the loop and written anywhere in
+// it: the body runs concurrently with later iterations overwriting it.
+// A variable declared INSIDE the loop and written after the Spec is
+// built: the runtime may run the body at any point after submission
+// (the executor's depth-first hand-over often runs it at once on the
+// finishing worker), so it observes either value.
 func (l *pkgLint) checkLoopCapture(lit *ast.CompositeLit, stack []ast.Node) {
 	if !l.on(RuleLoopCapture) {
 		return
@@ -100,15 +104,24 @@ func (l *pkgLint) checkLoopCapture(lit *ast.CompositeLit, stack []ast.Node) {
 				default:
 					continue
 				}
-				if obj.Pos() >= loop.Pos() && obj.Pos() < loop.End() {
-					continue // declared inside the loop: per-iteration since Go 1.22
+				local := obj.Pos() >= loop.Pos() && obj.Pos() < loop.End()
+				after := token.NoPos
+				if local {
+					after = lit.End()
 				}
-				if l.mutatedIn(loop, obj, fn) {
+				if !l.mutatedIn(loop, obj, after, fn) {
+					continue
+				}
+				if local {
+					l.report(lit.Pos(), RuleLoopCapture,
+						"task %s captures loop-local %q, which the iteration reassigns after the Spec is built; the body may run before or after that write and observe either value — finish the writes first, or copy the value",
+						name, obj.Name())
+				} else {
 					l.report(lit.Pos(), RuleLoopCapture,
 						"task %s captures %q, which the enclosing loop mutates; the body runs concurrently with later iterations (copy it into a loop-local first)",
 						name, obj.Name())
-					break
 				}
+				break
 			}
 		}
 	}
@@ -139,10 +152,18 @@ func (l *pkgLint) capturedVars(fn *ast.FuncLit) []*types.Var {
 	return out
 }
 
-// mutatedIn reports whether obj is assigned anywhere in the loop node,
-// excluding the submitted closure itself.
-func (l *pkgLint) mutatedIn(loop ast.Node, obj *types.Var, exclude *ast.FuncLit) bool {
+// mutatedIn reports whether obj is assigned in the loop node at a
+// source position after `after` (token.NoPos: anywhere), excluding the
+// submitted closure itself. Loop-header post statements (i++) sit
+// before the body in source order, so a per-iteration index written
+// only there never counts as written after the Spec.
+func (l *pkgLint) mutatedIn(loop ast.Node, obj *types.Var, after token.Pos, exclude *ast.FuncLit) bool {
 	found := false
+	hit := func(e ast.Expr) {
+		if id, ok := e.(*ast.Ident); ok && l.varOf(id) == obj && id.Pos() > after {
+			found = true
+		}
+	}
 	ast.Inspect(loop, func(n ast.Node) bool {
 		if found || n == exclude {
 			return false
@@ -153,175 +174,19 @@ func (l *pkgLint) mutatedIn(loop ast.Node, obj *types.Var, exclude *ast.FuncLit)
 				return true // := declares new objects, never mutates obj
 			}
 			for _, lhs := range s.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && l.varOf(id) == obj {
-					found = true
-				}
+				hit(lhs)
 			}
 		case *ast.IncDecStmt:
-			if id, ok := s.X.(*ast.Ident); ok && l.varOf(id) == obj {
-				found = true
-			}
+			hit(s.X)
 		case *ast.RangeStmt:
 			if s.Tok == token.ASSIGN {
-				for _, e := range []ast.Expr{s.Key, s.Value} {
-					if id, ok := e.(*ast.Ident); ok && l.varOf(id) == obj {
-						found = true
-					}
-				}
+				hit(s.Key)
+				hit(s.Value)
 			}
 		}
 		return !found
 	})
 	return found
-}
-
-// --- rule: fused-capture ---
-
-// checkFusedCapture flags Body/Do/DetachedBody closures that capture a
-// loop-LOCAL variable the same iteration reassigns after the Spec is
-// built. Per-iteration variables are immune to the classic loop-capture
-// hazard, but a write that follows the Submit still races with the
-// body: the runtime may execute it at any point after submission — and
-// the executor's always-on depth-first hand-over (a finisher keeps the
-// successor it released) makes "inline on the finishing worker, right
-// after Submit" a common schedule — so the closure observes either the pre- or
-// post-write value nondeterministically. A batch-submitted Spec is no
-// better off: there the body always sees the final value, which the
-// capture-at-build-time shape suggests the author did not intend.
-func (l *pkgLint) checkFusedCapture(lit *ast.CompositeLit, stack []ast.Node) {
-	if !l.on(RuleFusedCapture) {
-		return
-	}
-	fields := specFields(lit)
-	for _, name := range []string{"Body", "Do", "DetachedBody"} {
-		fn, ok := fields[name].(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		for _, obj := range l.capturedVars(fn) {
-			for i := len(stack) - 1; i >= 0; i-- {
-				loop := stack[i]
-				switch loop.(type) {
-				case *ast.ForStmt, *ast.RangeStmt:
-				default:
-					continue
-				}
-				if obj.Pos() < loop.Pos() || obj.Pos() >= loop.End() {
-					continue // declared outside: loop-capture territory
-				}
-				if l.mutatedAfter(loop, obj, lit.End(), fn) {
-					l.report(lit.Pos(), RuleFusedCapture,
-						"task %s captures loop-local %q, which the iteration reassigns after the Spec is built; the body may run (inline, when fused) before or after that write and observe either value — finish the writes first, or copy the value",
-						name, obj.Name())
-					break
-				}
-			}
-		}
-	}
-}
-
-// mutatedAfter reports whether obj is assigned at a source position
-// after `after` within the loop node, excluding the submitted closure
-// itself. Loop-header post statements (i++) sit before the body in
-// source order, so a per-iteration index never trips this.
-func (l *pkgLint) mutatedAfter(loop ast.Node, obj *types.Var, after token.Pos, exclude *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(loop, func(n ast.Node) bool {
-		if found || n == exclude {
-			return false
-		}
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			if s.Tok == token.DEFINE {
-				return true // := declares new objects, never mutates obj
-			}
-			for _, lhs := range s.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && l.varOf(id) == obj && id.Pos() > after {
-					found = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if id, ok := s.X.(*ast.Ident); ok && l.varOf(id) == obj && id.Pos() > after {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// --- rule: missing-out ---
-
-// checkMissingOut flags a Spec whose Body writes package-level state
-// while declaring no writer dependence: two such tasks (or the task and
-// any reader) race with nothing ordering them.
-//
-// The rule is demoted to a fallback: when dep-coverage analyzed the
-// same literal with adequate type information, its undeclared-write
-// check subsumes this one (with symbolic index precision), so
-// missing-out only fires for literals the effect analysis had to give
-// up on.
-func (l *pkgLint) checkMissingOut(lit *ast.CompositeLit) {
-	if !l.on(RuleMissingOut) {
-		return
-	}
-	if l.analyzed[lit] && l.on(RuleUndeclaredWrite) {
-		return
-	}
-	fields := specFields(lit)
-	fn, ok := fields["Body"].(*ast.FuncLit)
-	if !ok {
-		fn, ok = fields["Do"].(*ast.FuncLit)
-	}
-	if !ok {
-		return
-	}
-	if fields["Out"] != nil || fields["InOut"] != nil || fields["InOutSet"] != nil {
-		return
-	}
-	var flagged map[string]bool
-	check := func(e ast.Expr) {
-		root := rootIdent(e)
-		if root == nil {
-			return
-		}
-		name := ""
-		if pn, ok := l.objOf(root).(*types.PkgName); ok {
-			// Write through a selector rooted at an imported package:
-			// package-level state of another package.
-			name = pn.Name() + ".…"
-			if sel, ok := e.(*ast.SelectorExpr); ok {
-				name = pn.Name() + "." + sel.Sel.Name
-			}
-		} else if v := l.varOf(root); v != nil && l.pkg != nil && v.Parent() == l.pkg.Scope() {
-			name = v.Name()
-		} else {
-			return
-		}
-		if flagged[name] {
-			return
-		}
-		if flagged == nil {
-			flagged = map[string]bool{}
-		}
-		flagged[name] = true
-		l.report(lit.Pos(), RuleMissingOut,
-			"task body writes package-level %s but the Spec declares no Out/InOut/InOutSet keys — nothing orders this write against other tasks", name)
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			if s.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range s.Lhs {
-				check(lhs)
-			}
-		case *ast.IncDecStmt:
-			check(s.X)
-		}
-		return true
-	})
 }
 
 // --- rule: dropped-error ---

@@ -333,7 +333,7 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("mpi: rank %d out of world size %d", rank, w.size))
 	}
-	return &Comm{world: w, rank: rank, collSeq: &w.collSeqs[rank], clock: func() float64 { return 0 }}
+	return &Comm{world: w, rank: rank, collSeq: &w.collSeqs[rank]}
 }
 
 // Comm is one rank's endpoint. A Comm must be used by one goroutine for
@@ -361,11 +361,15 @@ func (c *Comm) Size() int { return c.world.size }
 func (c *Comm) Abort(cause error) { c.world.Abort(cause) }
 
 // SetProfile attaches a PMPI-style profiler: every send/collective post
-// and completion is recorded with the given clock.
+// and completion is recorded with clock, or with the profile's own
+// clock (Profile.Now) when clock is nil — the one a runtime given the
+// same profile stamps its task records with, so requests and task boxes
+// share a time origin.
 func (c *Comm) SetProfile(p *trace.Profile, clock func() float64) {
 	c.profile = p
-	if clock != nil {
-		c.clock = clock
+	c.clock = clock
+	if clock == nil && p != nil {
+		c.clock = p.Now
 	}
 }
 

@@ -3,43 +3,33 @@ package obs
 import (
 	"encoding/json"
 	"io"
+
+	"taskdep/internal/trace"
 )
 
 // chromeEvent is one entry in the Chrome trace-event JSON format
 // (the "JSON Array Format" with a traceEvents wrapper), which Perfetto
-// and chrome://tracing both load. Timestamps are microseconds.
+// and chrome://tracing both load. Timestamps and durations are
+// microseconds.
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant scope
-	Args map[string]any `json:"args,omitempty"`
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"`
+	Dur  float64 `json:"dur"`
+	Pid  int     `json:"pid"`
+	Tid  int     `json:"tid"`
+	S    string  `json:"s,omitempty"` // instant scope
+	// Cname is the catapult reserved color name; "terrible" renders
+	// red, making the critical-path chain pop out of the timeline.
+	Cname string         `json:"cname,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
 }
 
 type chromeTrace struct {
 	TraceEvents     []chromeEvent     `json:"traceEvents"`
 	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	Meta            map[string]string `json:"metadata,omitempty"`
-}
-
-func chromeArgs(ev SpanEvent) map[string]any {
-	args := map[string]any{}
-	if ev.TaskID != 0 {
-		args["task"] = ev.TaskID
-	}
-	if ev.KeyHash != 0 {
-		args["keys"] = ev.KeyHash
-	}
-	if ev.Iter != 0 {
-		args["iter"] = ev.Iter
-	}
-	if len(args) == 0 {
-		return nil
-	}
-	return args
+	Meta            map[string]string `json:"otherData"`
 }
 
 func spanCat(n SpanName) string {
@@ -54,45 +44,58 @@ func spanCat(n SpanName) string {
 	return "exec"
 }
 
-// WriteChromeTrace writes events as Chrome trace-event JSON. Complete
-// spans become matched B/E pairs on (pid 1, tid = slot); instants
-// become thread-scoped "i" events. Events must be pre-sorted by start
-// time (DrainSpans/SnapshotSpans return them sorted); E events are
-// emitted immediately after their B, which Perfetto accepts because
-// nesting is reconstructed per-tid from timestamps.
-func WriteChromeTrace(w io.Writer, events []SpanEvent) error {
+// WriteChrome writes profile task records and span events as one
+// Chrome trace-event document on pid 1, tid = worker slot. A record
+// (Profile.Tasks, the Gantt input) becomes a complete "X" event named
+// by its label, with task_id and iter args; a critical-path record
+// (see trace.MarkCritical) is colored red and tagged "critical" so
+// Perfetto can both show and filter the span-defining chain. A span
+// becomes an "X" event too, an instant a thread-scoped "i" event. A
+// runtime stamps both from its one time origin, so a task's body span
+// nests inside its record on the same lane.
+func WriteChrome(w io.Writer, tasks []trace.TaskRecord, spans []SpanEvent) error {
 	out := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, 2*len(events)),
+		TraceEvents:     make([]chromeEvent, 0, len(tasks)+len(spans)),
 		DisplayTimeUnit: "ns",
-		Meta:            map[string]string{"source": "taskdep/internal/obs"},
+		Meta:            map[string]string{"source": "taskdep"},
 	}
-	for _, ev := range events {
-		base := chromeEvent{
-			Name: ev.Name.String(),
-			Cat:  spanCat(ev.Name),
-			Ts:   float64(ev.StartNs) / 1e3,
-			Pid:  1,
-			Tid:  ev.Slot,
-			Args: chromeArgs(ev),
+	for _, t := range tasks {
+		ev := chromeEvent{
+			Name: t.Label, Cat: "task", Ph: "X",
+			Ts: t.Start * 1e6, Dur: (t.End - t.Start) * 1e6,
+			Pid: 1, Tid: t.Worker,
+			Args: map[string]any{"task_id": t.TaskID, "iter": t.Iter},
 		}
-		if ev.Kind == 'i' {
-			base.Ph = "i"
-			base.S = "t"
-			out.TraceEvents = append(out.TraceEvents, base)
-			continue
+		if ev.Name == "" {
+			ev.Name = "task"
 		}
-		b := base
-		b.Ph = "B"
-		e := chromeEvent{
-			Name: base.Name,
-			Cat:  base.Cat,
-			Ph:   "E",
-			Ts:   float64(ev.EndNs) / 1e3,
-			Pid:  1,
-			Tid:  ev.Slot,
+		if t.Critical {
+			ev.Cat = "task,critical"
+			ev.Cname = "terrible"
+			ev.Args["critical_path"] = true
 		}
-		out.TraceEvents = append(out.TraceEvents, b, e)
+		out.TraceEvents = append(out.TraceEvents, ev)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	for _, sp := range spans {
+		ev := chromeEvent{
+			Name: sp.Name.String(), Cat: spanCat(sp.Name), Ph: "X",
+			Ts: float64(sp.StartNs) / 1e3, Dur: float64(sp.EndNs-sp.StartNs) / 1e3,
+			Pid: 1, Tid: sp.Slot,
+			Args: map[string]any{},
+		}
+		if sp.Kind == 'i' {
+			ev.Ph, ev.S = "i", "t"
+		}
+		if sp.TaskID != 0 {
+			ev.Args["task_id"] = sp.TaskID
+		}
+		if sp.KeyHash != 0 {
+			ev.Args["keys"] = sp.KeyHash
+		}
+		if sp.Iter != 0 {
+			ev.Args["iter"] = sp.Iter
+		}
+		out.TraceEvents = append(out.TraceEvents, ev)
+	}
+	return json.NewEncoder(w).Encode(out)
 }

@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"taskdep/internal/trace"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -21,12 +24,19 @@ func goldenEvents() []SpanEvent {
 	}
 }
 
+func goldenTasks() []trace.TaskRecord {
+	return []trace.TaskRecord{
+		{TaskID: 1, Label: "potrf", Worker: 0, Iter: 0, Start: 0.5, End: 0.75},
+		{TaskID: 2, Label: "", Worker: 1, Iter: 2, Start: 0.625, End: 0.6875, Critical: true},
+	}
+}
+
 // TestChromeGolden locks the Chrome trace-event export format: the
-// output must match the committed golden file byte-for-byte, parse as
-// valid JSON, and contain a matched E for every B per (pid, tid).
+// output must match the committed golden file byte-for-byte and pass
+// the loadability checks.
 func TestChromeGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, goldenEvents()); err != nil {
+	if err := WriteChrome(&buf, goldenTasks(), goldenEvents()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_golden.json")
@@ -45,68 +55,88 @@ func TestChromeGolden(t *testing.T) {
 	validateChromeTrace(t, want)
 }
 
+type chromeDoc struct {
+	TraceEvents []struct {
+		Name  string         `json:"name"`
+		Cat   string         `json:"cat"`
+		Ph    string         `json:"ph"`
+		Ts    float64        `json:"ts"`
+		Dur   *float64       `json:"dur"`
+		Pid   int            `json:"pid"`
+		Tid   int            `json:"tid"`
+		S     string         `json:"s"`
+		Cname string         `json:"cname"`
+		Args  map[string]any `json:"args"`
+	} `json:"traceEvents"`
+}
+
 // validateChromeTrace checks that data is a valid Chrome trace-event
-// JSON document with balanced, well-ordered B/E pairs on every thread
-// lane — the loadability contract Perfetto relies on.
-func validateChromeTrace(t *testing.T, data []byte) {
+// JSON document of complete events with a non-negative duration and
+// thread-scoped instants — the loadability contract Perfetto relies on.
+func validateChromeTrace(t *testing.T, data []byte) chromeDoc {
 	t.Helper()
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Cat  string  `json:"cat"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Pid  int     `json:"pid"`
-			Tid  int     `json:"tid"`
-		} `json:"traceEvents"`
-	}
+	var doc chromeDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("chrome export is not valid JSON: %v", err)
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("chrome export has no events")
 	}
-	type lane struct{ pid, tid int }
-	type open struct {
-		name string
-		ts   float64
-	}
-	stacks := map[lane][]open{}
 	for i, ev := range doc.TraceEvents {
-		l := lane{ev.Pid, ev.Tid}
+		if ev.Pid != 1 || ev.Ts < 0 {
+			t.Fatalf("event %d: pid %d, ts %g", i, ev.Pid, ev.Ts)
+		}
 		switch ev.Ph {
-		case "B":
-			stacks[l] = append(stacks[l], open{ev.Name, ev.Ts})
-		case "E":
-			st := stacks[l]
-			if len(st) == 0 {
-				t.Fatalf("event %d: E %q on %v without open B", i, ev.Name, l)
+		case "X":
+			if ev.Dur == nil || *ev.Dur < 0 {
+				t.Fatalf("event %d: complete event %q without a non-negative dur", i, ev.Name)
 			}
-			top := st[len(st)-1]
-			if top.name != ev.Name {
-				t.Fatalf("event %d: E %q does not match open B %q", i, ev.Name, top.name)
-			}
-			if ev.Ts < top.ts {
-				t.Fatalf("event %d: E at %g before its B at %g", i, ev.Ts, top.ts)
-			}
-			stacks[l] = st[:len(st)-1]
 		case "i":
-			// instants carry no pairing
+			if ev.S != "t" {
+				t.Fatalf("event %d: instant %q has scope %q, want t", i, ev.Name, ev.S)
+			}
 		default:
 			t.Fatalf("event %d: unexpected phase %q", i, ev.Ph)
 		}
 	}
-	for l, st := range stacks {
-		if len(st) != 0 {
-			t.Fatalf("lane %v has %d unclosed B events", l, len(st))
-		}
+	return doc
+}
+
+// TestChromeTaskRecords checks the task-record half of the export: a
+// record's label names its event, its worker is the tid, its ID and
+// iteration are args, and a critical record carries the critical
+// category and the red cname; an unlabeled record is named "task".
+func TestChromeTaskRecords(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, goldenTasks(), nil); err != nil {
+		t.Fatal(err)
+	}
+	doc := validateChromeTrace(t, buf.Bytes())
+	if len(doc.TraceEvents) != 2 {
+		t.Fatalf("%d events for 2 records", len(doc.TraceEvents))
+	}
+	plain, crit := doc.TraceEvents[0], doc.TraceEvents[1]
+	if plain.Name != "potrf" || plain.Cat != "task" || plain.Ph != "X" || plain.Tid != 0 || plain.Cname != "" {
+		t.Errorf("plain record exported as %+v", plain)
+	}
+	if plain.Ts != 500000 || *plain.Dur != 250000 {
+		t.Errorf("plain record at ts %g dur %g µs, want 500000 and 250000", plain.Ts, *plain.Dur)
+	}
+	if plain.Args["task_id"] != 1.0 || plain.Args["iter"] != 0.0 || plain.Args["critical_path"] != nil {
+		t.Errorf("plain record args %v", plain.Args)
+	}
+	if crit.Name != "task" || crit.Tid != 1 || crit.Cat != "task,critical" || crit.Cname != "terrible" {
+		t.Errorf("critical record exported as %+v", crit)
+	}
+	if crit.Args["task_id"] != 2.0 || crit.Args["iter"] != 2.0 || crit.Args["critical_path"] != true {
+		t.Errorf("critical record args %v", crit.Args)
 	}
 }
 
 // TestChromeFromRegistry round-trips live registry events through the
 // exporter and the validator: what the runtime records is loadable.
 func TestChromeFromRegistry(t *testing.T) {
-	r := New(2, Options{Spans: true})
+	r := New(2, time.Now(), Options{Spans: true})
 	for i := 0; i < 5; i++ {
 		sp := r.BeginSpan(i%2, SpanTaskBody, int64(i), uint64(i), 0)
 		sp.End()
@@ -115,7 +145,7 @@ func TestChromeFromRegistry(t *testing.T) {
 	sp := r.BeginSpan(2, SpanTaskwait, 0, 0, 0)
 	sp.End()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, r.DrainSpans()); err != nil {
+	if err := WriteChrome(&buf, nil, r.DrainSpans()); err != nil {
 		t.Fatal(err)
 	}
 	validateChromeTrace(t, buf.Bytes())

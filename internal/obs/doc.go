@@ -105,12 +105,16 @@
 //
 // # Spans
 //
-// Span events (begin/end pairs and instants carrying task ID, key-set
+// Span events (complete spans and instants carrying task ID, key-set
 // hash and iteration) cover discovery batches, task bodies, replay
 // copies, taskwait/close windows and poison-cone drains. They are
-// recorded into fixed-capacity per-slot rings (wraparound keeps the
-// newest events) and drained as Chrome trace-event JSON — load the
-// /spans output, or WriteChromeTrace's, in Perfetto (ui.perfetto.dev).
+// stamped in nanoseconds since the origin New is given (a runtime
+// passes its profile's epoch, so spans share the task records' time
+// line), recorded into fixed-capacity per-slot rings allocated only
+// when spans are on (wraparound keeps the newest events), and written
+// by WriteChrome — the one Chrome trace-event writer, for spans and
+// profile task records alike. Load the /spans output in Perfetto
+// (ui.perfetto.dev).
 //
 // # Endpoint
 //

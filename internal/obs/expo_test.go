@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 var metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
@@ -29,7 +30,7 @@ func familyOf(name string, types map[string]string) string {
 // family contiguous, and every sample value parseable. It also pins
 // the presence of the four critical-path phase series.
 func TestPrometheusExpositionConformance(t *testing.T) {
-	r := New(4, Options{})
+	r := New(4, time.Now(), Options{})
 	// Populate a little of everything, including the registered-callback
 	// series paths.
 	r.IncSlot(0, CTasksSubmitted)

@@ -203,7 +203,8 @@ type Options struct {
 	// spans). Every hook then costs only a flag check.
 	Disable bool
 	// Spans enables the timing tier: span tracing plus latency
-	// histograms. Off by default because it takes timestamps.
+	// histograms. Off by default because it takes timestamps; the span
+	// rings are allocated only when it is on.
 	Spans bool
 	// SpanSample records 1 in SpanSample task-body and replay-copy
 	// spans (coarse spans — batches, taskwait — are always recorded
@@ -245,13 +246,13 @@ type namedCounter struct {
 type Registry struct {
 	on     bool // metrics tier
 	timing bool // spans + histograms tier
-	start  time.Time
+	origin time.Time
 
 	shards []shard // nSlots owner shards + 1 trailing external shard
 	ext    *shard  // == &shards[len-1]; multi-writer, real atomic adds
 
 	sampleMask uint64 // span sampling modulus (power of two) minus one
-	rings      []ring // nSlots owner rings + 1 external ring
+	rings      []ring // nSlots owner rings + 1 external ring; nil with spans off
 	extMu      sync.Mutex
 	drain      sync.Mutex // serializes span readers
 
@@ -262,8 +263,10 @@ type Registry struct {
 
 // New creates a registry with slots owner shards (callers pass
 // workers+1: worker slots 0..W-1 plus the producer slot W) and one
-// external shard for everything else.
-func New(slots int, opt Options) *Registry {
+// external shard for everything else. Span and histogram timestamps are
+// nanoseconds since origin; the span rings are allocated only when
+// opt.Spans is on.
+func New(slots int, origin time.Time, opt Options) *Registry {
 	if slots < 1 {
 		slots = 1
 	}
@@ -279,14 +282,16 @@ func New(slots int, opt Options) *Registry {
 	r := &Registry{
 		on:         !opt.Disable,
 		timing:     !opt.Disable && opt.Spans,
-		start:      time.Now(),
+		origin:     origin,
 		shards:     make([]shard, slots+1),
 		sampleMask: uint64(ceilPow2(sample)) - 1,
-		rings:      make([]ring, slots+1),
 	}
 	r.ext = &r.shards[slots]
-	for i := range r.rings {
-		r.rings[i].ev = make([]evSlot, bufCap)
+	if r.timing {
+		r.rings = make([]ring, slots+1)
+		for i := range r.rings {
+			r.rings[i].ev = make([]evSlot, bufCap)
+		}
 	}
 	return r
 }
@@ -314,8 +319,9 @@ func (r *Registry) Slots() int {
 	return len(r.shards) - 1
 }
 
-// nowNs is the span/histogram clock: nanoseconds since New (monotonic).
-func (r *Registry) nowNs() int64 { return int64(time.Since(r.start)) }
+// nowNs is the span/histogram clock: nanoseconds since the origin
+// (monotonic).
+func (r *Registry) nowNs() int64 { return int64(time.Since(r.origin)) }
 
 // ownShard maps a slot to its shard; out-of-range slots (e.g. -1 for
 // contexts with no owned slot) route to the external multi-writer

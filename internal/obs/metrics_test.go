@@ -31,7 +31,7 @@ func TestCounterNamesComplete(t *testing.T) {
 }
 
 func TestOwnerAndExternalRouting(t *testing.T) {
-	r := New(2, Options{})
+	r := New(2, time.Now(), Options{})
 	r.IncSlot(0, CDequePop)
 	r.IncSlot(1, CDequePop)
 	r.IncSlot(2, CDequePop)  // producer slot
@@ -51,7 +51,7 @@ func TestOwnerAndExternalRouting(t *testing.T) {
 }
 
 func TestDisableAndToggle(t *testing.T) {
-	r := New(1, Options{Disable: true})
+	r := New(1, time.Now(), Options{Disable: true})
 	if r.Enabled() || r.TimingOn() {
 		t.Fatal("Disable should turn both tiers off")
 	}
@@ -95,7 +95,7 @@ func TestConcurrentShardWritesAndMergedReads(t *testing.T) {
 	const slots = 4
 	const perSlot = 20000
 	const extWriters = 3
-	r := New(slots, Options{Spans: true})
+	r := New(slots, time.Now(), Options{Spans: true})
 	var wg sync.WaitGroup
 	for s := 0; s < slots; s++ {
 		wg.Add(1)
@@ -163,7 +163,7 @@ func TestConcurrentShardWritesAndMergedReads(t *testing.T) {
 }
 
 func TestWriteMetricsServesAllSeries(t *testing.T) {
-	r := New(2, Options{Spans: true})
+	r := New(2, time.Now(), Options{Spans: true})
 	r.IncSlot(0, CTasksExecuted)
 	r.FlushSlot(0)
 	r.ObserveSlot(0, HTaskBodyNs, 1500)
@@ -211,7 +211,7 @@ func TestWindowConcurrentPhaseFlush(t *testing.T) {
 		perSlot = 10000
 		extAdds = 25000
 	)
-	r := New(slots, Options{})
+	r := New(slots, time.Now(), Options{})
 
 	var wg sync.WaitGroup
 	for s := 0; s < slots; s++ {

@@ -30,7 +30,7 @@ func (r *Registry) Handler(graphz GraphzFunc) http.Handler {
 		} else {
 			evs = r.DrainSpans()
 		}
-		_ = WriteChromeTrace(w, evs)
+		_ = WriteChrome(w, nil, evs)
 	})
 	mux.HandleFunc("/graphz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -7,10 +7,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestHandlerEndpoints(t *testing.T) {
-	r := New(2, Options{Spans: true})
+	r := New(2, time.Now(), Options{Spans: true})
 	r.IncSlot(0, CTasksExecuted)
 	sp := r.BeginSpan(0, SpanTaskBody, 1, 0, 0)
 	sp.End()
@@ -74,7 +75,7 @@ func TestHandlerEndpoints(t *testing.T) {
 }
 
 func TestServeAndClose(t *testing.T) {
-	r := New(1, Options{})
+	r := New(1, time.Now(), Options{})
 	srv, err := Serve("127.0.0.1:0", r.Handler(nil))
 	if err != nil {
 		t.Fatal(err)

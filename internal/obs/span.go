@@ -6,8 +6,8 @@ import (
 )
 
 // defaultSpanBuf is the per-slot ring capacity when Options.SpanBuf is
-// zero: 4096 events ≈ 160 KiB per slot, bounded regardless of run
-// length (wraparound keeps the newest events).
+// zero: 4096 events ≈ 160 KiB per slot, made only with spans on and
+// bounded regardless of run length (wraparound keeps the newest events).
 const defaultSpanBuf = 4096
 
 // SpanName identifies what a span or instant covers.
@@ -43,7 +43,7 @@ func (n SpanName) String() string {
 }
 
 const (
-	kindComplete = 1 // begin/end pair (exported as B + E)
+	kindComplete = 1 // span with a start and an end (exported as an X event)
 	kindInstant  = 2
 )
 

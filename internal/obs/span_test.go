@@ -3,10 +3,11 @@ package obs
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSpanRecordAndDrain(t *testing.T) {
-	r := New(2, Options{Spans: true})
+	r := New(2, time.Now(), Options{Spans: true})
 	sp := r.BeginSpan(0, SpanTaskBody, 42, 0xdead, 3)
 	if !sp.Active() {
 		t.Fatal("span should be active with timing on")
@@ -49,7 +50,7 @@ func TestSpanRecordAndDrain(t *testing.T) {
 }
 
 func TestSpanHistogramMapping(t *testing.T) {
-	r := New(1, Options{Spans: true})
+	r := New(1, time.Now(), Options{Spans: true})
 	for _, n := range []SpanName{SpanTaskBody, SpanDiscoveryBatch, SpanReplayCopy, SpanTaskwait, SpanClose} {
 		sp := r.BeginSpan(0, n, 0, 0, 0)
 		sp.End()
@@ -68,7 +69,7 @@ func TestSpanHistogramMapping(t *testing.T) {
 
 func TestSpanRingWraparound(t *testing.T) {
 	const capN = 8
-	r := New(1, Options{Spans: true, SpanBuf: capN})
+	r := New(1, time.Now(), Options{Spans: true, SpanBuf: capN})
 	const total = 3*capN + 5
 	for i := 0; i < total; i++ {
 		r.Instant(0, InstSkip, int64(i), 0, 0)
@@ -90,14 +91,14 @@ func TestSpanRingWraparound(t *testing.T) {
 }
 
 func TestSpanBufRoundsToPowerOfTwo(t *testing.T) {
-	r := New(1, Options{Spans: true, SpanBuf: 5})
+	r := New(1, time.Now(), Options{Spans: true, SpanBuf: 5})
 	if got := len(r.rings[0].ev); got != 8 {
 		t.Fatalf("ring capacity = %d, want 8", got)
 	}
 }
 
 func TestSpanSampling(t *testing.T) {
-	r := New(1, Options{Spans: true, SpanSample: 4})
+	r := New(1, time.Now(), Options{Spans: true, SpanSample: 4})
 	hits := 0
 	for i := 0; i < 100; i++ {
 		if r.Sampled(0) {
@@ -111,7 +112,7 @@ func TestSpanSampling(t *testing.T) {
 	if !r.Sampled(-1) {
 		t.Fatal("unowned slot should always sample")
 	}
-	off := New(1, Options{})
+	off := New(1, time.Now(), Options{})
 	if off.Sampled(0) {
 		t.Fatal("Sampled must be false with timing off")
 	}
@@ -123,7 +124,7 @@ func TestSpanSampling(t *testing.T) {
 func TestSpanConcurrentRecordAndDrain(t *testing.T) {
 	const slots = 3
 	const perSlot = 5000
-	r := New(slots, Options{Spans: true, SpanBuf: 64})
+	r := New(slots, time.Now(), Options{Spans: true, SpanBuf: 64})
 	var wg sync.WaitGroup
 	for s := 0; s < slots; s++ {
 		wg.Add(1)

@@ -49,7 +49,8 @@ type Config struct {
 	ThrottleTotal int64
 	// Profile, if non-nil, receives breakdown/trace events. It must be
 	// created with at least Workers+1 slots; slot Workers is the
-	// producer.
+	// producer. Its epoch is the time origin of spans and critical-path
+	// stamps too; without a profile that origin is NewRuntime's call.
 	Profile *trace.Profile
 	// Verify enables the TDG verifier (internal/verify). Off: zero
 	// overhead. Observe: dependence declarations are recorded at
@@ -82,10 +83,9 @@ type Config struct {
 
 // Runtime executes dependent tasks discovered by a single producer.
 type Runtime struct {
-	cfg   Config
-	g     *graph.Graph
-	s     *sched.Scheduler
-	start time.Time
+	cfg Config
+	g   *graph.Graph
+	s   *sched.Scheduler
 
 	// obs is the metrics + span registry, always non-nil (Config.Obs
 	// selects its tiers); obsSrv is the optional introspection endpoint.
@@ -234,13 +234,19 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	rt := &Runtime{
 		cfg:        cfg,
 		s:          sched.New(cfg.Policy, cfg.Workers),
-		start:      time.Now(),
 		detachLive: make(map[*graph.Task]*Event),
 		throttleOn: cfg.ThrottleTotal > 0 || cfg.ThrottleReady > 0,
 	}
+	// Every instrument measures from one origin: the profile's epoch,
+	// so spans and critical-path stamps fall on its task records' time
+	// line, or else this moment.
+	origin := time.Now()
+	if cfg.Profile != nil {
+		origin = cfg.Profile.Epoch()
+	}
 	// Registry slots mirror the scheduler's: workers 0..W-1 plus the
 	// producer-as-consumer at W (the external shard is implicit).
-	rt.obs = obs.New(cfg.Workers+1, cfg.Obs)
+	rt.obs = obs.New(cfg.Workers+1, origin, cfg.Obs)
 	rt.s.SetObs(rt.obs)
 	cfg.Inject.SetMetrics(rt.obs)
 	rt.registerCollectors()
@@ -250,7 +256,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	var cpathNow func() int64
 	var cpathCached *atomic.Int64
 	if cfg.CPath.Enable {
-		rt.cp = cpath.New(cfg.Workers+1, rt.obs, cpath.Options{
+		rt.cp = cpath.New(cfg.Workers+1, rt.obs, origin, cpath.Options{
 			Precise: cfg.CPath.Precise,
 			Retain:  cfg.CPath.Retain,
 			PathMax: cfg.CPath.PathMax,
@@ -390,9 +396,6 @@ func depHash(t *graph.Task) uint64 {
 	return h
 }
 
-// now returns seconds since runtime start (profile clock).
-func (rt *Runtime) now() float64 { return time.Since(rt.start).Seconds() }
-
 // Graph exposes the underlying dependency graph (stats, tests).
 func (rt *Runtime) Graph() *graph.Graph { return rt.g }
 
@@ -518,7 +521,7 @@ func (rt *Runtime) wrapBody(spec *Spec) (func(fp any), func(fp any) error, *Even
 func (rt *Runtime) finishSubmit(t *graph.Task, ev *Event) *Event {
 	rt.obs.IncSlot(rt.producerID(), obs.CTasksSubmitted)
 	if p := rt.cfg.Profile; p != nil {
-		p.TaskCreated(rt.now())
+		p.TaskCreated(p.Now())
 	}
 	if ev != nil {
 		rt.detached.Add(1)
@@ -702,7 +705,7 @@ func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*E
 			rt.ver.Record(t, descs[i].Deps)
 		}
 		if p != nil {
-			p.TaskCreated(rt.now())
+			p.TaskCreated(p.Now())
 		}
 		if t.Detached {
 			ev := evs[i+lo]
@@ -1096,7 +1099,7 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	}
 	var t0 float64
 	if p != nil {
-		t0 = rt.now()
+		t0 = p.Now()
 		p.SetState(slot, trace.Work, t0)
 	}
 	// Task-body span, sampled (Obs.SpanSample) to amortize the two
@@ -1117,7 +1120,7 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	err := rt.runBody(t)
 	sp.End()
 	if p != nil {
-		t1 := rt.now()
+		t1 := p.Now()
 		p.SetState(slot, trace.Overhead, t1)
 		if !t.Redirect {
 			p.TaskScheduled(trace.TaskRecord{
@@ -1172,7 +1175,7 @@ func (rt *Runtime) skip(w int, t *graph.Task) {
 		slot = rt.cfg.Workers
 	}
 	if p != nil {
-		p.SetState(slot, trace.Skip, rt.now())
+		p.SetState(slot, trace.Skip, p.Now())
 	}
 	rt.obs.Instant(w, obs.InstSkip, t.ID, 0, int(rt.iter.Load()))
 	if !t.Detached {
@@ -1186,7 +1189,7 @@ func (rt *Runtime) skip(w int, t *graph.Task) {
 	}
 	// A lost claim means an external Fulfill already completed the task.
 	if p != nil {
-		p.SetState(slot, trace.Overhead, rt.now())
+		p.SetState(slot, trace.Overhead, p.Now())
 	}
 }
 
@@ -1373,7 +1376,7 @@ func (rt *Runtime) worker(w int) {
 	defer rt.wg.Done()
 	p := rt.cfg.Profile
 	if p != nil {
-		p.SetState(w, trace.Idle, rt.now())
+		p.SetState(w, trace.Idle, p.Now())
 	}
 	for {
 		t := rt.takeChained(w)
@@ -1393,7 +1396,7 @@ func (rt *Runtime) worker(w int) {
 				// No ready task anywhere: idle. (Approximation: a
 				// task could be queued between Pop and here; the
 				// next loop iteration corrects the state.)
-				p.SetState(w, trace.Idle, rt.now())
+				p.SetState(w, trace.Idle, p.Now())
 			}
 			// Park until a publication or Kick. Announce first, then
 			// re-check work and shutdown: Close() stores the shutdown
@@ -1409,7 +1412,7 @@ func (rt *Runtime) worker(w int) {
 			continue
 		}
 		if p != nil {
-			p.SetState(w, trace.Overhead, rt.now())
+			p.SetState(w, trace.Overhead, p.Now())
 		}
 		rt.execute(w, t)
 		if rt.slots[w].chainFin != 0 {
@@ -1572,7 +1575,7 @@ func (rt *Runtime) recordIteration(it int, body func(iter int)) error {
 		rt.recSig = rt.ver.EndRecording(rt.g.Recorded())
 	}
 	if p := rt.cfg.Profile; p != nil {
-		p.IterationEnd(rt.now())
+		p.IterationEnd(p.Now())
 	}
 	return werr
 }
@@ -1756,7 +1759,7 @@ func (rt *Runtime) replayIteration(rec *Recording, it int, body func(iter int)) 
 	rt.obs.IncSlot(rt.producerID(), obs.CReplayCompiled)
 	werr := rt.compiledBarrier(cs)
 	if p := rt.cfg.Profile; p != nil {
-		p.IterationEnd(rt.now())
+		p.IterationEnd(p.Now())
 	}
 	if shape != nil {
 		return errors.Join(fmt.Errorf("%w: %v (an Adaptive region reports shape changes through changed)", ErrReplayShape, shape), werr)
@@ -1833,7 +1836,7 @@ func (rt *Runtime) Close() error {
 	rt.s.Kick()
 	rt.wg.Wait()
 	if p := rt.cfg.Profile; p != nil {
-		p.Finish(rt.now())
+		p.Finish(p.Now())
 	}
 	// Workers are joined: drain every slot's pending deltas so merged
 	// counter reads are exact from here on.

@@ -40,15 +40,6 @@ var Ops = map[string]OpFunc{
 	"fail":   opFail,
 }
 
-// OpNames returns the registered operator names (order unspecified).
-func OpNames() []string {
-	out := make([]string, 0, len(Ops))
-	for k := range Ops {
-		out = append(out, k)
-	}
-	return out
-}
-
 // failing is the body of a task that always fails with err.
 func failing(err error) OpBody {
 	return func([]any) (any, error) { return nil, err }

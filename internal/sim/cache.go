@@ -139,18 +139,6 @@ type CacheStats struct {
 	TotalStalls float64
 }
 
-// Add accumulates other into s.
-func (s *CacheStats) Add(o CacheStats) {
-	s.Accesses += o.Accesses
-	s.L1DCM += o.L1DCM
-	s.L2DCM += o.L2DCM
-	s.L3CM += o.L3CM
-	s.L1Stalls += o.L1Stalls
-	s.L2Stalls += o.L2Stalls
-	s.L3Stalls += o.L3Stalls
-	s.TotalStalls += o.TotalStalls
-}
-
 // Hierarchy models the caches of one rank: private L1/L2 per core and a
 // shared L3.
 type Hierarchy struct {
@@ -170,9 +158,6 @@ func NewHierarchy(cores int, cfg CacheConfig) *Hierarchy {
 	}
 	return h
 }
-
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() CacheConfig { return h.cfg }
 
 // Stats returns the accumulated counters.
 func (h *Hierarchy) Stats() CacheStats { return h.stats }

@@ -84,6 +84,3 @@ func (e *Engine) Step() bool {
 	ev.fn()
 	return true
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.heap.Len() }

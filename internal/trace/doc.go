@@ -8,12 +8,16 @@
 //
 // All timestamps are float64 seconds from an executor-supplied clock so
 // the same profile works for wall-clock (internal/rt) and virtual time
-// (internal/sim).
+// (internal/sim). The wall clock is the profile's own: Now measures from
+// its Epoch, and a runtime given the profile measures its spans and
+// critical-path stamps from the same epoch, so every instrument of one
+// run shares one time origin.
 //
 // # Layout
 //
 // trace.go holds the Profile accumulator (worker states, task records,
 // iteration marks) and the Breakdown computation; gantt.go renders the
 // recorded schedule as ASCII or SVG Gantt charts; export.go serializes
-// profiles for offline tooling (cmd/gantt).
+// profiles as JSON for offline tooling. The Chrome trace export of the
+// task records is internal/obs's WriteChrome, the one Chrome writer.
 package trace

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 )
 
 // WorkerState classifies what a worker is doing, for the breakdown.
@@ -127,6 +128,10 @@ type taskShard struct {
 // records take their own (producer- respectively engine-side) locks —
 // nothing serializes the workers against each other.
 type Profile struct {
+	// epoch is the time origin of every stamp the runtime instruments
+	// take: Now measures from it, and a runtime given this profile
+	// measures its spans and critical-path stamps from it too.
+	epoch    time.Time
 	nWorkers int
 	// workers has nWorkers+1 clocks and shards has nWorkers+2 task
 	// shards: callers address slots 0..nWorkers-1 (rt additionally uses
@@ -158,9 +163,11 @@ type Profile struct {
 }
 
 // New creates a profile for nWorkers workers. detail enables per-task
-// records (needed for Gantt charts and overlap computation).
+// records (needed for Gantt charts and overlap computation). Its epoch
+// is the moment New runs.
 func New(nWorkers int, detail bool) *Profile {
 	return &Profile{
+		epoch:    time.Now(),
 		nWorkers: nWorkers,
 		workers:  make([]workerClock, nWorkers+1),
 		shards:   make([]taskShard, nWorkers+2),
@@ -171,6 +178,14 @@ func New(nWorkers int, detail bool) *Profile {
 
 // NumWorkers returns the worker count the profile was built for.
 func (p *Profile) NumWorkers() int { return p.nWorkers }
+
+// Epoch returns the profile's time origin.
+func (p *Profile) Epoch() time.Time { return p.epoch }
+
+// Now returns the seconds since the epoch (monotonic): the clock the
+// runtime stamps worker states and task records with, and the one a
+// communicator attached with a nil clock stamps requests with.
+func (p *Profile) Now() float64 { return time.Since(p.epoch).Seconds() }
 
 // clockFor maps a slot to its state clock; out-of-range slots share
 // the spill clock after the addressable ones.

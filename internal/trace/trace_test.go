@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -225,8 +226,8 @@ func TestJSONExportRoundTrip(t *testing.T) {
 	if err := p.WriteJSON(&sb, true); err != nil {
 		t.Fatal(err)
 	}
-	e, err := ReadExport(strings.NewReader(sb.String()))
-	if err != nil {
+	var e Export
+	if err := json.Unmarshal([]byte(sb.String()), &e); err != nil {
 		t.Fatal(err)
 	}
 	if !almost(e.Breakdown.Work, 2) || e.Breakdown.Tasks != 1 {
@@ -243,8 +244,8 @@ func TestJSONExportRoundTrip(t *testing.T) {
 	if err := p.WriteJSON(&sb2, false); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := ReadExport(strings.NewReader(sb2.String()))
-	if err != nil {
+	var e2 Export
+	if err := json.Unmarshal([]byte(sb2.String()), &e2); err != nil {
 		t.Fatal(err)
 	}
 	if len(e2.Tasks) != 0 {

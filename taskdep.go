@@ -293,7 +293,7 @@ type TaskRecord = trace.TaskRecord
 // MarkCritical tags the records whose task IDs appear in ids as
 // critical-path members, returning the number tagged. Tagged boxes
 // render with a '#' fill in Gantt.WriteASCII, a red outline in
-// WriteSVG, and the red "terrible" color in WriteChromeTasks —
+// WriteSVG, and the red "terrible" color in WriteChrome —
 // pair it with CriticalPathReport.Path to overlay the span-defining
 // chain on a recorded timeline (cmd/gantt -cp does exactly this).
 func MarkCritical(records []TaskRecord, ids map[int64]bool) int {
@@ -343,7 +343,7 @@ type ObsOptions = obs.Options
 
 // ObsRegistry is a runtime's sharded metrics + span store, from
 // Runtime.Obs: merged counter reads, histogram snapshots, span drains
-// (Chrome trace JSON via WriteChromeTrace), Prometheus text via
+// (Chrome trace JSON via WriteChrome), Prometheus text via
 // WriteMetrics.
 type ObsRegistry = obs.Registry
 
@@ -388,15 +388,11 @@ const (
 	HTaskwaitNs       = obs.HTaskwaitNs
 )
 
-// WriteChromeTrace writes span events as Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
-func WriteChromeTrace(w io.Writer, events []SpanEvent) error {
-	return obs.WriteChromeTrace(w, events)
-}
-
-// WriteChromeTasks converts profile task boxes (Profile.Tasks — the
-// Gantt input) to Chrome trace-event JSON, so detail profiles open in
-// Perfetto without enabling span tracing.
-func WriteChromeTasks(w io.Writer, tasks []TaskRecord) error {
-	return trace.WriteChromeTasks(w, tasks)
+// WriteChrome writes profile task records (Profile.Tasks, the Gantt
+// input) and span events (ObsRegistry.DrainSpans) as one Chrome
+// trace-event document, loadable in Perfetto (ui.perfetto.dev) or
+// chrome://tracing; either may be nil. A runtime stamps both from one
+// time origin, so a task's body span nests inside its record.
+func WriteChrome(w io.Writer, tasks []TaskRecord, spans []SpanEvent) error {
+	return obs.WriteChrome(w, tasks, spans)
 }
