@@ -14,8 +14,8 @@
 // The benchmark modes measure one layer of the runtime each, at the size
 // committed as BENCH_<name>.json, or with -smoke at a size for CI:
 //
-//	discovery  the graph layer alone on a dedup-heavy synthetic stream,
-//	           one producer and several
+//	discovery  the graph layer alone on a dedup-heavy synthetic stream
+//	           submitted by one producer
 //	executor   the drain of a pre-submitted gate graph, workers x grain,
 //	           and the METG at 50 %
 //	faults     poison cones and LULESH/HPCG/Cholesky under injected

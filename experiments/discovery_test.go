@@ -6,20 +6,17 @@ import (
 )
 
 // TestDiscoveryRoundTrip runs a tiny workload and checks the result
-// validates — one row per producer count, every task discovered, the
-// edge counters balanced — and survives the harness's JSON form, and
-// that a stale schema or an unbalanced row does not.
+// validates — every task discovered, the edge counters balanced — and
+// survives the harness's JSON form, and that a stale schema or an
+// unbalanced row does not.
 func TestDiscoveryRoundTrip(t *testing.T) {
-	p := DiscoveryParams{Tasks: 2000, Keys: 32, Producers: 2, BatchLen: 64, SetEvery: 8, Repeats: 1}
+	p := DiscoveryParams{Tasks: 2000, Keys: 32, BatchLen: 64, SetEvery: 8, Repeats: 1}
 	res := RunDiscovery(p)
 	if err := res.Validate(); err != nil {
 		t.Fatalf("fresh result invalid: %v", err)
 	}
-	if len(res.Rows) != 2 || res.Rows[0].Producers != 1 || res.Rows[1].Producers != 2 {
-		t.Fatalf("want a 1-producer and a 2-producer row, got %+v", res.Rows)
-	}
-	if res.Rows[0].EdgesDuplicate == 0 || res.Rows[0].RedirectNodes == 0 {
-		t.Fatalf("the workload must exercise optimizations (b) and (c): %+v", res.Rows[0])
+	if res.Row.EdgesDuplicate == 0 || res.Row.RedirectNodes == 0 {
+		t.Fatalf("the workload must exercise optimizations (b) and (c): %+v", res.Row)
 	}
 	back := new(DiscoveryResult)
 	if text := roundTrip(t, res, back); strings.Contains(text, "baseline") {
@@ -31,7 +28,7 @@ func TestDiscoveryRoundTrip(t *testing.T) {
 		t.Fatal("stale schema accepted")
 	}
 	back.Schema = DiscoverySchemaVersion
-	back.Rows[1].EdgesPruned++
+	back.Row.EdgesPruned++
 	if back.Validate() == nil {
 		t.Fatal("unbalanced edge counters accepted")
 	}

@@ -70,18 +70,19 @@ type ExecutorResult struct {
 	METGNs float64 `json:"metg_ns"`
 }
 
-// spinSink defeats dead-code elimination of spin bodies.
-var spinSink uint64
-
-// spin burns roughly iters xorshift steps of CPU.
-func spin(iters int) {
+// spin burns roughly iters xorshift steps of CPU and returns their
+// state, which keeps the steps live; noinline keeps them at call sites
+// that drop the result.
+//
+//go:noinline
+func spin(iters int) uint64 {
 	x := uint64(iters)*0x9E3779B97F4A7C15 + 1
 	for i := 0; i < iters; i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 	}
-	spinSink += x
+	return x
 }
 
 // calibrateSpin measures the per-iteration cost of spin in nanoseconds

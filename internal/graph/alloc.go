@@ -7,16 +7,14 @@ package graph
 // second. Three poolings remove almost all of it:
 //
 //   - Tasks are carved out of fixed-size chunks ([]Task blocks). The
-//     graph keeps one partly used chunk in an atomic slot; a producer
-//     swaps it out, so it owns the chunk exclusively, and a concurrent
-//     producer that finds the slot empty starts a fresh chunk. Task memory
-//     is never recycled — a chunk is dropped once full and reclaimed by
-//     the GC when every task in it is dead — so there is no
+//     graph keeps its current chunk in a producer-owned field. Task
+//     memory is never recycled — a full chunk is replaced by a fresh one
+//     and reclaimed by the GC when every task in it is dead — so there is no
 //     use-after-reuse hazard; chunking only amortizes the allocation
 //     count by chunkTasks, and keeps each chunk under the small-object
 //     limit (see chunkTasks). A graph with the critical-path profiler
 //     gets a side array of cpStates with every chunk; one without it
-//     allocates none. The slot is the Graph's own, not a sync.Pool:
+//     allocates none. The field is the Graph's own, not a sync.Pool:
 //     a pool stays reachable from the runtime's global pool list for two
 //     collections after its last Put, and its chunk's tasks hold their
 //     bodies, so a closed runtime's whole last region stayed live for
@@ -41,7 +39,7 @@ package graph
 // side (TestTaskLayout pins this).
 const chunkTasks = 128
 
-// taskChunk is a block of tasks owned by at most one producer at a time.
+// taskChunk is a block of tasks the producer carves submissions from.
 // cps is the chunk's critical-path side array (cpath.go), one record per
 // task, allocated only for a graph configured with CPath.
 type taskChunk struct {
@@ -50,12 +48,10 @@ type taskChunk struct {
 	next int
 }
 
-// allocTasks appends n zeroed tasks with chunked backing storage to out,
-// grabbing the chunk once. Safe for concurrent producers: the swap hands
-// each caller an exclusive chunk, and of two partly used chunks put back
-// at once one is dropped.
+// allocTasks appends n zeroed tasks with chunked backing storage to out.
+// Producer-only.
 func (g *Graph) allocTasks(n int, out []*Task) []*Task {
-	c := g.chunk.Swap(nil)
+	c := g.chunk
 	for i := 0; i < n; i++ {
 		if c == nil || c.next == len(c.buf) {
 			c = &taskChunk{buf: make([]Task, chunkTasks)}
@@ -70,9 +66,7 @@ func (g *Graph) allocTasks(n int, out []*Task) []*Task {
 		c.next++
 		out = append(out, t)
 	}
-	if c != nil && c.next < len(c.buf) {
-		g.chunk.Store(c)
-	}
+	g.chunk = c
 	return out
 }
 

@@ -40,9 +40,7 @@ type TaskDesc struct {
 // Ready publication happening at batch end means a worker sees the
 // first task of a batch at worst one batch later than with Submit —
 // the latency/throughput trade the paper's discovery argument is about.
-// Like Submit, SubmitBatch is safe for concurrent producers (outside
-// recording mode) under the Graph concurrency contract: a whole batch
-// is one submission.
+// Producer-only, like Submit.
 func (g *Graph) SubmitBatch(descs []TaskDesc, out []*Task) []*Task {
 	if len(descs) == 0 {
 		return out
@@ -62,7 +60,8 @@ func (g *Graph) SubmitBatch(descs []TaskDesc, out []*Task) []*Task {
 // ready is nil, handed to OnReady on the spot.
 func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 	n := int64(len(descs))
-	firstID := g.nextID.Add(n) - n
+	firstID := g.nextID
+	g.nextID += n
 	g.tasks.Add(n)
 	g.lrAdd(n, 0)
 
@@ -175,7 +174,7 @@ func runPays(m int, deps []Dep, rest []TaskDesc) bool {
 
 // readRun is the open read run of one discover call. A run never outlives
 // the call: it closes before the discovery lock is dropped, so the marks
-// it leaves on keyStates are never seen by another producer, and a batch
+// it leaves on keyStates are never seen by a later submission, and a batch
 // of one (SubmitTask) — no next desc to look at — never opens one.
 type readRun struct {
 	// first is the run's first member, and the mark on the keyStates of

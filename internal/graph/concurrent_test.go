@@ -52,147 +52,6 @@ func drain(t *testing.T, g *Graph, c *mpCollector) {
 	}
 }
 
-// TestConcurrentProducersDisjointKeys drives P producers over disjoint
-// key ranges (the supported multi-producer pattern) and checks that
-// per-producer chains execute in submission order.
-func TestConcurrentProducersDisjointKeys(t *testing.T) {
-	const producers = 8
-	const perProducer = 2000
-	c := &mpCollector{}
-	g := NewWithConfig(Config{Opts: OptAll, OnReady: c.one, OnReadyBatch: c.many})
-
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			base := Key(p * 1000)
-			deps := make([]Dep, 0, 3)
-			for i := 0; i < perProducer; i++ {
-				deps = deps[:0]
-				deps = append(deps,
-					Dep{Key: base + Key(i%7), Type: InOut},
-					Dep{Key: base + Key((i+1)%7), Type: In},
-				)
-				g.Submit("t", deps, nil, int64(p)<<32|int64(i))
-			}
-		}(p)
-	}
-	wg.Wait()
-
-	st := g.Stats()
-	if st.Tasks != producers*perProducer {
-		t.Fatalf("Stats.Tasks = %d, want %d", st.Tasks, producers*perProducer)
-	}
-	if got := g.Live(); got != producers*perProducer {
-		t.Fatalf("Live = %d, want %d", got, producers*perProducer)
-	}
-
-	// Execution order per producer chain must respect submission order:
-	// task i+7 InOut-depends on task i (same key), so within one key's
-	// chain completion order is forced.
-	last := make(map[int64]int64) // producer|key -> last seen i
-	for g.Live() > 0 {
-		tk := c.pop()
-		if tk == nil {
-			t.Fatalf("drain stuck with %d live", g.Live())
-		}
-		fp := tk.FirstPrivate.(int64)
-		p, i := fp>>32, fp&0xffffffff
-		ck := p<<8 | i%7
-		if prev, ok := last[ck]; ok && i < prev {
-			t.Fatalf("producer %d key-chain %d ran task %d after %d", p, i%7, i, prev)
-		}
-		last[ck] = i
-		for _, s := range g.Complete(tk) {
-			c.one(s)
-		}
-	}
-}
-
-// TestConcurrentSubmitSharedKeys hammers the same small key set from
-// many producers with single-dependence tasks (the shared-key pattern
-// the contract supports): any shard-lock linearization is valid, but
-// counters must balance and the graph must drain. Multi-key dependence
-// lists on shared keys are deliberately absent — per-key serialization
-// could order two concurrent multi-key submissions oppositely on two
-// keys and discover a cycle, which is why the contract forbids them.
-func TestConcurrentSubmitSharedKeys(t *testing.T) {
-	const producers = 8
-	const perProducer = 1500
-	c := &mpCollector{}
-	g := NewWithConfig(Config{Opts: OptAll, OnReady: c.one})
-
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			deps := make([]Dep, 0, 1)
-			for i := 0; i < perProducer; i++ {
-				deps = deps[:0]
-				switch i % 3 {
-				case 0:
-					deps = append(deps, Dep{Key: Key(i % 5), Type: InOut})
-				case 1:
-					deps = append(deps, Dep{Key: Key(i % 5), Type: In})
-				case 2:
-					deps = append(deps, Dep{Key: Key(i % 5), Type: Out})
-				}
-				g.Submit("t", deps, nil, nil)
-			}
-		}(p)
-	}
-	wg.Wait()
-	drain(t, g, c)
-	assertQuiescentStats(t, g, producers*perProducer)
-}
-
-// TestConcurrentSubmitBatch runs SubmitBatch from several producers at
-// once (disjoint keys) interleaved with Submit from others.
-func TestConcurrentSubmitBatch(t *testing.T) {
-	const producers = 6
-	const batches = 40
-	const batchLen = 50
-	c := &mpCollector{}
-	g := NewWithConfig(Config{Opts: OptAll, OnReady: c.one, OnReadyBatch: c.many})
-
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			base := Key(p * 100)
-			descs := make([]TaskDesc, 0, batchLen)
-			depStore := make([]Dep, 0, batchLen*2)
-			var tasks []*Task
-			for b := 0; b < batches; b++ {
-				descs = descs[:0]
-				depStore = depStore[:0]
-				for i := 0; i < batchLen; i++ {
-					j := b*batchLen + i
-					start := len(depStore)
-					depStore = append(depStore,
-						Dep{Key: base + Key(j%11), Type: InOut},
-						Dep{Key: base + Key((j+3)%11), Type: In})
-					descs = append(descs, TaskDesc{Label: "b", Deps: depStore[start : start+2 : start+2]})
-				}
-				tasks = g.SubmitBatch(descs, tasks[:0])
-				if len(tasks) != batchLen {
-					t.Errorf("SubmitBatch returned %d tasks, want %d", len(tasks), batchLen)
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	drain(t, g, c)
-	assertQuiescentStats(t, g, producers*batches*batchLen)
-	if c.batch == 0 {
-		t.Fatalf("OnReadyBatch was never used by SubmitBatch")
-	}
-}
-
 // TestSubmitBatchEquivalence checks that a batch submission discovers
 // the same structure as per-task Submit of the same stream.
 func TestSubmitBatchEquivalence(t *testing.T) {
@@ -237,35 +96,22 @@ func TestSubmitBatchEquivalence(t *testing.T) {
 	drain(t, g2, c2)
 }
 
-// TestFlushStripedGroups opens inoutset groups on keys spread across
-// every shard, concurrently, and checks Flush closes them all so the
-// graph can drain.
+// TestFlushStripedGroups opens inoutset groups on many keys, and checks
+// Flush closes them all so the graph can drain.
 func TestFlushStripedGroups(t *testing.T) {
-	const producers = 4
-	const keysPerProducer = 64
+	const groups = 256
 	const membersPerGroup = 3
 	c := &mpCollector{}
 	g := NewWithConfig(Config{Opts: OptAll, OnReady: c.one, OnReadyBatch: c.many})
-
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for k := 0; k < keysPerProducer; k++ {
-				key := Key(p*keysPerProducer + k)
-				for m := 0; m < membersPerGroup; m++ {
-					g.Submit("member", []Dep{{Key: key, Type: InOutSet}}, nil, nil)
-				}
-			}
-		}(p)
+	for k := 0; k < groups; k++ {
+		for m := 0; m < membersPerGroup; m++ {
+			g.Submit("member", []Dep{{Key: Key(k), Type: InOutSet}}, nil, nil)
+		}
 	}
-	wg.Wait()
 
 	// Every group is still open: its redirect node holds a producer
 	// sentinel, so live = members + redirects and the redirects are not
 	// ready yet.
-	groups := producers * keysPerProducer
 	members := groups * membersPerGroup
 	st := g.Stats()
 	if st.RedirectNodes != int64(groups) {
@@ -357,12 +203,11 @@ func assertQuiescentStats(t *testing.T, g *Graph, wantNonRedirect int) {
 	}
 }
 
-// TestStatsUnderConcurrentLoad reads Stats/Live/ReadyCount continuously
-// while producers and completers run, checking monotonicity of the
-// cumulative counters (the documented mid-flight guarantee).
+// TestStatsUnderConcurrentLoad reads Stats continuously while the
+// producer and a completer run, checking monotonicity of the cumulative
+// counters (the documented mid-flight guarantee).
 func TestStatsUnderConcurrentLoad(t *testing.T) {
-	const producers = 4
-	const perProducer = 1000
+	const tasks = 4000
 	c := &mpCollector{}
 	g := NewWithConfig(Config{Opts: OptAll, OnReady: c.one})
 
@@ -387,19 +232,16 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 			}
 		}
 	}()
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			base := Key(p * 50)
-			for i := 0; i < perProducer; i++ {
-				g.Submit("t", []Dep{{Key: base + Key(i%13), Type: InOut}}, nil, nil)
-			}
-		}(p)
-	}
+	wg.Add(1)
+	go func() { // the producer
+		defer wg.Done()
+		for i := 0; i < tasks; i++ {
+			g.Submit("t", []Dep{{Key: Key(i % 13), Type: InOut}}, nil, nil)
+		}
+	}()
 	// Complete concurrently with submission from this goroutine.
 	done := 0
-	for done < producers*perProducer {
+	for done < tasks {
 		tk := c.pop()
 		if tk == nil {
 			continue
@@ -411,5 +253,5 @@ func TestStatsUnderConcurrentLoad(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	assertQuiescentStats(t, g, producers*perProducer)
+	assertQuiescentStats(t, g, tasks)
 }

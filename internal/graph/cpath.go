@@ -28,8 +28,10 @@ import "sync/atomic"
 // Graph.finishInto) — so the released task's executor reads a complete,
 // immutable fold set. readyNs is written by the releasing goroutine
 // before the task is published to any run queue, making it visible to
-// whichever worker later pops the task; startNs/finNs never leave the
-// executing worker until the terminal state is published.
+// whichever worker later pops the task; finNs never leaves the finishing
+// goroutine until the terminal state is published. startNs is an atomic:
+// the producer may fulfill a detached task while the worker that claimed
+// it stamps the start, and StampFinish reads the stamp.
 //
 // Clock. The graph does not read time itself: Config.CPathNow supplies
 // a monotonic nanosecond clock. internal/cpath provides a cached one
@@ -46,15 +48,16 @@ import "sync/atomic"
 // cpState is a task's critical-path record. The stamps are
 // single-writer by construction: discNs is written by the producer
 // before the sentinel release publishes the task, readyNs by the
-// releasing goroutine before queue publication, startNs and finNs by
-// the executing worker. best is the only concurrently written field
-// (CAS-max by finishing predecessors, ordered before their counter
-// decrements exactly like poison propagation).
+// releasing goroutine before queue publication, startNs by the
+// executing worker and finNs by the finishing goroutine. best is the
+// only concurrently written field (CAS-max by finishing predecessors,
+// ordered before their counter decrements exactly like poison
+// propagation); startNs is read concurrently (see Memory ordering).
 type cpState struct {
-	readyNs int64 // clock at the ready transition (release-side stamp)
-	startNs int64 // clock at body start
-	finNs   int64 // clock at the terminal transition
-	discNs  int64 // discovery phase: submit entry -> sentinel release
+	readyNs int64        // clock at the ready transition (release-side stamp)
+	startNs atomic.Int64 // clock at body start
+	finNs   int64        // clock at the terminal transition
+	discNs  int64        // discovery phase: submit entry -> sentinel release
 	// total..exec hold the longest weighted predecessor path ending at
 	// (and including) this task, split by phase. Written exactly once, by
 	// the finishing goroutine in StampFinish, BEFORE the successor walk
@@ -84,7 +87,7 @@ func (g *Graph) cpNow() int64 {
 // state store — calls it directly.
 func (g *Graph) StampStart(t *Task) {
 	if g.cpath {
-		t.cp.startNs = g.cpNow()
+		t.cp.startNs.Store(g.cpNow())
 	}
 }
 
@@ -129,11 +132,11 @@ func (g *Graph) StampFinish(t *Task) {
 // ever being released or started, leaving stamps at zero.
 func (c *cpState) phaseNs() (disc, wait, exec int64) {
 	disc = c.discNs
-	if c.startNs != 0 {
+	if start := c.startNs.Load(); start != 0 {
 		if c.readyNs != 0 {
-			wait = c.startNs - c.readyNs
+			wait = start - c.readyNs
 		}
-		exec = c.finNs - c.startNs
+		exec = c.finNs - start
 	} else if c.readyNs != 0 {
 		// Never started (skipped, or detached-completed before a worker
 		// picked it up): the whole ready->finish interval is wait.
@@ -189,7 +192,7 @@ func (t *Task) resetCP() {
 		return
 	}
 	c.readyNs = 0
-	c.startNs = 0
+	c.startNs.Store(0)
 	c.finNs = 0
 	c.discNs = 0
 	c.total = 0
@@ -232,5 +235,5 @@ func (t *Task) PhaseNs() (disc, wait, exec int64) { return t.cpRecord().phaseNs(
 // the Config.CPathNow clock's domain) for trace alignment; zero means
 // the transition never happened (or CPath is off).
 func (t *Task) ReadyAtNs() int64  { return t.cpRecord().readyNs }
-func (t *Task) StartAtNs() int64  { return t.cpRecord().startNs }
+func (t *Task) StartAtNs() int64  { return t.cpRecord().startNs.Load() }
 func (t *Task) FinishAtNs() int64 { return t.cpRecord().finNs }

@@ -2,7 +2,8 @@ package graph_test
 
 // Stress and regression tests for the discovery protocols: the lock-free
 // prune of finished predecessors, the biased producer sentinel, the
-// discovery lock under several producers and the chained successor blocks. Everything
+// discovery lock against concurrent completers and Stats readers, and the
+// chained successor blocks. Everything
 // here is meant to run under -race; the package is external so that the
 // verifier and the critical-path oracle (which import graph) can audit
 // what was discovered.
@@ -368,96 +369,66 @@ func TestStressReadRunsKeepTheDeclaredOrder(t *testing.T) {
 }
 
 // TestStressConcurrentProducersShareStripes (named for the stripe table
-// the producers used to meet on; it is one discovery lock now) runs two
-// and four producers over disjoint key sets, their submissions — single
-// tasks and batches — taking turns on the lock while completers finish
-// tasks under them. Since no key is shared the discovered structure must
-// be the one a lone producer finds. The scrape case adds what /metrics
-// does to a running graph (rt.registerCollectors): Stats from another
-// goroutine all the while, each snapshot taken under the discovery lock
-// and so balanced and monotonic, not only the quiescent one.
+// concurrent producers used to meet on; both are gone) checks what
+// /metrics does to a running graph (rt.registerCollectors): one producer
+// submits single tasks and batches while completers finish tasks under it
+// and another goroutine reads Stats all the while. Each snapshot is taken
+// under the discovery lock, so it is balanced and monotonic, not only the
+// quiescent one, and the scrapes change nothing the producer discovers.
 func TestStressConcurrentProducersShareStripes(t *testing.T) {
-	const perProducer = 1500
 	opts := graph.OptAll | graph.OptKeepPrunedEdges // nothing pruned: structure is timing-independent
-	streams := func(n int) [][]graph.TaskDesc {
-		out := make([][]graph.TaskDesc, n)
-		for i := range out {
-			out[i] = genTDG(rand.New(rand.NewSource(int64(11+i))), graph.Key(i)<<20, perProducer)
-		}
-		return out
-	}
-	for _, tc := range []struct {
-		name      string
-		producers int
-		scrape    bool
-	}{
-		{"producers2", 2, false},
-		{"producers4", 4, false},
-		{"scrape", 2, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			serial := newExecutor()
-			ref := graph.New(opts, serial.one)
-			for _, descs := range streams(tc.producers) {
-				submitMixed(ref, descs)
-			}
-			ref.Flush()
-			serial.drain(ref)
-			want := serial.check(t, ref)
+	descs := genTDG(rand.New(rand.NewSource(11)), 0, 3000)
+	t.Run("scrape", func(t *testing.T) {
+		serial := newExecutor()
+		ref := graph.New(opts, serial.one)
+		submitMixed(ref, descs)
+		ref.Flush()
+		serial.drain(ref)
+		want := serial.check(t, ref)
 
-			e := newExecutor()
-			g := graph.NewWithConfig(graph.Config{Opts: opts, OnReady: e.one, OnReadyBatch: e.many})
-			var scrapeErr error
-			within(t, time.Minute, func() {
-				var discovered atomic.Bool
-				var producers, completers, scraper sync.WaitGroup
-				for i := 0; i < 2; i++ {
-					completers.Add(1)
-					go func() {
-						defer completers.Done()
-						e.complete(g, &discovered)
-					}()
-				}
-				if tc.scrape {
-					scraper.Add(1)
-					go func() {
-						defer scraper.Done()
-						var last graph.Stats
-						for !discovered.Load() && scrapeErr == nil {
-							st := g.Stats()
-							switch {
-							case st.EdgesAttempted != st.EdgesCreated+st.EdgesPruned+st.EdgesDuplicate:
-								scrapeErr = fmt.Errorf("snapshot does not balance: %+v", st)
-							case st.Tasks < last.Tasks || st.EdgesAttempted < last.EdgesAttempted ||
-								st.EdgesCreated < last.EdgesCreated || st.RedirectNodes < last.RedirectNodes:
-								scrapeErr = fmt.Errorf("counters went backwards: %+v after %+v", st, last)
-							}
-							last = st
-							runtime.Gosched()
-						}
-					}()
-				}
-				for _, descs := range streams(tc.producers) {
-					producers.Add(1)
-					go func(descs []graph.TaskDesc) {
-						defer producers.Done()
-						submitMixed(g, descs)
-					}(descs)
-				}
-				producers.Wait()
-				g.Flush()
-				discovered.Store(true)
-				completers.Wait()
-				scraper.Wait()
-			})
-			if scrapeErr != nil {
-				t.Fatal(scrapeErr)
+		e := newExecutor()
+		g := graph.NewWithConfig(graph.Config{Opts: opts, OnReady: e.one, OnReadyBatch: e.many})
+		var scrapeErr error
+		within(t, time.Minute, func() {
+			var discovered atomic.Bool
+			var completers, scraper sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				completers.Add(1)
+				go func() {
+					defer completers.Done()
+					e.complete(g, &discovered)
+				}()
 			}
-			if got := e.check(t, g); got != want {
-				t.Fatalf("%d producers discovered %+v, one producer %+v", tc.producers, got, want)
-			}
+			scraper.Add(1)
+			go func() {
+				defer scraper.Done()
+				var last graph.Stats
+				for !discovered.Load() && scrapeErr == nil {
+					st := g.Stats()
+					switch {
+					case st.EdgesAttempted != st.EdgesCreated+st.EdgesPruned+st.EdgesDuplicate:
+						scrapeErr = fmt.Errorf("snapshot does not balance: %+v", st)
+					case st.Tasks < last.Tasks || st.EdgesAttempted < last.EdgesAttempted ||
+						st.EdgesCreated < last.EdgesCreated || st.RedirectNodes < last.RedirectNodes:
+						scrapeErr = fmt.Errorf("counters went backwards: %+v after %+v", st, last)
+					}
+					last = st
+					runtime.Gosched()
+				}
+			}()
+			submitMixed(g, descs)
+			g.Flush()
+			discovered.Store(true)
+			completers.Wait()
+			scraper.Wait()
 		})
-	}
+		if scrapeErr != nil {
+			t.Fatal(scrapeErr)
+		}
+		if got := e.check(t, g); got != want {
+			t.Fatalf("discovered %+v under scrapes, %+v without", got, want)
+		}
+	})
 }
 
 // TestFastPruneKeepsFailureSemantics pins what the lock-free prune must

@@ -17,8 +17,9 @@
 //     discovery lock (Graph.mu). A submission — one Submit, or a whole
 //     SubmitBatch — takes it once and holds it until its last dependence
 //     is resolved: one Lock/Unlock per submission, not per dependence.
-//     The paper's model is one producer thread; several are safe and
-//     take turns (see the concurrency contract below).
+//     The lock orders discovery against what other goroutines read
+//     (Stats), not producers against each other: there is one producer,
+//     the paper's model (see the concurrency contract below).
 //   - Task descriptors are carved from pooled allocation chunks,
 //     successor lists start on inline storage and continue in chained
 //     fixed-size blocks that are never regrown or copied (task.go), and
@@ -68,13 +69,15 @@
 //
 // # Concurrency contract
 //
-// Complete is safe for concurrent use from any number of workers.
-// Submit and SubmitBatch are safe from concurrent producers: whole
-// submissions linearize on the discovery lock, so producers with
-// disjoint key footprints discover the graph a lone producer would, and
-// between producers that share keys the order is whoever wins the lock
-// (see the Graph type comment). Safe, not scaled. Persistence, Flush
-// and ResetDiscoveryFrontier are synchronization points and retain the
-// single-producer contract. See Stats for the counter consistency
-// model.
+// One producer at a time, as in the paper: Submit, SubmitBatch, Flush,
+// ResetDiscoveryFrontier and persistence are called by one goroutine,
+// or by several that hand the role over with synchronization (a mutex
+// held across each turn, as internal/serve does per tenant). What only
+// the producer touches — the task chunk, the ID counter — is plain
+// state. Complete is safe for concurrent use from
+// any number of workers, and Stats, Live and ReadyCount from any
+// goroutine; see Stats for the counter consistency model. Discovery
+// that scales past one producer would hand dependence resolution to
+// other threads (delegated resolution), a different design, not more
+// goroutines on this one.
 package graph

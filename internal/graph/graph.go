@@ -44,7 +44,7 @@ const (
 // predecessor that already finished is classified before anything else
 // about the predecessor is looked at, so a repeated one counts as
 // pruned, not as a duplicate. Tasks, RedirectNodes and ReplayedTasks are
-// atomics: a snapshot taken while producers are running can show a task
+// atomics: a snapshot taken while the producer is running can show a task
 // counted whose edges are not yet, never invented or lost events, and is
 // exact at a quiescent point (no in-flight Submit / SubmitBatch /
 // Complete, e.g. after a taskwait).
@@ -121,27 +121,23 @@ type Config struct {
 	CPathCached *atomic.Int64
 }
 
-// Graph is a task dependency graph under concurrent discovery.
+// Graph is a task dependency graph discovered by one producer and
+// drained by concurrent workers.
 //
-// Concurrency contract: Submit and SubmitBatch may be called from any
-// number of producer goroutines; each submission (a Submit, or a whole
-// SubmitBatch) is discovered under the one discovery lock, so whole
-// submissions linearize in the order they win it. That makes concurrent
-// producers safe, not scaled: they take turns. Producers whose key
-// footprints are disjoint (or whose tasks declare at most one
-// dependence) get a graph that does not depend on who wins; between
-// producers that share keys, which submission comes first is a race the
-// graph does not settle.
-// Complete may be called concurrently from any number of workers.
-// Persistence (BeginRecording through FinishReplay) and Flush retain
-// the single-producer contract: they must not run concurrently with
-// other producers.
+// Concurrency contract: one producer at a time. Submit, SubmitBatch,
+// Flush, ResetDiscoveryFrontier and persistence (BeginRecording through
+// FinishReplay) are the producer's, and must not run concurrently with
+// each other. The role may pass from one goroutine to another when the
+// hand-off is synchronized (a mutex, a channel): that is still one
+// producer. Complete and its Into forms may be called concurrently from
+// any number of workers, and Stats, Live and ReadyCount from any
+// goroutine at any time.
 type Graph struct {
 	opts         Opt
 	onReady      ReadyFunc
 	onReadyBatch func([]*Task)
 
-	nextID atomic.Int64
+	nextID int64 // producer-owned
 
 	// mu is the discovery lock: it guards the key table, the open-group
 	// list, the keyState free list and the edge counters, and is held for
@@ -157,7 +153,7 @@ type Graph struct {
 	// Edge counters (see Stats).
 	attempted, created, pruned, duplicate int64
 
-	chunk atomic.Pointer[taskChunk] // see alloc.go
+	chunk *taskChunk // producer-owned, see alloc.go
 
 	// Critical-path profiling (see cpath.go): cpath gates every stamp
 	// and fold site with one predictable branch; cpathNow is the clock,
@@ -253,8 +249,8 @@ func (g *Graph) Live() int64 { return int64(g.lr.Load() >> 32) }
 // a mutually consistent (live, ready) pair.
 func (g *Graph) ReadyCount() int64 { return int64(uint32(g.lr.Load())) }
 
-// Stats returns a snapshot of the discovery counters; see the Stats
-// type for the consistency model under concurrent producers.
+// Stats returns a snapshot of the discovery counters; safe from any
+// goroutine, see the Stats type for the consistency model.
 func (g *Graph) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -270,8 +266,7 @@ func (g *Graph) Stats() Stats {
 }
 
 // Submit discovers one task with the given dependences. It returns the
-// task descriptor. Safe for concurrent producers (outside recording
-// mode).
+// task descriptor. Producer-only.
 func (g *Graph) Submit(label string, deps []Dep, body func(fp any), fp any) *Task {
 	return g.SubmitTask(&TaskDesc{Label: label, Deps: deps, Body: body, FirstPrivate: fp})
 }
@@ -395,7 +390,7 @@ func (g *Graph) closeGroup(ks *keyState, readyBuf *[]*Task) {
 // Flush closes every still-open inoutset group. Executors call it at
 // synchronization points (taskwait, barrier, end of recording) so that
 // redirect nodes pending on a producer sentinel can drain.
-// Single-producer: must not run concurrently with Submit/SubmitBatch.
+// Producer-only.
 func (g *Graph) Flush() {
 	var ready []*Task
 	g.mu.Lock()
@@ -415,7 +410,8 @@ func (g *Graph) Flush() {
 func (g *Graph) newRedirect() *Task {
 	var one [1]*Task
 	r := g.allocTasks(1, one[:0])[0]
-	r.ID = g.nextID.Add(1) - 1
+	r.ID = g.nextID
+	g.nextID++
 	r.Label = "redirect"
 	r.Redirect = true
 	g.tasks.Add(1)
@@ -566,13 +562,19 @@ func (g *Graph) notifyReady(ts []*Task) {
 	}
 }
 
-// Start transitions a ready task to running. Executors call it when they
-// begin the body; it is advisory (used by traces and tests).
-func (g *Graph) Start(t *Task) {
-	if g.cpath {
-		t.cp.startNs = g.cpNow()
+// Start claims a ready task for its body: it moves t from Ready to
+// Running and reports whether it did. Executors call it before the body
+// and skip the body when it fails, which happens only when the task
+// already finished: an external Fulfill completed a detached task while
+// its queue publication was in flight. A plain store of Running there
+// would overwrite the terminal state, and the task would never finish
+// again for the successors later discovered against its keys.
+func (g *Graph) Start(t *Task) bool {
+	if !t.state.CompareAndSwap(int32(Ready), int32(Running)) {
+		return false
 	}
-	t.state.Store(int32(Running))
+	g.StampStart(t)
+	return true
 }
 
 // Complete marks t finished and releases its successors. Safe to call
@@ -679,7 +681,7 @@ func (g *Graph) FailEpoch() uint64 { return g.failEpoch.Load() }
 // ResetDiscoveryFrontier clears the per-key discovery state (last
 // writers/readers) without touching counters, used between independent
 // phases in benchmarks. The key map and keyStates are recycled, not
-// reallocated. Single-producer.
+// reallocated. Producer-only.
 func (g *Graph) ResetDiscoveryFrontier() {
 	g.mu.Lock()
 	g.keys.each(func(_ Key, ks *keyState) { g.recycle(ks) })

@@ -4,8 +4,7 @@ import "fmt"
 
 // Persistence (optimization p): record a task sub-graph once, replay it
 // with per-task cost reduced to a firstprivate copy. The whole
-// record/replay machinery is single-producer — it must not run
-// concurrently with other producers on the same graph.
+// record/replay machinery is the producer's, like discovery.
 //
 // Replay is allocation-free by construction: BeginReplay resets
 // counters in place, Replay reuses the recorded Task objects (same

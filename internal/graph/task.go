@@ -167,10 +167,8 @@ type Task struct {
 
 	// --- line 1: execution and the producer's per-task state ---
 
-	// ID is the submission sequence number, unique within a Graph. With
-	// concurrent producers IDs are allocated atomically: they remain
-	// unique and per-producer monotonic, but are not globally dense in
-	// per-key discovery order.
+	// ID is the submission sequence number, unique within a Graph and
+	// dense in discovery order.
 	ID int64
 	// Body is the work closure run by the real executor (nil for
 	// redirect nodes and for DES-only tasks).

@@ -4,7 +4,7 @@
 // use — nonblocking point-to-point (Isend/Irecv with eager and
 // rendezvous protocols selected by message size, as observed on the
 // paper's Open MPI/BXI configuration), a nonblocking Iallreduce
-// collective, Test/Wait completion, and PMPI-style profiling hooks that
+// collective, Done/Wait completion, and PMPI-style profiling hooks that
 // feed the communication-overlap metrics of internal/trace.
 //
 // Matching follows MPI semantics: per (source, tag) FIFO order with
@@ -217,10 +217,6 @@ type World struct {
 	// Comm() handles for the same rank share the matching sequence.
 	collSeqs []int64
 
-	// EagerThreshold in float64 elements; messages of Len >= threshold
-	// use rendezvous.
-	eagerThreshold int
-
 	reqID atomic.Int64
 
 	// Abort state. aborted is checked inside the mailbox/collective
@@ -236,21 +232,16 @@ type World struct {
 // threshold.
 func NewWorld(size int) *World {
 	w := &World{
-		size:           size,
-		boxes:          make([]*mailbox, size),
-		colls:          make(map[int64]*collective),
-		collSeqs:       make([]int64, size),
-		eagerThreshold: DefaultEagerThreshold,
+		size:     size,
+		boxes:    make([]*mailbox, size),
+		colls:    make(map[int64]*collective),
+		collSeqs: make([]int64, size),
 	}
 	for i := range w.boxes {
 		w.boxes[i] = &mailbox{}
 	}
 	return w
 }
-
-// SetEagerThreshold overrides the eager/rendezvous switch (in float64
-// elements). Call before Run.
-func (w *World) SetEagerThreshold(n int) { w.eagerThreshold = n }
 
 // Abort tears the world down after a rank failed: every pending request
 // on every rank — posted receives, rendezvous sends parked in
@@ -418,7 +409,7 @@ func (c *Comm) Isend(buf []float64, dest, tag int) *Request {
 		panic(fmt.Sprintf("mpi: Isend to invalid rank %d", dest))
 	}
 	req := c.newRequest(trace.Send, 8*len(buf))
-	eager := len(buf) < c.world.eagerThreshold
+	eager := len(buf) < DefaultEagerThreshold
 	box := c.world.boxes[dest]
 
 	box.mu.Lock()
@@ -550,22 +541,12 @@ func (c *Comm) Allreduce(op Op, send, recv []float64) {
 	c.Iallreduce(op, send, recv).Wait()
 }
 
-// Barrier blocks until every rank reaches it.
-func (c *Comm) Barrier() {
-	var x, y [1]float64
-	c.Allreduce(Sum, x[:], y[:])
-}
-
 // Wait blocks until the request completes and returns its status: nil
 // on success, an ErrAborted-wrapping error when the world aborted.
 func (r *Request) Wait() error {
 	<-r.done
 	return r.err
 }
-
-// Test reports whether the request completed (MPI_Test semantics: no
-// blocking, safe to call repeatedly).
-func (r *Request) Test() bool { return r.Done() }
 
 // Waitall blocks until every request completes and returns the joined
 // non-nil statuses (nil when all succeeded).
@@ -580,14 +561,4 @@ func Waitall(reqs ...*Request) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// Testall reports whether all requests completed.
-func Testall(reqs ...*Request) bool {
-	for _, r := range reqs {
-		if r != nil && !r.Done() {
-			return false
-		}
-	}
-	return true
 }

@@ -16,9 +16,8 @@ import (
 // of blocking forever.
 func TestAbortErrorsPendingRendezvousSend(t *testing.T) {
 	w := NewWorld(2)
-	w.SetEagerThreshold(4)
 	cause := errors.New("rank 1 task failure")
-	big := make([]float64, 64)
+	big := make([]float64, DefaultEagerThreshold)
 	r := w.Comm(0).Isend(big, 1, 3)
 	time.Sleep(5 * time.Millisecond)
 	if r.Done() {
@@ -64,13 +63,12 @@ func TestAbortErrorsHalfGatheredCollective(t *testing.T) {
 // abort completes at once with the error — no new deadlocks form.
 func TestPostAfterAbortFailsImmediately(t *testing.T) {
 	w := NewWorld(2)
-	w.SetEagerThreshold(1)
 	cause := errors.New("down")
 	w.Abort(cause)
 	if !w.Aborted() {
 		t.Fatalf("Aborted() false after Abort")
 	}
-	r := w.Comm(0).Isend(make([]float64, 8), 1, 0)
+	r := w.Comm(0).Isend(make([]float64, DefaultEagerThreshold), 1, 0)
 	if !r.Done() {
 		t.Fatalf("post-abort send did not complete immediately")
 	}

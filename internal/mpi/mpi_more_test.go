@@ -10,20 +10,19 @@ import (
 
 func TestEagerThresholdBoundary(t *testing.T) {
 	w := NewWorld(2)
-	w.SetEagerThreshold(4)
 	// len == threshold: rendezvous; len < threshold: eager.
-	exact := w.Comm(0).Isend(make([]float64, 4), 1, 1)
-	if exact.Test() {
+	exact := w.Comm(0).Isend(make([]float64, DefaultEagerThreshold), 1, 1)
+	if exact.Done() {
 		t.Fatalf("at-threshold send completed eagerly")
 	}
-	below := w.Comm(0).Isend(make([]float64, 3), 1, 2)
-	if !below.Test() {
+	below := w.Comm(0).Isend(make([]float64, DefaultEagerThreshold-1), 1, 2)
+	if !below.Done() {
 		t.Fatalf("below-threshold send did not complete eagerly")
 	}
-	buf := make([]float64, 4)
+	buf := make([]float64, DefaultEagerThreshold)
 	w.Comm(1).Recv(buf, 0, 1)
 	exact.Wait()
-	w.Comm(1).Recv(buf[:3], 0, 2)
+	w.Comm(1).Recv(buf[:DefaultEagerThreshold-1], 0, 2)
 }
 
 func TestRepeatedCommHandlesShareCollectiveSequence(t *testing.T) {
@@ -58,20 +57,21 @@ func TestSelfSend(t *testing.T) {
 	r.Wait()
 }
 
-func TestWaitallAndTestallWithNil(t *testing.T) {
+func TestWaitallWithNil(t *testing.T) {
 	w := NewWorld(2)
 	r := w.Comm(0).Isend([]float64{1}, 1, 0)
-	if !Testall(r, nil) {
-		t.Fatalf("eager send + nil should be all done")
+	if err := Waitall(nil, r, nil); err != nil {
+		t.Fatalf("Waitall = %v", err)
 	}
-	Waitall(nil, r, nil)
 	buf := make([]float64, 1)
 	r2 := w.Comm(1).Irecv(buf, 0, 1)
-	if Testall(r2) {
+	if r2.Done() {
 		t.Fatalf("unmatched recv reported done")
 	}
 	w.Comm(0).Isend([]float64{2}, 1, 1)
-	Waitall(r2)
+	if err := Waitall(r2); err != nil || buf[0] != 2 {
+		t.Fatalf("Waitall = %v, buf = %v", err, buf)
+	}
 }
 
 func TestRecvCompletionFillsEnvelope(t *testing.T) {
@@ -89,15 +89,17 @@ func TestRendezvousZeroCopyVisibility(t *testing.T) {
 	// Rendezvous references the sender's buffer until the match; data
 	// written before the Isend must arrive intact.
 	w := NewWorld(2)
-	w.SetEagerThreshold(2)
-	src := []float64{1, 2, 3, 4}
+	src := make([]float64, DefaultEagerThreshold)
+	for i := range src {
+		src[i] = float64(i + 1)
+	}
 	req := w.Comm(0).Isend(src, 1, 0)
-	dst := make([]float64, 4)
+	dst := make([]float64, len(src))
 	w.Comm(1).Recv(dst, 0, 0)
 	req.Wait()
 	for i := range src {
 		if dst[i] != src[i] {
-			t.Fatalf("dst = %v", dst)
+			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], src[i])
 		}
 	}
 }
@@ -161,11 +163,11 @@ func TestBarrierRepeated(t *testing.T) {
 	w.Run(func(c *Comm) {
 		for r := 0; r < rounds; r++ {
 			phase.Add(1)
-			c.Barrier()
+			barrier(c)
 			if int(phase.Load()) < (r+1)*n {
 				bad.Store(true)
 			}
-			c.Barrier() // second barrier prevents next-round overtaking
+			barrier(c) // second barrier prevents next-round overtaking
 		}
 	})
 	if bad.Load() {

@@ -34,7 +34,7 @@ func TestEagerSendCompletesBeforeRecv(t *testing.T) {
 		defer close(done)
 		c := w.Comm(0)
 		r := c.Isend([]float64{42}, 1, 0) // below threshold: eager
-		if !r.Test() {
+		if !r.Done() {
 			t.Errorf("eager send did not complete at post")
 		}
 	}()
@@ -53,21 +53,20 @@ func TestEagerSendCompletesBeforeRecv(t *testing.T) {
 
 func TestRendezvousSendWaitsForRecv(t *testing.T) {
 	w := NewWorld(2)
-	w.SetEagerThreshold(4)
-	big := make([]float64, 16)
+	big := make([]float64, DefaultEagerThreshold)
 	for i := range big {
 		big[i] = float64(i)
 	}
 	c0 := w.Comm(0)
 	r := c0.Isend(big, 1, 3)
 	time.Sleep(10 * time.Millisecond)
-	if r.Test() {
+	if r.Done() {
 		t.Fatalf("rendezvous send completed before matching recv")
 	}
-	buf := make([]float64, 16)
+	buf := make([]float64, len(big))
 	w.Comm(1).Recv(buf, 0, 3)
 	r.Wait()
-	if buf[15] != 15 {
+	if n := len(buf) - 1; buf[n] != float64(n) {
 		t.Fatalf("data corrupted: %v", buf)
 	}
 }
@@ -76,7 +75,7 @@ func TestRecvThenSendMatch(t *testing.T) {
 	w := NewWorld(2)
 	buf := make([]float64, 2)
 	req := w.Comm(1).Irecv(buf, 0, 5)
-	if req.Test() {
+	if req.Done() {
 		t.Fatalf("recv completed with no sender")
 	}
 	w.Comm(0).Send([]float64{9, 8}, 1, 5)
@@ -167,6 +166,13 @@ func TestIallreduceNonblockingOverlap(t *testing.T) {
 	}
 }
 
+// barrier is the one-element Allreduce every rank must join before any
+// leaves it.
+func barrier(c *Comm) {
+	var x, y [1]float64
+	c.Allreduce(Sum, x[:], y[:])
+}
+
 func TestBarrier(t *testing.T) {
 	const n = 6
 	w := NewWorld(n)
@@ -174,7 +180,7 @@ func TestBarrier(t *testing.T) {
 	var bad atomic.Bool
 	w.Run(func(c *Comm) {
 		phase.Add(1)
-		c.Barrier()
+		barrier(c)
 		if phase.Load() != n {
 			bad.Store(true)
 		}

@@ -91,15 +91,6 @@ func (s *HistSnapshot) MergeFrom(o HistSnapshot) {
 	s.Sum += o.Sum
 }
 
-// Mean returns the average observed value in nanoseconds, or 0 when
-// empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // writeProm writes the snapshot as a Prometheus histogram: # HELP and
 // # TYPE metadata, then cumulative _bucket{le=...} series, _sum and
 // _count.

@@ -211,9 +211,6 @@ type Options struct {
 	// when Spans is on). Rounded up to a power of two so the hot-path
 	// check is a mask; 0 or 1 records every span.
 	SpanSample int
-	// SpanBuf is the per-slot span ring capacity, rounded up to a
-	// power of two. 0 means 4096. Wraparound keeps the newest events.
-	SpanBuf int
 	// Addr, when non-empty, makes rt serve the introspection endpoint
 	// (/metrics, /graphz, /spans, /debug/pprof/) on this address,
 	// e.g. "localhost:9123".
@@ -270,11 +267,6 @@ func New(slots int, origin time.Time, opt Options) *Registry {
 	if slots < 1 {
 		slots = 1
 	}
-	bufCap := opt.SpanBuf
-	if bufCap <= 0 {
-		bufCap = defaultSpanBuf
-	}
-	bufCap = ceilPow2(bufCap)
 	sample := opt.SpanSample
 	if sample < 1 {
 		sample = 1
@@ -290,7 +282,7 @@ func New(slots int, origin time.Time, opt Options) *Registry {
 	if r.timing {
 		r.rings = make([]ring, slots+1)
 		for i := range r.rings {
-			r.rings[i].ev = make([]evSlot, bufCap)
+			r.rings[i].ev = make([]evSlot, spanBuf)
 		}
 	}
 	return r

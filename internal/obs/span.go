@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// defaultSpanBuf is the per-slot ring capacity when Options.SpanBuf is
-// zero: 4096 events ≈ 160 KiB per slot, made only with spans on and
-// bounded regardless of run length (wraparound keeps the newest events).
-const defaultSpanBuf = 4096
+// spanBuf is the per-slot ring capacity, a power of two: 4096 events ≈
+// 160 KiB per slot, made only with spans on and bounded regardless of
+// run length (wraparound keeps the newest events).
+const spanBuf = 4096
 
 // SpanName identifies what a span or instant covers.
 type SpanName uint8
@@ -95,9 +95,6 @@ type Span struct {
 	iter  int32
 	name  SpanName
 }
-
-// Active reports whether the span will record on End.
-func (sp Span) Active() bool { return sp.r != nil }
 
 // BeginSpan opens a span on slot (ownership contract as IncSlot; pass
 // -1 from unowned contexts). Returns an inert span when the timing

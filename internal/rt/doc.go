@@ -16,6 +16,16 @@
 //     OnComplete callback fulfils the task's Event);
 //   - profiling of the work/overhead/idle breakdown and discovery window.
 //
+// # One producer
+//
+// Submit, SubmitBatch, TaskLoop, Taskwait, the persistent regions and
+// Close are the producer's: one goroutine at a time calls them. The role
+// may move between goroutines when the hand-off is synchronized, as
+// internal/serve does under each tenant's producer mutex. Its staging
+// buffers, its scheduler slot and its counter shard are owned, not
+// shared. Event.Fulfill, Abort, Introspect and the graph's Stats, Live
+// and ReadyCount are safe from any goroutine.
+//
 // # Submission paths
 //
 // Runtime.Submit discovers one task per call; Runtime.SubmitBatch hands

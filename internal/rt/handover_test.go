@@ -106,34 +106,28 @@ func TestFusionPanicMidChain(t *testing.T) {
 	}
 }
 
-// TestFusionUnderConcurrentSubmitBatch exercises fusion while two
-// producers feed disjoint-key chains through the batch path (-race).
+// TestFusionUnderConcurrentSubmitBatch exercises fusion while the
+// producer feeds two disjoint-key chains through the batch path and four
+// workers run them (-race).
 func TestFusionUnderConcurrentSubmitBatch(t *testing.T) {
 	rt := New(Config{Workers: 4})
-	const producers, chain = 2, 300
+	const chains, chain = 2, 300
 	var ran atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			specs := make([]Spec, chain)
-			for i := range specs {
-				specs[i] = Spec{
-					InOut: []graph.Key{graph.Key(100 + p)},
-					Body:  func(any) { ran.Add(1) },
-				}
-			}
-			rt.SubmitBatch(specs)
-		}()
+	specs := make([]Spec, 0, chains*chain)
+	for i := 0; i < chain; i++ {
+		for c := 0; c < chains; c++ {
+			specs = append(specs, Spec{
+				InOut: []graph.Key{graph.Key(100 + c)},
+				Body:  func(any) { ran.Add(1) },
+			})
+		}
 	}
-	wg.Wait()
+	rt.SubmitBatch(specs)
 	if err := rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if ran.Load() != producers*chain {
-		t.Fatalf("ran %d of %d", ran.Load(), producers*chain)
+	if ran.Load() != chains*chain {
+		t.Fatalf("ran %d of %d", ran.Load(), chains*chain)
 	}
 }
 

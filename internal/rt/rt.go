@@ -49,8 +49,10 @@ type Config struct {
 	ThrottleTotal int64
 	// Profile, if non-nil, receives breakdown/trace events. It must be
 	// created with at least Workers+1 slots; slot Workers is the
-	// producer. Its epoch is the time origin of spans and critical-path
-	// stamps too; without a profile that origin is NewRuntime's call.
+	// producer, counted from NewRuntime on: work in the bodies it runs,
+	// idle while it parks, overhead otherwise, discovery included. Its
+	// epoch is the time origin of spans and critical-path stamps too;
+	// without a profile that origin is NewRuntime's call.
 	Profile *trace.Profile
 	// Verify enables the TDG verifier (internal/verify). Off: zero
 	// overhead. Observe: dependence declarations are recorded at
@@ -81,7 +83,8 @@ type Config struct {
 	Obs obs.Options
 }
 
-// Runtime executes dependent tasks discovered by a single producer.
+// Runtime executes dependent tasks discovered by a single producer (see
+// the package documentation for which methods are the producer's).
 type Runtime struct {
 	cfg Config
 	g   *graph.Graph
@@ -132,20 +135,11 @@ type Runtime struct {
 	ver       *verify.Recorder
 	lastAudit atomic.Pointer[verify.Report]
 
-	// Producer-only staging buffers, reused across Submit/TaskLoop
-	// calls so steady-state submission does not allocate.
+	// Producer-only staging buffers, reused across Submit, SubmitBatch
+	// and TaskLoop calls so steady-state submission does not allocate.
 	depBuf    []graph.Dep
 	loopSpecs []Spec
-
-	// stage holds the warm SubmitBatch staging buffer set. The batch path
-	// supports concurrent producers on disjoint keys (see the graph's
-	// concurrency contract), so a producer swaps the set out and owns it;
-	// one that finds the slot empty builds a fresh set. Not a sync.Pool:
-	// a pool stays on the runtime's global pool list for a collection
-	// after its last use, and this one is a field of the Runtime, so a
-	// closed runtime and its last region stayed live for one more cycle
-	// (the graph's task chunk had the same defect, see graph/alloc.go).
-	stage atomic.Pointer[batchStage]
+	stage     batchStage
 
 	// slots[w] is executor slot w's own state: workers 0..Workers-1, the
 	// producer-as-consumer at Workers. Finishes from contexts without a
@@ -279,6 +273,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		},
 	})
 	rt.slots = make([]slotState, cfg.Workers+1)
+	if p := cfg.Profile; p != nil {
+		// The producer's slot is in the breakdown from here on: its
+		// discovery is overhead, not a gap.
+		p.SetState(rt.producerID(), trace.Overhead, p.Now())
+	}
 	if cfg.Obs.Addr != "" {
 		srv, err := obs.Serve(cfg.Obs.Addr, rt.httpHandler())
 		if err != nil {
@@ -646,7 +645,7 @@ func (rt *Runtime) SubmitBatch(specs []Spec) []*Event {
 	return evs
 }
 
-// batchStage is one SubmitBatch staging buffer set (see Runtime.stage).
+// batchStage is the SubmitBatch staging buffer set (Runtime.stage).
 type batchStage struct {
 	descs []graph.TaskDesc
 	deps  []graph.Dep
@@ -657,18 +656,12 @@ type batchStage struct {
 func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*Event {
 	rt.throttle()
 	// Discovery-batch span: TaskID carries the chunk size (there is no
-	// single task), recorded unsampled — chunks are coarse. Recorded on
-	// the external (unowned) lane, not the producer's: the batch path
-	// supports concurrent producers, so the producer shard's
-	// single-writer contract does not hold here.
+	// single task), recorded unsampled — chunks are coarse.
 	var sp obs.Span
 	if rt.obs.TimingOn() {
-		sp = rt.obs.BeginSpan(-1, obs.SpanDiscoveryBatch, int64(hi-lo), 0, int(rt.iter.Load()))
+		sp = rt.obs.BeginSpan(rt.producerID(), obs.SpanDiscoveryBatch, int64(hi-lo), 0, int(rt.iter.Load()))
 	}
-	st := rt.stage.Swap(nil)
-	if st == nil {
-		st = &batchStage{}
-	}
+	st := &rt.stage
 	descs := st.descs[:0]
 	flat := st.deps[:0]
 	for i := lo; i < hi; i++ {
@@ -695,10 +688,7 @@ func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*E
 		})
 	}
 	tasks := rt.g.SubmitBatch(descs, st.tasks[:0])
-	// One atomic add per chunk on the multi-writer external shard: the
-	// batch path supports concurrent producers, which the producer
-	// shard's owner-private pending counters cannot.
-	rt.obs.Add(obs.CTasksSubmitted, int64(len(tasks)))
+	rt.obs.AddSlot(rt.producerID(), obs.CTasksSubmitted, int64(len(tasks)))
 	p := rt.cfg.Profile
 	for i, t := range tasks {
 		if rt.ver != nil {
@@ -718,7 +708,6 @@ func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*E
 	clear(descs)
 	clear(tasks)
 	st.descs, st.deps, st.tasks = descs[:0], flat[:0], tasks[:0]
-	rt.stage.Store(st)
 	sp.End()
 	// Hand the P to the workers the chunk's ready tasks woke. Where they
 	// have a P of their own this returns at once. Where they do not, the
@@ -772,10 +761,7 @@ func (rt *Runtime) throttle() {
 	}
 	for rt.overThrottle() {
 		if !rt.produceConsumeOne() {
-			// External (atomic) shard: throttle is reachable from
-			// concurrent SubmitBatch producers, and a stall is about to
-			// block anyway, so the atomic add is free.
-			rt.obs.Add(obs.CThrottleStalls, 1)
+			rt.obs.IncSlot(rt.producerID(), obs.CThrottleStalls)
 			rt.producerIdle(func() bool { return !rt.overThrottle() })
 		}
 	}
@@ -839,14 +825,23 @@ func (rt *Runtime) produceConsumeOne() bool {
 // predicate done(), the wake counter — and only then park. Completions
 // wake the producer slot via WakeProducer on the transitions done()
 // watches (counter drops, graph drain); publications reach it through
-// the normal wake path.
+// the normal wake path. The profile counts the park as the slot's idle
+// time, and the rest of the producer's time outside bodies — discovery
+// included — as overhead.
 func (rt *Runtime) producerIdle(done func() bool) {
 	snap := rt.s.PrePark(-1)
 	if rt.s.Pending() > 0 || done() || rt.s.Seq() != snap {
 		rt.s.CancelPark(-1)
 		return
 	}
+	p := rt.cfg.Profile
+	if p != nil {
+		p.SetState(rt.producerID(), trace.Idle, p.Now())
+	}
 	rt.s.Park(-1)
+	if p != nil {
+		p.SetState(rt.producerID(), trace.Overhead, p.Now())
+	}
 }
 
 // Taskwait blocks the producer until every discovered task has reached
@@ -1079,10 +1074,11 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 		return
 	}
 	// A detached task can be completed by an external Fulfill while its
-	// queue publication is still in flight; the event's fired claim is
-	// the authority. Running the body anyway would store Running over
-	// the terminal state, leaving a ghost-live task that silently blocks
-	// every later successor discovered against its keys.
+	// queue publication is still in flight; the event's fired claim says
+	// so. A Fulfill that lands after this check is caught by the start,
+	// a claim a finished task refuses (graph.Start): storing Running over
+	// the terminal state would leave a ghost-live task that silently
+	// blocks every later successor discovered against its keys.
 	// The event is read once, here: a Fulfill during the body completes
 	// the task, and in a persistent region the producer may then replay it
 	// — attaching the next iteration's event — before this executor is done.
@@ -1097,9 +1093,24 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	if slot < 0 {
 		slot = rt.cfg.Workers // producer slot
 	}
+	// The profile's record opens before the start stamp, so the stamp
+	// lies inside it.
 	var t0 float64
 	if p != nil {
 		t0 = p.Now()
+	}
+	if !compiled {
+		if !rt.g.Start(t) { // stamps the body-start clock when CPath is on
+			return
+		}
+	} else {
+		// Compiled replay leaves states terminal between transitions (see
+		// graph.Compiled.FinishIntoDeferred): nothing reads Running there,
+		// and skipping the store keeps an atomic full barrier off the
+		// steady-state path. The phase clock still gets its start stamp.
+		rt.g.StampStart(t)
+	}
+	if p != nil {
 		p.SetState(slot, trace.Work, t0)
 	}
 	// Task-body span, sampled (Obs.SpanSample) to amortize the two
@@ -1107,15 +1118,6 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	var sp obs.Span
 	if !t.Redirect && rt.obs.Sampled(slot) {
 		sp = rt.obs.BeginSpan(slot, obs.SpanTaskBody, t.ID, depHash(t), int(rt.iter.Load()))
-	}
-	if !compiled {
-		rt.g.Start(t) // stamps the body-start clock when CPath is on
-	} else {
-		// Compiled replay leaves states terminal between transitions (see
-		// graph.Compiled.FinishIntoDeferred): nothing reads Running there,
-		// and skipping the store keeps an atomic full barrier off the
-		// steady-state path. The phase clock still gets its start stamp.
-		rt.g.StampStart(t)
 	}
 	err := rt.runBody(t)
 	sp.End()

@@ -120,42 +120,6 @@ func TestSubmitBatchDetached(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchConcurrentProducers drives SubmitBatch from several
-// goroutines on disjoint key ranges while workers execute.
-func TestSubmitBatchConcurrentProducers(t *testing.T) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll})
-	const producers = 4
-	const batches = 20
-	const batchLen = 40
-	var ran atomic.Int64
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			base := graph.Key(1000 * (p + 1))
-			specs := make([]Spec, 0, batchLen)
-			for b := 0; b < batches; b++ {
-				specs = specs[:0]
-				for i := 0; i < batchLen; i++ {
-					k := base + graph.Key(i%7)
-					specs = append(specs, Spec{
-						Label: "w",
-						InOut: []graph.Key{k},
-						Body:  func(any) { ran.Add(1) },
-					})
-				}
-				rt.SubmitBatch(specs)
-			}
-		}(p)
-	}
-	wg.Wait()
-	rt.Close()
-	if got := ran.Load(); got != producers*batches*batchLen {
-		t.Fatalf("ran %d of %d", got, producers*batches*batchLen)
-	}
-}
-
 // TestSubmitBatchVerifyObserve checks the verifier observes batched
 // submissions without re-serializing them: the audit sees every task of
 // a batch (including inoutset redirects) and a clean run stays clean.

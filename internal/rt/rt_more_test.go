@@ -366,3 +366,54 @@ func TestCrossBoundaryDependenceIntoPersistentRegion(t *testing.T) {
 		t.Fatalf("order = %v", order)
 	}
 }
+
+// TestDetachedFulfillBeforeStartStaysTerminal: a detached task the
+// producer fulfills while a worker is about to start it must stay
+// terminal. The start is a claim a finished task refuses; a plain store
+// of Running after the Fulfill left the task live forever, and every
+// later task on its keys waiting on it. The window is a few
+// instructions wide, so the loop runs many short rounds; each round's
+// task is checked one round later, once its worker has moved on.
+func TestDetachedFulfillBeforeStartStaysTerminal(t *testing.T) {
+	rt := New(Config{Workers: 2, CPath: CPathOptions{Enable: true}})
+	defer rt.Close()
+	rounds, budget := 200_000, 2*time.Second
+	if testing.Short() {
+		rounds = 20_000
+	}
+	deadline := time.Now().Add(budget)
+	var prev *graph.Task
+	for i := 0; i < rounds && time.Now().Before(deadline); i++ {
+		ev := rt.Submit(Spec{Label: "d", Out: []graph.Key{1}, Detached: true, DetachedBody: func(any, *Event) {}})
+		ev.Fulfill()
+		if err := rt.Taskwait(); err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && !prev.State().Done() {
+			t.Fatalf("round %d: fulfilled task left %v", i-1, prev.State())
+		}
+		prev = ev.t.Load()
+	}
+}
+
+// TestProfileCountsTheProducer: the producer's slot is in the
+// breakdown from NewRuntime on, discovery included, so work, overhead
+// and idle over every slot add up to the wall clock.
+func TestProfileCountsTheProducer(t *testing.T) {
+	p := trace.New(2, false)
+	rt := New(Config{Workers: 1, Profile: p})
+	specs := make([]Spec, 256)
+	for i := range specs {
+		specs[i] = Spec{Label: "b", InOut: []graph.Key{graph.Key(i % 16)}, Body: func(any) {}}
+	}
+	for b := 0; b < 400; b++ {
+		rt.SubmitBatch(specs)
+	}
+	rt.Close()
+	wall := p.Now()
+	bd := p.Breakdown()
+	sum := bd.Work + bd.OverheadTime + bd.IdleTime + bd.SkipTime
+	if residual := 1 - sum/(float64(bd.Workers)*wall); residual > 0.1 {
+		t.Fatalf("breakdown residual %.3f of %d slots x %.3f s, want <= 0.1", residual, bd.Workers, wall)
+	}
+}

@@ -26,8 +26,7 @@
 //
 // verify.go implements the structural audit (Audit) with its
 // reachability engine and cost bounds; recorder.go is the runtime-side
-// Recorder that logs submissions — striped by task ID so the graph's
-// sharded discovery path is observed without re-serializing it — and
-// checks persistent replays; report.go defines Report, Race and
+// Recorder that logs the producer's submissions in order and checks
+// persistent replays; report.go defines Report, Race and
 // Divergence plus the DOT race-witness export.
 package verify

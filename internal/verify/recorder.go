@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"taskdep/internal/graph"
 )
@@ -16,30 +15,21 @@ import (
 // runtime owns one when Config.Verify != Off and forwards discovery and
 // persistence events to it; Audit then checks the whole history.
 //
-// Record observes the graph's striped submission path without
-// re-serializing it: the submission log is itself striped by task ID
-// (recStripes buckets, each with its own lock), so concurrent producers
-// that do not collide on a bucket record in parallel. Audit merges the
-// stripes back into submission order by task ID — exact for a single
-// producer (IDs are dense in submission order, batched or not), and for
-// concurrent producers a valid linearization whenever producers work on
-// disjoint keys (each key's access sequence comes from one producer,
-// whose IDs are monotonic). The persistence-side methods (ReplayNext,
-// Begin*/End*) follow the graph's single-producer persistence contract;
-// Audit may run from any goroutine (it locks out producers while
-// snapshotting).
+// Record, ReplayNext and Begin*/End* are the producer's, called in
+// submission order (the graph's one-producer contract), so the log is in
+// submission order as recorded. Audit may run from any goroutine: mu
+// orders it against the producer's appends.
 type Recorder struct {
 	mu   sync.Mutex
 	opts graph.Opt
 
-	// stripes hold the submission log, sharded by task ID.
-	stripes [recStripes]recStripe
-	// recording is set between BeginRecording and EndRecording so the
-	// striped Record path knows to also append to entries (atomically
-	// readable without taking mu).
-	recordingFlag atomic.Bool
+	// infos is the submission log, in submission order.
+	infos []TaskInfo
+	// recording is set between BeginRecording and EndRecording, so
+	// Record also appends to entries.
+	recording bool
 
-	// recording state under mu: the per-submission reference a replay
+	// recording state: the per-submission reference a replay
 	// that resubmits is checked against. The structural reference — the
 	// recording's Signature — is returned by EndRecording and handed back
 	// to EndReplay, so a recording replayed after a later one was made is
@@ -53,15 +43,6 @@ type Recorder struct {
 	divMark     int
 
 	divergences []Divergence
-}
-
-// recStripes is the stripe count of the submission log; power of two.
-const recStripes = 16
-
-type recStripe struct {
-	mu    sync.Mutex
-	infos []TaskInfo
-	_     [32]byte // pad to limit false sharing between stripes
 }
 
 type recEntry struct {
@@ -98,34 +79,15 @@ func depsString(deps []graph.Dep) string {
 }
 
 // Record captures one discovered task and its declared dependences
-// (deps is copied; callers may reuse the buffer). Safe for concurrent
-// producers: the log append lands in the task's ID stripe.
+// (deps is copied; callers may reuse the buffer). Producer-only.
 func (r *Recorder) Record(t *graph.Task, deps []graph.Dep) {
-	s := &r.stripes[uint64(t.ID)&(recStripes-1)]
-	s.mu.Lock()
-	s.infos = append(s.infos, TaskInfo{Task: t, Deps: append([]graph.Dep(nil), deps...)})
-	s.mu.Unlock()
-	if r.recordingFlag.Load() {
-		// Persistence recording is single-producer (graph contract), so
-		// this append does not contend with other Records.
-		r.mu.Lock()
+	info := TaskInfo{Task: t, Deps: append([]graph.Dep(nil), deps...)}
+	r.mu.Lock()
+	r.infos = append(r.infos, info)
+	if r.recording {
 		r.entries = append(r.entries, recEntry{label: t.Label, deps: canonDeps(deps)})
-		r.mu.Unlock()
 	}
-}
-
-// snapshotInfos merges the striped submission log back into submission
-// order (by task ID).
-func (r *Recorder) snapshotInfos() []TaskInfo {
-	var infos []TaskInfo
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		s.mu.Lock()
-		infos = append(infos, s.infos...)
-		s.mu.Unlock()
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Task.ID < infos[j].Task.ID })
-	return infos
+	r.mu.Unlock()
 }
 
 // BeginRecording mirrors graph.BeginRecording: subsequent Records
@@ -133,8 +95,8 @@ func (r *Recorder) snapshotInfos() []TaskInfo {
 func (r *Recorder) BeginRecording() {
 	r.mu.Lock()
 	r.entries = r.entries[:0]
+	r.recording = true
 	r.mu.Unlock()
-	r.recordingFlag.Store(true)
 }
 
 // EndRecording closes the reference; recorded is the graph's recorded
@@ -142,7 +104,9 @@ func (r *Recorder) BeginRecording() {
 // structural signature, which later iterations are compared against
 // (EndReplay).
 func (r *Recorder) EndRecording(recorded []*graph.Task) uint64 {
-	r.recordingFlag.Store(false)
+	r.mu.Lock()
+	r.recording = false
+	r.mu.Unlock()
 	return Signature(recorded)
 }
 
@@ -242,8 +206,8 @@ func (r *Recorder) Divergences() []Divergence {
 // Audit snapshots the recorded history and runs the full structural
 // check; extra nodes (redirects the graph logged) join the node set.
 func (r *Recorder) Audit(extra []*graph.Task) *Report {
-	infos := r.snapshotInfos()
 	r.mu.Lock()
+	infos := append([]TaskInfo(nil), r.infos...)
 	divs := append([]Divergence(nil), r.divergences...)
 	opts := r.opts
 	r.mu.Unlock()
