@@ -428,15 +428,23 @@ func (d *Domain) buildIteration(comm *mpi.Comm, ex *exchanger, cfg TaskConfig, d
 
 	// Force loop (node-chunked): reads dt, EOS state of adjacent
 	// elements and positions of those elements' nodes (one layer beyond
-	// the chunk); writes forces.
+	// the chunk); writes forces. The read set depends on the element range
+	// alone, which consecutive chunks of one node layer share: they share
+	// the slice too, which is how discovery admits them to one read run
+	// without comparing keys.
+	var in []graph.Key
+	prevLo, prevHi := -1, -1
 	for c := 0; c < tpl; c++ {
 		lo, hi := chunkBounds(nn, tpl, c)
 		elo, ehi := d.elemRangeForNodes(lo, hi)
-		nlo, nhi := d.nodeRangeForElems(elo, ehi)
-		// The force kernel reads positions and pressures only — no dt —
-		// so next-iteration force tasks can overlap the dt collective.
-		in := append(elemChunkKeys(g.elemEOS, elo, ehi), elemChunkKeys(g.elemQ, elo, ehi)...)
-		in = append(in, nodeChunkKeys(g.nodeState, nlo, nhi)...)
+		if elo != prevLo || ehi != prevHi {
+			nlo, nhi := d.nodeRangeForElems(elo, ehi)
+			// The force kernel reads positions and pressures only — no dt —
+			// so next-iteration force tasks can overlap the dt collective.
+			in = append(elemChunkKeys(g.elemEOS, elo, ehi), elemChunkKeys(g.elemQ, elo, ehi)...)
+			in = append(in, nodeChunkKeys(g.nodeState, nlo, nhi)...)
+			prevLo, prevHi = elo, ehi
+		}
 		lo2, hi2 := lo, hi
 		specs = append(specs, rt.Spec{
 			Label: "force",

@@ -67,29 +67,29 @@ type DiscoveryResult struct {
 	Row    DiscoveryRow    `json:"row"`
 }
 
-// appendDiscoveryDeps appends task i's dependence list. The keys form
-// pairs: task i InOut-writes both keys of pair i%(keys/2) and In-reads
-// both keys of the next pair — whose last writer is one single earlier
+// fillDiscoveryDesc appends task i's dependence keys to arena, points
+// d's lists at them and returns the extended arena. The keys form pairs:
+// task i In-reads both keys of pair (i+1)%(keys/2) and InOut-writes both
+// keys of pair i%(keys/2) — each pair's last writer is one single earlier
 // task, so the second read (and the second write) resolve to an
 // already-recorded predecessor and optimization (b) dedup fires on every
 // task.
-func appendDiscoveryDeps(buf []graph.Dep, i, keys, setEvery int) []graph.Dep {
+func fillDiscoveryDesc(d *graph.TaskDesc, arena []graph.Key, i, keys, setEvery int) []graph.Key {
 	pairs := keys / 2
 	if pairs < 2 {
 		pairs = 2
 	}
 	p := i % pairs
 	q := (p + 1) % pairs
-	buf = append(buf,
-		graph.Dep{Key: graph.Key(2 * p), Type: graph.InOut},
-		graph.Dep{Key: graph.Key(2*p + 1), Type: graph.InOut},
-		graph.Dep{Key: graph.Key(2 * q), Type: graph.In},
-		graph.Dep{Key: graph.Key(2*q + 1), Type: graph.In},
-	)
+	s := len(arena)
+	arena = append(arena, graph.Key(2*q), graph.Key(2*q+1), graph.Key(2*p), graph.Key(2*p+1))
+	d.Label = "d"
+	d.In, d.InOut, d.InOutSet = arena[s:s+2:s+2], arena[s+2:s+4:s+4], nil
 	if setEvery > 0 && i%setEvery == 0 {
-		buf = append(buf, graph.Dep{Key: graph.Key(keys + i%8), Type: graph.InOutSet})
+		arena = append(arena, graph.Key(keys+i%8))
+		d.InOutSet = arena[s+4 : s+5 : s+5]
 	}
-	return buf
+	return arena
 }
 
 // runDiscoveryOnce runs the workload once and returns the throughput
@@ -103,7 +103,7 @@ func runDiscoveryOnce(p DiscoveryParams) DiscoveryRow {
 		OnReadyBatch: func(ts []*graph.Task) { ready = append(ready, ts...) },
 	})
 	descs := make([]graph.TaskDesc, 0, p.BatchLen)
-	depArena := make([]graph.Dep, 0, p.BatchLen*5)
+	keyArena := make([]graph.Key, 0, p.BatchLen*5)
 	var tasks []*graph.Task
 
 	runtime.GC()
@@ -111,12 +111,11 @@ func runDiscoveryOnce(p DiscoveryParams) DiscoveryRow {
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	for lo := 0; lo < p.Tasks; lo += p.BatchLen {
-		descs = descs[:0]
-		depArena = depArena[:0]
-		for i := lo; i < min(lo+p.BatchLen, p.Tasks); i++ {
-			s := len(depArena)
-			depArena = appendDiscoveryDeps(depArena, i, p.Keys, p.SetEvery)
-			descs = append(descs, graph.TaskDesc{Label: "d", Deps: depArena[s:len(depArena):len(depArena)]})
+		hi := min(lo+p.BatchLen, p.Tasks)
+		descs = descs[:hi-lo]
+		keyArena = keyArena[:0]
+		for i := lo; i < hi; i++ {
+			keyArena = fillDiscoveryDesc(&descs[i-lo], keyArena, i, p.Keys, p.SetEvery)
 		}
 		tasks = g.SubmitBatch(descs, tasks[:0])
 	}

@@ -5,8 +5,16 @@ package graph
 // the graph in one call.
 type TaskDesc struct {
 	Label string
-	Deps  []Dep
-	Body  func(fp any)
+	// In, Out, InOut and InOutSet list the dependence keys by type.
+	// Discovery walks them in that order, and reads them only during the
+	// call: they are never written or retained, so descs may share a
+	// slice. A read run admits a desc whose In is the run's own slice
+	// (same first element, same length) without a key compare.
+	In       []Key
+	Out      []Key
+	InOut    []Key
+	InOutSet []Key
+	Body     func(fp any)
 	// Do is the error-returning body form; when set it takes precedence
 	// over Body (see Task.Do).
 	Do           func(fp any) error
@@ -34,8 +42,9 @@ type TaskDesc struct {
 //   - tasks that become ready during the batch are published once, at
 //     the end, through OnReadyBatch when configured (one queue lock +
 //     one wake-up instead of len(batch));
-//   - the deps slices in descs are only read during the call, so
-//     callers can build descs in reused buffers.
+//   - the key lists in descs are only read during the call, so
+//     callers can build descs in reused buffers, or share one list
+//     between descs.
 //
 // Ready publication happening at batch end means a worker sees the
 // first task of a batch at worst one batch later than with Submit —
@@ -68,7 +77,7 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 	g.mu.Lock()
 	cpath := g.cpath
 	grouping := g.opts&OptInOutSetNode != 0
-	var run readRun
+	run := readRun{keys: g.runKeys}
 	for i := range descs {
 		var cpT0 int64
 		if cpath {
@@ -83,7 +92,7 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 		t.FirstPrivate = d.FirstPrivate
 		t.Detached = d.Detached
 		t.Attach = d.Attach
-		t.captureDeps(d.Deps)
+		t.captureDeps(d)
 		t.preds.Store(sentinelBias)
 		t.Persistent = g.recording
 		if g.recording {
@@ -91,22 +100,32 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 			g.recorded = append(g.recorded, t)
 		}
 		if grouping {
-			if run.first != nil && !g.admits(&run, d.Deps) {
+			if run.first != nil && !g.admits(&run, d) {
 				g.closeRun(&run, ready)
 			}
 			if run.first == nil && i+1 < len(descs) {
-				g.openRun(&run, t, d.Deps, descs[i+1:], ready)
+				g.openRun(&run, t, d, descs[i+1:], ready)
 			}
 		}
 		// For a member the run's redirect pair stands for its reads.
 		member := run.first != nil
-		if member && run.entry != nil {
-			g.addEdge(run.entry, t)
-		}
-		for _, dep := range d.Deps {
-			if !member || dep.Type != In {
-				g.processDep(t, dep, ready)
+		if member {
+			if run.entry != nil {
+				g.addEdge(run.entry, t)
 			}
+		} else {
+			for _, k := range d.In {
+				g.read(t, k, ready)
+			}
+		}
+		for _, k := range d.Out {
+			g.write(t, k, ready)
+		}
+		for _, k := range d.InOut {
+			g.write(t, k, ready)
+		}
+		for _, k := range d.InOutSet {
+			g.joinSet(t, k, ready)
 		}
 		if member {
 			g.addEdge(t, run.exit)
@@ -122,6 +141,7 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 	if run.first != nil {
 		g.closeRun(&run, ready)
 	}
+	g.runKeys = run.keys[:0]
 	g.mu.Unlock()
 }
 
@@ -159,13 +179,13 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 // share a P. LULESH's force tasks, forty keys or more, pay at n = 2.
 const minRunSaving = 32
 
-// runPays reports whether the descs after the one declaring deps carry
-// on with its m reads for long enough that a run saves minRunSaving.
-// rest[0] is known to: each further desc looked at is one more member,
-// and the fewer the keys the more it takes.
-func runPays(m int, deps []Dep, rest []TaskDesc) bool {
+// runPays reports whether the descs after the one reading in carry on
+// with its m reads for long enough that a run saves minRunSaving. rest[0]
+// is known to: each further desc looked at is one more member, and the
+// fewer the keys the more it takes.
+func runPays(m int, in []Key, rest []TaskDesc) bool {
 	for n := 2; (m-1)*(n-1) < minRunSaving; n++ {
-		if n > len(rest) || sharedReads(deps, rest[n-1].Deps) == 0 {
+		if n > len(rest) || sharedReads(in, rest[n-1].In) == 0 {
 			return false
 		}
 	}
@@ -180,10 +200,11 @@ type readRun struct {
 	// first is the run's first member, and the mark on the keyStates of
 	// the shared keys; nil when no run is open.
 	first *Task
-	// reads are the first member's declarations: the In ones are the key
-	// sequence every member declares.
-	reads []Dep
-	// keys are the shared keys' frontier states, looked up once.
+	// reads is the first member's In list, the key sequence every member
+	// declares. It is the caller's slice, held only within the call.
+	reads []Key
+	// keys are the shared keys' frontier states, looked up once, in the
+	// buffer the graph keeps for them between calls (Graph.runKeys).
 	keys []*keyState
 	// entry succeeds the out-sets of the shared keys and precedes every
 	// member; nil when no shared key has an out-set to wait for. exit
@@ -192,71 +213,67 @@ type readRun struct {
 	entry, exit *Task
 }
 
-// sharedReads returns the length of the In key sequence that a and b both
-// declare, 0 when their In declarations differ.
-func sharedReads(a, b []Dep) int {
-	n, j := 0, 0
-	for _, d := range a {
-		if d.Type != In {
-			continue
-		}
-		for j < len(b) && b[j].Type != In {
-			j++
-		}
-		if j == len(b) || b[j].Key != d.Key {
-			return 0
-		}
-		j++
-		n++
+// sharedReads returns the length of the In key sequence a and b both
+// are, 0 when they differ. Two lists over one backing array from the same
+// element are the same sequence without a look at the keys — how a
+// producer that shares one read set between its tasks has them admitted
+// in O(1). Anything else is compared key by key: a cheaper summary, a
+// hash, would still have to be checked that way, since a collision would
+// merge two read sets into one run.
+func sharedReads(a, b []Key) int {
+	if len(a) != len(b) || len(a) == 0 {
+		return 0
 	}
-	for ; j < len(b); j++ {
-		if b[j].Type == In {
-			return 0
+	if &a[0] != &b[0] {
+		for i, k := range a {
+			if b[i] != k {
+				return 0
+			}
 		}
 	}
-	return n
+	return len(a)
 }
 
-// writesShared reports whether a declaration of deps other than In names
-// a key marked by the run whose first member is mark. Such a task must
-// be ordered against the members before it one by one, which a run does
-// not record.
-func (g *Graph) writesShared(deps []Dep, mark *Task) bool {
-	for _, d := range deps {
-		if d.Type == In {
-			continue
-		}
-		if ks := g.keys.get(d.Key); ks != nil && ks.run == mark {
+// writesShared reports whether a write declaration of d names a key
+// marked by the run whose first member is mark. Such a task must be
+// ordered against the members before it one by one, which a run does not
+// record.
+func (g *Graph) writesShared(d *TaskDesc, mark *Task) bool {
+	return g.marked(d.Out, mark) || g.marked(d.InOut, mark) || g.marked(d.InOutSet, mark)
+}
+
+// marked reports whether one of keys carries mark.
+func (g *Graph) marked(keys []Key, mark *Task) bool {
+	for _, k := range keys {
+		if ks := g.keys.get(k); ks != nil && ks.run == mark {
 			return true
 		}
 	}
 	return false
 }
 
-// admits reports whether a task declaring deps is the open run's next
+// admits reports whether the task d describes is the open run's next
 // member.
-func (g *Graph) admits(run *readRun, deps []Dep) bool {
-	return sharedReads(run.reads, deps) != 0 && !g.writesShared(deps, run.first)
+func (g *Graph) admits(run *readRun, d *TaskDesc) bool {
+	return sharedReads(run.reads, d.In) != 0 && !g.writesShared(d, run.first)
 }
 
-// openRun opens a run at t, the task under discovery, if the descs after
-// it (rest, not empty) continue it: the next one declares the same reads
-// as deps and neither writes one, and enough of them follow for the run
-// to pay. The entry node takes the reads here; newRedirect records both
-// nodes after t, as an inoutset group's node follows the group's first
-// member (Compiled.Replay relies on a recording not starting with one).
-func (g *Graph) openRun(run *readRun, t *Task, deps []Dep, rest []TaskDesc, ready *[]*Task) {
-	next := rest[0].Deps
-	if m := sharedReads(deps, next); m < 2 || !runPays(m, deps, rest) {
+// openRun opens a run at t, the task under discovery, described by d, if
+// the descs after it (rest, not empty) continue it: the next one declares
+// the same reads and neither writes one, and enough of them follow for
+// the run to pay. The entry node takes the reads here; newRedirect records
+// both nodes after t, as an inoutset group's node follows the group's
+// first member (Compiled.Replay relies on a recording not starting with
+// one).
+func (g *Graph) openRun(run *readRun, t *Task, d *TaskDesc, rest []TaskDesc, ready *[]*Task) {
+	next := &rest[0]
+	if m := sharedReads(d.In, next.In); m < 2 || !runPays(m, d.In, rest) {
 		return
 	}
 	keys := run.keys[:0]
 	ordered := false
-	for _, d := range deps {
-		if d.Type != In {
-			continue
-		}
-		ks := g.frontierOf(d.Key)
+	for _, k := range d.In {
+		ks := g.frontierOf(k)
 		if ks.run == t {
 			continue // declared twice
 		}
@@ -265,13 +282,13 @@ func (g *Graph) openRun(run *readRun, t *Task, deps []Dep, rest []TaskDesc, read
 		ordered = ordered || len(ks.outSet) > 0
 	}
 	run.keys = keys
-	if g.writesShared(deps, t) || g.writesShared(next, t) {
+	if g.writesShared(d, t) || g.writesShared(next, t) {
 		for _, ks := range keys {
 			ks.run = nil
 		}
 		return
 	}
-	run.first, run.reads, run.entry = t, deps, nil
+	run.first, run.reads, run.entry = t, d.In, nil
 	if ordered {
 		run.entry = g.newRedirect()
 		for _, ks := range keys {
@@ -284,12 +301,12 @@ func (g *Graph) openRun(run *readRun, t *Task, deps []Dep, rest []TaskDesc, read
 
 // closeRun ends the open run: the exit node is registered as the reader
 // of every shared key, where each member would have been, and its
-// sentinel is dropped.
+// sentinel is dropped. The run lets go of the member's In list.
 func (g *Graph) closeRun(run *readRun, ready *[]*Task) {
 	for _, ks := range run.keys {
 		ks.readers = append(ks.readers, run.exit)
 		ks.run = nil
 	}
 	g.releaseSentinel(run.exit, ready)
-	run.first = nil
+	run.first, run.reads = nil, nil
 }

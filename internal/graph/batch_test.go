@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -22,7 +23,7 @@ func keysOf(lo, n int, typ DepType) []Dep {
 func writers(lo, m int) []TaskDesc {
 	descs := make([]TaskDesc, m)
 	for i := range descs {
-		descs[i] = TaskDesc{Label: "w", Deps: keysOf(lo+i, 1, Out)}
+		descs[i] = DescOf("w", keysOf(lo+i, 1, Out))
 	}
 	return descs
 }
@@ -33,7 +34,7 @@ func readers(lo, m, n, private int) []TaskDesc {
 	descs := make([]TaskDesc, n)
 	for i := range descs {
 		deps := append(keysOf(lo, m, In), Dep{Key: Key(private + i), Type: Out})
-		descs[i] = TaskDesc{Label: "r", Deps: deps}
+		descs[i] = DescOf("r", deps)
 	}
 	return descs
 }
@@ -130,7 +131,7 @@ func TestReadRunClosesBeforeSharedKeyWriter(t *testing.T) {
 	for _, typ := range []DepType{Out, InOut, InOutSet} {
 		t.Run(typ.String(), func(t *testing.T) {
 			g, c := newTestGraph(OptAll)
-			cut := TaskDesc{Label: "cut", Deps: append(keysOf(0, m, In), Dep{Key: 2, Type: typ})}
+			cut := DescOf("cut", append(keysOf(0, m, In), Dep{Key: 2, Type: typ}))
 			descs := slices.Concat(writers(0, m), readers(0, m, half, 100), []TaskDesc{cut}, readers(0, m, half, 200))
 			ts := g.SubmitBatch(descs, nil)
 			g.Flush()
@@ -161,8 +162,8 @@ func TestReadRunClosesBeforeSharedKeyWriter(t *testing.T) {
 func TestReadRunClosesAtFirstOtherTask(t *testing.T) {
 	const m = 33 // a run of two pays
 	g, c := newTestGraph(OptAll)
-	other := TaskDesc{Label: "other", Deps: keysOf(50, 1, InOut)}
-	short := TaskDesc{Label: "short", Deps: keysOf(0, m-1, In)} // a prefix of the reads is not the reads
+	other := DescOf("other", keysOf(50, 1, InOut))
+	short := DescOf("short", keysOf(0, m-1, In)) // a prefix of the reads is not the reads
 	descs := slices.Concat(writers(0, m), readers(0, m, 2, 100), []TaskDesc{other}, readers(0, m, 2, 200),
 		[]TaskDesc{short}, readers(0, m, 2, 300), writers(0, m))
 	ts := g.SubmitBatch(descs, nil)
@@ -370,4 +371,209 @@ func TestCompileRefusesLeadingRedirect(t *testing.T) {
 		}
 	}
 	g.EndPersistent()
+}
+
+// succIDs maps the ID of every task reachable from ts, redirect nodes
+// included, to its successors' IDs in edge order.
+func succIDs(ts []*Task) map[int64][]int64 {
+	out := map[int64][]int64{}
+	stack := slices.Clone(ts)
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if _, seen := out[t.ID]; seen {
+			continue
+		}
+		ids := []int64{}
+		for _, s := range t.Successors() {
+			ids = append(ids, s.ID)
+			stack = append(stack, s)
+		}
+		out[t.ID] = ids
+	}
+	return out
+}
+
+// sameGraphs fails unless a and b, the tasks of one stream discovered
+// into two graphs, have the same successors everywhere.
+func sameGraphs(t *testing.T, a, b []*Task) {
+	t.Helper()
+	ga, gb := succIDs(a), succIDs(b)
+	if len(ga) != len(gb) {
+		t.Fatalf("%d tasks reachable, want %d", len(gb), len(ga))
+	}
+	for id, want := range ga {
+		if got, ok := gb[id]; !ok || !slices.Equal(got, want) {
+			t.Fatalf("task %d: successors %v, want %v", id, got, want)
+		}
+	}
+}
+
+// TestReadRunSharedSliceEqualsCopied: a run admits a member whose In is
+// the same slice as the run's at once, and one with a copy after a key
+// compare. The graph must not tell them apart — nor take a prefix of the
+// shared slice, which starts at the same element, for the reads, nor
+// admit a member that shares the slice and writes one of its keys.
+func TestReadRunSharedSliceEqualsCopied(t *testing.T) {
+	const m, n = 120, 15 // one LULESH force layer
+	stream := func(shared bool) []TaskDesc {
+		in := keysOf(0, m, In)
+		var reads []Key
+		member := func(label string, private int, more ...Dep) TaskDesc {
+			d := DescOf(label, append(append(slices.Clone(in), Dep{Key: Key(private), Type: Out}), more...))
+			if shared {
+				if reads == nil {
+					reads = d.In
+				}
+				d.In = reads
+			}
+			return d
+		}
+		descs := writers(0, m)
+		for i := 0; i < n; i++ {
+			descs = append(descs, member("r", 1000+i))
+		}
+		descs = append(descs, member("cut", 2000, Dep{Key: 7, Type: InOut}))
+		for i := 0; i < n; i++ {
+			descs = append(descs, member("r", 3000+i))
+		}
+		short := member("short", 4000)
+		short.In = short.In[:m-1]
+		descs = append(descs, short)
+		for i := 0; i < n; i++ {
+			descs = append(descs, member("r", 5000+i))
+		}
+		return append(descs, writers(0, m)...)
+	}
+	discover := func(shared bool) ([]*Task, Stats) {
+		g, c := newTestGraph(OptAll)
+		ts := g.SubmitBatch(stream(shared), nil)
+		noMarks(t, g)
+		st := g.Stats()
+		c.drain(g)
+		assertQuiescentStats(t, g, len(ts))
+		return ts, st
+	}
+	copied, cst := discover(false)
+	shared, sst := discover(true)
+	if cst.RedirectNodes != 6 {
+		t.Fatalf("%d redirect nodes with copied reads, want three runs' pairs", cst.RedirectNodes)
+	}
+	if sst != cst {
+		t.Fatalf("stats diverge:\n  copied: %+v\n  shared: %+v", cst, sst)
+	}
+	sameGraphs(t, copied, shared)
+}
+
+// TestSubmitGroupsByType: Submit takes a []Dep in any order and discovers
+// what a TaskDesc with the same keys grouped by type gives — the order
+// within a type kept — whether the list came mixed or grouped.
+func TestSubmitGroupsByType(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const a, b, c, d = 1, 2, 3, 4
+	lists := [][]Dep{{{a, Out}, {b, In}, {c, InOutSet}, {d, In}}}
+	for len(lists) < 400 {
+		deps := make([]Dep, 1+rng.Intn(5))
+		for i := range deps {
+			deps[i] = Dep{Key: Key(rng.Intn(6)), Type: DepType(rng.Intn(4))}
+		}
+		lists = append(lists, deps)
+	}
+	byHand := func(deps []Dep) TaskDesc {
+		var desc TaskDesc
+		for _, dep := range deps {
+			l := [...]*[]Key{In: &desc.In, Out: &desc.Out, InOut: &desc.InOut, InOutSet: &desc.InOutSet}[dep.Type]
+			*l = append(*l, dep.Key)
+		}
+		return desc
+	}
+	grouped := func(deps []Dep) []Dep {
+		out := []Dep{}
+		for typ := In; typ <= InOutSet; typ++ {
+			for _, dep := range deps {
+				if dep.Type == typ {
+					out = append(out, dep)
+				}
+			}
+		}
+		return out
+	}
+	var want []*Task
+	var wantSt Stats
+	for _, form := range []string{"TaskDesc", "mixed", "grouped"} {
+		g, col := newTestGraph(OptAll)
+		var ts []*Task
+		for _, deps := range lists {
+			switch form {
+			case "TaskDesc":
+				desc := byHand(deps)
+				ts = append(ts, g.SubmitTask(&desc))
+			case "mixed":
+				ts = append(ts, g.Submit("t", deps, nil, nil))
+			case "grouped":
+				ts = append(ts, g.Submit("t", grouped(deps), nil, nil))
+			}
+		}
+		g.Flush()
+		st := g.Stats()
+		for i, tk := range ts {
+			got, _ := tk.DeclaredDeps(nil)
+			if w := grouped(lists[i]); !slices.Equal(got, w[:min(len(w), inlineDeps)]) {
+				t.Fatalf("%s: task %d declared %v, captured %v", form, i, lists[i], got)
+			}
+		}
+		if want == nil {
+			want, wantSt = ts, st
+		} else {
+			if st != wantSt {
+				t.Fatalf("%s: stats %+v, want %+v", form, st, wantSt)
+			}
+			sameGraphs(t, want, ts)
+		}
+		col.drain(g)
+		assertQuiescentStats(t, g, len(lists))
+	}
+}
+
+// BenchmarkDiscoverReadRun discovers one LULESH force layer: 15 tasks
+// reading the same 120 keys and writing one key each, after the task that
+// wrote the 120. With shared, the tasks' In lists are one slice, which
+// the run admits on identity; with copied, each has its own copy, which
+// the run admits after a key compare. ns/task is the force tasks' own.
+func BenchmarkDiscoverReadRun(b *testing.B) {
+	const m, n = 120, 15
+	for _, shared := range []bool{true, false} {
+		name := "copied"
+		if shared {
+			name = "shared"
+		}
+		b.Run(name, func(b *testing.B) {
+			g, c := newTestGraph(OptAll)
+			in := keysOf(0, m, In)
+			writer := DescOf("w", keysOf(0, m, Out))
+			descs := make([]TaskDesc, n)
+			for i := range descs {
+				descs[i] = DescOf("force", append(slices.Clone(in), Dep{Key: Key(m + i), Type: Out}))
+				if shared {
+					descs[i].In = descs[0].In
+				}
+			}
+			var ts []*Task
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g.SubmitTask(&writer)
+				b.StartTimer()
+				ts = g.SubmitBatch(descs, ts[:0])
+				b.StopTimer()
+				c.drain(g)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/task")
+			if st := g.Stats(); st.RedirectNodes == 0 {
+				b.Fatal("no read run formed")
+			}
+		})
+	}
 }

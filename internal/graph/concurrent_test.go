@@ -82,7 +82,7 @@ func TestSubmitBatchEquivalence(t *testing.T) {
 	for lo := 0; lo < n; lo += 128 {
 		descs = descs[:0]
 		for i := lo; i < lo+128 && i < n; i++ {
-			descs = append(descs, TaskDesc{Label: "t", Deps: mkDeps(i)})
+			descs = append(descs, DescOf("t", mkDeps(i)))
 		}
 		g2.SubmitBatch(descs, nil)
 	}

@@ -161,14 +161,15 @@ func within(t *testing.T, d time.Duration, f func()) {
 // reading what each of them wrote (fan-out and fan-in of the same width)
 // — and read runs: up to 24 tasks in a row reading the same 4-9 keys,
 // between the keys' writers, now and then one of them writing a shared
-// key as well (which a batch must not take into the run).
+// key as well (which a batch must not take into the run), their In lists
+// one shared slice in half the runs and a copy each in the other half.
 func genTDG(rng *rand.Rand, base graph.Key, n int) []graph.TaskDesc {
 	const shared = 16
 	types := []graph.DepType{graph.In, graph.In, graph.In, graph.Out, graph.InOut, graph.InOutSet, graph.InOutSet}
 	next := base + shared // private keys of burst readers
 	descs := make([]graph.TaskDesc, 0, n)
 	add := func(label string, deps ...graph.Dep) {
-		descs = append(descs, graph.TaskDesc{Label: label, Deps: deps})
+		descs = append(descs, graph.DescOf(label, deps))
 	}
 	for len(descs) < n {
 		switch p := rng.Intn(100); {
@@ -200,6 +201,8 @@ func genTDG(rng *rand.Rand, base graph.Key, n int) []graph.TaskDesc {
 			}
 			width := 2 + rng.Intn(23)
 			cut := rng.Intn(2 * width) // the member that writes a shared key, if there is one
+			share := rng.Intn(2) == 0  // the members' In lists are one slice, or a copy each
+			first := len(descs)
 			for i := 0; i < width; i++ {
 				deps := append(append([]graph.Dep(nil), reads...), graph.Dep{Key: next, Type: graph.Out})
 				next++
@@ -207,6 +210,9 @@ func genTDG(rng *rand.Rand, base graph.Key, n int) []graph.TaskDesc {
 					deps = append(deps, graph.Dep{Key: reads[rng.Intn(len(reads))].Key, Type: types[3+rng.Intn(4)]})
 				}
 				add("reader", deps...)
+				if share {
+					descs[len(descs)-1].In = descs[first].In
+				}
 			}
 			add("rewriter", graph.Dep{Key: reads[0].Key, Type: graph.InOut}, graph.Dep{Key: reads[1].Key, Type: graph.Out})
 		default:
@@ -285,7 +291,7 @@ func TestStressDiscoveryWhileCompleting(t *testing.T) {
 			}
 			infos := make([]verify.TaskInfo, len(tasks))
 			for i, tk := range tasks {
-				infos[i] = verify.TaskInfo{Task: tk, Deps: descs[i].Deps}
+				infos[i] = verify.TaskInfo{Task: tk, Deps: graph.DepsOf(descs[i])}
 			}
 			if rep := verify.Audit(infos, opts, g.RedirectNodes()); !rep.OK() || rep.Truncated {
 				t.Fatalf("audit of the discovered graph:\n%v", rep)
@@ -360,7 +366,7 @@ func TestStressReadRunsKeepTheDeclaredOrder(t *testing.T) {
 				if d := got[w] ^ want[i][w]; d != 0 {
 					j := w<<6 + bits.TrailingZeros64(d)
 					t.Fatalf("seed %d: task %d (%s %v) before task %d (%s %v): %v in batches, %v task by task",
-						seed, i, descs[i].Label, descs[i].Deps, j, descs[j].Label, descs[j].Deps,
+						seed, i, descs[i].Label, graph.DepsOf(descs[i]), j, descs[j].Label, graph.DepsOf(descs[j]),
 						got[w]&(d&-d) != 0, want[i][w]&(d&-d) != 0)
 				}
 			}

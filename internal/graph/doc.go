@@ -32,26 +32,31 @@
 //
 // # Structure of a submission
 //
-// Submit/SubmitBatch allocate the Tasks, take the discovery lock (discover
-// in batch.go), then run processDep for each declared dependence: In
-// accesses join the reader frontier, Out/InOut accesses succeed the
-// out-set and all readers, InOutSet accesses open or join a
-// concurrent-writer group. processDep materializes precedence
+// A TaskDesc declares its dependences as four key lists, In, Out, InOut
+// and InOutSet — the shape of the runtime's Spec, whose lists it takes as
+// they are, without copying a key; Submit groups a []Dep into that shape
+// in a producer-owned buffer. Submit/SubmitBatch allocate the Tasks, take
+// the discovery lock (discover in batch.go), then walk the lists in that
+// order: In accesses join the reader frontier (read), Out/InOut accesses
+// succeed the out-set and all readers (write), InOutSet accesses open or
+// join a concurrent-writer group (joinSet). Each materializes precedence
 // constraints through addEdge. A predecessor that already finished is
-// pruned on one atomic load of its state, without its mutex (so a
-// repeated constraint on a finished predecessor counts as pruned, not as
-// a duplicate); otherwise addEdge takes the predecessor's mutex, applies
+// pruned on one atomic load of its state, without its mutex (so a repeated
+// constraint on a finished predecessor counts as pruned, not as a
+// duplicate); otherwise addEdge takes the predecessor's mutex, applies
 // duplicate elimination (OptDedup, optimization b) and appends to its
 // successor list. Optimization (c) (OptInOutSetNode) inserts redirect
-// nodes so an inoutset group of m writers and n consumers costs m+n
-// edges instead of m*n, and — inside one batch — so a run of n
-// consecutive tasks that read the same m keys costs 2(m+n) edges and m
-// key lookups instead of 2mn and mn (read runs, batch.go). While a task is under discovery its release
-// counter holds a large bias (the producer sentinel) and its live edges
-// are counted in a producer-private field; releaseSentinel swaps one for
-// the other in a single atomic add — one counter update per task, not
-// per edge — and a task with no outstanding predecessors becomes Ready
-// and is delivered to the executor.
+// nodes so an inoutset group of m writers and n consumers costs m+n edges
+// instead of m*n, and — inside one batch — so a run of n consecutive tasks
+// that read the same m keys costs 2(m+n) edges and m key lookups instead
+// of 2mn and mn (read runs, batch.go): a task whose In list is the run's
+// own slice is admitted on that identity in O(1), any other after a key
+// compare. While a task is under discovery its release counter holds a
+// large bias (the producer sentinel) and its live edges are counted in a
+// producer-private field; releaseSentinel swaps one for the other in a
+// single atomic add — one counter update per task, not per edge — and a
+// task with no outstanding predecessors becomes Ready and is delivered to
+// the executor.
 //
 // # Persistence
 //

@@ -1,0 +1,21 @@
+package graph
+
+// DescOf is a TaskDesc with deps grouped by type, as Submit groups them,
+// for the external tests that generate dependence streams as []Dep.
+func DescOf(label string, deps []Dep) TaskDesc {
+	d, _ := groupDeps(nil, deps)
+	d.Label = label
+	return d
+}
+
+// DepsOf is d's declarations as a []Dep, in the order discovery walks
+// them, for the verifier and for failure messages.
+func DepsOf(d TaskDesc) []Dep {
+	var deps []Dep
+	for typ, keys := range [...][]Key{In: d.In, Out: d.Out, InOut: d.InOut, InOutSet: d.InOutSet} {
+		for _, k := range keys {
+			deps = append(deps, Dep{Key: k, Type: DepType(typ)})
+		}
+	}
+	return deps
+}

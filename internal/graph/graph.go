@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Opt is a bitmask of the paper's TDG discovery optimizations.
@@ -152,8 +154,14 @@ type Graph struct {
 	free []*keyState
 	// Edge counters (see Stats).
 	attempted, created, pruned, duplicate int64
+	// runKeys is the read runs' keyState buffer (readRun.keys), kept
+	// between discover calls so a run allocates nothing.
+	runKeys []*keyState
 
 	chunk *taskChunk // producer-owned, see alloc.go
+	// submitKeys is Submit's producer-owned buffer for grouping a []Dep by
+	// type (descOf).
+	submitKeys []Key
 
 	// Critical-path profiling (see cpath.go): cpath gates every stamp
 	// and fold site with one predictable branch; cpathNow is the clock,
@@ -267,15 +275,61 @@ func (g *Graph) Stats() Stats {
 
 // Submit discovers one task with the given dependences. It returns the
 // task descriptor. Producer-only.
+//
+// The declarations are grouped by type, in TaskDesc's order, keeping the
+// order within each type: discovery sees exactly what a TaskDesc with the
+// same lists would give it.
 func (g *Graph) Submit(label string, deps []Dep, body func(fp any), fp any) *Task {
-	return g.SubmitTask(&TaskDesc{Label: label, Deps: deps, Body: body, FirstPrivate: fp})
+	d := g.descOf(deps)
+	d.Label, d.Body, d.FirstPrivate = label, body, fp
+	return g.SubmitTask(&d)
 }
 
 // SubmitDetached is Submit for a detached task: its completion is
 // signalled externally rather than at body return. The flag must be set
 // before the task is released, hence this dedicated entry point.
 func (g *Graph) SubmitDetached(label string, deps []Dep, body func(fp any), fp any) *Task {
-	return g.SubmitTask(&TaskDesc{Label: label, Deps: deps, Body: body, FirstPrivate: fp, Detached: true})
+	d := g.descOf(deps)
+	d.Label, d.Body, d.FirstPrivate, d.Detached = label, body, fp, true
+	return g.SubmitTask(&d)
+}
+
+// descOf returns a TaskDesc whose key lists are deps grouped by type, in
+// the producer-owned buffer submitKeys: valid until the next call.
+func (g *Graph) descOf(deps []Dep) TaskDesc {
+	var d TaskDesc
+	d, g.submitKeys = groupDeps(g.submitKeys[:0], deps)
+	return d
+}
+
+// groupDeps appends deps' keys to buf grouped by type, in TaskDesc's
+// order and in declaration order within a type, and returns the TaskDesc
+// of those lists with the extended buf. Two passes, neither branching on
+// a type: one counts, one places.
+func groupDeps(buf []Key, deps []Dep) (TaskDesc, []Key) {
+	var n, at [InOutSet + 1]int
+	for _, dep := range deps {
+		if dep.Type <= InOutSet {
+			n[dep.Type]++
+		}
+	}
+	end := len(buf)
+	for typ := range at {
+		at[typ] = end
+		end += n[typ]
+	}
+	buf = slices.Grow(buf, end-len(buf))[:end]
+	var lists [InOutSet + 1][]Key
+	for typ := range lists {
+		lists[typ] = buf[at[typ] : at[typ]+n[typ] : at[typ]+n[typ]]
+	}
+	for _, dep := range deps {
+		if dep.Type <= InOutSet {
+			buf[at[dep.Type]] = dep.Key
+			at[dep.Type]++
+		}
+	}
+	return TaskDesc{In: lists[In], Out: lists[Out], InOut: lists[InOut], InOutSet: lists[InOutSet]}, buf
 }
 
 // SubmitTask discovers one task from a full descriptor — the Submit
@@ -283,9 +337,8 @@ func (g *Graph) SubmitDetached(label string, deps []Dep, body func(fp any), fp a
 // a batch of one (see discover) whose ready tasks go straight to
 // OnReady, one at a time.
 func (g *Graph) SubmitTask(d *TaskDesc) *Task {
-	one := [1]TaskDesc{*d}
 	var ts [1]*Task
-	g.discover(one[:], g.allocTasks(1, ts[:0]), nil)
+	g.discover(unsafe.Slice(d, 1), g.allocTasks(1, ts[:0]), nil)
 	return ts[0]
 }
 
@@ -300,51 +353,54 @@ func (g *Graph) frontierOf(k Key) *keyState {
 	return ks
 }
 
-// processDep applies one dependence declaration during discovery. The
-// caller holds the discovery lock. readyBuf collects tasks readied as
-// a side effect (redirect nodes of closing groups) for delivery outside
-// the lock.
-func (g *Graph) processDep(t *Task, d Dep, readyBuf *[]*Task) {
-	ks := g.frontierOf(d.Key)
-	switch d.Type {
-	case In:
-		g.dependOnOutSet(t, ks, readyBuf)
-		ks.readers = append(ks.readers, t)
-	case Out, InOut:
-		g.dependOnOutSet(t, ks, readyBuf)
-		for _, r := range ks.readers {
-			g.addEdge(r, t)
-		}
-		ks.readers = ks.readers[:0]
-		ks.outSet = append(ks.outSet[:0], t)
-		ks.setOpen = false
+// read, write and joinSet apply one dependence declaration of t during
+// discovery, an In, an Out or InOut, and an InOutSet one. The caller holds
+// the discovery lock. readyBuf collects tasks readied as a side effect
+// (redirect nodes of closing groups) for delivery outside the lock.
+func (g *Graph) read(t *Task, k Key, readyBuf *[]*Task) {
+	ks := g.frontierOf(k)
+	g.dependOnOutSet(t, ks, readyBuf)
+	ks.readers = append(ks.readers, t)
+}
+
+func (g *Graph) write(t *Task, k Key, readyBuf *[]*Task) {
+	ks := g.frontierOf(k)
+	g.dependOnOutSet(t, ks, readyBuf)
+	for _, r := range ks.readers {
+		g.addEdge(r, t)
+	}
+	ks.readers = ks.readers[:0]
+	ks.outSet = append(ks.outSet[:0], t)
+	ks.setOpen = false
+	ks.redirect = nil
+}
+
+func (g *Graph) joinSet(t *Task, k Key, readyBuf *[]*Task) {
+	ks := g.frontierOf(k)
+	if !ks.setOpen {
+		// Starting a new group: the previous frontier becomes the
+		// base every member must succeed, and the group itself
+		// becomes the out-set. Swapping the backing arrays makes
+		// this allocation-free.
+		ks.baseOut, ks.outSet = ks.outSet, ks.baseOut[:0]
+		ks.baseReaders, ks.readers = ks.readers, ks.baseReaders[:0]
+		ks.setOpen = true
 		ks.redirect = nil
-	case InOutSet:
-		if !ks.setOpen {
-			// Starting a new group: the previous frontier becomes the
-			// base every member must succeed, and the group itself
-			// becomes the out-set. Swapping the backing arrays makes
-			// this allocation-free.
-			ks.baseOut, ks.outSet = ks.outSet, ks.baseOut[:0]
-			ks.baseReaders, ks.readers = ks.readers, ks.baseReaders[:0]
-			ks.setOpen = true
-			ks.redirect = nil
-			ks.redirectReleased = false
-			if g.opts&OptInOutSetNode != 0 {
-				ks.redirect = g.newRedirect()
-				g.open = append(g.open, ks)
-			}
+		ks.redirectReleased = false
+		if g.opts&OptInOutSetNode != 0 {
+			ks.redirect = g.newRedirect()
+			g.open = append(g.open, ks)
 		}
-		for _, p := range ks.baseOut {
-			g.addEdge(p, t)
-		}
-		for _, r := range ks.baseReaders {
-			g.addEdge(r, t)
-		}
-		ks.outSet = append(ks.outSet, t)
-		if ks.redirect != nil {
-			g.addEdge(t, ks.redirect)
-		}
+	}
+	for _, p := range ks.baseOut {
+		g.addEdge(p, t)
+	}
+	for _, r := range ks.baseReaders {
+		g.addEdge(r, t)
+	}
+	ks.outSet = append(ks.outSet, t)
+	if ks.redirect != nil {
+		g.addEdge(t, ks.redirect)
 	}
 }
 

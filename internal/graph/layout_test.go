@@ -90,16 +90,18 @@ func TestCPathSideTable(t *testing.T) {
 }
 
 // TestDeclaredDepsRoundTrip: up to inlineDeps declarations come back as
-// declared; beyond that the first inlineDeps do, flagged truncated.
+// declared, in the order discovery walks them; beyond that the first
+// inlineDeps do, flagged truncated.
 func TestDeclaredDepsRoundTrip(t *testing.T) {
-	types := []DepType{In, Out, InOut, InOutSet, In}
+	types := []DepType{In, In, Out, InOut, InOutSet}
 	for n := 0; n <= inlineDeps+1; n++ {
 		deps := make([]Dep, n)
 		for i := range deps {
 			deps[i] = Dep{Key: Key(i)<<32 | Key(1000+i), Type: types[i]}
 		}
 		var tk Task
-		tk.captureDeps(deps)
+		d, _ := groupDeps(nil, deps)
+		tk.captureDeps(&d)
 		got, trunc := tk.DeclaredDeps(nil)
 		want := deps
 		if n > inlineDeps {

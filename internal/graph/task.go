@@ -316,18 +316,28 @@ func (t *Task) DeclaredDeps(dst []Dep) ([]Dep, bool) {
 	return dst, t.depsTrunc
 }
 
-// captureDeps stores up to inlineDeps declarations inline.
-func (t *Task) captureDeps(deps []Dep) {
-	n := len(deps)
-	if n > inlineDeps {
-		n = inlineDeps
-		t.depsTrunc = true
+// captureDeps stores up to inlineDeps of d's declarations inline, in the
+// order discovery walks them.
+func (t *Task) captureDeps(d *TaskDesc) {
+	n := t.captureKeys(0, d.In, In)
+	n = t.captureKeys(n, d.Out, Out)
+	n = t.captureKeys(n, d.InOut, InOut)
+	t.ndeps = uint8(t.captureKeys(n, d.InOutSet, InOutSet))
+}
+
+// captureKeys stores keys as declarations of type typ from slot n on,
+// flagging the capture truncated when they do not fit, and returns the
+// next free slot.
+func (t *Task) captureKeys(n int, keys []Key, typ DepType) int {
+	for _, k := range keys {
+		if n == inlineDeps {
+			t.depsTrunc = true
+			return n
+		}
+		t.depKeys[n], t.depTypes[n] = k, typ
+		n++
 	}
-	for i, d := range deps[:n] {
-		t.depKeys[i] = d.Key
-		t.depTypes[i] = d.Type
-	}
-	t.ndeps = uint8(n)
+	return n
 }
 
 // NumSuccessors returns the current successor count (racy during

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,6 +138,8 @@ type Runtime struct {
 
 	// Producer-only staging buffers, reused across Submit, SubmitBatch
 	// and TaskLoop calls so steady-state submission does not allocate.
+	// depBuf holds a Spec's declarations as a []Dep for the verifier; the
+	// graph takes the Spec's key lists as they are.
 	depBuf    []graph.Dep
 	loopSpecs []Spec
 	stage     batchStage
@@ -404,7 +407,11 @@ func (rt *Runtime) Scheduler() *sched.Scheduler { return rt.s }
 // Spec describes one task submission.
 type Spec struct {
 	Label string
-	// In/Out/InOut/InOutSet list the dependence keys by type.
+	// In/Out/InOut/InOutSet list the dependence keys by type. Discovery
+	// reads them during the submission call and never writes or retains
+	// them, so specs may share a slice — and consecutive specs that share
+	// one In slice are admitted to a read run in O(1), without a key
+	// compare (graph.TaskDesc).
 	In       []graph.Key
 	Out      []graph.Key
 	InOut    []graph.Key
@@ -430,9 +437,10 @@ type Spec struct {
 	Detached bool
 }
 
-// depsInto appends the Spec's dependence declarations to buf and
-// returns it. Callers reuse producer-owned buffers: neither the graph
-// nor the verifier retains the slice past the submission call.
+// depsInto appends the Spec's dependence declarations to buf, in the
+// order discovery walks them, and returns it: the verifier's form of the
+// lists (Config.Verify). Callers reuse producer-owned buffers; the
+// verifier copies what it keeps.
 func (s *Spec) depsInto(buf []graph.Dep) []graph.Dep {
 	for _, k := range s.In {
 		buf = append(buf, graph.Dep{Key: k, Type: graph.In})
@@ -447,10 +455,6 @@ func (s *Spec) depsInto(buf []graph.Dep) []graph.Dep {
 		buf = append(buf, graph.Dep{Key: k, Type: graph.InOutSet})
 	}
 	return buf
-}
-
-func (s *Spec) deps() []graph.Dep {
-	return s.depsInto(make([]graph.Dep, 0, len(s.In)+len(s.Out)+len(s.InOut)+len(s.InOutSet)))
 }
 
 // Event completes a detached task from outside the worker pool (e.g. an
@@ -556,15 +560,16 @@ func (rt *Runtime) Submit(spec Spec) *Event {
 	}
 	rt.throttle()
 	body, do, ev := rt.wrapBody(&spec)
-	rt.depBuf = spec.depsInto(rt.depBuf[:0])
-	deps := rt.depBuf
 	var attach any
 	if ev != nil {
 		attach = ev
 	}
 	d := graph.TaskDesc{
 		Label:        spec.Label,
-		Deps:         deps,
+		In:           spec.In,
+		Out:          spec.Out,
+		InOut:        spec.InOut,
+		InOutSet:     spec.InOutSet,
 		Body:         body,
 		Do:           do,
 		FirstPrivate: spec.FirstPrivate,
@@ -573,7 +578,8 @@ func (rt *Runtime) Submit(spec Spec) *Event {
 	}
 	t := rt.g.SubmitTask(&d)
 	if rt.ver != nil {
-		rt.ver.Record(t, deps)
+		rt.depBuf = spec.depsInto(rt.depBuf[:0])
+		rt.ver.Record(t, rt.depBuf)
 	}
 	return rt.finishSubmit(t, ev)
 }
@@ -622,10 +628,10 @@ func (rt *Runtime) SubmitBatch(specs []Spec) []*Event {
 	if len(specs) == 0 {
 		return nil
 	}
-	if rt.replay != nil {
+	if cs := rt.replay; cs != nil {
 		var evs []*Event
 		for i := range specs {
-			if ev := rt.Submit(specs[i]); ev != nil {
+			if ev := rt.resubmit(cs, &specs[i]); ev != nil {
 				if evs == nil {
 					evs = make([]*Event, len(specs))
 				}
@@ -648,7 +654,6 @@ func (rt *Runtime) SubmitBatch(specs []Spec) []*Event {
 // batchStage is the SubmitBatch staging buffer set (Runtime.stage).
 type batchStage struct {
 	descs []graph.TaskDesc
-	deps  []graph.Dep
 	tasks []*graph.Task
 }
 
@@ -662,8 +667,9 @@ func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*E
 		sp = rt.obs.BeginSpan(rt.producerID(), obs.SpanDiscoveryBatch, int64(hi-lo), 0, int(rt.iter.Load()))
 	}
 	st := &rt.stage
-	descs := st.descs[:0]
-	flat := st.deps[:0]
+	// The descs are filled field by field in place: a composite literal
+	// would be built on the stack and copied in, 168 bytes a task.
+	descs := slices.Grow(st.descs[:0], hi-lo)[:hi-lo]
 	for i := lo; i < hi; i++ {
 		s := &specs[i]
 		body, do, ev := rt.wrapBody(s)
@@ -675,24 +681,21 @@ func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*E
 			evs[i] = ev
 			attach = ev
 		}
-		start := len(flat)
-		flat = s.depsInto(flat)
-		descs = append(descs, graph.TaskDesc{
-			Label:        s.Label,
-			Deps:         flat[start:len(flat):len(flat)],
-			Body:         body,
-			Do:           do,
-			FirstPrivate: s.FirstPrivate,
-			Detached:     s.Detached,
-			Attach:       attach,
-		})
+		d := &descs[i-lo]
+		d.Label = s.Label
+		d.In, d.Out, d.InOut, d.InOutSet = s.In, s.Out, s.InOut, s.InOutSet
+		d.Body, d.Do = body, do
+		d.FirstPrivate = s.FirstPrivate
+		d.Detached = s.Detached
+		d.Attach = attach
 	}
 	tasks := rt.g.SubmitBatch(descs, st.tasks[:0])
 	rt.obs.AddSlot(rt.producerID(), obs.CTasksSubmitted, int64(len(tasks)))
 	p := rt.cfg.Profile
 	for i, t := range tasks {
 		if rt.ver != nil {
-			rt.ver.Record(t, descs[i].Deps)
+			rt.depBuf = specs[lo+i].depsInto(rt.depBuf[:0])
+			rt.ver.Record(t, rt.depBuf)
 		}
 		if p != nil {
 			p.TaskCreated(p.Now())
@@ -707,7 +710,7 @@ func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*E
 	// Drop closure/task references before keeping the buffers.
 	clear(descs)
 	clear(tasks)
-	st.descs, st.deps, st.tasks = descs[:0], flat[:0], tasks[:0]
+	st.descs, st.tasks = descs[:0], tasks[:0]
 	sp.End()
 	// Hand the P to the workers the chunk's ready tasks woke. Where they
 	// have a P of their own this returns at once. Where they do not, the

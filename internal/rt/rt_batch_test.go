@@ -321,3 +321,43 @@ func TestBatchProducerHandsOverItsP(t *testing.T) {
 		})
 	}
 }
+
+// TestSubmitBatchSharedReadsAllocateNoDeps: a batch hands the graph its
+// specs' key lists as they are. 256 specs that share one 120-key In slice
+// — one read run — allocate task chunks and the run's entry node's
+// successor blocks, and nothing per dependence: no staged copy of a key,
+// no per-member compare buffer, not one allocation per member.
+func TestSubmitBatchSharedReadsAllocateNoDeps(t *testing.T) {
+	const n, m = batchChunk, 120
+	rt := New(Config{Workers: 1, Opts: graph.OptAll})
+	defer rt.Close()
+	in := make([]graph.Key, m)
+	for i := range in {
+		in[i] = graph.Key(i)
+	}
+	nop := func(any) {}
+	specs := make([]Spec, n)
+	for i := range specs {
+		specs[i] = Spec{In: in, Out: []graph.Key{graph.Key(m + i)}, Body: nop}
+	}
+	run := func() {
+		// The writer keeps the keys' reader lists from growing run by run.
+		rt.Submit(Spec{Label: "w", Out: in, Body: nop})
+		rt.SubmitBatch(specs)
+		if err := rt.Taskwait(); err != nil {
+			t.Fatalf("Taskwait: %v", err)
+		}
+	}
+	run() // warm-up: key states, staging buffers, queues
+	// The graph carves tasks from chunks of 128 — the writer, n members
+	// and the run's two nodes span at most chunks of them — and chains a
+	// long successor list in blocks of 15: the entry node's n successors.
+	const chunks, blocks = (n+3+127)/128 + 1, (n + 14) / 15
+	if allocs := testing.AllocsPerRun(10, run); allocs > chunks+blocks {
+		t.Fatalf("SubmitBatch of %d specs sharing %d reads: %.1f allocations, want <= %d task chunks and %d successor blocks",
+			n, m, allocs, chunks, blocks)
+	}
+	if st := rt.Graph().Stats(); st.RedirectNodes == 0 {
+		t.Fatalf("no read run formed: %+v", st)
+	}
+}
