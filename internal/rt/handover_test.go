@@ -8,10 +8,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"taskdep/internal/fault"
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
+	"taskdep/internal/trace"
 )
 
 func TestFusionChainExecutesInOrder(t *testing.T) {
@@ -181,6 +183,61 @@ func TestHandOverKeepsSerialChain(t *testing.T) {
 	}
 }
 
+// TestHandOverSpreadsBurstRelease: a finish that releases a burst keeps
+// one task and publishes the rest, so a second P takes released work.
+// Every join of a layered graph releases 16 spinning tasks; at two P
+// with two workers no executor slot may run more than 75 % of them.
+// A finisher that kept the whole burst to itself would run every layer
+// alone while the other slots park. The spin is 200 µs so that a run
+// spans many OS time slices: with 20 µs, a thread the OS descheduled
+// for one slice on a loaded machine missed whole layers.
+func TestHandOverSpreadsBurstRelease(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const layers, width = 60, 16
+	const gateKey graph.Key = 1
+	spin := func(any) {
+		for t0 := time.Now(); time.Since(t0) < 200*time.Microsecond; {
+		}
+	}
+	prof := trace.New(3, true)
+	rt := New(Config{Workers: 2, Profile: prof})
+	defer rt.Close()
+	gate := rt.Submit(Spec{Out: []graph.Key{gateKey}, Detached: true})
+	join := gateKey
+	for l := 0; l < layers; l++ {
+		keys := make([]graph.Key, width)
+		for i := range keys {
+			keys[i] = graph.Key(1<<20 + l*width + i)
+			rt.Submit(Spec{In: []graph.Key{join}, Out: keys[i : i+1], Body: spin})
+		}
+		join = graph.Key(1<<30 + l)
+		rt.Submit(Spec{In: keys, Out: []graph.Key{join}, Body: func(any) {}})
+	}
+	gate.Fulfill()
+	if err := rt.Taskwait(); err != nil {
+		t.Fatalf("Taskwait: %v", err)
+	}
+	tasks := prof.Tasks()
+	perSlot := map[int]int{}
+	for _, r := range tasks {
+		perSlot[r.Worker]++
+	}
+	for w, n := range perSlot {
+		if share := float64(n) / float64(len(tasks)); share > 0.75 {
+			t.Fatalf("slot %d ran %d of %d tasks (%.0f %%), want <= 75 %%; per slot %v",
+				w, n, len(tasks), 100*share, perSlot)
+		}
+	}
+}
+
+// TestSlotStateIsOneCacheLine: neighbouring slots' records never share
+// a line (see slotState).
+func TestSlotStateIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(slotState{}); n != 64 {
+		t.Fatalf("slotState is %d bytes, want 64", n)
+	}
+}
+
 // TestThrottledProducerHoldsNoWork: a successor the producer released
 // while stalled at the throttle is not kept on its slot once it returns
 // to discovery — the idle worker runs it without waiting for the next
@@ -273,7 +330,7 @@ func TestHandOverDrainAllocatesNothing(t *testing.T) {
 				runtime.ReadMemStats(&m1)
 				return m1.Mallocs - m0.Mallocs
 			}
-			drain() // warm-up: release buffers, deques, spill stacks
+			drain() // warm-up: release buffers, deques
 			best := drain()
 			for i := 1; i < 3; i++ {
 				best = min(best, drain())

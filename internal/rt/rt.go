@@ -177,23 +177,24 @@ type Runtime struct {
 }
 
 // slotState is what one executor slot keeps between its finishes,
-// written and read only by the owning goroutine: one 64-byte record, so
-// what a finish touches sits together.
+// written and read only by the owning goroutine: 40 bytes of fields
+// padded to one 64-byte record, so what a finish touches sits together
+// and neighbouring slots' writes never share a cache line.
 type slotState struct {
 	// relBuf is the reused buffer the slot's finishes release into.
 	relBuf []*graph.Task
-	// chained and spill are what the slot's finishes kept for it
-	// (handOver): the first released task, and up to spillCap more.
-	// Always drained before the slot parks or, for the producer, returns
-	// to discovery (throttle); a kept task is unfinished, so it holds the
-	// live gauge or the iteration countdown above the producer's wait.
+	// chained is the one task the slot's last finish kept for it
+	// (handOver), taken on the slot's next loop turn, before any pop or
+	// park, or, for the producer, before it returns to discovery
+	// (throttle). A kept task is unfinished, so it holds the live gauge
+	// or the iteration countdown above the producer's wait.
 	chained *graph.Task
-	spill   []*graph.Task
 	// chainFin counts the slot's deferred compiled-path finishes
 	// (graph.Compiled.FinishIntoDeferred) not yet settled against the
 	// iteration countdown; settled in one Retire when the slot's chain
 	// has ended (settleChain).
 	chainFin int64
+	_        [24]byte
 }
 
 // producerID is the scheduler slot the producer consumes under
@@ -769,14 +770,13 @@ func (rt *Runtime) throttle() {
 		}
 	}
 	// The producer's slot is the only executor that leaves its consume
-	// loop for other work: what its runs kept (handOver) would sit unseen
-	// until the next stall or Taskwait, so it goes to the slot's deque,
-	// stealable, with a wake — its owner is not about to pop it.
+	// loop for other work: the task its last run kept (handOver) would
+	// sit unseen until the next stall or Taskwait, so it goes to the
+	// slot's deque, stealable, with a wake — its owner is not about to
+	// pop it.
 	id := rt.producerID()
 	if t := rt.takeChained(id); t != nil {
-		for ; t != nil; t = rt.takeChained(id) {
-			rt.s.Push(id, t)
-		}
+		rt.s.Push(id, t)
 		rt.s.WakeOne()
 	}
 }
@@ -786,22 +786,13 @@ func (rt *Runtime) overThrottle() bool {
 	return (tot > 0 && rt.g.Live() >= tot) || (rdy > 0 && rt.g.ReadyCount() >= rdy)
 }
 
-// takeChained claims the next task the slot's finishes kept (handOver):
-// the chained one, then the spill stack's top. The popped entry is
-// cleared, so the stack pins nothing that has run. Owner-only.
+// takeChained claims the task the slot's last finish kept (handOver),
+// if any. Owner-only.
 func (rt *Runtime) takeChained(slot int) *graph.Task {
 	sl := &rt.slots[slot]
-	if t := sl.chained; t != nil {
-		sl.chained = nil
-		return t
-	}
-	if n := len(sl.spill); n > 0 {
-		t := sl.spill[n-1]
-		sl.spill[n-1] = nil
-		sl.spill = sl.spill[:n-1]
-		return t
-	}
-	return nil
+	t := sl.chained
+	sl.chained = nil
+	return t
 }
 
 // produceConsumeOne lets the producer execute one ready task; reports
@@ -1313,26 +1304,18 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 	}
 }
 
-// spillCap bounds how many released tasks a slot may keep on its
-// private spill stack instead of publishing them. The cap is the
-// fairness knob: while an owner chains through its spill, at most
-// spillCap tasks are invisible to thieves, and the owner is actively
-// consuming them — the same bounded-hiding argument as the single
-// chained slot, widened because burst releases (a panel factorization
-// freeing a whole row of updates) otherwise pay a deque round trip
-// per task.
-const spillCap = 16
-
 // handOver schedules what a finish on w released: the executor's one
 // depth-first hand-over (PAPER.md §2), the same on both paths. Under
 // DepthFirst a finisher that owns a slot (sl, nil for other contexts)
 // keeps the first task for its own next loop turn (chained: no queue
-// operation, no wake), parks up to spillCap more on its spill stack, and
-// publishes the rest in one batch for thieves. Under BreadthFirst, and
-// without a slot, every task is published. A kept task still goes
-// through execute, so poison cones, aborts and panics behave exactly as
-// if it had queued. sl.chained is always empty here: the slot claimed
-// what it is finishing before running it.
+// operation, no wake) and publishes the rest in one batch, with at most
+// one wake, for thieves. Under BreadthFirst, and without a slot, every
+// task is published. The hiding is bounded in count and in time: one
+// task per slot, taken on the owner's next turn, before any pop or park
+// (TestHandOverSpreadsBurstRelease holds a second P to it). A kept task
+// still goes through execute, so poison cones, aborts and panics behave
+// exactly as if it had queued. sl.chained is always empty here: the
+// slot claimed what it is finishing before running it.
 func (rt *Runtime) handOver(w int, sl *slotState, released []*graph.Task) {
 	if len(released) == 0 {
 		return
@@ -1342,31 +1325,24 @@ func (rt *Runtime) handOver(w int, sl *slotState, released []*graph.Task) {
 		if !released[0].Redirect {
 			rt.obs.IncSlot(w, obs.CTasksFused)
 		}
-		if len(released) == 1 {
-			return
-		}
-		n := min(len(released)-1, spillCap-len(sl.spill))
-		sl.spill = append(sl.spill, released[1:1+n]...)
-		if released = released[1+n:]; len(released) == 0 {
-			return
-		}
+		released = released[1:]
 	}
 	rt.s.PushBatch(w, released)
 }
 
 // settleChain retires the slot's deferred compiled-path finishes, if its
-// chain has ended: no chained successor, spill stack dry. The slot's loop
-// calls it after every task it ran, because a chain does not always end
-// in a finish on this goroutine: a detached task retires through
-// Event.Fulfill (or already has), a lost event claim retires nothing, and
-// a slot that went back to its queues with finishes unsettled would hold
-// the countdown — and the barrier — for ever. chainFin > 0 means the
+// chain has ended: no chained successor. The slot's loop calls it after
+// every task it ran, because a chain does not always end in a finish on
+// this goroutine: a detached task retires through Event.Fulfill (or
+// already has), a lost event claim retires nothing, and a slot that went
+// back to its queues with finishes unsettled would hold the countdown —
+// and the barrier — for ever. chainFin > 0 means the
 // iteration is still open, so the schedule pointer is the live one. The
 // producer settling its own chain needs no wake: its wait loop re-checks
 // the countdown next turn.
 func (rt *Runtime) settleChain(slot int) {
 	sl := &rt.slots[slot]
-	if sl.chained != nil || len(sl.spill) > 0 {
+	if sl.chained != nil {
 		return
 	}
 	n := sl.chainFin
