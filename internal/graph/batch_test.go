@@ -325,9 +325,8 @@ func TestReadRunRecording(t *testing.T) {
 			}
 			done++
 		}
-		cs.EndIteration()
-		if done != len(rec) || cs.Remaining() != 0 {
-			t.Fatalf("gated=%v: %d of %d recorded tasks finished, %d remaining", gated, done, len(rec), cs.Remaining())
+		if done != len(rec) || g.Live() != 0 {
+			t.Fatalf("gated=%v: %d of %d recorded tasks finished, %d live", gated, done, len(rec), g.Live())
 		}
 		pos := map[int64]int{}
 		for i, id := range c.order {

@@ -17,24 +17,26 @@ package graph
 //     every position starts one above its indegree — the producer's
 //     hold — and each Replay call refreshes the next recorded task's
 //     firstprivate and closures, then drops its hold. Nothing else
-//     differs: the same FinishInto walk, the same countdown.
+//     differs: the same FinishInto walk, the same live gauge.
 //
-// Memory ordering. Workers decrement preds entries with atomic adds and
-// decrement remaining (the iteration's completion countdown) LAST in
-// FinishInto, after every successor-counter write of that completion.
-// The producer begins the next iteration only after loading
-// remaining == 0, so that acquire load — through the release sequence
-// formed by the atomic decrements — happens-after every worker write of
-// the previous iteration: the plain reset in BeginIteration/BeginReplay
-// can never race a straggling decrement. Poison is stored on a
-// successor BEFORE the decrement that could make it ready (the same
-// argument as Graph.finishInto), so abort cones drain deterministically
-// as Skipped on the compiled path too. The producer's hold orders its
-// plain writes to a task (FirstPrivate, Body, Do, Attach) before the
-// task's execution: they precede the hold's atomic decrement, and the
-// decrement that readies the task is that one — the producer then
-// publishes the task through a queue — or a later one in the same
-// counter's modification order, whose goroutine publishes it.
+// Memory ordering. An iteration's progress is the graph's live gauge:
+// begin adds the whole schedule to it, and workers decrement preds
+// entries with atomic adds and take a finished task off the gauge LAST
+// in FinishInto (or in a batch, Graph.Retire), after every
+// successor-counter write of that completion. The producer begins the
+// next iteration only after loading Live() == 0, so that acquire load —
+// through the release sequence formed by the atomic decrements —
+// happens-after every worker write of the previous iteration: the plain
+// reset in BeginIteration/BeginReplay can never race a straggling
+// decrement. Poison is stored on a successor BEFORE the decrement that
+// could make it ready (the same argument as Graph.finishInto), so abort
+// cones drain deterministically as Skipped on the compiled path too.
+// The producer's hold orders its plain writes to a task (FirstPrivate,
+// Body, Do, Attach) before the task's execution: they precede the
+// hold's atomic decrement, and the decrement that readies the task is
+// that one — the producer then publishes the task through a queue — or
+// a later one in the same counter's modification order, whose goroutine
+// publishes it.
 
 import (
 	"errors"
@@ -77,8 +79,8 @@ var ErrCompileDetached = errors.New("graph: recording contains detached tasks, w
 //
 // All slices except preds are written at compile time and read-only
 // afterwards. preds is written by the producer (BeginIteration's copy)
-// and decremented by workers (FinishInto); remaining orders the two
-// (see the package comment above).
+// and decremented by workers (FinishInto); the graph's live gauge
+// orders the two (see the package comment above).
 type Compiled struct {
 	g *Graph
 
@@ -115,10 +117,6 @@ type Compiled struct {
 	// roots are the positions with recorded indegree 0, ready the
 	// moment an iteration begins. Reused read-only every iteration.
 	roots []*Task
-
-	// remaining counts tasks not yet terminal this iteration; the
-	// producer's barrier and reset safety both key off it.
-	remaining atomic.Int64
 
 	// dirty is set when an iteration poisoned any task (abort or body
 	// failure), so the next BeginIteration scrubs poison flags; clean
@@ -224,10 +222,6 @@ func (c *Compiled) Tasks() []*Task { return c.tasks }
 // is reused each iteration.
 func (c *Compiled) Roots() []*Task { return c.roots }
 
-// Remaining returns the number of tasks not yet terminal in the current
-// iteration; 0 means the iteration's barrier may pass.
-func (c *Compiled) Remaining() int64 { return c.remaining.Load() }
-
 // Edges returns the number of edges the schedule walks per iteration and
 // the number the recording declared between its tasks; the difference is
 // what the transitive reduction dropped.
@@ -241,7 +235,7 @@ func (c *Compiled) Released() int { return int(c.released.Load()) }
 // BeginIteration resets the schedule for one frozen iteration: scrub
 // poison if a previous iteration failed, then restore every predecessor
 // count with a single copy from the pristine template. Producer-only,
-// and only once the previous iteration fully drained (Remaining == 0 —
+// and only once the previous iteration fully drained (Live() == 0 —
 // which also makes the plain copy race-free, see the package comment).
 //
 // The per-task work of the generic BeginReplay (state validation and
@@ -273,14 +267,16 @@ func (c *Compiled) BeginReplay() error {
 		c.preds[i] = d + 1
 	}
 	c.released.Store(0)
+	c.g.gated = c
 	return nil
 }
 
 // begin is the part of an iteration's reset that does not depend on how
-// its tasks are released.
+// its tasks are released: the whole schedule goes onto the live gauge,
+// and each finish takes its task off again.
 func (c *Compiled) begin() error {
-	if r := c.remaining.Load(); r != 0 {
-		return fmt.Errorf("graph: compiled replay iteration started with %d tasks still outstanding", r)
+	if l := c.g.Live(); l != 0 {
+		return fmt.Errorf("graph: compiled replay iteration started with %d tasks still outstanding", l)
 	}
 	if c.dirty.Load() {
 		for _, t := range c.tasks {
@@ -298,7 +294,6 @@ func (c *Compiled) begin() error {
 		}
 	}
 	n := int64(len(c.tasks))
-	c.remaining.Store(n)
 	c.g.replayed.Add(n)
 	c.g.lrAdd(n, 0)
 	return nil
@@ -357,39 +352,39 @@ func (c *Compiled) dropHold(p int) {
 // recording. After an error the unreleased positions still hold the
 // iteration open: the caller releases them (Replay) so it can drain.
 func (c *Compiled) FinishReplay() error {
+	c.g.gated = nil
 	if p := c.Released(); p != len(c.tasks) {
 		return fmt.Errorf("graph: replay submitted %d of %d recorded tasks", p, len(c.tasks))
 	}
 	return nil
 }
 
-// EndIteration retires the iteration's live count. Producer-only, after
-// the barrier observed Remaining == 0.
-func (c *Compiled) EndIteration() {
-	c.g.lrAdd(-int64(len(c.tasks)), 0)
-}
+// EndIteration does nothing: every finish takes its task off the live
+// gauge, so an iteration that drained has retired itself. It stays
+// until benchmark/layers.go stops calling it.
+func (c *Compiled) EndIteration() {}
 
 // FinishInto is the compiled path's terminal transition, replacing
 // Graph.CompleteInto/SkipInto/AbortInto during replay: store the final
 // state, walk the task's CSR successor row, propagate poison, decrement
 // counters, and append newly ready tasks into buf[:0] (same buffer
-// contract as CompleteInto). The iteration countdown is decremented
-// last — FinishInto's only ordering obligation to the producer's reset.
+// contract as CompleteInto). The task leaves the live gauge last —
+// FinishInto's only ordering obligation to the producer's reset.
 //
-// No task mutex, no global ready/live updates, no Ready-state stores:
-// the successor structure is immutable, iteration liveness is tracked
-// in bulk by Begin/EndIteration, and nothing observes a Ready state
-// between the counter hitting zero and the worker's Start.
+// No task mutex, no ready-gauge updates, no Ready-state stores: the
+// successor structure is immutable, begin put the whole iteration on
+// the live gauge at once, and nothing observes a Ready state between
+// the counter hitting zero and the worker's Start.
 func (c *Compiled) FinishInto(t *Task, buf []*Task, final State) []*Task {
 	released := c.FinishIntoDeferred(t, buf, final)
-	c.remaining.Add(-1)
+	c.g.Retire(1)
 	return released
 }
 
-// FinishIntoDeferred is FinishInto minus the countdown decrement, for
+// FinishIntoDeferred is FinishInto minus the live-gauge decrement, for
 // executors that batch decrements over a task-chaining run and settle
-// them with one Retire at the chain's end. Deferral only ever delays
-// the countdown — a finished-but-unsettled task still holds Remaining
+// them with one Graph.Retire at the chain's end. Deferral only ever
+// delays the decrement — a finished-but-unsettled task still holds Live
 // above zero — so the barrier and the reset-safety argument are
 // unaffected: the producer can observe zero only after every executor's
 // Retire, and each Retire release-publishes all of that executor's
@@ -437,8 +432,9 @@ func (c *Compiled) FinishIntoDeferred(t *Task, buf []*Task, final State) []*Task
 	return released
 }
 
-// Retire settles n deferred finishes against the iteration countdown
-// and returns the new value; 0 means the iteration drained.
-func (c *Compiled) Retire(n int64) int64 {
-	return c.remaining.Add(-n)
+// Retire takes n deferred compiled-path finishes (FinishIntoDeferred)
+// off the live gauge and returns its new value; 0 means the iteration
+// drained.
+func (g *Graph) Retire(n int64) int64 {
+	return int64(g.lr.Add(uint64(-n<<32)) >> 32)
 }

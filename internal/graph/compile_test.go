@@ -20,11 +20,11 @@ func recordDiamond(t *testing.T) (*Graph, *collector, []*Task) {
 	return g, c, []*Task{a, b, d, e}
 }
 
-// drainCompiled runs one compiled iteration to completion on a single
+// drainSchedule runs one compiled iteration to completion on a single
 // goroutine, completing tasks in frontier order. Poisoned tasks finish
 // as Skipped, mirroring the executor's skip path. Returns the
 // completion order as positions.
-func drainCompiled(cs *Compiled) []int32 {
+func drainSchedule(cs *Compiled) []int32 {
 	frontier := append([]*Task(nil), cs.Roots()...)
 	var order []int32
 	var buf []*Task
@@ -91,19 +91,15 @@ func TestCompiledReplayDrainsRepeatedly(t *testing.T) {
 		if got := g.Live(); got != 4 {
 			t.Fatalf("iter %d: live = %d mid-iteration, want 4", iter, got)
 		}
-		order := drainCompiled(cs)
+		order := drainSchedule(cs)
 		if len(order) != 4 {
 			t.Fatalf("iter %d: drained %d tasks, want 4", iter, len(order))
 		}
 		if order[0] != 0 || order[3] != 3 {
 			t.Fatalf("iter %d: completion order %v violates the diamond", iter, order)
 		}
-		if got := cs.Remaining(); got != 0 {
-			t.Fatalf("iter %d: remaining = %d after drain", iter, got)
-		}
-		cs.EndIteration()
 		if got := g.Live(); got != 0 {
-			t.Fatalf("iter %d: live = %d after EndIteration", iter, got)
+			t.Fatalf("iter %d: live = %d after drain", iter, got)
 		}
 		for _, tk := range tasks {
 			if tk.State() != Completed {
@@ -139,7 +135,9 @@ func TestCompiledReplayPoisonConeAndScrub(t *testing.T) {
 		buf = cs.FinishInto(tk, buf, final)
 		frontier = append(frontier, buf...)
 	}
-	cs.EndIteration()
+	if got := g.Live(); got != 0 {
+		t.Fatalf("live = %d after the failed iteration drained", got)
+	}
 	if tasks[2].State() != Completed {
 		t.Fatalf("disjoint branch c = %v, want Completed", tasks[2].State())
 	}
@@ -153,8 +151,7 @@ func TestCompiledReplayPoisonConeAndScrub(t *testing.T) {
 	if tasks[3].Poisoned() {
 		t.Fatalf("poison not scrubbed by BeginIteration")
 	}
-	drainCompiled(cs)
-	cs.EndIteration()
+	drainSchedule(cs)
 	if tasks[3].State() != Completed {
 		t.Fatalf("d = %v after clean iteration, want Completed", tasks[3].State())
 	}
@@ -188,7 +185,6 @@ func TestCompiledReplayAllocFree(t *testing.T) {
 			buf = cs.FinishInto(frontier[i], buf, Completed)
 			frontier = append(frontier, buf...)
 		}
-		cs.EndIteration()
 	})
 	if allocs != 0 {
 		t.Fatalf("compiled replay iteration allocated %v times, want 0", allocs)
@@ -239,6 +235,5 @@ func TestCompiledBeginIterationRejectsInFlight(t *testing.T) {
 	if err := cs.BeginIteration(); err == nil {
 		t.Fatalf("BeginIteration with tasks outstanding must fail")
 	}
-	drainCompiled(cs)
-	cs.EndIteration()
+	drainSchedule(cs)
 }

@@ -625,9 +625,8 @@ func TestSuccessorBlocksKeepOrderEverywhere(t *testing.T) {
 	for _, l := range leaves {
 		released += len(cs.FinishInto(l, nil, graph.Completed))
 	}
-	if released != 1 || len(cs.FinishInto(tail, nil, graph.Completed)) != 0 || cs.Remaining() != 0 {
-		t.Fatalf("compiled iteration: leaves released %d tasks, %d remaining", released, cs.Remaining())
+	if released != 1 || len(cs.FinishInto(tail, nil, graph.Completed)) != 0 || g.Live() != 0 {
+		t.Fatalf("compiled iteration: leaves released %d tasks, %d live", released, g.Live())
 	}
-	cs.EndIteration()
 	g.EndPersistent()
 }

@@ -191,6 +191,9 @@ type Graph struct {
 	// Taskwait — which advances the epoch — makes keys last written by
 	// a failed task usable again instead of poisoning forever.
 	failEpoch atomic.Uint64
+	// gated is the schedule of the open gated iteration (BeginReplay to
+	// FinishReplay), for ConsumeFailures. Producer-only.
+	gated *Compiled
 
 	// redirectLog retains every optimization-(c) node for the TDG
 	// verifier; populated only under OptKeepPrunedEdges (verify mode),
@@ -248,7 +251,8 @@ func (g *Graph) lrAdd(live, ready int64) {
 // quantity bounded by MPC-OMP's total-tasks throttling threshold.
 // It is exact up to in-flight transitions: a task is counted from
 // before it becomes visible to any other goroutine until its Complete
-// returns.
+// returns. A compiled iteration counts every position from its begin
+// until the finish is settled (Compiled.FinishInto, Retire).
 func (g *Graph) Live() int64 { return int64(g.lr.Load() >> 32) }
 
 // ReadyCount returns the number of ready-or-running tasks, the quantity
@@ -727,8 +731,17 @@ func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 // failed in earlier windows stop poisoning new successors at discovery
 // time. The runtime calls this when a wait consumes the window's
 // failures, making the runtime — and keys last written by failed tasks
-// — reusable afterwards. Must be called with the graph drained.
-func (g *Graph) ConsumeFailures() { g.failEpoch.Add(1) }
+// — reusable afterwards. Must be called with every released task
+// terminal. The positions an open gated iteration has not released yet
+// count as not yet discovered: the consumed window's poison leaves them.
+func (g *Graph) ConsumeFailures() {
+	g.failEpoch.Add(1)
+	if c := g.gated; c != nil {
+		for _, t := range c.tasks[c.Released():] {
+			t.poisoned.Store(false)
+		}
+	}
+}
 
 // FailEpoch returns the current failure window number (0 until a
 // failure has been consumed). Exposed for introspection (/graphz).

@@ -199,10 +199,12 @@ func TestReduceShapes(t *testing.T) {
 				if err := c.BeginIteration(); err != nil {
 					t.Fatalf("BeginIteration: %v", err)
 				}
-				if got := len(drainCompiled(c)); got != c.Len() {
+				if got := len(drainSchedule(c)); got != c.Len() {
 					t.Fatalf("iteration %d drained %d of %d tasks", iter, got, c.Len())
 				}
-				c.EndIteration()
+				if live := c.g.Live(); live != 0 {
+					t.Fatalf("iteration %d: live = %d after the drain", iter, live)
+				}
 			}
 		})
 	}
@@ -233,10 +235,12 @@ func TestReduceGenerated(t *testing.T) {
 			if err := c.BeginIteration(); err != nil {
 				t.Fatalf("BeginIteration: %v", err)
 			}
-			if got := len(drainCompiled(c)); got != c.Len() {
+			if got := len(drainSchedule(c)); got != c.Len() {
 				t.Fatalf("drained %d of %d tasks", got, c.Len())
 			}
-			c.EndIteration()
+			if live := c.g.Live(); live != 0 {
+				t.Fatalf("live = %d after the drain", live)
+			}
 		})
 	}
 }
@@ -316,9 +320,11 @@ func TestReduceLeavesScheduleAlone(t *testing.T) {
 		if err := c.BeginIteration(); err != nil {
 			t.Fatalf("BeginIteration: %v", err)
 		}
-		if got := len(drainCompiled(c)); got != c.Len() {
+		if got := len(drainSchedule(c)); got != c.Len() {
 			t.Fatalf("drained %d of %d tasks", got, c.Len())
 		}
-		c.EndIteration()
+		if live := c.g.Live(); live != 0 {
+			t.Fatalf("live = %d after the drain", live)
+		}
 	})
 }

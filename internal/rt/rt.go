@@ -106,7 +106,8 @@ type Runtime struct {
 
 	// replay is the schedule a persistent region's body is being re-run
 	// against (a gated iteration): Submit re-instantiates its next task
-	// and Taskwait waits on its countdown. Nil otherwise. Producer-only.
+	// and Taskwait waits for what it has released. Nil otherwise.
+	// Producer-only.
 	replay *graph.Compiled
 	// inPersistent guards against nested Persistent, Record and Replay
 	// calls; outside a replayed iteration it means the region is recording.
@@ -116,11 +117,11 @@ type Runtime struct {
 	// route recorded tasks' terminal transitions through the compiled
 	// CSR release instead of the generic graph walk.
 	compiled atomic.Pointer[graph.Compiled]
-	// waitRemaining is the countdown value the producer is waiting for
-	// on the compiled schedule: 0 at an iteration's barrier, the number
-	// of tasks not yet released in a Taskwait inside a replayed body. The
-	// executor whose retirement reaches it wakes the producer.
-	waitRemaining atomic.Int64
+	// waitTarget is the live count the producer's Taskwait waits for: 0,
+	// or inside a replayed body the number of positions not yet released,
+	// which cannot finish before their Submit. The finisher that brings
+	// the live gauge there wakes the producer.
+	waitTarget atomic.Int64
 
 	iter atomic.Int32 // current persistent iteration, for trace records
 
@@ -187,12 +188,12 @@ type slotState struct {
 	// (handOver), taken on the slot's next loop turn, before any pop or
 	// park, or, for the producer, before it returns to discovery
 	// (throttle). A kept task is unfinished, so it holds the live gauge
-	// or the iteration countdown above the producer's wait.
+	// above the producer's wait.
 	chained *graph.Task
 	// chainFin counts the slot's deferred compiled-path finishes
-	// (graph.Compiled.FinishIntoDeferred) not yet settled against the
-	// iteration countdown; settled in one Retire when the slot's chain
-	// has ended (settleChain).
+	// (graph.Compiled.FinishIntoDeferred) not yet taken off the live
+	// gauge; settled in one graph.Retire when the slot's chain has ended
+	// (settleChain).
 	chainFin int64
 	_        [24]byte
 }
@@ -338,18 +339,17 @@ type Snapshot struct {
 	FailuresDropped int         `json:"failures_dropped"`
 	Discovery       graph.Stats `json:"discovery"`
 	// Replay is present while a persistent iteration runs off a compiled
-	// schedule. Live then counts the whole recording and Ready nothing
-	// (the schedule keeps no ready gauge); this is where the iteration
-	// actually stands.
+	// schedule. Live then counts the iteration's positions not yet
+	// finished, released or not, and Ready nothing (the schedule keeps no
+	// ready gauge).
 	Replay *ReplaySnapshot `json:"replay,omitempty"`
 }
 
 // ReplaySnapshot is the state of the compiled schedule an iteration is
 // running on.
 type ReplaySnapshot struct {
-	Tasks     int   `json:"tasks"`     // positions in the schedule
-	Remaining int64 `json:"remaining"` // not yet terminal this iteration
-	Released  int   `json:"released"`  // handed over by the producer so far
+	Tasks    int `json:"tasks"`    // positions in the schedule
+	Released int `json:"released"` // handed over by the producer so far
 	// Edges is what the schedule walks per iteration, EdgesRecorded what
 	// the recording declared; the difference is transitively implied.
 	Edges         int `json:"edges"`
@@ -364,7 +364,7 @@ func (rt *Runtime) Introspect() Snapshot {
 	rt.failMu.Unlock()
 	var replay *ReplaySnapshot
 	if cs := rt.compiled.Load(); cs != nil {
-		replay = &ReplaySnapshot{Tasks: cs.Len(), Remaining: cs.Remaining(), Released: cs.Released()}
+		replay = &ReplaySnapshot{Tasks: cs.Len(), Released: cs.Released()}
 		replay.Edges, replay.EdgesRecorded = cs.Edges()
 	}
 	return Snapshot{
@@ -494,15 +494,26 @@ func (e *Event) Fulfill() {
 		runtime.Gosched()
 		t = e.t.Load()
 	}
-	if e.fired.Swap(true) {
-		return
+	if e.rt.claimDetached(t, e) {
+		e.rt.finish(-1, t, graph.Completed)
 	}
-	rt := e.rt
+}
+
+// claimDetached claims the completion of detached task t through its
+// event: of Fulfill, a poison skip, a body failure and abort
+// cancellation exactly one wins the fired swap, and the winner takes t
+// out of the abort registry and off the detached gauge before it
+// finishes t. Reports whether the caller won. cancelDetached claims in
+// its own batch form, under the lock it already holds.
+func (rt *Runtime) claimDetached(t *graph.Task, ev *Event) bool {
+	if ev.fired.Swap(true) {
+		return false
+	}
 	rt.detachMu.Lock()
 	delete(rt.detachLive, t)
 	rt.detachMu.Unlock()
-	rt.finish(-1, t, graph.Completed)
 	rt.detached.Add(-1)
+	return true
 }
 
 // wrapBody prepares the execution closures for a spec, binding a detach
@@ -855,36 +866,49 @@ func (rt *Runtime) producerIdle(done func() bool) {
 // recorded: the rest of the recording is live but cannot start before
 // its Submit. Where the body waits is part of the shape it must keep —
 // the wait that closed an inoutset group in the recording has to be
-// there again for the group's redirect node to finish.
+// there again for the group's redirect node to finish. A compiled
+// iteration's implicit barrier is a Taskwait after its body.
+//
+// Every wait is on the live gauge: the producer executes ready tasks
+// (its own deque first, then the shared queues) until no more tasks are
+// live than the target — none, or inside a replayed body the positions
+// not yet released. The gauge cannot pass below the target, so the
+// finisher that brings it there is the one to wake the producer
+// (waitTarget).
 func (rt *Runtime) Taskwait() error {
+	var target int64
 	if cs := rt.replay; cs != nil {
-		return rt.drainCompiled(cs, int64(cs.Len()-cs.Released()))
+		target = int64(cs.Len() - cs.Released())
 	}
+	// A no-op on a compiled iteration: its body discovers nothing, and
+	// the recording barrier closed every group.
 	rt.g.Flush()
 	if rt.obs.TimingOn() {
-		sp := rt.obs.BeginSpan(rt.producerID(), obs.SpanTaskwait, rt.g.Live(), 0, int(rt.iter.Load()))
+		sp := rt.obs.BeginSpan(rt.producerID(), obs.SpanTaskwait, rt.g.Live()-target, 0, int(rt.iter.Load()))
 		defer sp.End()
 	}
-	for rt.g.Live() > 0 {
+	rt.waitTarget.Store(target)
+	for rt.g.Live() > target {
 		if !rt.produceConsumeOne() {
-			rt.producerIdle(func() bool { return rt.g.Live() == 0 })
+			rt.producerIdle(func() bool { return rt.g.Live() <= target })
 		}
 	}
+	rt.waitTarget.Store(0)
 	return rt.settleWindow()
 }
 
 // settleWindow is the bookkeeping of a quiescent point — every task
-// released so far is terminal, no body in flight — shared by Taskwait
-// and the compiled schedule's waits: counter flush, critical-path
-// window, Full-mode audit, and the window's failure state.
+// released so far is terminal, no body in flight — at the end of every
+// Taskwait: counter flush, critical-path window, Full-mode audit, and
+// the window's failure state.
 func (rt *Runtime) settleWindow() error {
 	// Publish the producer's pending counter deltas (workers publish
 	// theirs as they park; Close drains every slot).
 	rt.obs.FlushSlot(rt.producerID())
 	if rt.cp != nil {
 		// Close the critical-path window: every Observe was sequenced
-		// before a live-count or countdown decrement this goroutine has
-		// observed — the slot merge is race-free.
+		// before a live-gauge decrement this goroutine has observed — the
+		// slot merge is race-free.
 		rt.cp.EndWindow(rt.cfg.Workers)
 	}
 	if rt.ver != nil && rt.cfg.Verify == verify.Full {
@@ -1174,16 +1198,10 @@ func (rt *Runtime) skip(w int, t *graph.Task) {
 		p.SetState(slot, trace.Skip, p.Now())
 	}
 	rt.obs.Instant(w, obs.InstSkip, t.ID, 0, int(rt.iter.Load()))
-	if !t.Detached {
-		rt.finish(w, t, graph.Skipped)
-	} else if ev := rt.detachEvent(t); !ev.fired.Swap(true) {
-		rt.detachMu.Lock()
-		delete(rt.detachLive, t)
-		rt.detachMu.Unlock()
-		rt.detached.Add(-1)
+	// A lost claim means an external Fulfill already completed the task.
+	if !t.Detached || rt.claimDetached(t, rt.detachEvent(t)) {
 		rt.finish(w, t, graph.Skipped)
 	}
-	// A lost claim means an external Fulfill already completed the task.
 	if p != nil {
 		p.SetState(slot, trace.Overhead, p.Now())
 	}
@@ -1197,17 +1215,11 @@ func (rt *Runtime) skip(w int, t *graph.Task) {
 func (rt *Runtime) fail(w int, t *graph.Task, ev *Event, cause error) {
 	rt.obs.Instant(w, obs.InstAbort, t.ID, 0, int(rt.iter.Load()))
 	rt.recordFailure(t, cause)
-	if ev != nil {
-		if ev.fired.Swap(true) {
-			// The body fulfilled its own event synchronously and then
-			// failed: the fulfillment completed the task and wins; the
-			// failure is still reported by the next Taskwait.
-			return
-		}
-		rt.detachMu.Lock()
-		delete(rt.detachLive, t)
-		rt.detachMu.Unlock()
-		rt.detached.Add(-1)
+	if ev != nil && !rt.claimDetached(t, ev) {
+		// The body fulfilled its own event synchronously and then
+		// failed: the fulfillment completed the task and wins; the
+		// failure is still reported by the next Taskwait.
+		return
 	}
 	rt.finish(w, t, graph.Aborted)
 }
@@ -1215,7 +1227,7 @@ func (rt *Runtime) fail(w int, t *graph.Task, ev *Event, cause error) {
 // finish is the one terminal transition: t reaches final, its released
 // successors are handed over (handOver), and the producer hears of the
 // progress it waits on. A recorded task of the compiled iteration in
-// flight releases through the schedule's CSR rows — with its countdown
+// flight releases through the schedule's CSR rows — with its live-gauge
 // decrement deferred to the end of its slot's chain (settleChain), or
 // settled at once from a context without a slot (a detached task's
 // Fulfill, abort cancellation); every other task through the graph's
@@ -1224,8 +1236,8 @@ func (rt *Runtime) fail(w int, t *graph.Task, ev *Event, cause error) {
 func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 	// Critical-path profiling: stamp the finish and fold the task into
 	// the window aggregation BEFORE the release below — its successor walk
-	// publishes the cp* values, and its live-count or countdown decrement
-	// is what lets a quiescent producer read the profiler slots without
+	// publishes the cp* values, and its live-gauge decrement is what lets
+	// a quiescent producer read the profiler slots without
 	// synchronization (see cpath.Profiler.Observe). The stamp is read back
 	// now: once t's successors are released a replay may drain, and the
 	// producer's next BeginIteration rewrites it.
@@ -1276,24 +1288,15 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 		sl.relBuf = released
 	}
 	rt.handOver(w, sl, released)
-	// How the producer hears of progress. In a plain window it waits on
-	// the live gauge: publications wake it through the scheduler, but a
-	// completion that releases nothing (Taskwait counts Live down), the
-	// graph draining, or — with a throttle on — any drop under a window
-	// carries no queue entry. On the compiled schedule it waits on the
-	// countdown, and whoever brings that to waitRemaining wakes it:
-	// settleChain for a slot's deferred finishes, this finish otherwise.
-	// A kept successor is live and unfinished, so none of these
-	// predicates can have turned on it.
-	switch {
-	case cs == nil:
-		if len(released) == 0 || rt.throttleOn || rt.g.Live() == 0 {
-			rt.s.WakeProducer()
-		}
-	case sl == nil:
-		if cs.Remaining() <= rt.waitRemaining.Load() {
-			rt.s.WakeProducer()
-		}
+	// How the producer hears of progress: publications wake it through
+	// the scheduler, but the live gauge reaching its Taskwait's target or
+	// — with a throttle on — any drop under a window carries no queue
+	// entry, so a finisher other than the producer (whose loop re-checks)
+	// wakes it. A deferred finish leaves the gauge to settleChain, which
+	// applies the same rule. A kept successor is live and unfinished, so
+	// neither predicate can have turned on it.
+	if w != rt.producerID() && (rt.throttleOn || rt.g.Live() <= rt.waitTarget.Load()) {
+		rt.s.WakeProducer()
 	}
 	// Release-phase accounting (finish stamp to the end of the hand-over),
 	// counter-only: release time overlaps the released successors'
@@ -1330,16 +1333,16 @@ func (rt *Runtime) handOver(w int, sl *slotState, released []*graph.Task) {
 	rt.s.PushBatch(w, released)
 }
 
-// settleChain retires the slot's deferred compiled-path finishes, if its
-// chain has ended: no chained successor. The slot's loop calls it after
-// every task it ran, because a chain does not always end in a finish on
-// this goroutine: a detached task retires through Event.Fulfill (or
-// already has), a lost event claim retires nothing, and a slot that went
-// back to its queues with finishes unsettled would hold the countdown —
-// and the barrier — for ever. chainFin > 0 means the
-// iteration is still open, so the schedule pointer is the live one. The
-// producer settling its own chain needs no wake: its wait loop re-checks
-// the countdown next turn.
+// settleChain takes the slot's deferred compiled-path finishes off the
+// live gauge, if its chain has ended: no chained successor. The slot's
+// loop calls it after every task it ran, because a chain does not always
+// end in a finish on this goroutine: a detached task retires through
+// Event.Fulfill (or already has), a lost event claim retires nothing,
+// and a slot that went back to its queues with finishes unsettled would
+// hold the gauge — and the barrier — above the producer's wait for
+// ever. The producer settling its own chain needs no wake: its wait
+// loop re-checks the gauge next turn. Nothing throttles during a
+// compiled iteration, so only the wait target can call for a wake.
 func (rt *Runtime) settleChain(slot int) {
 	sl := &rt.slots[slot]
 	if sl.chained != nil {
@@ -1347,7 +1350,7 @@ func (rt *Runtime) settleChain(slot int) {
 	}
 	n := sl.chainFin
 	sl.chainFin = 0
-	if rt.compiled.Load().Retire(n) <= rt.waitRemaining.Load() && slot != rt.producerID() {
+	if rt.g.Retire(n) <= rt.waitTarget.Load() && slot != rt.producerID() {
 		rt.s.WakeProducer()
 	}
 }
@@ -1453,7 +1456,7 @@ type PersistentOption func(*persistentOpts)
 // Because nothing can change, an iteration of the compiled schedule
 // (graph.Compile) needs no producer work per task: the producer
 // restores the predecessor counts with one copy, publishes the root
-// set, and waits on a countdown — no key table, no pools, no hashing,
+// set, and waits on the live gauge — no key table, no pools, no hashing,
 // no allocation (see docs/architecture.md, "Compiled replay"). The
 // region is the two operations Record and Replay back to back — record
 // and compile at iteration 0, replay the other iters-1 — and owns the
@@ -1670,8 +1673,8 @@ func (rt *Runtime) Replay(rec *Recording, first, n int) error {
 //
 // With a nil body an iteration is frozen: one copy (predecessor
 // template), one batch publication (the root set, straight into the
-// producer's work-stealing deque with a fan-out wake), and the countdown
-// barrier. With a body it is gated: the body runs again and each Submit
+// producer's work-stealing deque with a fan-out wake), and the barrier,
+// a Taskwait. With a body it is gated: the body runs again and each Submit
 // refreshes the next recorded task and drops the producer's hold on it
 // (resubmit). Either way no key table, no pools, no hashing, and one
 // executor: divergence checking (against rec's own tasks and signature,
@@ -1738,7 +1741,7 @@ func (rt *Runtime) replayIteration(rec *Recording, it int, body func(iter int)) 
 	}
 	rt.obs.AddSlot(rt.producerID(), obs.CReplayHits, tasks)
 	rt.obs.IncSlot(rt.producerID(), obs.CReplayCompiled)
-	werr := rt.compiledBarrier(cs)
+	werr := rt.Taskwait()
 	if p := rt.cfg.Profile; p != nil {
 		p.IterationEnd(p.Now())
 	}
@@ -1769,39 +1772,6 @@ func (rt *Runtime) cancelRest(cs *graph.Compiled) {
 		cs.Replay(t.FirstPrivate, nil, nil, attach)
 		rt.finishSubmit(t, ev)
 	}
-}
-
-// compiledBarrier is the compiled iteration's implicit Taskwait: the
-// countdown runs to zero, then the iteration's live count is retired. No
-// open inoutset groups can exist mid-replay (the recording barrier
-// flushed them), so no Flush is needed.
-func (rt *Runtime) compiledBarrier(cs *graph.Compiled) error {
-	err := rt.drainCompiled(cs, 0)
-	cs.EndIteration()
-	return err
-}
-
-// drainCompiled is a wait on the compiled schedule's countdown: the
-// producer executes ready tasks (popping its own deque first, then the
-// shared queues) until remaining tasks are left unfinished — none at an
-// iteration's barrier, the not yet released ones at a Taskwait inside a
-// replayed body, which cannot start before their Submit — then settles
-// the quiescent-point bookkeeping. The countdown cannot pass below
-// remaining, so the executor that brings it there is the one to wake the
-// producer (waitRemaining).
-func (rt *Runtime) drainCompiled(cs *graph.Compiled, remaining int64) error {
-	if rt.obs.TimingOn() {
-		sp := rt.obs.BeginSpan(rt.producerID(), obs.SpanTaskwait, cs.Remaining()-remaining, 0, int(rt.iter.Load()))
-		defer sp.End()
-	}
-	rt.waitRemaining.Store(remaining)
-	for cs.Remaining() > remaining {
-		if !rt.produceConsumeOne() {
-			rt.producerIdle(func() bool { return cs.Remaining() <= remaining })
-		}
-	}
-	rt.waitRemaining.Store(0)
-	return rt.settleWindow()
 }
 
 // Close waits for all tasks, then stops the workers, returning whatever

@@ -280,17 +280,17 @@ func TestGatedGraphzReplay(t *testing.T) {
 		if rp == nil {
 			t.Fatalf("no replay object mid-iteration: %+v", s)
 		}
-		// a has finished, c is running, b is not yet released. (a still
-		// counts as remaining if c's executor chained on from it: the
-		// countdown is settled at the end of a chain.)
-		if rp.Tasks != 3 || rp.Released != 2 || rp.Remaining < 2 || rp.Remaining > 3 {
-			t.Fatalf("replay = %+v, want 3 tasks, 2 released, 2 or 3 remaining", *rp)
+		if rp.Tasks != 3 || rp.Released != 2 {
+			t.Fatalf("replay = %+v, want 3 tasks, 2 released", *rp)
 		}
 		if rp.EdgesRecorded != 3 || rp.Edges != 2 {
 			t.Fatalf("replay edges = %d of %d recorded, want 2 of 3", rp.Edges, rp.EdgesRecorded)
 		}
-		if s.Live != 3 || s.Ready != 0 {
-			t.Fatalf("live %d ready %d mid-iteration, want 3 and 0", s.Live, s.Ready)
+		// a has finished, c is running, b is not yet released. (a is
+		// still live if c's executor chained on from it: a chain's
+		// finishes leave the gauge at its end.)
+		if s.Live < 2 || s.Live > 3 || s.Ready != 0 {
+			t.Fatalf("live %d ready %d mid-iteration, want 2 or 3 and 0", s.Live, s.Ready)
 		}
 	}
 	if s := r.Introspect(); s.Replay != nil {

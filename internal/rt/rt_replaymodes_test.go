@@ -52,6 +52,11 @@ type modeStream struct {
 	// batched makes body submit an iteration in one SubmitBatch call (in
 	// chunks of batchChunk, where read runs form) instead of task by task.
 	batched bool
+	// waitEvery makes body Taskwait after every waitEvery submissions (and
+	// after the last) and hand the wait's result to waited, with the
+	// number of tasks the iteration has submitted so far.
+	waitEvery int
+	waited    func(r *Runtime, submitted int, err error)
 	// writers and members index the tasks of the stream's read runs: the
 	// writers of the shared keys ahead of each run, and the members that
 	// are not detached.
@@ -247,17 +252,27 @@ func (s *modeStream) plantFailure(rng *rand.Rand, iter int) {
 // body submits the first n tasks of the stream for iteration it.
 func (s *modeStream) body(r *Runtime, n int) func(it int) {
 	staged := make([]Spec, n)
+	step := n
+	if s.waitEvery > 0 {
+		step = s.waitEvery
+	}
 	return func(it int) {
 		copy(staged, s.specs)
 		for i := range staged {
 			staged[i].FirstPrivate = it
 		}
-		if s.batched {
-			r.SubmitBatch(staged)
-			return
-		}
-		for i := range staged {
-			r.Submit(staged[i])
+		for lo := 0; lo < n; lo += step {
+			hi := min(lo+step, n)
+			if s.batched {
+				r.SubmitBatch(staged[lo:hi])
+			} else {
+				for i := lo; i < hi; i++ {
+					r.Submit(staged[i])
+				}
+			}
+			if s.waitEvery > 0 {
+				s.waited(r, hi, r.Taskwait())
+			}
 		}
 	}
 }
@@ -466,6 +481,116 @@ func TestReplayModesFault(t *testing.T) {
 						t.Fatalf("%s: failed task %q, oracle %q", m.name, te.Label, wantTE.Label)
 					}
 					sameResult(t, m.name, got, want)
+				}
+			})
+		}
+	}
+}
+
+// unreleased is what a replayed iteration of the recording rec has not
+// released once the body has resubmitted submitted tasks: every position
+// from the next task on (a redirect node goes with the task before it).
+func unreleased(rec []*graph.Task, submitted int) int64 {
+	for p, tk := range rec {
+		if tk.Redirect {
+			continue
+		}
+		if submitted == 0 {
+			return int64(len(rec) - p)
+		}
+		submitted--
+	}
+	return 0
+}
+
+// TestReplayModesTaskwaitInBody: every mode's body waits after every k
+// submissions. After each wait nothing is ready, and the live gauge holds
+// exactly the positions a replayed iteration has not released, which
+// cannot start before their Submit, and nothing in a plain or recording
+// window. Across workers, detached tasks, batches with read runs and a
+// Frozen region, every mode agrees with the oracle. With a failure
+// planted, every wait that closes the failing task's window hands back
+// its *fault.TaskError, the region runs to its end, and the tasks
+// resubmitted after that wait run: the failure's window is over, so its
+// poison does not reach them, in a replayed iteration as in a plain one.
+func TestReplayModesTaskwaitInBody(t *testing.T) {
+	const iters, reRecordAt, failIter = 5, 2, 2
+	variants := []struct {
+		name                 string
+		tasks, k             int
+		frozen, runs, failed bool
+	}{
+		{"detached", 48, 5, false, false, false},
+		{"frozen", 48, 6, true, false, false},
+		{"batched", batchChunk + 40, 37, false, true, false},
+		{"failed", 48, 7, false, false, true},
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, v := range variants {
+			t.Run(fmt.Sprintf("workers%d/%s", workers, v.name), func(t *testing.T) {
+				seed := int64(workers)
+				var waitErrs []error // appended by the producer only
+				mk := func() *modeStream {
+					s := newModeStream(seed, v.tasks, v.frozen, !v.frozen, v.runs)
+					s.batched = v.runs
+					if v.failed {
+						s.plantFailure(rand.New(rand.NewSource(seed)), failIter)
+					}
+					s.waitEvery = v.k
+					s.waited = func(r *Runtime, submitted int, err error) {
+						if err != nil {
+							waitErrs = append(waitErrs, err)
+						}
+						var want int64
+						if cs := r.replay; cs != nil {
+							want = unreleased(cs.Tasks(), submitted)
+						}
+						if live, ready := r.Graph().Live(), r.Graph().ReadyCount(); live != want || ready != 0 {
+							t.Errorf("iteration %d, %d submitted: live %d ready %d after a wait, want %d and 0",
+								r.iter.Load(), submitted, live, ready, want)
+						}
+					}
+					return s
+				}
+				var want modeResult
+				var wantLabel string
+				for _, m := range replayModes(t, reRecordAt) {
+					if m.name == "frozen" && !v.frozen {
+						continue
+					}
+					waitErrs = nil
+					got := runMode(t, m, Config{Workers: workers, Opts: graph.OptAll}, mk, iters)
+					if got.err != nil {
+						t.Fatalf("%s: region returned %v", m.name, got.err)
+					}
+					if m.name == "oracle" {
+						want = got
+					} else {
+						sameResult(t, m.name, got, want)
+					}
+					if !v.failed {
+						if len(waitErrs) != 0 {
+							t.Fatalf("%s: waits returned %v in a clean run", m.name, waitErrs)
+						}
+						continue
+					}
+					// The planted task fails from failIter on: its body never
+					// counts the run that failed. (runMode's clean region after
+					// the run adds no failure.)
+					if len(waitErrs) != iters-failIter {
+						t.Fatalf("%s: %d waits failed, want %d: %v", m.name, len(waitErrs), iters-failIter, waitErrs)
+					}
+					for _, err := range waitErrs {
+						var te *fault.TaskError
+						if !errors.As(err, &te) || !errors.Is(err, errPlanted) {
+							t.Fatalf("%s: a wait returned %v, want the planted *fault.TaskError", m.name, err)
+						}
+						if wantLabel == "" {
+							wantLabel = te.Label
+						} else if te.Label != wantLabel {
+							t.Fatalf("%s: a wait named task %q, oracle %q", m.name, te.Label, wantLabel)
+						}
+					}
 				}
 			})
 		}
