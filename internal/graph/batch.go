@@ -56,9 +56,9 @@ func (g *Graph) SubmitBatch(descs []TaskDesc, out []*Task) []*Task {
 	}
 	base := len(out)
 	out = g.allocTasks(len(descs), out)
-	var ready []*Task
+	ready := g.readyBuf[:0]
 	g.discover(descs, out[base:], &ready)
-	g.notifyReady(ready)
+	g.publishReady(ready)
 	return out
 }
 
@@ -91,6 +91,9 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 		t.Do = d.Do
 		t.FirstPrivate = d.FirstPrivate
 		t.Detached = d.Detached
+		if d.Detached {
+			g.pin(t)
+		}
 		t.Attach = d.Attach
 		t.captureDeps(d)
 		t.preds.Store(sentinelBias)

@@ -59,8 +59,9 @@ var ErrCompileDetached = errors.New("graph: recording contains detached tasks, w
 //
 // Lifetime: a schedule is valid for as long as its graph is, and owes
 // nothing to the persistent region it was compiled in. It holds its own
-// snapshot of the recorded tasks (task memory is never recycled, see
-// alloc.go; Task.slot belongs to the one recording a task is part of)
+// snapshot of the recorded tasks (a chunk that holds a recorded task is
+// never recycled, see alloc.go; Task.slot belongs to the one recording a
+// task is part of)
 // and replays without the key table, so EndPersistent, later plain
 // windows over the same keys and later recordings leave it replayable.
 // The other direction holds because iterations end at a barrier: between
@@ -395,6 +396,7 @@ func (c *Compiled) FinishIntoDeferred(t *Task, buf []*Task, final State) []*Task
 		// Same publication order as finishInto: stamp the failure
 		// window, then the terminal state that publishes it.
 		t.failEpoch = c.g.failEpoch.Load()
+		c.g.failedIn.Store(t.failEpoch + 1)
 		c.dirty.Store(true)
 	}
 	// A recorded task's state is terminal from the previous iteration

@@ -24,6 +24,10 @@
 //     successor lists start on inline storage and continue in chained
 //     fixed-size blocks that are never regrown or copied (task.go), and
 //     keyStates are recycled (alloc.go).
+//   - A graph that has drained can end its window (EndWindow): its key
+//     states read as empty from then on, so no constraint is attempted
+//     against a finished task, and its task chunks are reused. The
+//     runtime ends windows; callers that keep *Task across them do not.
 //   - SubmitBatch (batch.go) amortizes ID reservation, counter updates,
 //     allocator traffic, the discovery lock and ready-queue
 //     publication over a slice of TaskDescs; executors receive the
@@ -75,13 +79,13 @@
 // # Concurrency contract
 //
 // One producer at a time, as in the paper: Submit, SubmitBatch, Flush,
-// ResetDiscoveryFrontier and persistence are called by one goroutine,
-// or by several that hand the role over with synchronization (a mutex
-// held across each turn, as internal/serve does per tenant). What only
-// the producer touches — the task chunk, the ID counter — is plain
-// state. Complete is safe for concurrent use from
-// any number of workers, and Stats, Live and ReadyCount from any
-// goroutine; see Stats for the counter consistency model. Discovery
+// EndWindow, ResetDiscoveryFrontier and persistence are called by one
+// goroutine, or by several that hand the role over with synchronization
+// (a mutex held across each turn, as internal/serve does per tenant).
+// What only the producer touches — the task chunks, the ID counter — is
+// plain state. Complete is safe for concurrent use from any number of
+// workers, and Stats, Live and ReadyCount from any goroutine; see Stats
+// for the counter consistency model. Discovery
 // that scales past one producer would hand dependence resolution to
 // other threads (delegated resolution), a different design, not more
 // goroutines on this one.

@@ -45,11 +45,19 @@ const (
 // every snapshot, mid-batch scrapes included. A constraint against a
 // predecessor that already finished is classified before anything else
 // about the predecessor is looked at, so a repeated one counts as
-// pruned, not as a duplicate. Tasks, RedirectNodes and ReplayedTasks are
-// atomics: a snapshot taken while the producer is running can show a task
-// counted whose edges are not yet, never invented or lost events, and is
-// exact at a quiescent point (no in-flight Submit / SubmitBatch /
-// Complete, e.g. after a taskwait).
+// pruned, not as a duplicate. Tasks, RedirectNodes, ReplayedTasks,
+// WindowsEnded and TasksReused are atomics: a snapshot taken while the
+// producer is running can show a task counted whose edges are not yet,
+// never invented or lost events, and is exact at a quiescent point (no
+// in-flight Submit / SubmitBatch / Complete, e.g. after a taskwait).
+//
+// A constraint is attempted only against a task of the current window
+// (EndWindow): a window that ends forgets its frontier, so the
+// constraints a later task would have had on its finished tasks — every
+// one of them pruned — are never attempted. Where windows end,
+// EdgesAttempted and EdgesPruned therefore read lower than the stream's
+// declared constraints, and so do RedirectNodes and EdgesCreated: a read
+// run whose shared keys have no writer in the window needs no entry node.
 type Stats struct {
 	Tasks          int64 // tasks discovered (including redirect nodes)
 	RedirectNodes  int64 // empty nodes inserted by optimization (c), both forms
@@ -58,10 +66,15 @@ type Stats struct {
 	EdgesPruned    int64 // skipped: predecessor already completed
 	EdgesDuplicate int64 // skipped by optimization (b)
 	ReplayedTasks  int64 // persistent re-instantiations (iterations >= 1)
+	WindowsEnded   int64 // EndWindow calls that ended a window
+	TasksReused    int64 // tasks carved from a recycled chunk
 }
 
 // keyState tracks the discovery frontier for one data key.
 type keyState struct {
+	// window is the frontier window (Graph.window) the fields below
+	// belong to; frontierOf empties a state of an older one.
+	window uint64
 	// outSet is the set of tasks any subsequent access must succeed:
 	// a single writer, an open inoutset group, or a redirect node.
 	outSet []*Task
@@ -77,13 +90,22 @@ type keyState struct {
 	// at group open, so opening a group allocates nothing.
 	baseOut     []*Task
 	baseReaders []*Task
-	// redirectReleased records that the producer sentinel of the group's
-	// redirect node was dropped (on group close or frontier flush).
-	redirectReleased bool
 	// run marks the key as one the open read run of a discover call shares
 	// (batch.go): that run's first member. Set and cleared inside the call,
 	// under the discovery lock, so it is nil whenever the lock is free.
 	run *Task
+}
+
+// forget empties a frontier state of an ended window, keeping its slices'
+// capacity. The tasks it held have all finished: see EndWindow.
+func (ks *keyState) forget(window uint64) {
+	*ks = keyState{
+		window:      window,
+		outSet:      ks.outSet[:0],
+		readers:     ks.readers[:0],
+		baseOut:     ks.baseOut[:0],
+		baseReaders: ks.baseReaders[:0],
+	}
 }
 
 // ReadyFunc receives tasks that become ready on the producer side — at
@@ -106,7 +128,8 @@ type Config struct {
 	// OnReadyBatch, if non-nil, receives producer-side ready tasks in
 	// batches (SubmitBatch, Flush): one call replaces len(batch)
 	// OnReady calls, letting executors amortize queue locking. Tasks
-	// readied one at a time still go through OnReady.
+	// readied one at a time still go through OnReady. The slice is the
+	// producer's buffer, valid only during the call.
 	OnReadyBatch func([]*Task)
 	// CPath enables critical-path stamping and the release-time fold
 	// (see cpath.go). Requires CPathNow.
@@ -127,9 +150,9 @@ type Config struct {
 // drained by concurrent workers.
 //
 // Concurrency contract: one producer at a time. Submit, SubmitBatch,
-// Flush, ResetDiscoveryFrontier and persistence (BeginRecording through
-// FinishReplay) are the producer's, and must not run concurrently with
-// each other. The role may pass from one goroutine to another when the
+// Flush, EndWindow, ResetDiscoveryFrontier and persistence
+// (BeginRecording through FinishReplay) are the producer's, and must not
+// run concurrently with each other. The role may pass from one goroutine to another when the
 // hand-off is synchronized (a mutex, a channel): that is still one
 // producer. Complete and its Into forms may be called concurrently from
 // any number of workers, and Stats, Live and ReadyCount from any
@@ -147,8 +170,12 @@ type Graph struct {
 	// Task.mu (addEdge); nothing takes them the other way round.
 	mu   sync.Mutex
 	keys keyTable // see keytable.go
-	// open tracks keys whose inoutset group holds an unreleased redirect
-	// node, for Flush.
+	// window is the frontier window: EndWindow advances it, and a key
+	// state of an older one reads as empty (keyState.window). Producer-only.
+	window uint64
+	// open lists the keys whose inoutset group is open and holds an
+	// unreleased redirect node, in the order the groups opened: a key
+	// leaves it when its group closes (dropOpen), and Flush empties it.
 	open []*keyState
 	// free is the keyState recycling list (see alloc.go).
 	free []*keyState
@@ -157,8 +184,17 @@ type Graph struct {
 	// runKeys is the read runs' keyState buffer (readRun.keys), kept
 	// between discover calls so a run allocates nothing.
 	runKeys []*keyState
+	// readyBuf is SubmitBatch's and Flush's buffer of tasks readied by
+	// the producer, kept between calls for the same reason.
+	readyBuf []*Task
 
-	chunk *taskChunk // producer-owned, see alloc.go
+	// Task memory (alloc.go), producer-owned: chunk is the chunk tasks are
+	// carved from, windowChunks the chunks the current window carved, for
+	// EndWindow to recycle, and spare the recycled ones allocTasks takes
+	// before it allocates.
+	chunk        *taskChunk
+	windowChunks []*taskChunk
+	spare        []*taskChunk
 	// submitKeys is Submit's producer-owned buffer for grouping a []Dep by
 	// type (descOf).
 	submitKeys []Key
@@ -171,7 +207,7 @@ type Graph struct {
 	cpathCached *atomic.Int64
 
 	// Atomic counters (see Stats for the consistency model).
-	tasks, redirects, replayed atomic.Int64
+	tasks, redirects, replayed, windows, reused atomic.Int64
 
 	// lr packs the live (high 32 bits) and ready (low 32 bits) gauges
 	// into one word so the release path settles both with a single
@@ -191,6 +227,11 @@ type Graph struct {
 	// Taskwait — which advances the epoch — makes keys last written by
 	// a failed task usable again instead of poisoning forever.
 	failEpoch atomic.Uint64
+	// failedIn is one more than the failure window of the latest poisoned
+	// finish: equal to failEpoch+1 while a task that can poison discovery
+	// (addEdge) has drained in the current window, which keeps EndWindow
+	// from forgetting it. Stored before the finish leaves the live gauge.
+	failedIn atomic.Uint64
 	// gated is the schedule of the open gated iteration (BeginReplay to
 	// FinishReplay), for ConsumeFailures. Producer-only.
 	gated *Compiled
@@ -270,6 +311,8 @@ func (g *Graph) Stats() Stats {
 		Tasks:          g.tasks.Load(),
 		RedirectNodes:  g.redirects.Load(),
 		ReplayedTasks:  g.replayed.Load(),
+		WindowsEnded:   g.windows.Load(),
+		TasksReused:    g.reused.Load(),
 		EdgesAttempted: g.attempted,
 		EdgesCreated:   g.created,
 		EdgesPruned:    g.pruned,
@@ -346,13 +389,17 @@ func (g *Graph) SubmitTask(d *TaskDesc) *Task {
 	return ts[0]
 }
 
-// frontierOf returns k's frontier state, creating it on first access.
-// The caller holds the discovery lock.
+// frontierOf returns k's frontier state in the current window, creating
+// it on first access and emptying one an ended window left. The caller
+// holds the discovery lock.
 func (g *Graph) frontierOf(k Key) *keyState {
 	ks := g.keys.get(k)
 	if ks == nil {
 		ks = g.allocKeyState()
+		ks.window = g.window
 		g.keys.put(k, ks)
+	} else if ks.window != g.window {
+		ks.forget(g.window)
 	}
 	return ks
 }
@@ -390,7 +437,6 @@ func (g *Graph) joinSet(t *Task, k Key, readyBuf *[]*Task) {
 		ks.baseReaders, ks.readers = ks.readers, ks.baseReaders[:0]
 		ks.setOpen = true
 		ks.redirect = nil
-		ks.redirectReleased = false
 		if g.opts&OptInOutSetNode != 0 {
 			ks.redirect = g.newRedirect()
 			g.open = append(g.open, ks)
@@ -419,6 +465,7 @@ func (g *Graph) dependOnOutSet(t *Task, ks *keyState, readyBuf *[]*Task) {
 			// With a redirect node, the node now stands for the
 			// whole group.
 			ks.outSet = append(ks.outSet[:0], ks.redirect)
+			g.dropOpen(ks)
 		} else {
 			for _, p := range ks.outSet {
 				g.addEdge(p, t)
@@ -437,8 +484,7 @@ func (g *Graph) dependOnOutSet(t *Task, ks *keyState, readyBuf *[]*Task) {
 // of its redirect node so the node can complete once all members finish.
 // Caller holds the discovery lock.
 func (g *Graph) closeGroup(ks *keyState, readyBuf *[]*Task) {
-	if ks.redirect != nil && !ks.redirectReleased {
-		ks.redirectReleased = true
+	if ks.redirect != nil {
 		g.releaseSentinel(ks.redirect, readyBuf)
 	}
 	ks.setOpen = false
@@ -447,21 +493,40 @@ func (g *Graph) closeGroup(ks *keyState, readyBuf *[]*Task) {
 	ks.redirect = nil
 }
 
+// dropOpen takes ks, whose group is closing, off the open list. Groups
+// close mostly in the order they opened, and few are open at once: the
+// search from the end is short. Caller holds the discovery lock.
+func (g *Graph) dropOpen(ks *keyState) {
+	for i := len(g.open) - 1; i >= 0; i-- {
+		if g.open[i] == ks {
+			g.open = slices.Delete(g.open, i, i+1)
+			return
+		}
+	}
+}
+
 // Flush closes every still-open inoutset group. Executors call it at
 // synchronization points (taskwait, barrier, end of recording) so that
 // redirect nodes pending on a producer sentinel can drain.
 // Producer-only.
 func (g *Graph) Flush() {
-	var ready []*Task
+	ready := g.readyBuf[:0]
 	g.mu.Lock()
 	for _, ks := range g.open {
-		if ks.setOpen {
-			g.closeGroup(ks, &ready)
-		}
+		g.closeGroup(ks, &ready)
 	}
+	clear(g.open)
 	g.open = g.open[:0]
 	g.mu.Unlock()
+	g.publishReady(ready)
+}
+
+// publishReady delivers tasks the producer readied (notifyReady) and
+// keeps their buffer, emptied, for the next call.
+func (g *Graph) publishReady(ready []*Task) {
 	g.notifyReady(ready)
+	clear(ready)
+	g.readyBuf = ready[:0]
 }
 
 // newRedirect allocates and releases an optimization-(c) empty node. It
@@ -684,6 +749,7 @@ func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 		// Stamp the failure window before the state store publishes it:
 		// addEdge reads failEpoch only after observing a Done state.
 		t.failEpoch = g.failEpoch.Load()
+		g.failedIn.Store(t.failEpoch + 1)
 	}
 	// A task that never transitioned through Ready was never counted in
 	// the ready gauge and must not decrement it: a detached task may be
@@ -697,13 +763,6 @@ func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 	nsucc := int(t.nsucc)
 	t.mu.Unlock()
 
-	// Both gauges settle in one wait-free fetch-add on the shared word
-	// (this is the release path's hottest global synchronization).
-	if wasCounted {
-		g.lrAdd(-1, -1)
-	} else {
-		g.lrAdd(-1, 0)
-	}
 	released := buf[:0]
 	cpath := g.cpath
 	for seg, w := t.walkSuccs(nsucc); len(seg) > 0; seg = w.next() {
@@ -723,6 +782,17 @@ func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 				released = append(released, s)
 			}
 		}
+	}
+	// Both gauges settle in one wait-free fetch-add on the shared word
+	// (this is the release path's hottest global synchronization). It is
+	// the finish's last touch of t, as in the compiled FinishInto: a
+	// producer that loads Live() == 0 has every finisher's reads and
+	// writes of its tasks behind it, which is what lets EndWindow hand
+	// their memory out again.
+	if wasCounted {
+		g.lrAdd(-1, -1)
+	} else {
+		g.lrAdd(-1, 0)
 	}
 	return released
 }
@@ -747,6 +817,47 @@ func (g *Graph) ConsumeFailures() {
 // failure has been consumed). Exposed for introspection (/graphz).
 func (g *Graph) FailEpoch() uint64 { return g.failEpoch.Load() }
 
+// EndWindow ends the discovery window if the graph has drained, and
+// reports whether it did. A window that ends forgets its frontier: every
+// key state reads as empty from then on (frontierOf), so no constraint is
+// attempted against a task of the window. Its task chunks, but for those
+// that hold a recorded or a detached task, go back to the free list
+// allocTasks takes from first (alloc.go). Producer-only.
+//
+// It acts only when forgetting changes nothing a later task could see:
+//
+//   - Live() == 0: every task discovered so far is terminal, so each
+//     forgotten constraint would have been pruned, and every finisher has
+//     left the live gauge, its last touch of the task (finishInto,
+//     Compiled.FinishInto), so no other goroutine reads a task of the
+//     window any more;
+//   - outside a persistent region, where an edge to a finished task of
+//     the recording is kept, not pruned;
+//   - no poisoned task drained in the current failure window: a
+//     constraint against one poisons its successor even when pruned, so
+//     the window ends only once ConsumeFailures has closed that failure
+//     window;
+//   - no inoutset group open with a redirect node: the node would still
+//     hold the producer's sentinel (and the live gauge); a group without
+//     one is finished tasks, forgotten like any others;
+//   - not under OptKeepPrunedEdges, which keeps every pruned edge and the
+//     redirect log for the verifier.
+//
+// A graph with the critical-path profiler forgets its frontier but keeps
+// its chunks: the profiler retains finished tasks past the window (the
+// critical path is a chain of them). Callers that hold *Task past a
+// window — the simulator, the graph's own tests — must not call it.
+func (g *Graph) EndWindow() bool {
+	if g.Live() != 0 || g.persistent || len(g.open) != 0 ||
+		g.opts&OptKeepPrunedEdges != 0 || g.failedIn.Load() == g.failEpoch.Load()+1 {
+		return false
+	}
+	g.window++
+	g.recycleChunks()
+	g.windows.Add(1)
+	return true
+}
+
 // ResetDiscoveryFrontier clears the per-key discovery state (last
 // writers/readers) without touching counters, used between independent
 // phases in benchmarks. The key map and keyStates are recycled, not
@@ -755,6 +866,7 @@ func (g *Graph) ResetDiscoveryFrontier() {
 	g.mu.Lock()
 	g.keys.each(func(_ Key, ks *keyState) { g.recycle(ks) })
 	g.keys.reset()
+	clear(g.open)
 	g.open = g.open[:0]
 	g.mu.Unlock()
 }

@@ -87,6 +87,8 @@
 //	taskdep_edges_deduped_total      duplicates pruned by optimization (b)
 //	taskdep_edges_redirected_total   redirect nodes (optimization c)
 //	taskdep_edges_pruned_total       edges to already-completed predecessors
+//	taskdep_windows_ended_total      drained windows whose frontier was forgotten
+//	taskdep_tasks_reused_total       tasks carved from an ended window's memory
 //
 // Gauges (registered by rt):
 //

@@ -144,6 +144,8 @@ type Runtime struct {
 	depBuf    []graph.Dep
 	loopSpecs []Spec
 	stage     batchStage
+	// submits counts single Submits up to submitWindowStride.
+	submits int
 
 	// slots[w] is executor slot w's own state: workers 0..Workers-1, the
 	// producer-as-consumer at Workers. Finishes from contexts without a
@@ -307,6 +309,8 @@ func (rt *Runtime) registerCollectors() {
 	reg.RegisterCounterFunc("taskdep_edges_deduped_total", func() int64 { return rt.g.Stats().EdgesDuplicate })
 	reg.RegisterCounterFunc("taskdep_edges_redirected_total", func() int64 { return rt.g.Stats().RedirectNodes })
 	reg.RegisterCounterFunc("taskdep_edges_pruned_total", func() int64 { return rt.g.Stats().EdgesPruned })
+	reg.RegisterCounterFunc("taskdep_windows_ended_total", func() int64 { return rt.g.Stats().WindowsEnded })
+	reg.RegisterCounterFunc("taskdep_tasks_reused_total", func() int64 { return rt.g.Stats().TasksReused })
 	reg.RegisterGauge("taskdep_graph_live_tasks", func() float64 { return float64(rt.g.Live()) })
 	reg.RegisterGauge("taskdep_graph_ready_tasks", func() float64 { return float64(rt.g.ReadyCount()) })
 	reg.RegisterGauge("taskdep_sched_pending_tasks", func() float64 { return float64(rt.s.Pending()) })
@@ -571,6 +575,10 @@ func (rt *Runtime) Submit(spec Spec) *Event {
 		return rt.resubmit(cs, &spec)
 	}
 	rt.throttle()
+	if rt.submits++; rt.submits == submitWindowStride {
+		rt.submits = 0
+		rt.endWindow()
+	}
 	body, do, ev := rt.wrapBody(&spec)
 	var attach any
 	if ev != nil {
@@ -619,6 +627,24 @@ func (rt *Runtime) resubmit(cs *graph.Compiled, spec *Spec) *Event {
 		rt.ver.ReplayNext(spec.Label, rt.depBuf)
 	}
 	return rt.finishSubmit(t, ev)
+}
+
+// submitWindowStride is how many single Submits the producer makes
+// between two tries to end the graph's window: one task chunk's worth
+// (graph's chunkTasks), so a window that ends recycles at least as many
+// tasks as it clears.
+const submitWindowStride = 128
+
+// endWindow ends the graph's discovery window where it has drained
+// (graph.EndWindow): the frontier is forgotten and the window's task
+// memory reused. Called only at boundaries the producer pays for anyway
+// — a SubmitBatch chunk, a Taskwait, every submitWindowStride-th Submit
+// — and never inside a persistent region or an aborted window, whose
+// skips are still to come.
+func (rt *Runtime) endWindow() {
+	if !rt.inPersistent && !rt.aborted.Load() {
+		rt.g.EndWindow()
+	}
 }
 
 // batchChunk bounds how many tasks one graph.SubmitBatch call covers,
@@ -672,6 +698,8 @@ type batchStage struct {
 // submitBatchChunk stages and submits specs[lo:hi] as one graph batch.
 func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*Event {
 	rt.throttle()
+	// The previous chunk's yield has most often let the workers drain it.
+	rt.endWindow()
 	// Discovery-batch span: TaskID carries the chunk size (there is no
 	// single task), recorded unsampled — chunks are coarse.
 	var sp obs.Span
@@ -894,7 +922,9 @@ func (rt *Runtime) Taskwait() error {
 		}
 	}
 	rt.waitTarget.Store(0)
-	return rt.settleWindow()
+	err := rt.settleWindow()
+	rt.endWindow()
+	return err
 }
 
 // settleWindow is the bookkeeping of a quiescent point — every task
@@ -1097,11 +1127,15 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	// a claim a finished task refuses (graph.Start): storing Running over
 	// the terminal state would leave a ghost-live task that silently
 	// blocks every later successor discovered against its keys.
-	// The event is read once, here: a Fulfill during the body completes
-	// the task, and in a persistent region the producer may then replay it
-	// — attaching the next iteration's event — before this executor is done.
+	// What the executor needs of a detached task after its body is read
+	// here, before it: a Fulfill during the body completes the task, and in
+	// a persistent region the producer may then replay it — attaching the
+	// next iteration's event — before this executor is done. A detached
+	// task's memory is never reused (graph.EndWindow), since a run queue may
+	// still hold it after an early Fulfill; fail's failure report reads it.
+	detached, redirect := t.Detached, t.Redirect
 	var ev *Event
-	if t.Detached {
+	if detached {
 		if ev = rt.detachEvent(t); ev.fired.Load() {
 			return
 		}
@@ -1114,8 +1148,11 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	// The profile's record opens before the start stamp, so the stamp
 	// lies inside it.
 	var t0 float64
+	var id int64
+	var label string
 	if p != nil {
 		t0 = p.Now()
+		id, label = t.ID, t.Label
 	}
 	if !compiled {
 		if !rt.g.Start(t) { // stamps the body-start clock when CPath is on
@@ -1134,7 +1171,7 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	// Task-body span, sampled (Obs.SpanSample) to amortize the two
 	// timestamps; the zero Span's End is a no-op on unsampled bodies.
 	var sp obs.Span
-	if !t.Redirect && rt.obs.Sampled(slot) {
+	if !redirect && rt.obs.Sampled(slot) {
 		sp = rt.obs.BeginSpan(slot, obs.SpanTaskBody, t.ID, depHash(t), int(rt.iter.Load()))
 	}
 	err := rt.runBody(t)
@@ -1142,9 +1179,9 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	if p != nil {
 		t1 := p.Now()
 		p.SetState(slot, trace.Overhead, t1)
-		if !t.Redirect {
+		if !redirect {
 			p.TaskScheduled(trace.TaskRecord{
-				TaskID: t.ID, Label: t.Label, Worker: slot,
+				TaskID: id, Label: label, Worker: slot,
 				Iter: int(rt.iter.Load()), Start: t0, End: t1,
 			})
 		}
@@ -1153,7 +1190,7 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 		rt.fail(w, t, ev, err)
 		return
 	}
-	if t.Detached {
+	if detached {
 		// Completion arrives via Event.Fulfill; mark the task as out of
 		// the queues so an Abort may claim it.
 		rt.armDetached(ev)
@@ -1572,8 +1609,9 @@ func (rt *Runtime) recordIteration(it int, body func(iter int)) error {
 // Lifetime: a Recording stays replayable for as long as its runtime is
 // open — after the region that made it has closed, after any number of
 // plain windows over the same keys, and after later recordings. Nothing
-// it needs is shared with them: the schedule snapshots its tasks, tasks
-// are never recycled, and a replay touches no key table. What makes the
+// it needs is shared with them: the schedule snapshots its tasks, whose
+// memory an ended window never reuses (graph.EndWindow pins a recording's
+// chunks), and a replay touches no key table. What makes the
 // coexistence safe is that every recorded task is terminal at every
 // window boundary (a replay's barrier drains its whole iteration, failed
 // or not), so a later discovery that meets one as a key's last writer

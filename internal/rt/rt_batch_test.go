@@ -276,9 +276,12 @@ func TestRegionOpensWithRedirectOwner(t *testing.T) {
 // publishing a chunk discovers thousands of tasks against predecessors
 // that are ready and have not run. SubmitBatch yields once per chunk
 // instead: the worker drains what is ready, the graph's live count stays
-// within a few chunks, and most constraints of the next chunk are pruned
-// against finished predecessors. With a second P the yield returns at
-// once and must change nothing.
+// within a few chunks, and the next chunk materializes no edge to a
+// predecessor it finds finished — the graph has drained, so its window
+// ends and no constraint on the finished chunk is even attempted. Each
+// batch's task i waits on the last one's, so an edge created is a
+// predecessor the worker had not run. With a second P the yield returns
+// at once and must change nothing.
 func TestBatchProducerHandsOverItsP(t *testing.T) {
 	const batches = 40
 	for _, procs := range []int{1, 2} {
@@ -315,8 +318,12 @@ func TestBatchProducerHandsOverItsP(t *testing.T) {
 			if maxLive > 3*batchChunk {
 				t.Fatalf("%d tasks live after a SubmitBatch: the producer ran ahead of the worker", maxLive)
 			}
-			if st := r.Graph().Stats(); 2*st.EdgesPruned <= st.EdgesAttempted {
-				t.Fatalf("%d of %d constraints pruned, want more than half", st.EdgesPruned, st.EdgesAttempted)
+			st := r.Graph().Stats()
+			if declared := int64((batches - 1) * batchChunk); 2*st.EdgesCreated >= declared {
+				t.Fatalf("%d of %d constraints between batches materialized, want fewer than half", st.EdgesCreated, declared)
+			}
+			if 2*st.WindowsEnded < batches {
+				t.Fatalf("%d windows ended over %d batches, want at least half", st.WindowsEnded, batches)
 			}
 		})
 	}

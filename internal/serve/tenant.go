@@ -252,8 +252,12 @@ func (t *Tenant) publishTemplates() {
 
 // swapStore replaces the tenant's store with an empty one at the same
 // key base, and forgets everything that indexes the old one: every
-// template, and the runtime's per-key discovery frontier (whose last
-// writers would otherwise pin the old requests' graphs). A store keeps
+// template, and the runtime's per-key discovery frontier. An ended
+// window (graph.EndWindow) already reads that frontier as empty and
+// reuses its tasks' memory, but the key table keeps an entry per key it
+// has seen, each still pointing at the last tasks that used the key, and
+// through them keeps alive the old requests' tasks whose memory is never
+// reused (a recording's, a detached task's). A store keeps
 // every name it ever bound, and build binds whatever names a request
 // brings, so without this a client sending fresh slot names grows the
 // tenant for ever. Caller holds prodMu with nothing in flight.
