@@ -40,8 +40,8 @@ import "unsafe"
 //     already-grown buffers instead of reallocating them.
 
 // chunkTasks is the number of Tasks per allocation chunk: one heap
-// allocation amortized over this many submissions. With the 232-byte
-// Task a chunk is 29 696 bytes, which with the allocator's 8-byte
+// allocation amortized over this many submissions. With the 224-byte
+// Task a chunk is 28 672 bytes, which with the allocator's 8-byte
 // header still fits the largest small-object size class (32 KiB):
 // the chunk comes from the per-P cache like any small object, not from
 // the large-object path that takes the heap lock and zeroes it on the

@@ -96,7 +96,6 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 		}
 		t.Attach = d.Attach
 		t.captureDeps(d)
-		t.preds.Store(sentinelBias)
 		t.Persistent = g.recording
 		if g.recording {
 			t.recordEpoch = g.epoch

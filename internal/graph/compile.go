@@ -179,12 +179,12 @@ func (g *Graph) compile(detachedOK bool) (*Compiled, error) {
 	}
 	total := 0
 	for _, t := range rec {
-		total += int(t.nsucc) // upper bound: includes edges leaving the recording
+		total += t.NumSuccessors() // upper bound: includes edges leaving the recording
 	}
 	c.succs = make([]int32, 0, total)
 	for i, t := range rec {
 		c.succOff[i] = int32(len(c.succs))
-		for seg, w := t.walkSuccs(int(t.nsucc)); len(seg) > 0; seg = w.next() {
+		for seg, w := t.walkSuccs(t.NumSuccessors()); len(seg) > 0; seg = w.next() {
 			for _, s := range seg {
 				if inRecording(s) {
 					c.succs = append(c.succs, s.slot)
@@ -372,10 +372,10 @@ func (c *Compiled) EndIteration() {}
 // contract as CompleteInto). The task leaves the live gauge last —
 // FinishInto's only ordering obligation to the producer's reset.
 //
-// No task mutex, no ready-gauge updates, no Ready-state stores: the
-// successor structure is immutable, begin put the whole iteration on
-// the live gauge at once, and nothing observes a Ready state between
-// the counter hitting zero and the worker's Start.
+// No successor-word seal, no ready-gauge updates, no Ready-state
+// stores: the successor structure is immutable, begin put the whole
+// iteration on the live gauge at once, and nothing observes a Ready
+// state between the counter hitting zero and the worker's Start.
 func (c *Compiled) FinishInto(t *Task, buf []*Task, final State) []*Task {
 	released := c.FinishIntoDeferred(t, buf, final)
 	c.g.Retire(1)
@@ -424,7 +424,7 @@ func (c *Compiled) FinishIntoDeferred(t *Task, buf []*Task, final State) []*Task
 		if atomic.AddInt32(&c.preds[p], -1) == 0 {
 			s := c.tasks[p]
 			if cpath {
-				// No markReadyQuiet on the compiled path: stamp the
+				// No markReady on the compiled path: stamp the
 				// ready transition here, before queue publication.
 				s.cp.readyNs = c.g.cpNow()
 			}

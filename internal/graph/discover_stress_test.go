@@ -1,7 +1,7 @@
 package graph_test
 
 // Stress and regression tests for the discovery protocols: the lock-free
-// prune of finished predecessors, the biased producer sentinel, the
+// prune of finished predecessors, the zero-based release counter, the
 // discovery lock against concurrent completers and Stats readers, and the
 // chained successor blocks. Everything
 // here is meant to run under -race; the package is external so that the
@@ -250,8 +250,8 @@ func submitMixed(g *graph.Graph, descs []graph.TaskDesc) []*graph.Task {
 // TestStressDiscoveryWhileCompleting discovers generated TDGs while 1-4
 // goroutines complete tasks as fast as they become ready, so that
 // finishes race every stage of a successor's discovery: before the edge
-// (prune), between edge and sentinel release (the bias absorbs the
-// decrement), and after.
+// (prune), between edge and release (the counter goes below zero, where
+// no finisher can ready the task), and after.
 func TestStressDiscoveryWhileCompleting(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		opts := graph.OptAll

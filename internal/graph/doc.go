@@ -13,8 +13,9 @@
 // Discovery is the paper's limiting factor, so the hot path is built
 // for throughput:
 //
-//   - The dependence key table is one map under one lock, the
-//     discovery lock (Graph.mu). A submission — one Submit, or a whole
+//   - The dependence key table is one open-addressing table under one
+//     lock, the discovery lock (Graph.mu). Keys that differ only in
+//     their two low bits share one cache line of slots (keytable.go). A submission — one Submit, or a whole
 //     SubmitBatch — takes it once and holds it until its last dependence
 //     is resolved: one Lock/Unlock per submission, not per dependence.
 //     The lock orders discovery against what other goroutines read
@@ -45,20 +46,23 @@
 // succeed the out-set and all readers (write), InOutSet accesses open or
 // join a concurrent-writer group (joinSet). Each materializes precedence
 // constraints through addEdge. A predecessor that already finished is
-// pruned on one atomic load of its state, without its mutex (so a repeated
-// constraint on a finished predecessor counts as pruned, not as a
-// duplicate); otherwise addEdge takes the predecessor's mutex, applies
-// duplicate elimination (OptDedup, optimization b) and appends to its
-// successor list. Optimization (c) (OptInOutSetNode) inserts redirect
+// pruned on one atomic load of its state (so a repeated constraint on a
+// finished predecessor counts as pruned, not as a duplicate); otherwise
+// addEdge applies duplicate elimination (OptDedup, optimization b),
+// writes the successor entry and counts it with one CAS on the
+// predecessor's successor word. Tasks have no lock: a finish stores its
+// terminal state and then seals that word, so an edge whose CAS fails
+// was never walked and is pruned. Optimization (c) (OptInOutSetNode) inserts redirect
 // nodes so an inoutset group of m writers and n consumers costs m+n edges
 // instead of m*n, and — inside one batch — so a run of n consecutive tasks
 // that read the same m keys costs 2(m+n) edges and m key lookups instead
 // of 2mn and mn (read runs, batch.go): a task whose In list is the run's
 // own slice is admitted on that identity in O(1), any other after a key
-// compare. While a task is under discovery its release counter holds a
-// large bias (the producer sentinel) and its live edges are counted in a
-// producer-private field; releaseSentinel swaps one for the other in a
-// single atomic add — one counter update per task, not per edge — and a
+// compare. While a task is under discovery its release counter starts
+// at 0 and only finishing predecessors decrement it, so it cannot reach 0;
+// its live edges are counted in a producer-private field, which
+// releaseSentinel adds in a single atomic add — one counter update per
+// task, not per edge, and none for a task without live edges — and a
 // task with no outstanding predecessors becomes Ready and is delivered to
 // the executor.
 //

@@ -97,15 +97,17 @@ type keyState struct {
 }
 
 // forget empties a frontier state of an ended window, keeping its slices'
-// capacity. The tasks it held have all finished: see EndWindow.
+// capacity. The tasks it held have all finished: see EndWindow. It assigns
+// only what an ended window can leave behind — the lists and a group
+// without a redirect node; redirect and run are nil whenever a window
+// ends — instead of copying a whole zero state over the 128 bytes.
 func (ks *keyState) forget(window uint64) {
-	*ks = keyState{
-		window:      window,
-		outSet:      ks.outSet[:0],
-		readers:     ks.readers[:0],
-		baseOut:     ks.baseOut[:0],
-		baseReaders: ks.baseReaders[:0],
-	}
+	ks.window = window
+	ks.outSet = ks.outSet[:0]
+	ks.readers = ks.readers[:0]
+	ks.setOpen = false
+	ks.baseOut = ks.baseOut[:0]
+	ks.baseReaders = ks.baseReaders[:0]
 }
 
 // ReadyFunc receives tasks that become ready on the producer side — at
@@ -166,8 +168,8 @@ type Graph struct {
 
 	// mu is the discovery lock: it guards the key table, the open-group
 	// list, the keyState free list and the edge counters, and is held for
-	// the whole of a submission. Lock order: mu, then a predecessor's
-	// Task.mu (addEdge); nothing takes them the other way round.
+	// the whole of a submission. Tasks have no lock: addEdge and
+	// finishInto meet on a predecessor's successor word (Task.succWord).
 	mu   sync.Mutex
 	keys keyTable // see keytable.go
 	// window is the frontier window: EndWindow advances it, and a key
@@ -522,8 +524,13 @@ func (g *Graph) Flush() {
 }
 
 // publishReady delivers tasks the producer readied (notifyReady) and
-// keeps their buffer, emptied, for the next call.
+// keeps their buffer, emptied, for the next call. The tasks enter the
+// ready gauge here, in one add before any of them is published: until
+// then no other goroutine can reach them to finish them.
 func (g *Graph) publishReady(ready []*Task) {
+	if len(ready) != 0 {
+		g.lrAdd(0, int64(len(ready)))
+	}
 	g.notifyReady(ready)
 	clear(ready)
 	g.readyBuf = ready[:0]
@@ -542,7 +549,6 @@ func (g *Graph) newRedirect() *Task {
 	g.tasks.Add(1)
 	g.redirects.Add(1)
 	g.lrAdd(1, 0)
-	r.preds.Store(sentinelBias)
 	r.Persistent = g.recording
 	if g.recording {
 		r.recordEpoch = g.epoch
@@ -553,8 +559,8 @@ func (g *Graph) newRedirect() *Task {
 		g.redirectLog = append(g.redirectLog, r)
 		g.redirectMu.Unlock()
 	}
-	// The producer sentinel is held until the group closes (or Flush),
-	// so the node cannot complete while member edges are still being
+	// The node is released (releaseSentinel) when the group closes (or at
+	// Flush), so it cannot complete while member edges are still being
 	// added.
 	return r
 }
@@ -587,89 +593,116 @@ func (g *Graph) addEdge(pred, succ *Task) {
 	keepDone := sameRecording || g.opts&OptKeepPrunedEdges != 0
 
 	// A finished predecessor whose edge need not be kept is pruned on one
-	// atomic load, without pred.mu: a terminal state never reverts for a
-	// task discovery can still reach, and finishInto wrote failEpoch
-	// before it stored the state this load observed. Anything else is
-	// decided under pred.mu, where finishInto stores the state: the
-	// re-read cannot miss a finish that took the successor count before
-	// this edge joined the list. (docs/architecture.md has the argument.)
-	st := State(pred.state.Load())
-	locked := !st.Done() || keepDone
-	if locked {
-		pred.mu.Lock()
-		if g.opts&OptDedup != 0 && pred.lastSucc == succ {
-			pred.mu.Unlock()
-			g.duplicate++
-			return
-		}
-		st = State(pred.state.Load())
-	}
-	done := st.Done()
-	if done && (st != Completed || pred.Poisoned()) &&
-		pred.failEpoch == g.failEpoch.Load() {
-		// The predecessor drained as Aborted/Skipped (or finished while
-		// poisoned) in the CURRENT failure window: the new successor
-		// joins the poisoned cone even when the edge is pruned and no
-		// longer orders execution. Predecessors that failed in an
-		// already-consumed window (ConsumeFailures ran since) don't
-		// poison — the producer observed that failure and moved on.
-		succ.Poison()
-	}
-	if done && !keepDone {
-		if locked {
-			pred.mu.Unlock()
-		}
+	// atomic load: a terminal state never reverts for a task discovery can
+	// still reach, and finishInto wrote failEpoch before it stored the
+	// state this load observed. (docs/architecture.md has the argument.)
+	if st := State(pred.state.Load()); st.Done() && !keepDone {
+		g.inheritPoison(pred, st, succ)
 		g.pruned++
 		return
 	}
-	pred.appendSucc(succ)
-	pred.lastSucc = succ
-	// Only an unfinished predecessor will decrement succ.preds — maybe
-	// before releaseSentinel, which the bias absorbs. An edge kept from a
-	// finished one exists for later iterations (or the audit) only.
-	if !done {
-		succ.live++
+	if g.opts&OptDedup != 0 && pred.lastSucc == succ {
+		g.duplicate++
+		return
 	}
+	// Write the entry, then count it with one CAS on the successor word.
+	// The producer is the word's only writer but for the finish's seal, so
+	// a CAS that fails (or a word already sealed) means pred finished and
+	// walked its list without this entry: the state store came before the
+	// seal, so pred reads Done from here on, its failEpoch written.
+	w := pred.succWord.Load()
+	n := int(w &^ sealBit)
+	pred.putSucc(n, succ)
+	if w&sealBit == 0 && pred.succWord.CompareAndSwap(w, w+1) {
+		// Counted: the finish that seals the word walks entry n and
+		// decrements succ.preds — maybe before releaseSentinel, which
+		// only ever adds.
+		succ.live++
+	} else {
+		g.inheritPoison(pred, State(pred.state.Load()), succ)
+		if !keepDone {
+			pred.unputSucc(n)
+			g.pruned++
+			return
+		}
+		// Kept uncounted, for later iterations (or the audit) only: no
+		// finish walks a sealed word again.
+		pred.succWord.Store(uint32(n+1) | sealBit)
+	}
+	pred.lastSucc = succ
 	if sameRecording {
 		succ.recordedIndegree++
 	}
-	pred.mu.Unlock()
 	g.created++
 }
 
-// sentinelBias is the producer's hold on a task under discovery, as a
-// value of Task.preds no number of finishing predecessors can consume.
-const sentinelBias = 1 << 30
+// inheritPoison applies discovery-time poisoning for an edge from pred,
+// which has finished in state st, to succ: a predecessor that drained as
+// Aborted/Skipped (or finished while poisoned) in the CURRENT failure
+// window puts the new successor in its poisoned cone even when the edge
+// is pruned and no longer orders execution. Predecessors that failed in
+// an already-consumed window (ConsumeFailures ran since) don't poison —
+// the producer observed that failure and moved on.
+func (g *Graph) inheritPoison(pred *Task, st State, succ *Task) {
+	if (st != Completed || pred.Poisoned()) && pred.failEpoch == g.failEpoch.Load() {
+		succ.Poison()
+	}
+}
 
-// releaseSentinel drops the producer's hold on t and, in the same atomic
-// add, folds in the live edges discovery counted privately: preds goes
-// from sentinelBias-f (f predecessors finished meanwhile) to live-f. It
-// cannot be 0 before this add — the bias exceeds any fan-in — and
-// whichever operation then brings it to 0, this one or a later finish,
-// is the only one that readies t. Ready tasks are appended to *readyBuf
-// when non-nil, else delivered to onReady immediately.
+// releaseSentinel drops the producer's hold on t: one atomic add of the
+// live edges discovery counted privately to a counter that started at 0
+// and that only finishing predecessors have touched since, each with a
+// decrement. Before this add the counter is 0 or negative, so no
+// finisher can bring it to 0; after it, it is live-f (f of the live
+// predecessors finished), and whichever operation then brings it to 0,
+// this one or a later finish, is the only one that readies t. A task
+// without live edges is ready on the spot: nothing will ever decrement
+// its counter. Ready tasks are appended to *readyBuf when non-nil, for
+// publishReady to count and publish, else counted and delivered to
+// onReady immediately.
 func (g *Graph) releaseSentinel(t *Task, readyBuf *[]*Task) {
-	if t.preds.Add(t.live-sentinelBias) == 0 {
-		g.markReadyQuiet(t)
+	if t.live == 0 || t.preds.Add(t.live) == 0 {
+		g.markReady(t)
 		if readyBuf != nil {
 			*readyBuf = append(*readyBuf, t)
 		} else {
+			g.lrAdd(0, 1)
 			g.onReady(t)
 		}
 	}
 }
 
-// markReadyQuiet transitions t to Ready without notifying onReady; used
-// on the completion path where the caller receives the task instead.
-// The single choke point for ready transitions, so the ready-wait stamp
-// lands here: the releasing goroutine writes readyNs before the task is
+// markReady moves t from Created to Ready, without notifying onReady and
+// without counting it in the ready gauge: its caller does both, the
+// gauge always before the task is published. It reports whether it did,
+// which fails only for a detached task an external Fulfill finished while
+// it still waited on predecessors (readyDetached): a terminal state is
+// never overwritten, so a finished task stays Done for discovery. The
+// single choke point for ready transitions, so the ready-wait stamp lands
+// here: the releasing goroutine writes readyNs before the task is
 // published to any queue (single writer, pre-publication).
-func (g *Graph) markReadyQuiet(t *Task) {
+func (g *Graph) markReady(t *Task) bool {
+	if !t.state.CompareAndSwap(int32(Created), int32(Ready)) {
+		return false
+	}
 	if g.cpath {
 		t.cp.readyNs = g.cpNow()
 	}
-	t.state.Store(int32(Ready))
+	return true
+}
+
+// readyDetached readies a detached task a finish released. An external
+// Fulfill may finish it at any time — from the moment it reads Ready,
+// which is why the gauge counts it first — or may already have finished
+// it while it waited on its predecessors, which is why the count is given
+// back when markReady refuses: that task is not readied again.
+func (g *Graph) readyDetached(t *Task) bool {
 	g.lrAdd(0, 1)
+	if g.markReady(t) {
+		return true
+	}
+	g.lrAdd(0, -1)
+	return false
 }
 
 // notifyReady delivers a producer-side ready batch through OnReadyBatch
@@ -744,28 +777,36 @@ func (g *Graph) SkipInto(t *Task, buf []*Task) []*Task {
 // matter how completions interleave.
 func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 	poison := final != Completed || t.Poisoned()
-	t.mu.Lock()
 	if poison {
 		// Stamp the failure window before the state store publishes it:
 		// addEdge reads failEpoch only after observing a Done state.
 		t.failEpoch = g.failEpoch.Load()
 		g.failedIn.Store(t.failEpoch + 1)
 	}
-	// A task that never transitioned through Ready was never counted in
-	// the ready gauge and must not decrement it: a detached task may be
-	// completed by an external Fulfill while still Created (its release
-	// blocked behind an unfinished predecessor, or its queue publication
-	// not yet consumed). The separate-gauge era tolerated the resulting
-	// -1 drift; the packed word must not, since a low-half borrow
-	// corrupts the live count.
-	wasCounted := State(t.state.Load()) != Created
+	// ready is the finish's move of the ready gauge: the task leaves it
+	// and the successors it releases join it. A task that never
+	// transitioned through Ready was never counted in the gauge and must
+	// not decrement it: a detached task may be completed by an external
+	// Fulfill while still Created (its release blocked behind an
+	// unfinished predecessor, or its queue publication not yet consumed).
+	// The separate-gauge era tolerated the resulting -1 drift; the packed
+	// word must not, since a low-half borrow corrupts the live count.
+	ready := int64(-1)
+	if State(t.state.Load()) == Created {
+		ready = 0
+	}
 	t.state.Store(int32(final))
-	nsucc := int(t.nsucc)
-	t.mu.Unlock()
+	// Seal the successor list: the count this CAS replaces is the walk.
+	// Every entry addEdge counted before it is in the walk; every later
+	// CAS of addEdge fails and finds the state stored above.
+	w := t.succWord.Load()
+	for !t.succWord.CompareAndSwap(w, w|sealBit) {
+		w = t.succWord.Load()
+	}
 
 	released := buf[:0]
 	cpath := g.cpath
-	for seg, w := t.walkSuccs(nsucc); len(seg) > 0; seg = w.next() {
+	for seg, it := t.walkSuccs(int(w &^ sealBit)); len(seg) > 0; seg = it.next() {
 		for _, s := range seg {
 			if poison {
 				s.poisoned.Store(true)
@@ -777,23 +818,27 @@ func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 				// the caller to have run StampFinish, which wrote t's path.
 				foldCPInto(t, s)
 			}
-			if s.preds.Add(-1) == 0 {
-				g.markReadyQuiet(s)
-				released = append(released, s)
+			if s.preds.Add(-1) != 0 {
+				continue
 			}
+			if !s.Detached {
+				g.markReady(s) // only a Fulfill finishes a task early
+				ready++
+			} else if !g.readyDetached(s) {
+				continue
+			}
+			released = append(released, s)
 		}
 	}
 	// Both gauges settle in one wait-free fetch-add on the shared word
-	// (this is the release path's hottest global synchronization). It is
-	// the finish's last touch of t, as in the compiled FinishInto: a
-	// producer that loads Live() == 0 has every finisher's reads and
-	// writes of its tasks behind it, which is what lets EndWindow hand
-	// their memory out again.
-	if wasCounted {
-		g.lrAdd(-1, -1)
-	} else {
-		g.lrAdd(-1, 0)
-	}
+	// (this is the release path's hottest global synchronization), the
+	// released successors' ready count folded in: none is published
+	// before the caller has the slice back, so none can finish first, and
+	// the low half cannot borrow. It is the finish's last touch of t, as
+	// in the compiled FinishInto: a producer that loads Live() == 0 has
+	// every finisher's reads and writes of its tasks behind it, which is
+	// what lets EndWindow hand their memory out again.
+	g.lrAdd(-1, ready)
 	return released
 }
 

@@ -7,7 +7,12 @@ package graph
 // always, one slot — key and state pointer side by side in 16 bytes.
 // The hash is Fibonacci's (the key times 2^64/φ, top bits kept), which
 // spreads keys that differ only in their high half — LULESH's
-// field<<32 | chunk — as well as dense low indices. The table grows by
+// field<<32 | chunk — as well as dense low indices. It hashes the key
+// without its two low bits and keeps those as the slot's position in an
+// aligned group of four (home): the four keys that differ only there
+// share one 64-byte line of slots, so a producer that walks consecutive
+// keys — the chunks of one field — finds the next key's slot on the line
+// it just read instead of missing on a random one. The table grows by
 // doubling at half load, so probe runs stay short, and never shrinks:
 // reset empties it in place for the next frontier.
 //
@@ -29,9 +34,17 @@ type keySlot struct {
 // minKeySlots is the slot count of the first allocation.
 const minKeySlots = 64
 
-// home is k's first probe position.
+// keyGroup is the number of slots whose keys differ only in their low
+// bits and share a home group: 4 slots of 16 bytes, one cache line of
+// the slot array (a power-of-two allocation of at least minKeySlots
+// slots is line-aligned).
+const keyGroup = 4
+
+// home is k's first probe position: the group hashed from k's high bits,
+// at the slot its low bits name.
 func (kt *keyTable) home(k Key) int {
-	return int((uint64(k) * 0x9e3779b97f4a7c15) >> kt.shift)
+	g := int((uint64(k/keyGroup) * 0x9e3779b97f4a7c15) >> kt.shift)
+	return g&^(keyGroup-1) | int(k%keyGroup)
 }
 
 // get returns k's state, nil when k has none.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // keyTableOracle drives a keyTable and a Go map through the same
@@ -164,4 +165,93 @@ func FuzzKeyTable(f *testing.F) {
 		}
 		o.check()
 	})
+}
+
+// TestKeyTableGroupsLowBits: the four keys that differ only in their two
+// low bits have their home slots in one aligned group of four, at the
+// position those bits name — one 64-byte line of the slot array.
+func TestKeyTableGroupsLowBits(t *testing.T) {
+	var kt keyTable
+	for kt.n < 3000 {
+		kt.put(Key(kt.n), &keyState{})
+	}
+	if a := uintptr(unsafe.Pointer(&kt.slots[0])); a%64 != 0 {
+		t.Fatalf("slot array at %#x, not on a 64-byte line", a)
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		base := Key(r.Uint64()) &^ (keyGroup - 1)
+		if i%2 == 0 {
+			base = Key(r.Intn(32))<<32 | Key(r.Intn(1<<20))&^(keyGroup-1) // LULESH-shaped
+		}
+		h0 := kt.home(base)
+		for j := Key(0); j < keyGroup; j++ {
+			if h := kt.home(base + j); h != h0+int(j) || h0%keyGroup != 0 {
+				t.Fatalf("key %#x: home %d, want %d in the group at %d", uint64(base+j), h, h0+int(j), h0)
+			}
+		}
+	}
+}
+
+// TestKeyTableProbesStayShort: at half load — the most the growth rule
+// allows — the mean probe length (slots looked at by a hit, and the
+// 64-byte lines they lie on) stays short for key sets the grouping could
+// crowd: strides 2, 4 and 8 (groups of two, one and one key), stride
+// 1<<32 (one chunk of every field), consecutive keys (full groups),
+// LULESH's field<<32 | chunk and random keys. The LULESH set has the
+// loosest bound: at 256 slots its 128 keys are 24 fields of 6 chunks,
+// groups of four and of two, so 48 of the 64 groups are homes and runs
+// overflow into their neighbours (5.7 slots, 2.2 lines a hit, where
+// hashing every key on its own read 1.9 slots); from 4096 slots on it
+// reads 1.3 to 1.9 slots, 1.1 to 1.2 lines.
+func TestKeyTableProbesStayShort(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	sets := []struct {
+		name     string
+		key      func(i int) Key
+		maxSlots float64
+	}{
+		{"stride2", func(i int) Key { return Key(2 * i) }, 3},
+		{"stride4", func(i int) Key { return Key(4 * i) }, 3},
+		{"stride8", func(i int) Key { return Key(8 * i) }, 3},
+		{"stride2^32", func(i int) Key { return Key(i) << 32 }, 3},
+		{"consecutive", func(i int) Key { return Key(i) }, 3},
+		{"lulesh", func(i int) Key { return Key(i%24)<<32 | Key(i/24) }, 6},
+		{"random", func(int) Key { return Key(r.Uint64()) }, 3},
+	}
+	for _, set := range sets {
+		for _, slots := range []int{1 << 8, 1 << 12, 1 << 16} {
+			var kt keyTable
+			keys := make([]Key, 0, slots/2)
+			for i := 0; len(keys) < slots/2; i++ {
+				if k := set.key(i); kt.get(k) == nil {
+					kt.put(k, &keyState{})
+					keys = append(keys, k)
+				}
+			}
+			if len(kt.slots) != slots {
+				t.Fatalf("%s: %d keys in %d slots, want %d", set.name, len(keys), len(kt.slots), slots)
+			}
+			mask := len(kt.slots) - 1
+			probes, lines := 0, 0
+			for _, k := range keys {
+				i := kt.home(k)
+				lines++
+				for n := 1; ; n++ {
+					if kt.slots[i].key == k && kt.slots[i].ks != nil {
+						probes += n
+						break
+					}
+					if i = (i + 1) & mask; i%keyGroup == 0 {
+						lines++
+					}
+				}
+			}
+			mean, meanLines := float64(probes)/float64(len(keys)), float64(lines)/float64(len(keys))
+			if mean > set.maxSlots || meanLines > set.maxSlots/2 {
+				t.Errorf("%s, %d slots at half load: a hit probes %.2f slots on %.2f lines, want <= %.1f and %.1f",
+					set.name, slots, mean, meanLines, set.maxSlots, set.maxSlots/2)
+			}
+		}
+	}
 }

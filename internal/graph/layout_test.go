@@ -28,8 +28,7 @@ func TestTaskLayout(t *testing.T) {
 	}{
 		{"state", unsafe.Offsetof(task.state), unsafe.Sizeof(task.state)},
 		{"preds", unsafe.Offsetof(task.preds), unsafe.Sizeof(task.preds)},
-		{"mu", unsafe.Offsetof(task.mu), unsafe.Sizeof(task.mu)},
-		{"nsucc", unsafe.Offsetof(task.nsucc), unsafe.Sizeof(task.nsucc)},
+		{"succWord", unsafe.Offsetof(task.succWord), unsafe.Sizeof(task.succWord)},
 		{"poisoned", unsafe.Offsetof(task.poisoned), unsafe.Sizeof(task.poisoned)},
 		{"lastSucc", unsafe.Offsetof(task.lastSucc), unsafe.Sizeof(task.lastSucc)},
 		{"succs0", unsafe.Offsetof(task.succs0), unsafe.Sizeof(task.succs0)},

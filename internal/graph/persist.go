@@ -70,9 +70,11 @@ func (g *Graph) BeginReplay() error {
 	}
 	for _, t := range g.recorded {
 		// Every recorded edge is live again: its predecessor is replayed
-		// and will finish once more this iteration.
-		t.preds.Store(sentinelBias)
+		// and will finish once more this iteration, walking its whole
+		// list, so the seal of the last finish comes off.
+		t.preds.Store(0)
 		t.live = t.recordedIndegree
+		t.succWord.Store(uint32(t.NumSuccessors()))
 		t.state.Store(int32(Created))
 		t.poisoned.Store(false)
 		if g.cpath {

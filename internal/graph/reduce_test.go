@@ -17,7 +17,7 @@ func declaredCSR(c *Compiled) csr {
 	out := make(csr, len(c.tasks))
 	epoch := c.tasks[0].recordEpoch
 	for p, t := range c.tasks {
-		for seg, w := t.walkSuccs(int(t.nsucc)); len(seg) > 0; seg = w.next() {
+		for seg, w := t.walkSuccs(t.NumSuccessors()); len(seg) > 0; seg = w.next() {
 			for _, s := range seg {
 				if s.Persistent && s.recordEpoch == epoch {
 					out[p] = append(out[p], s.slot)

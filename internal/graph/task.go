@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -146,24 +145,30 @@ type Task struct {
 	// --- line 0: discovery and release ---
 
 	state atomic.Int32
-	// preds is the release counter: sentinelBias, minus one per finished
-	// predecessor, plus live-sentinelBias at the producer's sentinel
-	// release (see releaseSentinel). The task is ready when it is 0.
+	// preds is the release counter: 0 at discovery, minus one per finished
+	// predecessor, plus live at the producer's release (see
+	// releaseSentinel). The task is ready when the release or a finish
+	// brings it to 0.
 	preds atomic.Int32
-	// Successor list, in insertion order: the first inlineSuccs entries
-	// sit in succs0, the rest in the block chain succHead..succTail.
-	// Appended to under mu; a reader that took nsucc under mu may walk
-	// that many entries without the lock while appends continue.
-	mu    sync.Mutex
-	nsucc int32
+	// succWord is the successor list's count in its low 31 bits and, in
+	// sealBit, whether the task's finish has taken that count to walk.
+	// The producer writes entry n and then moves the word from n to n+1
+	// with one CAS; finishInto stores the terminal state and then seals
+	// the word. An entry is counted — walked, and so decremented — exactly
+	// when its CAS came before the seal (see addEdge).
+	succWord atomic.Uint32
 	// poisoned marks the task as lying in a failed task's successor cone
 	// (or cancelled by a runtime abort): executors complete it as Skipped
 	// without running the body. Set before the poisoning predecessor's
 	// counter decrement, so it is always visible by the time the task can
 	// be popped (see Graph.finishInto).
 	poisoned atomic.Bool
-	lastSucc *Task // duplicate-edge detection for optimization (b)
-	succs0   [inlineSuccs]*Task
+	lastSucc *Task // duplicate-edge detection for optimization (b); producer-only
+	// Successor list, in insertion order: the first inlineSuccs entries
+	// sit in succs0, the rest in the block chain succHead..succTail. A
+	// reader that took a count from succWord may walk that many entries
+	// while the producer writes the next.
+	succs0 [inlineSuccs]*Task
 
 	// --- line 1: execution and the producer's per-task state ---
 
@@ -187,10 +192,11 @@ type Task struct {
 	// producer at compile time (graph quiescent), read by workers
 	// during compiled replay.
 	slot int32
-	// live counts the edges whose predecessor was unfinished when the
-	// edge was created — the decrements preds will receive. Private to
-	// the goroutine discovering the task (for a redirect node: to the
-	// holder of the discovery lock) until the sentinel release.
+	// live counts the edges addEdge counted on their predecessor's
+	// successor word before its finish sealed it — the decrements preds
+	// will receive. Private to the goroutine discovering the task (for a
+	// redirect node: to the holder of the discovery lock) until its
+	// release.
 	live int32
 	// recordedIndegree counts incoming edges from tasks of the same
 	// recording, used to reset preds on persistent replay. Written only
@@ -239,25 +245,53 @@ type Task struct {
 	depsTrunc bool
 }
 
-// appendSucc adds s at the end of t's successor list. Caller holds t.mu.
-func (t *Task) appendSucc(s *Task) {
-	n := int(t.nsucc)
+// sealBit is succWord's seal: set once, by the task's finish, over the
+// count it walks (finishInto).
+const sealBit = 1 << 31
+
+// putSucc writes s as entry n of t's successor list, linking a new block
+// when entry n is the first of one. It does not count the entry: the
+// producer does that on succWord (addEdge).
+func (t *Task) putSucc(n int, s *Task) {
 	if n < inlineSuccs {
 		t.succs0[n] = s
-	} else {
-		i := (n - inlineSuccs) % blockSuccs
-		if i == 0 {
-			b := new(succBlock)
-			if t.succTail == nil {
-				t.succHead = b
-			} else {
-				t.succTail.next = b
-			}
-			t.succTail = b
-		}
-		t.succTail.s[i] = s
+		return
 	}
-	t.nsucc++
+	i := (n - inlineSuccs) % blockSuccs
+	if i == 0 {
+		b := new(succBlock)
+		if t.succTail == nil {
+			t.succHead = b
+		} else {
+			t.succTail.next = b
+		}
+		t.succTail = b
+	}
+	t.succTail.s[i] = s
+}
+
+// unputSucc takes back entry n, written by putSucc and never counted,
+// unlinking the block it opened if it did: the next putSucc(n, ...) finds
+// the list as it was. A walk of the n counted entries reads neither the
+// entry nor the last block's link.
+func (t *Task) unputSucc(n int) {
+	if n < inlineSuccs {
+		t.succs0[n] = nil
+		return
+	}
+	if i := (n - inlineSuccs) % blockSuccs; i != 0 {
+		t.succTail.s[i] = nil
+		return
+	}
+	if n == inlineSuccs {
+		t.succHead, t.succTail = nil, nil
+		return
+	}
+	b := t.succHead
+	for b.next != t.succTail {
+		b = b.next
+	}
+	b.next, t.succTail = nil, b
 }
 
 // succWalk iterates the first n entries of a successor list as
@@ -265,9 +299,8 @@ func (t *Task) appendSucc(s *Task) {
 //
 //	for seg, w := t.walkSuccs(n); len(seg) > 0; seg = w.next() { ... }
 //
-// n must have been read under t.mu (or at a quiescent point). The walk
-// takes no lock and reads no link or entry beyond the n-th — all that a
-// concurrent appendSucc writes.
+// n must have been read from succWord. The walk reads no link or entry
+// beyond the n-th — all that a concurrent putSucc writes.
 type succWalk struct {
 	blk  *succBlock
 	left int
@@ -342,11 +375,7 @@ func (t *Task) captureKeys(n int, keys []Key, typ DepType) int {
 
 // NumSuccessors returns the current successor count (racy during
 // discovery; stable once discovery is complete).
-func (t *Task) NumSuccessors() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int(t.nsucc)
-}
+func (t *Task) NumSuccessors() int { return int(t.succWord.Load() &^ sealBit) }
 
 // Successors returns a snapshot of the successor list, in the order the
 // edges were discovered.
@@ -368,9 +397,10 @@ func (t *Task) Indegree() int { return int(t.recordedIndegree) }
 // (internal/verify) can seed structurally broken graphs — cycles,
 // duplicate edges, severed orderings — that correct discovery can never
 // produce. It must not be used on a graph that will execute: succ's
-// counter is untouched, so the edge does not order execution.
+// counter is untouched, so the edge does not order execution. Nothing
+// may add an edge to pred concurrently.
 func ForceEdge(pred, succ *Task) {
-	pred.mu.Lock()
-	pred.appendSucc(succ)
-	pred.mu.Unlock()
+	w := pred.succWord.Load()
+	pred.putSucc(int(w&^sealBit), succ)
+	pred.succWord.Store(w + 1)
 }

@@ -76,7 +76,7 @@ func TestEndWindowReusesTaskMemory(t *testing.T) {
 	}
 	for _, ck := range g.spare {
 		for i := range ck.buf {
-			if tk := &ck.buf[i]; tk.ID != 0 || tk.Label != "" || tk.nsucc != 0 || tk.lastSucc != nil || tk.State() != Created {
+			if tk := &ck.buf[i]; tk.ID != 0 || tk.Label != "" || tk.succWord.Load() != 0 || tk.preds.Load() != 0 || tk.lastSucc != nil || tk.State() != Created {
 				t.Fatalf("recycled task %d of its chunk not zeroed", i)
 			}
 		}

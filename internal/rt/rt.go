@@ -616,12 +616,17 @@ func (rt *Runtime) resubmit(cs *graph.Compiled, spec *Spec) *Event {
 	if ev != nil {
 		attach = ev
 	}
+	// The span is ended only when sampled: End on the zero Span is a
+	// no-op, but passing the 48-byte value costs a copy per task.
+	sampled := rt.obs.Sampled(rt.producerID())
 	var sp obs.Span
-	if rt.obs.Sampled(rt.producerID()) {
+	if sampled {
 		sp = rt.obs.BeginSpan(rt.producerID(), obs.SpanReplayCopy, 0, 0, int(rt.iter.Load()))
 	}
 	t := cs.Replay(spec.FirstPrivate, body, do, attach)
-	sp.End()
+	if sampled {
+		sp.End()
+	}
 	if rt.ver != nil {
 		rt.depBuf = spec.depsInto(rt.depBuf[:0])
 		rt.ver.ReplayNext(spec.Label, rt.depBuf)
@@ -1169,13 +1174,17 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 		p.SetState(slot, trace.Work, t0)
 	}
 	// Task-body span, sampled (Obs.SpanSample) to amortize the two
-	// timestamps; the zero Span's End is a no-op on unsampled bodies.
+	// timestamps. An unsampled body skips End: it would be a no-op on the
+	// zero Span, after a 48-byte copy per task.
+	sampled := !redirect && rt.obs.Sampled(slot)
 	var sp obs.Span
-	if !redirect && rt.obs.Sampled(slot) {
+	if sampled {
 		sp = rt.obs.BeginSpan(slot, obs.SpanTaskBody, t.ID, depHash(t), int(rt.iter.Load()))
 	}
 	err := rt.runBody(t)
-	sp.End()
+	if sampled {
+		sp.End()
+	}
 	if p != nil {
 		t1 := p.Now()
 		p.SetState(slot, trace.Overhead, t1)

@@ -396,6 +396,26 @@ func TestDetachedFulfillBeforeStartStaysTerminal(t *testing.T) {
 	}
 }
 
+// TestDetachedFulfillBeforeReadyStaysTerminal: a detached task fulfilled
+// while it still waits on a predecessor is finished for good: the
+// predecessor's finish does not move it back to Ready, and the ready
+// gauge ends at 0.
+func TestDetachedFulfillBeforeReadyStaysTerminal(t *testing.T) {
+	rt := New(Config{Workers: 1})
+	defer rt.Close()
+	gate := make(chan struct{})
+	rt.Submit(Spec{Label: "a", Out: []graph.Key{1}, Body: func(any) { <-gate }})
+	ev := rt.Submit(Spec{Label: "d", InOut: []graph.Key{1}, Detached: true, DetachedBody: func(any, *Event) {}})
+	ev.Fulfill()
+	close(gate)
+	if err := rt.Taskwait(); err != nil {
+		t.Fatal(err)
+	}
+	if d := ev.t.Load(); d.State() != graph.Completed || rt.g.ReadyCount() != 0 {
+		t.Fatalf("fulfilled task ends %v with the ready gauge at %d, want completed and 0", d.State(), rt.g.ReadyCount())
+	}
+}
+
 // TestProfileCountsTheProducer: the producer's slot is in the
 // breakdown from NewRuntime on, discovery included, so work, overhead
 // and idle over every slot add up to the wall clock.

@@ -36,8 +36,8 @@ func (p Policy) String() string {
 // WSDeques.
 type Deque struct {
 	mu   sync.Mutex
-	buf  []*graph.Task
-	head int // index of the bottom (oldest) element
+	buf  []*graph.Task // len is 0 or a power of two, indexed with a mask
+	head int           // index of the bottom (oldest) element
 	n    int
 }
 
@@ -66,7 +66,7 @@ func (d *Deque) PushTop(t *graph.Task) {
 	if d.n == len(d.buf) {
 		d.grow(d.n + 1)
 	}
-	d.buf[(d.head+d.n)%len(d.buf)] = t
+	d.buf[(d.head+d.n)&(len(d.buf)-1)] = t
 	d.n++
 	d.mu.Unlock()
 }
@@ -82,7 +82,7 @@ func (d *Deque) PushTopAll(ts []*graph.Task) {
 		d.grow(d.n + len(ts))
 	}
 	for _, t := range ts {
-		d.buf[(d.head+d.n)%len(d.buf)] = t
+		d.buf[(d.head+d.n)&(len(d.buf)-1)] = t
 		d.n++
 	}
 	d.mu.Unlock()
@@ -97,7 +97,7 @@ func (d *Deque) PopBottom() *graph.Task {
 	}
 	t := d.buf[d.head]
 	d.buf[d.head] = nil
-	d.head = (d.head + 1) % len(d.buf)
+	d.head = (d.head + 1) & (len(d.buf) - 1)
 	d.n--
 	return t
 }

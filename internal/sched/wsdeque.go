@@ -107,17 +107,25 @@ func (d *WSDeque) PushTopAll(ts []*graph.Task) {
 
 // PopTop removes and returns the most recently pushed task, or nil.
 // Owner-only. Lock-free: the only synchronization is one CAS when the
-// deque holds a single element and a thief races for it.
+// deque holds a single element and a thief races for it. A deque the
+// owner sees empty is empty for it — only the owner pushes, and thieves
+// only take — so that case returns before the two owner-index stores
+// that reserve an element against thieves.
 func (d *WSDeque) PopTop() *graph.Task {
 	a := d.arr.Load()
 	if a == nil {
 		return nil
 	}
-	ow := d.owner.Load() - 1
+	ow := d.owner.Load()
+	if d.steal.Load() >= ow {
+		return nil
+	}
+	ow--
 	d.owner.Store(ow)
 	st := d.steal.Load()
 	if st > ow {
-		// Empty: restore the owner index.
+		// A thief took the last element since the check: restore the
+		// owner index.
 		d.owner.Store(ow + 1)
 		return nil
 	}
