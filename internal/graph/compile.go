@@ -177,9 +177,12 @@ func (g *Graph) compile(detachedOK bool) (*Compiled, error) {
 	inRecording := func(s *Task) bool {
 		return s.Persistent && s.recordEpoch == g.epoch
 	}
+	// Sized once: the recorded indegrees count exactly the same-recording
+	// edges (the cross-check below holds them to it), and the reduction
+	// compacts the CSR in place.
 	total := 0
 	for _, t := range rec {
-		total += t.NumSuccessors() // upper bound: includes edges leaving the recording
+		total += int(t.recordedIndegree)
 	}
 	c.succs = make([]int32, 0, total)
 	for i, t := range rec {

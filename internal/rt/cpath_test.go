@@ -158,37 +158,70 @@ func TestCPathAcrossFrozenReplay(t *testing.T) {
 // TestCPathOnReducedSchedule: the compiled schedule folds critical paths
 // along the edges it kept, the exact oracle along every declared one. An
 // implied edge's source lies on a kept path to the same target, so its
-// path is never the longest: T-infinity must agree to the nanosecond on a
-// schedule the reduction cut and on one too large for it.
+// path is never the longest: T-infinity must agree to the nanosecond on
+// schedules the reduction cut — 8 800 tasks among them — and on one too
+// large for it.
 func TestCPathOnReducedSchedule(t *testing.T) {
-	for _, chunks := range []int{64, 2200} {
-		t.Run(fmt.Sprintf("chunks%d", chunks), func(t *testing.T) {
+	spin := func(any) {
+		for i := 0; i < 200; i++ {
+			runtime.Gosched()
+		}
+	}
+	// Per chunk a chain of four and the anti-dependence from its head to
+	// its tail, which the chain implies: the reduction drops one edge a
+	// chunk.
+	chunked := func(chunks int) func(r *Runtime) {
+		return func(r *Runtime) {
+			for c := 0; c < chunks; c++ {
+				k := graph.Key(10 * (c + 1))
+				r.Submit(Spec{Label: "force", In: []graph.Key{k}, Out: []graph.Key{k + 1}, Body: spin})
+				r.Submit(Spec{Label: "vel", In: []graph.Key{k + 1}, Out: []graph.Key{k + 2}, Body: func(any) {}})
+				r.Submit(Spec{Label: "pos", In: []graph.Key{k + 2}, Out: []graph.Key{k + 3}, Body: func(any) {}})
+				r.Submit(Spec{Label: "eos", In: []graph.Key{k + 3}, Out: []graph.Key{k}, Body: func(any) {}})
+			}
+		}
+	}
+	// Two chains of 4 200, submitted level by level, each with the same
+	// implied head-to-tail edge: a chain's elements sit two positions
+	// apart in every topological order, so its reachability sets keep a
+	// run per level and outgrow the reduction's scratch budget.
+	const links = 4200
+	chains := func(r *Runtime) {
+		for l := 0; l < links; l++ {
+			for c := 0; c < 2; c++ {
+				link, anti := graph.Key(10*(c+1)), graph.Key(10*(c+1)+1)
+				switch l {
+				case 0:
+					r.Submit(Spec{Label: "head", In: []graph.Key{anti}, Out: []graph.Key{link}, Body: spin})
+				case links - 1:
+					r.Submit(Spec{Label: "tail", InOut: []graph.Key{link}, Out: []graph.Key{anti}, Body: func(any) {}})
+				default:
+					r.Submit(Spec{Label: "link", InOut: []graph.Key{link}, Body: func(any) {}})
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name            string
+		body            func(r *Runtime)
+		tasks, recorded int
+		reduced         bool
+	}{
+		{"chunks64", chunked(64), 4 * 64, 4 * 64, true},
+		{"chunks2200", chunked(2200), 4 * 2200, 4 * 2200, true},
+		{"chains2x4200", chains, 2 * links, 2 * links, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			r := New(Config{
 				Workers: 2, Opts: graph.OptAll,
 				CPath: CPathOptions{Enable: true, Precise: true},
 			})
 			defer r.Close()
-			spin := func(any) {
-				for i := 0; i < 200; i++ {
-					runtime.Gosched()
-				}
-			}
-			rec, err := r.Record(func() {
-				// Per chunk a chain of four and the anti-dependence from its
-				// head to its tail, which the chain implies.
-				for c := 0; c < chunks; c++ {
-					k := graph.Key(10 * (c + 1))
-					r.Submit(Spec{Label: "force", In: []graph.Key{k}, Out: []graph.Key{k + 1}, Body: spin})
-					r.Submit(Spec{Label: "vel", In: []graph.Key{k + 1}, Out: []graph.Key{k + 2}, Body: func(any) {}})
-					r.Submit(Spec{Label: "pos", In: []graph.Key{k + 2}, Out: []graph.Key{k + 3}, Body: func(any) {}})
-					r.Submit(Spec{Label: "eos", In: []graph.Key{k + 3}, Out: []graph.Key{k}, Body: func(any) {}})
-				}
-			})
+			rec, err := r.Record(func() { tc.body(r) })
 			if err != nil {
 				t.Fatalf("Record: %v", err)
 			}
-			kept, recorded := rec.cs.Edges()
-			if reduced := chunks == 64; reduced != (kept < recorded) || recorded != 4*chunks {
+			if kept, recorded := rec.cs.Edges(); tc.reduced != (kept < recorded) || recorded != tc.recorded {
 				t.Fatalf("schedule keeps %d of %d edges", kept, recorded)
 			}
 			for it := 1; it <= 3; it++ {
@@ -200,7 +233,7 @@ func TestCPathOnReducedSchedule(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ExactCP: %v", err)
 				}
-				if rep == nil || rep.Tasks != int64(4*chunks) {
+				if rep == nil || rep.Tasks != int64(tc.tasks) {
 					t.Fatalf("iteration %d: report %+v", it, rep)
 				}
 				if rep.TInfNs != exact.TInfNs || rep.TInfNs <= 0 {
