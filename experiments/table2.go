@@ -47,7 +47,7 @@ func (d *drainer) drain(g *graph.Graph) {
 // matching a "fast consumer" regime.
 func measureDiscovery(ops []sim.Op, iters int, opts graph.Opt, persistent bool) Table2Row {
 	d := &drainer{}
-	g := graph.New(opts, d.onReady)
+	g := graph.NewWithConfig(graph.Config{Opts: opts, OnReady: d.onReady})
 	var row Table2Row
 	var total time.Duration
 

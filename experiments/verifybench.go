@@ -49,7 +49,7 @@ func RunVerifyOverhead(c IntranodeConfig, tpl int) []VerifyBenchRow {
 		var bestG *graph.Graph
 		for r := 0; r < reps; r++ {
 			d := &drainer{}
-			g := graph.New(opts, d.onReady)
+			g := graph.NewWithConfig(graph.Config{Opts: opts, OnReady: d.onReady})
 			var rec *verify.Recorder
 			if record {
 				rec = verify.NewRecorder(opts)

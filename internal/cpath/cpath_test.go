@@ -8,61 +8,6 @@ import (
 	"taskdep/internal/graph"
 )
 
-func TestClockPrecise(t *testing.T) {
-	c := NewClock(time.Now(), true)
-	defer c.Stop()
-	if c.CachedRef() != nil {
-		t.Fatalf("precise clock exposed a cached cell")
-	}
-	a := c.Now()
-	time.Sleep(time.Millisecond)
-	b := c.Now()
-	if b <= a {
-		t.Fatalf("precise clock did not advance: %d then %d", a, b)
-	}
-	prev := int64(0)
-	for i := 0; i < 1000; i++ {
-		v := c.Now()
-		if v < prev {
-			t.Fatalf("precise clock went backwards: %d after %d", v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestClockCached(t *testing.T) {
-	c := NewClock(time.Now(), false)
-	ref := c.CachedRef()
-	if ref == nil {
-		t.Fatalf("cached clock returned a nil CachedRef")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for first := c.Now(); c.Now() == first; {
-		if time.Now().After(deadline) {
-			t.Fatalf("cached clock never ticked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got, want := ref.Load(), c.Now(); got > want {
-		t.Fatalf("CachedRef.Load()=%d ahead of Now()=%d", got, want)
-	}
-	prev := int64(0)
-	for i := 0; i < 1000; i++ {
-		v := c.Now()
-		if v < prev {
-			t.Fatalf("cached clock went backwards: %d after %d", v, prev)
-		}
-		prev = v
-	}
-	c.Stop()
-	frozen := c.Now()
-	time.Sleep(2 * time.Millisecond)
-	if got := c.Now(); got != frozen {
-		t.Fatalf("stopped clock moved: %d then %d", frozen, got)
-	}
-	c.Stop() // idempotent
-}
-
 func TestBrent(t *testing.T) {
 	cases := []struct {
 		t1, tinf int64
@@ -141,14 +86,14 @@ func driveSerial(g *graph.Graph, p *Profiler, ready *[]*graph.Task, slot int, de
 // fold against the offline exact longest-path computation, plus the
 // report's structural invariants.
 func TestDiamondWindowMatchesExact(t *testing.T) {
-	p := New(2, nil, time.Now(), Options{Precise: true, Retain: true})
+	clock := graph.NewClock(time.Now(), true)
+	p := New(2, nil, clock, Options{Retain: true})
 	defer p.Close()
 	var ready []*graph.Task
 	g := graph.NewWithConfig(graph.Config{
-		Opts:     graph.OptAll,
-		OnReady:  func(tk *graph.Task) { ready = append(ready, tk) },
-		CPath:    true,
-		CPathNow: p.Now,
+		Opts:    graph.OptAll,
+		OnReady: func(tk *graph.Task) { ready = append(ready, tk) },
+		Clock:   clock,
 	})
 	const k1, k2, k3 = graph.Key(1), graph.Key(2), graph.Key(3)
 	g.Submit("A", []graph.Dep{{Key: k1, Type: graph.InOut}}, nil, nil)
@@ -223,13 +168,13 @@ func TestDiamondWindowMatchesExact(t *testing.T) {
 // through the external slot without losing tasks.
 func TestChainPathTruncation(t *testing.T) {
 	const n, pathMax = 10, 4
-	p := New(2, nil, time.Now(), Options{Precise: true, PathMax: pathMax})
+	clock := graph.NewClock(time.Now(), true)
+	p := New(2, nil, clock, Options{PathMax: pathMax})
 	defer p.Close()
 	var ready []*graph.Task
 	g := graph.NewWithConfig(graph.Config{
-		OnReady:  func(tk *graph.Task) { ready = append(ready, tk) },
-		CPath:    true,
-		CPathNow: p.Now,
+		OnReady: func(tk *graph.Task) { ready = append(ready, tk) },
+		Clock:   clock,
 	})
 	const k = graph.Key(7)
 	labels := make([]string, n)

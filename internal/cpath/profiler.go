@@ -1,3 +1,20 @@
+// Package cpath is the online critical-path profiler: per-task phase
+// attribution (discovery, ready-wait, execute, release), an O(1)
+// release-time critical-path fold maintained by internal/graph, and a
+// what-if projector for the paper's discovery-impact question — "is TDG
+// discovery on the critical path, and by how much would eliminating it
+// shrink makespan?" — answered live instead of by offline trace
+// analysis.
+//
+// The division of labor: graph owns the per-task stamps, the clock they
+// read (graph.Clock) and the cp[t] = own(t) + max_pred cp[p] fold (it is
+// the only layer that walks every predecessor->successor edge at release
+// time); this package owns the per-slot aggregation of
+// finished tasks (same single-writer sharding discipline as
+// internal/obs), window reports with T1/T-infinity/parallelism and the
+// discovery share of the critical path, the Brent-bound what-if
+// projections, and an offline exact longest-path cross-check used by
+// tests and the cpath benchmark gate.
 package cpath
 
 import (
@@ -5,7 +22,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"taskdep/internal/graph"
 	"taskdep/internal/obs"
@@ -13,9 +29,6 @@ import (
 
 // Options configures a Profiler.
 type Options struct {
-	// Precise reads the real clock on every stamp instead of the cached
-	// atomic; exact attribution at ~30-60 ns per stamp.
-	Precise bool
 	// Retain keeps every observed task until TakeRetained, so tests and
 	// the cpath benchmark can run the offline exact longest-path
 	// cross-check. Pins task memory; not for production.
@@ -47,7 +60,7 @@ type pslot struct {
 // EndWindow from the producer at quiescent points (taskwait, compiled
 // iteration barriers).
 type Profiler struct {
-	clock *Clock
+	clock *graph.Clock
 	reg   *obs.Registry // phase counters destination (may be nil)
 	opts  Options
 
@@ -66,9 +79,9 @@ type Profiler struct {
 // workers+1, matching the obs registry layout). reg, when non-nil,
 // receives the taskdep_phase_* counter totals, flushed once per window
 // at EndWindow — the cold-point-flush discipline: the per-task hot path
-// touches only the owner's padded slot, never a shared counter. Stamps
-// are nanoseconds since origin (see NewClock).
-func New(nslots int, reg *obs.Registry, origin time.Time, opt Options) *Profiler {
+// touches only the owner's padded slot, never a shared counter. clock is
+// the one the graph stamps with (graph.Config.Clock); Close stops it.
+func New(nslots int, reg *obs.Registry, clock *graph.Clock, opt Options) *Profiler {
 	if nslots < 1 {
 		nslots = 1
 	}
@@ -76,21 +89,14 @@ func New(nslots int, reg *obs.Registry, origin time.Time, opt Options) *Profiler
 		opt.PathMax = 64
 	}
 	return &Profiler{
-		clock: NewClock(origin, opt.Precise),
+		clock: clock,
 		reg:   reg,
 		opts:  opt,
 		slots: make([]pslot, nslots),
 	}
 }
 
-// Now is the clock read handed to graph.Config.CPathNow.
-func (p *Profiler) Now() int64 { return p.clock.Now() }
-
-// ClockRef is the cached clock cell for graph.Config.CPathCached (nil
-// in precise mode).
-func (p *Profiler) ClockRef() *atomic.Int64 { return p.clock.CachedRef() }
-
-// Close stops the clock updater.
+// Close stops the clock's ticker.
 func (p *Profiler) Close() { p.clock.Stop() }
 
 // Observe folds a finished task into slot's aggregation state and the
@@ -101,7 +107,7 @@ func (p *Profiler) Close() { p.clock.Stop() }
 // slot (detached completions fulfilled off-runtime).
 func (p *Profiler) Observe(slot int, t *graph.Task) {
 	d, w, e := t.PhaseNs()
-	tot, _, _, _ := t.CP()
+	tot := t.CPTotal()
 	if uint(slot) < uint(len(p.slots)) {
 		p.observeInto(&p.slots[slot], t, tot, d, w, e)
 	} else {
@@ -124,8 +130,9 @@ func (p *Profiler) observeInto(s *pslot, t *graph.Task, tot, d, w, e int64) {
 	}
 }
 
-// ObserveRelease accounts the successor-release phase of a finish
-// (measured by rt after the release walk) to the obs release counter.
+// ObserveRelease accounts the successor-release phase of a finish, from
+// its finish stamp finNs to now (rt calls it after the release walk), to
+// the obs release counter.
 // Kept out of the window sums for two reasons: release time overlaps
 // the successors' ready-wait (adding it to T1 would double-count), and
 // it is measured AFTER the terminal transition — past the quiescence
@@ -133,11 +140,11 @@ func (p *Profiler) observeInto(s *pslot, t *graph.Task, tot, d, w, e int64) {
 // go to the obs pend shards, whose cold-point flush discipline
 // tolerates post-decrement writes. Visible as
 // taskdep_phase_release_ns_total.
-func (p *Profiler) ObserveRelease(slot int, ns int64) {
+func (p *Profiler) ObserveRelease(slot int, finNs int64) {
 	// ns == 0 is the cached-clock common case (a release walk rarely
 	// spans a tick); skipping the shard write keeps the finish path at
 	// a branch.
-	if p.reg != nil && ns != 0 {
+	if ns := p.clock.Now() - finNs; p.reg != nil && ns != 0 {
 		p.reg.AddSlot(slot, obs.CPhaseReleaseNs, ns)
 	}
 }
@@ -165,7 +172,9 @@ func (p *Profiler) TakeRetained() []*graph.Task {
 // sequenced before a live-gauge decrement the producer has observed.
 // Returns nil if the window finished no tasks.
 func (p *Profiler) EndWindow(workers int) *Report {
-	now := p.clock.Now()
+	// A precise reading: the graph has drained, so a cached clock may be
+	// parked at the moment it went idle.
+	now := p.clock.Read()
 	var tasks, disc, wait, exec, bestTot int64
 	var best *graph.Task
 	merge := func(s *pslot) {

@@ -40,9 +40,9 @@ import "unsafe"
 //     already-grown buffers instead of reallocating them.
 
 // chunkTasks is the number of Tasks per allocation chunk: one heap
-// allocation amortized over this many submissions. With the 224-byte
-// Task a chunk is 28 672 bytes, which with the allocator's 8-byte
-// header still fits the largest small-object size class (32 KiB):
+// allocation amortized over this many submissions. With the 216-byte
+// Task a chunk is 27 648 bytes, which with the allocator's 8-byte
+// header still fits a small-object size class (at most 32 KiB):
 // the chunk comes from the per-P cache like any small object, not from
 // the large-object path that takes the heap lock and zeroes it on the
 // side (TestTaskLayout pins this).
@@ -55,7 +55,7 @@ const maxWindowChunks = 64
 
 // taskChunk is a block of tasks the producer carves submissions from.
 // cps is the chunk's critical-path side array (cpath.go), one record per
-// task, allocated only for a graph configured with CPath. pinned marks a
+// task, allocated only for a graph configured with a clock. pinned marks a
 // chunk that must never be reused (see above); recycled, one that came off
 // the free list.
 type taskChunk struct {
@@ -106,7 +106,7 @@ func (g *Graph) newChunk() *taskChunk {
 		c.recycled = true
 	} else {
 		c = &taskChunk{buf: make([]Task, chunkTasks)}
-		if g.cpath {
+		if g.clock != nil {
 			c.cps = make([]cpState, chunkTasks)
 		}
 	}
@@ -135,7 +135,7 @@ func (g *Graph) pin(t *Task) {
 // task comes from a chunk off that list. A graph with the critical-path
 // profiler recycles none and goes on carving its current chunk.
 func (g *Graph) recycleChunks() {
-	if !g.cpath {
+	if g.clock == nil {
 		for _, c := range g.windowChunks {
 			if !c.pinned {
 				// Only the carved prefix was written since the chunk was

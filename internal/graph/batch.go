@@ -28,9 +28,8 @@ type TaskDesc struct {
 
 // SubmitBatch discovers all tasks described by descs, in order, and
 // appends the created tasks to out (pass nil, or a buffer to reuse; the
-// result is returned). It is semantically equivalent to calling Submit
-// for each desc, but amortizes the fixed per-task costs across the
-// batch:
+// result is returned). It is the one way into discovery — Submit is a
+// batch of one — and amortizes the fixed per-task costs across the batch:
 //
 //   - task IDs, the task/live counters and chunk-pool traffic are
 //     reserved once per batch instead of once per task;
@@ -40,48 +39,47 @@ type TaskDesc struct {
 //     for those reads instead of an edge per key each (read runs, below;
 //     under OptInOutSetNode) — the same orderings from fewer edges;
 //   - tasks that become ready during the batch are published once, at
-//     the end, through OnReadyBatch when configured (one queue lock +
-//     one wake-up instead of len(batch));
+//     the end and outside the discovery lock, through OnReadyBatch when
+//     configured (one queue lock + one wake-up instead of len(batch));
 //   - the key lists in descs are only read during the call, so
 //     callers can build descs in reused buffers, or share one list
 //     between descs.
 //
 // Ready publication happening at batch end means a worker sees the
-// first task of a batch at worst one batch later than with Submit —
-// the latency/throughput trade the paper's discovery argument is about.
-// Producer-only, like Submit.
+// first task of a batch at worst one batch later than with a batch of
+// one — the latency/throughput trade the paper's discovery argument is
+// about. Producer-only.
 func (g *Graph) SubmitBatch(descs []TaskDesc, out []*Task) []*Task {
 	if len(descs) == 0 {
 		return out
 	}
 	base := len(out)
 	out = g.allocTasks(len(descs), out)
-	ready := g.readyBuf[:0]
-	g.discover(descs, out[base:], &ready)
-	g.publishReady(ready)
+	g.discover(descs, out[base:])
+	g.publishReady()
 	return out
 }
 
-// discover is the one submission path: it turns descs into the freshly
-// allocated tasks ts (same length), resolving every dependence under one
-// hold of the discovery lock. Tasks that become ready are appended to
-// *ready for the caller to publish once the lock is dropped, or, when
-// ready is nil, handed to OnReady on the spot.
-func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
+// discover turns descs into the freshly allocated tasks ts (same length),
+// resolving every dependence under one hold of the discovery lock. Tasks
+// that become ready go into readyBuf, for the caller to publish once the
+// lock is dropped.
+func (g *Graph) discover(descs []TaskDesc, ts []*Task) {
 	n := int64(len(descs))
 	firstID := g.nextID
 	g.nextID += n
 	g.tasks.Add(n)
 	g.lrAdd(n, 0)
+	clock := g.clock
+	clock.resume()
 
 	g.mu.Lock()
-	cpath := g.cpath
 	grouping := g.opts&OptInOutSetNode != 0
 	run := readRun{keys: g.runKeys}
 	for i := range descs {
 		var cpT0 int64
-		if cpath {
-			cpT0 = g.cpNow()
+		if clock != nil {
+			cpT0 = clock.Now()
 		}
 		d := &descs[i]
 		t := ts[i]
@@ -98,15 +96,14 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 		t.captureDeps(d)
 		t.Persistent = g.recording
 		if g.recording {
-			t.recordEpoch = g.epoch
 			g.recorded = append(g.recorded, t)
 		}
 		if grouping {
 			if run.first != nil && !g.admits(&run, d) {
-				g.closeRun(&run, ready)
+				g.closeRun(&run)
 			}
 			if run.first == nil && i+1 < len(descs) {
-				g.openRun(&run, t, d, descs[i+1:], ready)
+				g.openRun(&run, t, d, descs[i+1:])
 			}
 		}
 		// For a member the run's redirect pair stands for its reads.
@@ -117,31 +114,31 @@ func (g *Graph) discover(descs []TaskDesc, ts []*Task, ready *[]*Task) {
 			}
 		} else {
 			for _, k := range d.In {
-				g.read(t, k, ready)
+				g.read(t, k)
 			}
 		}
 		for _, k := range d.Out {
-			g.write(t, k, ready)
+			g.write(t, k)
 		}
 		for _, k := range d.InOut {
-			g.write(t, k, ready)
+			g.write(t, k)
 		}
 		for _, k := range d.InOutSet {
-			g.joinSet(t, k, ready)
+			g.joinSet(t, k)
 		}
 		if member {
 			g.addEdge(t, run.exit)
 		}
-		if cpath {
+		if clock != nil {
 			// Discovery ends when the dependences are resolved; the
-			// stamp must land before the sentinel release publishes the
+			// stamp must land before the sentinel release readies the
 			// task.
-			t.cp.discNs = g.cpNow() - cpT0
+			t.cp.discNs = clock.Now() - cpT0
 		}
-		g.releaseSentinel(t, ready)
+		g.releaseSentinel(t)
 	}
 	if run.first != nil {
-		g.closeRun(&run, ready)
+		g.closeRun(&run)
 	}
 	g.runKeys = run.keys[:0]
 	g.mu.Unlock()
@@ -197,7 +194,7 @@ func runPays(m int, in []Key, rest []TaskDesc) bool {
 // readRun is the open read run of one discover call. A run never outlives
 // the call: it closes before the discovery lock is dropped, so the marks
 // it leaves on keyStates are never seen by a later submission, and a batch
-// of one (SubmitTask) — no next desc to look at — never opens one.
+// of one (Submit) — no next desc to look at — never opens one.
 type readRun struct {
 	// first is the run's first member, and the mark on the keyStates of
 	// the shared keys; nil when no run is open.
@@ -267,7 +264,7 @@ func (g *Graph) admits(run *readRun, d *TaskDesc) bool {
 // both nodes after t, as an inoutset group's node follows the group's
 // first member (Compiled.Replay relies on a recording not starting with
 // one).
-func (g *Graph) openRun(run *readRun, t *Task, d *TaskDesc, rest []TaskDesc, ready *[]*Task) {
+func (g *Graph) openRun(run *readRun, t *Task, d *TaskDesc, rest []TaskDesc) {
 	next := &rest[0]
 	if m := sharedReads(d.In, next.In); m < 2 || !runPays(m, d.In, rest) {
 		return
@@ -294,9 +291,9 @@ func (g *Graph) openRun(run *readRun, t *Task, d *TaskDesc, rest []TaskDesc, rea
 	if ordered {
 		run.entry = g.newRedirect()
 		for _, ks := range keys {
-			g.dependOnOutSet(run.entry, ks, ready)
+			g.dependOnOutSet(run.entry, ks)
 		}
-		g.releaseSentinel(run.entry, ready)
+		g.releaseSentinel(run.entry)
 	}
 	run.exit = g.newRedirect()
 }
@@ -304,11 +301,11 @@ func (g *Graph) openRun(run *readRun, t *Task, d *TaskDesc, rest []TaskDesc, rea
 // closeRun ends the open run: the exit node is registered as the reader
 // of every shared key, where each member would have been, and its
 // sentinel is dropped. The run lets go of the member's In list.
-func (g *Graph) closeRun(run *readRun, ready *[]*Task) {
+func (g *Graph) closeRun(run *readRun) {
 	for _, ks := range run.keys {
 		ks.readers = append(ks.readers, run.exit)
 		ks.run = nil
 	}
-	g.releaseSentinel(run.exit, ready)
+	g.releaseSentinel(run.exit)
 	run.first, run.reads = nil, nil
 }

@@ -95,7 +95,7 @@ func TestReadRunEdgeCounts(t *testing.T) {
 				ts = g.SubmitBatch(descs, nil)
 			} else {
 				for i := range descs {
-					ts = append(ts, g.SubmitTask(&descs[i]))
+					ts = g.SubmitBatch(descs[i:i+1], ts)
 				}
 			}
 			noMarks(t, g)
@@ -189,8 +189,8 @@ func TestReadRunClosesAtFirstOtherTask(t *testing.T) {
 
 // TestReadRunStaysInsideItsCall: the discovery lock is dropped between two
 // SubmitBatch calls, so a run ends with the first — its exit node
-// released, able to finish before the second call — and SubmitTask, which
-// has no next desc to look at, never opens one.
+// released, able to finish before the second call — and a batch of one,
+// which has no next desc to look at, never opens one.
 func TestReadRunStaysInsideItsCall(t *testing.T) {
 	const m, n = 9, 5
 	g, c := newTestGraph(OptAll)
@@ -211,11 +211,12 @@ func TestReadRunStaysInsideItsCall(t *testing.T) {
 	assertQuiescentStats(t, g, m+2*n)
 
 	g2, c2 := newTestGraph(OptAll)
-	for _, d := range slices.Concat(writers(0, m), readers(0, m, n, 100), writers(0, m)) {
-		g2.SubmitTask(&d)
+	descs := slices.Concat(writers(0, m), readers(0, m, n, 100), writers(0, m))
+	for i := range descs {
+		g2.SubmitBatch(descs[i:i+1], nil)
 	}
 	if st := g2.Stats(); st.RedirectNodes != 0 || st.EdgesCreated != 2*m*n+m {
-		t.Fatalf("SubmitTask grouped: %+v", st)
+		t.Fatalf("batches of one grouped: %+v", st)
 	}
 	c2.drain(g2)
 	assertQuiescentStats(t, g2, 2*m+n)
@@ -505,8 +506,7 @@ func TestSubmitGroupsByType(t *testing.T) {
 		for _, deps := range lists {
 			switch form {
 			case "TaskDesc":
-				desc := byHand(deps)
-				ts = append(ts, g.SubmitTask(&desc))
+				ts = g.SubmitBatch([]TaskDesc{byHand(deps)}, ts)
 			case "mixed":
 				ts = append(ts, g.Submit("t", deps, nil, nil))
 			case "grouped":
@@ -562,7 +562,7 @@ func BenchmarkDiscoverReadRun(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				g.SubmitTask(&writer)
+				g.SubmitBatch([]TaskDesc{writer}, nil)
 				b.StartTimer()
 				ts = g.SubmitBatch(descs, ts[:0])
 				b.StopTimer()
@@ -574,5 +574,53 @@ func BenchmarkDiscoverReadRun(b *testing.B) {
 				b.Fatal("no read run formed")
 			}
 		})
+	}
+}
+
+// TestReadyPublishedOutsideDiscoveryLock: every way a producer readies a
+// task — Submit, SubmitBatch, a closing inoutset group's redirect node,
+// Flush — hands it to OnReady (or OnReadyBatch) after discovery has let
+// go of its lock.
+func TestReadyPublishedOutsideDiscoveryLock(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		var g *Graph
+		published := 0
+		check := func(tk *Task) {
+			if !g.mu.TryLock() {
+				t.Fatalf("batched %v: task %d (%s) published under the discovery lock", batched, tk.ID, tk.Label)
+			}
+			g.mu.Unlock()
+			published++
+		}
+		cfg := Config{Opts: OptAll, OnReady: check}
+		if batched {
+			cfg.OnReadyBatch = func(ts []*Task) {
+				for _, tk := range ts {
+					check(tk)
+				}
+			}
+		}
+		g = NewWithConfig(cfg)
+		finish := func(ts []*Task) {
+			for _, tk := range ts {
+				g.Start(tk)
+				g.Complete(tk)
+			}
+		}
+		set := func(k Key) []*Task {
+			d := DescOf("member", []Dep{{k, InOutSet}})
+			return g.SubmitBatch([]TaskDesc{d, d}, nil)
+		}
+		g.Submit("w", []Dep{{1, Out}}, nil, nil)
+		finish(set(2))
+		g.Submit("r", []Dep{{2, In}}, nil, nil) // closes the group: its node is ready
+		finish(set(3))
+		g.Flush() // closes the second group
+		if st := g.Stats(); st.RedirectNodes != 2 {
+			t.Fatalf("batched %v: %d redirect nodes, want 2", batched, st.RedirectNodes)
+		}
+		if published != 7 {
+			t.Fatalf("batched %v: %d tasks published, want 7", batched, published)
+		}
 	}
 }

@@ -174,9 +174,6 @@ func (g *Graph) compile(detachedOK bool) (*Compiled, error) {
 	}
 	// The graph is quiescent (recording barrier passed, single
 	// producer), so successor lists are stable and read without locks.
-	inRecording := func(s *Task) bool {
-		return s.Persistent && s.recordEpoch == g.epoch
-	}
 	// Sized once: the recorded indegrees count exactly the same-recording
 	// edges (the cross-check below holds them to it), and the reduction
 	// compacts the CSR in place.
@@ -189,7 +186,7 @@ func (g *Graph) compile(detachedOK bool) (*Compiled, error) {
 		c.succOff[i] = int32(len(c.succs))
 		for seg, w := t.walkSuccs(t.NumSuccessors()); len(seg) > 0; seg = w.next() {
 			for _, s := range seg {
-				if inRecording(s) {
+				if g.inRecording(s) {
 					c.succs = append(c.succs, s.slot)
 					c.template[s.slot]++
 				}
@@ -288,7 +285,7 @@ func (c *Compiled) begin() error {
 		}
 		c.dirty.Store(false)
 	}
-	if c.g.cpath {
+	if c.g.clock != nil {
 		// Clean critical-path slate per iteration: stale stamps or
 		// best-predecessor chains from the previous iteration must not
 		// leak into this one's fold (clean iterations must report
@@ -300,6 +297,7 @@ func (c *Compiled) begin() error {
 	n := int64(len(c.tasks))
 	c.g.replayed.Add(n)
 	c.g.lrAdd(n, 0)
+	c.g.clock.resume()
 	return nil
 }
 
@@ -345,8 +343,8 @@ func (c *Compiled) Replay(fp any, body func(fp any), do func(fp any) error, atta
 func (c *Compiled) dropHold(p int) {
 	if atomic.AddInt32(&c.preds[p], -1) == 0 {
 		t := c.tasks[p]
-		if c.g.cpath {
-			t.cp.readyNs = c.g.cpNow()
+		if c.g.clock != nil {
+			t.cp.readyNs = c.g.clock.Now()
 		}
 		c.g.onReady(t)
 	}
@@ -414,7 +412,7 @@ func (c *Compiled) FinishIntoDeferred(t *Task, buf []*Task, final State) []*Task
 	}
 	released := buf[:0]
 	row := c.succs[c.succOff[t.slot]:c.succOff[t.slot+1]]
-	cpath := c.g.cpath
+	cpath := c.g.clock != nil
 	for _, p := range row {
 		if poison {
 			c.tasks[p].poisoned.Store(true)
@@ -429,7 +427,7 @@ func (c *Compiled) FinishIntoDeferred(t *Task, buf []*Task, final State) []*Task
 			if cpath {
 				// No markReady on the compiled path: stamp the
 				// ready transition here, before queue publication.
-				s.cp.readyNs = c.g.cpNow()
+				s.cp.readyNs = c.g.clock.Now()
 			}
 			released = append(released, s)
 		}

@@ -70,7 +70,7 @@ func TestSubmitBatchEquivalence(t *testing.T) {
 	const n = 4000
 
 	c1 := &mpCollector{}
-	g1 := New(OptAll, c1.one)
+	g1 := NewWithConfig(Config{Opts: OptAll, OnReady: c1.one})
 	for i := 0; i < n; i++ {
 		g1.Submit("t", mkDeps(i), nil, nil)
 	}
@@ -133,7 +133,7 @@ func TestFlushStripedGroups(t *testing.T) {
 // objects, successor lists and the recorded sequence are all reused.
 func TestReplayPoolReuse(t *testing.T) {
 	c := &mpCollector{}
-	g := New(OptAll, c.one)
+	g := NewWithConfig(Config{Opts: OptAll, OnReady: c.one})
 	const n = 500
 
 	g.BeginRecording()

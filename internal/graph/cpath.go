@@ -3,7 +3,7 @@ package graph
 import "sync/atomic"
 
 // Critical-path stamping and the O(1) release-time fold (the graph side
-// of internal/cpath). When a Graph is built with Config.CPath, every
+// of internal/cpath). When a Graph is built with a Config.Clock, every
 // task carries four clock stamps splitting its life into the paper's
 // phases — discovery (submit entry to producer-sentinel release),
 // ready-wait (ready to body start), execute (body), release (successor
@@ -33,17 +33,16 @@ import "sync/atomic"
 // the producer may fulfill a detached task while the worker that claimed
 // it stamps the start, and StampFinish reads the stamp.
 //
-// Clock. The graph does not read time itself: Config.CPathNow supplies
-// a monotonic nanosecond clock. internal/cpath provides a cached one
-// (a periodically refreshed atomic, ~1 ns per read) so stamping stays
-// within the observability overhead budget on grain-0 workloads.
+// Clock. Stamps read Config.Clock (clock.go): in its cached mode a
+// periodically refreshed atomic, one inlined load per stamp instead of a
+// time read, which would cost a grain-0 task about half again.
 //
 // Storage. The stamps and the fold live in a cpState beside the task,
 // not in it: allocTasks carves one per task out of a side array of the
-// chunk, and only for a graph configured with CPath, so a graph without
-// the profiler pays neither the 72 bytes per task nor their zeroing
+// chunk, and only for a graph configured with a clock, so a graph without
+// the profiler pays neither the 48 bytes per task nor their zeroing
 // (Task.cp stays nil; the accessors below read zero from it). Every
-// stamp site is gated on g.cpath, so none dereferences a nil record.
+// stamp site is gated on g.clock, so none dereferences a nil record.
 
 // cpState is a task's critical-path record. The stamps are
 // single-writer by construction: discNs is written by the producer
@@ -58,36 +57,24 @@ type cpState struct {
 	startNs atomic.Int64 // clock at body start
 	finNs   int64        // clock at the terminal transition
 	discNs  int64        // discovery phase: submit entry -> sentinel release
-	// total..exec hold the longest weighted predecessor path ending at
-	// (and including) this task, split by phase. Written exactly once, by
-	// the finishing goroutine in StampFinish, BEFORE the successor walk
-	// that publishes them to the folds of later tasks.
+	// total is the weight of the longest predecessor path ending at (and
+	// including) this task, all the max needs: the path's phase split is
+	// its tasks' own phases along the best chain (CP). Written exactly
+	// once, by the finishing goroutine in StampFinish, BEFORE the
+	// successor walk that publishes it to the folds of later tasks.
 	total int64
-	disc  int64
-	wait  int64
-	exec  int64
 	// best points to the finished predecessor realizing the longest
 	// path into this task. The chain of best pointers from the critical
 	// task back to a root IS the critical path.
 	best atomic.Pointer[Task]
 }
 
-// cpNow reads the stamp clock: one inlined atomic load when the cached
-// cell was wired (Config.CPathCached), else the CPathNow call. Callers
-// are already gated on g.cpath.
-func (g *Graph) cpNow() int64 {
-	if p := g.cpathCached; p != nil {
-		return p.Load()
-	}
-	return g.cpathNow()
-}
-
 // StampStart records the body-start clock on t. Start does this
 // implicitly; the compiled replay fast path — which elides Start's
 // state store — calls it directly.
 func (g *Graph) StampStart(t *Task) {
-	if g.cpath {
-		t.cp.startNs.Store(g.cpNow())
+	if g.clock != nil {
+		t.cp.startNs.Store(g.clock.Now())
 	}
 }
 
@@ -96,33 +83,28 @@ func (g *Graph) StampStart(t *Task) {
 // seeded into the scheduler directly rather than released through a
 // predecessor walk. Must be called before the task is published.
 func (g *Graph) StampReady(t *Task) {
-	if g.cpath {
-		t.cp.readyNs = g.cpNow()
+	if g.clock != nil {
+		t.cp.readyNs = g.clock.Now()
 	}
 }
 
 // StampFinish closes t's phase accounting and computes its critical
 // path: finNs is stamped, the phase durations are derived from the
-// stamps, and the path fields become own-phase plus the best folded
-// predecessor path. Must be called by the finishing goroutine BEFORE the
+// stamps, and the path total becomes their sum plus the best folded
+// predecessor's. Must be called by the finishing goroutine BEFORE the
 // terminal transition (CompleteInto/SkipInto/AbortInto or the compiled
-// FinishInto), whose successor walk publishes them. No-op when CPath is
-// off.
+// FinishInto), whose successor walk publishes it. No-op when the
+// profiler is off.
 func (g *Graph) StampFinish(t *Task) {
-	if !g.cpath {
+	if g.clock == nil {
 		return
 	}
 	c := t.cp
-	c.finNs = g.cpNow()
+	c.finNs = g.clock.Now()
 	disc, wait, exec := c.phaseNs()
-	c.disc, c.wait, c.exec = disc, wait, exec
 	c.total = disc + wait + exec
 	if best := c.best.Load(); best != nil {
-		b := best.cp
-		c.total += b.total
-		c.disc += b.disc
-		c.wait += b.wait
-		c.exec += b.exec
+		c.total += best.cp.total
 	}
 }
 
@@ -196,14 +178,11 @@ func (t *Task) resetCP() {
 	c.finNs = 0
 	c.discNs = 0
 	c.total = 0
-	c.disc = 0
-	c.wait = 0
-	c.exec = 0
 	c.best.Store(nil)
 }
 
 // noCP is the record the accessors below read for a task without one
-// (CPath off): all zero. Never written.
+// (profiler off): all zero. Never written.
 var noCP cpState
 
 func (t *Task) cpRecord() *cpState {
@@ -213,17 +192,25 @@ func (t *Task) cpRecord() *cpState {
 	return &noCP
 }
 
-// CP returns the longest weighted path ending at t, split by phase.
-// Valid once t is Done (the values are published by the successor walk
-// of its terminal transition, or readable by the goroutine that
-// finished it). Zero when CPath is off.
+// CPTotal returns the weight of the longest path ending at t. Valid once
+// t is Done (published by the successor walk of its terminal transition,
+// or readable by the goroutine that finished it). Zero when the profiler
+// is off.
+func (t *Task) CPTotal() int64 { return t.cpRecord().total }
+
+// CP returns the longest weighted path ending at t, split by phase: the
+// own phases of the tasks on its best chain, which add up to CPTotal.
+// It walks the chain, so it is for a window's end, not for every task.
 func (t *Task) CP() (total, disc, wait, exec int64) {
-	c := t.cpRecord()
-	return c.total, c.disc, c.wait, c.exec
+	for p := t; p != nil; p = p.CPBest() {
+		d, w, e := p.PhaseNs()
+		disc, wait, exec = disc+d, wait+w, exec+e
+	}
+	return t.CPTotal(), disc, wait, exec
 }
 
 // CPBest returns the predecessor realizing t's critical path (nil for
-// path roots, and when CPath is off). Walking CPBest from the critical
+// path roots, and when the profiler is off). Walking CPBest from the critical
 // task recovers the whole path in O(path length).
 func (t *Task) CPBest() *Task { return t.cpRecord().best.Load() }
 
@@ -232,8 +219,8 @@ func (t *Task) CPBest() *Task { return t.cpRecord().best.Load() }
 func (t *Task) PhaseNs() (disc, wait, exec int64) { return t.cpRecord().phaseNs() }
 
 // ReadyAtNs, StartAtNs and FinishAtNs expose the raw clock stamps (in
-// the Config.CPathNow clock's domain) for trace alignment; zero means
-// the transition never happened (or CPath is off).
+// the Config.Clock's domain) for trace alignment; zero means
+// the transition never happened (or the profiler is off).
 func (t *Task) ReadyAtNs() int64  { return t.cpRecord().readyNs }
 func (t *Task) StartAtNs() int64  { return t.cpRecord().startNs.Load() }
 func (t *Task) FinishAtNs() int64 { return t.cpRecord().finNs }

@@ -227,8 +227,8 @@ func genTDG(rng *rand.Rand, base graph.Key, n int) []graph.TaskDesc {
 	return descs
 }
 
-// submitMixed discovers descs through Submit and SubmitBatch calls of
-// several sizes, returning the tasks in submission order.
+// submitMixed discovers descs through SubmitBatch calls of several
+// sizes, one among them, returning the tasks in submission order.
 func submitMixed(g *graph.Graph, descs []graph.TaskDesc) []*graph.Task {
 	sizes := []int{1, 3, 64, 1, 257, 16}
 	tasks := make([]*graph.Task, 0, len(descs))
@@ -237,11 +237,7 @@ func submitMixed(g *graph.Graph, descs []graph.TaskDesc) []*graph.Task {
 		if hi > len(descs) {
 			hi = len(descs)
 		}
-		if hi-lo == 1 {
-			tasks = append(tasks, g.SubmitTask(&descs[lo]))
-		} else {
-			tasks = g.SubmitBatch(descs[lo:hi], tasks)
-		}
+		tasks = g.SubmitBatch(descs[lo:hi], tasks)
 		lo = hi
 	}
 	return tasks
@@ -310,13 +306,13 @@ func TestStressReadRunsKeepTheDeclaredOrder(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		descs := genTDG(rand.New(rand.NewSource(seed)), 0, 1000)
 		discover := func(batched bool) ([]*graph.Task, graph.Stats) {
-			g := graph.New(graph.OptAll, func(*graph.Task) {})
+			g := graph.NewWithConfig(graph.Config{Opts: graph.OptAll, OnReady: func(*graph.Task) {}})
 			var tasks []*graph.Task
 			if batched {
 				tasks = submitMixed(g, descs)
 			} else {
 				for i := range descs {
-					tasks = append(tasks, g.SubmitTask(&descs[i]))
+					tasks = g.SubmitBatch(descs[i:i+1], tasks)
 				}
 			}
 			g.Flush()
@@ -386,7 +382,7 @@ func TestStressConcurrentProducersShareStripes(t *testing.T) {
 	descs := genTDG(rand.New(rand.NewSource(11)), 0, 3000)
 	t.Run("scrape", func(t *testing.T) {
 		serial := newExecutor()
-		ref := graph.New(opts, serial.one)
+		ref := graph.NewWithConfig(graph.Config{Opts: opts, OnReady: serial.one})
 		submitMixed(ref, descs)
 		ref.Flush()
 		serial.drain(ref)
@@ -508,12 +504,8 @@ func TestFastPruneKeepsFailureSemantics(t *testing.T) {
 // replays, generic and compiled, releasing every successor once.
 func TestSuccessorBlocksKeepOrderEverywhere(t *testing.T) {
 	const width = 100 // inline entries plus more than six blocks
-	var tick int64
 	e := newExecutor()
-	g := graph.NewWithConfig(graph.Config{
-		Opts: graph.OptAll, OnReady: e.one,
-		CPath: true, CPathNow: func() int64 { tick += 3; return tick },
-	})
+	g := graph.NewWithConfig(graph.Config{Opts: graph.OptAll, OnReady: e.one, Clock: graph.StepClock(3)})
 	g.BeginRecording()
 	hub := g.Submit("hub", []graph.Dep{{Key: 0, Type: graph.Out}}, nil, nil)
 	leaves := make([]*graph.Task, width)

@@ -29,11 +29,14 @@
 //     states read as empty from then on, so no constraint is attempted
 //     against a finished task, and its task chunks are reused. The
 //     runtime ends windows; callers that keep *Task across them do not.
-//   - SubmitBatch (batch.go) amortizes ID reservation, counter updates,
-//     allocator traffic, the discovery lock and ready-queue
-//     publication over a slice of TaskDescs; executors receive the
-//     batch's ready tasks in one OnReadyBatch call. Submit is a batch of
-//     one through the same code.
+//   - SubmitBatch (batch.go) is the one way into discovery: it amortizes
+//     ID reservation, counter updates, allocator traffic, the discovery
+//     lock and ready-queue publication over a slice of TaskDescs, and
+//     Submit is a batch of one through the same code. The lock covers
+//     the dependence work only: ready tasks are collected while it is
+//     held and published once it is dropped, so executors receive a
+//     batch's ready tasks in one OnReadyBatch call and no callback ever
+//     runs under the lock.
 //
 // # Structure of a submission
 //
@@ -63,8 +66,8 @@
 // its live edges are counted in a producer-private field, which
 // releaseSentinel adds in a single atomic add — one counter update per
 // task, not per edge, and none for a task without live edges — and a
-// task with no outstanding predecessors becomes Ready and is delivered to
-// the executor.
+// task with no outstanding predecessors becomes Ready; the submission
+// hands its ready tasks to the executor after it drops the lock.
 //
 // # Persistence
 //

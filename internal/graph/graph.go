@@ -116,9 +116,9 @@ func (ks *keyState) forget(window uint64) {
 // which must schedule them (this is how depth-first executors attribute
 // successors to the completing worker).
 //
-// ReadyFunc may be invoked while the discovery lock is held (Submit
-// delivers its task, and any redirect node it closes, before dropping
-// it); it must not call back into Submit, SubmitBatch, Flush or Stats.
+// Discovery publishes ready tasks after it drops the discovery lock, so
+// ReadyFunc never runs under it; it runs on the producer's goroutine, and
+// must not call back into Submit, SubmitBatch, Flush or the replay calls.
 type ReadyFunc func(*Task)
 
 // Config parametrizes a Graph beyond the optimization mask.
@@ -128,24 +128,15 @@ type Config struct {
 	// OnReady receives producer-side ready tasks; required.
 	OnReady ReadyFunc
 	// OnReadyBatch, if non-nil, receives producer-side ready tasks in
-	// batches (SubmitBatch, Flush): one call replaces len(batch)
-	// OnReady calls, letting executors amortize queue locking. Tasks
-	// readied one at a time still go through OnReady. The slice is the
-	// producer's buffer, valid only during the call.
+	// batches: one call replaces len(batch) OnReady calls, letting
+	// executors amortize queue locking. Only the compiled gated replay
+	// (Compiled.Replay) readies tasks one at a time through OnReady. The
+	// slice is the producer's buffer, valid only during the call.
 	OnReadyBatch func([]*Task)
-	// CPath enables critical-path stamping and the release-time fold
-	// (see cpath.go). Requires CPathNow.
-	CPath bool
-	// CPathNow is the monotonic nanosecond clock used for phase stamps
-	// when CPath is on; internal/cpath supplies a cached one so reads
-	// cost ~1 ns on the hot path.
-	CPathNow func() int64
-	// CPathCached, when non-nil, is the cached clock's atomic cell
-	// (cpath.Clock.CachedRef): stamp sites read it with one inlined
-	// atomic load instead of two dynamic calls through CPathNow.
-	// Optional; precise-clock configurations leave it nil and pay the
-	// CPathNow call on every stamp.
-	CPathCached *atomic.Int64
+	// Clock, when non-nil, enables critical-path stamping and the
+	// release-time fold (see cpath.go), read from this clock; the graph
+	// runs a cached clock's ticker while it has work.
+	Clock *Clock
 }
 
 // Graph is a task dependency graph discovered by one producer and
@@ -159,10 +150,19 @@ type Config struct {
 // producer. Complete and its Into forms may be called concurrently from
 // any number of workers, and Stats, Live and ReadyCount from any
 // goroutine at any time.
+//
+// Layout: the first four fields are set at construction and read on
+// every finish or stamp; they stay off the cache line of lr, which every
+// finish writes. With clock on lr's line the grain-0 drain ran about 70 %
+// slower per task, with the profiler off (TestGraphLayout).
 type Graph struct {
 	opts         Opt
 	onReady      ReadyFunc
 	onReadyBatch func([]*Task)
+	// clock is the critical-path stamp clock (see cpath.go), nil when the
+	// profiler is off: every stamp and fold site is gated on it with one
+	// predictable branch.
+	clock *Clock
 
 	nextID int64 // producer-owned
 
@@ -186,8 +186,9 @@ type Graph struct {
 	// runKeys is the read runs' keyState buffer (readRun.keys), kept
 	// between discover calls so a run allocates nothing.
 	runKeys []*keyState
-	// readyBuf is SubmitBatch's and Flush's buffer of tasks readied by
-	// the producer, kept between calls for the same reason.
+	// readyBuf collects the tasks the producer readies (releaseSentinel),
+	// for publishReady to hand out once the discovery lock is dropped;
+	// kept between calls for the same reason.
 	readyBuf []*Task
 
 	// Task memory (alloc.go), producer-owned: chunk is the chunk tasks are
@@ -198,15 +199,8 @@ type Graph struct {
 	windowChunks []*taskChunk
 	spare        []*taskChunk
 	// submitKeys is Submit's producer-owned buffer for grouping a []Dep by
-	// type (descOf).
+	// type (submitOne).
 	submitKeys []Key
-
-	// Critical-path profiling (see cpath.go): cpath gates every stamp
-	// and fold site with one predictable branch; cpathNow is the clock,
-	// short-circuited by cpathCached when the clock is a cached atomic.
-	cpath       bool
-	cpathNow    func() int64
-	cpathCached *atomic.Int64
 
 	// Atomic counters (see Stats for the consistency model).
 	tasks, redirects, replayed, windows, reused atomic.Int64
@@ -244,37 +238,32 @@ type Graph struct {
 	redirectMu  sync.Mutex
 	redirectLog []*Task
 
-	// persistence (single-producer)
+	// persistence (single-producer). recordFrom is the first ID of the
+	// latest recording: its tasks are the Persistent ones from there on.
 	persistent  bool
 	recording   bool
-	epoch       int32
+	recordFrom  int64
 	recorded    []*Task
 	replayIndex int
 }
 
-// New creates an empty graph with the given optimization set. onReady
-// must be non-nil; it is called exactly once per task when it becomes
-// ready on the producer side.
-func New(opts Opt, onReady ReadyFunc) *Graph {
-	return NewWithConfig(Config{Opts: opts, OnReady: onReady})
-}
-
-// NewWithConfig creates an empty graph from an explicit configuration.
+// NewWithConfig creates an empty graph. cfg.OnReady must be non-nil: it
+// is called exactly once per task that becomes ready on the producer side
+// (unless OnReadyBatch takes the task in a batch).
 func NewWithConfig(cfg Config) *Graph {
 	if cfg.OnReady == nil {
 		panic("graph: nil ReadyFunc")
 	}
-	if cfg.CPath && cfg.CPathNow == nil {
-		panic("graph: CPath enabled without a CPathNow clock")
-	}
-	return &Graph{
+	g := &Graph{
 		opts:         cfg.Opts,
 		onReady:      cfg.OnReady,
 		onReadyBatch: cfg.OnReadyBatch,
-		cpath:        cfg.CPath,
-		cpathNow:     cfg.CPathNow,
-		cpathCached:  cfg.CPathCached,
+		clock:        cfg.Clock,
 	}
+	if g.clock != nil {
+		g.clock.start(g)
+	}
+	return g
 }
 
 // Opts returns the optimization mask the graph was created with.
@@ -322,33 +311,31 @@ func (g *Graph) Stats() Stats {
 	}
 }
 
-// Submit discovers one task with the given dependences. It returns the
-// task descriptor. Producer-only.
+// Submit discovers one task with the given dependences, a batch of one
+// (SubmitBatch). It returns the task descriptor. Producer-only.
 //
 // The declarations are grouped by type, in TaskDesc's order, keeping the
 // order within each type: discovery sees exactly what a TaskDesc with the
 // same lists would give it.
 func (g *Graph) Submit(label string, deps []Dep, body func(fp any), fp any) *Task {
-	d := g.descOf(deps)
-	d.Label, d.Body, d.FirstPrivate = label, body, fp
-	return g.SubmitTask(&d)
+	return g.submitOne(label, deps, body, fp, false)
 }
 
 // SubmitDetached is Submit for a detached task: its completion is
 // signalled externally rather than at body return. The flag must be set
 // before the task is released, hence this dedicated entry point.
 func (g *Graph) SubmitDetached(label string, deps []Dep, body func(fp any), fp any) *Task {
-	d := g.descOf(deps)
-	d.Label, d.Body, d.FirstPrivate, d.Detached = label, body, fp, true
-	return g.SubmitTask(&d)
+	return g.submitOne(label, deps, body, fp, true)
 }
 
-// descOf returns a TaskDesc whose key lists are deps grouped by type, in
-// the producer-owned buffer submitKeys: valid until the next call.
-func (g *Graph) descOf(deps []Dep) TaskDesc {
+// submitOne discovers the one task Submit or SubmitDetached describes, its
+// key lists grouped in the producer-owned buffer submitKeys.
+func (g *Graph) submitOne(label string, deps []Dep, body func(fp any), fp any, detached bool) *Task {
 	var d TaskDesc
 	d, g.submitKeys = groupDeps(g.submitKeys[:0], deps)
-	return d
+	d.Label, d.Body, d.FirstPrivate, d.Detached = label, body, fp, detached
+	var ts [1]*Task
+	return g.SubmitBatch(unsafe.Slice(&d, 1), ts[:0])[0]
 }
 
 // groupDeps appends deps' keys to buf grouped by type, in TaskDesc's
@@ -381,16 +368,6 @@ func groupDeps(buf []Key, deps []Dep) (TaskDesc, []Key) {
 	return TaskDesc{In: lists[In], Out: lists[Out], InOut: lists[InOut], InOutSet: lists[InOutSet]}, buf
 }
 
-// SubmitTask discovers one task from a full descriptor — the Submit
-// parameters as data, including the error-returning Do body form. It is
-// a batch of one (see discover) whose ready tasks go straight to
-// OnReady, one at a time.
-func (g *Graph) SubmitTask(d *TaskDesc) *Task {
-	var ts [1]*Task
-	g.discover(unsafe.Slice(d, 1), g.allocTasks(1, ts[:0]), nil)
-	return ts[0]
-}
-
 // frontierOf returns k's frontier state in the current window, creating
 // it on first access and emptying one an ended window left. The caller
 // holds the discovery lock.
@@ -408,17 +385,16 @@ func (g *Graph) frontierOf(k Key) *keyState {
 
 // read, write and joinSet apply one dependence declaration of t during
 // discovery, an In, an Out or InOut, and an InOutSet one. The caller holds
-// the discovery lock. readyBuf collects tasks readied as a side effect
-// (redirect nodes of closing groups) for delivery outside the lock.
-func (g *Graph) read(t *Task, k Key, readyBuf *[]*Task) {
+// the discovery lock.
+func (g *Graph) read(t *Task, k Key) {
 	ks := g.frontierOf(k)
-	g.dependOnOutSet(t, ks, readyBuf)
+	g.dependOnOutSet(t, ks)
 	ks.readers = append(ks.readers, t)
 }
 
-func (g *Graph) write(t *Task, k Key, readyBuf *[]*Task) {
+func (g *Graph) write(t *Task, k Key) {
 	ks := g.frontierOf(k)
-	g.dependOnOutSet(t, ks, readyBuf)
+	g.dependOnOutSet(t, ks)
 	for _, r := range ks.readers {
 		g.addEdge(r, t)
 	}
@@ -428,7 +404,7 @@ func (g *Graph) write(t *Task, k Key, readyBuf *[]*Task) {
 	ks.redirect = nil
 }
 
-func (g *Graph) joinSet(t *Task, k Key, readyBuf *[]*Task) {
+func (g *Graph) joinSet(t *Task, k Key) {
 	ks := g.frontierOf(k)
 	if !ks.setOpen {
 		// Starting a new group: the previous frontier becomes the
@@ -460,7 +436,7 @@ func (g *Graph) joinSet(t *Task, k Key, readyBuf *[]*Task) {
 // open inoutset group through its redirect node when optimization (c) is
 // enabled. A non-inoutset access closes any open group. Caller holds the
 // discovery lock.
-func (g *Graph) dependOnOutSet(t *Task, ks *keyState, readyBuf *[]*Task) {
+func (g *Graph) dependOnOutSet(t *Task, ks *keyState) {
 	if ks.setOpen {
 		if ks.redirect != nil {
 			g.addEdge(ks.redirect, t)
@@ -474,7 +450,7 @@ func (g *Graph) dependOnOutSet(t *Task, ks *keyState, readyBuf *[]*Task) {
 			}
 		}
 		// Group closes on first non-inoutset access.
-		g.closeGroup(ks, readyBuf)
+		g.closeGroup(ks)
 		return
 	}
 	for _, p := range ks.outSet {
@@ -485,9 +461,9 @@ func (g *Graph) dependOnOutSet(t *Task, ks *keyState, readyBuf *[]*Task) {
 // closeGroup ends an open inoutset group, dropping the producer sentinel
 // of its redirect node so the node can complete once all members finish.
 // Caller holds the discovery lock.
-func (g *Graph) closeGroup(ks *keyState, readyBuf *[]*Task) {
+func (g *Graph) closeGroup(ks *keyState) {
 	if ks.redirect != nil {
-		g.releaseSentinel(ks.redirect, readyBuf)
+		g.releaseSentinel(ks.redirect)
 	}
 	ks.setOpen = false
 	ks.baseOut = ks.baseOut[:0]
@@ -512,26 +488,34 @@ func (g *Graph) dropOpen(ks *keyState) {
 // redirect nodes pending on a producer sentinel can drain.
 // Producer-only.
 func (g *Graph) Flush() {
-	ready := g.readyBuf[:0]
 	g.mu.Lock()
 	for _, ks := range g.open {
-		g.closeGroup(ks, &ready)
+		g.closeGroup(ks)
 	}
 	clear(g.open)
 	g.open = g.open[:0]
 	g.mu.Unlock()
-	g.publishReady(ready)
+	g.publishReady()
 }
 
-// publishReady delivers tasks the producer readied (notifyReady) and
-// keeps their buffer, emptied, for the next call. The tasks enter the
-// ready gauge here, in one add before any of them is published: until
-// then no other goroutine can reach them to finish them.
-func (g *Graph) publishReady(ready []*Task) {
-	if len(ready) != 0 {
-		g.lrAdd(0, int64(len(ready)))
+// publishReady delivers the tasks the producer readied (readyBuf) through
+// OnReadyBatch when configured, else task by task, and keeps the buffer,
+// emptied, for the next call. The tasks enter the ready gauge here, in one
+// add before any of them is published: until then no other goroutine can
+// reach them to finish them. Never called under the discovery lock.
+func (g *Graph) publishReady() {
+	ready := g.readyBuf
+	if len(ready) == 0 {
+		return
 	}
-	g.notifyReady(ready)
+	g.lrAdd(0, int64(len(ready)))
+	if g.onReadyBatch != nil {
+		g.onReadyBatch(ready)
+	} else {
+		for _, t := range ready {
+			g.onReady(t)
+		}
+	}
 	clear(ready)
 	g.readyBuf = ready[:0]
 }
@@ -551,7 +535,6 @@ func (g *Graph) newRedirect() *Task {
 	g.lrAdd(1, 0)
 	r.Persistent = g.recording
 	if g.recording {
-		r.recordEpoch = g.epoch
 		g.recorded = append(g.recorded, r)
 	}
 	if g.opts&OptKeepPrunedEdges != 0 {
@@ -589,7 +572,7 @@ func (g *Graph) addEdge(pred, succ *Task) {
 	// earlier recordings) are one-time constraints — if the predecessor
 	// already completed they are pruned even while recording, otherwise
 	// they count toward the live indegree only.
-	sameRecording := g.recording && pred.Persistent && pred.recordEpoch == g.epoch
+	sameRecording := g.recording && g.inRecording(pred)
 	keepDone := sameRecording || g.opts&OptKeepPrunedEdges != 0
 
 	// A finished predecessor whose edge need not be kept is pruned on one
@@ -657,18 +640,12 @@ func (g *Graph) inheritPoison(pred *Task, st State, succ *Task) {
 // predecessors finished), and whichever operation then brings it to 0,
 // this one or a later finish, is the only one that readies t. A task
 // without live edges is ready on the spot: nothing will ever decrement
-// its counter. Ready tasks are appended to *readyBuf when non-nil, for
-// publishReady to count and publish, else counted and delivered to
-// onReady immediately.
-func (g *Graph) releaseSentinel(t *Task, readyBuf *[]*Task) {
+// its counter. A ready task goes into readyBuf, for publishReady to count
+// and publish once the producer is out of the discovery lock.
+func (g *Graph) releaseSentinel(t *Task) {
 	if t.live == 0 || t.preds.Add(t.live) == 0 {
 		g.markReady(t)
-		if readyBuf != nil {
-			*readyBuf = append(*readyBuf, t)
-		} else {
-			g.lrAdd(0, 1)
-			g.onReady(t)
-		}
+		g.readyBuf = append(g.readyBuf, t)
 	}
 }
 
@@ -685,8 +662,8 @@ func (g *Graph) markReady(t *Task) bool {
 	if !t.state.CompareAndSwap(int32(Created), int32(Ready)) {
 		return false
 	}
-	if g.cpath {
-		t.cp.readyNs = g.cpNow()
+	if g.clock != nil {
+		t.cp.readyNs = g.clock.Now()
 	}
 	return true
 }
@@ -703,21 +680,6 @@ func (g *Graph) readyDetached(t *Task) bool {
 	}
 	g.lrAdd(0, -1)
 	return false
-}
-
-// notifyReady delivers a producer-side ready batch through OnReadyBatch
-// when configured, else task by task.
-func (g *Graph) notifyReady(ts []*Task) {
-	if len(ts) == 0 {
-		return
-	}
-	if g.onReadyBatch != nil {
-		g.onReadyBatch(ts)
-		return
-	}
-	for _, t := range ts {
-		g.onReady(t)
-	}
 }
 
 // Start claims a ready task for its body: it moves t from Ready to
@@ -805,7 +767,7 @@ func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 	}
 
 	released := buf[:0]
-	cpath := g.cpath
+	cpath := g.clock != nil
 	for seg, it := t.walkSuccs(int(w &^ sealBit)); len(seg) > 0; seg = it.next() {
 		for _, s := range seg {
 			if poison {

@@ -162,7 +162,7 @@ func TestWriteDOT(t *testing.T) {
 func TestDroppedGraphFreesItsTasksInOneCycle(t *testing.T) {
 	freed := make(chan struct{})
 	func() {
-		g := New(OptAll, func(*Task) {})
+		g := NewWithConfig(Config{Opts: OptAll, OnReady: func(*Task) {}})
 		payload := new([64]byte)
 		runtime.SetFinalizer(payload, func(*[64]byte) { close(freed) })
 		g.Submit("t", []Dep{{Key: 1, Type: Out}}, func(any) {}, payload)

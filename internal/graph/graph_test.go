@@ -61,7 +61,7 @@ func (c *collector) drain(g *Graph) []int64 {
 
 func newTestGraph(opts Opt) (*Graph, *collector) {
 	c := &collector{}
-	return New(opts, c.onReady), c
+	return NewWithConfig(Config{Opts: opts, OnReady: c.onReady}), c
 }
 
 func TestSubmitNoDepsIsImmediatelyReady(t *testing.T) {
@@ -476,11 +476,11 @@ func TestConcurrentCompletion(t *testing.T) {
 	const width, layers = 64, 8
 	var mu sync.Mutex
 	ready := make([]*Task, 0, width*layers)
-	g := New(OptAll, func(tk *Task) {
+	g := NewWithConfig(Config{Opts: OptAll, OnReady: func(tk *Task) {
 		mu.Lock()
 		ready = append(ready, tk)
 		mu.Unlock()
-	})
+	}})
 	// Layered graph: layer k tasks write key k reading key k-1 via a
 	// shared reduction key to create fan-in.
 	for l := 0; l < layers; l++ {
@@ -546,7 +546,7 @@ func TestPropertyCompletionRespectsProgramOrderPerKey(t *testing.T) {
 		n := int(nOps%40) + 2
 		opts := Opt(optBits) & OptAll
 		c := &collector{}
-		g := New(opts, c.onReady)
+		g := NewWithConfig(Config{Opts: opts, OnReady: c.onReady})
 		types := make([]DepType, n)
 		tasks := make([]*Task, n)
 		for i := 0; i < n; i++ {
@@ -649,7 +649,7 @@ func TestPropertyReplayEquivalence(t *testing.T) {
 			prog[i] = op{Key(rng.Intn(nKeys)), DepType(rng.Intn(4))}
 		}
 		c := &collector{}
-		g := New(OptAll, c.onReady)
+		g := NewWithConfig(Config{Opts: OptAll, OnReady: c.onReady})
 		g.BeginRecording()
 		for i, o := range prog {
 			g.Submit(fmt.Sprintf("%d", i), []Dep{{o.key, o.typ}}, nil, i)
@@ -685,7 +685,7 @@ func TestPropertyReplayEquivalence(t *testing.T) {
 }
 
 func BenchmarkSubmitChain(b *testing.B) {
-	g := New(OptAll, func(*Task) {})
+	g := NewWithConfig(Config{Opts: OptAll, OnReady: func(*Task) {}})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.Submit("t", []Dep{{1, InOut}}, nil, nil)
@@ -694,7 +694,7 @@ func BenchmarkSubmitChain(b *testing.B) {
 
 func BenchmarkPersistentReplay(b *testing.B) {
 	c := &collector{}
-	g := New(OptAll, c.onReady)
+	g := NewWithConfig(Config{Opts: OptAll, OnReady: c.onReady})
 	g.BeginRecording()
 	const chain = 1024
 	buildChain(g, chain)

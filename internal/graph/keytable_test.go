@@ -105,7 +105,7 @@ func TestKeyTableMatchesMap(t *testing.T) {
 // in place and recycles every keyState; discovery afterwards starts from
 // an empty frontier on the same slots and reuses the recycled states.
 func TestKeyTableReuseAfterReset(t *testing.T) {
-	g := New(OptAll, func(*Task) {})
+	g := NewWithConfig(Config{Opts: OptAll, OnReady: func(*Task) {}})
 	const keys = 1000
 	for k := 0; k < keys; k++ {
 		g.Submit("w", []Dep{{Key(k) << 32, Out}}, nil, nil)

@@ -39,8 +39,16 @@ func (g *Graph) BeginRecording() {
 	}
 	g.persistent = true
 	g.recording = true
-	g.epoch++
+	g.recordFrom = g.nextID
 	g.recorded = g.recorded[:0]
+}
+
+// inRecording reports whether t belongs to the latest recording: tasks are
+// Persistent only when discovered while recording, IDs never go back, and
+// a recorded task's chunk is never reused (alloc.go), so the recording is
+// the Persistent tasks from its first ID on.
+func (g *Graph) inRecording(t *Task) bool {
+	return t.Persistent && t.ID >= g.recordFrom
 }
 
 // EndRecording leaves recording mode. The recorded task sequence is now
@@ -77,7 +85,7 @@ func (g *Graph) BeginReplay() error {
 		t.succWord.Store(uint32(t.NumSuccessors()))
 		t.state.Store(int32(Created))
 		t.poisoned.Store(false)
-		if g.cpath {
+		if g.clock != nil {
 			// Replay iterations start a fresh critical path; discovery
 			// weight stays zero (replay is the paper's point: the TDG is
 			// not re-discovered).
@@ -85,6 +93,7 @@ func (g *Graph) BeginReplay() error {
 		}
 	}
 	g.lrAdd(int64(len(g.recorded)), 0)
+	g.clock.resume()
 	g.replayIndex = 0
 	return nil
 }
@@ -93,19 +102,15 @@ func (g *Graph) BeginReplay() error {
 // is the firstprivate copy (and optionally a body-closure update),
 // mirroring the paper's single-memcpy replay cost and its dynamic
 // firstprivate-update extension. Redirect nodes interleaved in the
-// recording are released implicitly. Returns the task instance.
+// recording are released implicitly, and what becomes ready is published
+// before it returns. Returns the task instance.
 //
 // Exactly one of body/do may be non-nil to swap the task's closure; the
 // recorded body form is kept otherwise. attach, when non-nil, replaces
 // the task's Attach before the instance is released (detached tasks
 // need a fresh event per iteration).
 func (g *Graph) Replay(fp any, body func(fp any), do func(fp any) error, attach any) *Task {
-	for g.replayIndex < len(g.recorded) && g.recorded[g.replayIndex].Redirect {
-		r := g.recorded[g.replayIndex]
-		g.replayIndex++
-		g.replayed.Add(1)
-		g.releaseSentinel(r, nil)
-	}
+	g.replayRedirects()
 	if g.replayIndex >= len(g.recorded) {
 		panic("graph: replay past end of recorded task sequence")
 	}
@@ -122,19 +127,26 @@ func (g *Graph) Replay(fp any, body func(fp any), do func(fp any) error, attach 
 		t.Attach = attach
 	}
 	g.replayed.Add(1)
-	g.releaseSentinel(t, nil)
+	g.releaseSentinel(t)
+	g.publishReady()
 	return t
+}
+
+// replayRedirects releases the redirect nodes at the replay cursor.
+func (g *Graph) replayRedirects() {
+	for g.replayIndex < len(g.recorded) && g.recorded[g.replayIndex].Redirect {
+		r := g.recorded[g.replayIndex]
+		g.replayIndex++
+		g.replayed.Add(1)
+		g.releaseSentinel(r)
+	}
 }
 
 // FinishReplay releases any trailing redirect nodes and verifies the
 // whole recording was replayed.
 func (g *Graph) FinishReplay() error {
-	for g.replayIndex < len(g.recorded) && g.recorded[g.replayIndex].Redirect {
-		r := g.recorded[g.replayIndex]
-		g.replayIndex++
-		g.replayed.Add(1)
-		g.releaseSentinel(r, nil)
-	}
+	g.replayRedirects()
+	g.publishReady()
 	if g.replayIndex != len(g.recorded) {
 		return fmt.Errorf("graph: replay submitted %d of %d recorded tasks", g.replayIndex, len(g.recorded))
 	}

@@ -18,11 +18,11 @@ type csr [][]int32
 // Compile starts from: every same-recording edge, in discovery order.
 func declaredCSR(c *Compiled) csr {
 	out := make(csr, len(c.tasks))
-	epoch := c.tasks[0].recordEpoch
+	first := c.tasks[0].ID // the recording's first task
 	for p, t := range c.tasks {
 		for seg, w := t.walkSuccs(t.NumSuccessors()); len(seg) > 0; seg = w.next() {
 			for _, s := range seg {
-				if s.Persistent && s.recordEpoch == epoch {
+				if s.Persistent && s.ID >= first {
 					out[p] = append(out[p], s.slot)
 				}
 			}

@@ -27,10 +27,10 @@ func TestStressSealRace(t *testing.T) {
 		readied := make([]atomic.Int32, total)
 		// Twice the tasks: a task readied twice must not block the queue.
 		queue := make(chan *Task, 2*total)
-		g := New(opts, func(tk *Task) {
+		g := NewWithConfig(Config{Opts: opts, OnReady: func(tk *Task) {
 			readied[tk.ID].Add(1)
 			queue <- tk
-		})
+		}})
 		done := make(chan string, 1)
 		go func() {
 			var buf []*Task
@@ -67,9 +67,9 @@ func TestStressSealRace(t *testing.T) {
 			}
 			tasks = append(tasks, ws...)
 			for j := 0; j < readers; j++ {
-				d := g.descOf(deps)
-				d.Label, d.Attach = "r", ws
-				tasks = append(tasks, g.SubmitTask(&d))
+				d := DescOf("r", deps)
+				d.Attach = ws
+				tasks = g.SubmitBatch([]TaskDesc{d}, tasks)
 			}
 		}
 		select {

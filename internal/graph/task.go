@@ -132,7 +132,7 @@ const inlineDeps = 4
 //     successor walk of up to inlineSuccs entries stays on it;
 //   - line 1 is what a worker reads to run the task (ID, closures,
 //     firstprivate, flags) and what the producer writes once per task or
-//     per recording (live, recordedIndegree, recordEpoch, slot);
+//     per recording (live, recordedIndegree, slot);
 //   - the rest is cold: the label, the runtime attachment, the overflow
 //     chain of the successor list, the failure window, the
 //     critical-path side record, and the declaration capture of failure
@@ -199,13 +199,9 @@ type Task struct {
 	// release.
 	live int32
 	// recordedIndegree counts incoming edges from tasks of the same
-	// recording, used to reset preds on persistent replay. Written only
-	// by the goroutine that discovered this task.
+	// recording (Graph.inRecording), used to reset preds on persistent
+	// replay. Written only by the goroutine that discovered this task.
 	recordedIndegree int32
-	// recordEpoch identifies which recording the task belongs to, so
-	// edges from earlier recordings (or from outside any recording)
-	// never count toward replay indegrees.
-	recordEpoch int32
 	// Detached marks a task whose completion is signalled externally
 	// (MPI request completion) rather than at body return.
 	Detached bool
@@ -233,7 +229,7 @@ type Task struct {
 	// ignores predecessors that failed in an already-consumed window.
 	failEpoch uint64
 	// cp is the task's critical-path record (cpath.go), nil unless the
-	// graph was configured with Config.CPath.
+	// graph was configured with a Config.Clock.
 	cp *cpState
 	// Inline capture of the task's dependence declarations, for failure
 	// reports (*fault.TaskError names the key set of a failed task),

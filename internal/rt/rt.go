@@ -254,22 +254,17 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Verify != verify.Off {
 		rt.ver = verify.NewRecorder(cfg.Opts)
 	}
-	var cpathNow func() int64
-	var cpathCached *atomic.Int64
+	var clock *graph.Clock
 	if cfg.CPath.Enable {
-		rt.cp = cpath.New(cfg.Workers+1, rt.obs, origin, cpath.Options{
-			Precise: cfg.CPath.Precise,
+		clock = graph.NewClock(origin, cfg.CPath.Precise)
+		rt.cp = cpath.New(cfg.Workers+1, rt.obs, clock, cpath.Options{
 			Retain:  cfg.CPath.Retain,
 			PathMax: cfg.CPath.PathMax,
 		})
-		cpathNow = rt.cp.Now
-		cpathCached = rt.cp.ClockRef() // nil in precise mode
 	}
 	rt.g = graph.NewWithConfig(graph.Config{
-		Opts:        gopts,
-		CPath:       cfg.CPath.Enable,
-		CPathNow:    cpathNow,
-		CPathCached: cpathCached,
+		Opts:  gopts,
+		Clock: clock,
 		OnReady: func(t *graph.Task) {
 			// Producer-side readiness: route through the global FIFO.
 			rt.s.Push(-1, t)
@@ -535,10 +530,18 @@ func (rt *Runtime) wrapBody(spec *Spec) (func(fp any), func(fp any) error, *Even
 	}, nil, ev
 }
 
-// finishSubmit handles the post-discovery bookkeeping shared by Submit
-// and SubmitBatch; returns the detach event for detached tasks.
+// finishSubmit is created for a task a replayed iteration resubmitted,
+// counted as submitted; it returns the detach event.
 func (rt *Runtime) finishSubmit(t *graph.Task, ev *Event) *Event {
 	rt.obs.IncSlot(rt.producerID(), obs.CTasksSubmitted)
+	rt.created(t, ev)
+	return ev
+}
+
+// created is the bookkeeping of a task once discovered or resubmitted:
+// the profile's creation record and, for a detached task, its event's
+// registration.
+func (rt *Runtime) created(t *graph.Task, ev *Event) {
 	if p := rt.cfg.Profile; p != nil {
 		p.TaskCreated(p.Now())
 	}
@@ -549,7 +552,6 @@ func (rt *Runtime) finishSubmit(t *graph.Task, ev *Event) *Event {
 		// non-nil load implies the registry entry is visible too.
 		ev.t.Store(t)
 	}
-	return ev
 }
 
 // registerDetached records a live detached task for abort enumeration.
@@ -567,7 +569,9 @@ func (rt *Runtime) registerDetached(t *graph.Task, ev *Event) {
 	rt.detachMu.Unlock()
 }
 
-// Submit discovers one task. Producer-only. In a persistent replay it
+// Submit discovers one task: a graph batch of one, its desc staged as
+// SubmitBatch stages a chunk's but on the stack, without a chunk's span,
+// window end and yield. Producer-only. In a persistent replay it
 // degenerates to the recorded task's firstprivate update. It returns the
 // detach event for Detached tasks, else nil.
 func (rt *Runtime) Submit(spec Spec) *Event {
@@ -579,29 +583,13 @@ func (rt *Runtime) Submit(spec Spec) *Event {
 		rt.submits = 0
 		rt.endWindow()
 	}
-	body, do, ev := rt.wrapBody(&spec)
-	var attach any
-	if ev != nil {
-		attach = ev
-	}
-	d := graph.TaskDesc{
-		Label:        spec.Label,
-		In:           spec.In,
-		Out:          spec.Out,
-		InOut:        spec.InOut,
-		InOutSet:     spec.InOutSet,
-		Body:         body,
-		Do:           do,
-		FirstPrivate: spec.FirstPrivate,
-		Detached:     spec.Detached,
-		Attach:       attach,
-	}
-	t := rt.g.SubmitTask(&d)
-	if rt.ver != nil {
-		rt.depBuf = spec.depsInto(rt.depBuf[:0])
-		rt.ver.Record(t, rt.depBuf)
-	}
-	return rt.finishSubmit(t, ev)
+	var d [1]graph.TaskDesc
+	ev := rt.toDesc(&d[0], &spec)
+	var ts [1]*graph.Task
+	t := rt.g.SubmitBatch(d[:], ts[:0])[0]
+	rt.obs.IncSlot(rt.producerID(), obs.CTasksSubmitted)
+	rt.discovered(&spec, t, ev)
+	return ev
 }
 
 // resubmit is Submit inside a replayed iteration: the spec refreshes the
@@ -694,6 +682,34 @@ func (rt *Runtime) SubmitBatch(specs []Spec) []*Event {
 	return evs
 }
 
+// toDesc fills d, a desc of Submit's or of a SubmitBatch chunk, from s
+// and returns s's detach event, if any. The fields are stored in place: a
+// composite literal would be built on the stack and copied in, 168 bytes
+// a task.
+func (rt *Runtime) toDesc(d *graph.TaskDesc, s *Spec) *Event {
+	body, do, ev := rt.wrapBody(s)
+	d.Label = s.Label
+	d.In, d.Out, d.InOut, d.InOutSet = s.In, s.Out, s.InOut, s.InOutSet
+	d.Body, d.Do = body, do
+	d.FirstPrivate = s.FirstPrivate
+	d.Detached = s.Detached
+	d.Attach = nil
+	if ev != nil {
+		d.Attach = ev
+	}
+	return ev
+}
+
+// discovered is the bookkeeping of t, discovered from s, that Submit and
+// SubmitBatch share: the verifier's record, then created's.
+func (rt *Runtime) discovered(s *Spec, t *graph.Task, ev *Event) {
+	if rt.ver != nil {
+		rt.depBuf = s.depsInto(rt.depBuf[:0])
+		rt.ver.Record(t, rt.depBuf)
+	}
+	rt.created(t, ev)
+}
+
 // batchStage is the SubmitBatch staging buffer set (Runtime.stage).
 type batchStage struct {
 	descs []graph.TaskDesc
@@ -712,45 +728,23 @@ func (rt *Runtime) submitBatchChunk(specs []Spec, lo, hi int, evs []*Event) []*E
 		sp = rt.obs.BeginSpan(rt.producerID(), obs.SpanDiscoveryBatch, int64(hi-lo), 0, int(rt.iter.Load()))
 	}
 	st := &rt.stage
-	// The descs are filled field by field in place: a composite literal
-	// would be built on the stack and copied in, 168 bytes a task.
 	descs := slices.Grow(st.descs[:0], hi-lo)[:hi-lo]
 	for i := lo; i < hi; i++ {
-		s := &specs[i]
-		body, do, ev := rt.wrapBody(s)
-		var attach any
-		if ev != nil {
+		if ev := rt.toDesc(&descs[i-lo], &specs[i]); ev != nil {
 			if evs == nil {
 				evs = make([]*Event, len(specs))
 			}
 			evs[i] = ev
-			attach = ev
 		}
-		d := &descs[i-lo]
-		d.Label = s.Label
-		d.In, d.Out, d.InOut, d.InOutSet = s.In, s.Out, s.InOut, s.InOutSet
-		d.Body, d.Do = body, do
-		d.FirstPrivate = s.FirstPrivate
-		d.Detached = s.Detached
-		d.Attach = attach
 	}
 	tasks := rt.g.SubmitBatch(descs, st.tasks[:0])
 	rt.obs.AddSlot(rt.producerID(), obs.CTasksSubmitted, int64(len(tasks)))
-	p := rt.cfg.Profile
 	for i, t := range tasks {
-		if rt.ver != nil {
-			rt.depBuf = specs[lo+i].depsInto(rt.depBuf[:0])
-			rt.ver.Record(t, rt.depBuf)
-		}
-		if p != nil {
-			p.TaskCreated(p.Now())
-		}
+		var ev *Event
 		if t.Detached {
-			ev := evs[i+lo]
-			rt.detached.Add(1)
-			rt.registerDetached(t, ev)
-			ev.t.Store(t)
+			ev = evs[lo+i]
 		}
+		rt.discovered(&specs[lo+i], t, ev)
 	}
 	// Drop closure/task references before keeping the buffers.
 	clear(descs)
@@ -1349,7 +1343,7 @@ func (rt *Runtime) finish(w int, t *graph.Task, final graph.State) {
 	// ready-wait, so it never enters the window's T1 (see
 	// cpath.Profiler.ObserveRelease).
 	if rt.cp != nil {
-		rt.cp.ObserveRelease(w, rt.cp.Now()-finNs)
+		rt.cp.ObserveRelease(w, finNs)
 	}
 }
 

@@ -183,10 +183,10 @@ func NewRank(id int, eng *Engine, net *Network, cfg RankConfig, ops []Op, iters 
 		iters: iters,
 		busy:  make([]bool, cfg.Cores),
 	}
-	r.g = graph.New(cfg.Opts, func(t *graph.Task) {
+	r.g = graph.NewWithConfig(graph.Config{Opts: cfg.Opts, OnReady: func(t *graph.Task) {
 		r.sch.Push(-1, t)
 		r.scheduleDispatch()
-	})
+	}})
 	if net != nil {
 		net.register(r)
 	}

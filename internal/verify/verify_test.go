@@ -101,7 +101,7 @@ func TestSeededCycle(t *testing.T) {
 func TestInOutSetRedirectReachability(t *testing.T) {
 	const key graph.Key = 7
 	const m, n = 3, 2
-	g := graph.New(graph.OptInOutSetNode|graph.OptDedup|graph.OptKeepPrunedEdges, func(*graph.Task) {})
+	g := graph.NewWithConfig(graph.Config{Opts: graph.OptInOutSetNode | graph.OptDedup | graph.OptKeepPrunedEdges, OnReady: func(*graph.Task) {}})
 	var infos []TaskInfo
 	for i := 0; i < m; i++ {
 		deps := []graph.Dep{{Key: key, Type: graph.InOutSet}}
@@ -172,7 +172,7 @@ func TestInOutSetGroupsAcrossWriter(t *testing.T) {
 func TestPrunedEdgeNeedsKeepFlag(t *testing.T) {
 	run := func(opts graph.Opt) *Report {
 		var ready []*graph.Task
-		g := graph.New(opts, func(t *graph.Task) { ready = append(ready, t) })
+		g := graph.NewWithConfig(graph.Config{Opts: opts, OnReady: func(t *graph.Task) { ready = append(ready, t) }})
 		deps := []graph.Dep{{Key: 3, Type: graph.Out}}
 		a := g.Submit("a", deps, nil, nil)
 		// Drain: a completes before b is discovered.
@@ -226,7 +226,7 @@ func TestDuplicateEdges(t *testing.T) {
 // leave a duplicate for the audit to find, even when a task declares
 // the same key several times.
 func TestDedupInvariantOnRealGraph(t *testing.T) {
-	g := graph.New(graph.OptDedup|graph.OptKeepPrunedEdges, func(*graph.Task) {})
+	g := graph.NewWithConfig(graph.Config{Opts: graph.OptDedup | graph.OptKeepPrunedEdges, OnReady: func(*graph.Task) {}})
 	var infos []TaskInfo
 	d1 := []graph.Dep{{Key: 1, Type: graph.Out}}
 	infos = append(infos, TaskInfo{Task: g.Submit("w", d1, nil, nil), Deps: d1})
@@ -245,7 +245,7 @@ func TestDedupInvariantOnRealGraph(t *testing.T) {
 // mutation changes the hash.
 func TestSignature(t *testing.T) {
 	build := func() *graph.Graph {
-		g := graph.New(graph.OptAll, func(*graph.Task) {})
+		g := graph.NewWithConfig(graph.Config{Opts: graph.OptAll, OnReady: func(*graph.Task) {}})
 		g.BeginRecording()
 		d := []graph.Dep{{Key: 1, Type: graph.InOut}}
 		g.Submit("s0", d, nil, nil)
@@ -270,7 +270,7 @@ func TestSignature(t *testing.T) {
 // whose dependence declarations differ from the recording is flagged;
 // an identical replay is clean.
 func TestRecorderReplayDivergence(t *testing.T) {
-	g := graph.New(graph.OptAll|graph.OptKeepPrunedEdges, func(*graph.Task) {})
+	g := graph.NewWithConfig(graph.Config{Opts: graph.OptAll | graph.OptKeepPrunedEdges, OnReady: func(*graph.Task) {}})
 	r := NewRecorder(graph.OptAll)
 	g.BeginRecording()
 	r.BeginRecording()
