@@ -50,7 +50,9 @@ type TaskWire struct {
 	// Op selects the operator from the registry (see Ops).
 	Op string `json:"op"`
 	// Arg is the operator's JSON argument (e.g. the literal for
-	// "const", the iteration count for "spin").
+	// "const", the iteration count for "spin"). null is the same as no
+	// argument — the operator's default: 0 for "sum", 1 for "mul", 1 000
+	// iterations for "spin" — except for "const", whose literal it is.
 	Arg json.RawMessage `json:"arg,omitempty"`
 	// Consume lists slots read by the task (in dependences).
 	Consume []string `json:"consume,omitempty"`

@@ -180,13 +180,13 @@ func (c *templateCache) clear() {
 }
 
 // rebind points the cached graph at a new request of the same shape: the
-// request's stream, a body per task from the request's arguments (the
-// firstprivate data of the replay), and no transition reported yet.
+// request's stream, each task's data parsed from the request's argument
+// (the firstprivate data of the replay), and no transition reported yet.
 func (tp *template) rebind(req *GraphRequest, emit func(Event)) {
 	tp.g.emit = emit
 	for i := range tp.g.tasks {
 		w := &tp.g.tasks[i]
-		w.body = w.op(req.Tasks[i].Arg)
+		w.parse(req.Tasks[i].Arg)
 		w.reported = false
 	}
 }

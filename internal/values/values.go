@@ -16,10 +16,15 @@
 // happens-before the consumer's body.
 //
 // Allocation discipline: slots live in fixed-size chunks that never
-// move once allocated, so Get/Set are two loads and an index — no
-// locks, no map lookups, no reallocation hazard against concurrent
-// readers. Binding (name interning) takes the Store mutex and is a
-// producer-side setup operation; the hot path never binds.
+// move once allocated, and a Handle holds its slot's chunk, so Get/Set
+// are a load and an index — no locks, no map lookups, no reallocation
+// hazard against concurrent readers. Binding (name interning) takes the
+// Store mutex and is a producer-side setup operation; the hot path
+// never binds. Numbers are
+// stored unboxed: Handle.SetFloat writes a float64 into the slot's
+// number lane and Handle.Float reads it back, with no allocation and no
+// pointer store (so no GC write barrier); Any boxes such a number only
+// when something asks for it as a value.
 package values
 
 import (
@@ -38,14 +43,33 @@ import (
 const DefaultBase graph.Key = 1 << 48
 
 // chunkBits sizes the slot chunks (64 slots each): chunks are allocated
-// once and never move, so slot access needs no lock against growth.
+// once and never move, and a Handle holds its chunk, so slot access
+// needs no lock against growth.
 const (
 	chunkBits = 6
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
 )
 
-type chunk [chunkSize]any
+// chunk is 64 slots of the store s. A slot holds a number, unboxed in
+// nums, or any other value in vals; kinds says which. The kind is a byte
+// per slot, not a shared bitmask, because concurrent tasks write
+// different slots of one chunk.
+type chunk struct {
+	vals  [chunkSize]any
+	nums  [chunkSize]float64
+	kinds [chunkSize]kind
+	s     *Store
+}
+
+// kind is what a slot holds: kindAny (vals, nil when unset) or
+// kindFloat (nums).
+type kind uint8
+
+const (
+	kindAny kind = iota
+	kindFloat
+)
 
 // Store is a namespace of named, typed value slots. Bind interns a
 // name to a slot; the slot's graph key is base+index, so dependences
@@ -56,14 +80,10 @@ type chunk [chunkSize]any
 type Store struct {
 	base graph.Key
 
-	mu    sync.Mutex
-	names map[string]uint32
-	order []string // slot -> name, for introspection/results
-
-	// chunks is grown copy-on-write under mu; the chunk arrays
-	// themselves are stable, so a concurrent Get/Set against an
-	// already-bound slot never observes a moved element.
-	chunks atomic.Pointer[[]*chunk]
+	mu     sync.Mutex
+	names  map[string]uint32
+	order  []string      // slot -> name, for introspection/results
+	chunks []*chunk      // slot>>chunkBits -> chunk; read only under mu
 	n      atomic.Uint32 // bound slot count
 }
 
@@ -77,10 +97,7 @@ func NewStore() *Store { return NewStoreAt(DefaultBase) }
 // to the same runtime must stay below base (or otherwise out of the
 // slot range).
 func NewStoreAt(base graph.Key) *Store {
-	s := &Store{base: base, names: make(map[string]uint32)}
-	empty := make([]*chunk, 0)
-	s.chunks.Store(&empty)
-	return s
+	return &Store{base: base, names: make(map[string]uint32)}
 }
 
 // Base returns the store's graph-key base.
@@ -96,17 +113,11 @@ func (s *Store) Bind(name string) Handle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if slot, ok := s.names[name]; ok {
-		return Handle{s: s, slot: slot}
+		return s.handle(slot)
 	}
 	slot := uint32(len(s.order))
 	if slot&chunkMask == 0 {
-		// New chunk: copy the chunk-pointer slice (copy-on-write), the
-		// existing chunk arrays stay in place.
-		old := *s.chunks.Load()
-		next := make([]*chunk, len(old)+1)
-		copy(next, old)
-		next[len(old)] = new(chunk)
-		s.chunks.Store(&next)
+		s.chunks = append(s.chunks, &chunk{s: s})
 	}
 	// The store keeps a name for its own lifetime: hold a copy, not a
 	// view of whatever larger string the caller cut it from.
@@ -114,18 +125,23 @@ func (s *Store) Bind(name string) Handle {
 	s.names[name] = slot
 	s.order = append(s.order, name)
 	s.n.Store(slot + 1)
-	return Handle{s: s, slot: slot}
+	return s.handle(slot)
+}
+
+// handle returns the handle of a bound slot. Caller holds mu.
+func (s *Store) handle(slot uint32) Handle {
+	return Handle{c: s.chunks[slot>>chunkBits], slot: slot}
 }
 
 // Lookup returns the handle for an already-bound name.
 func (s *Store) Lookup(name string) (Handle, bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	slot, ok := s.names[name]
-	s.mu.Unlock()
 	if !ok {
 		return Handle{}, false
 	}
-	return Handle{s: s, slot: slot}, true
+	return s.handle(slot), true
 }
 
 // Reset clears every slot value but keeps the bindings, so a pooled
@@ -135,8 +151,9 @@ func (s *Store) Lookup(name string) (Handle, bool) {
 func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, c := range *s.chunks.Load() {
-		clear(c[:])
+	for _, c := range s.chunks {
+		clear(c.vals[:])
+		clear(c.kinds[:])
 	}
 }
 
@@ -149,37 +166,73 @@ func (s *Store) Names() []string {
 }
 
 // Handle is one bound slot: the untyped view every dependence-lowering
-// and introspection path uses. The typed view is Of[T].
+// and introspection path uses. The typed view is Of[T]. It holds its
+// slot's chunk, which never moves, so an access is one load and an index.
 type Handle struct {
-	s    *Store
+	c    *chunk
 	slot uint32
 }
 
 // Valid reports whether the handle is bound to a store.
-func (h Handle) Valid() bool { return h.s != nil }
+func (h Handle) Valid() bool { return h.c != nil }
 
 // GraphKey returns the dependence key the slot lowers to.
-func (h Handle) GraphKey() graph.Key { return h.s.base + graph.Key(h.slot) }
+func (h Handle) GraphKey() graph.Key { return h.c.s.base + graph.Key(h.slot) }
 
 // Name returns the slot's bound name.
 func (h Handle) Name() string {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	return h.s.order[h.slot]
+	s := h.c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.order[h.slot]
 }
 
-// Any reads the slot's current value. Safe without locks when ordered
-// by a dependence on the slot (the only supported access pattern from
-// task bodies).
+// at returns the slot's chunk and its index there.
+func (h Handle) at() (*chunk, uint32) {
+	return h.c, h.slot & chunkMask
+}
+
+// Any reads the slot's current value; a number written by SetFloat
+// comes back boxed as a float64. Safe without locks when ordered by a
+// dependence on the slot (the only supported access pattern from task
+// bodies).
 func (h Handle) Any() any {
-	c := (*h.s.chunks.Load())[h.slot>>chunkBits]
-	return c[h.slot&chunkMask]
+	c, i := h.at()
+	if c.kinds[i] == kindFloat {
+		return c.nums[i]
+	}
+	return c.vals[i]
 }
 
 // SetAny writes the slot. Same ordering contract as Any.
 func (h Handle) SetAny(v any) {
-	c := (*h.s.chunks.Load())[h.slot>>chunkBits]
-	c[h.slot&chunkMask] = v
+	c, i := h.at()
+	c.vals[i] = v
+	c.kinds[i] = kindAny
+}
+
+// Float reads the slot as a number: one written by SetFloat, or a
+// float64 written by SetAny. ok is false for any other value and for an
+// unset slot. It never allocates; same ordering contract as Any.
+func (h Handle) Float() (x float64, ok bool) {
+	c, i := h.at()
+	if c.kinds[i] == kindFloat {
+		return c.nums[i], true
+	}
+	x, ok = c.vals[i].(float64)
+	return x, ok
+}
+
+// SetFloat writes the number x into the slot unboxed: no allocation, and
+// no pointer store unless the slot still held a value of another kind,
+// which it lets go of. Same ordering contract as Any.
+func (h Handle) SetFloat(x float64) {
+	c, i := h.at()
+	c.nums[i] = x
+	c.kinds[i] = kindFloat
+	if c.vals[i] != nil {
+		c.vals[i] = nil
+	}
 }
 
 // Of is the typed view of a slot. It embeds the Handle, so an Of[T]

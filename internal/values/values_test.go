@@ -317,3 +317,153 @@ func TestDefaultBaseAboveIndexKeys(t *testing.T) {
 	}
 	runtime.KeepAlive(DefaultBase)
 }
+
+// TestSlotKindSwitches: a slot written by SetFloat, then by SetAny, then
+// by SetFloat again reads as what was written last through every
+// accessor, and a number written by SetAny is a number to Float.
+func TestSlotKindSwitches(t *testing.T) {
+	s := NewStore()
+	h := s.Bind("x")
+	typed := Of[float64]{h}
+	check := func(step string, wantAny any, wantNum float64, isNum bool) {
+		t.Helper()
+		if got := h.Any(); got != wantAny {
+			t.Fatalf("%s: Any() = %#v, want %#v", step, got, wantAny)
+		}
+		if x, ok := h.Float(); ok != isNum || x != wantNum {
+			t.Fatalf("%s: Float() = %v, %v; want %v, %v", step, x, ok, wantNum, isNum)
+		}
+		if x, ok := typed.GetOK(); ok != isNum || x != wantNum {
+			t.Fatalf("%s: GetOK() = %v, %v; want %v, %v", step, x, ok, wantNum, isNum)
+		}
+	}
+	check("unset", nil, 0, false)
+	h.SetFloat(2.5)
+	check("SetFloat", 2.5, 2.5, true)
+	h.SetAny("text")
+	check("SetAny string", "text", 0, false)
+	h.SetFloat(-0.0)
+	check("SetFloat again", -0.0, 0, true)
+	if c, i := h.at(); c.vals[i] != nil {
+		t.Fatal("SetFloat kept the string the slot held before")
+	}
+	h.SetAny(7.0)
+	check("SetAny number", 7.0, 7, true)
+	h.SetAny(nil)
+	check("SetAny nil", nil, 0, false)
+	typed.Set(1.5)
+	check("typed Set", 1.5, 1.5, true)
+	// A neighbouring slot of the same chunk keeps its own kind.
+	other := s.Bind("y")
+	other.SetFloat(9)
+	h.SetAny("again")
+	if x, ok := other.Float(); !ok || x != 9 {
+		t.Fatalf("neighbour reads %v, %v", x, ok)
+	}
+}
+
+// TestResetClearsKinds: Reset leaves no slot reading as a number, so a
+// later request cannot see a stale one through Float.
+func TestResetClearsKinds(t *testing.T) {
+	s := NewStore()
+	var hs []Handle
+	for i := 0; i < 3*chunkSize; i++ {
+		h := s.Bind(fmt.Sprintf("k%d", i))
+		if i%2 == 0 {
+			h.SetFloat(float64(i))
+		} else {
+			h.SetAny(fmt.Sprint(i))
+		}
+		hs = append(hs, h)
+	}
+	s.Reset()
+	for i, h := range hs {
+		if x, ok := h.Float(); ok {
+			t.Fatalf("slot %d reads %v after Reset", i, x)
+		}
+		if v := h.Any(); v != nil {
+			t.Fatalf("slot %d holds %#v after Reset", i, v)
+		}
+	}
+}
+
+// TestFloatAccessAllocatesNothing: SetFloat and Float neither allocate
+// nor box; only Any of a number does, when something asks for the value.
+func TestFloatAccessAllocatesNothing(t *testing.T) {
+	s := NewStore()
+	h := s.Bind("x")
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		h.SetFloat(sink + 1.25)
+		x, _ := h.Float()
+		sink = x
+	}); n != 0 {
+		t.Fatalf("SetFloat+Float allocate %.0f times", n)
+	}
+}
+
+// TestFloatSlotsOrderedByDependences: tasks pass numbers through
+// unboxed slots, every access ordered by a dependence only — a chain of
+// updates, a fan-out and a fold over slots of one chunk written by
+// concurrent tasks. Run it under -race: the kind bytes of neighbouring
+// slots are written concurrently.
+func TestFloatSlotsOrderedByDependences(t *testing.T) {
+	r := rt.New(rt.Config{Workers: 4})
+	defer r.Close()
+	s := NewStore()
+	const width, rounds = 48, 20
+	src := s.Bind("src")
+	lanes := make([]Handle, width)
+	for i := range lanes {
+		lanes[i] = s.Bind(fmt.Sprintf("lane%d", i))
+	}
+	total := s.Bind("total")
+	for round := 0; round < rounds; round++ {
+		round := round
+		r.Submit(Lower(Spec{Label: "src", Provide: []Handle{src}, Do: func() error {
+			if round%3 == 2 {
+				src.SetAny(float64(round)) // a boxed number reads as one too
+			} else {
+				src.SetFloat(float64(round))
+			}
+			return nil
+		}}))
+		for i, lane := range lanes {
+			i, lane := i, lane
+			r.Submit(Lower(Spec{Label: "lane", Consume: []Handle{src}, Provide: []Handle{lane}, Do: func() error {
+				x, ok := src.Float()
+				if !ok {
+					return fmt.Errorf("src is %#v", src.Any())
+				}
+				lane.SetFloat(x * float64(i))
+				return nil
+			}}))
+			r.Submit(Lower(Spec{Label: "bump", Update: []Handle{lane}, Do: func() error {
+				x, ok := lane.Float()
+				if !ok {
+					return fmt.Errorf("lane is %#v", lane.Any())
+				}
+				lane.SetFloat(x + 1)
+				return nil
+			}}))
+		}
+		r.Submit(Lower(Spec{Label: "fold", Consume: lanes, Provide: []Handle{total}, Do: func() error {
+			var sum float64
+			for _, lane := range lanes {
+				x, ok := lane.Float()
+				if !ok {
+					return fmt.Errorf("lane is %#v", lane.Any())
+				}
+				sum += x
+			}
+			total.SetFloat(sum)
+			return nil
+		}}))
+		if err := r.Taskwait(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := total.Any(), float64(round*width*(width-1)/2+width); got != want {
+			t.Fatalf("round %d: total = %v, want %v", round, got, want)
+		}
+	}
+}
