@@ -41,10 +41,21 @@ const maxNesting = 10000
 
 // arenas back the lists of one decoded request: Tasks is a[:n] of
 // tasks, and every consume/provide/update/results list a run of names.
+// They also keep where the request's variable literals lie in the body,
+// which is what a template's byte key is cut from (template.go): argAt[i]
+// is the offset of task i's Arg (its end follows from its length), -1
+// when the task has none; repeat is the literal of the last "repeat"
+// member that is not null (the one that set Repeat), {-1, -1} when there
+// is none.
 type arenas struct {
-	names []string
-	tasks []TaskWire
+	names  []string
+	tasks  []TaskWire
+	argAt  []int
+	repeat span
 }
+
+// span is the bytes [start, end) of a body.
+type span struct{ start, end int }
 
 // UnmarshalJSON decodes data, which encoding/json has already checked
 // to be one JSON value, into a zeroed request with arenas of its own.
@@ -58,6 +69,7 @@ func (g *GraphRequest) UnmarshalJSON(data []byte) error {
 func decodeRequest(req *GraphRequest, raw []byte, a *arenas) error {
 	d := decoder{s: string(raw), raw: raw, a: a}
 	*req = GraphRequest{}
+	a.argAt, a.repeat = a.argAt[:0], span{-1, -1}
 	d.ws()
 	var err error
 	switch d.peek() {
@@ -354,7 +366,10 @@ func (d *decoder) request(req *GraphRequest) error {
 		case 0:
 			req.Tasks, err = d.tasks()
 		case 1:
-			err = d.int(&req.Repeat)
+			start, null := d.i, d.peek() == 'n'
+			if err = d.int(&req.Repeat); !null {
+				d.a.repeat = span{start, d.i}
+			}
 		case 2:
 			req.Results, err = d.names()
 		default:
@@ -380,12 +395,13 @@ func (d *decoder) tasks() ([]TaskWire, error) {
 		return nil, d.errorf("tasks: want an array")
 	}
 	clear(d.a.tasks)
-	d.a.tasks = d.a.tasks[:0]
+	d.a.tasks, d.a.argAt = d.a.tasks[:0], d.a.argAt[:0]
 	for more := !d.open(']'); more; {
 		if len(d.a.tasks) == MaxTasks {
 			return nil, d.errorf("more than %d tasks", MaxTasks)
 		}
 		d.a.tasks = append(d.a.tasks, TaskWire{})
+		d.a.argAt = append(d.a.argAt, -1)
 		err := d.task(&d.a.tasks[len(d.a.tasks)-1])
 		if err == nil {
 			more, err = d.more(']')
@@ -424,6 +440,7 @@ func (d *decoder) task(t *TaskWire) error {
 				err = d.errorf("arg exceeds %d bytes", MaxArgBytes)
 			}
 			t.Arg = d.raw[start:d.i:d.i]
+			d.a.argAt[len(d.a.argAt)-1] = start
 		case 3:
 			t.Consume, err = d.names()
 		case 4:

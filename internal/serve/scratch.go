@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"reflect"
 	"sync"
@@ -21,7 +22,13 @@ type reqScratch struct {
 	// provided is validate's set of provided slots; its keys are views of
 	// the body like every other decoded string.
 	provided map[string]bool
-	stream   streamState
+	// key is the byte key the body matched, nil when it matched none; on
+	// a match spans[i] is where task i's arg lies in the body (zero when
+	// it has none), and repeat is the request's repeat.
+	key    *byteKey
+	spans  []span
+	repeat int
+	stream streamState
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
@@ -31,10 +38,48 @@ var scratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
 // one maximal request blew up to megabytes is dropped, not parked.
 const maxPooledScratch = 512 << 10
 
+// decode decodes the body into req and validates it.
+func (sc *reqScratch) decode() error {
+	if err := decodeRequest(&sc.req, sc.body, &sc.arenas); err != nil {
+		return err
+	}
+	if sc.provided == nil {
+		sc.provided = make(map[string]bool)
+	}
+	return sc.req.validate(sc.provided)
+}
+
+// match matches the body against keys, a tenant's snapshot, and reports
+// whether one matched: sc.key, sc.spans and sc.repeat are then set.
+func (sc *reqScratch) match(keys *[]*byteKey) bool {
+	if sc.key = nil; keys == nil {
+		return false
+	}
+	for _, k := range *keys {
+		var ok bool
+		if sc.spans, sc.repeat, ok = k.match(sc.body, sc.spans); ok {
+			sc.key = k
+			return true
+		}
+	}
+	return false
+}
+
+// arg is task i's argument on a byte match: a view of the body.
+func (sc *reqScratch) arg(i int) json.RawMessage {
+	s := sc.spans[i]
+	if s.end == 0 {
+		return nil
+	}
+	return sc.body[s.start:s.end:s.end]
+}
+
 var (
 	nameSize  = int(reflect.TypeFor[string]().Size())
 	taskSize  = int(reflect.TypeFor[TaskWire]().Size())
 	eventSize = int(reflect.TypeFor[Event]().Size())
+	intSize   = int(reflect.TypeFor[int]().Size())
+	spanSize  = int(reflect.TypeFor[span]().Size())
 )
 
 // footprint is the capacity of every buffer of the scratch, in bytes. A
@@ -43,11 +88,12 @@ var (
 // clears, and a map that ever held more was dropped then.
 func (sc *reqScratch) footprint() int {
 	return cap(sc.body) + (cap(sc.names)+2*len(sc.provided))*nameSize + cap(sc.tasks)*taskSize +
+		cap(sc.argAt)*intSize + cap(sc.spans)*spanSize +
 		(cap(sc.stream.batch)+cap(sc.stream.mbox.pending))*eventSize + cap(sc.stream.out)
 }
 
-// release returns the scratch to the pool with no string, task or event
-// left in it, or drops it when it has outgrown maxPooledScratch. The
+// release returns the scratch to the pool with no string, task, event or
+// template left in it, or drops it when it has outgrown maxPooledScratch. The
 // arenas hold nothing past their length and the stream's batches are
 // cleared as they are written, so clearing up to the lengths clears all.
 func (sc *reqScratch) release() {
@@ -59,6 +105,7 @@ func (sc *reqScratch) release() {
 	clear(sc.provided)
 	sc.names, sc.tasks = sc.names[:0], sc.tasks[:0]
 	sc.req = GraphRequest{}
+	sc.key = nil
 	scratchPool.Put(sc)
 }
 

@@ -60,7 +60,7 @@ func scratchIsClean(sc *reqScratch) bool {
 		!slices.ContainsFunc(sc.stream.batch[:cap(sc.stream.batch)], func(e Event) bool { return !zeroEvent(e) }) &&
 		!slices.ContainsFunc(sc.stream.mbox.pending[:cap(sc.stream.mbox.pending)], func(e Event) bool { return !zeroEvent(e) }) &&
 		len(sc.names) == 0 && len(sc.tasks) == 0 && len(sc.provided) == 0 &&
-		sc.req.Tasks == nil && sc.req.Results == nil && sc.req.Repeat == 0
+		sc.req.Tasks == nil && sc.req.Results == nil && sc.req.Repeat == 0 && sc.key == nil
 }
 
 func zeroTask(t TaskWire) bool {

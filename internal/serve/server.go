@@ -93,9 +93,12 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveGraph is one POST /v1/graphs: read, decode, validate, admit, run
-// and stream, all in sc.
+// and stream, all in sc. A body that matches a byte key of its tenant's
+// templates (template.go) skips decode and validate: it is a request the
+// decoder and Validate accept, of that template's shape. Only an existing
+// tenant is matched against (Manager.Lookup), so nothing is created for a
+// body before it is decoded.
 func (s *Server) serveGraph(w http.ResponseWriter, r *http.Request, sc *reqScratch) {
-	req := &sc.req
 	var err error
 	sc.body, err = readBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), sc.body, r.ContentLength)
 	if err != nil {
@@ -108,29 +111,27 @@ func (s *Server) serveGraph(w http.ResponseWriter, r *http.Request, sc *reqScrat
 		}
 		return
 	}
-	if err = decodeRequest(req, sc.body, &sc.arenas); err == nil {
-		if sc.provided == nil {
-			sc.provided = make(map[string]bool)
-		}
-		err = req.validate(sc.provided)
-	}
-	if err != nil {
-		s.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	name := tenantOf(r)
-	tn, err := s.m.Tenant(name)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrPoolFull):
-			s.rejected.Add(1)
-			httpError(w, http.StatusTooManyRequests, "%v", err)
-		default:
+	tn, ok := s.m.Lookup(name)
+	if !ok || !sc.match(tn.keys.Load()) {
+		if err = sc.decode(); err != nil {
 			s.badRequests.Add(1)
 			httpError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
-		return
+	}
+	if !ok {
+		if tn, err = s.m.Tenant(name); err != nil {
+			switch {
+			case errors.Is(err, ErrPoolFull):
+				s.rejected.Add(1)
+				httpError(w, http.StatusTooManyRequests, "%v", err)
+			default:
+				s.badRequests.Add(1)
+				httpError(w, http.StatusBadRequest, "%v", err)
+			}
+			return
+		}
 	}
 	release, err := s.m.Admit(tn)
 	if err != nil {
@@ -148,10 +149,16 @@ func (s *Server) serveGraph(w http.ResponseWriter, r *http.Request, sc *reqScrat
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	sc.stream.reserve(maxEvents(req))
+	req, events, repeat := &sc.req, 0, 0
+	if sc.key != nil {
+		req, events, repeat = nil, sc.key.events, sc.repeat
+	} else {
+		events, repeat = maxEvents(req), req.Repeat
+	}
+	sc.stream.reserve(events)
 	stream(w, flush, &sc.stream, Event{Type: "accepted", Key: name}, func(emit func(Event)) {
 		t0 := time.Now()
-		err := tn.Run(r.Context(), req, emit)
+		err := tn.run(r.Context(), req, sc, emit)
 		if err != nil {
 			s.graphErrors.Add(1)
 			if r.Context().Err() != nil {
@@ -159,11 +166,7 @@ func (s *Server) serveGraph(w http.ResponseWriter, r *http.Request, sc *reqScrat
 			}
 			emitErrors(emit, err)
 		}
-		iters := req.Repeat
-		if iters < 1 {
-			iters = 1
-		}
-		emit(Event{Type: "done", Iters: iters, Elapsed: time.Since(t0).Seconds()})
+		emit(Event{Type: "done", Iters: max(repeat, 1), Elapsed: time.Since(t0).Seconds()})
 	})
 }
 

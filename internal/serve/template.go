@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/maphash"
+	"slices"
 	"strings"
+	"unsafe"
 
 	"taskdep/internal/rt"
 	"taskdep/internal/values"
@@ -16,10 +19,13 @@ import (
 // constants instead of building, discovering and compiling it again —
 // the paper's persistent sub-graph (p) carried across the request
 // boundary. `repeat: n` and "the same graph again" are the same thing
-// to it: compiled iterations of one recording.
+// to it: compiled iterations of one recording. A template recorded over
+// HTTP also has a byte key, which finds it from a request's body before
+// the body is decoded.
 //
-// Everything here is guarded by the tenant's prodMu. The bounds are
-// constants; nothing about the cache is configurable.
+// Everything here is guarded by the tenant's prodMu, but a byte key,
+// which is immutable once made. The bounds are constants; nothing about
+// the cache is configurable.
 
 const (
 	// maxTemplates and maxTemplateTasks bound what a tenant keeps: the
@@ -37,15 +43,22 @@ const (
 	// and the templates with it. Eight names per task of a full cache, so
 	// that a client whose working set the cache holds never reaches it.
 	maxStoreSlots = 1 << 16
+	// maxKeyBytes bounds a template's byte key: a recording body whose
+	// fixed bytes and cuts come to more gets no key (its requests are hits
+	// by shape only). With maxTemplates templates a tenant's keys hold at
+	// most 2 MiB; the 513-task lattice's is 34 KB.
+	maxKeyBytes = 256 << 10
 )
 
 // template is one cached recording: the request's lowered graph, what
 // the runtime recorded from it, and the slots to report after a replay.
-// It holds no view of a request body: the shape is a copy, the graph's
-// labels and the result names are strings of their own.
+// It holds no view of a request body: the shape and the byte key are
+// copies, the graph's labels and the result names are strings of their
+// own.
 type template struct {
 	hash  uint64
 	shape []byte
+	key   *byteKey // nil when the recording came without a body, or one over maxKeyBytes
 	g     *wireGraph
 	rec   *rt.Recording
 	// results and resultNames are build's, the names cloned.
@@ -69,6 +82,9 @@ type templateCache struct {
 	// (or a hash of zero) one recording.
 	door     [doorkeeperSize]uint64
 	doorNext int
+	// changed is set when a template comes or goes, until the tenant
+	// publishes the byte keys again (Tenant.publishTemplates).
+	changed bool
 }
 
 func appendShapeString(b []byte, s string) []byte {
@@ -111,12 +127,27 @@ func (c *templateCache) lookup(req *GraphRequest) (hash uint64, tp *template) {
 	hash = maphash.Bytes(c.seed, c.shape)
 	for _, tp := range c.templates {
 		if tp.hash == hash && bytes.Equal(tp.shape, c.shape) {
-			c.clock++
-			tp.lastHit = c.clock
+			c.touch(tp)
 			return hash, tp
 		}
 	}
 	return hash, nil
+}
+
+// hit reports whether tp, the template of a byte key a body matched, is
+// still cached — an eviction or a store swap may have dropped it since —
+// and if so counts a hit on it.
+func (c *templateCache) hit(tp *template) bool {
+	if !slices.Contains(c.templates, tp) {
+		return false
+	}
+	c.touch(tp)
+	return true
+}
+
+func (c *templateCache) touch(tp *template) {
+	c.clock++
+	tp.lastHit = c.clock
 }
 
 // sighted reports whether the doorkeeper remembers hash, and remembers
@@ -155,6 +186,7 @@ func (c *templateCache) insert(hash uint64, g *wireGraph, rec *rt.Recording, res
 	}
 	c.templates = append(c.templates, tp)
 	c.tasks += len(g.tasks)
+	c.changed = true
 	return tp
 }
 
@@ -167,6 +199,7 @@ func (c *templateCache) drop(tp *template) {
 			c.templates[last] = nil
 			c.templates = c.templates[:last]
 			c.tasks -= len(tp.g.tasks)
+			c.changed = true
 			return
 		}
 	}
@@ -177,16 +210,130 @@ func (c *templateCache) clear() {
 	clear(c.templates)
 	c.templates = c.templates[:0]
 	c.tasks = 0
+	c.changed = true
 }
 
 // rebind points the cached graph at a new request of the same shape: the
 // request's stream, each task's data parsed from the request's argument
 // (the firstprivate data of the replay), and no transition reported yet.
-func (tp *template) rebind(req *GraphRequest, emit func(Event)) {
+// arg(i) is task i's argument: a decoded request's, or the literal a byte
+// match found in a body.
+func (tp *template) rebind(arg func(i int) json.RawMessage, emit func(Event)) {
 	tp.g.emit = emit
 	for i := range tp.g.tasks {
 		w := &tp.g.tasks[i]
-		w.parse(req.Tasks[i].Arg)
+		w.parse(arg(i))
 		w.reported = false
 	}
+}
+
+// byteKey is a template's second key, the one the HTTP handler matches a
+// body against before decoding it: the bytes of the body that recorded
+// the template with its variable literals — each task's arg, the one the
+// decoder kept, and repeat — cut out. A body made of the same fixed bytes
+// with a literal at every cut that the decoder accepts there decodes to a
+// request of the template's shape that Validate accepts (FuzzTemplateBytes
+// holds that), so it is a hit without being decoded, validated or looked
+// up by shape. Anything else — another literal form, other white space,
+// other member order — is matched by shape after a decode, as before.
+//
+// A key is immutable once made: the handler reads it without the
+// producer lock, through the tenant's snapshot of its keys, and touches
+// nothing of tp but its identity.
+type byteKey struct {
+	tp    *template
+	fixed []byte // the recording body without its variable literals
+	cuts  []cut  // where they were, in body order
+	tasks int    // tp's task count: the spans a match fills
+	// events is the most stream events a hit on tp emits: a transition
+	// per task, its result slots, the error tail and done (maxEvents).
+	events int
+}
+
+// cut is one variable literal of a byte key: at is its offset in fixed,
+// task the task whose arg it is, -1 for repeat.
+type cut struct{ at, task int }
+
+var cutSize = int(unsafe.Sizeof(cut{}))
+
+// newByteKey cuts tp's byte key from body, the request that recorded it,
+// decoded into req and a. It returns nil when the key would take more
+// than maxKeyBytes.
+func newByteKey(tp *template, body []byte, req *GraphRequest, a *arenas) *byteKey {
+	type literal struct {
+		span
+		task int
+	}
+	lits := make([]literal, 0, len(a.argAt)+1) // in body order
+	for i, at := range a.argAt {
+		if at >= 0 {
+			lits = append(lits, literal{span{at, at + len(req.Tasks[i].Arg)}, i})
+		}
+	}
+	if r := a.repeat; r.start >= 0 {
+		at := slices.IndexFunc(lits, func(l literal) bool { return l.start > r.start })
+		if at < 0 {
+			at = len(lits)
+		}
+		lits = slices.Insert(lits, at, literal{r, -1})
+	}
+	fixed := len(body)
+	for _, l := range lits {
+		fixed -= l.end - l.start
+	}
+	if fixed+cutSize*len(lits) > maxKeyBytes {
+		return nil
+	}
+	k := &byteKey{
+		tp:     tp,
+		fixed:  make([]byte, 0, fixed),
+		cuts:   make([]cut, len(lits)),
+		tasks:  len(req.Tasks),
+		events: len(req.Tasks) + len(tp.resultNames) + maxErrorEvents + 1,
+	}
+	prev := 0
+	for i, l := range lits {
+		k.fixed = append(k.fixed, body[prev:l.start]...)
+		k.cuts[i] = cut{at: len(k.fixed), task: l.task}
+		prev = l.end
+	}
+	k.fixed = append(k.fixed, body[prev:]...)
+	return k
+}
+
+// match reports whether body is k's fixed bytes with a literal at every
+// cut that the decoder accepts there: an arg is a value skip accepts at
+// the task's depth and within MaxArgBytes, repeat an integer literal in
+// [0, MaxRepeat]. On a match it returns where each task's arg lies in
+// body, in spans (grown to the template's task count; a task without a
+// cut gets the zero span), and repeat, 0 when the key has no repeat cut.
+func (k *byteKey) match(body []byte, spans []span) (_ []span, repeat int, ok bool) {
+	if len(body) < len(k.fixed)+len(k.cuts) {
+		return spans, 0, false
+	}
+	spans = slices.Grow(spans[:0], k.tasks)[:k.tasks]
+	clear(spans)
+	// A scanner over the body in place: it only reads, and nothing it
+	// returns on a match is a string.
+	d := decoder{s: unsafe.String(unsafe.SliceData(body), len(body)), raw: body}
+	prev := 0
+	for _, c := range k.cuts {
+		if !bytes.HasPrefix(body[d.i:], k.fixed[prev:c.at]) {
+			return spans, 0, false
+		}
+		d.i += c.at - prev
+		prev = c.at
+		start := d.i
+		if c.task < 0 {
+			if d.peek() == 'n' || d.int(&repeat) != nil || repeat < 0 || repeat > MaxRepeat {
+				return spans, 0, false
+			}
+			continue
+		}
+		if d.skip(3) != nil || d.i-start > MaxArgBytes {
+			return spans, 0, false
+		}
+		spans[c.task] = span{start, d.i}
+	}
+	return spans, repeat, bytes.Equal(body[d.i:], k.fixed[prev:])
 }

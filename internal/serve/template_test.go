@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -593,6 +594,58 @@ func TestTemplateKeepsNoViewOfTheBody(t *testing.T) {
 	if len(tp.resultNames) != 37 || len(tp.results) != 37 || tp.resultNames[36] != "out" {
 		t.Errorf("cached results: %d names, %d handles", len(tp.resultNames), len(tp.results))
 	}
+
+	// Over HTTP a template also keeps a byte key: a copy, not a view of
+	// the pooled body it was cut from. And a byte hit leaves nothing of its
+	// body in the template: its arguments are parsed anew, its stream let go.
+	s := New(Options{})
+	defer s.Shutdown()
+	sc := new(reqScratch)
+	const graph = `{"tasks":[{"op":"const","arg":%q,"provide":["a"]},{"op":"const","arg":{"k":[%q]},"provide":["o"]},` +
+		`{"op":"concat","arg":%q,"consume":["a","a"],"provide":["b"]}],"repeat":2}`
+	if rec := serveWith(s, sc, "views", []byte(fmt.Sprintf(graph, "abc", "v", "-"))); rec.Code != 200 || sc.key != nil {
+		t.Fatalf("recording: status %d, byte hit %v", rec.Code, sc.key != nil)
+	}
+	htn, _ := s.Manager().Lookup("views")
+	key := htn.tpl.templates[0].key
+	if key == nil || aliasesBody(key.fixed, sc.body[:cap(sc.body)]) {
+		t.Fatalf("the byte key is missing or a view of the pooled body (key %v)", key != nil)
+	}
+	sc.release()
+	rec := serveWith(s, sc, "views", []byte(fmt.Sprintf(graph, "xyz", "w", "+")))
+	if rec.Code != 200 || sc.key == nil || !strings.Contains(rec.Body.String(), `"key":"b","value":"xyz+xyz"`) {
+		t.Fatalf("byte hit: status %d, by bytes %v: %s", rec.Code, sc.key != nil, rec.Body)
+	}
+	hitBody := unsafe.String(&sc.body[0], cap(sc.body))
+	var viewOf func(v any) bool
+	viewOf = func(v any) bool {
+		switch v := v.(type) {
+		case string:
+			return aliases(v, hitBody)
+		case []any:
+			return slices.ContainsFunc(v, viewOf)
+		case map[string]any:
+			for k, e := range v {
+				if aliases(k, hitBody) || viewOf(e) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if !viewOf([]any{hitBody[2:7]}) {
+		t.Fatal("viewOf does not see a view: not a test of the lifetime rule")
+	}
+	tp = key.tp
+	for i := range tp.g.tasks {
+		if w := &tp.g.tasks[i]; viewOf(w.arg.Val) || w.arg.Val == nil {
+			t.Errorf("task %d's argument %#v is a view of the body that hit it, or was not parsed", i, w.arg.Val)
+		}
+	}
+	if tp.g.emit != nil {
+		t.Error("a template hit by bytes still holds the request's stream")
+	}
+	sc.release()
 }
 
 // TestWarmHitAllocatesNoGraph: a hit on the warm 513-task lattice

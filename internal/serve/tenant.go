@@ -95,6 +95,10 @@ type Tenant struct {
 	templateMisses atomic.Int64
 	templates      atomic.Int64
 	templateTasks  atomic.Int64
+	// keys is the byte keys of tpl's templates, the snapshot the handler
+	// matches bodies against without the producer lock: replaced, never
+	// changed, whenever a template comes or goes; nil when none has one.
+	keys atomic.Pointer[[]*byteKey]
 }
 
 // Name returns the tenant's identifier.
@@ -129,7 +133,9 @@ func (t *Tenant) release() {
 //
 // The request takes one of three arms, chosen from what Run can see —
 // whether the tenant has a template of the request's shape, whether the
-// shape was sighted before, and repeat (template.go):
+// shape was sighted before, and repeat (template.go). Over HTTP a body
+// that matches a template's byte key is a hit found without a decode
+// (see run); a Go caller's request is always looked up by its shape.
 //
 //   - hit: the cached graph is given the request's arguments and its
 //     compiled recording replayed repeat times. Nothing is built,
@@ -140,11 +146,23 @@ func (t *Tenant) release() {
 //   - cold: the first sighting of a shape with repeat 1 is a plain
 //     window — a graph that never comes back never pays for a recording.
 //
-// Every arm runs under the same safety: Validate upstream, the store
+// Every arm runs under the same safety: Validate upstream (a byte match
+// stands in for it: what matches a key is a valid request), the store
 // reset, the stale-abort and disconnect handling, and g.emit = nil once
 // the window has drained. A window that ends in an error or an abort
 // drops the template it ran on.
 func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) error {
+	return t.run(ctx, req, nil, emit)
+}
+
+// run is Run, and what the handler calls with its scratch sc: sc.body is
+// the request's body, and either sc.key is the byte key the body matched
+// and req is nil (the body is not decoded), or req is decoded from the
+// body into sc, so that recording it can cut the template's byte key.
+// A byte hit whose template was dropped after the match — by an eviction
+// or a store swap — decodes the body here and goes the way of any other
+// request.
+func (t *Tenant) run(ctx context.Context, req *GraphRequest, sc *reqScratch, emit func(Event)) error {
 	if t.closed.Load() {
 		return ErrTenantClosed
 	}
@@ -163,9 +181,30 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 		t.swapStore()
 	}
 	t.store.Reset()
-	t.submissions.Add(1)
 
-	hash, tp := t.tpl.lookup(req)
+	// Which template: the one whose byte key the body matched, while it
+	// is still cached, else the one of the request's shape, if any. From
+	// here on the two ways are one.
+	var (
+		tp    *template
+		hash  uint64
+		arg   func(i int) json.RawMessage
+		iters int
+	)
+	if req == nil && t.tpl.hit(sc.key.tp) {
+		tp, arg, iters = sc.key.tp, sc.arg, sc.repeat
+	} else {
+		if req == nil { // matched, then dropped: decode after all
+			if err := sc.decode(); err != nil {
+				return err // not reached: a body that matches a key decodes and is valid
+			}
+			req = &sc.req
+		}
+		hash, tp = t.tpl.lookup(req)
+		arg, iters = func(i int) json.RawMessage { return req.Tasks[i].Arg }, req.Repeat
+	}
+	iters = max(iters, 1)
+	t.submissions.Add(1)
 	var (
 		g           *wireGraph
 		results     []values.Handle
@@ -173,7 +212,7 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 	)
 	if tp != nil {
 		t.templateHits.Add(1)
-		tp.rebind(req, emit)
+		tp.rebind(arg, emit)
 		g, results, resultNames = tp.g, tp.results, tp.resultNames
 	} else {
 		t.templateMisses.Add(1)
@@ -187,7 +226,6 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 		t.rt.Abort(fmt.Errorf("serve: client disconnected: %w", context.Cause(ctx)))
 	})
 
-	iters := max(req.Repeat, 1)
 	var err error
 	switch {
 	case tp != nil:
@@ -200,6 +238,9 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 		var rec *rt.Recording
 		if rec, err = t.rt.Record(func() { t.submit(g) }); err == nil {
 			tp = t.tpl.insert(hash, g, rec, results, resultNames)
+			if sc != nil {
+				tp.key = newByteKey(tp, sc.body, req, &sc.arenas)
+			}
 			err = t.rt.Replay(rec, 1, iters-1)
 		}
 	default:
@@ -246,11 +287,28 @@ func (t *Tenant) submit(g *wireGraph) {
 	}
 }
 
-// publishTemplates copies what the cache holds into the gauges that
-// Snapshot reads without the producer lock. Caller holds prodMu.
+// publishTemplates copies what the cache holds into what is read
+// without the producer lock: the gauges Snapshot reads, and, when a
+// template has come or gone, a new snapshot of the byte keys. Caller
+// holds prodMu.
 func (t *Tenant) publishTemplates() {
 	t.templates.Store(int64(len(t.tpl.templates)))
 	t.templateTasks.Store(int64(t.tpl.tasks))
+	if !t.tpl.changed {
+		return
+	}
+	t.tpl.changed = false
+	var keys []*byteKey
+	for _, tp := range t.tpl.templates {
+		if tp.key != nil {
+			keys = append(keys, tp.key)
+		}
+	}
+	if keys == nil {
+		t.keys.Store(nil)
+	} else {
+		t.keys.Store(&keys)
+	}
 }
 
 // swapStore replaces the tenant's store with an empty one at the same
