@@ -93,7 +93,7 @@ func TestDistributedWithMoreRanksThanColumns(t *testing.T) {
 	w.Run(func(c *mpi.Comm) {
 		dm := NewDistSPD(T, B, R, c.Rank())
 		dms[c.Rank()] = dm
-		r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll})
+		r := newRuntime(t, rt.Config{Workers: 2, Opts: graph.OptAll})
 		if err := TaskFactorDist(dm, r, c); err != nil {
 			t.Error(err)
 		}
@@ -117,7 +117,7 @@ func TestDistributedWithMoreRanksThanColumns(t *testing.T) {
 
 func TestRepeatedNonPersistentIsIdempotent(t *testing.T) {
 	a0 := NewSPD(3, 8)
-	r := rt.New(rt.Config{Workers: 2})
+	r := newRuntime(t, rt.Config{Workers: 2})
 	got1, err := TaskFactorRepeated(a0, r, RepeatedConfig{Iters: 1})
 	if err != nil {
 		t.Fatal(err)

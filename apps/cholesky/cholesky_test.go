@@ -8,6 +8,17 @@ import (
 	"taskdep/internal/rt"
 )
 
+// newRuntime is NewRuntime for a test: a configuration it rejects fails
+// the test.
+func newRuntime(tb testing.TB, cfg rt.Config) *rt.Runtime {
+	tb.Helper()
+	r, err := rt.NewRuntime(cfg)
+	if err != nil {
+		tb.Fatalf("NewRuntime: %v", err)
+	}
+	return r
+}
+
 func TestSerialFactorCorrect(t *testing.T) {
 	a0 := NewSPD(4, 8)
 	l := a0.Clone()
@@ -35,7 +46,7 @@ func TestTaskFactorMatchesSerialBitwise(t *testing.T) {
 	}
 	for _, opts := range []graph.Opt{0, graph.OptAll} {
 		m := a0.Clone()
-		r := rt.New(rt.Config{Workers: 4, Opts: opts})
+		r := newRuntime(t, rt.Config{Workers: 4, Opts: opts})
 		if err := TaskFactor(m, r); err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +69,7 @@ func TestRepeatedFactorizationPersistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, persistent := range []bool{false, true} {
-		r := rt.New(rt.Config{Workers: 4, Opts: graph.OptAll})
+		r := newRuntime(t, rt.Config{Workers: 4, Opts: graph.OptAll})
 		got, err := TaskFactorRepeated(a0, r, RepeatedConfig{Iters: 4, Persistent: persistent})
 		if err != nil {
 			t.Fatalf("persistent=%v: %v", persistent, err)
@@ -84,7 +95,7 @@ func TestPersistentDiscoveryAsymptoticSpeedup(t *testing.T) {
 	// repeated decompositions. Check tasks-discovered shrink.
 	a0 := NewSPD(6, 4)
 	run := func(persistent bool) graph.Stats {
-		r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll})
+		r := newRuntime(t, rt.Config{Workers: 2, Opts: graph.OptAll})
 		if _, err := TaskFactorRepeated(a0, r, RepeatedConfig{Iters: 5, Persistent: persistent}); err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +122,7 @@ func TestDistributedFactorMatchesSerial(t *testing.T) {
 	w.Run(func(c *mpi.Comm) {
 		dm := NewDistSPD(T, B, R, c.Rank())
 		dms[c.Rank()] = dm
-		r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll})
+		r := newRuntime(t, rt.Config{Workers: 2, Opts: graph.OptAll})
 		if err := TaskFactorDist(dm, r, c); err != nil {
 			t.Error(err)
 		}
@@ -160,7 +171,7 @@ func BenchmarkSerialFactor(b *testing.B) {
 
 func BenchmarkTaskFactor(b *testing.B) {
 	a0 := NewSPD(8, 32)
-	r := rt.New(rt.Config{Workers: 4, Opts: graph.OptAll})
+	r := newRuntime(b, rt.Config{Workers: 4, Opts: graph.OptAll})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := a0.Clone()

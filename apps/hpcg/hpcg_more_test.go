@@ -94,7 +94,7 @@ func TestTaskPersistentManyIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr, _ := New(p)
-	r := rt.New(rt.Config{Workers: 3, Opts: graph.OptAll})
+	r := newRuntime(t, rt.Config{Workers: 3, Opts: graph.OptAll})
 	if err := pr.RunTask(r, nil, TaskConfig{TPL: 3, SpMVSub: 2, Persistent: true}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,17 @@ import (
 	"taskdep/internal/rt"
 )
 
+// newRuntime is NewRuntime for a test: a configuration it rejects fails
+// the test.
+func newRuntime(tb testing.TB, cfg rt.Config) *rt.Runtime {
+	tb.Helper()
+	r, err := rt.NewRuntime(cfg)
+	if err != nil {
+		tb.Fatalf("NewRuntime: %v", err)
+	}
+	return r
+}
+
 func TestSerialCGConverges(t *testing.T) {
 	pr, err := New(Params{NX: 8, NY: 8, NZ: 8, Iters: 25, Ranks: 1})
 	if err != nil {
@@ -84,7 +95,7 @@ func TestTaskMatchesBlockedSerialBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		pr, _ := New(p)
-		r := rt.New(rt.Config{Workers: 4, Opts: graph.OptAll})
+		r := newRuntime(t, rt.Config{Workers: 4, Opts: graph.OptAll})
 		if err := pr.RunTask(r, nil, tc); err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -108,7 +119,7 @@ func TestParallelForMatchesBlockedSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr, _ := New(p)
-	r := rt.New(rt.Config{Workers: workers})
+	r := newRuntime(t, rt.Config{Workers: workers})
 	pr.RunParallelFor(r, nil)
 	r.Close()
 	for i := range ref.X {
@@ -143,7 +154,7 @@ func TestDistributedMatchesGlobalSerial(t *testing.T) {
 				return
 			}
 			probs[c.Rank()] = pr
-			r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll})
+			r := newRuntime(t, rt.Config{Workers: 2, Opts: graph.OptAll})
 			switch mode {
 			case "parfor":
 				pr.RunParallelFor(r, c)
@@ -187,7 +198,7 @@ func TestDistributedDeterminism(t *testing.T) {
 		var rtz [R]float64
 		w.Run(func(c *mpi.Comm) {
 			pr, _ := New(Params{NX: 4, NY: 4, NZ: 4, Iters: 6, Ranks: R, Rank: c.Rank()})
-			r := rt.New(rt.Config{Workers: 3, Opts: graph.OptAll})
+			r := newRuntime(t, rt.Config{Workers: 3, Opts: graph.OptAll})
 			if err := pr.RunTask(r, c, TaskConfig{TPL: 2, SpMVSub: 2}); err != nil {
 				t.Error(err)
 			}
@@ -205,7 +216,7 @@ func TestDistributedDeterminism(t *testing.T) {
 func TestSpMVSubBlocksUseInOutSet(t *testing.T) {
 	p := Params{NX: 4, NY: 4, NZ: 4, Iters: 2, Ranks: 1}
 	pr, _ := New(p)
-	r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll})
+	r := newRuntime(t, rt.Config{Workers: 2, Opts: graph.OptAll})
 	if err := pr.RunTask(r, nil, TaskConfig{TPL: 2, SpMVSub: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +234,7 @@ func (pr *Problem) rowIndex(i, j, k int) int {
 
 func BenchmarkTaskCGIteration(b *testing.B) {
 	pr, _ := New(Params{NX: 16, NY: 16, NZ: 16, Iters: 1, Ranks: 1})
-	r := rt.New(rt.Config{Workers: 4, Opts: graph.OptAll})
+	r := newRuntime(b, rt.Config{Workers: 4, Opts: graph.OptAll})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pr.P.Iters = 1

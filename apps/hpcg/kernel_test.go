@@ -186,7 +186,7 @@ func persistentMallocs(t *testing.T, iters int, cfg TaskConfig) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rt.New(rt.Config{Workers: 1, Opts: graph.OptAll})
+	r := newRuntime(t, rt.Config{Workers: 1, Opts: graph.OptAll})
 	defer r.Close()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -217,7 +217,7 @@ func TestIterationSpecsBuiltOnce(t *testing.T) {
 // form blocked the same way.
 func TestRunTaskKeepsNothingAcrossCalls(t *testing.T) {
 	p := Params{NX: 6, NY: 5, NZ: 7, Iters: 7, Ranks: 1}
-	r := rt.New(rt.Config{Workers: 3, Opts: graph.OptAll})
+	r := newRuntime(t, rt.Config{Workers: 3, Opts: graph.OptAll})
 	defer r.Close()
 	for _, cfg := range []TaskConfig{{TPL: 5, SpMVSub: 3, Persistent: true}, {TPL: 3, SpMVSub: 2, Persistent: true}, {TPL: 6, SpMVSub: 1}} {
 		ref, _ := New(p)

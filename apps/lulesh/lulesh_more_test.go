@@ -69,7 +69,7 @@ func TestTaskProfiledRunProducesGantt(t *testing.T) {
 	p := Params{S: 5, Iters: 3, Ranks: 1}
 	d, _ := NewDomain(p)
 	prof := trace.New(3, true)
-	r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll, Profile: prof})
+	r := newRuntime(t, rt.Config{Workers: 2, Opts: graph.OptAll, Profile: prof})
 	if err := RunTask(d, r, nil, TaskConfig{TPL: 4, Persistent: true}); err != nil {
 		t.Fatal(err)
 	}

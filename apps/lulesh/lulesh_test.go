@@ -10,6 +10,17 @@ import (
 	"taskdep/internal/rt"
 )
 
+// newRuntime is NewRuntime for a test: a configuration it rejects fails
+// the test.
+func newRuntime(tb testing.TB, cfg rt.Config) *rt.Runtime {
+	tb.Helper()
+	r, err := rt.NewRuntime(cfg)
+	if err != nil {
+		tb.Fatalf("NewRuntime: %v", err)
+	}
+	return r
+}
+
 func serialRun(t *testing.T, p Params) *Domain {
 	t.Helper()
 	d, err := NewDomain(p)
@@ -84,7 +95,7 @@ func TestParallelForMatchesSerial(t *testing.T) {
 	p := Params{S: 6, Iters: 6, Ranks: 1}
 	ref := serialRun(t, p)
 	d, _ := NewDomain(p)
-	r := rt.New(rt.Config{Workers: 4})
+	r := newRuntime(t, rt.Config{Workers: 4})
 	RunParallelFor(d, r, nil)
 	r.Close()
 	compareDomains(t, ref, d, "parallel-for")
@@ -106,7 +117,7 @@ func TestTaskMatchesSerialAcrossConfigs(t *testing.T) {
 		{TPL: 7, Persistent: true, MinimizeDeps: true},
 	} {
 		d, _ := NewDomain(p)
-		r := rt.New(rt.Config{Workers: 4, Opts: graph.OptAll})
+		r := newRuntime(t, rt.Config{Workers: 4, Opts: graph.OptAll})
 		if err := RunTask(d, r, nil, tc); err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -131,7 +142,7 @@ func TestLaterIterationsAllocateNoSpecs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rt.New(rt.Config{Workers: 1, Opts: graph.OptAll})
+		r := newRuntime(t, rt.Config{Workers: 1, Opts: graph.OptAll})
 		defer r.Close()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -152,7 +163,7 @@ func TestTaskBreadthAndNoOptsStillCorrect(t *testing.T) {
 	p := Params{S: 5, Iters: 4, Ranks: 1}
 	ref := serialRun(t, p)
 	d, _ := NewDomain(p)
-	r := rt.New(rt.Config{Workers: 3, Opts: 0})
+	r := newRuntime(t, rt.Config{Workers: 3, Opts: 0})
 	if err := RunTask(d, r, nil, TaskConfig{TPL: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +188,7 @@ func TestDistributedMatchesGlobalSerial(t *testing.T) {
 				return
 			}
 			doms[c.Rank()] = d
-			r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll})
+			r := newRuntime(t, rt.Config{Workers: 2, Opts: graph.OptAll})
 			switch mode {
 			case "parfor":
 				RunParallelFor(d, r, c)
@@ -228,7 +239,7 @@ func TestMinimizeDepsReducesEdges(t *testing.T) {
 	p := Params{S: 5, Iters: 3, Ranks: 1}
 	run := func(min bool) graph.Stats {
 		d, _ := NewDomain(p)
-		r := rt.New(rt.Config{Workers: 2, Opts: graph.OptDedup})
+		r := newRuntime(t, rt.Config{Workers: 2, Opts: graph.OptDedup})
 		if err := RunTask(d, r, nil, TaskConfig{TPL: 5, MinimizeDeps: min}); err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +282,7 @@ func TestPersistentGraphSmallerDiscovery(t *testing.T) {
 	p := Params{S: 5, Iters: 6, Ranks: 1}
 	run := func(persistent bool) graph.Stats {
 		d, _ := NewDomain(p)
-		r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll})
+		r := newRuntime(t, rt.Config{Workers: 2, Opts: graph.OptAll})
 		if err := RunTask(d, r, nil, TaskConfig{TPL: 5, Persistent: persistent, MinimizeDeps: true}); err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +311,7 @@ func BenchmarkSerialStep(b *testing.B) {
 
 func BenchmarkTaskStep(b *testing.B) {
 	d, _ := NewDomain(Params{S: 16, Iters: 1, Ranks: 1})
-	r := rt.New(rt.Config{Workers: 4, Opts: graph.OptAll})
+	r := newRuntime(b, rt.Config{Workers: 4, Opts: graph.OptAll})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.P.Iters = 1

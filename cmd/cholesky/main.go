@@ -48,8 +48,11 @@ func main() {
 		t0 := time.Now()
 		w.Run(func(c *taskdep.Comm) {
 			dm := cholesky.NewDistSPD(*tiles, *block, *ranks, c.Rank())
-			r := taskdep.New(taskdep.Config{Workers: *workers, Opts: taskdep.OptAll})
-			if err := cholesky.TaskFactorDist(dm, r, c); err != nil {
+			r, err := taskdep.NewRuntime(taskdep.Config{Workers: *workers, Opts: taskdep.OptAll})
+			if err == nil {
+				err = cholesky.TaskFactorDist(dm, r, c)
+			}
+			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -60,7 +63,11 @@ func main() {
 		return
 	}
 
-	r := taskdep.New(taskdep.Config{Workers: *workers, Opts: taskdep.OptAll})
+	r, err := taskdep.NewRuntime(taskdep.Config{Workers: *workers, Opts: taskdep.OptAll})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	t0 := time.Now()
 	got, err := cholesky.TaskFactorRepeated(a0, r, cholesky.RepeatedConfig{Iters: *iters, Persistent: *persistent})
 	wall := time.Since(t0)

@@ -45,7 +45,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		r := taskdep.New(taskdep.Config{Workers: *workers, Opts: taskdep.OptAll})
+		r, err := taskdep.NewRuntime(taskdep.Config{Workers: *workers, Opts: taskdep.OptAll})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		t0 := time.Now()
 		switch *mode {
 		case "serial":

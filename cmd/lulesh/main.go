@@ -76,7 +76,11 @@ func main() {
 			os.Exit(1)
 		}
 		prof := taskdep.NewProfile(*workers+1, *jsonOut != "")
-		r := taskdep.New(taskdep.Config{Workers: *workers, Opts: taskdep.OptAll, Profile: prof})
+		r, err := taskdep.NewRuntime(taskdep.Config{Workers: *workers, Opts: taskdep.OptAll, Profile: prof})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		t0 := time.Now()
 		switch *mode {
 		case "serial":

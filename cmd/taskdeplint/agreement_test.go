@@ -102,7 +102,10 @@ func TestDeletedDepAgreement(t *testing.T) {
 		truth []graph.Dep // declared deps + the deleted ground-truth access
 	}
 	var subs []decl
-	r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Full})
+	r, err := rt.NewRuntime(rt.Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Full})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer r.Close()
 	submit := func(s rt.Spec, extra ...graph.Dep) {
 		d := decl{label: s.Label}

@@ -4,23 +4,33 @@ import "taskdep"
 
 // Positive: submitting and waiting after Close.
 func closeThenUse() {
-	rt := taskdep.New(taskdep.Config{Workers: 1})
+	rt, err := taskdep.NewRuntime(taskdep.Config{Workers: 1})
+	if err != nil {
+		return
+	}
 	rt.Submit(taskdep.Spec{Label: "a", Body: func(any) {}})
 	rt.Close()
 	rt.Submit(taskdep.Spec{Label: "b", Body: func(any) {}}) // want "use-after-close"
 	rt.Taskwait()                                           // want "use-after-close"
 }
 
+// Positive: the validation error dropped, the runtime still tracked.
+func closeThenUseUnchecked() {
+	rt, _ := taskdep.NewRuntime(taskdep.Config{Workers: 1})
+	rt.Close()
+	rt.Taskwait() // want "use-after-close"
+}
+
 // Positive: persistent iteration after Close.
 func closeThenPersistent() {
-	rt := taskdep.New(taskdep.Config{Workers: 1})
+	rt, _ := taskdep.NewRuntime(taskdep.Config{Workers: 1})
 	rt.Close()
 	_ = rt.Persistent(2, func(iter int) {}) // want "use-after-close"
 }
 
 // Positive: recording, and replaying a recording, after Close.
 func closeThenRecordReplay() {
-	rt := taskdep.New(taskdep.Config{Workers: 1})
+	rt, _ := taskdep.NewRuntime(taskdep.Config{Workers: 1})
 	rec, _ := rt.Record(func() {})
 	rt.Close()
 	_ = rt.Replay(rec, 1, 1)    // want "use-after-close"
@@ -29,7 +39,10 @@ func closeThenRecordReplay() {
 
 // Negative: the deferred-Close idiom runs at return, after every use.
 func closeDeferred() {
-	rt := taskdep.New(taskdep.Config{Workers: 1})
+	rt, err := taskdep.NewRuntime(taskdep.Config{Workers: 1})
+	if err != nil {
+		return
+	}
 	defer rt.Close()
 	rt.Submit(taskdep.Spec{Label: "a", Body: func(any) {}})
 	rt.Taskwait()
@@ -37,15 +50,15 @@ func closeDeferred() {
 
 // Negative: a fresh runtime revives the variable.
 func closeThenReplace() {
-	rt := taskdep.New(taskdep.Config{Workers: 1})
+	rt, _ := taskdep.NewRuntime(taskdep.Config{Workers: 1})
 	rt.Close()
-	rt = taskdep.New(taskdep.Config{Workers: 1})
+	rt, _ = taskdep.NewRuntime(taskdep.Config{Workers: 1})
 	defer rt.Close()
 	rt.Taskwait()
 }
 
 // Negative: Close on an unrelated type with the same method set is not
-// tracked (only taskdep.New results are).
+// tracked (only taskdep.NewRuntime results are).
 type fakeCloser struct{}
 
 func (fakeCloser) Close()    {}

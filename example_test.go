@@ -12,7 +12,11 @@ import (
 // successor cone; Taskwait reports the failure as a *TaskError naming
 // the task and carrying the cause.
 func ExampleRuntime_submitError() {
-	r := taskdep.New(taskdep.Config{Workers: 2})
+	r, err := taskdep.NewRuntime(taskdep.Config{Workers: 2})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer r.Close()
 	r.Submit(taskdep.Spec{
 		Label: "load", Out: []taskdep.Key{1},
@@ -22,7 +26,7 @@ func ExampleRuntime_submitError() {
 		Label: "use", In: []taskdep.Key{1},
 		Do: func(any) error { fmt.Println("never runs: its input failed"); return nil },
 	})
-	err := r.Taskwait()
+	err = r.Taskwait()
 	var te *taskdep.TaskError
 	if errors.As(err, &te) {
 		fmt.Printf("failed task: %s\ncause: %v\n", te.Label, te.Cause)
@@ -35,7 +39,11 @@ func ExampleRuntime_submitError() {
 // SubmitBatch amortizes discovery overhead over a whole slice of
 // submissions — the natural form for a tiled kernel's inner loop.
 func ExampleRuntime_SubmitBatch() {
-	r := taskdep.New(taskdep.Config{Workers: 4})
+	r, err := taskdep.NewRuntime(taskdep.Config{Workers: 4})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer r.Close()
 	var sum atomic.Int64
 	specs := make([]taskdep.Spec, 8)
@@ -56,11 +64,15 @@ func ExampleRuntime_SubmitBatch() {
 // iteration; Frozen() additionally reuses the captured closures, so the
 // body only runs at iteration 0 (the OpenMP taskgraph semantics).
 func ExampleRuntime_Persistent() {
-	r := taskdep.New(taskdep.Config{Workers: 2})
+	r, err := taskdep.NewRuntime(taskdep.Config{Workers: 2})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer r.Close()
 	x := 1.0
 	bodyRuns := 0
-	err := r.Persistent(3, func(iter int) {
+	err = r.Persistent(3, func(iter int) {
 		bodyRuns++
 		r.Submit(taskdep.Spec{
 			Label: "double", InOut: []taskdep.Key{1},
@@ -81,7 +93,11 @@ func ExampleRuntime_Persistent() {
 // task count changes at iteration 2 and only that iteration pays
 // re-recording.
 func ExampleRuntime_Persistent_adaptive() {
-	r := taskdep.New(taskdep.Config{Workers: 2})
+	r, err := taskdep.NewRuntime(taskdep.Config{Workers: 2})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer r.Close()
 	var executed atomic.Int64
 	tasksFor := func(iter int) int {
@@ -90,7 +106,7 @@ func ExampleRuntime_Persistent_adaptive() {
 		}
 		return 2
 	}
-	err := r.Persistent(4, func(iter int) {
+	err = r.Persistent(4, func(iter int) {
 		for c := 0; c < tasksFor(iter); c++ {
 			r.Submit(taskdep.Spec{
 				Label: "cell", InOut: []taskdep.Key{taskdep.Key(c)},
@@ -111,7 +127,11 @@ func ExampleRuntime_Persistent_adaptive() {
 // Abort cancels the window cooperatively: pending tasks are skipped,
 // the graph drains, and the next Taskwait returns the cause.
 func ExampleRuntime_Abort() {
-	r := taskdep.New(taskdep.Config{Workers: 2})
+	r, err := taskdep.NewRuntime(taskdep.Config{Workers: 2})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer r.Close()
 	r.Abort(errors.New("quota exceeded"))
 	fmt.Println(r.Taskwait())
@@ -133,14 +153,18 @@ func ExampleNewRuntime() {
 // Persistent exactly like a key-only graph; with Frozen it runs the
 // compiled replay path, recomputing the slot values every iteration.
 func ExampleRuntime_Persistent_values() {
-	r := taskdep.New(taskdep.Config{Workers: 2})
+	r, err := taskdep.NewRuntime(taskdep.Config{Workers: 2})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer r.Close()
 	st := taskdep.NewValueStore()
 	price := taskdep.BindValue[float64](st, "price")
 	qty := taskdep.BindValue[float64](st, "qty")
 	total := taskdep.BindValue[float64](st, "total")
 	qty.Set(3)
-	err := r.Persistent(3, func(iter int) {
+	err = r.Persistent(3, func(iter int) {
 		r.Submit(taskdep.LowerValues(taskdep.ValueSpec{
 			Label:   "quote",
 			Provide: []taskdep.Value{price.Ref()},

@@ -107,7 +107,10 @@ func gemm(a, b, c []float64) {
 
 func main() {
 	tiles := newSPD()
-	rt := taskdep.New(taskdep.Config{Workers: 8, Opts: taskdep.OptAll})
+	rt, err := taskdep.NewRuntime(taskdep.Config{Workers: 8, Opts: taskdep.OptAll})
+	if err != nil {
+		panic(err)
+	}
 	defer rt.Close()
 
 	t0 := time.Now()

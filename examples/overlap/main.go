@@ -28,7 +28,10 @@ func run(serialize bool) (wall time.Duration, overlap float64) {
 		// One clock for requests and task boxes: the profile's own.
 		prof := taskdep.NewProfile(4+1, true)
 		comm.SetProfile(prof, nil)
-		rt := taskdep.New(taskdep.Config{Workers: 4, Profile: prof, Opts: taskdep.OptAll})
+		rt, err := taskdep.NewRuntime(taskdep.Config{Workers: 4, Profile: prof, Opts: taskdep.OptAll})
+		if err != nil {
+			panic(err)
+		}
 
 		buf := make([]float64, msgLen)
 		peer := 1 - comm.Rank()

@@ -13,7 +13,10 @@ import (
 )
 
 func main() {
-	rt := taskdep.New(taskdep.Config{Workers: 4, Opts: taskdep.OptAll})
+	rt, err := taskdep.NewRuntime(taskdep.Config{Workers: 4, Opts: taskdep.OptAll})
+	if err != nil {
+		panic(err)
+	}
 	defer rt.Close()
 
 	const n = 8

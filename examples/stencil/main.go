@@ -45,10 +45,13 @@ func main() {
 		}
 		var ghostLo, ghostHi [1]float64
 
-		rt := taskdep.New(taskdep.Config{Workers: 4, Opts: taskdep.OptAll})
+		rt, err := taskdep.NewRuntime(taskdep.Config{Workers: 4, Opts: taskdep.OptAll})
+		if err != nil {
+			panic(err)
+		}
 		defer rt.Close()
 
-		err := rt.Persistent(iters, func(iter int) {
+		err = rt.Persistent(iters, func(iter int) {
 			// Halo exchange: receives first (posted early), sends when
 			// the frontier cells of the previous iteration are final.
 			if rank > 0 {

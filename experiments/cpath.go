@@ -125,13 +125,16 @@ type CPathResult struct {
 // the critical-path profiler off or on (cached clock, production tier).
 // Metrics stay at the default tier in both modes so the delta isolates
 // the profiler itself.
-func runCPathDrain(p CPathParams, enable bool) float64 {
-	r := rt.New(rt.Config{
+func runCPathDrain(p CPathParams, enable bool) (float64, error) {
+	r, err := rt.NewRuntime(rt.Config{
 		Workers: 1, Opts: graph.OptAll,
 		CPath: rt.CPathOptions{Enable: enable},
 	})
+	if err != nil {
+		return 0, err
+	}
 	defer r.Close()
-	return drainGateGraph(r, p.GateShape, func(any) {})
+	return drainGateGraph(r, p.GateShape, func(any) {}), nil
 }
 
 // stencilWavefrontBody builds the N x N dependence wavefront: cell
@@ -333,8 +336,13 @@ func RunCPath(p CPathParams) (*CPathResult, error) {
 
 	walls := make([][]float64, len(cpathModes))
 	for i := 0; i < max(p.Repeats, 1); i++ {
-		walls[0] = append(walls[0], runCPathDrain(p, false))
-		walls[1] = append(walls[1], runCPathDrain(p, true))
+		for m, enable := range []bool{false, true} {
+			w, err := runCPathDrain(p, enable)
+			if err != nil {
+				return nil, err
+			}
+			walls[m] = append(walls[m], w)
+		}
 	}
 	var over []Overhead
 	res.Rows, over = drainRows(cpathModes, walls, p.Tasks())

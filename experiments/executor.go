@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"time"
@@ -102,19 +103,24 @@ func calibrateSpin() float64 {
 }
 
 // runExecutorOnce times the drain of the gate graph on a fresh runtime.
-func runExecutorOnce(p ExecutorParams, workers, grain int) float64 {
-	r := rt.New(rt.Config{Workers: workers, Opts: graph.OptAll})
+func runExecutorOnce(p ExecutorParams, workers, grain int) (float64, error) {
+	r, err := rt.NewRuntime(rt.Config{Workers: workers, Opts: graph.OptAll})
+	if err != nil {
+		return 0, err
+	}
 	defer r.Close()
-	return drainGateGraph(r, p.GateShape, func(any) { spin(grain) })
+	return drainGateGraph(r, p.GateShape, func(any) { spin(grain) }), nil
 }
 
 // runExecutorBest repeats a configuration and keeps the fastest drain.
-func runExecutorBest(p ExecutorParams, workers, grain int, nsPerIter float64) ExecutorRow {
-	wall := runExecutorOnce(p, workers, grain)
-	for r := 1; r < p.Repeats; r++ {
-		if w := runExecutorOnce(p, workers, grain); w < wall {
-			wall = w
+func runExecutorBest(p ExecutorParams, workers, grain int, nsPerIter float64) (ExecutorRow, error) {
+	wall := math.Inf(1)
+	for r := 0; r < max(p.Repeats, 1); r++ {
+		w, err := runExecutorOnce(p, workers, grain)
+		if err != nil {
+			return ExecutorRow{}, err
 		}
+		wall = min(wall, w)
 	}
 	tasks := p.Tasks()
 	grainNs := float64(grain) * nsPerIter
@@ -131,20 +137,24 @@ func runExecutorBest(p ExecutorParams, workers, grain int, nsPerIter float64) Ex
 		pp := min(workers, runtime.GOMAXPROCS(0))
 		row.Efficiency = float64(tasks) * grainNs / (float64(pp) * wall * 1e9)
 	}
-	return row
+	return row, nil
 }
 
 // RunExecutor measures the drain over the worker and grain sweeps.
-func RunExecutor(p ExecutorParams) *ExecutorResult {
+func RunExecutor(p ExecutorParams) (*ExecutorResult, error) {
 	res := &ExecutorResult{Meta: Meta{Schema: ExecutorSchemaVersion}, Params: p}
 	nsPerIter := calibrateSpin()
 	for _, w := range p.Workers {
 		for _, g := range p.Grains {
-			res.Rows = append(res.Rows, runExecutorBest(p, w, g, nsPerIter))
+			row, err := runExecutorBest(p, w, g, nsPerIter)
+			if err != nil {
+				return nil, err
+			}
+			res.Rows = append(res.Rows, row)
 		}
 	}
 	res.METGNs = executorMETG(res.Rows, slices.Max(p.Workers))
-	return res
+	return res, nil
 }
 
 // executorMETG derives the 50%-efficiency METG from the grain sweep at

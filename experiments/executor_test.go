@@ -16,7 +16,10 @@ func tinyExecutorParams() ExecutorParams {
 
 func TestRunExecutorShape(t *testing.T) {
 	p := tinyExecutorParams()
-	res := RunExecutor(p)
+	res, err := RunExecutor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,10 @@ func TestRunExecutorShape(t *testing.T) {
 }
 
 func TestExecutorJSONRoundTrip(t *testing.T) {
-	res := RunExecutor(tinyExecutorParams())
+	res, err := RunExecutor(tinyExecutorParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	back := new(ExecutorResult)
 	roundTrip(t, res, back)
 	if len(back.Rows) != len(res.Rows) || back.METGNs != res.METGNs || back.Params.Tasks() != res.Params.Tasks() {
@@ -41,7 +47,10 @@ func TestExecutorJSONRoundTrip(t *testing.T) {
 }
 
 func TestExecutorValidateCatchesBadRows(t *testing.T) {
-	res := RunExecutor(tinyExecutorParams())
+	res, err := RunExecutor(tinyExecutorParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	res.Rows[0].Workers = 0
 	if err := res.Validate(); err == nil {
 		t.Fatalf("a row with no workers validated")
@@ -53,7 +62,10 @@ func TestExecutorValidateCatchesBadRows(t *testing.T) {
 // declared happens-before edge.
 func TestExecutorGateGraphVerifies(t *testing.T) {
 	t.Run("lock-free", func(t *testing.T) {
-		r := rt.New(rt.Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+		r, err := rt.NewRuntime(rt.Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+		if err != nil {
+			t.Fatal(err)
+		}
 		drainGateGraph(r, tinyExecutorParams().GateShape, func(any) {})
 		r.Close()
 		if rep := r.Verify(); !rep.OK() {

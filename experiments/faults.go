@@ -184,7 +184,10 @@ func RunFaults(p FaultParams) (*FaultResult, error) {
 func runCone(p FaultParams) (ConeRow, error) {
 	var row ConeRow
 	depth := p.ConeDepth
-	r := rt.New(rt.Config{Workers: p.Workers})
+	r, err := rt.NewRuntime(rt.Config{Workers: p.Workers})
+	if err != nil {
+		return row, err
+	}
 	var freeRan, poisonRan atomic.Int64
 	r.Submit(rt.Spec{
 		Label: "cone-head",
@@ -259,9 +262,11 @@ func runAppFault(app string, mode fault.Mode, seed int64, p FaultParams) (FaultR
 	row := FaultRow{App: app, Mode: mode.String(), Seed: seed}
 	before := runtime.NumGoroutine()
 	inj := &fault.Inject{Every: p.Every, Seed: seed, Mode: mode}
-	r := rt.New(rt.Config{Workers: p.Workers, Inject: inj})
+	r, err := rt.NewRuntime(rt.Config{Workers: p.Workers, Inject: inj})
+	if err != nil {
+		return row, err
+	}
 	start := time.Now()
-	var err error
 	switch app {
 	case "lulesh":
 		var d *lulesh.Domain

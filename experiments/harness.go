@@ -80,7 +80,7 @@ var Experiments = []Experiment{
 		return RunDiscovery(sized(o, DefaultDiscoveryParams, SmokeDiscoveryParams)), nil
 	}},
 	{"executor", func(o Options) (Result, error) {
-		return RunExecutor(sized(o, DefaultExecutorParams, SmokeExecutorParams)), nil
+		return RunExecutor(sized(o, DefaultExecutorParams, SmokeExecutorParams))
 	}},
 	{"faults", func(o Options) (Result, error) { return RunFaults(sized(o, DefaultFaultParams, SmokeFaultParams)) }},
 	{"obs", func(o Options) (Result, error) { return RunObs(sized(o, DefaultObsParams, SmokeObsParams)) }},

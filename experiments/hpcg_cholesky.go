@@ -151,7 +151,10 @@ func RunCholesky(tiles, block, iters, workers int) (CholeskyResult, error) {
 
 	run := func(persistent bool) (disc, total float64, err error) {
 		p := trace.New(workers+1, false)
-		r := rt.New(rt.Config{Workers: workers, Opts: graph.OptAll, Profile: p})
+		r, err := rt.NewRuntime(rt.Config{Workers: workers, Opts: graph.OptAll, Profile: p})
+		if err != nil {
+			return 0, 0, err
+		}
 		t0 := time.Now()
 		got, err := cholesky.TaskFactorRepeated(a0, r, cholesky.RepeatedConfig{Iters: iters, Persistent: persistent})
 		total = time.Since(t0).Seconds()

@@ -92,11 +92,14 @@ func obsOptions(mode string, p ObsParams) obs.Options {
 // runObsOnce times the 1-worker drain of the gate graph under the given
 // registry options, returning the wall time and the number of span
 // events left in the rings.
-func runObsOnce(p ObsParams, o obs.Options) (float64, int64) {
-	r := rt.New(rt.Config{Workers: 1, Opts: graph.OptAll, Obs: o})
+func runObsOnce(p ObsParams, o obs.Options) (float64, int64, error) {
+	r, err := rt.NewRuntime(rt.Config{Workers: 1, Opts: graph.OptAll, Obs: o})
+	if err != nil {
+		return 0, 0, err
+	}
 	defer r.Close()
 	wall := drainGateGraph(r, p.GateShape, func(any) {})
-	return wall, int64(r.Obs().SpanCount())
+	return wall, int64(r.Obs().SpanCount()), nil
 }
 
 // hookSink defeats dead-code elimination in the hook microbenchmark.
@@ -191,7 +194,10 @@ func RunObs(p ObsParams) (*ObsResult, error) {
 	walls := make([][]float64, len(obsModes))
 	for r := 0; r < max(p.Repeats, 1); r++ {
 		for m, mode := range obsModes {
-			w, spans := runObsOnce(p, obsOptions(mode, p))
+			w, spans, err := runObsOnce(p, obsOptions(mode, p))
+			if err != nil {
+				return nil, err
+			}
 			walls[m] = append(walls[m], w)
 			if mode == "spans" {
 				res.SpanEvents = spans

@@ -26,3 +26,16 @@ func StepClock(step int64) *Clock {
 	var now int64
 	return &Clock{precise: true, read: func() int64 { now += step; return now }}
 }
+
+// CompileRecording compiles g's latest recording again after the
+// persistent region that recorded it has closed: the schedule that
+// region compiled and replayed, for external tests that record through
+// the runtime. Compile is a function of the recording alone.
+func (g *Graph) CompileRecording() (*Compiled, error) {
+	defer func(p bool) { g.persistent = p }(g.persistent)
+	g.persistent = true
+	return g.compile(true)
+}
+
+// KeptRows is c's reduced schedule, successor positions by position.
+func (c *Compiled) KeptRows() [][]int32 { return compiledCSR(c) }

@@ -13,10 +13,9 @@ import (
 // stays on it; the 352-byte Task it replaced spread the same fields over
 // three. Together with the open-addressing key table the 232-byte layout
 // took lulesh_discover's solve_s median from 0.167 to 0.147 s (−12 %) on
-// one P, winning 19 of 20 alternating 15-s pairs (EXPERIMENTS.md,
-// "Discovery layout"). A field that pushes a line-0 field out, or the
-// chunk over the small-object limit, undoes that without failing
-// anything else.
+// one P, winning 19 of 20 alternating 15-s pairs (commit f473092). A
+// field that pushes a line-0 field out, or the chunk over the
+// small-object limit, undoes that without failing anything else.
 func TestTaskLayout(t *testing.T) {
 	var task Task
 	if sz := unsafe.Sizeof(task); sz > 240 {

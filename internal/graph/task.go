@@ -176,7 +176,8 @@ type Task struct {
 	// dense in discovery order.
 	ID int64
 	// Body is the work closure run by the real executor (nil for
-	// redirect nodes and for DES-only tasks).
+	// redirect nodes, for DES-only tasks and for detached tasks, whose
+	// body the rt layer's detach event carries).
 	Body func(fp any)
 	// Do is the error-returning body form. When set it takes precedence
 	// over Body; a non-nil return aborts the task. Carried as a separate

@@ -15,7 +15,7 @@ import (
 )
 
 // isTaskdepPath reports whether path imports the taskdep module root
-// (whose New() produces a runtime the use-after-close rule tracks).
+// (whose NewRuntime produces a runtime the use-after-close rule tracks).
 func isTaskdepPath(path string) bool {
 	return path == "taskdep" || path == "taskdep/internal/rt" ||
 		strings.HasSuffix(path, "/taskdep")
@@ -268,10 +268,10 @@ func rootIdent(e ast.Expr) *ast.Ident {
 // --- sequential rules: use-after-close, fulfill-nil-event ---
 
 // seqLint walks one function body in source order, tracking runtime
-// variables (created by taskdep.New / rt.New), their Close calls, and
-// variables holding the nil Event a non-detached Submit returns. Nested
-// closures get their own close/event context (they execute at a
-// different time) but share the runtime set.
+// variables (created by taskdep.NewRuntime / rt.NewRuntime), their Close
+// calls, and variables holding the nil Event a non-detached Submit
+// returns. Nested closures get their own close/event context (they
+// execute at a different time) but share the runtime set.
 func (l *pkgLint) seqLint(body *ast.BlockStmt, runtimes map[types.Object]bool) {
 	if !l.on(RuleUseAfterClose) && !l.on(RuleFulfillNil) {
 		return
@@ -301,12 +301,13 @@ func (l *pkgLint) seqLint(body *ast.BlockStmt, runtimes map[types.Object]bool) {
 				// Any reassignment revives the variable.
 				delete(closed, obj)
 				delete(nilEv, obj)
-				if len(s.Rhs) != len(s.Lhs) && len(s.Rhs) != 1 {
-					continue
-				}
+				// One call assigning several variables (r, err :=
+				// NewRuntime(...)) gives its first result to the first.
 				rhs := s.Rhs[0]
 				if len(s.Rhs) == len(s.Lhs) {
 					rhs = s.Rhs[i]
+				} else if i > 0 {
+					continue
 				}
 				call, ok := rhs.(*ast.CallExpr)
 				if !ok {
@@ -474,12 +475,12 @@ func isBeginSpanCall(call *ast.CallExpr) bool {
 	return ok && sel.Sel.Name == "BeginSpan"
 }
 
-// isRuntimeNew matches taskdep.New(...) / rt.New(...) where the
-// qualifier is an import of the taskdep module (path-checked when type
-// info resolves it).
+// isRuntimeNew matches taskdep.NewRuntime(...) / rt.NewRuntime(...)
+// where the qualifier is an import of the taskdep module (path-checked
+// when type info resolves it).
 func (l *pkgLint) isRuntimeNew(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "New" {
+	if !ok || sel.Sel.Name != "NewRuntime" {
 		return false
 	}
 	id, ok := sel.X.(*ast.Ident)

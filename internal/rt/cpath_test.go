@@ -19,7 +19,7 @@ import (
 // window's report and the text rendering must be servable.
 func TestCriticalPathEndpoint(t *testing.T) {
 	const n = 8
-	r := New(Config{
+	r := newRuntime(t, Config{
 		Workers: 2,
 		Obs:     obs.Options{Addr: "127.0.0.1:0"},
 		CPath:   CPathOptions{Enable: true, Precise: true},
@@ -87,7 +87,7 @@ func TestCriticalPathEndpoint(t *testing.T) {
 // TestCriticalPathEndpointDisabled: without CPath.Enable the route
 // must 404, so scrapers can tell "off" from "no window yet".
 func TestCriticalPathEndpointDisabled(t *testing.T) {
-	r := New(Config{Workers: 1, Obs: obs.Options{Addr: "127.0.0.1:0"}})
+	r := newRuntime(t, Config{Workers: 1, Obs: obs.Options{Addr: "127.0.0.1:0"}})
 	defer r.Close()
 	resp, err := http.Get("http://" + r.ObsAddr() + "/criticalpath")
 	if err != nil {
@@ -111,7 +111,7 @@ func TestCPathAcrossFrozenReplay(t *testing.T) {
 	for _, n := range []int{1, 5, 32} {
 		t.Run(fmt.Sprintf("chain%d", n), func(t *testing.T) {
 			const iters = 4
-			r := New(Config{
+			r := newRuntime(t, Config{
 				Workers: 2, Opts: graph.OptAll,
 				CPath: CPathOptions{Enable: true, Precise: true},
 			})
@@ -212,7 +212,7 @@ func TestCPathOnReducedSchedule(t *testing.T) {
 		{"chains2x4200", chains, 2 * links, 2 * links, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := New(Config{
+			r := newRuntime(t, Config{
 				Workers: 2, Opts: graph.OptAll,
 				CPath: CPathOptions{Enable: true, Precise: true},
 			})

@@ -17,7 +17,7 @@ import (
 )
 
 func TestFusionChainExecutesInOrder(t *testing.T) {
-	rt := New(Config{Workers: 4})
+	rt := newRuntime(t, Config{Workers: 4})
 	const n = 500
 	var order []int
 	var mu sync.Mutex
@@ -51,7 +51,7 @@ func TestFusionChainExecutesInOrder(t *testing.T) {
 // fused successors exactly as queued ones — the cone drains Skipped
 // and the accounting (executed + skipped + aborted == submitted) holds.
 func TestFusionAbortConePreserved(t *testing.T) {
-	rt := New(Config{Workers: 4})
+	rt := newRuntime(t, Config{Workers: 4})
 	const n = 100
 	boom := errors.New("boom")
 	var after atomic.Int64
@@ -90,7 +90,7 @@ func TestFusionAbortConePreserved(t *testing.T) {
 // TestFusionPanicMidChain: a panicking fused task is recovered and its
 // cone skipped, like on the queued path.
 func TestFusionPanicMidChain(t *testing.T) {
-	rt := New(Config{Workers: 2})
+	rt := newRuntime(t, Config{Workers: 2})
 	const n = 50
 	for i := 0; i < n; i++ {
 		i := i
@@ -112,7 +112,7 @@ func TestFusionPanicMidChain(t *testing.T) {
 // producer feeds two disjoint-key chains through the batch path and four
 // workers run them (-race).
 func TestFusionUnderConcurrentSubmitBatch(t *testing.T) {
-	rt := New(Config{Workers: 4})
+	rt := newRuntime(t, Config{Workers: 4})
 	const chains, chain = 2, 300
 	var ran atomic.Int64
 	specs := make([]Spec, 0, chains*chain)
@@ -152,7 +152,7 @@ func TestHandOverKeepsSerialChain(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("plain/%dw", workers), func(t *testing.T) {
-			rt := New(Config{Workers: workers})
+			rt := newRuntime(t, Config{Workers: workers})
 			gate := rt.Submit(Spec{Out: []graph.Key{0}, Detached: true})
 			chain(rt, func(any) {})
 			gate.Fulfill()
@@ -164,7 +164,7 @@ func TestHandOverKeepsSerialChain(t *testing.T) {
 			}
 		})
 		t.Run(fmt.Sprintf("frozen/%dw", workers), func(t *testing.T) {
-			rt := New(Config{Workers: workers})
+			rt := newRuntime(t, Config{Workers: workers})
 			open := make(chan struct{})
 			err := rt.Persistent(iters, func(int) {
 				chain(rt, func(any) { <-open })
@@ -200,7 +200,7 @@ func TestHandOverSpreadsBurstRelease(t *testing.T) {
 		}
 	}
 	prof := trace.New(3, true)
-	rt := New(Config{Workers: 2, Profile: prof})
+	rt := newRuntime(t, Config{Workers: 2, Profile: prof})
 	defer rt.Close()
 	gate := rt.Submit(Spec{Out: []graph.Key{gateKey}, Detached: true})
 	join := gateKey
@@ -243,7 +243,7 @@ func TestSlotStateIsOneCacheLine(t *testing.T) {
 // to discovery — the idle worker runs it without waiting for the next
 // stall or Taskwait.
 func TestThrottledProducerHoldsNoWork(t *testing.T) {
-	rt := New(Config{Workers: 1, ThrottleTotal: 3})
+	rt := newRuntime(t, Config{Workers: 1, ThrottleTotal: 3})
 	started, open, ranY := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	rt.Submit(Spec{Label: "gated", Body: func(any) { close(started); <-open }})
 	<-started
@@ -270,7 +270,7 @@ func TestThrottledProducerHoldsNoWork(t *testing.T) {
 // count they see.
 func TestThrottleReadyBoundsReadyTasks(t *testing.T) {
 	const limit = 2
-	rt := New(Config{Workers: 2, ThrottleReady: limit})
+	rt := newRuntime(t, Config{Workers: 2, ThrottleReady: limit})
 	var ran, maxReady atomic.Int64
 	const n = 3000
 	for i := 0; i < n; i++ {
@@ -307,7 +307,7 @@ func TestHandOverDrainAllocatesNothing(t *testing.T) {
 	const gateKey, chainKey graph.Key = 1, 1 << 20
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("%dw", workers), func(t *testing.T) {
-			rt := New(Config{Workers: workers, Opts: graph.OptAll})
+			rt := newRuntime(t, Config{Workers: workers, Opts: graph.OptAll})
 			defer rt.Close()
 			nop := func(any) {}
 			specs := make([]Spec, links)

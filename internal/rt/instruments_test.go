@@ -34,7 +34,7 @@ func TestInstrumentsShareOneClock(t *testing.T) {
 	world.Run(func(c *mpi.Comm) {
 		prof := trace.New(workers+1, true)
 		c.SetProfile(prof, nil)
-		r := New(Config{
+		r := newRuntime(t, Config{
 			Workers: workers,
 			Opts:    graph.OptAll,
 			Profile: prof,

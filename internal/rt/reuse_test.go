@@ -16,7 +16,7 @@ import (
 // every drain — an unbalanced ready decrement borrows into the live
 // half and wedges Taskwait forever.
 func TestReuseDetachedGateDrains(t *testing.T) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll})
 	defer rt.Close()
 	const gateKey graph.Key = 1 << 20
 	const chainKey graph.Key = 2 << 20

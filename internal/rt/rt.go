@@ -205,18 +205,6 @@ type slotState struct {
 // depth-first locality.
 func (rt *Runtime) producerID() int { return rt.cfg.Workers }
 
-// New creates and starts a runtime, panicking on invalid configuration.
-// Most callers should use NewRuntime, which returns the validation
-// problem as a descriptive error instead; New is its must-wrapper, kept
-// for the common all-defaults case and for tests.
-func New(cfg Config) *Runtime {
-	r, err := NewRuntime(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return r
-}
-
 // NewRuntime validates cfg, then creates and starts a runtime. Close
 // must be called to join the workers. Validation failures — a profile
 // with too few slots, negative counts, out-of-range enum values — are
@@ -466,6 +454,10 @@ func (s *Spec) depsInto(buf []graph.Dep) []graph.Dep {
 type Event struct {
 	rt *Runtime
 	t  atomic.Pointer[graph.Task]
+	// body is the task's Spec.DetachedBody. The executor calls it with
+	// the event it read off the task (runBody), so a detached task carries
+	// no Body or Do of its own.
+	body func(fp any, ev *Event)
 	// fired makes completion exactly-once under races between Fulfill
 	// and the failure domain (abort cancellation, poison skip, a body
 	// that fulfilled synchronously and then panicked): whichever path's
@@ -515,19 +507,13 @@ func (rt *Runtime) claimDetached(t *graph.Task, ev *Event) bool {
 	return true
 }
 
-// wrapBody prepares the execution closures for a spec, binding a detach
-// event for detached tasks.
-func (rt *Runtime) wrapBody(spec *Spec) (func(fp any), func(fp any) error, *Event) {
+// newEvent returns the detach event of a task submitted from spec, nil
+// for a task that is not detached.
+func (rt *Runtime) newEvent(spec *Spec) *Event {
 	if !spec.Detached {
-		return spec.Body, spec.Do, nil
+		return nil
 	}
-	ev := &Event{rt: rt}
-	db := spec.DetachedBody
-	return func(fp any) {
-		if db != nil {
-			db(fp, ev)
-		}
-	}, nil, ev
+	return &Event{rt: rt, body: spec.DetachedBody}
 }
 
 // finishSubmit is created for a task a replayed iteration resubmitted,
@@ -599,10 +585,11 @@ func (rt *Runtime) Submit(spec Spec) *Event {
 // dependence list is built for the verifier only; the schedule has the
 // recorded edges.
 func (rt *Runtime) resubmit(cs *graph.Compiled, spec *Spec) *Event {
-	body, do, ev := rt.wrapBody(spec)
+	ev := rt.newEvent(spec)
+	body, do := spec.Body, spec.Do
 	var attach any
 	if ev != nil {
-		attach = ev
+		body, do, attach = nil, nil, ev
 	}
 	// The span is ended only when sampled: End on the zero Span is a
 	// no-op, but passing the 48-byte value costs a copy per task.
@@ -687,15 +674,15 @@ func (rt *Runtime) SubmitBatch(specs []Spec) []*Event {
 // composite literal would be built on the stack and copied in, 168 bytes
 // a task.
 func (rt *Runtime) toDesc(d *graph.TaskDesc, s *Spec) *Event {
-	body, do, ev := rt.wrapBody(s)
+	ev := rt.newEvent(s)
 	d.Label = s.Label
 	d.In, d.Out, d.InOut, d.InOutSet = s.In, s.Out, s.InOut, s.InOutSet
-	d.Body, d.Do = body, do
+	d.Body, d.Do = s.Body, s.Do
 	d.FirstPrivate = s.FirstPrivate
 	d.Detached = s.Detached
 	d.Attach = nil
 	if ev != nil {
-		d.Attach = ev
+		d.Body, d.Do, d.Attach = nil, nil, ev
 	}
 	return ev
 }
@@ -1175,7 +1162,7 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 	if sampled {
 		sp = rt.obs.BeginSpan(slot, obs.SpanTaskBody, t.ID, depHash(t), int(rt.iter.Load()))
 	}
-	err := rt.runBody(t)
+	err := rt.runBody(t, ev)
 	if sampled {
 		sp.End()
 	}
@@ -1203,9 +1190,10 @@ func (rt *Runtime) execute(w int, t *graph.Task) {
 }
 
 // runBody executes t's closure under panic recovery, applying the
-// configured fault injector first. Redirect nodes are graph machinery,
-// not user tasks: never injected (their empty bodies cannot fail).
-func (rt *Runtime) runBody(t *graph.Task) (err error) {
+// configured fault injector first: a detached task's is ev's body, any
+// other task's its Do or Body. Redirect nodes are graph machinery, not
+// user tasks: never injected (their empty bodies cannot fail).
+func (rt *Runtime) runBody(t *graph.Task, ev *Event) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &fault.PanicError{Value: r, Stack: debug.Stack()}
@@ -1217,6 +1205,12 @@ func (rt *Runtime) runBody(t *graph.Task) (err error) {
 		if ierr := rt.cfg.Inject.Apply(t.Label); ierr != nil {
 			return ierr
 		}
+	}
+	if ev != nil {
+		if ev.body != nil {
+			ev.body(t.FirstPrivate, ev)
+		}
+		return nil
 	}
 	if t.Do != nil {
 		return t.Do(t.FirstPrivate)

@@ -16,7 +16,7 @@ import (
 // TestSubmitBatchOrder submits a dependence chain through SubmitBatch
 // and checks the execution order matches submission order.
 func TestSubmitBatchOrder(t *testing.T) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll})
 	const n = 300
 	var order []int
 	var mu sync.Mutex
@@ -50,7 +50,7 @@ func TestSubmitBatchOrder(t *testing.T) {
 // TestSubmitBatchLargerThanChunk covers the internal chunking path
 // (batches longer than batchChunk) plus FirstPrivate delivery.
 func TestSubmitBatchLargerThanChunk(t *testing.T) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll})
 	n := 3*batchChunk + 17
 	var sum atomic.Int64
 	specs := make([]Spec, 0, n)
@@ -77,7 +77,7 @@ func TestSubmitBatchLargerThanChunk(t *testing.T) {
 func TestClosedRuntimeFreedInOneCycle(t *testing.T) {
 	freed := make(chan struct{})
 	func() {
-		r := New(Config{Workers: 1})
+		r := newRuntime(t, Config{Workers: 1})
 		payload := new([64]byte)
 		runtime.SetFinalizer(payload, func(*[64]byte) { close(freed) })
 		r.SubmitBatch([]Spec{{Body: func(any) {}, FirstPrivate: payload}})
@@ -96,7 +96,7 @@ func TestClosedRuntimeFreedInOneCycle(t *testing.T) {
 // TestSubmitBatchDetached mixes detached and regular specs in one batch
 // and fulfills the detached events out of band.
 func TestSubmitBatchDetached(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 	var got atomic.Int64
 	fulfill := make(chan *Event, 2)
 	specs := []Spec{
@@ -124,7 +124,7 @@ func TestSubmitBatchDetached(t *testing.T) {
 // submissions without re-serializing them: the audit sees every task of
 // a batch (including inoutset redirects) and a clean run stays clean.
 func TestSubmitBatchVerifyObserve(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	shared := make([]int, 1)
 	specs := []Spec{
 		{Label: "w1", InOut: []graph.Key{7}, Body: func(any) { shared[0]++ }},
@@ -148,7 +148,7 @@ func TestSubmitBatchVerifyObserve(t *testing.T) {
 // TestSubmitBatchPersistentDivergence: a Persistent body that batches
 // different dependences on replay iterations is caught as divergence.
 func TestSubmitBatchPersistentDivergence(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	defer rt.Close()
 	err := rt.Persistent(3, func(iter int) {
 		k := graph.Key(1)
@@ -168,7 +168,7 @@ func TestSubmitBatchPersistentDivergence(t *testing.T) {
 // TestSubmitBatchPersistentReplay uses SubmitBatch inside a Persistent
 // region with verification on: recording and replays must agree.
 func TestSubmitBatchPersistentReplay(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	defer rt.Close()
 	const iters = 5
 	const chunksN = 8
@@ -220,7 +220,7 @@ func TestRegionOpensWithRedirectOwner(t *testing.T) {
 	for _, first := range []string{"read run", "inoutset group"} {
 		for _, m := range modes {
 			t.Run(first+"/"+m.name, func(t *testing.T) {
-				r := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+				r := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 				defer r.Close()
 				// Writers outside the region: the run has an entry node.
 				var seed []Spec
@@ -287,7 +287,7 @@ func TestBatchProducerHandsOverItsP(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			r := New(Config{Workers: 1, Opts: graph.OptAll})
+			r := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll})
 			var count [batchChunk]int // count[i] is ordered by key i
 			specs := make([]Spec, batchChunk)
 			for i := range specs {
@@ -336,7 +336,7 @@ func TestBatchProducerHandsOverItsP(t *testing.T) {
 // no per-member compare buffer, not one allocation per member.
 func TestSubmitBatchSharedReadsAllocateNoDeps(t *testing.T) {
 	const n, m = batchChunk, 120
-	rt := New(Config{Workers: 1, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll})
 	defer rt.Close()
 	in := make([]graph.Key, m)
 	for i := range in {

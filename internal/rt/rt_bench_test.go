@@ -48,7 +48,7 @@ func BenchmarkPersistentReplay(b *testing.B) {
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
-			r := New(Config{Workers: 1, Opts: graph.OptAll, Obs: obs.Options{Disable: true}})
+			r := newRuntime(b, Config{Workers: 1, Opts: graph.OptAll, Obs: obs.Options{Disable: true}})
 			defer r.Close()
 			b.ReportAllocs()
 			b.ResetTimer()

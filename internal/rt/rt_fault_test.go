@@ -38,7 +38,7 @@ func TestDoErrorPoisonsCone(t *testing.T) {
 	t.Run("lockfree", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		planted := errors.New("planted")
-		r := New(Config{Workers: 4})
+		r := newRuntime(t, Config{Workers: 4})
 		var coneRan, freeRan atomic.Int64
 		r.Submit(Spec{
 			Label: "head",
@@ -83,7 +83,7 @@ func TestDoErrorPoisonsCone(t *testing.T) {
 // *fault.PanicError cause with the panic-site stack attached.
 func TestPanicRecoveredAsTaskError(t *testing.T) {
 	t.Run("lockfree", func(t *testing.T) {
-		r := New(Config{Workers: 2})
+		r := newRuntime(t, Config{Workers: 2})
 		defer r.Close()
 		r.Submit(Spec{Label: "boom", Body: func(any) { panic("kaput") }})
 		err := r.Taskwait()
@@ -108,7 +108,7 @@ func TestPanicRecoveredAsTaskError(t *testing.T) {
 // window surface as one primary TaskError whose Siblings join reaches
 // the others through errors.Is.
 func TestSiblingFailuresJoined(t *testing.T) {
-	r := New(Config{Workers: 4})
+	r := newRuntime(t, Config{Workers: 4})
 	defer r.Close()
 	errA, errB := errors.New("a"), errors.New("b")
 	r.Submit(Spec{Label: "fa", Out: []graph.Key{1}, Do: func(any) error { return errA }})
@@ -131,7 +131,7 @@ func TestSiblingFailuresJoined(t *testing.T) {
 // on the previously poisoned key.
 func TestRuntimeReusableAfterFailure(t *testing.T) {
 	t.Run("lockfree", func(t *testing.T) {
-		r := New(Config{Workers: 2})
+		r := newRuntime(t, Config{Workers: 2})
 		defer r.Close()
 		r.Submit(Spec{Label: "bad", Out: []graph.Key{1}, Do: func(any) error { return errors.New("x") }})
 		if err := r.Taskwait(); err == nil {
@@ -150,7 +150,7 @@ func TestRuntimeReusableAfterFailure(t *testing.T) {
 
 // TestCloseSurfacesFailure: an unconsumed failure comes out of Close.
 func TestCloseSurfacesFailure(t *testing.T) {
-	r := New(Config{Workers: 2})
+	r := newRuntime(t, Config{Workers: 2})
 	r.Submit(Spec{Label: "bad", Do: func(any) error { return errors.New("x") }})
 	err := r.Close()
 	var te *fault.TaskError
@@ -164,7 +164,7 @@ func TestCloseSurfacesFailure(t *testing.T) {
 // reports Aborted until the next wait.
 func TestAbortCancelsFrontier(t *testing.T) {
 	t.Run("lockfree", func(t *testing.T) {
-		r := New(Config{Workers: 4})
+		r := newRuntime(t, Config{Workers: 4})
 		defer r.Close()
 		cause := errors.New("operator abort")
 		var ran atomic.Int64
@@ -190,7 +190,7 @@ func TestAbortCancelsFrontier(t *testing.T) {
 
 // TestAbortNilUsesErrAborted: Abort(nil) installs the sentinel.
 func TestAbortNilUsesErrAborted(t *testing.T) {
-	r := New(Config{Workers: 1})
+	r := newRuntime(t, Config{Workers: 1})
 	defer r.Close()
 	r.Abort(nil)
 	if err := r.Taskwait(); !errors.Is(err, fault.ErrAborted) {
@@ -203,7 +203,7 @@ func TestAbortNilUsesErrAborted(t *testing.T) {
 // external Fulfill; Abort must claim it so the window drains.
 func TestAbortClaimsArmedDetachedTask(t *testing.T) {
 	t.Run("lockfree", func(t *testing.T) {
-		r := New(Config{Workers: 2})
+		r := newRuntime(t, Config{Workers: 2})
 		defer r.Close()
 		armed := make(chan struct{})
 		r.Submit(Spec{
@@ -231,7 +231,7 @@ func TestAbortClaimsArmedDetachedTask(t *testing.T) {
 // TestFulfillAfterAbortIsLost: if Abort claims the event first, a late
 // Fulfill must be a harmless no-op (exactly-once completion).
 func TestFulfillAfterAbortIsLost(t *testing.T) {
-	r := New(Config{Workers: 2})
+	r := newRuntime(t, Config{Workers: 2})
 	defer r.Close()
 	var ev atomic.Pointer[Event]
 	armed := make(chan struct{})
@@ -259,7 +259,7 @@ func TestFulfillAfterAbortIsLost(t *testing.T) {
 // the runtime remains usable.
 func TestPersistentIterationFailure(t *testing.T) {
 	t.Run("lockfree", func(t *testing.T) {
-		r := New(Config{Workers: 2})
+		r := newRuntime(t, Config{Workers: 2})
 		defer r.Close()
 		var runs atomic.Int64
 		failAt := errors.New("iteration 2 failure")
@@ -303,7 +303,7 @@ func TestPersistentIterationFailure(t *testing.T) {
 func TestInjectDeterministicVictim(t *testing.T) {
 	victim := func(seed int64) string {
 		inj := &fault.Inject{Every: 8, Seed: seed, Mode: fault.Error}
-		r := New(Config{Workers: 1, Inject: inj})
+		r := newRuntime(t, Config{Workers: 1, Inject: inj})
 		defer r.Close()
 		for i := 0; i < 32; i++ {
 			r.Submit(Spec{Label: fmt.Sprintf("t%d", i), InOut: []graph.Key{1}, Body: func(any) {}})
@@ -328,7 +328,7 @@ func TestInjectDeterministicVictim(t *testing.T) {
 }
 
 // TestNewRuntimeValidation: NewRuntime reports bad configurations as
-// errors; New panics on the same input.
+// errors.
 func TestNewRuntimeValidation(t *testing.T) {
 	bad := []Config{
 		{Workers: -1},
@@ -344,14 +344,6 @@ func TestNewRuntimeValidation(t *testing.T) {
 			t.Errorf("config %d: NewRuntime accepted %+v", i, cfg)
 		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("New did not panic on invalid config")
-			}
-		}()
-		New(Config{Workers: -1})
-	}()
 	r, err := NewRuntime(Config{Workers: 2})
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)

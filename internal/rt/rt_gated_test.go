@@ -50,7 +50,7 @@ func TestGatedChainEndsOnDetached(t *testing.T) {
 	const chains, links, iters = 6, 3, 12
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			r := New(Config{Workers: workers, Opts: graph.OptAll})
+			r := newRuntime(t, Config{Workers: workers, Opts: graph.OptAll})
 			// Events armed by their bodies and fulfilled from outside the
 			// worker pool, as an MPI progress engine would.
 			armed := make(chan *Event, chains)
@@ -140,7 +140,7 @@ func TestGatedTaskwaitInsideBody(t *testing.T) {
 	const iters = 3
 	for _, waitLast := range []bool{false, true} {
 		t.Run(fmt.Sprintf("waitLast=%v", waitLast), func(t *testing.T) {
-			r := New(Config{Workers: 2, Opts: graph.OptAll})
+			r := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 			defer r.Close()
 			var a, b [iters]int // written by task bodies, read by the body after a wait
 			body := func(iter int) {
@@ -199,7 +199,7 @@ func TestGatedThrottle(t *testing.T) {
 	const tasks, iters = 64, 4
 	run := func(t *testing.T, cfg Config) {
 		cfg.Workers, cfg.Opts = 2, graph.OptAll
-		r := New(cfg)
+		r := newRuntime(t, cfg)
 		var ran atomic.Int64
 		finishes(t, "region", func() {
 			err := r.Persistent(iters, func(int) {
@@ -236,7 +236,7 @@ func TestGatedThrottle(t *testing.T) {
 // as the schedule runs, so the snapshot's replay object is what says how
 // far the iteration is.
 func TestGatedGraphzReplay(t *testing.T) {
-	r := New(Config{Workers: 1, Opts: graph.OptAll, Obs: obs.Options{Addr: "127.0.0.1:0"}})
+	r := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll, Obs: obs.Options{Addr: "127.0.0.1:0"}})
 	defer r.Close()
 	url := "http://" + r.ObsAddr() + "/graphz"
 	var snaps []Snapshot

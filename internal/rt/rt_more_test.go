@@ -30,7 +30,7 @@ func TestBreadthFirstPersistentReplay(t *testing.T) {
 		{"frozen", []PersistentOption{Frozen()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := New(Config{Workers: 3, Policy: sched.BreadthFirst, Opts: graph.OptAll})
+			rt := newRuntime(t, Config{Workers: 3, Policy: sched.BreadthFirst, Opts: graph.OptAll})
 			var runs atomic.Int32
 			err := rt.Persistent(4, func(iter int) {
 				for i := 0; i < 24; i++ {
@@ -56,7 +56,7 @@ func TestDetachedInsidePersistentRegion(t *testing.T) {
 	// Detached tasks recorded in iteration 0 must work on every replay:
 	// each instance gets a fresh event whose fulfillment releases the
 	// successor of that iteration.
-	rt := New(Config{Workers: 2, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 	w := mpi.NewWorld(2)
 	c0, c1 := w.Comm(0), w.Comm(1)
 	const iters = 4
@@ -111,7 +111,7 @@ func TestDetachedInsidePersistentRegion(t *testing.T) {
 	// would abort the next instance and skip its successor. The body only
 	// yields between the two (no channel, no atomic), so that nothing
 	// orders its failure against the replay but the runtime itself.
-	rt = New(Config{Workers: 2, Opts: graph.OptAll})
+	rt = newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 	var started, used atomic.Int32
 	err = rt.Persistent(iters, func(iter int) {
 		rt.Submit(Spec{
@@ -144,7 +144,7 @@ func TestDetachedInsidePersistentRegion(t *testing.T) {
 func TestProfileSeparatesProducerSlot(t *testing.T) {
 	const workers = 2
 	p := trace.New(workers+1, false)
-	rt := New(Config{Workers: workers, ThrottleTotal: 2, Profile: p})
+	rt := newRuntime(t, Config{Workers: workers, ThrottleTotal: 2, Profile: p})
 	// With an aggressive throttle the producer must execute tasks
 	// itself — its slot (index `workers`) accumulates work time.
 	for i := 0; i < 64; i++ {
@@ -157,17 +157,8 @@ func TestProfileSeparatesProducerSlot(t *testing.T) {
 	}
 }
 
-func TestMismatchedProfilePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("undersized profile accepted")
-		}
-	}()
-	New(Config{Workers: 4, Profile: trace.New(2, false)})
-}
-
 func TestManySmallPersistentIterations(t *testing.T) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll})
 	var n atomic.Int64
 	const iters = 50
 	err := rt.Persistent(iters, func(iter int) {
@@ -189,7 +180,7 @@ func TestManySmallPersistentIterations(t *testing.T) {
 }
 
 func TestGraphStatsExposedThroughRuntime(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptDedup})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptDedup})
 	gate := make(chan struct{})
 	// Hold the writer open so the reader's edges are created (not
 	// pruned) regardless of scheduling.
@@ -204,7 +195,7 @@ func TestGraphStatsExposedThroughRuntime(t *testing.T) {
 }
 
 func TestCloseIdempotentAfterWorkDone(t *testing.T) {
-	rt := New(Config{Workers: 2})
+	rt := newRuntime(t, Config{Workers: 2})
 	for i := 0; i < 10; i++ {
 		rt.Submit(Spec{Body: func(any) {}})
 	}
@@ -213,7 +204,7 @@ func TestCloseIdempotentAfterWorkDone(t *testing.T) {
 }
 
 func TestHeavyChurnManyKeys(t *testing.T) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll, ThrottleTotal: 256})
+	rt := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll, ThrottleTotal: 256})
 	var n atomic.Int64
 	for i := 0; i < 5000; i++ {
 		k := graph.Key(i % 97)
@@ -235,7 +226,7 @@ func TestHeavyChurnManyKeys(t *testing.T) {
 }
 
 func TestPersistentFrozenReplaysCapturedClosures(t *testing.T) {
-	rt := New(Config{Workers: 3, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 3, Opts: graph.OptAll})
 	var mu sync.Mutex
 	var seen []int
 	const iters = 4
@@ -273,7 +264,7 @@ func TestPersistentFrozenReplaysCapturedClosures(t *testing.T) {
 }
 
 func TestPersistentAdaptiveReRecordsOnShapeChange(t *testing.T) {
-	rt := New(Config{Workers: 3, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 3, Opts: graph.OptAll})
 	var n atomic.Int64
 	const iters = 12
 	// The task stream widens at iterations 4 and 8 (AMR-style).
@@ -309,7 +300,7 @@ func TestPersistentAdaptiveReRecordsOnShapeChange(t *testing.T) {
 }
 
 func TestPersistentAdaptiveUndetectedChangeErrors(t *testing.T) {
-	rt := New(Config{Workers: 2})
+	rt := newRuntime(t, Config{Workers: 2})
 	err := rt.Persistent(3,
 		func(iter int) {
 			n := 2
@@ -332,7 +323,7 @@ func TestCrossBoundaryDependenceIntoPersistentRegion(t *testing.T) {
 	// A task submitted before the persistent region writes a key the
 	// recorded tasks read: iteration 0 must wait for it; replays must
 	// not deadlock on it (epoch fix).
-	rt := New(Config{Workers: 2, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 	gate := make(chan struct{})
 	var order []string
 	var mu sync.Mutex
@@ -375,7 +366,7 @@ func TestCrossBoundaryDependenceIntoPersistentRegion(t *testing.T) {
 // instructions wide, so the loop runs many short rounds; each round's
 // task is checked one round later, once its worker has moved on.
 func TestDetachedFulfillBeforeStartStaysTerminal(t *testing.T) {
-	rt := New(Config{Workers: 2, CPath: CPathOptions{Enable: true}})
+	rt := newRuntime(t, Config{Workers: 2, CPath: CPathOptions{Enable: true}})
 	defer rt.Close()
 	rounds, budget := 200_000, 2*time.Second
 	if testing.Short() {
@@ -401,7 +392,7 @@ func TestDetachedFulfillBeforeStartStaysTerminal(t *testing.T) {
 // predecessor's finish does not move it back to Ready, and the ready
 // gauge ends at 0.
 func TestDetachedFulfillBeforeReadyStaysTerminal(t *testing.T) {
-	rt := New(Config{Workers: 1})
+	rt := newRuntime(t, Config{Workers: 1})
 	defer rt.Close()
 	gate := make(chan struct{})
 	rt.Submit(Spec{Label: "a", Out: []graph.Key{1}, Body: func(any) { <-gate }})
@@ -421,7 +412,7 @@ func TestDetachedFulfillBeforeReadyStaysTerminal(t *testing.T) {
 // and idle over every slot add up to the wall clock.
 func TestProfileCountsTheProducer(t *testing.T) {
 	p := trace.New(2, false)
-	rt := New(Config{Workers: 1, Profile: p})
+	rt := newRuntime(t, Config{Workers: 1, Profile: p})
 	specs := make([]Spec, 256)
 	for i := range specs {
 		specs[i] = Spec{Label: "b", InOut: []graph.Key{graph.Key(i % 16)}, Body: func(any) {}}

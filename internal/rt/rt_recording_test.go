@@ -47,7 +47,7 @@ func wantCounts(t *testing.T, when string, counts [][]atomic.Int64, want int64) 
 func TestRecordingOutlivesItsRegion(t *testing.T) {
 	const depth, width = 5, 6
 	for _, mode := range []verify.Mode{verify.Off, verify.Observe} {
-		r := New(Config{Workers: 3, Opts: graph.OptAll, Verify: mode})
+		r := newRuntime(t, Config{Workers: 3, Opts: graph.OptAll, Verify: mode})
 		a, b := newCounts(depth, width), newCounts(depth-1, width)
 		recA, err := r.Record(func() { stencilBody(r, a, depth, width)(0) })
 		if err != nil {
@@ -115,7 +115,7 @@ func TestRecordingOutlivesItsRegion(t *testing.T) {
 func TestRecordingSurvivesFailedAndAbortedReplays(t *testing.T) {
 	const n = 6
 	boom := errors.New("boom")
-	r := New(Config{Workers: 2, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 	defer r.Close()
 	counts := make([]atomic.Int64, n)
 	var failAt, abortAt atomic.Int64
@@ -176,9 +176,9 @@ func TestRecordingSurvivesFailedAndAbortedReplays(t *testing.T) {
 // TestRecordAndReplayRefuseMisuse: the two halves say no where a Frozen
 // region would have had no way to be asked.
 func TestRecordAndReplayRefuseMisuse(t *testing.T) {
-	r := New(Config{Workers: 1, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll})
 	defer r.Close()
-	other := New(Config{Workers: 1, Opts: graph.OptAll})
+	other := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll})
 	defer other.Close()
 	rec, err := r.Record(func() { r.Submit(Spec{Label: "a", Out: []graph.Key{1}}) })
 	if err != nil {

@@ -54,7 +54,7 @@ func newCounts(depth, width int) [][]atomic.Int64 {
 // schedule (CReplayCompiled counts the iterations).
 func TestCompiledReplayConcurrentWorkers(t *testing.T) {
 	const depth, width, iters = 6, 8, 50
-	r := New(Config{Workers: 4, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll})
 	defer r.Close()
 	counts := newCounts(depth, width)
 	if err := r.Persistent(iters, stencilBody(r, counts, depth, width), Frozen()); err != nil {
@@ -80,7 +80,7 @@ func TestCompiledReplayConcurrentWorkers(t *testing.T) {
 // violation would trip both the sequence check and the race detector.
 func TestCompiledReplayPreservesOrdering(t *testing.T) {
 	const n, iters = 16, 30
-	r := New(Config{Workers: 4, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll})
 	defer r.Close()
 	var seq atomic.Int64 // (iterations completed)*n + links done this iteration
 	var violations atomic.Int64
@@ -115,7 +115,7 @@ func TestCompiledReplayPreservesOrdering(t *testing.T) {
 // but the recording was a compiled one, and the runtime closes clean.
 func TestCompiledFrozenCounts(t *testing.T) {
 	const depth, width, iters = 4, 4, 10
-	r := New(Config{Workers: 2, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 	counts := newCounts(depth, width)
 	if err := r.Persistent(iters, stencilBody(r, counts, depth, width), Frozen()); err != nil {
 		t.Fatalf("Persistent: %v", err)
@@ -139,7 +139,7 @@ func TestCompiledFrozenCounts(t *testing.T) {
 // structure from inside a replayed body; the verifier's end-of-iteration
 // signature check must surface it as ErrReplayDivergence.
 func TestCompiledReplayDivergenceOnMutatedStructure(t *testing.T) {
-	r := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+	r := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	defer r.Close()
 	var runs atomic.Int64
 	body := func(int) {
@@ -166,7 +166,7 @@ func TestCompiledReplayDivergenceOnMutatedStructure(t *testing.T) {
 func TestCompiledReplayAbortMidReplay(t *testing.T) {
 	const n = 6
 	boom := errors.New("boom")
-	r := New(Config{Workers: 4, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll})
 	defer r.Close()
 	counts := make([]atomic.Int64, n)
 	body := func(int) {
@@ -229,7 +229,7 @@ func TestCompiledReplayAbortMidReplay(t *testing.T) {
 func TestCompiledReplayTaskFailurePoisonsCone(t *testing.T) {
 	const n = 5
 	fail := errors.New("body failed")
-	r := New(Config{Workers: 2, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 	defer r.Close()
 	counts := make([]atomic.Int64, n)
 	body := func(int) {
@@ -268,7 +268,7 @@ func TestCompiledReplayTaskFailurePoisonsCone(t *testing.T) {
 // task's completion event, so the region must fail loudly instead of
 // deadlocking on iteration 1.
 func TestFrozenDetachedRejected(t *testing.T) {
-	r := New(Config{Workers: 1, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll})
 	defer r.Close()
 	body := func(int) {
 		r.Submit(Spec{
@@ -287,7 +287,7 @@ func TestFrozenDetachedRejected(t *testing.T) {
 // TestCompiledReplayEmptyRecording: a frozen region that records no
 // tasks must still run its iterations without wedging.
 func TestCompiledReplayEmptyRecording(t *testing.T) {
-	r := New(Config{Workers: 1, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll})
 	defer r.Close()
 	if err := r.Persistent(4, func(int) {}, Frozen()); err != nil {
 		t.Fatalf("Persistent: %v", err)

@@ -359,7 +359,7 @@ func runMode(t *testing.T, m replayMode, cfg Config, mk func() *modeStream, iter
 	t.Helper()
 	s := mk()
 	defer s.stop()
-	r := New(cfg)
+	r := newRuntime(t, cfg)
 	var err error
 	var recordings int
 	finishes(t, m.name, func() { err, recordings = m.run(r, s, iters) })
@@ -693,7 +693,7 @@ func TestReplayModesInstrumentedEqualsBare(t *testing.T) {
 						if faulted {
 							s.plantFailure(rand.New(rand.NewSource(int64(workers))), failIter)
 						}
-						r := New(cfg)
+						r := newRuntime(t, cfg)
 						var err error
 						finishes(t, m.name, func() { err, _ = m.run(r, s, iters) })
 						checkQuiescent(t, r, m.name+" after its run")
@@ -773,7 +773,7 @@ func TestReplayModesShapeMismatch(t *testing.T) {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			s := newModeStream(int64(workers), tasks, false, true, false)
 			defer s.stop()
-			r := New(Config{Workers: workers, Opts: graph.OptAll})
+			r := newRuntime(t, Config{Workers: workers, Opts: graph.OptAll})
 			defer r.Close()
 			full, short := s.body(r, tasks), s.body(r, tasks/2)
 			var err error
@@ -802,7 +802,7 @@ func TestReplayModesShapeMismatch(t *testing.T) {
 			// One task too many panics in Submit, as it always has, and a
 			// panic out of a region body leaves its runtime unusable: this one
 			// is not closed, and its tasks touch nothing of the test's.
-			r2 := New(Config{Workers: workers, Opts: graph.OptAll})
+			r2 := newRuntime(t, Config{Workers: workers, Opts: graph.OptAll})
 			var panicked any
 			finishes(t, "long region", func() {
 				defer func() { panicked = recover() }()
@@ -830,7 +830,7 @@ func TestReplayModesSteadyStateAllocs(t *testing.T) {
 			region := func(iters int) (mallocs uint64, ndetached int) {
 				s := newModeStream(7, tasks, false, detached, false)
 				defer s.stop()
-				r := New(Config{Workers: 1, Opts: graph.OptAll})
+				r := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll})
 				defer r.Close()
 				body := s.body(r, tasks)
 				var m0, m1 runtime.MemStats

@@ -14,8 +14,19 @@ import (
 	"taskdep/internal/trace"
 )
 
+// newRuntime is NewRuntime for a test: a configuration it rejects fails
+// the test.
+func newRuntime(tb testing.TB, cfg Config) *Runtime {
+	tb.Helper()
+	r, err := NewRuntime(cfg)
+	if err != nil {
+		tb.Fatalf("NewRuntime: %v", err)
+	}
+	return r
+}
+
 func TestSingleTaskRuns(t *testing.T) {
-	rt := New(Config{Workers: 2})
+	rt := newRuntime(t, Config{Workers: 2})
 	var ran atomic.Bool
 	rt.Submit(Spec{Label: "t", Body: func(any) { ran.Store(true) }})
 	rt.Close()
@@ -25,7 +36,7 @@ func TestSingleTaskRuns(t *testing.T) {
 }
 
 func TestFirstPrivateDelivered(t *testing.T) {
-	rt := New(Config{Workers: 2})
+	rt := newRuntime(t, Config{Workers: 2})
 	got := make(chan int, 1)
 	rt.Submit(Spec{Body: func(fp any) { got <- fp.(int) }, FirstPrivate: 42})
 	rt.Close()
@@ -35,7 +46,7 @@ func TestFirstPrivateDelivered(t *testing.T) {
 }
 
 func TestDependenceOrderChain(t *testing.T) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll})
 	const n = 200
 	var order []int
 	var mu sync.Mutex
@@ -63,7 +74,7 @@ func TestDependenceOrderChain(t *testing.T) {
 }
 
 func TestIndependentTasksRunInParallel(t *testing.T) {
-	rt := New(Config{Workers: 4})
+	rt := newRuntime(t, Config{Workers: 4})
 	var concurrent, peak atomic.Int32
 	var wgStart sync.WaitGroup
 	wgStart.Add(4)
@@ -94,7 +105,7 @@ func TestIndependentTasksRunInParallel(t *testing.T) {
 }
 
 func TestTaskwaitWaitsForAll(t *testing.T) {
-	rt := New(Config{Workers: 3})
+	rt := newRuntime(t, Config{Workers: 3})
 	var done atomic.Int32
 	for i := 0; i < 50; i++ {
 		rt.Submit(Spec{Body: func(any) {
@@ -111,7 +122,7 @@ func TestTaskwaitWaitsForAll(t *testing.T) {
 
 func TestDiamondDependence(t *testing.T) {
 	// a -> (b, c) -> d
-	rt := New(Config{Workers: 4})
+	rt := newRuntime(t, Config{Workers: 4})
 	var log []string
 	var mu sync.Mutex
 	add := func(s string) func(any) {
@@ -132,7 +143,7 @@ func TestDiamondDependence(t *testing.T) {
 }
 
 func TestTaskLoopCoversRange(t *testing.T) {
-	rt := New(Config{Workers: 4})
+	rt := newRuntime(t, Config{Workers: 4})
 	const n = 1000
 	covered := make([]atomic.Int32, n)
 	rt.TaskLoop(n, 7,
@@ -153,7 +164,7 @@ func TestTaskLoopCoversRange(t *testing.T) {
 }
 
 func TestDetachedTaskCompletesOnFulfill(t *testing.T) {
-	rt := New(Config{Workers: 2})
+	rt := newRuntime(t, Config{Workers: 2})
 	fired := make(chan *Event, 1)
 	ev := rt.Submit(Spec{
 		Label:        "detach",
@@ -179,9 +190,46 @@ func TestDetachedTaskCompletesOnFulfill(t *testing.T) {
 	}
 }
 
+// TestDetachedSubmitAllocatesOnlyItsEvent: warm detached Submits,
+// their bodies' Fulfills and the Taskwait allocate each task's Event and
+// nothing else per task — the executor calls the DetachedBody through
+// that event, so no closure is made per submission to bind the two.
+// The window's task chunks are the only other allocations: a detached
+// task pins its chunk, which is then not recycled (graph.EndWindow).
+func TestDetachedSubmitAllocatesOnlyItsEvent(t *testing.T) {
+	const n = 512
+	rt := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll})
+	defer rt.Close()
+	var bodies atomic.Int64
+	body := func(_ any, ev *Event) { bodies.Add(1); ev.Fulfill() }
+	keys := make([][]graph.Key, n)
+	for i := range keys {
+		keys[i] = []graph.Key{graph.Key(i)}
+	}
+	run := func() {
+		for i := range keys {
+			rt.Submit(Spec{Out: keys[i], Detached: true, DetachedBody: body})
+		}
+		if err := rt.Taskwait(); err != nil {
+			t.Fatalf("Taskwait: %v", err)
+		}
+	}
+	run() // warm-up: key states, queues
+	// A chunk is two allocations (header and tasks) of 128 tasks.
+	const chunks = n/128 + 1
+	if allocs := testing.AllocsPerRun(10, run); allocs > n+2*chunks {
+		t.Fatalf("%d detached Submits + Fulfills + Taskwait: %.0f allocations, want <= %d events and %d task chunks",
+			n, allocs, n, chunks)
+	}
+	// AllocsPerRun adds a warm-up run of its own.
+	if got := bodies.Load(); got != 12*n {
+		t.Fatalf("DetachedBody ran %d times, want %d", got, 12*n)
+	}
+}
+
 func TestThrottleTotalBoundsLiveTasks(t *testing.T) {
 	const limit = 8
-	rt := New(Config{Workers: 2, ThrottleTotal: limit})
+	rt := newRuntime(t, Config{Workers: 2, ThrottleTotal: limit})
 	var maxLive atomic.Int64
 	for i := 0; i < 200; i++ {
 		rt.Submit(Spec{InOut: []graph.Key{1}, Body: func(any) {
@@ -202,7 +250,7 @@ func TestThrottleTotalBoundsLiveTasks(t *testing.T) {
 }
 
 func TestPersistentReplayRunsEveryIteration(t *testing.T) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll})
 	const iters, chain = 5, 32
 	runs := make([]atomic.Int32, chain)
 	err := rt.Persistent(iters, func(iter int) {
@@ -232,7 +280,7 @@ func TestPersistentReplayRunsEveryIteration(t *testing.T) {
 }
 
 func TestPersistentFirstPrivateUpdatedPerIteration(t *testing.T) {
-	rt := New(Config{Workers: 2})
+	rt := newRuntime(t, Config{Workers: 2})
 	var mu sync.Mutex
 	seen := map[int]bool{}
 	err := rt.Persistent(4, func(iter int) {
@@ -260,7 +308,7 @@ func TestPersistentFirstPrivateUpdatedPerIteration(t *testing.T) {
 func TestPersistentIterationBarrier(t *testing.T) {
 	// Within Persistent, iteration n+1 tasks must not start until all of
 	// iteration n completed (implicit barrier).
-	rt := New(Config{Workers: 4})
+	rt := newRuntime(t, Config{Workers: 4})
 	var cur atomic.Int32
 	var bad atomic.Bool
 	err := rt.Persistent(3, func(iter int) {
@@ -291,7 +339,7 @@ func TestPersistentIterationBarrier(t *testing.T) {
 }
 
 func TestPersistentShapeMismatchFails(t *testing.T) {
-	rt := New(Config{Workers: 1})
+	rt := newRuntime(t, Config{Workers: 1})
 	err := rt.Persistent(2, func(iter int) {
 		n := 3
 		if iter == 1 {
@@ -308,7 +356,7 @@ func TestPersistentShapeMismatchFails(t *testing.T) {
 }
 
 func TestBreadthFirstPolicyRunsAll(t *testing.T) {
-	rt := New(Config{Workers: 4, Policy: sched.BreadthFirst})
+	rt := newRuntime(t, Config{Workers: 4, Policy: sched.BreadthFirst})
 	var n atomic.Int32
 	for i := 0; i < 500; i++ {
 		rt.Submit(Spec{InOut: []graph.Key{graph.Key(i % 10)}, Body: func(any) { n.Add(1) }})
@@ -322,7 +370,7 @@ func TestBreadthFirstPolicyRunsAll(t *testing.T) {
 func TestProfileBreakdownSane(t *testing.T) {
 	const workers = 3
 	p := trace.New(workers+1, true)
-	rt := New(Config{Workers: workers, Profile: p})
+	rt := newRuntime(t, Config{Workers: workers, Profile: p})
 	for i := 0; i < 64; i++ {
 		rt.Submit(Spec{InOut: []graph.Key{graph.Key(i % 8)}, Body: func(any) {
 			time.Sleep(200 * time.Microsecond)
@@ -343,7 +391,7 @@ func TestProfileBreakdownSane(t *testing.T) {
 }
 
 func TestInOutSetConcurrentWriters(t *testing.T) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll})
 	var sum atomic.Int64
 	var after atomic.Bool
 	var bad atomic.Bool
@@ -375,7 +423,7 @@ func TestPropertyRandomDAGExecutesSerially(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(60) + 10
 		keys := rng.Intn(5) + 1
-		rt := New(Config{Workers: 4, Opts: graph.Opt(rng.Intn(4))})
+		rt := newRuntime(t, Config{Workers: 4, Opts: graph.Opt(rng.Intn(4))})
 		var mu sync.Mutex
 		lastWriter := make(map[graph.Key]int)
 		violation := false
@@ -416,7 +464,7 @@ func TestPropertyRandomDAGExecutesSerially(t *testing.T) {
 }
 
 func BenchmarkSubmitExecuteIndependent(b *testing.B) {
-	rt := New(Config{Workers: 4})
+	rt := newRuntime(b, Config{Workers: 4})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rt.Submit(Spec{Body: func(any) {}})
@@ -425,7 +473,7 @@ func BenchmarkSubmitExecuteIndependent(b *testing.B) {
 }
 
 func BenchmarkPersistentIteration(b *testing.B) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll})
+	rt := newRuntime(b, Config{Workers: 4, Opts: graph.OptAll})
 	const chain = 256
 	b.ReportAllocs()
 	b.ResetTimer()

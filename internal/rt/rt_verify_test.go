@@ -10,7 +10,7 @@ import (
 
 // TestVerifyOffReturnsNil: without Config.Verify the verifier is absent.
 func TestVerifyOffReturnsNil(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptAll})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 	defer rt.Close()
 	rt.Submit(Spec{Label: "t", Body: func(any) {}})
 	rt.Taskwait()
@@ -22,7 +22,7 @@ func TestVerifyOffReturnsNil(t *testing.T) {
 // TestVerifyObserveCleanRun: a correctly declared pipeline audits clean,
 // including an inoutset group routed through a redirect node.
 func TestVerifyObserveCleanRun(t *testing.T) {
-	rt := New(Config{Workers: 4, Opts: graph.OptAll, Verify: verify.Observe})
+	rt := newRuntime(t, Config{Workers: 4, Opts: graph.OptAll, Verify: verify.Observe})
 	defer rt.Close()
 	var x int
 	rt.Submit(Spec{Label: "produce", Out: []graph.Key{1}, Body: func(any) { x = 1 }})
@@ -43,7 +43,7 @@ func TestVerifyObserveCleanRun(t *testing.T) {
 // TestVerifyFullAuditsAtTaskwait: Full mode leaves a report behind every
 // taskwait.
 func TestVerifyFullAuditsAtTaskwait(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Full})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Full})
 	defer rt.Close()
 	rt.Submit(Spec{Label: "a", Out: []graph.Key{1}, Body: func(any) {}})
 	rt.Submit(Spec{Label: "b", In: []graph.Key{1}, Body: func(any) {}})
@@ -60,7 +60,7 @@ func TestVerifyFullAuditsAtTaskwait(t *testing.T) {
 // TestVerifyPersistentClean: an unchanged PTSG replay verifies clean
 // across iterations.
 func TestVerifyPersistentClean(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	defer rt.Close()
 	sum := make([]int, 4)
 	err := rt.Persistent(3, func(iter int) {
@@ -90,7 +90,7 @@ func TestVerifyPersistentClean(t *testing.T) {
 // declarations change mid-replay (same task count, so FinishReplay
 // alone cannot see it) is caught by the verifier.
 func TestVerifyPersistentDivergence(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	defer rt.Close()
 	err := rt.Persistent(3, func(iter int) {
 		key := graph.Key(1)
@@ -118,14 +118,14 @@ func TestVerifyAdaptiveLyingChanged(t *testing.T) {
 			rt.Submit(Spec{Label: "t", InOut: []graph.Key{key}, Body: func(any) {}})
 		}
 	}
-	liar := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+	liar := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	defer liar.Close()
 	err := liar.Persistent(4, body(liar), Adaptive(func(iter int) bool { return false }))
 	if !errors.Is(err, ErrReplayDivergence) {
 		t.Fatalf("lying changed() not caught: err = %v", err)
 	}
 
-	honest := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+	honest := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	defer honest.Close()
 	err = honest.Persistent(4, body(honest), Adaptive(func(iter int) bool { return iter == 2 }))
 	if err != nil {
@@ -139,7 +139,7 @@ func TestVerifyAdaptiveLyingChanged(t *testing.T) {
 // TestVerifyDetachedClean: detached tasks participate in the audit like
 // any other node.
 func TestVerifyDetachedClean(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe})
 	defer rt.Close()
 	rt.Submit(Spec{
 		Label: "detached", Out: []graph.Key{1}, Detached: true,
@@ -156,7 +156,7 @@ func TestVerifyDetachedClean(t *testing.T) {
 // complete during discovery; OptKeepPrunedEdges keeps the orderings
 // visible so the audit stays clean).
 func TestVerifyThrottledRun(t *testing.T) {
-	rt := New(Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe, ThrottleTotal: 4})
+	rt := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe, ThrottleTotal: 4})
 	defer rt.Close()
 	for i := 0; i < 64; i++ {
 		rt.Submit(Spec{Label: "chain", InOut: []graph.Key{1}, Body: func(any) {}})

@@ -333,7 +333,7 @@ func TestWindowsMatchSequentialOracle(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 					s := newWinStream(seed, 1500)
 					want := s.oracle()
-					r := New(Config{Workers: workers, Opts: graph.OptAll})
+					r := newRuntime(t, Config{Workers: workers, Opts: graph.OptAll})
 					got := s.run(t, r)
 					if err := r.Close(); err != nil {
 						t.Fatalf("Close: %v", err)
@@ -394,7 +394,7 @@ func recordChain(t *testing.T, r *Runtime, acc []uint64, n int) *Recording {
 // handed out again.
 func TestWindowRecordingReplaysAfterReusedWindows(t *testing.T) {
 	const n = 200
-	fresh := New(Config{Workers: 2, Opts: graph.OptAll})
+	fresh := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 	want := make([]uint64, 3)
 	rec := recordChain(t, fresh, want, n)
 	if err := fresh.Replay(rec, 1, 3); err != nil {
@@ -402,7 +402,7 @@ func TestWindowRecordingReplaysAfterReusedWindows(t *testing.T) {
 	}
 	fresh.Close()
 
-	r := New(Config{Workers: 2, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 2, Opts: graph.OptAll})
 	defer r.Close()
 	acc := make([]uint64, 3)
 	rec = recordChain(t, r, acc, n)
@@ -448,7 +448,7 @@ func TestWindowRecordingReplaysAfterReusedWindows(t *testing.T) {
 func TestWindowFailedWriterPoisonsAfterDrain(t *testing.T) {
 	for _, batched := range []bool{true, false} {
 		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
-			r := New(Config{Workers: 1, Opts: graph.OptAll})
+			r := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll})
 			defer r.Close()
 			const key = graph.Key(1 << 20)
 			r.Submit(Spec{Label: "w", Out: []graph.Key{key}, Do: func(any) error { return errPlanted }})
@@ -499,7 +499,7 @@ func TestWindowRetainedTasksNotReused(t *testing.T) {
 		{Workers: 2, Opts: graph.OptAll, Verify: verify.Observe},
 		{Workers: 2, Opts: graph.OptAll, CPath: CPathOptions{Enable: true, Retain: true}},
 	} {
-		r := New(cfg)
+		r := newRuntime(t, cfg)
 		for w := 0; w < 50; w++ {
 			r.SubmitBatch(specs)
 			if err := r.Taskwait(); err != nil {
@@ -538,7 +538,7 @@ func TestWindowRetainedTasksNotReused(t *testing.T) {
 // TestWindowCountsExported: the ended-window and reused-task counts reach
 // /metrics and the /graphz snapshot.
 func TestWindowCountsExported(t *testing.T) {
-	r := New(Config{Workers: 1, Opts: graph.OptAll})
+	r := newRuntime(t, Config{Workers: 1, Opts: graph.OptAll})
 	defer r.Close()
 	specs := make([]Spec, 2*batchChunk)
 	for i := range specs {

@@ -14,6 +14,17 @@ import (
 	"taskdep/internal/rt"
 )
 
+// newRuntime is NewRuntime for a test: a configuration it rejects fails
+// the test.
+func newRuntime(tb testing.TB, cfg rt.Config) *rt.Runtime {
+	tb.Helper()
+	r, err := rt.NewRuntime(cfg)
+	if err != nil {
+		tb.Fatalf("NewRuntime: %v", err)
+	}
+	return r
+}
+
 func TestBindInternAndKeys(t *testing.T) {
 	s := NewStoreAt(1000)
 	a := s.Bind("a")
@@ -172,7 +183,7 @@ func TestValidate(t *testing.T) {
 // End-to-end: a provide/consume diamond runs on the runtime, ordered
 // purely by value bindings, and the consumer observes provided values.
 func TestDataflowEndToEnd(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 2})
+	r := newRuntime(t, rt.Config{Workers: 2})
 	defer r.Close()
 	s := NewStore()
 	x := Bind[float64](s, "x")
@@ -198,7 +209,7 @@ func TestDataflowEndToEnd(t *testing.T) {
 // A failing provider poisons its consumers: the cone is skipped, the
 // error surfaces from Taskwait, and disjoint dataflow completes.
 func TestProviderFailurePoisonsConsumers(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 2})
+	r := newRuntime(t, rt.Config{Workers: 2})
 	defer r.Close()
 	s := NewStore()
 	x := Bind[int](s, "x")
@@ -227,7 +238,7 @@ func TestProviderFailurePoisonsConsumers(t *testing.T) {
 // Value graphs replay through Persistent, including the compiled
 // Frozen path: slot values recompute every iteration.
 func TestPersistentFrozenReplay(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 2})
+	r := newRuntime(t, rt.Config{Workers: 2})
 	defer r.Close()
 	s := NewStore()
 	in := Bind[int](s, "in")
@@ -408,7 +419,7 @@ func TestFloatAccessAllocatesNothing(t *testing.T) {
 // concurrent tasks. Run it under -race: the kind bytes of neighbouring
 // slots are written concurrently.
 func TestFloatSlotsOrderedByDependences(t *testing.T) {
-	r := rt.New(rt.Config{Workers: 4})
+	r := newRuntime(t, rt.Config{Workers: 4})
 	defer r.Close()
 	s := NewStore()
 	const width, rounds = 48, 20

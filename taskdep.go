@@ -39,7 +39,10 @@
 //
 // # Quick start
 //
-//	rt := taskdep.New(taskdep.Config{Workers: 8, Opts: taskdep.OptAll})
+//	rt, err := taskdep.NewRuntime(taskdep.Config{Workers: 8, Opts: taskdep.OptAll})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	defer rt.Close()
 //	rt.Submit(taskdep.Spec{
 //		Label: "produce", Out: []taskdep.Key{1},
@@ -49,7 +52,7 @@
 //		Label: "consume", In: []taskdep.Key{1},
 //		Do: func(any) error { readX(); return nil },
 //	})
-//	if err := rt.Taskwait(); err != nil {
+//	if err = rt.Taskwait(); err != nil {
 //		var te *taskdep.TaskError
 //		if errors.As(err, &te) {
 //			log.Fatalf("task %s failed: %v", te.Label, te.Cause)
@@ -123,11 +126,6 @@ type Event = rt.Event
 // Runtime executes dependent tasks discovered by a single producer
 // goroutine.
 type Runtime = rt.Runtime
-
-// New creates and starts a runtime, panicking on invalid configuration.
-// Close must be called to drain and join the workers. Use NewRuntime to
-// get the validation problem as an error instead.
-func New(cfg Config) *Runtime { return rt.New(cfg) }
 
 // NewRuntime validates cfg, then creates and starts a runtime. Close
 // must be called to drain and join the workers. Invalid configurations

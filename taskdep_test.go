@@ -9,9 +9,20 @@ import (
 	"taskdep"
 )
 
+// newRuntime is NewRuntime for a test: a configuration it rejects fails
+// the test.
+func newRuntime(tb testing.TB, cfg taskdep.Config) *taskdep.Runtime {
+	tb.Helper()
+	r, err := taskdep.NewRuntime(cfg)
+	if err != nil {
+		tb.Fatalf("NewRuntime: %v", err)
+	}
+	return r
+}
+
 // TestPublicAPIQuickstart exercises the documented quick-start flow.
 func TestPublicAPIQuickstart(t *testing.T) {
-	rt := taskdep.New(taskdep.Config{Workers: 4, Opts: taskdep.OptAll})
+	rt := newRuntime(t, taskdep.Config{Workers: 4, Opts: taskdep.OptAll})
 	defer rt.Close()
 	var order []string
 	rt.Submit(taskdep.Spec{Label: "produce", Out: []taskdep.Key{1},
@@ -25,7 +36,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicAPIPersistent(t *testing.T) {
-	rt := taskdep.New(taskdep.Config{Workers: 2, Opts: taskdep.OptAll})
+	rt := newRuntime(t, taskdep.Config{Workers: 2, Opts: taskdep.OptAll})
 	defer rt.Close()
 	var runs atomic.Int32
 	err := rt.Persistent(3, func(iter int) {
@@ -42,7 +53,7 @@ func TestPublicAPIPersistent(t *testing.T) {
 
 func TestPublicAPIProfileAndGantt(t *testing.T) {
 	p := taskdep.NewProfile(3, true)
-	rt := taskdep.New(taskdep.Config{Workers: 2, Profile: p})
+	rt := newRuntime(t, taskdep.Config{Workers: 2, Profile: p})
 	rt.Submit(taskdep.Spec{Label: "t", Body: func(any) {}})
 	rt.Close()
 	b := p.Breakdown()
@@ -74,7 +85,7 @@ func TestPublicAPIWorld(t *testing.T) {
 }
 
 func TestPublicAPIDetached(t *testing.T) {
-	rt := taskdep.New(taskdep.Config{Workers: 2})
+	rt := newRuntime(t, taskdep.Config{Workers: 2})
 	defer rt.Close()
 	w := taskdep.NewWorld(2)
 	var got atomic.Int64
@@ -95,7 +106,7 @@ func TestPublicAPIDetached(t *testing.T) {
 }
 
 func TestPublicAPIWriteDOT(t *testing.T) {
-	rt := taskdep.New(taskdep.Config{Workers: 2, Opts: taskdep.OptAll})
+	rt := newRuntime(t, taskdep.Config{Workers: 2, Opts: taskdep.OptAll})
 	defer rt.Close()
 	err := rt.Persistent(2, func(iter int) {
 		rt.Submit(taskdep.Spec{Label: "a", Out: []taskdep.Key{1}, Body: func(any) {}})
@@ -117,7 +128,7 @@ func TestPublicAPIWriteDOT(t *testing.T) {
 // Config.Verify, Runtime.Verify, and the report's DOT export of race
 // witnesses, all through the public aliases.
 func TestPublicAPIVerify(t *testing.T) {
-	rt := taskdep.New(taskdep.Config{Workers: 2, Opts: taskdep.OptAll, Verify: taskdep.VerifyObserve})
+	rt := newRuntime(t, taskdep.Config{Workers: 2, Opts: taskdep.OptAll, Verify: taskdep.VerifyObserve})
 	defer rt.Close()
 	rt.Submit(taskdep.Spec{Label: "w", Out: []taskdep.Key{1}, Body: func(any) {}})
 	rt.Submit(taskdep.Spec{Label: "r", In: []taskdep.Key{1}, Body: func(any) {}})
@@ -137,7 +148,7 @@ func TestPublicAPIVerify(t *testing.T) {
 
 // TestPublicAPIVerifyCatchesDivergence pins the exported error value.
 func TestPublicAPIVerifyCatchesDivergence(t *testing.T) {
-	rt := taskdep.New(taskdep.Config{Workers: 2, Opts: taskdep.OptAll, Verify: taskdep.VerifyObserve})
+	rt := newRuntime(t, taskdep.Config{Workers: 2, Opts: taskdep.OptAll, Verify: taskdep.VerifyObserve})
 	defer rt.Close()
 	err := rt.Persistent(2, func(iter int) {
 		rt.Submit(taskdep.Spec{Label: "t", InOut: []taskdep.Key{taskdep.Key(1 + iter)}, Body: func(any) {}})
