@@ -237,7 +237,7 @@ func TestTemplateByteNearMisses(t *testing.T) {
 		{"truncated", base[:len(base)-1], 400, "want ',' or '}'", none},
 		{"one byte more in a slot name", bytes.Replace(base, []byte(`"provide":["v0_0"]`), []byte(`"provide":["v0_0x"]`), 1), 400, `consumes \"v0_0\" which no earlier task provides`, none},
 		{"one byte more in the result", bytes.Replace(base, []byte(`"results":["out"]`), []byte(`"results":["outx"]`), 1), 400, `result slot \"outx\" is never provided`, none},
-		{"one byte more in a label", bytes.Replace(base, []byte(`"label":"tail"`), []byte(`"label":"tailx"`), 1), 200, `"task":"tailx"`, none},
+		{"one byte more in a label", bytes.Replace(base, []byte(`"label":"tail"`), []byte(`"label":"tailx"`), 1), 200, `"tailx"`, none},
 		{"repeat null", repeat("null"), 200, `"type":"done"`, byShape},
 		{"trailing space", append(slices.Clone(base), ' '), 200, `"type":"done"`, byShape},
 		{"reformatted", bytes.ReplaceAll(hit, []byte(`,{"op"`), []byte(", {\n\"op\"")), 200, `"value":`, byShape},
@@ -472,21 +472,17 @@ func (w *discardResponse) Header() http.Header         { return w.h }
 func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardResponse) WriteHeader(code int)        { w.code = code }
 
-// TestServeHitAllocatesNoBodyCopy: a warm byte hit on the 35 KB,
-// 513-task lattice, through the handler on a warm scratch, allocates no
-// buffer the size of its body (the decoder's copy of it was one), nor a
-// graph: a few small objects for the window and the stream.
-func TestServeHitAllocatesNoBodyCopy(t *testing.T) {
-	s := New(Options{})
-	defer s.Shutdown()
-	body := latticeBody(16, 32, 8, false)
-	sc := new(reqScratch)
+// warmByteHit records body on tenant through the handler, on sc, and
+// returns a post that serves body again as a byte hit on the warm
+// template.
+func warmByteHit(t *testing.T, s *Server, sc *reqScratch, tenant string, body []byte) (post func()) {
+	t.Helper()
 	w := &discardResponse{h: make(http.Header)}
 	hr := httptest.NewRequest("POST", "/v1/graphs", nil)
-	hr.Header.Set("X-Tenant", "allocs")
+	hr.Header.Set("X-Tenant", tenant)
 	rd := new(bytes.Reader)
 	hr.Body, hr.ContentLength = io.NopCloser(rd), int64(len(body))
-	post := func() {
+	post = func() {
 		rd.Reset(body)
 		s.serveGraph(w, hr, sc)
 		if w.code != http.StatusOK {
@@ -498,9 +494,21 @@ func TestServeHitAllocatesNoBodyCopy(t *testing.T) {
 		sc.release()
 	}
 	rd.Reset(body)
-	s.serveGraph(w, hr, sc) // recorded (repeat 8)
+	s.serveGraph(w, hr, sc) // recorded
 	sc.release()
 	post()
+	return post
+}
+
+// TestServeHitAllocatesNoBodyCopy: a warm byte hit on the 35 KB,
+// 513-task lattice, through the handler on a warm scratch, allocates no
+// buffer the size of its body (the decoder's copy of it was one), nor a
+// graph: a few small objects for the window and the stream.
+func TestServeHitAllocatesNoBodyCopy(t *testing.T) {
+	s := New(Options{})
+	defer s.Shutdown()
+	body := latticeBody(16, 32, 8, false)
+	post := warmByteHit(t, s, new(reqScratch), "allocs", body)
 	tn, _ := s.Manager().Lookup("allocs")
 	// The fewest bytes of a few measurements: a stray runtime allocation
 	// must not read as the hit's.
@@ -521,6 +529,31 @@ func TestServeHitAllocatesNoBodyCopy(t *testing.T) {
 	}
 	if perHit > len(body)/8 {
 		t.Fatalf("a warm hit allocates %d bytes, more than an eighth of its %d-byte body", perHit, len(body))
+	}
+}
+
+// TestServeHitEmitsWithoutAllocating: a warm byte hit through the
+// handler allocates as many objects on a 128-task lattice as on a
+// 512-task one: a task's transition event, its put in the mailbox and
+// its label in the stream's task record allocate nothing.
+func TestServeHitEmitsWithoutAllocating(t *testing.T) {
+	s := New(Options{})
+	defer s.Shutdown()
+	sc := new(reqScratch)
+	allocs := func(depth int) float64 {
+		post := warmByteHit(t, s, sc, fmt.Sprintf("emit-%d", depth), latticeBody(16, depth, 8, false))
+		// The fewest of a few measurements: a stray runtime allocation
+		// must not read as the hit's.
+		n := math.Inf(1)
+		for i := 0; i < 3; i++ {
+			n = min(n, testing.AllocsPerRun(10, post))
+		}
+		return n
+	}
+	small, large := allocs(8), allocs(32)
+	t.Logf("a warm hit allocates %.0f objects at 128 tasks, %.0f at 512", small, large)
+	if small != large {
+		t.Fatalf("a warm hit allocates %.0f objects at 128 tasks and %.0f at 512: something is allocated per task", small, large)
 	}
 }
 

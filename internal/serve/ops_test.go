@@ -211,7 +211,7 @@ func outcomeOf(evs []Event, err error) outcome {
 	for _, e := range evs {
 		switch e.Type {
 		case "task":
-			o.done = append(o.done, e.Task)
+			o.done = append(o.done, e.Tasks...)
 		case "result":
 			o.results = append(o.results, e)
 		}

@@ -80,16 +80,20 @@ type GraphRequest struct {
 	Results []string `json:"results,omitempty"`
 }
 
-// Event is one NDJSON stream record. Seq is a per-request monotone
-// sequence number so clients can detect truncated streams.
+// Event is one stream event, in the shape of an NDJSON record. Seq is
+// a per-request monotone record number so clients can detect truncated
+// streams.
 type Event struct {
 	// Type is "accepted", "task", "result", "error" or "done".
 	Type string `json:"type"`
 	Seq  int    `json:"seq"`
-	// Task and State describe a task transition ("done" events are
-	// emitted on a task's first completed execution).
-	Task  string `json:"task,omitempty"`
-	State string `json:"state,omitempty"`
+	// Tasks and State describe task transitions: a task is "done" at its
+	// first completed execution. Tenant.Run emits one event per task;
+	// the HTTP stream writes the transitions that pile up during one
+	// write as one record listing their labels in completion order. An
+	// "error" event names its failed task here too, when it has one.
+	Tasks []string `json:"tasks,omitempty"`
+	State string   `json:"state,omitempty"`
 	// Key and Value report one result slot.
 	Key   string `json:"key,omitempty"`
 	Value any    `json:"value,omitempty"`

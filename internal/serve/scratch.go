@@ -89,7 +89,8 @@ var (
 func (sc *reqScratch) footprint() int {
 	return cap(sc.body) + (cap(sc.names)+2*len(sc.provided))*nameSize + cap(sc.tasks)*taskSize +
 		cap(sc.argAt)*intSize + cap(sc.spans)*spanSize +
-		(cap(sc.stream.batch)+cap(sc.stream.mbox.pending))*eventSize + cap(sc.stream.out)
+		(cap(sc.stream.batch)+cap(sc.stream.mbox.pending))*eventSize +
+		cap(sc.stream.tasks)*nameSize + cap(sc.stream.out)
 }
 
 // release returns the scratch to the pool with no string, task, event or

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -54,8 +55,10 @@ func maximalBody() []byte {
 // scratchIsClean reports whether nothing of a request is left in sc,
 // over the whole capacity of its buffers.
 func scratchIsClean(sc *reqScratch) bool {
-	zeroEvent := func(e Event) bool { return e == Event{} }
-	return !slices.ContainsFunc(sc.names[:cap(sc.names)], func(s string) bool { return s != "" }) &&
+	zeroEvent := func(e Event) bool { return reflect.ValueOf(e).IsZero() }
+	set := func(s string) bool { return s != "" }
+	return !slices.ContainsFunc(sc.names[:cap(sc.names)], set) &&
+		!slices.ContainsFunc(sc.stream.tasks[:cap(sc.stream.tasks)], set) &&
 		!slices.ContainsFunc(sc.tasks[:cap(sc.tasks)], func(t TaskWire) bool { return !zeroTask(t) }) &&
 		!slices.ContainsFunc(sc.stream.batch[:cap(sc.stream.batch)], func(e Event) bool { return !zeroEvent(e) }) &&
 		!slices.ContainsFunc(sc.stream.mbox.pending[:cap(sc.stream.mbox.pending)], func(e Event) bool { return !zeroEvent(e) }) &&
@@ -195,9 +198,11 @@ func TestConcurrentRequestsKeepTheirOwnArenas(t *testing.T) {
 					case "error":
 						t.Errorf("request %d: %+v", id, e)
 					case "task":
-						labelled = labelled || e.Task == fmt.Sprintf("b%d", id)
-						if strings.HasPrefix(e.Task, "b") && e.Task != fmt.Sprintf("b%d", id) {
-							t.Errorf("request %d streamed another request's label %q", id, e.Task)
+						for _, label := range e.Tasks {
+							labelled = labelled || label == fmt.Sprintf("b%d", id)
+							if strings.HasPrefix(label, "b") && label != fmt.Sprintf("b%d", id) {
+								t.Errorf("request %d streamed another request's label %q", id, label)
+							}
 						}
 					case "result":
 						if v, ok := want[e.Key]; !ok || e.Value != v {
@@ -281,11 +286,12 @@ func TestWarmStreamAllocatesNoBuffers(t *testing.T) {
 	req := GraphRequest{Tasks: make([]TaskWire, tasks), Results: []string{"out"}}
 	st := new(streamState)
 	var result any = 42.0
+	label := []string{"task-511"}
 	run := func() {
 		st.reserve(maxEvents(&req))
 		stream(io.Discard, func() {}, st, Event{Type: "accepted", Key: "t"}, func(emit func(Event)) {
 			for i := 0; i < tasks; i++ {
-				emit(Event{Type: "task", Task: "task-511", State: "done"})
+				emit(Event{Type: "task", Tasks: label, State: "done"})
 			}
 			emit(Event{Type: "result", Key: "out", Value: result})
 			emit(Event{Type: "done", Iters: 8, Elapsed: 0.0021})
@@ -304,8 +310,9 @@ func TestWarmStreamAllocatesNoBuffers(t *testing.T) {
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 16<<10 {
 		t.Fatalf("a warm %d-task stream allocates %d bytes: it regrew a buffer", tasks, perRun)
 	}
-	if cap(st.batch) < maxEvents(&req) || cap(st.mbox.pending) < maxEvents(&req) {
-		t.Fatalf("batches hold %d and %d events, reserved %d", cap(st.batch), cap(st.mbox.pending), maxEvents(&req))
+	if cap(st.batch) < maxEvents(&req) || cap(st.mbox.pending) < maxEvents(&req) || cap(st.tasks) < maxEvents(&req) {
+		t.Fatalf("batches hold %d and %d events and the task record %d labels, reserved %d",
+			cap(st.batch), cap(st.mbox.pending), cap(st.tasks), maxEvents(&req))
 	}
 }
 
@@ -389,12 +396,12 @@ func TestTenantKeepsNoViewOfTheBody(t *testing.T) {
 
 	g, results, names := tn.build(&req, func(Event) {})
 	for i := range g.tasks {
-		if aliases(g.tasks[i].label, d.s) {
-			t.Errorf("task %d's label %q is a view of the body", i, g.tasks[i].label)
+		if aliases(g.tasks[i].label[0], d.s) {
+			t.Errorf("task %d's label %q is a view of the body", i, g.tasks[i].label[0])
 		}
 	}
-	if g.tasks[len(g.tasks)-1].label != "tail" || g.tasks[7].label != "task-7" {
-		t.Errorf("labels %q, %q", g.tasks[len(g.tasks)-1].label, g.tasks[7].label)
+	if g.tasks[len(g.tasks)-1].label[0] != "tail" || g.tasks[7].label[0] != "task-7" {
+		t.Errorf("labels %q, %q", g.tasks[len(g.tasks)-1].label[0], g.tasks[7].label[0])
 	}
 	if len(results) != len(names) || len(results) != 37 {
 		t.Errorf("%d result slots under %d names, want 37", len(results), len(names))

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -69,6 +70,17 @@ func resultOf(evs []Event, key string) (any, bool) {
 	return nil, false
 }
 
+// taskLabels lists the labels of evs' task records in stream order.
+func taskLabels(evs []Event) []string {
+	var labels []string
+	for _, e := range evs {
+		if e.Type == "task" {
+			labels = append(labels, e.Tasks...)
+		}
+	}
+	return labels
+}
+
 func hasType(evs []Event, typ string) bool {
 	for _, e := range evs {
 		if e.Type == typ {
@@ -107,18 +119,16 @@ func TestGraphEndToEnd(t *testing.T) {
 	if v, ok := resultOf(evs, "total"); !ok || v.(float64) != 42 {
 		t.Fatalf("total = %v, want 42 (events %+v)", v, evs)
 	}
-	// One "task" event per task, monotone seq, accepted first, done last.
-	tasks := 0
+	// Every task's label once, monotone seq, accepted first, done last.
 	for i, e := range evs {
 		if e.Seq != i+1 {
 			t.Fatalf("seq %d at index %d", e.Seq, i)
 		}
-		if e.Type == "task" {
-			tasks++
-		}
 	}
-	if tasks != 3 {
-		t.Fatalf("task events = %d, want 3", tasks)
+	labels := taskLabels(evs)
+	slices.Sort(labels)
+	if !slices.Equal(labels, []string{"a", "add", "b"}) {
+		t.Fatalf("task labels = %q, want a, add and b once each", labels)
 	}
 	if evs[0].Type != "accepted" || evs[len(evs)-1].Type != "done" {
 		t.Fatalf("bookends wrong: %+v", evs)
@@ -141,14 +151,8 @@ func TestRepeatRunsFrozenReplay(t *testing.T) {
 		t.Fatalf("done event = %+v, want iters 5", last)
 	}
 	// Bodies re-ran every iteration but streamed only once per task.
-	taskEvents := 0
-	for _, e := range evs {
-		if e.Type == "task" {
-			taskEvents++
-		}
-	}
-	if taskEvents != 3 {
-		t.Fatalf("task events = %d, want 3", taskEvents)
+	if labels := taskLabels(evs); len(labels) != 3 {
+		t.Fatalf("task labels = %q, want 3", labels)
 	}
 	snap := s.Manager().Snapshot()["rep"]
 	if snap.Tasks != 15 {

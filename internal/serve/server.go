@@ -194,7 +194,7 @@ func emitErrors(emit func(Event), err error) {
 		emit(Event{Type: "error", Err: err.Error()})
 		return
 	}
-	emit(Event{Type: "error", Task: te.Label, Err: te.Cause.Error()})
+	emit(Event{Type: "error", Tasks: []string{te.Label}, Err: te.Cause.Error()})
 	var sibs []error
 	if te.Siblings != nil {
 		if joined, ok := te.Siblings.(interface{ Unwrap() []error }); ok {
@@ -210,7 +210,7 @@ func emitErrors(emit func(Event), err error) {
 		}
 		var st *fault.TaskError
 		if errors.As(sib, &st) {
-			emit(Event{Type: "error", Task: st.Label, Err: st.Cause.Error()})
+			emit(Event{Type: "error", Tasks: []string{st.Label}, Err: st.Cause.Error()})
 		} else {
 			emit(Event{Type: "error", Err: sib.Error()})
 		}

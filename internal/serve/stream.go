@@ -62,14 +62,17 @@ func (m *mailbox) take(spare []Event) (batch []Event, closed bool) {
 type streamState struct {
 	mbox  mailbox
 	batch []Event
+	tasks []string // the labels of the task record being written
 	out   []byte
 }
 
 // reserve gives both batches room for n events, the most a stream can
-// have pending at once, so that no put regrows one.
+// have pending at once, so that no put regrows one, and the task record
+// room for as many labels.
 func (st *streamState) reserve(n int) {
 	st.batch = slices.Grow(st.batch[:0], n)
 	st.mbox.pending = slices.Grow(st.mbox.pending[:0], n)
+	st.tasks = slices.Grow(st.tasks[:0], n)
 }
 
 // stream writes one request's NDJSON records to w. first goes out, and
@@ -83,15 +86,32 @@ func (st *streamState) reserve(n int) {
 // and one flush for them, and the writer sleeps only on an empty
 // mailbox. It never waits while holding unflushed bytes: an event is on
 // the socket in the first write after it was emitted, and shares that
-// write only with events that piled up during the previous one.
+// write only with events that piled up during the previous one. Task
+// transitions that follow one another in a pass, in one state, share one
+// record listing their labels in the order they were emitted; every
+// other event is a record of its own.
 func stream(w io.Writer, flush func(), st *streamState, first Event, produce func(emit func(Event))) {
 	seq := 0
 	write := func(batch []Event) {
 		out := st.out[:0]
-		for i := range batch {
+		for i := 0; i < len(batch); {
+			e := &batch[i]
+			i++
+			if e.Type == "task" {
+				// The transitions that follow e in this pass join its record.
+				names := append(st.tasks[:0], e.Tasks...)
+				for ; i < len(batch) && batch[i].Type == "task" && batch[i].State == e.State; i++ {
+					names = append(names, batch[i].Tasks...)
+				}
+				e.Tasks = names
+			}
 			seq++
-			batch[i].Seq = seq
-			out = appendEvent(out, &batch[i])
+			e.Seq = seq
+			out = appendEvent(out, e)
+			if e.Type == "task" {
+				clear(e.Tasks)
+				st.tasks = e.Tasks[:0]
+			}
 		}
 		if len(out) > 0 {
 			// A failed write means the client is gone; its request context
@@ -125,7 +145,16 @@ func appendEvent(b []byte, e *Event) []byte {
 	start, ok := len(b), true
 	b = appendString(append(b, `{"type":`...), e.Type)
 	b = strconv.AppendInt(append(b, `,"seq":`...), int64(e.Seq), 10)
-	b = appendField(b, `,"task":`, e.Task)
+	if len(e.Tasks) > 0 {
+		b = append(b, `,"tasks":[`...)
+		for i, name := range e.Tasks {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, name)
+		}
+		b = append(b, ']')
+	}
 	b = appendField(b, `,"state":`, e.State)
 	b = appendField(b, `,"key":`, e.Key)
 	switch v := e.Value.(type) {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -82,12 +83,17 @@ func TestMailboxTakesEverythingPending(t *testing.T) {
 	}
 }
 
-// TestStreamOneFlushPerBurst: events emitted while the writer is busy
-// go out in one write and one flush when it comes back, numbered
-// contiguously after what was already written; `accepted` is written and
-// flushed before the producer starts.
-func TestStreamOneFlushPerBurst(t *testing.T) {
-	const burst = 200
+// taskEvent is the transition event of the task labelled label.
+func taskEvent(label string) Event {
+	return Event{Type: "task", Tasks: []string{label}, State: "done"}
+}
+
+// streamBurst streams accepted, a lone "first" transition, then burst,
+// all of which the producer emits while the writer is stuck writing
+// "first", and returns what the writer did. `accepted` must be written
+// and flushed before the producer starts.
+func streamBurst(t *testing.T, burst []Event) *recorder {
+	t.Helper()
 	inWrite := make(chan struct{})
 	release := make(chan struct{})
 	rec := &recorder{}
@@ -102,12 +108,11 @@ func TestStreamOneFlushPerBurst(t *testing.T) {
 		rec.mu.Lock()
 		flushedBeforeStart = rec.flushes
 		rec.mu.Unlock()
-		emit(Event{Type: "task", Task: "first", State: "done"})
+		emit(taskEvent("first"))
 		<-inWrite // the writer is now stuck in Write; everything below piles up
-		for i := 0; i < burst; i++ {
-			emit(Event{Type: "task", Task: fmt.Sprintf("b%d", i), State: "done"})
+		for _, e := range burst {
+			emit(e)
 		}
-		emit(Event{Type: "done", Iters: 1})
 		close(release)
 	})
 	if flushedBeforeStart != 1 {
@@ -116,17 +121,62 @@ func TestStreamOneFlushPerBurst(t *testing.T) {
 	if len(rec.writes) != 3 || rec.flushes != 3 {
 		t.Fatalf("%d writes, %d flushes; want 3 and 3 (accepted, first, burst)", len(rec.writes), rec.flushes)
 	}
-	if got := len(decodeRecords(t, rec.writes[2])); got != burst+1 {
-		t.Fatalf("burst write carries %d records, want %d", got, burst+1)
-	}
 	evs := decodeRecords(t, bytes.Join(rec.writes, nil))
 	for i, e := range evs {
 		if e.Seq != i+1 {
 			t.Fatalf("record %d carries seq %d", i+1, e.Seq)
 		}
 	}
-	if evs[0].Type != "accepted" || evs[len(evs)-1].Type != "done" {
-		t.Fatalf("bookends: %+v … %+v", evs[0], evs[len(evs)-1])
+	return rec
+}
+
+// TestStreamOneFlushPerBurst: events emitted while the writer is busy
+// go out in one write and one flush when it comes back, numbered
+// contiguously after what was already written, the burst of task
+// transitions as one record listing its labels in emission order.
+func TestStreamOneFlushPerBurst(t *testing.T) {
+	const burst = 200
+	var (
+		labels, types []string
+		emitted       []Event
+	)
+	for i := 0; i < burst; i++ {
+		labels = append(labels, fmt.Sprintf("b%d", i))
+		emitted = append(emitted, taskEvent(labels[i]))
+	}
+	rec := streamBurst(t, append(emitted, Event{Type: "done", Iters: 1}))
+	for _, e := range decodeRecords(t, rec.writes[2]) {
+		types = append(types, e.Type)
+		if e.Type == "task" && !slices.Equal(e.Tasks, labels) {
+			t.Fatalf("the burst's task record lists %q, want b0 … b%d in order", e.Tasks, burst-1)
+		}
+	}
+	if want := []string{"task", "done"}; !slices.Equal(types, want) {
+		t.Fatalf("burst write carries %q, want %q", types, want)
+	}
+}
+
+// TestStreamJoinsTaskRunsOfOnePass: transitions drained in one take
+// share a record only while no other event comes between them: a result
+// or an error ends the run, and the records of every type are numbered
+// contiguously.
+func TestStreamJoinsTaskRunsOfOnePass(t *testing.T) {
+	burst := []Event{
+		taskEvent("a"), taskEvent("b"), taskEvent("c"),
+		{Type: "result", Key: "x", Value: 1.0},
+		taskEvent("d"),
+		{Type: "error", Tasks: []string{"e"}, Err: "boom"},
+		taskEvent("f"), taskEvent("g"),
+		{Type: "done", Iters: 1},
+	}
+	rec := streamBurst(t, burst)
+	var got []string
+	for _, e := range decodeRecords(t, rec.writes[2]) {
+		got = append(got, fmt.Sprintf("%d:%s%q", e.Seq, e.Type, e.Tasks))
+	}
+	want := []string{`3:task["a" "b" "c"]`, `4:result[]`, `5:task["d"]`, `6:error["e"]`, `7:task["f" "g"]`, `8:done[]`}
+	if !slices.Equal(got, want) {
+		t.Fatalf("burst records\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -172,23 +222,32 @@ func TestStreamLiveness(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	var got []string
-	for len(got) < 3 && sc.Scan() { // blocks until the records are on the wire
+	var (
+		first  string
+		labels []string
+	)
+	read := func() {
 		var e Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Errorf("bad record %q: %v", sc.Text(), err)
 		}
-		got = append(got, e.Type+":"+e.Task)
+		if first == "" {
+			first = e.Type
+		}
+		labels = append(labels, e.Tasks...)
+	}
+	for len(labels) < 2 && sc.Scan() { // blocks until the records are on the wire
+		read()
 	}
 	close(gate) // "hold" was still running up to here
-	if want := "accepted: task:a task:b"; strings.Join(got, " ") != want {
-		t.Fatalf("read %q while the held task ran, want %q (err %v)", got, want, sc.Err())
+	if first != "accepted" || !slices.Equal(labels, []string{"a", "b"}) {
+		t.Fatalf("read %q after %q while the held task ran, want a and b after accepted (err %v)", labels, first, sc.Err())
 	}
 	for sc.Scan() {
-		got = append(got, "")
+		read()
 	}
-	if len(got) != 7 { // accepted, 4 tasks, result, done
-		t.Fatalf("stream carried %d records, want 7", len(got))
+	if !slices.Equal(labels, []string{"a", "b", "hold", "tail"}) {
+		t.Fatalf("stream listed %q, want every label once in completion order", labels)
 	}
 }
 
@@ -247,7 +306,7 @@ func TestStreamConcurrentEmittersSlowReaderAndDisconnect(t *testing.T) {
 		t.Fatalf("post: %v", err)
 	}
 	br := bufio.NewReaderSize(resp.Body, 64)
-	n, tasks := 0, 0
+	n, tasks, records := 0, 0, 0
 	for {
 		line, err := br.ReadBytes('\n')
 		if len(line) > 0 {
@@ -257,7 +316,8 @@ func TestStreamConcurrentEmittersSlowReaderAndDisconnect(t *testing.T) {
 				t.Fatalf("record %d = %q (%v)", n, line, uerr)
 			}
 			if e.Type == "task" {
-				tasks++
+				tasks += len(e.Tasks)
+				records++
 			}
 			if n%50 == 0 {
 				time.Sleep(time.Millisecond)
@@ -268,8 +328,8 @@ func TestStreamConcurrentEmittersSlowReaderAndDisconnect(t *testing.T) {
 		}
 	}
 	resp.Body.Close()
-	if tasks != fan+2 || n != fan+2+3 {
-		t.Fatalf("slow reader saw %d task events in %d records, want %d in %d", tasks, n, fan+2, fan+2+3)
+	if tasks != fan+2 || n != records+3 {
+		t.Fatalf("slow reader saw %d task labels in %d task records of %d, want %d in all but 3", tasks, records, n, fan+2)
 	}
 
 	// Mid-burst disconnect.
@@ -330,7 +390,7 @@ func TestBadArgFailsAtExecution(t *testing.T) {
 	const want = "sum: numeric arg: json: cannot unmarshal string into Go value of type float64"
 	found := false
 	for _, e := range evs {
-		if e.Type == "error" && e.Task == "bad" && e.Err == want {
+		if e.Type == "error" && slices.Equal(e.Tasks, []string{"bad"}) && e.Err == want {
 			found = true
 		}
 	}
@@ -431,14 +491,16 @@ func TestColdConcatLatticeAllocs(t *testing.T) {
 // encoder: escapes, exponent forms, nested and refused values.
 var eventShapes = []Event{
 	{Type: "accepted", Seq: 1, Key: "default"},
-	{Type: "task", Seq: 2, Task: "task-0", State: "done"},
+	{Type: "task", Seq: 2, Tasks: []string{"task-0"}, State: "done"},
+	{Type: "task", Seq: 2, Tasks: []string{"a", "", `quo"te\`, "<b>&", "\x00\x1f\u2028é\xff", "task-512"}, State: "done"},
+	{Type: "task", Tasks: []string{}},
 	{Type: "result", Seq: 3, Key: "out", Value: 42.0},
 	{Type: "result", Seq: 4, Key: "zero", Value: 0.0},
 	{Type: "result", Seq: 5, Key: "s", Value: "a-b"},
 	{Type: "result", Seq: 6, Key: "nested", Value: map[string]any{"b": []any{1.0, "x", nil, true}, "a": map[string]any{"<k>": 1e21}}},
 	{Type: "result", Seq: 7, Key: "unset"},
 	{Type: "result", Seq: 8, Key: "bool", Value: false},
-	{Type: "error", Seq: 9, Task: `quo"te\`, Err: "fail: <b>&amp;\n\t\x00\x7f  é \xff"},
+	{Type: "error", Seq: 9, Tasks: []string{`quo"te\`}, Err: "fail: <b>&amp;\n\t\x00\x7f  é \xff"},
 	{Type: "done", Seq: 516, Iters: 8, Elapsed: 0.003812},
 	{Type: "done", Seq: -1, Iters: -3, Elapsed: 1.5e-7},
 	{Type: "done", Elapsed: 1e-9},
@@ -479,6 +541,9 @@ func TestAppendEventMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// labelSep separates the labels of FuzzAppendEvent's task list.
+const labelSep = "\x1e"
+
 func FuzzAppendEvent(f *testing.F) {
 	for _, e := range eventShapes {
 		var value []byte
@@ -492,11 +557,14 @@ func FuzzAppendEvent(f *testing.F) {
 			kind = 3
 			value, _ = json.Marshal(v)
 		}
-		f.Add(e.Type, e.Seq, e.Task, e.State, e.Key, e.Err, e.Iters, e.Elapsed, kind, num, string(value))
+		f.Add(e.Type, e.Seq, e.Tasks != nil, strings.Join(e.Tasks, labelSep), e.State, e.Key, e.Err, e.Iters, e.Elapsed, kind, num, string(value))
 	}
-	f.Fuzz(func(t *testing.T, typ string, seq int, task, state, key, errText string, iters int, elapsed float64,
+	f.Fuzz(func(t *testing.T, typ string, seq int, listed bool, tasks, state, key, errText string, iters int, elapsed float64,
 		kind uint8, num float64, text string) {
-		e := Event{Type: typ, Seq: seq, Task: task, State: state, Key: key, Err: errText, Iters: iters, Elapsed: elapsed}
+		e := Event{Type: typ, Seq: seq, State: state, Key: key, Err: errText, Iters: iters, Elapsed: elapsed}
+		if listed {
+			e.Tasks = strings.Split(tasks, labelSep)
+		}
 		switch kind % 5 {
 		case 1:
 			e.Value = num

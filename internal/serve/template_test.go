@@ -182,12 +182,20 @@ type streamRecord struct {
 }
 
 // canonical reduces a stream to what is determined by the request: the
-// records in order, except that a run of task transitions — which workers
-// emit as they finish — is sorted by label.
+// records in order, a task record cut into one record per label, except
+// that a run of task transitions — which workers emit as they finish, and
+// the writer groups as they pile up — is sorted by label.
 func canonical(evs []Event) []streamRecord {
-	out := make([]streamRecord, len(evs))
-	for i, e := range evs {
-		out[i] = streamRecord{e.Type, e.Task, e.State, e.Key, e.Value, e.Err, e.Iters}
+	var out []streamRecord
+	for _, e := range evs {
+		r := streamRecord{e.Type, "", e.State, e.Key, e.Value, e.Err, e.Iters}
+		if len(e.Tasks) == 0 {
+			out = append(out, r)
+		}
+		for _, label := range e.Tasks {
+			r.Task = label
+			out = append(out, r)
+		}
 	}
 	for i := 0; i < len(out); {
 		j := i
@@ -513,7 +521,7 @@ func TestConcurrentClientsOnCachedShapes(t *testing.T) {
 					case "error":
 						t.Errorf("request %d: %+v", id, e)
 					case "task":
-						tasks++
+						tasks += len(e.Tasks)
 					case "result":
 						if v, ok := want[e.Key]; !ok || e.Value != v {
 							t.Errorf("request %d: slot %q = %v, want %v (its own: %v)", id, e.Key, e.Value, v, ok)
@@ -522,7 +530,7 @@ func TestConcurrentClientsOnCachedShapes(t *testing.T) {
 					}
 				}
 				if len(want) != 0 || tasks != 5+(c+round)%3 {
-					t.Errorf("request %d: %d slots unreported, %d task events", id, len(want), tasks)
+					t.Errorf("request %d: %d slots unreported, %d task labels", id, len(want), tasks)
 				}
 			}
 		}(c)
@@ -573,8 +581,8 @@ func TestTemplateKeepsNoViewOfTheBody(t *testing.T) {
 			t.Error("a shape is a view of a body")
 		}
 		for i := range tp.g.tasks {
-			if aliases(tp.g.tasks[i].label, body) {
-				t.Errorf("cached task %d's label %q is a view of a body", i, tp.g.tasks[i].label)
+			if aliases(tp.g.tasks[i].label[0], body) {
+				t.Errorf("cached task %d's label %q is a view of a body", i, tp.g.tasks[i].label[0])
 			}
 		}
 		for _, n := range tp.resultNames {

@@ -281,7 +281,7 @@ func (t *Tenant) submit(g *wireGraph) {
 	for i := range g.tasks {
 		w := &g.tasks[i]
 		nc := len(w.in) - w.nUpdate
-		sp := t.binder.Lower(values.Spec{Label: w.label, Consume: w.in[:nc], Update: w.out[:w.nUpdate], Provide: w.out[w.nUpdate:]})
+		sp := t.binder.Lower(values.Spec{Label: w.label[0], Consume: w.in[:nc], Update: w.out[:w.nUpdate], Provide: w.out[w.nUpdate:]})
 		sp.Do, sp.FirstPrivate = runWireTask, w
 		t.rt.Submit(sp)
 	}
@@ -355,8 +355,10 @@ func (g *wireGraph) takeRuns() int64 {
 // wireTask is one task of a wireGraph; the runtime carries a pointer
 // to it as the task's FirstPrivate and runs it with runWireTask.
 type wireTask struct {
-	g     *wireGraph
-	label string
+	g *wireGraph
+	// label is the task's label as the one-element list its transition
+	// event carries, cut at build from the graph's list of labels.
+	label []string
 	op    *Op
 	// arg and err are what op.Parse made of the argument of the request
 	// the task runs for: once at build, and again for every later request
@@ -413,7 +415,7 @@ func runWireTask(fp any) error {
 	// would swamp the client).
 	if !w.reported {
 		w.reported = true
-		w.g.emit(Event{Type: "task", Task: w.label, State: "done"})
+		w.g.emit(Event{Type: "task", Tasks: w.label, State: "done"})
 	}
 	return nil
 }
@@ -435,6 +437,7 @@ func (t *Tenant) build(req *GraphRequest, emit func(Event)) (g *wireGraph, resul
 		handles = make([]values.Handle, 0, nIn+nOut)
 		byName  = make(map[string]values.Handle, nOut)
 		labels  strings.Builder
+		names   = make([]string, len(req.Tasks))
 		name    [len("task-") + 20]byte
 	)
 	// Room for every label plus a "task-<index>" for every task, so the
@@ -479,9 +482,10 @@ func (t *Tenant) build(req *GraphRequest, emit func(Event)) (g *wireGraph, resul
 		}
 		bind(w.Provide)
 		hs := handles[run:len(handles):len(handles)]
+		names[i] = labels.String()[start:]
 		g.tasks[i] = wireTask{
 			g:       g,
-			label:   labels.String()[start:],
+			label:   names[i : i+1 : i+1],
 			op:      Ops[w.Op],
 			in:      hs[: len(w.Consume)+len(w.Update) : len(w.Consume)+len(w.Update)],
 			out:     hs[len(w.Consume):],
