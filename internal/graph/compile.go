@@ -20,23 +20,27 @@ package graph
 //     differs: the same FinishInto walk, the same live gauge.
 //
 // Memory ordering. An iteration's progress is the graph's live gauge:
-// begin adds the whole schedule to it, and workers decrement preds
-// entries with atomic adds and take a finished task off the gauge LAST
-// in FinishInto (or in a batch, Graph.Retire), after every
-// successor-counter write of that completion. The producer begins the
-// next iteration only after loading Live() == 0, so that acquire load —
-// through the release sequence formed by the atomic decrements —
-// happens-after every worker write of the previous iteration: the plain
-// reset in BeginIteration/BeginReplay can never race a straggling
-// decrement. Poison is stored on a successor BEFORE the decrement that
-// could make it ready (the same argument as Graph.finishInto), so abort
-// cones drain deterministically as Skipped on the compiled path too.
-// The producer's hold orders its plain writes to a task (FirstPrivate,
-// Body, Do, Attach) before the task's execution: they precede the
-// hold's atomic decrement, and the decrement that readies the task is
-// that one — the producer then publishes the task through a queue — or
-// a later one in the same counter's modification order, whose goroutine
-// publishes it.
+// begin adds the whole schedule to it, and workers count preds entries
+// down and take a finished task off the gauge LAST in FinishInto (or in
+// a batch, Graph.Retire), after every successor-counter access of that
+// completion. The producer begins the next iteration only after loading
+// Live() == 0, so that acquire load happens-after every worker access of
+// the previous iteration: the plain reset in BeginIteration/BeginReplay
+// can never race a straggler.
+//
+// One release rule counts a position down (last): an atomic load that
+// reads 1 means the caller holds the only count left — the last
+// predecessor, or the producer's hold — and it releases the position
+// without writing; begin resets the counter anyway. Any other value
+// takes the atomic decrement, and the one that reaches zero releases.
+// Either way every earlier count came off by an atomic decrement that
+// the releasing load or decrement observes, so every other
+// predecessor's writes — poison, the critical-path fold, the producer's
+// FirstPrivate, Body, Do and Attach ahead of its hold — happen before
+// the release, and so before the queue publication that hands the task
+// to its executor. Poison is stored on a successor BEFORE it is counted
+// down (the same argument as Graph.finishInto), so abort cones drain
+// deterministically as Skipped on the compiled path too.
 
 import (
 	"errors"
@@ -109,10 +113,12 @@ type Compiled struct {
 	// a gated iteration can run (see ErrCompileDetached).
 	detached bool
 
-	// released counts the positions the producer has handed over this
-	// iteration: all of them once a frozen iteration begins; in a gated one
-	// it is the cursor, the position the next Replay call re-instantiates.
-	// Written by the producer only, atomic for Released's other readers.
+	// cursor counts the positions the producer has handed over this
+	// iteration: all of them once a frozen iteration begins; in a gated
+	// one, the position the next Replay call re-instantiates. Producer
+	// only. released is its mirror for other goroutines, published at
+	// BeginIteration, BeginReplay, PublishCursor and FinishReplay.
+	cursor   int
 	released atomic.Int32
 
 	// roots are the positions with recorded indegree 0, ready the
@@ -229,9 +235,19 @@ func (c *Compiled) Roots() []*Task { return c.roots }
 func (c *Compiled) Edges() (kept, recorded int) { return len(c.succs), c.edgesRecorded }
 
 // Released returns how many positions of the current iteration the
-// producer has released: all of them in a frozen iteration, the cursor of
-// a gated one. Safe from any goroutine.
+// producer had released at its latest publication point: all of them in
+// a frozen iteration; in a gated one, the cursor as BeginReplay, the
+// latest PublishCursor (rt's Taskwait) or FinishReplay left it, behind
+// the Replay calls since. Safe from any goroutine.
 func (c *Compiled) Released() int { return int(c.released.Load()) }
+
+// PublishCursor publishes how many positions of the current iteration
+// the producer has released so far to Released, and returns it.
+// Producer-only.
+func (c *Compiled) PublishCursor() int {
+	c.released.Store(int32(c.cursor))
+	return c.cursor
+}
 
 // BeginIteration resets the schedule for one frozen iteration: scrub
 // poison if a previous iteration failed, then restore every predecessor
@@ -251,7 +267,8 @@ func (c *Compiled) BeginIteration() error {
 		return err
 	}
 	copy(c.preds, c.template)
-	c.released.Store(int32(len(c.tasks)))
+	c.cursor = len(c.tasks)
+	c.PublishCursor()
 	return nil
 }
 
@@ -267,7 +284,8 @@ func (c *Compiled) BeginReplay() error {
 	for i, d := range c.template {
 		c.preds[i] = d + 1
 	}
-	c.released.Store(0)
+	c.cursor = 0
+	c.PublishCursor()
 	c.g.gated = c
 	return nil
 }
@@ -305,11 +323,11 @@ func (c *Compiled) begin() error {
 // Graph.Replay's contract on the compiled schedule: the per-task work is
 // the firstprivate copy, an optional closure update (at most one of
 // body/do non-nil; the recorded form is kept otherwise), a fresh attach
-// for a detached task, and one atomic decrement, the producer's hold.
-// Redirect nodes that follow the task in the recording are released with
-// it. A task whose predecessors have all finished is handed to OnReady.
+// for a detached task, and the count of the producer's hold. Redirect
+// nodes that follow the task in the recording are released with it. A
+// task whose predecessors have all finished is handed to OnReady.
 func (c *Compiled) Replay(fp any, body func(fp any), do func(fp any) error, attach any) *Task {
-	p := int(c.released.Load())
+	p := c.cursor
 	if p >= len(c.tasks) {
 		panic("graph: replay past end of recorded task sequence")
 	}
@@ -326,10 +344,9 @@ func (c *Compiled) Replay(fp any, body func(fp any), do func(fp any) error, atta
 	}
 	// Redirect nodes go with the task they follow: one is recorded after
 	// the first member of its group or run, and compile refuses a recording
-	// that starts with one. A position counts as released before its hold
-	// goes, or a task could run ahead of the count that includes it.
+	// that starts with one.
 	for {
-		c.released.Store(int32(p + 1))
+		c.cursor = p + 1
 		c.dropHold(p)
 		if p++; p == len(c.tasks) || !c.tasks[p].Redirect {
 			break
@@ -341,7 +358,7 @@ func (c *Compiled) Replay(fp any, body func(fp any), do func(fp any) error, atta
 // dropHold releases the producer's hold on position p of a gated
 // iteration.
 func (c *Compiled) dropHold(p int) {
-	if atomic.AddInt32(&c.preds[p], -1) == 0 {
+	if c.last(int32(p)) {
 		t := c.tasks[p]
 		if c.g.clock != nil {
 			t.cp.readyNs = c.g.clock.Now()
@@ -355,7 +372,7 @@ func (c *Compiled) dropHold(p int) {
 // iteration open: the caller releases them (Replay) so it can drain.
 func (c *Compiled) FinishReplay() error {
 	c.g.gated = nil
-	if p := c.Released(); p != len(c.tasks) {
+	if p := c.PublishCursor(); p != len(c.tasks) {
 		return fmt.Errorf("graph: replay submitted %d of %d recorded tasks", p, len(c.tasks))
 	}
 	return nil
@@ -390,7 +407,7 @@ func (c *Compiled) FinishInto(t *Task, buf []*Task, final State) []*Task {
 // above zero — so the barrier and the reset-safety argument are
 // unaffected: the producer can observe zero only after every executor's
 // Retire, and each Retire release-publishes all of that executor's
-// prior counter and state writes.
+// prior counter loads and writes.
 func (c *Compiled) FinishIntoDeferred(t *Task, buf []*Task, final State) []*Task {
 	poison := final != Completed || t.Poisoned()
 	if poison {
@@ -422,7 +439,7 @@ func (c *Compiled) FinishIntoDeferred(t *Task, buf []*Task, final State) []*Task
 			// generic finishInto (and the poison store above).
 			foldCPInto(t, c.tasks[p])
 		}
-		if atomic.AddInt32(&c.preds[p], -1) == 0 {
+		if c.last(p) {
 			s := c.tasks[p]
 			if cpath {
 				// No markReady on the compiled path: stamp the
@@ -433,6 +450,15 @@ func (c *Compiled) FinishIntoDeferred(t *Task, buf []*Task, final State) []*Task
 		}
 	}
 	return released
+}
+
+// last counts position p down by one — a finished predecessor or the
+// producer's hold — and reports whether that was the count p waited for
+// last (see the package comment for why a load that reads 1 orders the
+// release as the decrement would).
+func (c *Compiled) last(p int32) bool {
+	n := &c.preds[p]
+	return atomic.LoadInt32(n) == 1 || atomic.AddInt32(n, -1) == 0
 }
 
 // Retire takes n deferred compiled-path finishes (FinishIntoDeferred)

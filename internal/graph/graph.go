@@ -814,7 +814,7 @@ func (g *Graph) finishInto(t *Task, buf []*Task, final State) []*Task {
 func (g *Graph) ConsumeFailures() {
 	g.failEpoch.Add(1)
 	if c := g.gated; c != nil {
-		for _, t := range c.tasks[c.Released():] {
+		for _, t := range c.tasks[c.cursor:] {
 			t.poisoned.Store(false)
 		}
 	}

@@ -335,8 +335,11 @@ type Snapshot struct {
 // ReplaySnapshot is the state of the compiled schedule an iteration is
 // running on.
 type ReplaySnapshot struct {
-	Tasks    int `json:"tasks"`    // positions in the schedule
-	Released int `json:"released"` // handed over by the producer so far
+	Tasks int `json:"tasks"` // positions in the schedule
+	// Released is what the producer had handed over at its latest
+	// publication point: all of a frozen iteration; of a gated one, as
+	// of its start, its body's latest Taskwait or its end.
+	Released int `json:"released"`
 	// Edges is what the schedule walks per iteration, EdgesRecorded what
 	// the recording declared; the difference is transitively implied.
 	Edges         int `json:"edges"`
@@ -892,7 +895,7 @@ func (rt *Runtime) producerIdle(done func() bool) {
 func (rt *Runtime) Taskwait() error {
 	var target int64
 	if cs := rt.replay; cs != nil {
-		target = int64(cs.Len() - cs.Released())
+		target = int64(cs.Len() - cs.PublishCursor())
 	}
 	// A no-op on a compiled iteration: its body discovers nothing, and
 	// the recording barrier closed every group.
@@ -1795,8 +1798,9 @@ func (rt *Runtime) replayIteration(rec *Recording, it int, body func(iter int)) 
 // them on the previous iteration's firstprivates. A detached one gets an
 // event for its skip to claim; the one it holds has fired.
 func (rt *Runtime) cancelRest(cs *graph.Compiled) {
-	for tasks := cs.Tasks(); cs.Released() < len(tasks); {
-		t := tasks[cs.Released()]
+	tasks := cs.Tasks()
+	for p := cs.PublishCursor(); p < len(tasks); p = cs.PublishCursor() {
+		t := tasks[p]
 		t.Poison()
 		var ev *Event
 		var attach any

@@ -453,11 +453,11 @@ func runWith(tn *Tenant, sc *reqScratch) ([]Event, error) {
 	if sc.key != nil {
 		req = nil
 	}
-	err := tn.run(context.Background(), req, sc, func(e Event) {
+	err := tn.run(context.Background(), req, sc, emitFunc(func(e Event) {
 		mu.Lock()
 		evs = append(evs, e)
 		mu.Unlock()
-	})
+	}))
 	return evs, err
 }
 

@@ -88,10 +88,12 @@ type Event struct {
 	Type string `json:"type"`
 	Seq  int    `json:"seq"`
 	// Tasks and State describe task transitions: a task is "done" at its
-	// first completed execution. Tenant.Run emits one event per task;
-	// the HTTP stream writes the transitions that pile up during one
-	// write as one record listing their labels in completion order. An
-	// "error" event names its failed task here too, when it has one.
+	// first completed execution. Tenant.Run gives its caller one event
+	// per task. The HTTP stream builds no event per task: it takes the
+	// finished tasks' labels, and writes those that pile up during one
+	// write as one record listing them in completion order, ahead of the
+	// write's other events. An "error" event names its failed task here
+	// too, when it has one.
 	Tasks []string `json:"tasks,omitempty"`
 	State string   `json:"state,omitempty"`
 	// Key and Value report one result slot.

@@ -90,13 +90,14 @@ func (sc *reqScratch) footprint() int {
 	return cap(sc.body) + (cap(sc.names)+2*len(sc.provided))*nameSize + cap(sc.tasks)*taskSize +
 		cap(sc.argAt)*intSize + cap(sc.spans)*spanSize +
 		(cap(sc.stream.batch)+cap(sc.stream.mbox.pending))*eventSize +
-		cap(sc.stream.tasks)*nameSize + cap(sc.stream.out)
+		(cap(sc.stream.labels)+cap(sc.stream.mbox.labels))*nameSize + cap(sc.stream.out)
 }
 
-// release returns the scratch to the pool with no string, task, event or
-// template left in it, or drops it when it has outgrown maxPooledScratch. The
-// arenas hold nothing past their length and the stream's batches are
-// cleared as they are written, so clearing up to the lengths clears all.
+// release returns the scratch to the pool with no string, task, event,
+// label or template left in it, or drops it when it has outgrown
+// maxPooledScratch. The arenas hold nothing past their length and the
+// stream's batches are cleared as they are written, so clearing up to the
+// lengths clears all.
 func (sc *reqScratch) release() {
 	if sc.footprint() > maxPooledScratch {
 		return

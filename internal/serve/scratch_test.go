@@ -58,11 +58,12 @@ func scratchIsClean(sc *reqScratch) bool {
 	zeroEvent := func(e Event) bool { return reflect.ValueOf(e).IsZero() }
 	set := func(s string) bool { return s != "" }
 	return !slices.ContainsFunc(sc.names[:cap(sc.names)], set) &&
-		!slices.ContainsFunc(sc.stream.tasks[:cap(sc.stream.tasks)], set) &&
+		!slices.ContainsFunc(sc.stream.labels[:cap(sc.stream.labels)], set) &&
+		!slices.ContainsFunc(sc.stream.mbox.labels[:cap(sc.stream.mbox.labels)], set) &&
 		!slices.ContainsFunc(sc.tasks[:cap(sc.tasks)], func(t TaskWire) bool { return !zeroTask(t) }) &&
 		!slices.ContainsFunc(sc.stream.batch[:cap(sc.stream.batch)], func(e Event) bool { return !zeroEvent(e) }) &&
 		!slices.ContainsFunc(sc.stream.mbox.pending[:cap(sc.stream.mbox.pending)], func(e Event) bool { return !zeroEvent(e) }) &&
-		len(sc.names) == 0 && len(sc.tasks) == 0 && len(sc.provided) == 0 &&
+		len(sc.names) == 0 && len(sc.tasks) == 0 && len(sc.provided) == 0 && len(sc.stream.mbox.labels) == 0 &&
 		sc.req.Tasks == nil && sc.req.Results == nil && sc.req.Repeat == 0 && sc.key == nil
 }
 
@@ -73,7 +74,7 @@ func zeroTask(t TaskWire) bool {
 // TestScratchReleasedClean: after a request — served, refused by the
 // decoder half way, or refused by Validate — release leaves no string,
 // task or event in the scratch, and what a replay-sized request grows it
-// to (about 300 KB) is under the pooling bound.
+// to (about 225 KB) is under the pooling bound.
 func TestScratchReleasedClean(t *testing.T) {
 	s := New(Options{})
 	defer s.Shutdown()
@@ -279,8 +280,8 @@ func TestDisconnectedRequestKeepsItsScratch(t *testing.T) {
 }
 
 // TestWarmStreamAllocatesNoBuffers: on a stream state that has served a
-// 513-task request before, the next one allocates neither an event batch
-// (62 KB each at the parent, regrown from nil) nor an output buffer.
+// 513-task request before, the next one allocates neither an event batch,
+// nor a label lane, nor an output buffer.
 func TestWarmStreamAllocatesNoBuffers(t *testing.T) {
 	const tasks = 513
 	req := GraphRequest{Tasks: make([]TaskWire, tasks), Results: []string{"out"}}
@@ -288,13 +289,13 @@ func TestWarmStreamAllocatesNoBuffers(t *testing.T) {
 	var result any = 42.0
 	label := []string{"task-511"}
 	run := func() {
-		st.reserve(maxEvents(&req))
-		stream(io.Discard, func() {}, st, Event{Type: "accepted", Key: "t"}, func(emit func(Event)) {
+		st.reserve(tasks, maxEvents(&req))
+		stream(io.Discard, func() {}, st, Event{Type: "accepted", Key: "t"}, func(m *mailbox) {
 			for i := 0; i < tasks; i++ {
-				emit(Event{Type: "task", Tasks: label, State: "done"})
+				m.done(label)
 			}
-			emit(Event{Type: "result", Key: "out", Value: result})
-			emit(Event{Type: "done", Iters: 8, Elapsed: 0.0021})
+			m.put(Event{Type: "result", Key: "out", Value: result})
+			m.put(Event{Type: "done", Iters: 8, Elapsed: 0.0021})
 		})
 	}
 	run()
@@ -305,14 +306,15 @@ func TestWarmStreamAllocatesNoBuffers(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	// A goroutine and three closures (more under the race detector); the
-	// smallest of the buffers is 30 KB.
-	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 16<<10 {
+	// A goroutine and two closures, about 100 bytes (a kilobyte under the
+	// race detector); the output buffer, the one a regrowth allocates
+	// least for, takes 6 KB for the task record.
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 4<<10 {
 		t.Fatalf("a warm %d-task stream allocates %d bytes: it regrew a buffer", tasks, perRun)
 	}
-	if cap(st.batch) < maxEvents(&req) || cap(st.mbox.pending) < maxEvents(&req) || cap(st.tasks) < maxEvents(&req) {
-		t.Fatalf("batches hold %d and %d events and the task record %d labels, reserved %d",
-			cap(st.batch), cap(st.mbox.pending), cap(st.tasks), maxEvents(&req))
+	if cap(st.batch) < maxEvents(&req) || cap(st.mbox.pending) < maxEvents(&req) || cap(st.labels) < tasks || cap(st.mbox.labels) < tasks {
+		t.Fatalf("batches hold %d and %d events and %d and %d labels, reserved %d and %d",
+			cap(st.batch), cap(st.mbox.pending), cap(st.labels), cap(st.mbox.labels), maxEvents(&req), tasks)
 	}
 }
 
@@ -394,7 +396,7 @@ func TestTenantKeepsNoViewOfTheBody(t *testing.T) {
 		t.Fatal("decoded strings are not views of the body: not a test of the lifetime rule")
 	}
 
-	g, results, names := tn.build(&req, func(Event) {})
+	g, results, names := tn.build(&req, emitFunc(func(Event) {}))
 	for i := range g.tasks {
 		if aliases(g.tasks[i].label[0], d.s) {
 			t.Errorf("task %d's label %q is a view of the body", i, g.tasks[i].label[0])

@@ -149,31 +149,31 @@ func (s *Server) serveGraph(w http.ResponseWriter, r *http.Request, sc *reqScrat
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	req, events, repeat := &sc.req, 0, 0
+	req, tasks, events, repeat := &sc.req, 0, 0, 0
 	if sc.key != nil {
-		req, events, repeat = nil, sc.key.events, sc.repeat
+		req, tasks, events, repeat = nil, sc.key.tasks, sc.key.events, sc.repeat
 	} else {
-		events, repeat = maxEvents(req), req.Repeat
+		tasks, events, repeat = len(req.Tasks), maxEvents(req), req.Repeat
 	}
-	sc.stream.reserve(events)
-	stream(w, flush, &sc.stream, Event{Type: "accepted", Key: name}, func(emit func(Event)) {
+	sc.stream.reserve(tasks, events)
+	stream(w, flush, &sc.stream, Event{Type: "accepted", Key: name}, func(m *mailbox) {
 		t0 := time.Now()
-		err := tn.run(r.Context(), req, sc, emit)
+		err := tn.run(r.Context(), req, sc, m)
 		if err != nil {
 			s.graphErrors.Add(1)
 			if r.Context().Err() != nil {
 				s.disconnects.Add(1)
 			}
-			emitErrors(emit, err)
+			emitErrors(m.put, err)
 		}
-		emit(Event{Type: "done", Iters: max(repeat, 1), Elapsed: time.Since(t0).Seconds()})
+		m.put(Event{Type: "done", Iters: max(repeat, 1), Elapsed: time.Since(t0).Seconds()})
 	})
 }
 
-// maxEvents bounds the events one request's producer emits: a
-// transition per task, the result slots, the error tail and done.
+// maxEvents bounds the events besides task transitions that one
+// request's producer emits: the result slots, the error tail and done.
 func maxEvents(req *GraphRequest) int {
-	n := len(req.Tasks) + len(req.Results) + maxErrorEvents + 1
+	n := len(req.Results) + maxErrorEvents + 1
 	if len(req.Results) == 0 {
 		for i := range req.Tasks {
 			n += len(req.Tasks[i].Provide)

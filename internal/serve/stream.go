@@ -11,12 +11,15 @@ import (
 
 // mailbox is one request's event queue between the tenant's workers and
 // the handler that owns the socket. Producers append under the mutex and
-// move on — put never blocks, however slow or gone the reader is — and
-// the single consumer takes whatever has accumulated in one swap.
+// move on — neither put nor done ever blocks, however slow or gone the
+// reader is — and the single consumer takes whatever has accumulated in
+// one swap. Task transitions travel in a lane of their own, as the
+// finished tasks' labels: no Event is built or copied for them.
 type mailbox struct {
 	mu       sync.Mutex
-	nonEmpty sync.Cond // pending is non-empty or closed is set
+	nonEmpty sync.Cond // pending or labels is non-empty, or closed is set
 	pending  []Event
+	labels   []string // the finished tasks, in completion order
 	closed   bool
 }
 
@@ -33,6 +36,14 @@ func (m *mailbox) put(e Event) {
 	m.nonEmpty.Signal()
 }
 
+// done appends the labels of finished tasks to the lane.
+func (m *mailbox) done(labels []string) {
+	m.mu.Lock()
+	m.labels = append(m.labels, labels...)
+	m.mu.Unlock()
+	m.nonEmpty.Signal()
+}
+
 func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
@@ -41,77 +52,69 @@ func (m *mailbox) close() {
 }
 
 // take blocks until there is something to report, then returns every
-// pending event and whether the mailbox is closed (the batch is then the
-// last). spare, the previous batch, becomes the next pending buffer.
-func (m *mailbox) take(spare []Event) (batch []Event, closed bool) {
+// pending event and label and whether the mailbox is closed (the batch
+// is then the last). spare and spareLabels, the previous batch, become
+// the next pending buffers.
+func (m *mailbox) take(spare []Event, spareLabels []string) (batch []Event, labels []string, closed bool) {
 	m.mu.Lock()
-	for len(m.pending) == 0 && !m.closed {
+	for len(m.pending) == 0 && len(m.labels) == 0 && !m.closed {
 		m.nonEmpty.Wait()
 	}
-	batch, closed = m.pending, m.closed
-	m.pending = spare[:0]
+	batch, labels, closed = m.pending, m.labels, m.closed
+	m.pending, m.labels = spare[:0], spareLabels[:0]
 	m.mu.Unlock()
-	return batch, closed
+	return batch, labels, closed
 }
 
 // streamState is the memory one stream works in: the mailbox with the
 // batch filling up, the batch being written, and the bytes of the write.
 // The zero value is ready; a state may serve one stream after another
 // (the request scratch keeps one) and keeps its buffers' capacity, but
-// no event: a batch is cleared as soon as it is written.
+// no event or label: a batch is cleared as soon as it is written.
 type streamState struct {
-	mbox  mailbox
-	batch []Event
-	tasks []string // the labels of the task record being written
-	out   []byte
+	mbox   mailbox
+	batch  []Event
+	labels []string
+	out    []byte
 }
 
-// reserve gives both batches room for n events, the most a stream can
-// have pending at once, so that no put regrows one, and the task record
-// room for as many labels.
-func (st *streamState) reserve(n int) {
-	st.batch = slices.Grow(st.batch[:0], n)
-	st.mbox.pending = slices.Grow(st.mbox.pending[:0], n)
-	st.tasks = slices.Grow(st.tasks[:0], n)
+// reserve gives both batches room for events events and both lanes room
+// for tasks labels, the most a stream can have pending at once, so that
+// no put or done regrows one.
+func (st *streamState) reserve(tasks, events int) {
+	st.batch = slices.Grow(st.batch[:0], events)
+	st.mbox.pending = slices.Grow(st.mbox.pending[:0], events)
+	st.labels = slices.Grow(st.labels[:0], tasks)
+	st.mbox.labels = slices.Grow(st.mbox.labels[:0], tasks)
 }
 
 // stream writes one request's NDJSON records to w. first goes out, and
 // is flushed, before produce starts; produce then runs on its own
-// goroutine with the mailbox's put as its emit, and stream returns once
+// goroutine with the mailbox to emit into, and stream returns once
 // produce has returned and everything it emitted is written. The mailbox
-// closes when produce returns and emit is reachable only through it, so
-// no put can follow the close.
+// closes when produce returns, so no put or done can follow the close.
 //
-// Flush rule: each pass takes every pending event and issues one Write
-// and one flush for them, and the writer sleeps only on an empty
-// mailbox. It never waits while holding unflushed bytes: an event is on
-// the socket in the first write after it was emitted, and shares that
-// write only with events that piled up during the previous one. Task
-// transitions that follow one another in a pass, in one state, share one
-// record listing their labels in the order they were emitted; every
-// other event is a record of its own.
-func stream(w io.Writer, flush func(), st *streamState, first Event, produce func(emit func(Event))) {
+// Flush rule: each pass takes every pending label and event and issues
+// one Write and one flush for them, and the writer sleeps only on an
+// empty mailbox. It never waits while holding unflushed bytes: an event
+// is on the socket in the first write after it was emitted, and shares
+// that write only with events that piled up during the previous one.
+// The labels of a pass make one "done" task record, written ahead of
+// its events: a request's producer emits every transition before its
+// result, error and done events, so that is the order they came in.
+// Every other event is a record of its own.
+func stream(w io.Writer, flush func(), st *streamState, first Event, produce func(m *mailbox)) {
 	seq := 0
-	write := func(batch []Event) {
+	write := func(labels []string, batch []Event) {
 		out := st.out[:0]
-		for i := 0; i < len(batch); {
-			e := &batch[i]
-			i++
-			if e.Type == "task" {
-				// The transitions that follow e in this pass join its record.
-				names := append(st.tasks[:0], e.Tasks...)
-				for ; i < len(batch) && batch[i].Type == "task" && batch[i].State == e.State; i++ {
-					names = append(names, batch[i].Tasks...)
-				}
-				e.Tasks = names
-			}
+		if len(labels) > 0 {
 			seq++
-			e.Seq = seq
-			out = appendEvent(out, e)
-			if e.Type == "task" {
-				clear(e.Tasks)
-				st.tasks = e.Tasks[:0]
-			}
+			out = appendEvent(out, &Event{Type: "task", Seq: seq, Tasks: labels, State: "done"})
+		}
+		for i := range batch {
+			seq++
+			batch[i].Seq = seq
+			out = appendEvent(out, &batch[i])
 		}
 		if len(out) > 0 {
 			// A failed write means the client is gone; its request context
@@ -119,21 +122,22 @@ func stream(w io.Writer, flush func(), st *streamState, first Event, produce fun
 			_, _ = w.Write(out)
 			flush()
 		}
+		clear(labels)
 		clear(batch)
 		st.out = out
 	}
 	st.batch = append(st.batch[:0], first)
-	write(st.batch)
+	write(nil, st.batch)
 
 	m := &st.mbox
 	m.open()
 	go func() {
 		defer m.close()
-		produce(m.put)
+		produce(m)
 	}()
 	for closed := false; !closed; {
-		st.batch, closed = m.take(st.batch)
-		write(st.batch)
+		st.batch, st.labels, closed = m.take(st.batch, st.labels)
+		write(st.labels, st.batch)
 	}
 }
 

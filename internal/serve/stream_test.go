@@ -64,55 +64,55 @@ func TestMailboxTakesEverythingPending(t *testing.T) {
 	m.open()
 	const n = 100
 	for i := 0; i < n; i++ {
-		m.put(Event{Type: "task", Iters: i + 1})
+		m.put(Event{Type: "result", Iters: i + 1})
+		m.done([]string{fmt.Sprint("t", i)})
 	}
-	batch, closed := m.take(nil)
-	if len(batch) != n || closed {
-		t.Fatalf("take = %d events, closed %v; want %d, false", len(batch), closed, n)
+	batch, labels, closed := m.take(nil, nil)
+	if len(batch) != n || len(labels) != n || closed {
+		t.Fatalf("take = %d events and %d labels, closed %v; want %d, %d, false", len(batch), len(labels), closed, n, n)
 	}
 	for i, e := range batch {
-		if e.Iters != i+1 {
-			t.Fatalf("event %d out of order: %+v", i, e)
+		if e.Iters != i+1 || labels[i] != fmt.Sprint("t", i) {
+			t.Fatalf("event or label %d out of order: %+v, %q", i, e, labels[i])
 		}
+	}
+	// A lane with nothing else pending wakes the taker as an event does.
+	m.done([]string{"last"})
+	batch, labels, closed = m.take(batch, labels)
+	if len(batch) != 0 || !slices.Equal(labels, []string{"last"}) || closed {
+		t.Fatalf("a label alone: take = %+v, %q, closed %v", batch, labels, closed)
 	}
 	m.put(Event{Type: "done"})
 	m.close()
-	batch, closed = m.take(batch)
-	if len(batch) != 1 || !closed || batch[0].Type != "done" {
-		t.Fatalf("last take = %+v, closed %v", batch, closed)
+	batch, labels, closed = m.take(batch, labels)
+	if len(batch) != 1 || len(labels) != 0 || !closed || batch[0].Type != "done" {
+		t.Fatalf("last take = %+v, %q, closed %v", batch, labels, closed)
 	}
 }
 
-// taskEvent is the transition event of the task labelled label.
-func taskEvent(label string) Event {
-	return Event{Type: "task", Tasks: []string{label}, State: "done"}
-}
-
-// streamBurst streams accepted, a lone "first" transition, then burst,
-// all of which the producer emits while the writer is stuck writing
+// streamBurst streams accepted, a lone "first" transition, then what
+// burst emits into the mailbox while the writer is stuck writing
 // "first", and returns what the writer did. `accepted` must be written
 // and flushed before the producer starts.
-func streamBurst(t *testing.T, burst []Event) *recorder {
+func streamBurst(t *testing.T, burst func(m *mailbox)) *recorder {
 	t.Helper()
 	inWrite := make(chan struct{})
 	release := make(chan struct{})
 	rec := &recorder{}
 	rec.onWrite = func(n int) {
-		if n == 2 { // the write carrying the lone first task event
+		if n == 2 { // the write carrying the lone first transition
 			close(inWrite)
 			<-release
 		}
 	}
 	var flushedBeforeStart int
-	stream(rec, rec.flush, new(streamState), Event{Type: "accepted", Key: "t"}, func(emit func(Event)) {
+	stream(rec, rec.flush, new(streamState), Event{Type: "accepted", Key: "t"}, func(m *mailbox) {
 		rec.mu.Lock()
 		flushedBeforeStart = rec.flushes
 		rec.mu.Unlock()
-		emit(taskEvent("first"))
+		m.done([]string{"first"})
 		<-inWrite // the writer is now stuck in Write; everything below piles up
-		for _, e := range burst {
-			emit(e)
-		}
+		burst(m)
 		close(release)
 	})
 	if flushedBeforeStart != 1 {
@@ -136,15 +136,16 @@ func streamBurst(t *testing.T, burst []Event) *recorder {
 // transitions as one record listing its labels in emission order.
 func TestStreamOneFlushPerBurst(t *testing.T) {
 	const burst = 200
-	var (
-		labels, types []string
-		emitted       []Event
-	)
+	var labels, types []string
 	for i := 0; i < burst; i++ {
 		labels = append(labels, fmt.Sprintf("b%d", i))
-		emitted = append(emitted, taskEvent(labels[i]))
 	}
-	rec := streamBurst(t, append(emitted, Event{Type: "done", Iters: 1}))
+	rec := streamBurst(t, func(m *mailbox) {
+		for i := range labels {
+			m.done(labels[i : i+1])
+		}
+		m.put(Event{Type: "done", Iters: 1})
+	})
 	for _, e := range decodeRecords(t, rec.writes[2]) {
 		types = append(types, e.Type)
 		if e.Type == "task" && !slices.Equal(e.Tasks, labels) {
@@ -156,27 +157,33 @@ func TestStreamOneFlushPerBurst(t *testing.T) {
 	}
 }
 
-// TestStreamJoinsTaskRunsOfOnePass: transitions drained in one take
-// share a record only while no other event comes between them: a result
-// or an error ends the run, and the records of every type are numbered
-// contiguously.
+// TestStreamJoinsTaskRunsOfOnePass: the labels a pass drains make one
+// task record, written ahead of the pass's other events — the order in
+// which a request emits them — and numbered contiguously with them. The
+// bytes are what encoding the same records one Event at a time writes.
 func TestStreamJoinsTaskRunsOfOnePass(t *testing.T) {
-	burst := []Event{
-		taskEvent("a"), taskEvent("b"), taskEvent("c"),
-		{Type: "result", Key: "x", Value: 1.0},
-		taskEvent("d"),
-		{Type: "error", Tasks: []string{"e"}, Err: "boom"},
-		taskEvent("f"), taskEvent("g"),
-		{Type: "done", Iters: 1},
+	rec := streamBurst(t, func(m *mailbox) {
+		m.done([]string{"a"})
+		m.done([]string{"b"})
+		m.done([]string{"c"})
+		m.put(Event{Type: "result", Key: "x", Value: 1.0})
+		m.put(Event{Type: "error", Tasks: []string{"e"}, Err: "boom"})
+		m.put(Event{Type: "done", Iters: 1})
+	})
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, e := range []Event{
+		{Type: "task", Seq: 3, Tasks: []string{"a", "b", "c"}, State: "done"},
+		{Type: "result", Seq: 4, Key: "x", Value: 1.0},
+		{Type: "error", Seq: 5, Tasks: []string{"e"}, Err: "boom"},
+		{Type: "done", Seq: 6, Iters: 1},
+	} {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rec := streamBurst(t, burst)
-	var got []string
-	for _, e := range decodeRecords(t, rec.writes[2]) {
-		got = append(got, fmt.Sprintf("%d:%s%q", e.Seq, e.Type, e.Tasks))
-	}
-	want := []string{`3:task["a" "b" "c"]`, `4:result[]`, `5:task["d"]`, `6:error["e"]`, `7:task["f" "g"]`, `8:done[]`}
-	if !slices.Equal(got, want) {
-		t.Fatalf("burst records\n got %q\nwant %q", got, want)
+	if got := rec.writes[2]; !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("burst write\n got %s\nwant %s", got, want.Bytes())
 	}
 }
 
@@ -410,7 +417,7 @@ func TestLoweredBodyAllocs(t *testing.T) {
 	}
 	req := sumGraph(20, 22)
 	req.Tasks[2].Arg = json.RawMessage("0.5")
-	g, results, _ := tn.build(&req, func(Event) {})
+	g, results, _ := tn.build(&req, emitFunc(func(Event) {}))
 	for i := range g.tasks { // the first execution also emits the task event
 		if err := runWireTask(&g.tasks[i]); err != nil {
 			t.Fatal(err)
@@ -455,7 +462,7 @@ func TestColdConcatLatticeAllocs(t *testing.T) {
 	// the arguments and running every task a second time.
 	beyond := func(w, d int) uint64 {
 		req := lattice(w, d)
-		tn.build(&req, func(Event) {}) // binds the names
+		tn.build(&req, emitFunc(func(Event) {})) // binds the names
 		parses := uint64(testing.AllocsPerRun(5, func() {
 			for i := range req.Tasks {
 				_, _ = Ops[req.Tasks[i].Op].Parse(req.Tasks[i].Arg)
@@ -465,7 +472,7 @@ func TestColdConcatLatticeAllocs(t *testing.T) {
 		for try := 0; try < 3; try++ {
 			var m0, m1, m2 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			g, _, _ := tn.build(&req, func(Event) {})
+			g, _, _ := tn.build(&req, emitFunc(func(Event) {}))
 			for i := range g.tasks {
 				if err := runWireTask(&g.tasks[i]); err != nil {
 					t.Fatal(err)

@@ -218,7 +218,7 @@ func (c *templateCache) clear() {
 // (the firstprivate data of the replay), and no transition reported yet.
 // arg(i) is task i's argument: a decoded request's, or the literal a byte
 // match found in a body.
-func (tp *template) rebind(arg func(i int) json.RawMessage, emit func(Event)) {
+func (tp *template) rebind(arg func(i int) json.RawMessage, emit sink) {
 	tp.g.emit = emit
 	for i := range tp.g.tasks {
 		w := &tp.g.tasks[i]
@@ -245,8 +245,8 @@ type byteKey struct {
 	fixed []byte // the recording body without its variable literals
 	cuts  []cut  // where they were, in body order
 	tasks int    // tp's task count: the spans a match fills
-	// events is the most stream events a hit on tp emits: a transition
-	// per task, its result slots, the error tail and done (maxEvents).
+	// events is the most stream events besides transitions a hit on tp
+	// emits: its result slots, the error tail and done (maxEvents).
 	events int
 }
 
@@ -289,7 +289,7 @@ func newByteKey(tp *template, body []byte, req *GraphRequest, a *arenas) *byteKe
 		fixed:  make([]byte, 0, fixed),
 		cuts:   make([]cut, len(lits)),
 		tasks:  len(req.Tasks),
-		events: len(req.Tasks) + len(tp.resultNames) + maxErrorEvents + 1,
+		events: len(tp.resultNames) + maxErrorEvents + 1,
 	}
 	prev := 0
 	for i, l := range lits {

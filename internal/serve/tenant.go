@@ -126,10 +126,9 @@ func (t *Tenant) release() {
 }
 
 // Run executes one validated graph on the tenant's runtime, emitting
-// stream events as tasks complete. emit may be called from worker
-// goroutines and must not block (the HTTP layer passes a mailbox's put);
-// it is not called after Run returns. The caller must have acquired an
-// admission slot.
+// stream events as tasks complete, one "task" event per task. emit may
+// be called from worker goroutines and must not block; it is not called
+// after Run returns. The caller must have acquired an admission slot.
 //
 // The request takes one of three arms, chosen from what Run can see —
 // whether the tenant has a template of the request's shape, whether the
@@ -152,8 +151,24 @@ func (t *Tenant) release() {
 // the window has drained. A window that ends in an error or an abort
 // drops the template it ran on.
 func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) error {
-	return t.run(ctx, req, nil, emit)
+	return t.run(ctx, req, nil, emitFunc(emit))
 }
+
+// sink takes a request's events as run emits them, from worker
+// goroutines too, and never blocks: a task transition as the finished
+// task's labels, every other event whole. The HTTP stream's mailbox is
+// one; emitFunc makes one of Run's emit.
+type sink interface {
+	put(e Event)
+	done(labels []string)
+}
+
+// emitFunc is Run's emit as a sink: a transition becomes the one "task"
+// event per task that Run promises its caller.
+type emitFunc func(Event)
+
+func (f emitFunc) put(e Event)          { f(e) }
+func (f emitFunc) done(labels []string) { f(Event{Type: "task", Tasks: labels, State: "done"}) }
 
 // run is Run, and what the handler calls with its scratch sc: sc.body is
 // the request's body, and either sc.key is the byte key the body matched
@@ -162,7 +177,7 @@ func (t *Tenant) Run(ctx context.Context, req *GraphRequest, emit func(Event)) e
 // A byte hit whose template was dropped after the match — by an eviction
 // or a store swap — decodes the body here and goes the way of any other
 // request.
-func (t *Tenant) run(ctx context.Context, req *GraphRequest, sc *reqScratch, emit func(Event)) error {
+func (t *Tenant) run(ctx context.Context, req *GraphRequest, sc *reqScratch, out sink) error {
 	if t.closed.Load() {
 		return ErrTenantClosed
 	}
@@ -212,11 +227,11 @@ func (t *Tenant) run(ctx context.Context, req *GraphRequest, sc *reqScratch, emi
 	)
 	if tp != nil {
 		t.templateHits.Add(1)
-		tp.rebind(arg, emit)
+		tp.rebind(arg, out)
 		g, results, resultNames = tp.g, tp.results, tp.resultNames
 	} else {
 		t.templateMisses.Add(1)
-		g, results, resultNames = t.build(req, emit)
+		g, results, resultNames = t.build(req, out)
 	}
 	// Abort the window when the client goes away mid-stream, so a
 	// disconnected request never pins the tenant for its full graph.
@@ -269,7 +284,7 @@ func (t *Tenant) run(ctx context.Context, req *GraphRequest, sc *reqScratch, emi
 		return err
 	}
 	for i, h := range results {
-		emit(Event{Type: "result", Key: resultNames[i], Value: h.Any()})
+		out.put(Event{Type: "result", Key: resultNames[i], Value: h.Any()})
 	}
 	return nil
 }
@@ -335,7 +350,7 @@ func (t *Tenant) swapStore() {
 // task that the runtime still remembers does not hold a request body.
 type wireGraph struct {
 	t     *Tenant
-	emit  func(Event)
+	emit  sink
 	tasks []wireTask
 }
 
@@ -356,8 +371,9 @@ func (g *wireGraph) takeRuns() int64 {
 // to it as the task's FirstPrivate and runs it with runWireTask.
 type wireTask struct {
 	g *wireGraph
-	// label is the task's label as the one-element list its transition
-	// event carries, cut at build from the graph's list of labels.
+	// label is the task's label as a one-element list, the form its
+	// transition is emitted in, cut at build from the graph's list of
+	// labels.
 	label []string
 	op    *Op
 	// arg and err are what op.Parse made of the argument of the request
@@ -410,12 +426,12 @@ func runWireTask(fp any) error {
 		}
 	}
 	w.runs++
-	// One transition event per task: the first completed execution
-	// (frozen replays re-run bodies every iteration; streaming each
-	// would swamp the client).
+	// One transition per task: the first completed execution (frozen
+	// replays re-run bodies every iteration; streaming each would swamp
+	// the client).
 	if !w.reported {
 		w.reported = true
-		w.g.emit(Event{Type: "task", Tasks: w.label, State: "done"})
+		w.g.emit.done(w.label)
 	}
 	return nil
 }
@@ -424,7 +440,7 @@ func runWireTask(fp any) error {
 // tasks out for submission; results are the slots to report once the
 // graph has drained, under the names the request gave them. Caller
 // holds prodMu.
-func (t *Tenant) build(req *GraphRequest, emit func(Event)) (g *wireGraph, results []values.Handle, resultNames []string) {
+func (t *Tenant) build(req *GraphRequest, emit sink) (g *wireGraph, results []values.Handle, resultNames []string) {
 	var nIn, nOut, nLabel int
 	for i := range req.Tasks {
 		w := &req.Tasks[i]
